@@ -26,21 +26,13 @@
 //
 //	mpicd-run -n 4 -task elastic -supervise
 //	mpicd-run -n 4 -task elastic -supervise -chaos 2 -chaos-seed 7
-//
-// -bench-out runs the cross-transport microbenchmark suite (eager
-// round-trip latency and 4 MiB striped-pull bandwidth over shm, tcp and
-// the in-process transport) and writes the combined JSON:
-//
-//	mpicd-run -bench-out BENCH_shm.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
 	"mpicd/internal/launch"
@@ -56,24 +48,16 @@ func main() {
 
 	n := flag.Int("n", 2, "number of ranks")
 	transport := flag.String("transport", "shm", "shm or tcp")
-	task := flag.String("task", "pingpong", "built-in workload when no program is given: pingpong, allreduce, ringping, elastic, bench")
+	task := flag.String("task", "pingpong", "built-in workload when no program is given: pingpong, allreduce, ringping, elastic")
 	rpn := flag.Int("rpn", 0, "ranks per synthetic node (0: all ranks share one node)")
 	dir := flag.String("dir", "", "SHM session directory (default: fresh temp dir)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "kill the job after this long")
-	benchOut := flag.String("bench-out", "", "run the bench suite and write combined JSON here")
 	supervise := flag.Bool("supervise", false, "respawn failed ranks instead of killing the job")
 	restarts := flag.Int("restarts", 0, "per-rank respawn budget under -supervise (0: default of 3)")
 	chaosKills := flag.Int("chaos", 0, "SIGKILL this many workers on a seeded schedule (implies -supervise)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "chaos schedule seed (0: default of 1)")
 	chaosEvery := flag.Duration("chaos-interval", 0, "spacing between chaos kills (0: default of 2s)")
 	flag.Parse()
-
-	if *benchOut != "" {
-		if err := runBenchSuite(*benchOut, *timeout); err != nil {
-			log.Fatalf("mpicd-run: %v", err)
-		}
-		return
-	}
 
 	cmd := launch.Cmd{
 		N:            *n,
@@ -136,71 +120,4 @@ func runWorker(task string) {
 	if err := launch.RunTask(task, in, mpi.Options{}); err != nil {
 		log.Fatalf("worker rank %d: %v", in.Rank, err)
 	}
-}
-
-// runBenchSuite measures every transport with the same 2-rank pair
-// benchmark: in-process ranks directly, shm and tcp through real
-// launched processes.
-func runBenchSuite(out string, timeout time.Duration) error {
-	var results []launch.BenchResult
-
-	var eager, pull float64
-	err := mpi.Run(2, mpi.Options{}, func(c *mpi.Comm) error {
-		e, p, err := launch.BenchPair(c)
-		if c.Rank() == 0 {
-			eager, pull = e, p
-		}
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("inproc bench: %w", err)
-	}
-	results = append(results, launch.BenchResult{
-		Transport: "inproc", Ranks: 2, EagerRTTus: eager, PullMiBps: pull,
-	})
-
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	for _, tr := range []string{launch.TransportSHM, launch.TransportTCP} {
-		tmp := filepath.Join(os.TempDir(), fmt.Sprintf("mpicd-bench-%s-%d.json", tr, os.Getpid()))
-		cmd := launch.Cmd{
-			N:         2,
-			Prog:      exe,
-			Transport: tr,
-			Timeout:   timeout,
-			Env:       []string{launch.EnvTask + "=bench", launch.EnvBenchOut + "=" + tmp},
-		}
-		if err := cmd.Run(); err != nil {
-			return fmt.Errorf("%s bench: %w", tr, err)
-		}
-		b, err := os.ReadFile(tmp)
-		if err != nil {
-			return fmt.Errorf("%s bench result: %w", tr, err)
-		}
-		os.Remove(tmp)
-		var r launch.BenchResult
-		if err := json.Unmarshal(b, &r); err != nil {
-			return fmt.Errorf("%s bench result: %w", tr, err)
-		}
-		results = append(results, r)
-	}
-
-	doc := struct {
-		GeneratedAt string               `json:"generated_at"`
-		Results     []launch.BenchResult `json:"results"`
-	}{time.Now().UTC().Format(time.RFC3339), results}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, r := range results {
-		fmt.Printf("%-7s eager rtt %8.2f us   4MiB pull %9.1f MiB/s\n", r.Transport, r.EagerRTTus, r.PullMiBps)
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -395,36 +394,7 @@ func TestPersistentAllreduceKillRebindTCP(t *testing.T) {
 	const seed = 42
 	const n = 5
 	victim := int((seed*7 + 3) % n)
-	addrs := tcpAddrs(t, n)
-	ks := fabric.NewKillSwitch()
-	fns := make([]*fabric.FaultNIC, n)
-	var mu sync.Mutex
-	errs := make(chan error, n)
-	for rank := 0; rank < n; rank++ {
-		go func(rank int) {
-			nic, err := fabric.NewTCP(rank, addrs, fabric.Config{})
-			if err != nil {
-				errs <- fmt.Errorf("rank %d: %v", rank, err)
-				return
-			}
-			fn := fabric.WrapFault(nic, fabric.FaultPlan{Kills: ks})
-			mu.Lock()
-			fns[rank] = fn
-			mu.Unlock()
-			w := ucp.NewWorker(fn, hbUCP())
-			defer w.Close()
-			c := NewComm(w)
-			errs <- persistentRecoveryRank(c, victim, 2, func() {
-				mu.Lock()
-				fn := fns[victim]
-				mu.Unlock()
-				fn.Kill()
-			})
-		}(rank)
-	}
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
+	runKillableTCP(t, n, victim, func(c *Comm, kill func()) error {
+		return persistentRecoveryRank(c, victim, 2, kill)
+	})
 }

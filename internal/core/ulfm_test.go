@@ -192,10 +192,52 @@ func TestRecoveryKillMidAllreduce(t *testing.T) {
 	}
 }
 
+// runKillableTCP runs body on n in-process "ranks" over the TCP provider,
+// their fault wrappers sharing one kill switch exactly as a crashed
+// process would go silent on every connection at once; kill() kills the
+// victim. Endpoints come down the way real processes' would: survivors
+// keep theirs up until every rank is done (a rank that finishes first and
+// closes its listener reads to a slower peer as connect-refused, which is
+// hard death evidence against a survivor), and the victim's sockets close
+// only once the kill switch says it is dead (a closed socket under a rank
+// still called alive is a half-dead state real process death never shows).
+func runKillableTCP(t *testing.T, n, victim int, body func(c *Comm, kill func()) error) {
+	t.Helper()
+	addrs := tcpAddrs(t, n)
+	ks := fabric.NewKillSwitch()
+	errs := make(chan error, n)
+	allDone := make(chan struct{})
+	defer close(allDone)
+	for rank := 0; rank < n; rank++ {
+		go func(rank int) {
+			nic, err := fabric.NewTCP(rank, addrs, fabric.Config{})
+			if err != nil {
+				errs <- fmt.Errorf("rank %d: %v", rank, err)
+				return
+			}
+			w := ucp.NewWorker(fabric.WrapFault(nic, fabric.FaultPlan{Kills: ks}), hbUCP())
+			defer func() {
+				if rank == victim {
+					for !ks.Dead(victim) {
+						time.Sleep(100 * time.Microsecond)
+					}
+				} else {
+					<-allDone
+				}
+				w.Close()
+			}()
+			errs <- body(NewComm(w), func() { ks.Kill(victim) })
+		}(rank)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestRecoveryKillMidAllreduceTCP is the same scenario over the TCP
-// provider: five in-process "ranks" on real sockets, the kill switch
-// shared across their fault wrappers exactly as a crashed process would
-// go silent on every connection at once.
+// provider: five in-process "ranks" on real sockets.
 func TestRecoveryKillMidAllreduceTCP(t *testing.T) {
 	leakChecked(t)
 	if testing.Short() {
@@ -206,38 +248,9 @@ func TestRecoveryKillMidAllreduceTCP(t *testing.T) {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			const n = 5
 			victim := int((seed*7 + 3) % n)
-			addrs := tcpAddrs(t, n)
-			ks := fabric.NewKillSwitch()
-			fns := make([]*fabric.FaultNIC, n)
-			var mu sync.Mutex
-			errs := make(chan error, n)
-			for rank := 0; rank < n; rank++ {
-				go func(rank int) {
-					nic, err := fabric.NewTCP(rank, addrs, fabric.Config{})
-					if err != nil {
-						errs <- fmt.Errorf("rank %d: %v", rank, err)
-						return
-					}
-					fn := fabric.WrapFault(nic, fabric.FaultPlan{Kills: ks})
-					mu.Lock()
-					fns[rank] = fn
-					mu.Unlock()
-					w := ucp.NewWorker(fn, hbUCP())
-					defer w.Close()
-					c := NewComm(w)
-					errs <- recoveryRank(c, victim, 2, func() {
-						mu.Lock()
-						fn := fns[victim]
-						mu.Unlock()
-						fn.Kill()
-					})
-				}(rank)
-			}
-			for i := 0; i < n; i++ {
-				if err := <-errs; err != nil {
-					t.Fatal(err)
-				}
-			}
+			runKillableTCP(t, n, victim, func(c *Comm, kill func()) error {
+				return recoveryRank(c, victim, 2, kill)
+			})
 		})
 	}
 }

@@ -133,6 +133,33 @@ type NIC interface {
 
 	// Close detaches the NIC; pending and future Recv calls return ok=false.
 	Close() error
+
+	Membership
+}
+
+// Membership is the peer-lifecycle control plane of a NIC: the layer above
+// pushes death verdicts, revivals and address changes down, and the
+// provider reports link-level death evidence up. It is part of the NIC
+// contract, not an optional extension — a wrapper that dropped one of
+// these calls would silently turn a death verdict into a full dial-window
+// stall — so wrappers embed the inner NIC and override only what they
+// compose with state of their own.
+type Membership interface {
+	// DeclareRankDown records the layer above's death verdict for rank:
+	// sends and connection attempts toward it fail fast with ErrLinkDown
+	// until ReviveRank.
+	DeclareRankDown(rank int)
+	// ReviveRank forgets all connection state toward rank so a respawned
+	// process can be admitted under it.
+	ReviveRank(rank int)
+	// UpdateAddr repoints the provider at rank's new endpoint. Providers
+	// without dialable addresses return an error.
+	UpdateAddr(rank int, addr string) error
+	// SetPeerDownHook installs the single callback for link-level
+	// peer-death evidence: hard=true means the peer's process is
+	// demonstrably gone, hard=false that an established link broke. The
+	// callback runs on provider goroutines and must not block.
+	SetPeerDownHook(fn func(rank int, hard bool))
 }
 
 // Config tunes fabric behaviour. The zero value is usable; NewConfig fills
@@ -140,19 +167,11 @@ type NIC interface {
 type Config struct {
 	// FragSize is the maximum wire fragment (MTU) in bytes.
 	FragSize int
-	// InboxDepth is the per-link receive queue depth in packets.
-	InboxDepth int
 	// OutOfOrder enables reordering of FlagUnordered packets, with
 	// deterministic behaviour derived from Seed.
 	OutOfOrder bool
 	// Seed drives the out-of-order shuffle.
 	Seed int64
-	// PerPacket is an artificial per-packet latency (busy-wait) used to
-	// model link/NIC per-message overhead. Zero disables it.
-	PerPacket time.Duration
-	// PerGet is an artificial per-Get-window overhead modelling the RDMA
-	// read round trip. Zero disables it.
-	PerGet time.Duration
 	// Checksum enables CRC32C integrity protection on byte-stream
 	// providers: TCP Get responses carry a per-frame checksum verified
 	// before the payload touches the sink (a mismatch fails the Get with
@@ -165,19 +184,9 @@ type Config struct {
 	Obs *obs.Registry
 
 	// DialTimeout bounds connection establishment on byte-stream
-	// providers: the eager-mesh wait, each lazy first dial, and each
-	// redial campaign after a connection breaks. Zero means 30s.
+	// providers: each lazy first dial and each redial campaign after a
+	// connection breaks. Zero means 30s.
 	DialTimeout time.Duration
-	// DialBackoff paces connection attempts during establishment and
-	// redial. The zero value means 20ms base, 1s cap, factor 2,
-	// jitter 0.25.
-	DialBackoff Backoff
-	// EagerMesh makes Join/NewTCP dial every lower rank up front and
-	// block until the full mesh is up — the pre-lazy-dialing behaviour.
-	// Off by default: at 128+ ranks the O(N²) simultaneous dials
-	// stampede listener backlogs, so connections are established on
-	// first use instead.
-	EagerMesh bool
 
 	// Epoch is this process's incarnation number under its rank — the
 	// launcher's restart counter (0 for an original world member).
@@ -205,6 +214,9 @@ const DefaultFragSize = 16 * 1024
 // MaxFragSize bounds a single wire fragment across all providers.
 const MaxFragSize = 1 << 20
 
+// inboxDepth is every provider's receive queue depth in packets.
+const inboxDepth = 1024
+
 // NewConfig returns cfg with zero fields replaced by defaults.
 func NewConfig(cfg Config) Config {
 	if cfg.FragSize <= 0 {
@@ -212,9 +224,6 @@ func NewConfig(cfg Config) Config {
 	}
 	if cfg.FragSize > MaxFragSize {
 		cfg.FragSize = MaxFragSize
-	}
-	if cfg.InboxDepth <= 0 {
-		cfg.InboxDepth = 1024
 	}
 	return cfg
 }
@@ -253,16 +262,4 @@ func CRC32(b []byte) uint32 { return crc32.Checksum(b, crcTab) }
 
 func rangeErr(what string, rank, size int) error {
 	return fmt.Errorf("fabric: %s rank %d out of range [0,%d)", what, rank, size)
-}
-
-// spin busy-waits for roughly d. Sub-microsecond sleeps are not achievable
-// with the runtime timer, and the benchmarks need stable per-packet costs,
-// so a calibrated spin is used instead.
-func spin(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-	}
 }

@@ -166,12 +166,13 @@ type FaultStats struct {
 	KillDrops  atomic.Int64 // packets discarded because a rank was dead
 }
 
-// FaultNIC wraps a NIC and applies a FaultPlan to its traffic. Recv,
-// Register and Deregister pass through untouched; Send, SendFrom and Get
-// run the plan. All fault decisions come from one seeded RNG, so a fixed
+// FaultNIC wraps a NIC and applies a FaultPlan to its traffic. It embeds
+// the inner NIC, so everything it does not perturb — Recv, registration,
+// membership — reaches the provider untouched; Send, SendFrom and Get run
+// the plan. All fault decisions come from one seeded RNG, so a fixed
 // plan is reproducible for a fixed operation order.
 type FaultNIC struct {
-	inner NIC
+	NIC
 	rules []FaultRule
 	kills *KillSwitch
 
@@ -196,7 +197,7 @@ func WrapFault(nic NIC, plan FaultPlan) *FaultNIC {
 		ks = NewKillSwitch()
 	}
 	return &FaultNIC{
-		inner: nic,
+		NIC:   nic,
 		rules: append([]FaultRule(nil), plan.Rules...),
 		kills: ks,
 		rng:   rand.New(rand.NewSource(plan.Seed)),
@@ -211,7 +212,7 @@ func WrapFault(nic NIC, plan FaultPlan) *FaultNIC {
 // ErrRankDead. Tests use it to kill a rank at a precise point in the
 // protocol rather than after a rule-counted number of operations.
 func (f *FaultNIC) Kill() {
-	f.kills.Kill(f.inner.Rank())
+	f.kills.Kill(f.NIC.Rank())
 	f.stats.Kills.Add(1)
 	f.mu.Lock()
 	f.held = nil // a dead rank's in-flight (held) packet dies with it
@@ -232,7 +233,7 @@ func (f *FaultNIC) RegisterObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	p := func(name string) string { return fmt.Sprintf("fault.r%d.%s", f.inner.Rank(), name) }
+	p := func(name string) string { return fmt.Sprintf("fault.r%d.%s", f.NIC.Rank(), name) }
 	s := &f.stats
 	counters := []struct {
 		name string
@@ -300,21 +301,6 @@ func (f *FaultNIC) LinkUp(peer int) {
 	f.mu.Unlock()
 }
 
-// Rank implements NIC.
-func (f *FaultNIC) Rank() int { return f.inner.Rank() }
-
-// Size implements NIC.
-func (f *FaultNIC) Size() int { return f.inner.Size() }
-
-// Recv implements NIC (pass-through).
-func (f *FaultNIC) Recv() (*Packet, bool) { return f.inner.Recv() }
-
-// Register implements NIC (pass-through).
-func (f *FaultNIC) Register(src Source) uint64 { return f.inner.Register(src) }
-
-// Deregister implements NIC (pass-through).
-func (f *FaultNIC) Deregister(key uint64) { f.inner.Deregister(key) }
-
 // Close flushes any held (reordered) packet and closes the inner NIC.
 func (f *FaultNIC) Close() error {
 	f.mu.Lock()
@@ -322,9 +308,9 @@ func (f *FaultNIC) Close() error {
 	f.held = nil
 	f.mu.Unlock()
 	if held != nil {
-		_ = f.inner.Send(held.to, held.hdr, held.payload)
+		_ = f.NIC.Send(held.to, held.hdr, held.payload)
 	}
-	return f.inner.Close()
+	return f.NIC.Close()
 }
 
 // Send implements NIC: the payload is flattened, run through the plan,
@@ -371,7 +357,7 @@ func (f *FaultNIC) SendFrom(to int, hdr Header, src Source, off, n int64) (int64
 func (f *FaultNIC) Get(from int, key uint64, off int64, sink Sink, sinkOff, n int64) error {
 	// A Get touching a dead rank's memory (or issued by a dead rank) fails
 	// permanently: the registration died with the process.
-	if f.kills.Dead(from) || f.kills.Dead(f.inner.Rank()) {
+	if f.kills.Dead(from) || f.kills.Dead(f.NIC.Rank()) {
 		f.stats.GetsFailed.Add(1)
 		return fmt.Errorf("%w: rank %d killed by fault plan", ErrRankDead, from)
 	}
@@ -398,7 +384,7 @@ func (f *FaultNIC) Get(from int, key uint64, off int64, sink Sink, sinkOff, n in
 		return fmt.Errorf("%w: injected get failure", ErrLinkDown)
 	}
 	f.mu.Unlock()
-	return f.inner.Get(from, key, off, sink, sinkOff, n)
+	return f.NIC.Get(from, key, off, sink, sinkOff, n)
 }
 
 // ruleEligibleLocked reports whether rule i may still fire for peer.
@@ -428,9 +414,9 @@ func (f *FaultNIC) apply(to int, hdr Header, payload []byte) error {
 	// emits nothing, and nothing is deliverable to a dead receiver. No
 	// error — the sender of a real network learns of the death only
 	// through silence (or the liveness detector above).
-	if f.kills.Dead(f.inner.Rank()) || f.kills.Dead(to) {
+	if f.kills.Dead(f.NIC.Rank()) || f.kills.Dead(to) {
 		f.stats.KillDrops.Add(1)
-		if f.kills.Dead(f.inner.Rank()) {
+		if f.kills.Dead(f.NIC.Rank()) {
 			f.mu.Lock()
 			f.held = nil
 			f.mu.Unlock()
@@ -445,7 +431,7 @@ func (f *FaultNIC) apply(to int, hdr Header, payload []byte) error {
 	f.held = nil
 	if held != nil && held.to != to {
 		f.mu.Unlock()
-		if err := f.inner.Send(held.to, held.hdr, held.payload); err != nil {
+		if err := f.NIC.Send(held.to, held.hdr, held.payload); err != nil {
 			return err
 		}
 		f.mu.Lock()
@@ -455,7 +441,7 @@ func (f *FaultNIC) apply(to int, hdr Header, payload []byte) error {
 		if held == nil {
 			return err
 		}
-		if serr := f.inner.Send(held.to, held.hdr, held.payload); err == nil {
+		if serr := f.NIC.Send(held.to, held.hdr, held.payload); err == nil {
 			err = serr
 		}
 		return err
@@ -490,10 +476,10 @@ func (f *FaultNIC) apply(to int, hdr Header, payload []byte) error {
 		case Duplicate:
 			f.mu.Unlock()
 			f.stats.Duplicated.Add(1)
-			if err := f.inner.Send(to, hdr, payload); err != nil {
+			if err := f.NIC.Send(to, hdr, payload); err != nil {
 				return flushHeld(err)
 			}
-			return flushHeld(f.inner.Send(to, hdr, payload))
+			return flushHeld(f.NIC.Send(to, hdr, payload))
 		case Reorder:
 			if held == nil {
 				f.held = &heldSend{to: to, hdr: hdr, payload: payload}
@@ -505,7 +491,7 @@ func (f *FaultNIC) apply(to int, hdr Header, payload []byte) error {
 			// which is itself a reorder of the held packet.
 			f.mu.Unlock()
 			f.stats.Reordered.Add(1)
-			if err := f.inner.Send(to, hdr, payload); err != nil {
+			if err := f.NIC.Send(to, hdr, payload); err != nil {
 				return flushHeld(err)
 			}
 			return flushHeld(nil)
@@ -513,7 +499,7 @@ func (f *FaultNIC) apply(to int, hdr Header, payload []byte) error {
 			f.mu.Unlock()
 			f.stats.Delayed.Add(1)
 			time.Sleep(r.Delay)
-			if err := f.inner.Send(to, hdr, payload); err != nil {
+			if err := f.NIC.Send(to, hdr, payload); err != nil {
 				return flushHeld(err)
 			}
 			return flushHeld(nil)
@@ -523,7 +509,7 @@ func (f *FaultNIC) apply(to int, hdr Header, payload []byte) error {
 				f.stats.Corrupted.Add(1)
 			}
 			f.mu.Unlock()
-			if err := f.inner.Send(to, hdr, payload); err != nil {
+			if err := f.NIC.Send(to, hdr, payload); err != nil {
 				return flushHeld(err)
 			}
 			return flushHeld(nil)
@@ -538,7 +524,7 @@ func (f *FaultNIC) apply(to int, hdr Header, payload []byte) error {
 			payload = payload[:len(payload)-cut]
 			f.stats.Truncated.Add(1)
 			f.mu.Unlock()
-			if err := f.inner.Send(to, hdr, payload); err != nil {
+			if err := f.NIC.Send(to, hdr, payload); err != nil {
 				return flushHeld(err)
 			}
 			return flushHeld(nil)
@@ -556,14 +542,14 @@ func (f *FaultNIC) apply(to int, hdr Header, payload []byte) error {
 			// held packet vanish with it.
 			f.held = nil
 			f.mu.Unlock()
-			f.kills.Kill(f.inner.Rank())
+			f.kills.Kill(f.NIC.Rank())
 			f.stats.Kills.Add(1)
 			f.stats.KillDrops.Add(1)
 			return nil
 		}
 	}
 	f.mu.Unlock()
-	if err := f.inner.Send(to, hdr, payload); err != nil {
+	if err := f.NIC.Send(to, hdr, payload); err != nil {
 		return flushHeld(err)
 	}
 	return flushHeld(nil)

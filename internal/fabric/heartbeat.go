@@ -75,14 +75,15 @@ const (
 	peerDead
 )
 
-// Detector wraps a NIC with the heartbeat service. All NIC methods pass
-// through; Recv additionally consumes heartbeat packets (answering
-// pings, timing pongs) and refreshes the sender's last-seen stamp with
-// one atomic store — no allocation, no lock — so detection costs the
-// data path almost nothing.
+// Detector wraps a NIC with the heartbeat service. It embeds the inner
+// NIC and overrides only what it changes: Recv consumes heartbeat packets
+// (answering pings, timing pongs) and refreshes the sender's last-seen
+// stamp with one atomic store — no allocation, no lock — so detection
+// costs the data path almost nothing; ReviveRank composes detector-state
+// revival with the provider's; Close stops the prober first.
 type Detector struct {
-	inner NIC
-	cfg   DetectorConfig
+	NIC
+	cfg DetectorConfig
 
 	lastSeen []atomic.Int64 // per-peer last inbound activity, ns (coarse)
 	state    []atomic.Int32 // peerAlive / peerSuspect / peerDead
@@ -116,7 +117,7 @@ func NewDetector(nic NIC, cfg DetectorConfig) *Detector {
 		panic("fabric: NewDetector requires Period > 0")
 	}
 	d := &Detector{
-		inner:    nic,
+		NIC:      nic,
 		cfg:      cfg,
 		lastSeen: make([]atomic.Int64, nic.Size()),
 		state:    make([]atomic.Int32, nic.Size()),
@@ -143,26 +144,24 @@ func NewDetector(nic NIC, cfg DetectorConfig) *Detector {
 // set before Start and must not block for long.
 func (d *Detector) OnDead(fn func(rank int)) { d.onDead = fn }
 
-// Start launches the prober goroutine. Idempotent. If the inner NIC
-// reports link-level peer-death evidence (byte-stream providers in
-// launched worlds), it is wired into the state machine here — after
-// OnDead is set, so a hard verdict arriving immediately still reaches
-// the callback: a broken established link raises suspicion, a refused
+// Start launches the prober goroutine. Idempotent. The inner NIC's
+// link-level peer-death evidence (byte-stream providers in launched
+// worlds report it) is wired into the state machine here — after OnDead
+// is set, so a hard verdict arriving immediately still reaches the
+// callback: a broken established link raises suspicion, a refused
 // redial to a previously-connected peer declares death outright. This is
 // what keeps cross-process detection from waiting out the full silence
 // thresholds (or a sender's whole retransmit budget) when the peer's
 // process is demonstrably gone.
 func (d *Detector) Start() {
 	d.startOnce.Do(func() {
-		if h, ok := d.inner.(interface{ SetPeerDownHook(func(int, bool)) }); ok {
-			h.SetPeerDownHook(func(rank int, hard bool) {
-				if hard {
-					d.DeclareDead(rank)
-				} else {
-					d.Suspect(rank)
-				}
-			})
-		}
+		d.NIC.SetPeerDownHook(func(rank int, hard bool) {
+			if hard {
+				d.DeclareDead(rank)
+			} else {
+				d.Suspect(rank)
+			}
+		})
 		d.wg.Add(1)
 		go d.probeLoop()
 	})
@@ -174,7 +173,7 @@ func (d *Detector) Start() {
 // still requires real silence, and any inbound packet clears the
 // suspicion. No effect on a dead peer.
 func (d *Detector) Suspect(rank int) {
-	if rank < 0 || rank >= len(d.state) || rank == d.inner.Rank() {
+	if rank < 0 || rank >= len(d.state) || rank == d.NIC.Rank() {
 		return
 	}
 	if d.state[rank].CompareAndSwap(peerAlive, peerSuspect) {
@@ -190,7 +189,7 @@ func (d *Detector) Suspect(rank int) {
 // normal accounting. After Revive the OnDead callback can fire again for
 // this rank.
 func (d *Detector) Revive(rank int) {
-	if rank < 0 || rank >= len(d.state) || rank == d.inner.Rank() {
+	if rank < 0 || rank >= len(d.state) || rank == d.NIC.Rank() {
 		return
 	}
 	grace := 2 * d.cfg.DeadAfter
@@ -220,28 +219,7 @@ func (d *Detector) Revive(rank int) {
 // their NIC reset both with one call.
 func (d *Detector) ReviveRank(rank int) {
 	d.Revive(rank)
-	if rr, ok := d.inner.(interface{ ReviveRank(int) }); ok {
-		rr.ReviveRank(rank)
-	}
-}
-
-// DeclareRankDown forwards an out-of-band death verdict to the inner
-// provider (the SHM provider stalls the pair's rings) in addition to
-// the detector's own DeclareDead bookkeeping, which the caller drives
-// separately.
-func (d *Detector) DeclareRankDown(rank int) {
-	if dd, ok := d.inner.(interface{ DeclareRankDown(int) }); ok {
-		dd.DeclareRankDown(rank)
-	}
-}
-
-// UpdateAddr forwards a peer-address update to the inner provider (a
-// respawned TCP rank listens on a fresh port).
-func (d *Detector) UpdateAddr(rank int, addr string) error {
-	if up, ok := d.inner.(interface{ UpdateAddr(int, string) error }); ok {
-		return up.UpdateAddr(rank, addr)
-	}
-	return fmt.Errorf("fabric: %T does not support address updates", d.inner)
+	d.NIC.ReviveRank(rank)
 }
 
 // DeadAfter reports the configured silence threshold after which a peer
@@ -266,7 +244,7 @@ func (d *Detector) PeerSuspected(rank int) bool {
 // a Get returning ErrRankDead) so the callback machinery runs the same
 // path. Idempotent; never fires for the local rank.
 func (d *Detector) DeclareDead(rank int) {
-	if rank < 0 || rank >= len(d.state) || rank == d.inner.Rank() {
+	if rank < 0 || rank >= len(d.state) || rank == d.NIC.Rank() {
 		return
 	}
 	d.declareDead(rank)
@@ -310,7 +288,7 @@ func (d *Detector) probeLoop() {
 	defer d.wg.Done()
 	tick := time.NewTicker(d.cfg.Period)
 	defer tick.Stop()
-	self := d.inner.Rank()
+	self := d.NIC.Rank()
 	for {
 		select {
 		case <-d.quit:
@@ -342,27 +320,11 @@ func (d *Detector) probeLoop() {
 				// silence, which is what the state machine measures.
 				go func(p int, now int64) {
 					defer d.probing[p].Store(false)
-					_ = d.inner.Send(p, Header{Kind: KindHeartbeatPing, Aux0: now})
+					_ = d.NIC.Send(p, Header{Kind: KindHeartbeatPing, Aux0: now})
 				}(p, now)
 			}
 		}
 	}
-}
-
-// Rank implements NIC.
-func (d *Detector) Rank() int { return d.inner.Rank() }
-
-// Size implements NIC.
-func (d *Detector) Size() int { return d.inner.Size() }
-
-// Send implements NIC (pass-through).
-func (d *Detector) Send(to int, hdr Header, payload ...[]byte) error {
-	return d.inner.Send(to, hdr, payload...)
-}
-
-// SendFrom implements NIC (pass-through).
-func (d *Detector) SendFrom(to int, hdr Header, src Source, off, n int64) (int64, error) {
-	return d.inner.SendFrom(to, hdr, src, off, n)
 }
 
 // Recv implements NIC: heartbeat packets are consumed here (never
@@ -370,7 +332,7 @@ func (d *Detector) SendFrom(to int, hdr Header, src Source, off, n int64) (int64
 // sender's last-seen stamp.
 func (d *Detector) Recv() (*Packet, bool) {
 	for {
-		pkt, ok := d.inner.Recv()
+		pkt, ok := d.NIC.Recv()
 		if !ok {
 			return nil, false
 		}
@@ -380,7 +342,7 @@ func (d *Detector) Recv() (*Packet, bool) {
 			from := pkt.From
 			stamp := pkt.Hdr.Aux0
 			pkt.Release()
-			_ = d.inner.Send(from, Header{Kind: KindHeartbeatPong, Aux0: stamp})
+			_ = d.NIC.Send(from, Header{Kind: KindHeartbeatPong, Aux0: stamp})
 		case KindHeartbeatPong:
 			if d.rtt != nil && pkt.Hdr.Aux0 > 0 {
 				d.rtt.Observe(time.Now().UnixNano() - pkt.Hdr.Aux0)
@@ -392,24 +354,13 @@ func (d *Detector) Recv() (*Packet, bool) {
 	}
 }
 
-// Register implements NIC (pass-through).
-func (d *Detector) Register(src Source) uint64 { return d.inner.Register(src) }
-
-// Deregister implements NIC (pass-through).
-func (d *Detector) Deregister(key uint64) { d.inner.Deregister(key) }
-
-// Get implements NIC (pass-through).
-func (d *Detector) Get(from int, key uint64, off int64, sink Sink, sinkOff, n int64) error {
-	return d.inner.Get(from, key, off, sink, sinkOff, n)
-}
-
 // Close stops the prober and closes the inner NIC, which unblocks Recv.
 func (d *Detector) Close() error {
 	var err error
 	d.closeOnce.Do(func() {
 		close(d.quit)
 		d.wg.Wait()
-		err = d.inner.Close()
+		err = d.NIC.Close()
 	})
 	return err
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -42,7 +43,7 @@ func NewInproc(n int, cfg Config) *Inproc {
 		f.nics[i] = &inprocNIC{
 			fab:   f,
 			rank:  i,
-			inbox: make(chan *Packet, cfg.InboxDepth),
+			inbox: make(chan *Packet, inboxDepth),
 			done:  make(chan struct{}),
 		}
 		if cfg.OutOfOrder {
@@ -139,7 +140,6 @@ func (n *inprocNIC) deliver(to int, hdr Header, payload []byte, buf *[]byte) err
 		n.fab.putBuf(buf)
 		return rangeErr("destination", to, len(n.fab.nics))
 	}
-	spin(n.fab.cfg.PerPacket)
 	pkt := &Packet{
 		From:    n.rank,
 		Hdr:     hdr,
@@ -234,11 +234,16 @@ func (n *inprocNIC) Get(from int, key uint64, off int64, sink Sink, sinkOff, siz
 	}
 	bounce := n.fab.getBuf(n.fab.cfg.FragSize)
 	defer n.fab.putBuf(bounce)
-	perWindow := func() { spin(n.fab.cfg.PerGet) }
-	if n.fab.cfg.PerGet == 0 {
-		perWindow = nil
-	}
-	return pull(src, off, sink, sinkOff, size, (*bounce)[:n.fab.cfg.FragSize], perWindow)
+	return pull(src, off, sink, sinkOff, size, (*bounce)[:n.fab.cfg.FragSize])
+}
+
+// Membership: in-process ranks are goroutines that cannot die or move, so
+// the notifications are no-ops and there is no address to update.
+func (n *inprocNIC) DeclareRankDown(int)             {}
+func (n *inprocNIC) ReviveRank(int)                  {}
+func (n *inprocNIC) SetPeerDownHook(func(int, bool)) {}
+func (n *inprocNIC) UpdateAddr(int, string) error {
+	return errors.New("fabric: in-process fabric has no dialable addresses")
 }
 
 func (n *inprocNIC) Close() error {

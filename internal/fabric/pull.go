@@ -9,7 +9,7 @@ func Transfer(src Source, off int64, sink Sink, sinkOff, n int64, bounce []byte)
 	if len(bounce) == 0 {
 		bounce = make([]byte, DefaultFragSize)
 	}
-	return pull(src, off, sink, sinkOff, n, bounce, nil)
+	return pull(src, off, sink, sinkOff, n, bounce)
 }
 
 // pull moves n bytes from src[off:] into sink[sinkOff:], using direct
@@ -27,13 +27,10 @@ func Transfer(src Source, off int64, sink Sink, sinkOff, n int64, bounce []byte)
 //   - both generic: bounce through a staging buffer, two passes.
 //
 // bounce must be non-empty; it bounds the window size per iteration.
-func pull(src Source, off int64, sink Sink, sinkOff, n int64, bounce []byte, perWindow func()) error {
+func pull(src Source, off int64, sink Sink, sinkOff, n int64, bounce []byte) error {
 	ds, _ := src.(DirectSource)
 	dk, _ := sink.(DirectSink)
 	for n > 0 {
-		if perWindow != nil {
-			perWindow()
-		}
 		step := int64(len(bounce))
 		if step > n {
 			step = n

@@ -96,10 +96,6 @@ type SHM struct {
 	// toward such a peer bail out instead of waiting on a consumer that
 	// no longer exists. Cleared by ReviveRank.
 	downFlags []atomic.Bool
-	// userDown is the externally installed peer-down hook; the provider
-	// interposes its own on the stream core to maintain downFlags.
-	userMu   sync.Mutex
-	userDown func(peer int, hard bool)
 
 	// graveyard holds mappings retired by revival. They cannot be
 	// unmapped while the poller or a window serve might still hold a
@@ -130,7 +126,7 @@ type SHM struct {
 // blocked mid-dial cannot stall the handshake.
 type shmOut struct {
 	mu    sync.Mutex
-	gen   int64       // handshake generation; ring acks must echo it
+	gen   int64 // handshake generation; ring acks must echo it
 	ring  *Ring
 	mem   []byte
 	ackd  atomic.Bool // kindRingAck received
@@ -210,11 +206,9 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 	s.winBytes &^= 15 // two 8-aligned halves
 	st.ctrl = s.handleCtrl
 	st.onGetReq = s.handleGetReq
-	// Interpose on the stream core's link evidence so hard death marks
-	// the pair's shared-memory channels as stalled (ring producers and
-	// window serves bail instead of spinning on a dead consumer), then
-	// forward to whatever hook the layer above installs.
-	st.SetPeerDownHook(s.linkEvent)
+	// Hard link evidence (refused redial after a prior connection: the
+	// peer's process is gone) stalls the pair's shared-memory channels.
+	st.onHardDown = s.stallPeer
 	// Re-key shared-memory establishment to the socket generation: when
 	// the control conn to a peer breaks (a respawned rank's revival on
 	// either side closes and re-dials it), the pair's rings and pull
@@ -250,29 +244,10 @@ func mapProbe() error {
 	return nil
 }
 
-// linkEvent is the provider's internal peer-down hook on the socket
-// plane. Hard evidence (refused redial after a prior connection: the
-// peer's process is gone) stalls the pair's shared-memory channels;
-// both hard and soft events are forwarded to the externally installed
-// hook (the liveness detector).
-func (s *SHM) linkEvent(peer int, hard bool) {
-	if hard {
-		s.DeclareRankDown(peer)
-	}
-	s.userMu.Lock()
-	fn := s.userDown
-	s.userMu.Unlock()
-	if fn != nil {
-		fn(peer, hard)
-	}
-}
-
-// DeclareRankDown records out-of-band death evidence for a peer (the
-// transport layer's failure verdict, which may arrive from pure silence
-// before the socket plane sees anything): the pair's shared-memory
-// channels stall out with ErrLinkDown instead of waiting on a consumer
-// that will never drain.
-func (s *SHM) DeclareRankDown(peer int) {
+// stallPeer marks the pair's shared-memory channels as stalled: ring
+// producers and window serves toward peer bail out with ErrLinkDown
+// instead of waiting on a consumer that will never drain.
+func (s *SHM) stallPeer(peer int) {
 	if peer < 0 || peer >= len(s.downFlags) {
 		return
 	}
@@ -285,12 +260,15 @@ func (s *SHM) DeclareRankDown(peer int) {
 	}
 }
 
-// SetPeerDownHook installs the external link-evidence callback (the
-// stream core's hook slot is occupied by the provider's interposer).
-func (s *SHM) SetPeerDownHook(fn func(peer int, hard bool)) {
-	s.userMu.Lock()
-	s.userDown = fn
-	s.userMu.Unlock()
+// DeclareRankDown records out-of-band death evidence for a peer (the
+// transport layer's failure verdict, which may arrive from pure silence
+// before the socket plane sees anything) on both planes: the
+// shared-memory channels stall, and the socket plane fails sends and
+// dial campaigns toward the rank fast — a first-contact spill toward a
+// rank declared dead by silence must not wait out a dial window.
+func (s *SHM) DeclareRankDown(peer int) {
+	s.stallPeer(peer)
+	s.stream.DeclareRankDown(peer)
 }
 
 // bury parks a retired mapping for unmapping at Close.
@@ -511,7 +489,6 @@ func (s *SHM) Send(to int, hdr Header, payload ...[]byte) error {
 		at += copy(buf[at:], p)
 	}
 	o.ring.Commit(at)
-	spin(s.cfg.PerPacket)
 	s.ringSends.Add(1)
 	return nil
 }
@@ -548,7 +525,6 @@ func (s *SHM) SendFrom(to int, hdr Header, src Source, off, size int64) (int64, 
 		return 0, ErrShortTransfer
 	}
 	o.ring.Commit(headerWireSize + got)
-	spin(s.cfg.PerPacket)
 	s.ringSends.Add(1)
 	return int64(got), nil
 }
@@ -690,7 +666,6 @@ func (s *SHM) serveWindowGet(peer int, hdr Header) {
 			fail(ErrShortTransfer.Error())
 			return
 		}
-		spin(s.cfg.PerGet)
 		ann := Header{Kind: kindWinData, Tag: c, MsgID: hdr.MsgID,
 			Offset: off, Total: hdr.Total, Aux0: int64(base), Aux1: int64(n)}
 		if s.stream.Send(peer, ann) != nil {

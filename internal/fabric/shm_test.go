@@ -4,6 +4,7 @@ package fabric
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -339,6 +340,56 @@ func TestSHMPoolQuiesce(t *testing.T) {
 			t.Fatalf("rank %d leaks %d pool buffers", nic.Rank(), n)
 		}
 	}
+}
+
+// TestSHMDeclaredDownFailsFirstContactFast pins the socket-plane half of
+// SHM.DeclareRankDown: a rank declared dead by pure silence — its
+// provider never came up, so there was never a link to break — must fail
+// a first-contact send fast instead of burning the whole dial window
+// (the verdict used to stall only the shared-memory channels). ReviveRank
+// restores the patient first dial a booting replacement needs.
+func TestSHMDeclaredDownFailsFirstContactFast(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{DialTimeout: 2 * time.Second}
+	a, err := NewSHM(0, 2, dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	hdr := Header{Kind: 5, Tag: 1, Total: 1}
+
+	a.DeclareRankDown(1)
+	start := time.Now()
+	err = a.Send(1, hdr, []byte{0})
+	if !errors.Is(err, ErrLinkDown) {
+		t.Fatalf("send toward a declared-down rank = %v, want ErrLinkDown", err)
+	}
+	if d := time.Since(start); d > cfg.DialTimeout/4 {
+		t.Fatalf("send toward a declared-down rank took %v of a %v dial window", d, cfg.DialTimeout)
+	}
+
+	// Revived: the same send now waits for the replacement to boot.
+	a.ReviveRank(1)
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send(1, hdr, []byte{7}) }()
+	select {
+	case err := <-sent:
+		t.Fatalf("send toward a revived, still-booting rank returned early: %v", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	b, err := NewSHM(1, 2, dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := <-sent; err != nil {
+		t.Fatalf("patient first dial after ReviveRank: %v", err)
+	}
+	pkt, ok := b.Recv()
+	if !ok || pkt.From != 0 || pkt.Payload[0] != 7 {
+		t.Fatalf("delivery after revival: ok=%v pkt=%+v", ok, pkt)
+	}
+	pkt.Release()
 }
 
 // TestSHMRingHandshakePeerDeath kills the consumer side of the eager

@@ -289,7 +289,7 @@ func TestPullProperty(t *testing.T) {
 			sink = nonDirectSink{Bytes(out)}
 		}
 		bounce := make([]byte, int(bounceSize)%97+1)
-		if err := pull(src, 0, sink, 0, int64(size), bounce, nil); err != nil {
+		if err := pull(src, 0, sink, 0, int64(size), bounce); err != nil {
 			return false
 		}
 		return bytes.Equal(out, data)
@@ -304,7 +304,7 @@ func TestPullOffsets(t *testing.T) {
 	fillPattern(data, 5)
 	out := make([]byte, 200)
 	bounce := make([]byte, 16)
-	if err := pull(Bytes(data), 20, Bytes(out), 50, 60, bounce, nil); err != nil {
+	if err := pull(Bytes(data), 20, Bytes(out), 50, 60, bounce); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out[50:110], data[20:80]) {
@@ -327,7 +327,7 @@ func TestPullIntoIov(t *testing.T) {
 		}
 	}
 	bounce := make([]byte, 8)
-	if err := pull(Bytes(data), 0, dst, 0, 64, bounce, nil); err != nil {
+	if err := pull(Bytes(data), 0, dst, 0, 64, bounce); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 64)

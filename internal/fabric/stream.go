@@ -42,9 +42,8 @@ const (
 // protocol, lazy connection establishment and redial.
 //
 // Connection model: links are established on demand — the first send or
-// Get toward a peer dials it (Config.EagerMesh restores the old
-// dial-everything-at-startup behaviour). Either side may initiate; at
-// most one connection per pair survives. A dialer announces its rank
+// Get toward a peer dials it. Either side may initiate; at most one
+// connection per pair survives. A dialer announces its rank
 // (hello) and waits for a verdict byte: the acceptor either installs the
 // connection (helloAccept) or, when its own dial to that peer is already
 // in flight and it is the canonical dialer (the higher rank), tells the
@@ -84,8 +83,14 @@ type stream struct {
 	// goroutine — drops fire from send paths that hold provider pair
 	// locks. Set before join, like ctrl.
 	onConnDrop func(peer int)
+	// onHardDown, when non-nil, sees hard peer-death evidence before the
+	// public hook does (the SHM provider stalls the pair's shared-memory
+	// channels so ring producers and window serves stop waiting on a
+	// consumer that no longer exists). Set before join, like ctrl.
+	onHardDown func(peer int)
 
-	// hookMu guards peerDown: the hook is installed after construction
+	// hookMu guards peerDown, the one public hook slot
+	// (Membership.SetPeerDownHook): it is installed after construction
 	// (the worker layer wires it into the liveness detector) while accept
 	// and read goroutines may already be reporting link events.
 	hookMu   sync.Mutex
@@ -148,12 +153,11 @@ type streamGet struct {
 	done    chan error
 }
 
-// Dial defaults applied when Config leaves the knobs zero. These used to
-// be mutable package globals (racy; removed) — per-endpoint behaviour is
-// configured through Config.DialTimeout / Config.DialBackoff.
+// defaultDialTimeout applies when Config.DialTimeout is zero.
 const defaultDialTimeout = 30 * time.Second
 
-var defaultDialBackoff = Backoff{Base: 20 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.25}
+// dialBackoff paces connection attempts during establishment and redial.
+var dialBackoff = Backoff{Base: 20 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.25}
 
 // newStream binds the local endpoint (bind may carry an ephemeral port
 // such as "127.0.0.1:0" — the bound address is reported by Addr) and
@@ -165,9 +169,6 @@ func newStream(network string, rank, size int, bind string, cfg Config) (*stream
 	cfg = NewConfig(cfg)
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = defaultDialTimeout
-	}
-	if cfg.DialBackoff.Base <= 0 {
-		cfg.DialBackoff = defaultDialBackoff
 	}
 	s := &stream{
 		cfg:        cfg,
@@ -181,7 +182,7 @@ func newStream(network string, rank, size int, bind string, cfg Config) (*stream
 		down:       make([]bool, size),
 		peerEpochs: make([]uint32, size),
 		draining:   make(map[*streamConn]struct{}),
-		inbox:      make(chan *Packet, cfg.InboxDepth),
+		inbox:      make(chan *Packet, inboxDepth),
 		done:       make(chan struct{}),
 		regs:       make(map[uint64]Source),
 		gets:       make(map[uint64]*streamGet),
@@ -214,10 +215,8 @@ func newStream(network string, rank, size int, bind string, cfg Config) (*stream
 // ":0"), for the bootstrap exchange.
 func (s *stream) Addr() string { return s.ln.Addr().String() }
 
-// join provides the full peer address table. With Config.EagerMesh set it
-// dials every lower rank and blocks until the full mesh is up (the
-// pre-lazy behaviour existing tests rely on); otherwise it returns
-// immediately and links come up on first use.
+// join provides the full peer address table and returns immediately;
+// links come up on first use.
 func (s *stream) join(addrs []string) error {
 	if len(addrs) != s.size {
 		return fmt.Errorf("fabric: rank %d join with %d addresses, world size %d", s.rank, len(addrs), s.size)
@@ -225,50 +224,7 @@ func (s *stream) join(addrs []string) error {
 	s.connsMu.Lock()
 	s.addrs = append([]string(nil), addrs...)
 	s.connsMu.Unlock()
-	if !s.cfg.EagerMesh {
-		return nil
-	}
-	// Eager full mesh: rank i accepts from every higher rank and dials
-	// every lower rank, concurrently.
-	errc := make(chan error, s.rank)
-	for peer := 0; peer < s.rank; peer++ {
-		go func(peer int) {
-			errc <- s.dialPeer(peer)
-		}(peer)
-	}
-	deadline := time.Now().Add(s.cfg.DialTimeout)
-	for {
-		select {
-		case err := <-errc:
-			if err != nil {
-				s.Close()
-				return err
-			}
-			continue
-		default:
-		}
-		if missing := s.missingPeers(); len(missing) == 0 {
-			return nil
-		} else if time.Now().After(deadline) {
-			s.Close()
-			return fmt.Errorf("fabric: rank %d mesh incomplete after %v: missing peer(s) %v",
-				s.rank, s.cfg.DialTimeout, missing)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// missingPeers lists every rank the full mesh still lacks a connection to.
-func (s *stream) missingPeers() []int {
-	s.connsMu.RLock()
-	defer s.connsMu.RUnlock()
-	var missing []int
-	for peer, conn := range s.conns {
-		if peer != s.rank && conn == nil {
-			missing = append(missing, peer)
-		}
-	}
-	return missing
+	return nil
 }
 
 // SetPeerDownHook installs a callback for link-level peer-death evidence.
@@ -285,12 +241,16 @@ func (s *stream) SetPeerDownHook(fn func(peer int, hard bool)) {
 	s.hookMu.Unlock()
 }
 
-// notifyPeerDown reports link evidence to the installed hook, if any.
+// notifyPeerDown reports link evidence to the provider extension and the
+// installed hook, if any.
 func (s *stream) notifyPeerDown(peer int, hard bool) {
 	select {
 	case <-s.done:
 		return
 	default:
+	}
+	if hard && s.onHardDown != nil {
+		s.onHardDown(peer)
 	}
 	s.hookMu.Lock()
 	fn := s.peerDown
@@ -367,8 +327,8 @@ func (s *stream) ReviveRank(peer int) {
 	connTrace(s.rank, peer, cevRevive, 0)
 }
 
-// acceptLoop installs inbound connections (lazy dials, eager mesh and
-// redials) for the provider's lifetime.
+// acceptLoop installs inbound connections (lazy dials and redials) for
+// the provider's lifetime.
 func (s *stream) acceptLoop() {
 	for {
 		c, err := s.ln.Accept()
@@ -436,9 +396,9 @@ func (s *stream) handleHello(c net.Conn) {
 }
 
 // dialPeer connects to a peer, retrying with backoff until
-// Config.DialTimeout. Used for lazy establishment, eager mesh and
-// redial. A helloYield verdict makes it wait for the peer's inbound
-// connection instead.
+// Config.DialTimeout. Used for lazy establishment and redial. A
+// helloYield verdict makes it wait for the peer's inbound connection
+// instead.
 func (s *stream) dialPeer(peer int) error {
 	readAddr := func() string {
 		s.connsMu.RLock()
@@ -523,7 +483,7 @@ func (s *stream) dialPeer(peer int) error {
 			return fmt.Errorf("fabric: rank %d: peer rank %d unreachable at %q after %v: %w (%v)",
 				s.rank, peer, addr, s.cfg.DialTimeout, ErrLinkDown, lastErr)
 		}
-		d := s.cfg.DialBackoff.Delay(attempt, rng)
+		d := dialBackoff.Delay(attempt, rng)
 		select {
 		case <-s.done:
 			return ErrClosed
@@ -669,9 +629,8 @@ func (s *stream) dropConn(conn *streamConn, site int64) {
 	s.conns[conn.peer] = nil
 	connTrace(s.rank, conn.peer, cevDrop, site)
 	s.connDrops.Add(1)
-	redial := s.rank > conn.peer && !s.dialing[conn.peer]
-	if redial {
-		s.dialing[conn.peer] = true
+	if s.rank > conn.peer {
+		s.startDialLocked(conn.peer, true)
 	}
 	if site == dropSiteWrite {
 		s.draining[conn] = struct{}{}
@@ -686,20 +645,34 @@ func (s *stream) dropConn(conn *streamConn, site int64) {
 	s.notifyConnDrop(conn.peer)
 	s.notifyPeerDown(conn.peer, false)
 	s.failGets(conn.peer)
+}
+
+// startDialLocked launches a dial campaign toward peer unless one is
+// already running. redial marks a campaign that re-establishes a link
+// which existed before (the redial gauges count those). Caller holds
+// connsMu; installConnLocked clears the dialing mark on success.
+func (s *stream) startDialLocked(peer int, redial bool) {
+	if s.dialing[peer] {
+		return
+	}
+	s.dialing[peer] = true
 	if redial {
 		s.redials.Add(1)
-		go func() {
-			if err := s.dialPeer(conn.peer); err != nil {
-				// Give up: the link stays down and sends keep
-				// returning ErrLinkDown.
-				s.connsMu.Lock()
-				delete(s.dialing, conn.peer)
-				s.connsMu.Unlock()
-				return
-			}
-			s.redialsOK.Add(1)
-		}()
 	}
+	go func() {
+		if err := s.dialPeer(peer); err != nil {
+			// Give up: the link stays down and sends keep returning
+			// ErrLinkDown (a waiting first-contact sender reports its
+			// own timeout).
+			s.connsMu.Lock()
+			delete(s.dialing, peer)
+			s.connsMu.Unlock()
+			return
+		}
+		if redial {
+			s.redialsOK.Add(1)
+		}
+	}()
 }
 
 // notifyConnDrop dispatches the provider's conn-drop hook off the
@@ -797,7 +770,6 @@ func (s *stream) writeFrame(conn *streamConn, hdr Header, payload ...[]byte) err
 			bufs = append(bufs, p)
 		}
 	}
-	spin(s.cfg.PerPacket)
 	conn.wmu.Lock()
 	_, err := bufs.WriteTo(conn.c)
 	conn.wmu.Unlock()
@@ -903,18 +875,8 @@ func (s *stream) conn(to int) (*streamConn, error) {
 		// receiver that already acked has no reason to dial back, and
 		// without this campaign every resend would die on ErrLinkDown
 		// until the retransmission budget expired.
-		if !s.dialing[to] && s.addrs != nil {
-			s.dialing[to] = true
-			s.redials.Add(1)
-			go func() {
-				err := s.dialPeer(to)
-				s.connsMu.Lock()
-				delete(s.dialing, to)
-				s.connsMu.Unlock()
-				if err == nil {
-					s.redialsOK.Add(1)
-				}
-			}()
+		if s.addrs != nil {
+			s.startDialLocked(to, true)
 		}
 		s.connsMu.Unlock()
 		return nil, fmt.Errorf("%w: no connection to rank %d", ErrLinkDown, to)
@@ -923,16 +885,7 @@ func (s *stream) conn(to int) (*streamConn, error) {
 		s.connsMu.Unlock()
 		return nil, fmt.Errorf("fabric: rank %d has no address table yet (Join not called)", s.rank)
 	}
-	if !s.dialing[to] {
-		s.dialing[to] = true
-		go func() {
-			err := s.dialPeer(to)
-			s.connsMu.Lock()
-			delete(s.dialing, to)
-			s.connsMu.Unlock()
-			_ = err // the waiting sender reports its own timeout
-		}()
-	}
+	s.startDialLocked(to, false)
 	addr := s.addrs[to]
 	s.connsMu.Unlock()
 

@@ -1,7 +1,5 @@
 package fabric
 
-import "fmt"
-
 // TCP is a fabric provider connecting separate processes over real
 // sockets. Gather sends use net.Buffers (writev) so region lists reach the
 // kernel without an intermediate application copy, mirroring how UCX hands
@@ -10,11 +8,10 @@ import "fmt"
 // control and spill plane over unix sockets.
 //
 // Connections are established lazily: the first send toward a peer dials
-// it, so a rank that talks to k peers holds k sockets instead of Size-1
-// (Config.EagerMesh restores the old dial-everything-at-startup
-// behaviour). Broken connections are redialed with exponential backoff by
-// the higher rank; while a link is down, sends to and Gets from that peer
-// fail with ErrLinkDown so the transport layer can retry.
+// it, so a rank that talks to k peers holds k sockets instead of Size-1.
+// Broken connections are redialed with exponential backoff by the higher
+// rank; while a link is down, sends to and Gets from that peer fail with
+// ErrLinkDown so the transport layer can retry.
 type TCP struct {
 	*stream
 }
@@ -32,10 +29,7 @@ func ListenTCP(rank, size int, bind string, cfg Config) (*TCP, error) {
 }
 
 // Join provides the full peer address table (addrs[i] is rank i's bound
-// address). With Config.EagerMesh set it dials every lower rank and
-// blocks until the full mesh is up or Config.DialTimeout passes, in which
-// case the error names every missing peer; otherwise it returns
-// immediately and connections come up on first use.
+// address). It returns immediately; connections come up on first use.
 func (t *TCP) Join(addrs []string) error { return t.join(addrs) }
 
 // NewTCP attaches rank to a TCP fabric whose rank i listens at addrs[i] —
@@ -51,7 +45,7 @@ func NewTCP(rank int, addrs []string, cfg Config) (*TCP, error) {
 	}
 	if err := t.Join(addrs); err != nil {
 		t.Close()
-		return nil, fmt.Errorf("%w", err)
+		return nil, err
 	}
 	return t, nil
 }

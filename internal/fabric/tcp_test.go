@@ -30,12 +30,12 @@ func freeAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
-// dialMesh brings up an n-rank TCP fabric on loopback with the full mesh
-// established eagerly (these tests predate lazy dialing and some reach
-// into connection state directly).
+// dialMesh brings up an n-rank TCP fabric on loopback and warms the full
+// mesh — every rank dials every lower rank — before returning (these
+// tests predate lazy dialing and some reach into connection state
+// directly).
 func dialMesh(t *testing.T, n int, cfg Config) []*TCP {
 	t.Helper()
-	cfg.EagerMesh = true
 	addrs := freeAddrs(t, n)
 	nics := make([]*TCP, n)
 	var wg sync.WaitGroup
@@ -56,9 +56,6 @@ func dialMesh(t *testing.T, n int, cfg Config) []*TCP {
 		}(i)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		t.Fatal(firstErr)
-	}
 	t.Cleanup(func() {
 		for _, nic := range nics {
 			if nic != nil {
@@ -66,6 +63,16 @@ func dialMesh(t *testing.T, n int, cfg Config) []*TCP {
 			}
 		}
 	})
+	if firstErr != nil {
+		t.Fatal(firstErr)
+	}
+	for i, nic := range nics {
+		for peer := 0; peer < i; peer++ {
+			if _, err := nic.conn(peer); err != nil {
+				t.Fatalf("rank %d warm-up dial to rank %d: %v", i, peer, err)
+			}
+		}
+	}
 	return nics
 }
 
@@ -176,18 +183,6 @@ func TestTCPSelfSendRejected(t *testing.T) {
 	nics := dialMesh(t, 2, Config{})
 	if err := nics[0].Send(0, Header{}); err == nil {
 		t.Fatal("self-send over TCP should be rejected")
-	}
-}
-
-func TestTCPMeshIncompleteNamesMissingPeer(t *testing.T) {
-	addrs := freeAddrs(t, 2)
-	// Rank 1 never comes up, so rank 0's accept-side mesh stays incomplete.
-	_, err := NewTCP(0, addrs, Config{EagerMesh: true, DialTimeout: 300 * time.Millisecond})
-	if err == nil {
-		t.Fatal("mesh with absent peer should fail")
-	}
-	if !strings.Contains(err.Error(), "missing peer(s) [1]") {
-		t.Fatalf("error does not name the missing peer: %v", err)
 	}
 }
 

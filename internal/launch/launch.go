@@ -253,6 +253,56 @@ func (w *World) Close() error {
 	return nil
 }
 
+// crossProcessDefaults returns cfg with the protocol settings every
+// world of separate OS processes runs, launched (Connect) or directly
+// connected (Attach), for a world of size ranks.
+func crossProcessDefaults(cfg ucp.Config, size int) ucp.Config {
+	// Cross-process worlds always run the acked eager protocol. Unlike
+	// the in-process transport, a socket can lose data when its peer
+	// process exits right after writing (a TCP close with unread inbound
+	// bytes turns into a reset, which discards kernel-buffered data in
+	// both directions) — and a dissemination barrier lets fast ranks
+	// exit while their last token to a laggard is still in flight. With
+	// acked completion, a send that has completed is a send the
+	// receiver's worker holds, so finish-barrier-then-exit is safe.
+	cfg.Reliable = true
+	// Multi-process jobs oversubscribe cores hard — every rank is a full
+	// OS process, and CI-class machines run 128 of them on a few CPUs —
+	// so a receiver can legitimately sit unscheduled for whole seconds.
+	// Unless the caller tuned them, give retransmission a far longer
+	// budget than the in-process defaults, scaled by how oversubscribed
+	// this job actually is, so scheduler starvation is not misread as
+	// message loss.
+	over := (size + runtime.NumCPU() - 1) / runtime.NumCPU()
+	if cfg.RexmitMax == 0 {
+		cfg.RexmitMax = time.Second
+		if over >= 8 {
+			cfg.RexmitMax = 2 * time.Second
+		}
+	}
+	if cfg.RexmitRetries == 0 {
+		cfg.RexmitRetries = 20
+		if over >= 8 {
+			cfg.RexmitRetries = 45
+		}
+	}
+	return cfg
+}
+
+// Attach builds a world on a provider the caller bound and joined itself
+// — the launcher-less path behind mpi.ConnectTCP / ConnectSHM — with the
+// same protocol defaults Connect applies. No rendezvous service stands
+// behind such a world, so its Join and PollRejoins fail.
+func Attach(nic fabric.NIC, opt core.Options) *World {
+	w := ucp.NewWorker(nic, crossProcessDefaults(opt.UCP, nic.Size()))
+	return &World{
+		Comm:   core.NewComm(w),
+		Info:   &Info{Rank: nic.Rank(), Size: nic.Size()},
+		worker: w,
+		nic:    nic,
+	}
+}
+
 // Connect binds this worker's transport endpoint, runs the rendezvous
 // exchange, and returns the world communicator. opt carries the usual
 // fabric/ucp configuration; observability registries propagate the same
@@ -295,35 +345,7 @@ func (in *Info) Connect(opt core.Options) (*World, error) {
 	if in.Epoch > 0 && opt.UCP.Heartbeat.Period > 0 && opt.UCP.Heartbeat.BootGrace == 0 {
 		opt.UCP.Heartbeat.BootGrace = 10 * time.Second
 	}
-	// Cross-process worlds always run the acked eager protocol. Unlike
-	// the in-process transport, a socket can lose data when its peer
-	// process exits right after writing (a TCP close with unread inbound
-	// bytes turns into a reset, which discards kernel-buffered data in
-	// both directions) — and a dissemination barrier lets fast ranks
-	// exit while their last token to a laggard is still in flight. With
-	// acked completion, a send that has completed is a send the
-	// receiver's worker holds, so finish-barrier-then-exit is safe.
-	opt.UCP.Reliable = true
-	// Launched jobs oversubscribe cores hard — every rank is a full OS
-	// process, and CI-class machines run 128 of them on a few CPUs — so
-	// a receiver can legitimately sit unscheduled for whole seconds.
-	// Unless the caller tuned them, give retransmission a far longer
-	// budget than the in-process defaults, scaled by how oversubscribed
-	// this job actually is, so scheduler starvation is not misread as
-	// message loss.
-	over := (in.Size + runtime.NumCPU() - 1) / runtime.NumCPU()
-	if opt.UCP.RexmitMax == 0 {
-		opt.UCP.RexmitMax = time.Second
-		if over >= 8 {
-			opt.UCP.RexmitMax = 2 * time.Second
-		}
-	}
-	if opt.UCP.RexmitRetries == 0 {
-		opt.UCP.RexmitRetries = 20
-		if over >= 8 {
-			opt.UCP.RexmitRetries = 45
-		}
-	}
+	opt.UCP = crossProcessDefaults(opt.UCP, in.Size)
 
 	var (
 		nic  fabric.NIC

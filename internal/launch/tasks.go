@@ -22,10 +22,6 @@ import (
 // patterns validate the CLI and the package.
 const EnvTask = "MPICD_WORKER_TASK"
 
-// EnvBenchOut names the file the bench task's rank 0 writes its JSON
-// result to.
-const EnvBenchOut = "MPICD_BENCH_OUT"
-
 // EnvDebug turns on failure forensics in built-in tasks: a state dump
 // on task error, and a SIGTERM handler that dumps before dying (the
 // launcher kills survivors with SIGTERM first, so when one rank times
@@ -102,8 +98,6 @@ func runTask(name string, w *World) error {
 		return taskElastic(w)
 	case "facts":
 		return taskFacts(w)
-	case "bench":
-		return taskBench(w)
 	default:
 		return fmt.Errorf("launch: unknown worker task %q", name)
 	}

@@ -158,9 +158,7 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 	// consumer's full ring unblocks only when the provider knows the
 	// peer is gone, and a silence-based verdict may precede the socket
 	// plane's own evidence.
-	if dd, ok := w.nic.(interface{ DeclareRankDown(int) }); ok {
-		dd.DeclareRankDown(rank)
-	}
+	w.nic.DeclareRankDown(rank)
 	err := procFailedErr(rank)
 	allDead := w.allOtherPeersDead()
 
@@ -312,22 +310,16 @@ func (w *Worker) Revive(rank int) error {
 	// Reset liveness and connection state last, so probes toward the
 	// still-booting replacement start from a clean slate. The detector
 	// (when present) wraps the provider and forwards.
-	if rr, ok := w.nic.(interface{ ReviveRank(int) }); ok {
-		rr.ReviveRank(rank)
-	}
+	w.nic.ReviveRank(rank)
 	return nil
 }
 
 // UpdateAddr repoints the fabric at a respawned peer's new address. A
 // replacement process generally cannot reuse its predecessor's listening
 // endpoint (a new TCP listener gets a fresh ephemeral port), so the Grow
-// protocol pushes the rejoin address down before any traffic flows. The
-// address-bearing providers forward; fabrics without dialable addresses
-// (in-process, shared-memory paths derived from the rank) never need the
-// call and reject it so a misconfigured launcher fails loudly.
+// protocol pushes the rejoin address down before any traffic flows.
+// Fabrics without dialable addresses (in-process) never need the call and
+// reject it so a misconfigured launcher fails loudly.
 func (w *Worker) UpdateAddr(rank int, addr string) error {
-	if up, ok := w.nic.(interface{ UpdateAddr(int, string) error }); ok {
-		return up.UpdateAddr(rank, addr)
-	}
-	return fmt.Errorf("ucp: fabric %T does not support address updates", w.nic)
+	return w.nic.UpdateAddr(rank, addr)
 }

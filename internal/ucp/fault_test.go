@@ -228,11 +228,12 @@ func TestRecvDeadlineTimesOut(t *testing.T) {
 }
 
 func TestGetRetryRecoversAndStripeFallback(t *testing.T) {
-	// Two stripes, one retry each: the first four Gets fail, exhausting
-	// both stripes; the sequential full-range fallback then succeeds.
+	// Two stripes, each making one attempt plus getRetries retries: that
+	// many Gets fail, exhausting both stripes; the sequential full-range
+	// fallback then succeeds.
 	failPlan := func(int64) fabric.FaultPlan {
 		return fabric.FaultPlan{Seed: 3, Rules: []fabric.FaultRule{
-			{Peer: -1, Action: fabric.FailGet, Prob: 1, Count: 4},
+			{Peer: -1, Action: fabric.FailGet, Prob: 1, Count: 2 * (1 + getRetries)},
 		}}
 	}
 	cfg := Config{
@@ -240,7 +241,6 @@ func TestGetRetryRecoversAndStripeFallback(t *testing.T) {
 		FragSize:         4096,
 		PullStripes:      2,
 		PullStripeThresh: 8 * 1024,
-		GetRetries:       1,
 		RexmitBase:       time.Millisecond,
 		RexmitMax:        10 * time.Millisecond,
 		RexmitRetries:    200,
@@ -306,12 +306,13 @@ func TestCorruptEagerWithoutReliableFailsWithErrCorrupt(t *testing.T) {
 
 // TestAbortEntriesReaped pins the satellite fix: an abort for a message
 // no receive ever claims must not leak in the unexpected queue forever —
-// the janitor reaps it after Config.AbortLinger.
+// the janitor reaps it once it is older than abortLinger. The test ages
+// the parked entry by backdating its stamp instead of sleeping the linger
+// out.
 func TestAbortEntriesReaped(t *testing.T) {
 	cfg := Config{
-		FragSize:    512,
-		ReqTimeout:  time.Second, // starts the janitor
-		AbortLinger: 20 * time.Millisecond,
+		FragSize:   512,
+		ReqTimeout: time.Second, // starts the janitor
 	}
 	a, b := pair(t, fabric.Config{FragSize: 512}, cfg)
 	ops := &failPackOps{failAt: 1000}
@@ -326,9 +327,16 @@ func TestAbortEntriesReaped(t *testing.T) {
 		t.Fatal("send with failing pack should error")
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if b.Stats().AbortsReaped.Load() > 0 {
-			break
+	for aged := false; b.Stats().AbortsReaped.Load() == 0; {
+		if !aged {
+			b.mu.Lock()
+			b.table.forEachUnexpected(func(m *unexMsg) {
+				if m.errored != nil {
+					m.erroredAt = m.erroredAt.Add(-abortLinger)
+					aged = true
+				}
+			})
+			b.mu.Unlock()
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("errored unexpected entry was never reaped")

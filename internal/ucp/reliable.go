@@ -173,7 +173,7 @@ func (w *Worker) sweep(now time.Time) {
 	// Reap errored unexpected entries no receive ever claimed.
 	if w.table.lenUnexpected() > 0 {
 		stale := w.table.filterUnexpected(func(m *unexMsg) bool {
-			return m.errored == nil || m.erroredAt.IsZero() || now.Sub(m.erroredAt) <= w.cfg.AbortLinger
+			return m.errored == nil || m.erroredAt.IsZero() || now.Sub(m.erroredAt) <= abortLinger
 		})
 		for _, m := range stale {
 			w.stats.AbortsReaped.Add(1)
@@ -570,13 +570,13 @@ func (w *Worker) getRetry(from int, key uint64, off int64, sink fabric.Sink, sin
 		w.DeclarePeerFailed(from)
 		return procFailedErr(from)
 	}
-	if err == nil || sequential || w.cfg.GetRetries <= 0 ||
+	if err == nil || sequential ||
 		errors.Is(err, fabric.ErrBadKey) || errors.Is(err, fabric.ErrClosed) {
 		return err
 	}
 	bo := w.rexmitBackoff()
 	rng := rand.New(rand.NewSource(int64(key)<<20 ^ off ^ n))
-	for attempt := 0; attempt < w.cfg.GetRetries; attempt++ {
+	for attempt := 0; attempt < getRetries; attempt++ {
 		t := time.NewTimer(bo.Delay(attempt, rng))
 		select {
 		case <-w.quit:

@@ -111,16 +111,6 @@ type Config struct {
 	// RexmitRetries is how many retransmission rounds are attempted
 	// before the send fails with ErrTimeout (default 12).
 	RexmitRetries int
-	// GetRetries is how many times a failed rendezvous Get (link down,
-	// corrupt frame) is retried with backoff before the pull degrades or
-	// fails (default 3). Sequential (inorder) sinks never retry: their
-	// contract forbids rewinding.
-	GetRetries int
-	// AbortLinger is how long an errored unmatched message is kept for a
-	// late receive to observe before the janitor reaps it (default 2s).
-	// Reaping requires the janitor, which runs when Reliable or
-	// ReqTimeout is set.
-	AbortLinger time.Duration
 
 	// MsgIDBase offsets the worker's message-id space. Respawned workers
 	// re-admitted under a previously used fabric rank must set a base no
@@ -158,6 +148,17 @@ const DefaultIovRndvMin = 8 * 1024
 // DefaultPullStripeThresh is the default minimum message size for striped
 // rendezvous pulls (256 KiB).
 const DefaultPullStripeThresh = 256 * 1024
+
+// getRetries is how many times a failed rendezvous Get (link down,
+// corrupt frame) is retried with backoff before the pull degrades or
+// fails. Sequential (inorder) sinks never retry: their contract forbids
+// rewinding.
+const getRetries = 3
+
+// abortLinger is how long an errored unmatched message is kept for a
+// late receive to observe before the janitor reaps it. Reaping requires
+// the janitor, which runs when Reliable or ReqTimeout is set.
+const abortLinger = 2 * time.Second
 
 // maxDefaultPullStripes caps the automatic stripe count: past a few
 // stripes a pull is memory-bandwidth-bound, not core-bound.
@@ -224,14 +225,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RexmitRetries <= 0 {
 		c.RexmitRetries = 12
-	}
-	if c.GetRetries < 0 {
-		c.GetRetries = 0
-	} else if c.GetRetries == 0 {
-		c.GetRetries = 3
-	}
-	if c.AbortLinger <= 0 {
-		c.AbortLinger = 2 * time.Second
 	}
 	return c
 }

@@ -190,14 +190,14 @@ func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 		w.det = fabric.NewDetector(nic, hb)
 		w.det.OnDead(w.DeclarePeerFailed)
 		w.nic = w.det
-	} else if h, ok := nic.(interface{ SetPeerDownHook(func(int, bool)) }); ok {
+	} else {
 		// No detector, but the provider can still report hard link-level
 		// death evidence (a refused redial to a peer that was connected:
 		// its process is gone). Feed it straight into failure
 		// notification so cross-process death fails fast even without
 		// heartbeats. Soft evidence needs the detector's state machine to
 		// mean anything; ignore it here.
-		h.SetPeerDownHook(func(rank int, hard bool) {
+		nic.SetPeerDownHook(func(rank int, hard bool) {
 			if hard {
 				w.DeclarePeerFailed(rank)
 			}
@@ -1209,7 +1209,7 @@ func (w *Worker) handleAbort(pkt *fabric.Packet) {
 	// Abort for a message whose first fragment never arrived (or was
 	// already consumed): record it as an errored unexpected message so a
 	// future receive fails instead of hanging. The janitor reaps the
-	// entry after Config.AbortLinger if no receive ever claims it.
+	// entry after abortLinger if no receive ever claims it.
 	m := &unexMsg{from: pkt.From, id: pkt.Hdr.MsgID, tag: Tag(pkt.Hdr.Tag), total: pkt.Hdr.Total, aux0: pkt.Hdr.Aux0, errored: err, erroredAt: time.Now()}
 	w.table.addUnexpected(m)
 	w.cond.Broadcast()

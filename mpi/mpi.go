@@ -18,7 +18,6 @@
 package mpi
 
 import (
-	"errors"
 	"time"
 
 	"mpicd/internal/core"
@@ -248,9 +247,8 @@ func NewObserver(traceCap int) *Observer { return obs.New(traceCap) }
 // ConnectSHM) have no launcher behind them; their elasticity calls fail
 // with a descriptive error.
 type ProcWorld struct {
-	Comm     *Comm
-	world    *launch.World // launcher-connected worlds only
-	shutdown func() error
+	Comm  *Comm
+	world *launch.World
 }
 
 // JoinPeer names one respawned process being re-admitted by Comm.Grow:
@@ -261,9 +259,11 @@ type JoinPeer = core.JoinPeer
 // TCPWorld is the original, transport-specific name for ProcWorld.
 type TCPWorld = ProcWorld
 
-// ConnectTCP joins a TCP world: rank i of addrs listens at addrs[i]; the
-// call blocks until the full mesh is connected. Options' fabric
-// configuration applies (fragment sizes, thresholds).
+// ConnectTCP joins a TCP world: rank i of addrs listens at addrs[i];
+// connections come up on first use. Options' fabric configuration applies
+// (fragment sizes, thresholds), over the protocol defaults every
+// cross-process world runs (acked eager sends, an oversubscription-scaled
+// retransmission budget).
 func ConnectTCP(rank int, addrs []string, opt Options) (*ProcWorld, error) {
 	if o := opt.UCP.Obs; o != nil && opt.Fabric.Obs == nil {
 		opt.Fabric.Obs = o.Registry
@@ -272,7 +272,7 @@ func ConnectTCP(rank int, addrs []string, opt Options) (*ProcWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	return procWorld(nic, opt)
+	return procWorld(launch.Attach(nic, opt)), nil
 }
 
 // ConnectSHM joins a shared-memory world rooted at dir, a directory on a
@@ -288,7 +288,7 @@ func ConnectSHM(rank, size int, dir string, opt Options) (*ProcWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	return procWorld(nic, opt)
+	return procWorld(launch.Attach(nic, opt)), nil
 }
 
 // InitFromEnv joins the world a mpicd-run launcher described in this
@@ -323,14 +323,14 @@ func InitFromEnv(opt Options) (world *ProcWorld, ok bool, err error) {
 	if err != nil {
 		return nil, true, err
 	}
-	return &ProcWorld{Comm: w.Comm, world: w, shutdown: w.Close}, true, nil
+	return procWorld(w), true, nil
 }
 
 // Rejoined reports whether this process is a supervised respawn that
 // must Join the surviving group instead of using a world communicator
 // from startup (its Comm is nil until Join succeeds).
 func (t *ProcWorld) Rejoined() bool {
-	return t.world != nil && t.world.Rejoined()
+	return t.world.Rejoined()
 }
 
 // Join runs the joiner side of elastic re-admission: wait, up to window,
@@ -338,9 +338,6 @@ func (t *ProcWorld) Rejoined() bool {
 // world communicator (also stored as t.Comm). Only meaningful when
 // Rejoined reports true.
 func (t *ProcWorld) Join(window time.Duration) (*Comm, error) {
-	if t.world == nil {
-		return nil, errors.New("mpi: Join needs a launcher-connected world (InitFromEnv)")
-	}
 	c, err := t.world.Join(window)
 	if c != nil {
 		t.Comm = c
@@ -353,19 +350,10 @@ func (t *ProcWorld) Join(window time.Duration) (*Comm, error) {
 // The returned peers feed Comm.Grow; the second result is the service's
 // current epoch, the watermark for the next incremental poll.
 func (t *ProcWorld) PollRejoins(since uint64) ([]JoinPeer, uint64, error) {
-	if t.world == nil {
-		return nil, 0, errors.New("mpi: PollRejoins needs a launcher-connected world (InitFromEnv)")
-	}
 	return t.world.PollRejoins(since)
 }
 
-func procWorld(nic fabric.NIC, opt Options) (*ProcWorld, error) {
-	w := ucp.NewWorker(nic, opt.UCP)
-	return &ProcWorld{
-		Comm:     core.NewComm(w),
-		shutdown: func() error { w.Close(); return nil },
-	}, nil
-}
+func procWorld(w *launch.World) *ProcWorld { return &ProcWorld{Comm: w.Comm, world: w} }
 
 // Close leaves the world.
-func (t *ProcWorld) Close() error { return t.shutdown() }
+func (t *ProcWorld) Close() error { return t.world.Close() }
