@@ -37,9 +37,9 @@ type Kind uint8
 
 // Kinds at and above KindFabricReserved belong to fabric-level services;
 // transport layers must allocate their kinds below it. The heartbeat
-// detector (see Detector) owns the low half of the range (0xF0..0xF7);
-// byte-stream providers keep their internal frame kinds in the high half
-// (0xF8..) so their read loops never consume detector traffic.
+// detector (see Detector) owns the low values of the range (0xF0..0xF6);
+// byte-stream providers keep their internal frame kinds above them
+// (0xF7..) so their read loops never consume detector traffic.
 const (
 	KindFabricReserved Kind = 0xF0
 	// KindHeartbeatPing is a liveness probe; Aux0 carries the sender's

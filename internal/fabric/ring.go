@@ -20,9 +20,10 @@ import (
 //
 //	[ 0.. 8) tail   — producer cursor, free-running byte count
 //	[ 8..16) head   — consumer cursor, free-running byte count
-//	[16..24) closed — nonzero once the producer is done
+//	[16..24) reserved
 //	[24..32) cap    — data-area capacity, for attach-time validation
-//	[32..64) reserved
+//	[32..40) asleep — nonzero while the consumer is blocked on its doorbell
+//	[40..64) reserved
 //
 // Records are length-prefixed ([4-byte little-endian length][payload])
 // and padded to 8-byte alignment. A record never wraps: when it does not
@@ -34,14 +35,28 @@ import (
 // bytes are written; the consumer acknowledges with a release store of
 // head after it is done with the record view. Neither side ever writes
 // the other's cursor, so no compare-and-swap is needed anywhere.
+//
+// Doorbell: a consumer that finds the ring empty stores asleep=1 and
+// checks the ring once more before it blocks (Arm); a producer swaps the
+// word back to 0 after Commit and rings the consumer if it held 1 (Bell).
+// Go's atomics are sequentially consistent, so of the two store-then-load
+// sequences at least one observes the other's store: either the consumer
+// sees the new tail or the producer sees the flag.
+//
+// What is read from the shared words is validated before it indexes the
+// data area: a peer killed mid-update surfaces as ErrCorrupt, never as a
+// slice-bounds fault in the survivor.
 type Ring struct {
-	mem  []byte
 	data []byte
 	cap  uint64
 
 	tail   *uint64
 	head   *uint64
-	closed *uint64
+	asleep *uint64
+
+	// Consumer-local: padded span of the record Next last returned, so
+	// Advance never re-reads a length the peer could have changed.
+	nextSpan uint64
 
 	// Producer-local reservation state (Reserve/Commit).
 	resOff  uint64 // data offset of the reserved record's length word
@@ -94,18 +109,17 @@ func AttachRing(mem []byte, init bool) (*Ring, error) {
 		return nil, fmt.Errorf("fabric: ring data area %d is not a power of two", capacity)
 	}
 	r := &Ring{
-		mem:    mem,
 		data:   mem[RingHeaderSize:],
 		cap:    capacity,
 		tail:   (*uint64)(unsafe.Pointer(&mem[0])),
 		head:   (*uint64)(unsafe.Pointer(&mem[8])),
-		closed: (*uint64)(unsafe.Pointer(&mem[16])),
+		asleep: (*uint64)(unsafe.Pointer(&mem[32])),
 	}
 	capWord := (*uint64)(unsafe.Pointer(&mem[24]))
 	if init {
 		atomic.StoreUint64(r.tail, 0)
 		atomic.StoreUint64(r.head, 0)
-		atomic.StoreUint64(r.closed, 0)
+		atomic.StoreUint64(r.asleep, 0)
 		atomic.StoreUint64(capWord, capacity)
 	} else if got := atomic.LoadUint64(capWord); got != capacity {
 		return nil, fmt.Errorf("fabric: ring capacity mismatch: header says %d, buffer holds %d", got, capacity)
@@ -120,21 +134,33 @@ func (r *Ring) Cap() int { return int(r.cap) }
 // payload.
 func recordSpan(n int) uint64 { return uint64(4+n+7) &^ 7 }
 
+// cursors loads both cursors and checks them against each other: either
+// word may hold garbage once the peer died mid-update.
+func (r *Ring) cursors() (head, tail uint64, err error) {
+	head, tail = atomic.LoadUint64(r.head), atomic.LoadUint64(r.tail)
+	if (head|tail)&7 != 0 || tail-head > r.cap {
+		return 0, 0, fmt.Errorf("%w: ring cursors head=%d tail=%d over %d bytes", ErrCorrupt, head, tail, r.cap)
+	}
+	return head, tail, nil
+}
+
 // Reserve claims a contiguous n-byte payload area in the ring, returning
-// a slice the caller fills before Commit. It returns nil,false when the
-// ring lacks space (the caller spills to the control socket) or is
-// closed. Only one reservation may be open at a time — the ring is
-// single-producer.
-func (r *Ring) Reserve(n int) ([]byte, bool) {
+// a slice the caller fills before Commit. ok is false when the ring lacks
+// space (the caller waits or spills to the control socket); err is
+// ErrCorrupt when the shared cursors are inconsistent. Only one
+// reservation may be open at a time — the ring is single-producer.
+func (r *Ring) Reserve(n int) (buf []byte, ok bool, err error) {
 	if r.resOpen {
 		panic("fabric: Ring.Reserve with a reservation already open")
 	}
 	span := recordSpan(n)
-	if span > r.cap/2 || atomic.LoadUint64(r.closed) != 0 {
-		return nil, false
+	if span > r.cap/2 {
+		return nil, false, nil
 	}
-	tail := atomic.LoadUint64(r.tail)
-	head := atomic.LoadUint64(r.head)
+	head, tail, err := r.cursors()
+	if err != nil {
+		return nil, false, err
+	}
 	pos := tail & (r.cap - 1)
 	skip := uint64(0)
 	if pos+span > r.cap {
@@ -143,7 +169,7 @@ func (r *Ring) Reserve(n int) ([]byte, bool) {
 		skip = r.cap - pos
 	}
 	if tail+skip+span-head > r.cap {
-		return nil, false
+		return nil, false, nil
 	}
 	if skip > 0 {
 		binary.LittleEndian.PutUint32(r.data[pos:], ringSkipMarker)
@@ -153,11 +179,12 @@ func (r *Ring) Reserve(n int) ([]byte, bool) {
 	r.resSkip = skip
 	r.resMax = n
 	r.resOpen = true
-	return r.data[pos+4 : pos+4+uint64(n)], true
+	return r.data[pos+4 : pos+4+uint64(n)], true, nil
 }
 
 // Commit publishes the open reservation with its final payload length
-// (n may be less than reserved when the filler packed partially).
+// (n may be less than reserved when the filler packed partially). The
+// producer calls Bell next.
 func (r *Ring) Commit(n int) {
 	if !r.resOpen || n < 0 || n > r.resMax {
 		panic("fabric: Ring.Commit without a matching Reserve")
@@ -173,63 +200,71 @@ func (r *Ring) Commit(n int) {
 // Abort cancels the open reservation without publishing anything.
 func (r *Ring) Abort() { r.resOpen = false }
 
-// Write is the one-shot producer path: it copies the slices, in order,
-// into a single record. It reports false when the ring lacks space.
-func (r *Ring) Write(payload ...[]byte) bool {
-	n := 0
-	for _, p := range payload {
-		n += len(p)
-	}
-	buf, ok := r.Reserve(n)
-	if !ok {
-		return false
-	}
-	at := 0
-	for _, p := range payload {
-		at += copy(buf[at:], p)
-	}
-	r.Commit(n)
-	return true
-}
-
 // Next returns a view of the next unconsumed record, or ok=false when
 // the ring is empty. The view aliases ring memory and is valid only
-// until Advance; consumers copy out before advancing.
-func (r *Ring) Next() ([]byte, bool) {
-	head := atomic.LoadUint64(r.head)
-	for {
-		tail := atomic.LoadUint64(r.tail) // acquire: record bytes below tail are visible
-		if head == tail {
-			return nil, false
-		}
+// until Advance; consumers copy out before advancing. A length word that
+// does not describe a record inside the published span is ErrCorrupt.
+func (r *Ring) Next() (rec []byte, ok bool, err error) {
+	head, tail, err := r.cursors() // acquire: record bytes below tail are visible
+	if err != nil {
+		return nil, false, err
+	}
+	for head != tail {
 		pos := head & (r.cap - 1)
 		l := binary.LittleEndian.Uint32(r.data[pos:])
-		if l == ringSkipMarker {
-			head += r.cap - pos
-			// Acknowledge the skip immediately so the producer regains the
-			// space even if no record follows yet.
-			atomic.StoreUint64(r.head, head)
-			continue
+		skip := l == ringSkipMarker
+		span := recordSpan(int(l))
+		if skip {
+			span = r.cap - pos
 		}
-		return r.data[pos+4 : pos+4+uint64(l)], true
+		// A producer never skips from offset zero (every record fits there)
+		// and never publishes a record above cap/2 or across the end.
+		if span > tail-head || (skip && pos == 0) || (!skip && (span > r.cap/2 || pos+span > r.cap)) {
+			return nil, false, fmt.Errorf("%w: ring record length %#x at offset %d (head=%d tail=%d)", ErrCorrupt, l, pos, head, tail)
+		}
+		if !skip {
+			r.nextSpan = span
+			return r.data[pos+4 : pos+4+uint64(l)], true, nil
+		}
+		head += span
+		// Acknowledge the skip immediately so the producer regains the
+		// space even if no record follows yet.
+		atomic.StoreUint64(r.head, head)
 	}
+	return nil, false, nil
 }
 
 // Advance releases the record last returned by Next back to the
 // producer.
 func (r *Ring) Advance() {
-	head := atomic.LoadUint64(r.head)
-	pos := head & (r.cap - 1)
-	l := binary.LittleEndian.Uint32(r.data[pos:])
-	atomic.StoreUint64(r.head, head+recordSpan(int(l)))
+	atomic.StoreUint64(r.head, atomic.LoadUint64(r.head)+r.nextSpan)
+	r.nextSpan = 0
 }
 
-// Close marks the producer side done. Consumers drain what remains and
-// then observe Closed.
-func (r *Ring) Close() { atomic.StoreUint64(r.closed, 1) }
+// Arm declares the consumer asleep and reports whether it may block on
+// its doorbell; false withdraws the declaration because a record was
+// published in the meantime.
+func (r *Ring) Arm() bool {
+	atomic.StoreUint64(r.asleep, 1)
+	if r.Empty() {
+		return true
+	}
+	r.Disarm()
+	return false
+}
 
-// Closed reports whether the producer closed the ring.
-func (r *Ring) Closed() bool { return atomic.LoadUint64(r.closed) != 0 }
+// Disarm withdraws Arm's declaration once the consumer polls again.
+func (r *Ring) Disarm() { atomic.StoreUint64(r.asleep, 0) }
+
+// Asleep reports whether the consumer's declaration stands.
+func (r *Ring) Asleep() bool { return atomic.LoadUint64(r.asleep) != 0 }
+
+// Bell is the producer's half of the doorbell, called after Commit: it
+// reports whether the consumer declared itself asleep (the caller must
+// wake it) and clears the declaration, so one sleep costs one bell.
+func (r *Ring) Bell() bool {
+	return atomic.LoadUint64(r.asleep) != 0 && atomic.SwapUint64(r.asleep, 0) != 0
+}
 
 // Empty reports whether every published record has been consumed.
 func (r *Ring) Empty() bool {

@@ -14,16 +14,16 @@ import (
 )
 
 // SHM provider control frames, carried over the unix-socket plane and
-// consumed by the stream core's ctrl hook (never delivered to Recv).
+// consumed by the stream core's ctrl hook (never surfaced by Recv).
 const (
+	// kindRingBell wakes a receiver that declared itself asleep on the
+	// ring (Ring.Arm) the sender just committed a record to.
+	kindRingBell Kind = 0xFA
 	// kindRingOpen announces an eager ring the sender created for this
 	// pair; Aux0 carries the segment size in bytes, Aux1 the producer's
-	// handshake generation (echoed by the ack, so an ack for a ring that
-	// was since torn down cannot flip a newer handshake onto a segment
-	// the receiver no longer polls).
+	// handshake generation, which the ack and the switch marker echo.
 	kindRingOpen Kind = 0xFB
-	// kindRingAck confirms the receiver mapped the ring; Aux1 echoes the
-	// open's generation.
+	// kindRingAck confirms the receiver mapped the ring.
 	kindRingAck Kind = 0xFC
 	// kindWinData announces a chunk placed in the shared pull window:
 	// Tag is the window-global chunk sequence, Offset the data offset
@@ -32,10 +32,11 @@ const (
 	// kindWinAck confirms the requester copied a chunk out of the window
 	// (Tag echoes the chunk sequence).
 	kindWinAck Kind = 0xFE
-	// kindRingSwitch is the ordered handoff marker: it is the last frame
-	// of this pair's eager class to travel over the socket, so the
-	// receiver starts polling the ring only after every earlier socket
-	// frame was delivered.
+	// kindRingSwitch is the ordered handoff marker, the last frame of this
+	// pair's eager class on the socket. The read loop forwards it in band
+	// through the inbox, so Recv starts on the ring (Aux1: its generation)
+	// only after every earlier socket frame, and retires the pair's
+	// previous ring. ReviveRank queues one naming no ring (generation 0).
 	kindRingSwitch Kind = 0xFF
 )
 
@@ -56,13 +57,13 @@ const defaultWinThresh = 64 << 10
 
 // SHM is a fabric provider for ranks that are separate processes on one
 // node. Eager traffic crosses mmap'd single-producer/single-consumer
-// rings (one per pair and direction, created on first use); large
-// rendezvous pulls cross a shared double-buffered window so the exporter
-// packs straight into memory the requester reads, one copy per side. A
-// unix-domain socket mesh — the same lazily-dialed stream core the TCP
-// provider uses — carries bootstrap, control, rendezvous requests, and
-// spill traffic (fragmented messages, and everything sent before a pair's
-// ring is up).
+// rings (one per pair and direction, created on first use), which the
+// goroutine in Recv drains itself and sleeps on by doorbell; large
+// rendezvous pulls cross a shared double-buffered window, one copy per
+// side. A unix-domain socket mesh — the lazily-dialed stream core the TCP
+// provider uses — carries bootstrap, control, doorbells, rendezvous
+// requests and spill traffic (fragmented messages, and everything sent
+// before a pair's ring is up).
 //
 // Channel ordering: within the eager class a pair's traffic moves over
 // exactly one channel at a time — the socket until the ring handshake
@@ -74,74 +75,77 @@ type SHM struct {
 	dir       string
 	ringBytes int
 	winBytes  int
-	winThresh int
 
 	outMu sync.Mutex
 	outs  map[int]*shmOut
 
-	inMu sync.Mutex
-	ins  []*shmIn
+	// inMu guards the inbound rings: mapped holds rings that were acked
+	// but whose switch marker Recv has not consumed yet, active the ones
+	// Recv drains. Only the goroutine in Recv changes active or reads
+	// ring memory, and it holds inMu while it does, so Close can unmap.
+	inMu   sync.Mutex
+	mapped map[int]*shmIn
+	active []*shmIn
+	cursor int  // round-robin position in active
+	armed  bool // asleep flags are set on the active rings
+	// wake is the doorbell: kindRingBell frames land here. Capacity 1 and
+	// non-blocking sends, so any number of bells wake one sleeper once.
+	wake chan struct{}
 
-	winOutMu sync.Mutex
-	winOuts  map[int]*shmWin // per-requester serve windows (exporter side)
-
-	winInMu sync.Mutex
+	winMu   sync.Mutex
+	winOuts map[int]*shmWin // per-requester serve windows (exporter side)
 	winIns  map[int]*shmWin // per-exporter pull windows (requester side)
 
-	filesMu sync.Mutex
-	files   []string // segments this endpoint created, removed on Close
+	// segMu guards segs, every segment this endpoint mapped, and files,
+	// the ones it created. Retiring a ring or window only drops the
+	// reference (a window serve may still be writing through it); Close
+	// unmaps. Bounded by the number of pair resets.
+	segMu sync.Mutex
+	segs  [][]byte
+	files []string
 
-	// downFlags marks peers with hard death evidence (refused redial
-	// after an established connection): ring producers and window serves
-	// toward such a peer bail out instead of waiting on a consumer that
-	// no longer exists. Cleared by ReviveRank.
+	// downFlags marks peers with hard death evidence: ring producers and
+	// window serves toward them bail out instead of waiting on a consumer
+	// that no longer exists. Cleared by ReviveRank.
 	downFlags []atomic.Bool
-
-	// graveyard holds mappings retired by revival. They cannot be
-	// unmapped while the poller or a window serve might still hold a
-	// reference from a racing snapshot, so they are parked here and
-	// unmapped at Close. Bounded by the number of revivals.
-	gravMu    sync.Mutex
-	graveyard [][]byte
 
 	// ringGen numbers ring handshakes; each shmOut carries the generation
 	// it was created under, and ring acks must echo it to take effect.
 	ringGen atomic.Int64
 
-	pollDone chan struct{}
-	pollWG   sync.WaitGroup
-	shmOnce  sync.Once
+	shmOnce sync.Once
 
-	ringSends  atomic.Int64 // eager frames that crossed a ring
-	ringSpills atomic.Int64 // ring-eligible frames that used the socket
-	winPulls   atomic.Int64 // Gets served through the shared window
+	ringSends     atomic.Int64 // eager frames that crossed a ring
+	ringSpills    atomic.Int64 // ring-eligible frames that used the socket
+	winPulls      atomic.Int64 // Gets served through the shared window
+	bellsSent     atomic.Int64 // kindRingBell frames written
+	bellsRecv     atomic.Int64 // kindRingBell frames read
+	recvSleeps    atomic.Int64 // times Recv armed the doorbells and blocked
+	ringFullWaits atomic.Int64 // sends that found their ring full and waited
 }
 
 // shmOut is the producer side of one outbound eager ring. mu serializes
 // the pair's whole eager class — ring production AND pre-ring socket
 // spills — so the kindRingSwitch marker (sent under mu by the first
-// sender that observes the ack) cleanly splits the class into
-// before-switch socket frames and after-switch ring frames. ackd is
-// written by the control goroutine without taking mu, so a sender
-// blocked mid-dial cannot stall the handshake.
+// sender that observes the ack) splits the class into before-switch
+// socket frames and after-switch ring frames. ackd is written without
+// mu, so a sender blocked mid-dial cannot stall the handshake.
 type shmOut struct {
 	mu    sync.Mutex
 	gen   int64 // handshake generation; ring acks must echo it
 	ring  *Ring
-	mem   []byte
+	open  bool        // kindRingOpen reached the socket
 	ackd  atomic.Bool // kindRingAck received
-	down  atomic.Bool // peer declared gone; ring producers must bail
+	down  atomic.Bool // pair reset; a producer parked on the ring must bail
 	ready bool        // switch marker sent; senders use the ring
 }
 
-// shmIn is one inbound eager ring the poller drains. It stays pending —
-// mapped but not polled — until the peer's switch marker arrives, which
-// orders ring traffic after all earlier socket traffic.
+// shmIn is one inbound eager ring; gen is the producer's handshake
+// generation, which its switch marker names.
 type shmIn struct {
-	peer    int
-	ring    *Ring
-	mem     []byte
-	pending atomic.Bool
+	peer int
+	gen  int64
+	ring *Ring
 }
 
 // shmWin is one side of a shared pull window: two halves, alternated by
@@ -176,8 +180,8 @@ func shmWinPath(dir string, owner, requester int) string {
 // All segment and socket names inside dir are deterministic functions of
 // rank pairs, so no address exchange is needed beyond agreeing on dir.
 func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
-	if err := mapProbe(); err != nil {
-		return nil, err
+	if runtime.GOOS != "linux" && runtime.GOOS != "darwin" {
+		return nil, errors.New("fabric: SHM provider requires linux or darwin (mmap)")
 	}
 	sock := ShmSocket(dir, rank)
 	_ = os.Remove(sock) // a stale socket from a crashed prior run blocks listen
@@ -190,13 +194,15 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 		dir:       dir,
 		ringBytes: cfg.RingBytes,
 		winBytes:  cfg.WinBytes,
-		winThresh: defaultWinThresh,
 		outs:      make(map[int]*shmOut),
+		mapped:    make(map[int]*shmIn),
+		wake:      make(chan struct{}, 1),
 		winOuts:   make(map[int]*shmWin),
 		winIns:    make(map[int]*shmWin),
 		downFlags: make([]atomic.Bool, size),
-		pollDone:  make(chan struct{}),
 	}
+	// Generations stay ordered across this rank's incarnations too.
+	s.ringGen.Store(int64(cfg.Epoch) << 32)
 	if s.ringBytes <= 0 {
 		s.ringBytes = DefaultRingBytes
 	}
@@ -206,15 +212,8 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 	s.winBytes &^= 15 // two 8-aligned halves
 	st.ctrl = s.handleCtrl
 	st.onGetReq = s.handleGetReq
-	// Hard link evidence (refused redial after a prior connection: the
-	// peer's process is gone) stalls the pair's shared-memory channels.
 	st.onHardDown = s.stallPeer
-	// Re-key shared-memory establishment to the socket generation: when
-	// the control conn to a peer breaks (a respawned rank's revival on
-	// either side closes and re-dials it), the pair's rings and pull
-	// windows are torn down so the next send restarts the handshake over
-	// the fresh socket. Without this, a producer whose consumer forgot
-	// the ring keeps writing into a segment nobody polls.
+	// Shared-memory establishment is keyed to the socket generation.
 	st.onConnDrop = s.connDropped
 	addrs := make([]string, size)
 	for i := range addrs {
@@ -229,127 +228,62 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 		reg.GaugeFunc(p("shm_ring_sends"), s.ringSends.Load)
 		reg.GaugeFunc(p("shm_ring_spills"), s.ringSpills.Load)
 		reg.GaugeFunc(p("shm_win_pulls"), s.winPulls.Load)
+		reg.GaugeFunc(p("shm_bells_sent"), s.bellsSent.Load)
+		reg.GaugeFunc(p("shm_bells_recv"), s.bellsRecv.Load)
+		reg.GaugeFunc(p("shm_recv_sleeps"), s.recvSleeps.Load)
+		reg.GaugeFunc(p("shm_ring_full_waits"), s.ringFullWaits.Load)
 	}
-	s.pollWG.Add(1)
-	go s.pollLoop()
 	return s, nil
 }
 
-// mapProbe reports whether the platform supports the provider (mmap
-// available) without touching the filesystem.
-func mapProbe() error {
-	if runtime.GOOS != "linux" && runtime.GOOS != "darwin" {
-		return errors.New("fabric: SHM provider requires linux or darwin (mmap)")
-	}
-	return nil
-}
-
-// stallPeer marks the pair's shared-memory channels as stalled: ring
-// producers and window serves toward peer bail out with ErrLinkDown
-// instead of waiting on a consumer that will never drain.
+// stallPeer is the stream core's hard-evidence hook (the peer's process
+// is gone): ring producers and window serves toward peer bail out with
+// ErrLinkDown instead of waiting on a consumer that will never drain.
 func (s *SHM) stallPeer(peer int) {
-	if peer < 0 || peer >= len(s.downFlags) {
-		return
-	}
-	s.downFlags[peer].Store(true)
-	s.outMu.Lock()
-	o := s.outs[peer]
-	s.outMu.Unlock()
-	if o != nil {
-		o.down.Store(true)
+	if peer >= 0 && peer < len(s.downFlags) {
+		s.downFlags[peer].Store(true)
 	}
 }
 
 // DeclareRankDown records out-of-band death evidence for a peer (the
-// transport layer's failure verdict, which may arrive from pure silence
-// before the socket plane sees anything) on both planes: the
-// shared-memory channels stall, and the socket plane fails sends and
-// dial campaigns toward the rank fast — a first-contact spill toward a
-// rank declared dead by silence must not wait out a dial window.
+// transport layer's verdict, which may arrive from pure silence before
+// the socket plane sees anything) on both planes: the shared-memory
+// channels stall, and the socket plane fails sends and dial campaigns
+// toward the rank fast instead of waiting out a dial window.
 func (s *SHM) DeclareRankDown(peer int) {
 	s.stallPeer(peer)
 	s.stream.DeclareRankDown(peer)
 }
 
-// bury parks a retired mapping for unmapping at Close.
-func (s *SHM) bury(mem []byte) {
-	if mem == nil {
-		return
-	}
-	s.gravMu.Lock()
-	s.graveyard = append(s.graveyard, mem)
-	s.gravMu.Unlock()
-}
-
 // ReviveRank forgets all shared-memory state toward a peer so a
-// respawned process can be re-admitted under the same rank: the
-// outbound ring (its consumer died with the old incarnation) is torn
-// down so the next send restarts the handshake against the replacement,
-// inbound rings and pull windows of the dead incarnation are retired,
-// and the down flags clear. Socket-plane state resets via the embedded
-// stream core.
+// respawned process can be re-admitted under the same rank: the pair is
+// reset, the dead incarnation's inbound rings are retired and the down
+// flags clear. Socket-plane state resets via the embedded stream core.
 func (s *SHM) ReviveRank(peer int) {
 	if peer < 0 || peer >= s.size || peer == s.rank {
 		return
 	}
-	// Stall any producer first (a sender parked on the dead consumer's
-	// full ring holds the pair lock until it observes down).
-	s.outMu.Lock()
-	o := s.outs[peer]
-	delete(s.outs, peer)
-	s.outMu.Unlock()
-	if o != nil {
-		o.down.Store(true)
-		o.mu.Lock()
-		if o.ring != nil {
-			o.ring.Close()
-			s.bury(o.mem)
-			o.ring, o.mem = nil, nil
-		}
-		o.ready = false
-		o.mu.Unlock()
-	}
+	s.connDropped(peer)
 	s.inMu.Lock()
-	kept := s.ins[:0]
-	for _, in := range s.ins {
-		if in.peer == peer {
-			in.pending.Store(true) // poller skips it even from a racing snapshot
-			s.bury(in.mem)
-		} else {
-			kept = append(kept, in)
-		}
-	}
-	s.ins = kept
+	delete(s.mapped, peer)
 	s.inMu.Unlock()
-	s.winInMu.Lock()
-	if w := s.winIns[peer]; w != nil {
-		s.bury(w.mem)
-		delete(s.winIns, peer)
-	}
-	s.winInMu.Unlock()
-	s.winOutMu.Lock()
-	if w := s.winOuts[peer]; w != nil {
-		s.bury(w.mem)
-		delete(s.winOuts, peer)
-	}
-	s.winOutMu.Unlock()
+	// The active ring belongs to the goroutine in Recv: retire it in band,
+	// before the stream core closes the socket, so that the switch of a
+	// ring opened over the next socket is consumed after this marker.
+	s.deliver(&Packet{From: peer, Hdr: Header{Kind: kindRingSwitch}})
 	s.downFlags[peer].Store(false)
 	s.stream.ReviveRank(peer)
 }
 
 // connDropped is the stream core's conn-drop hook: the socket to peer
-// broke, so every piece of shared-memory establishment keyed to it is
-// torn down and rebuilt on next use. This is what keeps elastic revival
-// coherent when the two sides act out of step — a survivor that Revives
-// a respawned rank buries its inbound rings, and without this hook the
-// respawned side (whose handshake completed before the revival) would
-// keep producing into segments nobody polls. Death evidence is NOT
+// broke, so the shared-memory establishment keyed to it — the outbound
+// ring and both pull windows — is torn down; the next send restarts the
+// handshake. Without it a respawned rank would keep producing into a
+// ring its reviving survivor retired. Inbound rings are left alone: the
+// producer sees the same break, resets here too, and the switch marker of
+// its fresh ring retires them. Frames stranded in torn-down rings are
+// recovered by the reliable layer's retransmission. Death evidence is NOT
 // touched: downFlags belong to DeclareRankDown/ReviveRank.
-//
-// Inbound rings are left alone: the producer side observes the same
-// socket break, resets here too, and its fresh kindRingOpen replaces
-// them (acceptRing retires duplicates). Frames stranded in torn-down
-// rings are recovered by the reliable protocol's retransmission.
 func (s *SHM) connDropped(peer int) {
 	if peer < 0 || peer >= s.size || peer == s.rank {
 		return
@@ -359,102 +293,120 @@ func (s *SHM) connDropped(peer int) {
 	delete(s.outs, peer)
 	s.outMu.Unlock()
 	if o != nil {
-		// Unblock a producer parked on the ring before taking the pair
-		// lock it holds; its send fails with ErrLinkDown, which is what
-		// the broken socket would have produced anyway.
+		// Unblock a producer parked on the full ring before taking the pair
+		// lock it holds; its send fails with ErrLinkDown, which is what a
+		// broken socket would have produced anyway.
 		o.down.Store(true)
 		o.mu.Lock()
-		if o.ring != nil {
-			o.ring.Close()
-			s.bury(o.mem)
-			o.ring, o.mem = nil, nil
-		}
-		o.ready = false
+		o.ring, o.ready = nil, false
 		o.mu.Unlock()
 	}
-	s.winInMu.Lock()
-	if w := s.winIns[peer]; w != nil {
-		s.bury(w.mem)
-		delete(s.winIns, peer)
-	}
-	s.winInMu.Unlock()
-	s.winOutMu.Lock()
-	if w := s.winOuts[peer]; w != nil {
-		s.bury(w.mem)
-		delete(s.winOuts, peer)
-	}
-	s.winOutMu.Unlock()
+	s.winMu.Lock()
+	delete(s.winIns, peer)
+	delete(s.winOuts, peer)
+	s.winMu.Unlock()
 }
 
-func (s *SHM) trackFile(path string) {
-	s.filesMu.Lock()
-	s.files = append(s.files, path)
-	s.filesMu.Unlock()
+// mapSeg maps a shared segment and records it for Close. The creating
+// side first unlinks any file a previous incarnation of this rank left
+// under the name: survivors may still hold it mapped, and reusing its
+// pages would splice the new segment into their stale mappings.
+func (s *SHM) mapSeg(path string, size int, create bool) ([]byte, error) {
+	if create {
+		_ = os.Remove(path)
+	}
+	mem, err := mapFile(path, size, create)
+	if err != nil {
+		return nil, err
+	}
+	s.segMu.Lock()
+	defer s.segMu.Unlock()
+	if s.closed() { // Close already swept segs and files
+		_ = unmapFile(mem)
+		if create {
+			_ = os.Remove(path)
+		}
+		return nil, ErrClosed
+	}
+	s.segs = append(s.segs, mem)
+	if create {
+		s.files = append(s.files, path)
+	}
+	return mem, nil
+}
+
+// mapRing maps a ring segment and lays the ring over it. Close unmaps
+// whatever mapSeg recorded, so the header is touched under segMu and only
+// while Close has not begun: the last acks of a run make first contact
+// (and so open rings) while the endpoint is already shutting down.
+func (s *SHM) mapRing(path string, size int, create bool) (*Ring, error) {
+	mem, err := s.mapSeg(path, size, create)
+	if err != nil {
+		return nil, err
+	}
+	s.segMu.Lock()
+	defer s.segMu.Unlock()
+	if s.closed() {
+		return nil, ErrClosed
+	}
+	return AttachRing(mem, create)
 }
 
 // ringEligible reports whether a frame may cross the eager ring: it must
 // be self-contained (its payload is the whole message, so no cross-frame
 // ordering constraints exist outside the eager class) and small enough
-// that a few frames fit the ring at once. Control kinds always use the
-// socket.
+// that a few fit the ring at once. Control kinds always use the socket.
 func (s *SHM) ringEligible(hdr Header, n int) bool {
 	return hdr.Kind < kindProviderCtrlMin &&
 		hdr.Offset == 0 && int64(n) == hdr.Total &&
 		recordSpan(headerWireSize+n) <= uint64(ringCapFor(s.ringBytes))/4
 }
 
-// ensureOut returns the pair's eager-class state, starting the ring
-// handshake on first use.
-func (s *SHM) ensureOut(to int) *shmOut {
+// lockPair returns the pair's eager-class state, locked, starting the
+// ring handshake on first use and advancing it on every later one. Until
+// the pair is ready callers spill onto the socket under the lock.
+func (s *SHM) lockPair(to int) *shmOut {
 	s.outMu.Lock()
 	o := s.outs[to]
 	if o == nil {
 		o = &shmOut{gen: s.ringGen.Add(1)}
 		s.outs[to] = o
-		s.outMu.Unlock()
 		go s.openRing(to, o)
-		return o
 	}
 	s.outMu.Unlock()
+	o.mu.Lock()
+	s.handshakeLocked(to, o)
+	if !o.ready {
+		s.ringSpills.Add(1)
+	}
 	return o
 }
 
-// switchLocked flips the pair onto the ring once the receiver's ack is
-// in, emitting the ordered handoff marker. Caller holds o.mu.
-func (s *SHM) switchLocked(to int, o *shmOut) {
-	if !o.ready && o.ring != nil && o.ackd.Load() {
-		if s.stream.Send(to, Header{Kind: kindRingSwitch}) == nil {
-			o.ready = true
-		}
+// handshakeLocked moves the pair's ring handshake one step: announce the
+// mapped ring (again, if the open was lost to a broken socket), then,
+// once the receiver's ack is in, emit the ordered handoff marker and flip
+// the pair onto the ring. Caller holds o.mu.
+func (s *SHM) handshakeLocked(to int, o *shmOut) {
+	switch {
+	case o.ready || o.ring == nil:
+	case !o.open:
+		size := int64(RingHeaderSize + o.ring.Cap())
+		o.open = s.stream.Send(to, Header{Kind: kindRingOpen, Aux0: size, Aux1: o.gen}) == nil
+	case o.ackd.Load():
+		o.ready = s.stream.Send(to, Header{Kind: kindRingSwitch, Aux1: o.gen}) == nil
 	}
 }
 
-// openRing creates and exports the eager ring toward a peer. Failures
-// leave the pair on the socket path permanently — correct, just slower.
+// openRing creates the eager ring toward a peer and announces it.
+// Failures leave the pair on the socket path — correct, just slower.
 func (s *SHM) openRing(to int, o *shmOut) {
-	path := shmRingPath(s.dir, s.rank, to)
 	total := RingHeaderSize + int(ringCapFor(s.ringBytes))
-	// Unlink any segment left by a previous incarnation of this rank
-	// before creating: survivors of that incarnation may still hold the
-	// old file mapped, and reusing its pages would splice this ring into
-	// their stale mappings.
-	_ = os.Remove(path)
-	mem, err := mapFile(path, total, true)
-	if err != nil {
-		return
+	if ring, err := s.mapRing(shmRingPath(s.dir, s.rank, to), total, true); err == nil {
+		o.mu.Lock()
+		o.ring = ring
+		s.handshakeLocked(to, o)
+		o.mu.Unlock()
 	}
-	ring, err := AttachRing(mem, true)
-	if err != nil {
-		_ = unmapFile(mem)
-		return
-	}
-	s.trackFile(path)
-	o.mu.Lock()
-	o.mem, o.ring = mem, ring
-	o.mu.Unlock()
-	// The ack handler completes the handshake (sends the switch marker
-	// and flips ready).
-	_ = s.stream.Send(to, Header{Kind: kindRingOpen, Aux0: int64(total), Aux1: o.gen})
 }
 
 // Send places self-contained frames on the pair's eager ring (blocking
@@ -470,27 +422,34 @@ func (s *SHM) Send(to int, hdr Header, payload ...[]byte) error {
 	if to == s.rank || to < 0 || to >= s.size || !s.ringEligible(hdr, n) {
 		return s.stream.Send(to, hdr, payload...)
 	}
-	o := s.ensureOut(to)
-	o.mu.Lock()
+	o := s.lockPair(to)
 	defer o.mu.Unlock()
-	s.switchLocked(to, o)
 	if !o.ready {
-		s.ringSpills.Add(1)
 		return s.stream.Send(to, hdr, payload...)
 	}
 	buf, err := s.reserveBlocking(o, to, headerWireSize+n)
 	if err != nil {
 		return err
 	}
-	var hb [headerWireSize]byte
-	encodeHeader(&hb, hdr)
-	at := copy(buf, hb[:])
+	encodeHeader((*[headerWireSize]byte)(buf), hdr)
+	at := headerWireSize
 	for _, p := range payload {
 		at += copy(buf[at:], p)
 	}
 	o.ring.Commit(at)
+	return s.ringBell(to, o)
+}
+
+// ringBell counts a committed ring frame and, if the pair's receiver
+// declared itself asleep, wakes it with one kindRingBell on the socket,
+// whose write error is the send's error. Caller holds o.mu.
+func (s *SHM) ringBell(to int, o *shmOut) error {
 	s.ringSends.Add(1)
-	return nil
+	if !o.ring.Bell() {
+		return nil
+	}
+	s.bellsSent.Add(1)
+	return s.stream.Send(to, Header{Kind: kindRingBell})
 }
 
 // SendFrom packs straight from the source into ring memory — the
@@ -500,21 +459,16 @@ func (s *SHM) SendFrom(to int, hdr Header, src Source, off, size int64) (int64, 
 	if to == s.rank || to < 0 || to >= s.size || size > MaxFragSize || !s.ringEligible(hdr, int(size)) {
 		return s.stream.SendFrom(to, hdr, src, off, size)
 	}
-	o := s.ensureOut(to)
-	o.mu.Lock()
+	o := s.lockPair(to)
 	defer o.mu.Unlock()
-	s.switchLocked(to, o)
 	if !o.ready {
-		s.ringSpills.Add(1)
 		return s.stream.SendFrom(to, hdr, src, off, size)
 	}
 	buf, err := s.reserveBlocking(o, to, headerWireSize+int(size))
 	if err != nil {
 		return 0, err
 	}
-	var hb [headerWireSize]byte
-	encodeHeader(&hb, hdr)
-	copy(buf, hb[:])
+	encodeHeader((*[headerWireSize]byte)(buf), hdr)
 	got, rerr := src.ReadAt(buf[headerWireSize:headerWireSize+int(size)], off)
 	if rerr != nil && rerr != io.EOF {
 		o.ring.Abort()
@@ -525,27 +479,34 @@ func (s *SHM) SendFrom(to int, hdr Header, src Source, off, size int64) (int64, 
 		return 0, ErrShortTransfer
 	}
 	o.ring.Commit(headerWireSize + got)
-	s.ringSends.Add(1)
-	return int64(got), nil
+	return int64(got), s.ringBell(to, o)
 }
 
 // reserveBlocking reserves ring space, waiting for the consumer when the
 // ring is full. Caller holds o.mu (so waiting senders queue in order).
 // A ring whose consumer process died would stay full forever; the down
 // flags (fed by socket-plane death evidence) break that stall with
-// ErrLinkDown so the transport's failure machinery takes over.
+// ErrLinkDown so the transport's failure machinery takes over. The wait
+// is timed, not a doorbell: the consumer is the peer's progress goroutine,
+// which must never write to the wire.
 func (s *SHM) reserveBlocking(o *shmOut, to, n int) ([]byte, error) {
 	for i := 0; ; i++ {
 		if o.down.Load() || s.downFlags[to].Load() {
 			return nil, fmt.Errorf("%w: rank %d exited; eager ring stalled", ErrLinkDown, to)
 		}
-		if buf, ok := o.ring.Reserve(n); ok {
+		buf, ok, err := o.ring.Reserve(n)
+		if err != nil {
+			s.stream.sever(to) // both sides' connDropped reset the pair
+			return nil, fmt.Errorf("%w: eager ring to rank %d: %w", ErrLinkDown, to, err)
+		}
+		if ok {
 			return buf, nil
 		}
-		select {
-		case <-s.done:
+		if i == 0 {
+			s.ringFullWaits.Add(1)
+		}
+		if s.closed() {
 			return nil, ErrClosed
-		default:
 		}
 		switch {
 		case i < 256:
@@ -565,8 +526,8 @@ func (s *SHM) reserveBlocking(o *shmOut, to, n int) ([]byte, error) {
 // into one half while the requester drains the other) and small ones
 // through socket response frames.
 func (s *SHM) Get(from int, key uint64, off int64, sink Sink, sinkOff, size int64) error {
-	if from != s.rank && size >= int64(s.winThresh) {
-		if win := s.pullWindow(from); win != nil {
+	if from != s.rank && size >= defaultWinThresh {
+		if win := s.window(s.winIns, from, shmWinPath(s.dir, from, s.rank), s.winBytes, true); win != nil {
 			s.winPulls.Add(1)
 			return s.getVia(from, key, off, sink, sinkOff, size, flagGetWindow, int64(len(win.mem)))
 		}
@@ -574,41 +535,22 @@ func (s *SHM) Get(from int, key uint64, off int64, sink Sink, sinkOff, size int6
 	return s.stream.Get(from, key, off, sink, sinkOff, size)
 }
 
-// pullWindow returns (creating on first use) the window this rank pulls
-// exporter `from`'s data through. nil falls back to socket pulls.
-func (s *SHM) pullWindow(from int) *shmWin {
-	s.winInMu.Lock()
-	defer s.winInMu.Unlock()
-	if w := s.winIns[from]; w != nil {
+// window returns, mapping it on first use, this rank's side of the pull
+// window shared with peer: the requester (set winIns) creates the
+// segment before its first window-flagged request, the exporter (set
+// winOuts) attaches. nil makes the Get fall back to the socket.
+func (s *SHM) window(set map[int]*shmWin, peer int, path string, size int, create bool) *shmWin {
+	s.winMu.Lock()
+	defer s.winMu.Unlock()
+	if w := set[peer]; w != nil {
 		return w
 	}
-	path := shmWinPath(s.dir, from, s.rank)
-	_ = os.Remove(path) // see openRing: never reuse a previous incarnation's pages
-	mem, err := mapFile(path, s.winBytes, true)
-	if err != nil {
-		return nil
-	}
-	s.trackFile(path)
-	w := &shmWin{mem: mem, lastAck: -1}
-	s.winIns[from] = w
-	return w
-}
-
-// serveWindow returns (mapping on first use) the window this rank serves
-// pulls to `requester` through. The requester created the segment before
-// sending its first window-flagged request.
-func (s *SHM) serveWindow(requester, size int) *shmWin {
-	s.winOutMu.Lock()
-	defer s.winOutMu.Unlock()
-	if w := s.winOuts[requester]; w != nil {
-		return w
-	}
-	mem, err := mapFile(shmWinPath(s.dir, s.rank, requester), size, false)
+	mem, err := s.mapSeg(path, size, create)
 	if err != nil {
 		return nil
 	}
 	w := &shmWin{mem: mem, lastAck: -1, ack: make(chan uint64, 64)}
-	s.winOuts[requester] = w
+	set[peer] = w
 	return w
 }
 
@@ -636,7 +578,7 @@ func (s *SHM) serveWindowGet(peer int, hdr Header) {
 		fail(ErrBadKey.Error())
 		return
 	}
-	w := s.serveWindow(peer, int(hdr.Aux0))
+	w := s.window(s.winOuts, peer, shmWinPath(s.dir, s.rank, peer), int(hdr.Aux0), false)
 	if w == nil {
 		fail("pull window unavailable")
 		return
@@ -716,16 +658,20 @@ func (s *SHM) handleCtrl(conn *streamConn, hdr Header, payload []byte, putback f
 	case kindRingAck:
 		s.completeRing(conn.peer, hdr.Aux1)
 	case kindRingSwitch:
-		// Every socket frame the peer sent before switching is now in the
-		// inbox; eager-class frames from this peer arrive via the ring
-		// from here on.
-		s.startPolling(conn.peer)
+		// In band: every earlier socket frame of the peer is ahead of it.
+		s.deliver(&Packet{From: conn.peer, Hdr: hdr})
+	case kindRingBell:
+		s.bellsRecv.Add(1)
+		select {
+		case s.wake <- struct{}{}:
+		default: // a wake-up is already pending
+		}
 	case kindWinData:
 		s.handleWinData(conn.peer, hdr)
 	case kindWinAck:
-		s.winOutMu.Lock()
+		s.winMu.Lock()
 		w := s.winOuts[conn.peer]
-		s.winOutMu.Unlock()
+		s.winMu.Unlock()
 		if w != nil {
 			select {
 			case w.ack <- hdr.Tag:
@@ -735,47 +681,28 @@ func (s *SHM) handleCtrl(conn *streamConn, hdr Header, payload []byte, putback f
 	}
 }
 
-// acceptRing maps a peer's freshly exported eager ring and acks it. The
-// ring is not polled yet — that waits for the switch marker so no ring
-// frame can overtake socket frames sent before the handshake finished.
+// acceptRing maps a peer's freshly exported eager ring and acks it. Recv
+// reads it only once the switch marker arrives, so no ring frame can
+// overtake socket frames sent before the handshake finished.
 func (s *SHM) acceptRing(peer, size int, gen int64) {
-	mem, err := mapFile(shmRingPath(s.dir, peer, s.rank), size, false)
+	ring, err := s.mapRing(shmRingPath(s.dir, peer, s.rank), size, false)
 	if err != nil {
 		return // no ack: the peer keeps using the socket
 	}
-	ring, err := AttachRing(mem, false)
-	if err != nil {
-		_ = unmapFile(mem)
-		return
-	}
 	s.inMu.Lock()
-	kept := s.ins[:0]
-	for _, old := range s.ins {
-		if old.peer == peer {
-			// Duplicate open: the peer restarted its handshake — today
-			// that means a respawned process re-admitted under the same
-			// rank. The old incarnation's ring is dead weight; retire it
-			// and install the fresh mapping.
-			old.pending.Store(true)
-			s.bury(old.mem)
-		} else {
-			kept = append(kept, old)
-		}
+	// Opens run on a goroutine each: one overtaken by its successor loses.
+	if old := s.mapped[peer]; old == nil || old.gen < gen {
+		s.mapped[peer] = &shmIn{peer: peer, gen: gen, ring: ring}
 	}
-	s.ins = kept
-	in := &shmIn{peer: peer, ring: ring, mem: mem}
-	in.pending.Store(true)
-	s.ins = append(s.ins, in)
 	s.inMu.Unlock()
 	_ = s.stream.Send(peer, Header{Kind: kindRingAck, Aux1: gen})
 }
 
 // completeRing records the receiver's ack. The next eligible send
 // performs the actual switch (under the pair lock, so the marker lands
-// between the last spilled frame and the first ring frame). The ack must
-// echo the current handshake generation: a stale ack — for a ring that a
-// conn drop has since torn down — must not flip the fresh handshake onto
-// a segment the receiver is not polling.
+// between the last spilled frame and the first ring frame). A stale ack,
+// for a ring a conn drop has since torn down, must not flip the fresh
+// handshake onto a segment the receiver is not reading.
 func (s *SHM) completeRing(peer int, gen int64) {
 	s.outMu.Lock()
 	o := s.outs[peer]
@@ -785,26 +712,15 @@ func (s *SHM) completeRing(peer int, gen int64) {
 	}
 }
 
-// startPolling moves a mapped inbound ring into the poller's active set.
-func (s *SHM) startPolling(peer int) {
-	s.inMu.Lock()
-	for _, in := range s.ins {
-		if in.peer == peer {
-			in.pending.Store(false)
-		}
-	}
-	s.inMu.Unlock()
-}
-
 // handleWinData copies one announced chunk out of the pull window into
 // the Get's sink and acks the half back to the exporter. It runs on the
 // socket read goroutine, so chunks from one exporter are handled in
 // announcement order.
 func (s *SHM) handleWinData(peer int, hdr Header) {
 	g := s.lookupGet(hdr.MsgID)
-	s.winInMu.Lock()
+	s.winMu.Lock()
 	win := s.winIns[peer]
-	s.winInMu.Unlock()
+	s.winMu.Unlock()
 	var copied int64
 	if g != nil && win != nil {
 		start, n := hdr.Aux0, hdr.Aux1
@@ -829,73 +745,115 @@ func (s *SHM) handleWinData(peer int, hdr Header) {
 	}
 }
 
-// pollLoop drains every active inbound ring into the inbox, with idle
-// escalation from spinning to sleeping so quiet pairs cost ~nothing.
-func (s *SHM) pollLoop() {
-	defer s.pollWG.Done()
-	idle := 0
-	for {
+// recvSpins is how often an idle Recv yields before it blocks: enough to
+// catch the reply of a peer that is already running.
+const recvSpins = 64
+
+// Recv returns the next inbound packet: socket frames from the inbox
+// first, then the eager rings, which it drains itself. With nothing to
+// read it declares itself asleep on every ring and blocks until a socket
+// frame, a doorbell or Close arrives; no timer is involved. Recv is
+// single-consumer (the NIC contract): the active rings are state of the
+// calling goroutine, changed only by the switch markers it consumes here.
+func (s *SHM) Recv() (*Packet, bool) {
+	for idle := 0; ; idle++ {
+		var pkt *Packet
 		select {
-		case <-s.pollDone:
-			return
+		case pkt = <-s.inbox:
 		default:
-		}
-		s.inMu.Lock()
-		ins := append([]*shmIn(nil), s.ins...)
-		s.inMu.Unlock()
-		moved := 0
-		for _, in := range ins {
-			if in.pending.Load() {
+			var block bool
+			if pkt, block = s.pollRings(idle >= recvSpins); pkt != nil {
+				return pkt, true
+			}
+			if !block {
+				runtime.Gosched()
 				continue
 			}
-			for budget := 0; budget < 64; budget++ {
-				rec, ok := in.ring.Next()
-				if !ok {
-					break
+			s.recvSleeps.Add(1)
+			select {
+			case pkt = <-s.inbox:
+			case <-s.wake:
+				continue // straight back to the rings, still ready to sleep
+			case <-s.done:
+				if pkt, _ = s.stream.Recv(); pkt == nil {
+					return nil, false
 				}
-				if len(rec) < headerWireSize {
-					in.ring.Advance() // torn record: cannot happen via this provider; drop
-					continue
-				}
-				hdr := decodeHeader(rec)
-				var payload []byte
-				var pbuf *[]byte
-				if plen := len(rec) - headerWireSize; plen > 0 {
-					pbuf = s.pool.get(plen)
-					payload = (*pbuf)[:plen]
-					copy(payload, rec[headerWireSize:])
-				}
-				in.ring.Advance()
-				putback := func() {
-					if pbuf != nil {
-						s.pool.put(pbuf)
-					}
-				}
-				pkt := &Packet{From: in.peer, Hdr: hdr, Payload: payload, release: putback}
-				if !s.deliver(pkt) {
-					putback()
-					return
-				}
-				moved++
 			}
 		}
-		if moved > 0 {
-			idle = 0
+		if pkt.Hdr.Kind != kindRingSwitch {
+			return pkt, true
+		}
+		s.inMu.Lock()
+		s.retireLocked(pkt.From)
+		if in := s.mapped[pkt.From]; in != nil && in.gen == pkt.Hdr.Aux1 {
+			delete(s.mapped, pkt.From)
+			s.active = append(s.active, in)
+		}
+		s.inMu.Unlock()
+	}
+}
+
+// pollRings returns the next record of the active rings, copied into a
+// pool buffer, as a packet. With arm set and every ring empty it leaves
+// each ring's asleep flag set and reports block: the next producer to
+// commit rings the bell. Once closed it stays off ring memory.
+func (s *SHM) pollRings(arm bool) (pkt *Packet, block bool) {
+	s.inMu.Lock()
+	defer s.inMu.Unlock()
+	if s.closed() {
+		return nil, true
+	}
+	if s.armed {
+		for _, in := range s.active {
+			in.ring.Disarm()
+		}
+		s.armed = false
+	}
+	for i := range s.active {
+		at := (s.cursor + i) % len(s.active)
+		in := s.active[at]
+		rec, ok, err := in.ring.Next()
+		if err == nil && ok && len(rec) < headerWireSize {
+			err = fmt.Errorf("%w: %d-byte ring record", ErrCorrupt, len(rec))
+		}
+		if err != nil {
+			// A link failure of the pair: both sides reset and re-handshake.
+			s.retireLocked(in.peer)
+			s.stream.sever(in.peer)
+			return nil, false
+		}
+		if !ok {
 			continue
 		}
-		idle++
-		switch {
-		case idle < 128:
-			runtime.Gosched()
-		case idle < 512:
-			time.Sleep(50 * time.Microsecond)
-		case idle < 2048:
-			time.Sleep(500 * time.Microsecond)
-		default:
-			// Deep idle: a long sleep keeps oversubscribed jobs honest.
-			// With a hundred-plus ranks per core, sub-millisecond polling
-			// from every process starves the ranks doing real work.
-			time.Sleep(5 * time.Millisecond)
+		s.cursor = at + 1
+		pkt = &Packet{From: in.peer, Hdr: decodeHeader(rec)}
+		if plen := len(rec) - headerWireSize; plen > 0 {
+			pbuf := s.pool.get(plen)
+			pkt.Payload = (*pbuf)[:plen]
+			copy(pkt.Payload, rec[headerWireSize:])
+			pkt.release = func() { s.pool.put(pbuf) }
+		}
+		in.ring.Advance()
+		return pkt, false
+	}
+	if !arm {
+		return nil, false
+	}
+	s.armed = true
+	for _, in := range s.active {
+		if !in.ring.Arm() {
+			return nil, false // a record landed meanwhile
+		}
+	}
+	return nil, true
+}
+
+// retireLocked stops reading peer's active ring. Caller holds inMu.
+func (s *SHM) retireLocked(peer int) {
+	for i, in := range s.active {
+		if in.peer == peer {
+			s.active = append(s.active[:i], s.active[i+1:]...)
+			return
 		}
 	}
 }
@@ -904,18 +862,16 @@ func (s *SHM) pollLoop() {
 // state for post-mortem dumps: inbox depth, per-pair ring status, and
 // the path counters. Pair locks are only tried — a pair whose lock is
 // held (a sender parked on a full ring) reports "busy", which is itself
-// the interesting datum.
+// the interesting datum. An inbound ring asleep and not empty: the bell
+// was never sent; bellsRecv behind the peer's bellsSent: it was lost.
 func (s *SHM) DebugState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "  shm: inbox=%d/%d ringSends=%d spills=%d winPulls=%d conns=%d\n",
-		len(s.inbox), cap(s.inbox), s.ringSends.Load(), s.ringSpills.Load(), s.winPulls.Load(), s.NumConns())
+	fmt.Fprintf(&b, "  shm: inbox=%d/%d ringSends=%d spills=%d winPulls=%d conns=%d\n"+
+		"  shm: bellsSent=%d bellsRecv=%d recvSleeps=%d ringFullWaits=%d\n",
+		len(s.inbox), cap(s.inbox), s.ringSends.Load(), s.ringSpills.Load(), s.winPulls.Load(), s.NumConns(),
+		s.bellsSent.Load(), s.bellsRecv.Load(), s.recvSleeps.Load(), s.ringFullWaits.Load())
 	s.outMu.Lock()
-	outs := make(map[int]*shmOut, len(s.outs))
 	for to, o := range s.outs {
-		outs[to] = o
-	}
-	s.outMu.Unlock()
-	for to, o := range outs {
 		if o.mu.TryLock() {
 			fmt.Fprintf(&b, "  out->%d: ready=%v ackd=%v\n", to, o.ready, o.ackd.Load())
 			o.mu.Unlock()
@@ -923,65 +879,49 @@ func (s *SHM) DebugState() string {
 			fmt.Fprintf(&b, "  out->%d: busy (sender holds pair lock; full ring?) ackd=%v\n", to, o.ackd.Load())
 		}
 	}
+	s.outMu.Unlock()
 	s.inMu.Lock()
-	ins := append([]*shmIn(nil), s.ins...)
-	s.inMu.Unlock()
-	for _, in := range ins {
-		fmt.Fprintf(&b, "  in<-%d: pending=%v empty=%v\n", in.peer, in.pending.Load(), in.ring.Empty())
+	for _, in := range s.active {
+		fmt.Fprintf(&b, "  in<-%d: empty=%v asleep=%v\n", in.peer, in.ring.Empty(), in.ring.Asleep())
 	}
+	for peer := range s.mapped {
+		fmt.Fprintf(&b, "  in<-%d: mapped, switch marker not consumed\n", peer)
+	}
+	s.inMu.Unlock()
 	return b.String()
 }
 
-// Close tears the provider down: stop the socket plane (which unblocks
-// the poller), wait the poller out, then unmap segments and remove the
-// ones this endpoint created.
+// Close tears the provider down: stop the socket plane (which wakes a
+// sleeping Recv and keeps it off the rings), detach producers and the
+// receiver from ring memory, then unmap every segment and remove the ones
+// this endpoint created.
 func (s *SHM) Close() error {
 	s.shmOnce.Do(func() {
-		close(s.pollDone)
 		_ = s.stream.Close()
-		s.pollWG.Wait()
 		s.outMu.Lock()
 		for _, o := range s.outs {
 			o.mu.Lock()
-			if o.ring != nil {
-				o.ring.Close()
-				_ = unmapFile(o.mem)
-				o.ring, o.mem, o.ready = nil, nil, false
-			}
+			o.ring, o.ready = nil, false
 			o.mu.Unlock()
 		}
 		s.outMu.Unlock()
-		s.inMu.Lock()
-		ins := s.ins
-		s.ins = nil
-		s.inMu.Unlock()
-		for _, in := range ins {
-			_ = unmapFile(in.mem)
-		}
-		s.winInMu.Lock()
-		for _, w := range s.winIns {
-			_ = unmapFile(w.mem)
-		}
-		s.winIns = map[int]*shmWin{}
-		s.winInMu.Unlock()
-		s.winOutMu.Lock()
-		for _, w := range s.winOuts {
-			_ = unmapFile(w.mem)
-		}
-		s.winOuts = map[int]*shmWin{}
-		s.winOutMu.Unlock()
-		s.gravMu.Lock()
-		for _, mem := range s.graveyard {
+		s.winMu.Lock()
+		clear(s.winIns)
+		clear(s.winOuts)
+		s.winMu.Unlock()
+		s.inMu.Lock() // excludes a Recv that is reading a ring
+		defer s.inMu.Unlock()
+		s.active = nil
+		clear(s.mapped)
+		s.segMu.Lock()
+		defer s.segMu.Unlock()
+		for _, mem := range s.segs {
 			_ = unmapFile(mem)
 		}
-		s.graveyard = nil
-		s.gravMu.Unlock()
-		s.filesMu.Lock()
 		for _, f := range s.files {
 			_ = os.Remove(f)
 		}
-		s.files = nil
-		s.filesMu.Unlock()
+		s.segs, s.files = nil, nil
 	})
 	return nil
 }

@@ -17,16 +17,16 @@ import (
 // Reserved header kinds used internally by byte-stream providers for the
 // Get (RDMA-read emulation) protocol. Transports must keep their own kinds
 // below KindFabricReserved; within the reserved range the heartbeat
-// detector owns the low values (0xF0..0xF7), providers the high ones —
+// detector owns the low values (0xF0..0xF6), providers the high ones —
 // these frames are consumed by the provider's read loop and must never
 // shadow detector traffic that has to reach Recv.
 const (
-	kindGetReq  Kind = 0xF8
-	kindGetResp Kind = 0xF9
-	kindGetErr  Kind = 0xFA
-	// 0xFB..0xFF belong to provider extensions routed through the stream
+	kindGetReq  Kind = 0xF7
+	kindGetResp Kind = 0xF8
+	kindGetErr  Kind = 0xF9
+	// 0xFA..0xFF belong to provider extensions routed through the stream
 	// core's ctrl hook (the SHM provider's ring/window control frames).
-	kindProviderCtrlMin Kind = 0xFB
+	kindProviderCtrlMin Kind = 0xFA
 )
 
 // Handshake verdict bytes: a dialer writes its 4-byte rank hello and
@@ -99,11 +99,14 @@ type stream struct {
 	// connsMu guards conns, addrs, dialing and everConn: accept-side
 	// installs, dial-side installs, lazy establishment and disconnect
 	// teardown all mutate connection state from different goroutines.
-	connsMu  sync.RWMutex
-	conns    []*streamConn
-	addrs    []string // peer addresses; nil until Join
-	dialing  map[int]bool
-	everConn []bool // a connection to peer succeeded at least once
+	connsMu sync.RWMutex
+	conns   []*streamConn
+	// connChanged is closed and re-made whenever a connection is installed
+	// or a dial campaign gives up: the two events awaitConn waits for.
+	connChanged chan struct{}
+	addrs       []string // peer addresses; nil until Join
+	dialing     map[int]bool
+	everConn    []bool // a connection to peer succeeded at least once
 	// down marks ranks the layer above has declared dead
 	// (DeclareRankDown). Sends and dial campaigns toward a down rank
 	// fail fast instead of burning a dial window: the synchronous post
@@ -116,13 +119,15 @@ type stream struct {
 	// read unsticks at shutdown.
 	draining map[*streamConn]struct{}
 
-	// epochMu guards peerEpochs: the highest incarnation number each
-	// rank has announced in a connection handshake. A newly announced
-	// higher epoch from a rank this side ever communicated with is hard
-	// death evidence for that rank's previous incarnation (see
-	// Config.Epoch).
+	// epochMu guards peerEpochs, the highest incarnation number each
+	// rank has announced in a connection handshake, and epochKnown, which
+	// marks the ranks whose recorded incarnation this side shares a world
+	// with: all of them for a process of the original world (first
+	// incarnations start together), otherwise those that announced
+	// themselves. See observeEpoch.
 	epochMu    sync.Mutex
 	peerEpochs []uint32
+	epochKnown []bool
 
 	regMu   sync.RWMutex
 	regs    map[uint64]Source
@@ -171,21 +176,23 @@ func newStream(network string, rank, size int, bind string, cfg Config) (*stream
 		cfg.DialTimeout = defaultDialTimeout
 	}
 	s := &stream{
-		cfg:        cfg,
-		rank:       rank,
-		size:       size,
-		network:    network,
-		pool:       newBufPool(cfg.FragSize),
-		conns:      make([]*streamConn, size),
-		dialing:    make(map[int]bool),
-		everConn:   make([]bool, size),
-		down:       make([]bool, size),
-		peerEpochs: make([]uint32, size),
-		draining:   make(map[*streamConn]struct{}),
-		inbox:      make(chan *Packet, inboxDepth),
-		done:       make(chan struct{}),
-		regs:       make(map[uint64]Source),
-		gets:       make(map[uint64]*streamGet),
+		cfg:         cfg,
+		rank:        rank,
+		size:        size,
+		network:     network,
+		pool:        newBufPool(cfg.FragSize),
+		conns:       make([]*streamConn, size),
+		connChanged: make(chan struct{}),
+		dialing:     make(map[int]bool),
+		everConn:    make([]bool, size),
+		down:        make([]bool, size),
+		peerEpochs:  make([]uint32, size),
+		epochKnown:  make([]bool, size),
+		draining:    make(map[*streamConn]struct{}),
+		inbox:       make(chan *Packet, inboxDepth),
+		done:        make(chan struct{}),
+		regs:        make(map[uint64]Source),
+		gets:        make(map[uint64]*streamGet),
 	}
 	if network == "unix" && bind != "" {
 		// A respawned process re-binds its dead incarnation's socket path,
@@ -193,6 +200,9 @@ func newStream(network string, rank, size int, bind string, cfg Config) (*stream
 		// lives in the launcher-owned job directory, so removing it cannot
 		// race another live listener.
 		_ = os.Remove(bind)
+	}
+	for i := range s.epochKnown {
+		s.epochKnown[i] = cfg.Epoch == 0
 	}
 	ln, err := net.Listen(network, bind)
 	if err != nil {
@@ -244,10 +254,8 @@ func (s *stream) SetPeerDownHook(fn func(peer int, hard bool)) {
 // notifyPeerDown reports link evidence to the provider extension and the
 // installed hook, if any.
 func (s *stream) notifyPeerDown(peer int, hard bool) {
-	select {
-	case <-s.done:
+	if s.closed() {
 		return
-	default:
 	}
 	if hard && s.onHardDown != nil {
 		s.onHardDown(peer)
@@ -321,6 +329,9 @@ func (s *stream) ReviveRank(peer int) {
 	s.everConn[peer] = false
 	s.down[peer] = false
 	s.connsMu.Unlock()
+	s.epochMu.Lock()
+	s.epochKnown[peer] = false
+	s.epochMu.Unlock()
 	if old != nil {
 		old.c.Close()
 	}
@@ -358,12 +369,10 @@ func (s *stream) handleHello(c net.Conn) {
 	}
 	s.observeEpoch(peer, binary.LittleEndian.Uint32(hello[4:]))
 	s.connsMu.Lock()
-	select {
-	case <-s.done:
+	if s.closed() {
 		s.connsMu.Unlock()
 		c.Close()
 		return
-	default:
 	}
 	if s.rank > peer && (s.dialing[peer] || s.conns[peer] != nil) {
 		// Simultaneous dial: this side is the canonical dialer (higher
@@ -415,10 +424,8 @@ func (s *stream) dialPeer(peer int) error {
 	deadline := time.Now().Add(s.cfg.DialTimeout)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		select {
-		case <-s.done:
+		if s.closed() {
 			return ErrClosed
-		default:
 		}
 		s.connsMu.RLock()
 		dead := s.down[peer]
@@ -468,7 +475,7 @@ func (s *stream) dialPeer(peer int) error {
 			case verdict == helloYield:
 				// The peer's own dial is on its way; wait for the install.
 				c.Close()
-				if s.awaitConn(peer, deadline) {
+				if s.awaitConn(peer, deadline, false) != nil {
 					return nil
 				}
 				err = fmt.Errorf("fabric: rank %d yielded to rank %d's dial, which never arrived", s.rank, peer)
@@ -523,49 +530,51 @@ func (s *stream) verdict(v byte) []byte {
 }
 
 // observeEpoch records the incarnation number a peer announced in a
-// connection handshake. A higher epoch than previously recorded, from a
-// rank this side has already communicated with, proves the rank's prior
-// incarnation is dead — the launcher only increments the epoch when it
-// restarts the rank. The evidence is reported as a hard peer-down event
-// (same strength as a refused redial) so the liveness detector declares
-// the death even while the replacement's own heartbeats keep the rank
-// looking noisy. First contact with an already-restarted rank records
-// the epoch silently: this side never talked to the prior incarnation,
-// so it has nothing to mourn.
+// connection handshake. A higher epoch than recorded, from a rank whose
+// recorded incarnation this side knows (epochKnown), proves that
+// incarnation dead — the launcher only increments the epoch when it
+// restarts the rank — and is reported as a hard peer-down event, so the
+// liveness detector declares the death even while the replacement's own
+// heartbeats keep the rank looking noisy. No socket to the dead
+// incarnation is required: a survivor that shared a communicator with it
+// but never exchanged a frame would otherwise wait for it in the next
+// agreement forever. A rank that joined later, or that just revived the
+// peer, records the epoch silently: it has nothing to mourn.
 func (s *stream) observeEpoch(peer int, epoch uint32) {
 	s.epochMu.Lock()
-	if epoch <= s.peerEpochs[peer] {
-		s.epochMu.Unlock()
-		return
+	died := s.epochKnown[peer] && epoch > s.peerEpochs[peer]
+	s.epochKnown[peer] = true
+	if epoch > s.peerEpochs[peer] {
+		s.peerEpochs[peer] = epoch
 	}
-	s.peerEpochs[peer] = epoch
 	s.epochMu.Unlock()
-	s.connsMu.RLock()
-	ever := s.everConn[peer]
-	s.connsMu.RUnlock()
-	if ever {
+	if died {
 		connTrace(s.rank, peer, cevEpochDeath, int64(epoch))
 		s.notifyPeerDown(peer, true)
 	}
 }
 
-// awaitConn waits for a connection to peer to be installed (by the
-// accept side) until the deadline.
-func (s *stream) awaitConn(peer int, deadline time.Time) bool {
-	for time.Now().Before(deadline) {
+// awaitConn blocks until a connection to peer is installed and returns
+// it; nil when the deadline passes or the provider closes first, or —
+// with campaign set — once no dial campaign toward the peer is running.
+func (s *stream) awaitConn(peer int, deadline time.Time, campaign bool) *streamConn {
+	timeout := time.NewTimer(time.Until(deadline))
+	defer timeout.Stop()
+	for {
 		s.connsMu.RLock()
-		ok := s.conns[peer] != nil
+		c, dialing, changed := s.conns[peer], s.dialing[peer], s.connChanged
 		s.connsMu.RUnlock()
-		if ok {
-			return true
+		if c != nil || (campaign && !dialing) {
+			return c
 		}
 		select {
+		case <-changed:
+		case <-timeout.C:
+			return nil
 		case <-s.done:
-			return false
-		case <-time.After(time.Millisecond):
+			return nil
 		}
 	}
-	return false
 }
 
 // installConnLocked publishes a connection for peer (replacing any broken
@@ -577,6 +586,8 @@ func (s *stream) installConnLocked(peer int, c net.Conn) *streamConn {
 	s.conns[peer] = conn
 	s.everConn[peer] = true
 	delete(s.dialing, peer)
+	close(s.connChanged)
+	s.connChanged = make(chan struct{})
 	var replaced int64
 	if old != nil {
 		replaced = 1
@@ -602,10 +613,8 @@ func (s *stream) installConnLocked(peer int, c net.Conn) *streamConn {
 // the socket itself when it hits EOF (its own dropConn lands in the
 // stale branch below).
 func (s *stream) dropConn(conn *streamConn, site int64) {
-	select {
-	case <-s.done:
+	if s.closed() {
 		return
-	default:
 	}
 	s.connsMu.Lock()
 	if s.conns[conn.peer] != conn {
@@ -666,6 +675,8 @@ func (s *stream) startDialLocked(peer int, redial bool) {
 			// own timeout).
 			s.connsMu.Lock()
 			delete(s.dialing, peer)
+			close(s.connChanged)
+			s.connChanged = make(chan struct{})
 			s.connsMu.Unlock()
 			return
 		}
@@ -697,6 +708,16 @@ func (s *stream) failGets(peer int) {
 		case g.done <- fmt.Errorf("%w: connection to rank %d broke mid-pull", ErrLinkDown, peer):
 		default:
 		}
+	}
+}
+
+// closed reports whether Close has run.
+func (s *stream) closed() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -847,10 +868,8 @@ func (s *stream) conn(to int) (*streamConn, error) {
 	if c != nil {
 		return c, nil
 	}
-	select {
-	case <-s.done:
+	if s.closed() {
 		return nil, ErrClosed
-	default:
 	}
 	// No link. Decide between lazy first establishment (block) and
 	// broken-link fast failure.
@@ -889,24 +908,23 @@ func (s *stream) conn(to int) (*streamConn, error) {
 	addr := s.addrs[to]
 	s.connsMu.Unlock()
 
-	deadline := time.Now().Add(s.cfg.DialTimeout)
-	for {
-		select {
-		case <-s.done:
-			return nil, ErrClosed
-		case <-time.After(time.Millisecond):
-		}
-		s.connsMu.RLock()
-		c = s.conns[to]
-		campaignDone := !s.dialing[to]
-		s.connsMu.RUnlock()
-		if c != nil {
-			return c, nil
-		}
-		if campaignDone || time.Now().After(deadline) {
-			return nil, fmt.Errorf("%w: rank %d: peer rank %d unreachable at %q (dial timeout %v)",
-				ErrLinkDown, s.rank, to, addr, s.cfg.DialTimeout)
-		}
+	if c = s.awaitConn(to, time.Now().Add(s.cfg.DialTimeout), true); c != nil {
+		return c, nil
+	}
+	if s.closed() {
+		return nil, ErrClosed
+	}
+	return nil, fmt.Errorf("%w: rank %d: peer rank %d unreachable at %q (dial timeout %v)",
+		ErrLinkDown, s.rank, to, addr, s.cfg.DialTimeout)
+}
+
+// sever closes the socket to peer, if any: a provider extension's way of
+// turning a fault of its own into an ordinary link failure on both sides.
+func (s *stream) sever(peer int) {
+	s.connsMu.RLock()
+	defer s.connsMu.RUnlock()
+	if c := s.conns[peer]; c != nil {
+		c.c.Close()
 	}
 }
 
@@ -925,8 +943,8 @@ func (s *stream) Recv() (*Packet, bool) {
 }
 
 // deliver pushes a packet into the inbox (used by the read loops and by
-// providers layered on the stream core, e.g. the SHM ring poller).
-// It reports false when the provider shut down before delivery.
+// the SHM provider's in-band ring markers). It reports false when the
+// provider shut down before delivery.
 func (s *stream) deliver(pkt *Packet) bool {
 	select {
 	case s.inbox <- pkt:

@@ -361,3 +361,66 @@ func TestTCPGetChecksum(t *testing.T) {
 		t.Fatal("checksummed TCP Get mismatch")
 	}
 }
+
+// TestTCPEpochDeathWithoutPriorSocket pins the evidence hole a fast
+// respawn used to leave: a member of the original world that never held
+// a socket to a rank's first incarnation recorded the replacement's epoch
+// silently, so nothing ever told it the rank had died — the replacement
+// answers heartbeats — and it waited for the dead incarnation in the next
+// agreement forever (TestLaunchElastic hung that way once ring traffic
+// got fast enough for the kill to land before the first probe round).
+// Ranks that joined later, or that already revived the peer, stay silent.
+func TestTCPEpochDeathWithoutPriorSocket(t *testing.T) {
+	cases := []struct {
+		name   string
+		epoch  uint32 // the observing rank's own incarnation
+		revive bool   // it revived the peer before first contact
+		want   bool   // hard death evidence on first contact
+	}{
+		{"original member", 0, false, true},
+		{"original member after revive", 0, true, false},
+		{"late joiner", 1, false, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs := freeAddrs(t, 2)
+			cfg := Config{DialTimeout: 5 * time.Second}
+			cfg.Epoch = tc.epoch
+			a, err := NewTCP(0, addrs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			cfg.Epoch = 1 // rank 1 is a replacement; its first incarnation never spoke
+			b, err := NewTCP(1, addrs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			hard := make(chan int, 4)
+			a.SetPeerDownHook(func(peer int, isHard bool) {
+				if isHard {
+					hard <- peer
+				}
+			})
+			if tc.revive {
+				a.ReviveRank(1)
+			}
+			if err := a.Send(1, Header{Kind: 5, Total: 1}, []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+			// The verdict (and its epoch) is read before Send returns, so
+			// the hook has fired by now if it ever will.
+			select {
+			case peer := <-hard:
+				if !tc.want || peer != 1 {
+					t.Fatalf("unexpected hard death evidence for rank %d", peer)
+				}
+			default:
+				if tc.want {
+					t.Fatal("first contact with a replacement produced no death evidence for its predecessor")
+				}
+			}
+		})
+	}
+}

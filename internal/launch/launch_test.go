@@ -73,6 +73,36 @@ func TestLaunchAllreduceWithTopology(t *testing.T) {
 	}
 }
 
+// TestLaunchIdleLinkNoRetransmits: a launched ping-pong whose messages
+// always find the receiver idle must finish without one retransmission
+// on a healthy link. Over SHM that is the doorbell's job: a receiver that
+// polled on a timer slept through the 3 ms retransmit timer, and a lost
+// wake-up would be papered over by the reliable layer at every one of the
+// task's 40 idle rounds. The count is still a timing outcome — a loaded
+// machine can hold any one round trip past 3 ms — so a run is retried
+// twice before its retransmissions count as the transport's.
+func TestLaunchIdleLinkNoRetransmits(t *testing.T) {
+	for _, tr := range []string{TransportSHM, TransportTCP} {
+		t.Run(tr, func(t *testing.T) {
+			var out string
+			for attempt := 0; attempt < 3; attempt++ {
+				var err error
+				if err, out = runJob(t, 2, tr, "thinkpong", 0, time.Minute); err != nil {
+					t.Fatalf("job failed: %v\n%s", err, out)
+				}
+				if strings.Count(out, "rexmits=") != 2 {
+					t.Fatalf("want a retransmit count from both ranks:\n%s", out)
+				}
+				if strings.Count(out, "rexmits=0\n") == 2 {
+					return
+				}
+				t.Logf("attempt %d retransmitted:\n%s", attempt, out)
+			}
+			t.Fatalf("three runs in a row retransmitted on an idle, healthy link:\n%s", out)
+		})
+	}
+}
+
 // TestLaunchLazyDialRing is the lazy-dialing acceptance check across
 // real processes: ring-neighbor traffic must leave each rank holding at
 // most its ring degree in connections, not a full mesh.

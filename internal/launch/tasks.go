@@ -90,6 +90,8 @@ func runTask(name string, w *World) error {
 		return taskAllreduce(w.Comm)
 	case "ringping":
 		return taskRingping(w)
+	case "thinkpong":
+		return taskThinkpong(w)
 	case "crash":
 		return taskCrash(w.Comm)
 	case "killself":
@@ -168,6 +170,48 @@ func taskPingpong(c *core.Comm) error {
 		}
 	}
 	return c.Barrier()
+}
+
+// taskThinkpong ping-pongs a small message between ranks 0 and 1 with
+// think time before every round trip — 5 ms, and once a long pause — so
+// each message finds the peer's progress goroutine asleep, the way an
+// application that computed since its last message finds it. A healthy
+// link wakes the receiver well inside the retransmit timer however long
+// it slept; each rank reports its worker's retransmit count so the launch
+// test can pin it at zero.
+func taskThinkpong(w *World) error {
+	c := w.Comm
+	const rounds, think, pause = 40, 5 * time.Millisecond, 2500 * time.Millisecond
+	if rank, peer := c.Rank(), c.Rank()^1; peer < 2 {
+		buf := make([]byte, 64)
+		for i := 0; i < rounds; i++ {
+			if rank == 0 {
+				time.Sleep(think)
+				if i == rounds/2 {
+					time.Sleep(pause)
+				}
+				if err := c.Send(fill(64, byte(i)), 64, core.TypeBytes, peer, 21); err != nil {
+					return err
+				}
+			}
+			if _, err := c.Recv(buf, 64, core.TypeBytes, peer, 21); err != nil {
+				return err
+			}
+			if !bytes.Equal(buf, fill(64, byte(i))) {
+				return fmt.Errorf("rank %d: round %d payload mismatch", rank, i)
+			}
+			if rank == 1 {
+				if err := c.Send(buf, 64, core.TypeBytes, peer, 21); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if err := c.Barrier(); err != nil {
+		return err
+	}
+	fmt.Printf("rank %d: rexmits=%d\n", c.Rank(), w.worker.Stats().Retransmits.Load())
+	return nil
 }
 
 // taskAllreduce verifies an int64 sum Allreduce and a Bcast — the two
