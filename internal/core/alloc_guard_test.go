@@ -10,15 +10,21 @@ import (
 	"mpicd/internal/ucp"
 )
 
-// Allocation ceilings for the eager small-message path, measured on the
-// pooled implementation (wire buffers recycled by the fabric's
-// size-classed pool, region scratch recycled in core). The guards leave
-// ~30% headroom over the measured steady state; if one trips, a change
-// added per-message garbage to the hot path — fix the change, don't bump
-// the ceiling without a benchmark showing why.
+// Allocation ceilings for the eager small-message path, per round trip
+// and with both ranks counted. What is left in the plain ping-pong
+// (measured 7 to 8): the two transport requests of each one-way message,
+// plus the four times a []byte becomes the `any` the calls take. The
+// blocking calls build no core.Request, a matched receive is its own
+// receive operation and holds a contiguous buffer's state, wire packets
+// are recycled and nobody sleeps on a channel. The custom path (measured 31) adds what
+// the handler's State returns, the region slice and iovec and the
+// pack-plus-regions composite on each side. The guards leave ~30 %
+// headroom; if one trips, a change added per-message garbage to the hot
+// path — fix the change, don't bump the ceiling without a benchmark
+// showing why.
 const (
-	eagerPingPongAllocCeiling  = 40 // allocs per 1 KiB contiguous ping-pong (both ranks)
-	customPingPongAllocCeiling = 70 // allocs per 1 KiB custom-datatype ping-pong (both ranks)
+	eagerPingPongAllocCeiling  = 10 // allocs per 1 KiB contiguous ping-pong (both ranks)
+	customPingPongAllocCeiling = 40 // allocs per 1 KiB custom-datatype ping-pong (both ranks)
 )
 
 // measureEcho runs a fixed-iteration ping-pong between two in-process

@@ -131,11 +131,7 @@ func (d *Datatype) transport() ucp.Datatype {
 		if d.elem.Contig() {
 			return contigDDT{d.elem}
 		}
-		plan := d.plan
-		if plan == nil {
-			plan = d.elem.Plan()
-		}
-		return ddtType{t: d.elem, plan: plan}
+		return ddtType{d}
 	default:
 		return customType{d}
 	}
@@ -155,48 +151,51 @@ func (d *Datatype) elemSize() int64 {
 
 // --- derived datatype adapters ----------------------------------------------
 
-// contigDDT maps a fully contiguous derived type straight onto the
-// contiguous transport datatype: memory layout equals packed layout, so no
-// engine involvement is needed (Open MPI's contiguous fast path).
+// contigDDT maps a fully contiguous derived type straight onto its
+// memory: layout equals packed layout, so no engine involvement is needed
+// (Open MPI's contiguous fast path) and the state of either direction is
+// the buffer itself.
 type contigDDT struct{ t *ddt.Type }
 
-func (c contigDDT) bytes(buf any, count int64) (any, int64, error) {
+type contigImage struct{ fabric.Bytes }
+
+func (*contigImage) Finish() error { return nil }
+
+func (c contigDDT) state(buf any, count int64) (*contigImage, error) {
 	b, ok := buf.([]byte)
 	if !ok {
-		return nil, 0, fmt.Errorf("core: derived datatype requires a []byte image, got %T", buf)
+		return nil, fmt.Errorf("core: derived datatype requires a []byte image, got %T", buf)
 	}
 	size := c.t.PackedSize(count)
 	if int64(len(b)) < size {
-		return nil, 0, fmt.Errorf("core: buffer of %d bytes cannot hold %d x %s", len(b), count, c.t.Name())
+		return nil, fmt.Errorf("core: buffer of %d bytes cannot hold %d x %s", len(b), count, c.t.Name())
 	}
-	return b[:size], size, nil
+	return &contigImage{b[:size]}, nil
 }
 
 func (c contigDDT) SendState(buf any, count int64) (ucp.SendState, error) {
-	b, size, err := c.bytes(buf, count)
+	st, err := c.state(buf, count)
 	if err != nil {
 		return nil, err
 	}
-	return ucp.Contig{}.SendState(b, size)
+	return st, nil
 }
 
-func (c contigDDT) RecvState(buf any, count int64, info ucp.RecvInfo) (ucp.RecvState, error) {
-	b, size, err := c.bytes(buf, count)
+func (c contigDDT) RecvState(buf any, count int64, _ ucp.RecvInfo) (ucp.RecvState, error) {
+	st, err := c.state(buf, count)
 	if err != nil {
 		return nil, err
 	}
-	return ucp.Contig{}.RecvState(b, size, info)
+	return st, nil
 }
 
 // ddtType lowers a non-contiguous derived datatype per operation: small
-// or fragmented layouts stream through the generic pack path (compiled
-// plan kernels behind ucp.PackState); large layouts with substantial
-// contiguous runs are exposed as a memory-region list instead, so the
-// rendezvous pull moves them zero-copy like the paper's custom types.
-type ddtType struct {
-	t    *ddt.Type
-	plan *ddt.Plan
-}
+// or fragmented layouts stream through the compiled plan's pack kernels;
+// large layouts with substantial contiguous runs are exposed as a
+// memory-region list instead, so the rendezvous pull moves them zero-copy
+// like the paper's custom types. Like customType it wraps one pointer, so
+// lowering a Datatype to it allocates nothing.
+type ddtType struct{ d *Datatype }
 
 // Region-path thresholds: worth bypassing the pack kernels only when the
 // message is rendezvous-sized and the average region is long enough that
@@ -208,19 +207,28 @@ const (
 )
 
 func (dt ddtType) useRegions(count int64) bool {
-	n := dt.plan.RegionCount(count)
+	n := dt.d.plan.RegionCount(count)
 	if n <= 1 || n > ddtRegionMaxCount {
 		return false
 	}
-	total := dt.plan.PackedSize(count)
+	total := dt.d.plan.PackedSize(count)
 	return total >= ddtRegionMinTotal && total/n >= ddtRegionMinAvg
 }
 
-// regionState builds the pooled iovec view of (b, count); Finish returns
-// the scratch to the pool shared with the custom-datatype engine.
-func (dt ddtType) regionState(b []byte, count int64) (*ddtIovState, error) {
-	sp := getRegionScratch(dt.plan.RegionCount(count))
-	regs, err := dt.plan.AppendRegions((*sp)[:0], b, count)
+// state binds (buf, count): the pooled iovec view when the layout rides
+// regions (Finish returns the scratch to the pool shared with the
+// custom-datatype engine), the pack-kernel stream otherwise.
+func (dt ddtType) state(buf any, count int64) (ddtState, error) {
+	b, ok := buf.([]byte)
+	if !ok {
+		return nil, fmt.Errorf("core: derived datatype requires a []byte image, got %T", buf)
+	}
+	plan := dt.d.plan
+	if !dt.useRegions(count) {
+		return &ddtPackState{plan: plan, buf: b, count: count}, nil
+	}
+	sp := getRegionScratch(plan.RegionCount(count))
+	regs, err := plan.AppendRegions((*sp)[:0], b, count)
 	if err != nil {
 		putRegionScratch(sp)
 		return nil, err
@@ -229,24 +237,24 @@ func (dt ddtType) regionState(b []byte, count int64) (*ddtIovState, error) {
 	return &ddtIovState{iov: fabric.NewIov(regs), scratch: sp}, nil
 }
 
-func (dt ddtType) SendState(buf any, count int64) (ucp.SendState, error) {
-	if b, ok := buf.([]byte); ok && dt.useRegions(count) {
-		return dt.regionState(b, count)
-	}
-	return ucp.Generic{Ops: ddtOps{t: dt.t, plan: dt.plan}}.SendState(buf, count)
-}
-
-func (dt ddtType) RecvState(buf any, count int64, info ucp.RecvInfo) (ucp.RecvState, error) {
-	if b, ok := buf.([]byte); ok && dt.useRegions(count) {
-		return dt.regionState(b, count)
-	}
-	return ucp.Generic{Ops: ddtOps{t: dt.t, plan: dt.plan}}.RecvState(buf, count, info)
-}
-
-// ddtIovState serves both directions: the wire stream is the packed byte
+// ddtState serves both directions: the wire stream is the packed byte
 // order either way, so sender and receiver choose pack vs. regions
-// independently. Window gives the rendezvous pull direct (zero-copy)
-// access to the application buffer.
+// independently.
+type ddtState interface {
+	ucp.SendState
+	ucp.RecvState
+}
+
+func (dt ddtType) SendState(buf any, count int64) (ucp.SendState, error) {
+	return dt.state(buf, count)
+}
+
+func (dt ddtType) RecvState(buf any, count int64, _ ucp.RecvInfo) (ucp.RecvState, error) {
+	return dt.state(buf, count)
+}
+
+// ddtIovState is the region view. Window gives the rendezvous pull direct
+// (zero-copy) access to the application buffer.
 type ddtIovState struct {
 	iov     *fabric.Iov
 	scratch *[][]byte
@@ -268,46 +276,29 @@ func (s *ddtIovState) Finish() error {
 	return nil
 }
 
-// ddtOps drives the compiled plan through the transport's generic
-// datatype (ucp.PackState): the descendant of the Open MPI / RSMPI
-// derived-datatype send path the paper benchmarks as "rsmpi", now backed
-// by plan kernels instead of the typemap interpreter.
-type ddtOps struct {
-	t    *ddt.Type
-	plan *ddt.Plan
-}
-
+// ddtPackState streams (buf, count) through the compiled plan at virtual
+// packed offsets: the descendant of the Open MPI / RSMPI derived-datatype
+// send path the paper benchmarks as "rsmpi", backed by plan kernels
+// instead of the typemap interpreter. It is the transport state itself —
+// PackAt and UnpackAt already keep to the [0, Size] window — so a
+// derived-datatype operation costs one object.
 type ddtPackState struct {
 	plan  *ddt.Plan
 	buf   []byte
 	count int64
 }
 
-func (o ddtOps) StartPack(buf any, count int64) (ucp.PackState, error) {
-	b, ok := buf.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("core: derived datatype requires a []byte image, got %T", buf)
-	}
-	return &ddtPackState{plan: o.plan, buf: b, count: count}, nil
-}
+func (s *ddtPackState) Size() int64 { return s.plan.PackedSize(s.count) }
 
-func (o ddtOps) StartUnpack(buf any, count int64) (ucp.UnpackState, error) {
-	b, ok := buf.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("core: derived datatype requires a []byte image, got %T", buf)
-	}
-	return &ddtPackState{plan: o.plan, buf: b, count: count}, nil
-}
-
-func (s *ddtPackState) PackedSize() (int64, error)   { return s.plan.PackedSize(s.count), nil }
-func (s *ddtPackState) UnpackedSize() (int64, error) { return s.plan.PackedSize(s.count), nil }
-
-func (s *ddtPackState) Pack(off int64, dst []byte) (int, error) {
+func (s *ddtPackState) ReadAt(dst []byte, off int64) (int, error) {
 	return s.plan.PackAt(s.buf, s.count, off, dst)
 }
 
-func (s *ddtPackState) Unpack(off int64, src []byte) error {
-	return s.plan.UnpackAt(s.buf, s.count, off, src)
+func (s *ddtPackState) WriteAt(src []byte, off int64) (int, error) {
+	if err := s.plan.UnpackAt(s.buf, s.count, off, src); err != nil {
+		return 0, err
+	}
+	return len(src), nil
 }
 
 func (s *ddtPackState) Finish() error { return nil }
@@ -320,13 +311,12 @@ func (s *ddtPackState) Finish() error { return nil }
 // region pointers).
 type customType struct{ d *Datatype }
 
-// customSendState is the send-side binding.
+// customSendState is the send-side binding. Its packed part streams
+// through pack, which lives inside the state: the two are one object.
 type customSendState struct {
-	h      CustomHandler
-	state  any
-	src    *fabric.Concat
-	packed int64
-	nreg   int
+	pack packSrc // handler, per-operation state and packed-part length
+	src  *fabric.Concat
+	nreg int
 }
 
 func (c customType) SendState(buf any, count int64) (ucp.SendState, error) {
@@ -359,31 +349,30 @@ func (c customType) SendState(buf any, count int64) (ucp.SendState, error) {
 			return fail(err)
 		}
 	}
+	s := &customSendState{
+		pack: packSrc{h: h, state: state, buf: buf, count: count, size: packed},
+		nreg: int(nreg),
+	}
 	parts := make([]fabric.Source, 0, 2)
 	if packed > 0 {
-		parts = append(parts, &packSrc{h: h, state: state, buf: buf, count: count, size: packed})
+		parts = append(parts, &s.pack)
 	}
 	if nreg > 0 {
 		parts = append(parts, fabric.NewIov(regions))
 	}
-	return &customSendState{
-		h:      h,
-		state:  state,
-		src:    fabric.NewConcatSource(parts...),
-		packed: packed,
-		nreg:   int(nreg),
-	}, nil
+	s.src = fabric.NewConcatSource(parts...)
+	return s, nil
 }
 
 func (s *customSendState) Size() int64                             { return s.src.Size() }
 func (s *customSendState) ReadAt(d []byte, off int64) (int, error) { return s.src.ReadAt(d, off) }
 func (s *customSendState) Window(off, n int64) ([]byte, bool)      { return s.src.Window(off, n) }
 func (s *customSendState) NumRegions() int                         { return s.nreg + 1 }
-func (s *customSendState) Finish() error                           { return s.h.FreeState(s.state) }
+func (s *customSendState) Finish() error                           { return s.pack.h.FreeState(s.pack.state) }
 
 // Aux implements ucp.AuxProvider: the receiver learns the packed-part
 // length from the message header.
-func (s *customSendState) Aux() int64 { return s.packed }
+func (s *customSendState) Aux() int64 { return s.pack.size }
 
 // ChooseProto implements ucp.ProtoChooser. Region-bearing custom types
 // ride the iovec (pull) path as soon as messages are non-trivial — only
@@ -427,11 +416,29 @@ func (p *packSrc) ReadAt(dst []byte, off int64) (int, error) {
 	return int(used), err
 }
 
-// customRecvState is the receive-side binding.
+// customRecvState is the receive-side binding; like the send side it
+// holds its packed-part sink inside itself.
 type customRecvState struct {
-	h     CustomHandler
-	state any
-	sink  *fabric.Concat
+	unpack unpackSink
+	sink   *fabric.Concat
+}
+
+// recvRegions asks the handler for the receive buffer's regions and
+// checks that they hold exactly the message's region bytes.
+func recvRegions(u *unpackSink, regionSize int64) (*fabric.Iov, error) {
+	nreg, err := u.h.RegionCount(u.state, u.buf, u.count)
+	if err != nil {
+		return nil, err
+	}
+	regions := make([][]byte, nreg)
+	if err := u.h.Regions(u.state, u.buf, u.count, regions); err != nil {
+		return nil, err
+	}
+	iov := fabric.NewIov(regions)
+	if iov.Size() != regionSize {
+		return nil, fmt.Errorf("core: receive regions total %d bytes, message carries %d", iov.Size(), regionSize)
+	}
+	return iov, nil
 }
 
 func (c customType) RecvState(buf any, count int64, info ucp.RecvInfo) (ucp.RecvState, error) {
@@ -440,52 +447,33 @@ func (c customType) RecvState(buf any, count int64, info ucp.RecvInfo) (ucp.Recv
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (ucp.RecvState, error) {
-		h.FreeState(state)
-		return nil, err
-	}
 	packed := info.Aux
 	if packed < 0 || packed > info.Total {
-		return fail(fmt.Errorf("core: invalid packed-part length %d for %d-byte message", packed, info.Total))
+		h.FreeState(state)
+		return nil, fmt.Errorf("core: invalid packed-part length %d for %d-byte message", packed, info.Total)
 	}
 	regionSize := info.Total - packed
+	s := &customRecvState{unpack: unpackSink{h: h, state: state, buf: buf, count: count, size: packed}}
 	parts := make([]fabric.Sink, 0, 2)
 	if packed > 0 {
-		parts = append(parts, &unpackSink{h: h, state: state, buf: buf, count: count, size: packed})
+		parts = append(parts, &s.unpack)
 	}
-	if regionSize > 0 {
-		resolve := func() (*fabric.Iov, error) {
-			nreg, err := h.RegionCount(state, buf, count)
-			if err != nil {
-				return nil, err
-			}
-			regions := make([][]byte, nreg)
-			if err := h.Regions(state, buf, count, regions); err != nil {
-				return nil, err
-			}
-			iov := fabric.NewIov(regions)
-			if iov.Size() != regionSize {
-				return nil, fmt.Errorf("core: receive regions total %d bytes, message carries %d", iov.Size(), regionSize)
-			}
-			return iov, nil
+	switch {
+	case regionSize == 0:
+	case c.d.inorder:
+		// Region layout may depend on unpacked metadata: defer
+		// resolution until the packed part has been consumed.
+		parts = append(parts, &lazyRegionSink{size: regionSize, from: &s.unpack})
+	default:
+		iov, err := recvRegions(&s.unpack, regionSize)
+		if err != nil {
+			h.FreeState(state)
+			return nil, err
 		}
-		if c.d.inorder {
-			// Region layout may depend on unpacked metadata: defer
-			// resolution until the packed part has been consumed.
-			parts = append(parts, &lazyRegionSink{size: regionSize, resolve: resolve})
-		} else {
-			iov, err := resolve()
-			if err != nil {
-				return fail(err)
-			}
-			parts = append(parts, iov)
-		}
+		parts = append(parts, iov)
 	}
-	return &customRecvState{
-		h:     h,
-		state: state,
-		sink:  fabric.NewConcatSink(c.d.inorder, parts...),
-	}, nil
+	s.sink = fabric.NewConcatSink(c.d.inorder, parts...)
+	return s, nil
 }
 
 func (s *customRecvState) Size() int64 { return s.sink.Size() }
@@ -494,7 +482,7 @@ func (s *customRecvState) WriteAt(src []byte, off int64) (int, error) {
 }
 func (s *customRecvState) Window(off, n int64) ([]byte, bool) { return s.sink.Window(off, n) }
 func (s *customRecvState) Sequential() bool                   { return s.sink.Sequential() }
-func (s *customRecvState) Finish() error                      { return s.h.FreeState(s.state) }
+func (s *customRecvState) Finish() error                      { return s.unpack.h.FreeState(s.unpack.state) }
 
 // unpackSink feeds packed-part fragments to the handler's Unpack callback.
 type unpackSink struct {
@@ -519,8 +507,8 @@ func (u *unpackSink) WriteAt(src []byte, off int64) (int, error) {
 // It reports Sequential, so the transport never stripes across it; the
 // mutex only guards the one-shot resolution against misuse.
 type lazyRegionSink struct {
-	size    int64
-	resolve func() (*fabric.Iov, error)
+	size int64
+	from *unpackSink // the binding whose handler names the regions
 
 	mu  sync.Mutex
 	iov *fabric.Iov
@@ -531,7 +519,7 @@ func (l *lazyRegionSink) materialize() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.iov == nil && l.err == nil {
-		l.iov, l.err = l.resolve()
+		l.iov, l.err = recvRegions(l.from, l.size)
 	}
 	return l.err
 }

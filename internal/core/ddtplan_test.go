@@ -9,7 +9,7 @@ import (
 )
 
 // Plan-backed derived-datatype transport adapters: the streaming path
-// (ucp.Generic over ddtOps) must survive worst-case 1-byte fragmentation
+// (ddtPackState over the plan kernels) must survive worst-case 1-byte fragmentation
 // at every offset, and the region path must expose the same wire stream
 // zero-copy. These are the core-layer halves of the ddt plan tests: the
 // same kernels, driven through the interfaces the transport actually
@@ -96,7 +96,7 @@ func TestDDTRegionPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	const count = 16
-	dt := ddtType{t: typ, plan: typ.Plan()}
+	dt := ddtType{FromDDT(typ)}
 	if !dt.useRegions(count) {
 		t.Fatalf("layout should select the region path (regions=%d total=%d)",
 			typ.Plan().RegionCount(count), typ.PackedSize(count))

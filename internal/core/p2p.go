@@ -43,9 +43,13 @@ type Request struct {
 
 // Wait blocks until completion and returns the receive status (zero Status
 // for sends).
-func (r *Request) Wait() (Status, error) {
-	err := r.r.Wait()
-	return r.status(), err
+func (r *Request) Wait() (Status, error) { return waitStatus(r.r) }
+
+// waitStatus is Wait on the transport request: the blocking calls use it
+// directly, so they never build the Request a nonblocking caller holds.
+func waitStatus(r *ucp.Request) (Status, error) {
+	err := r.Wait()
+	return statusOf(r), err
 }
 
 // WaitTimeout blocks until completion or until d elapses, returning
@@ -56,7 +60,7 @@ func (r *Request) WaitTimeout(d time.Duration) (Status, error) {
 	if errors.Is(err, ucp.ErrTimeout) {
 		return Status{}, err
 	}
-	return r.status(), err
+	return statusOf(r.r), err
 }
 
 // Test reports completion without blocking.
@@ -65,16 +69,16 @@ func (r *Request) Test() (bool, Status, error) {
 	if !done {
 		return false, Status{}, nil
 	}
-	return true, r.status(), err
+	return true, statusOf(r.r), err
 }
 
-func (r *Request) status() Status {
-	from, tag, n := r.r.Status()
+func statusOf(r *ucp.Request) Status {
+	from, tag, n := r.Status()
 	src, utag := decodeTag(tag)
 	if from < 0 {
 		src = -1
 	}
-	return Status{Source: src, Tag: utag, Bytes: n, Aux: r.r.Aux()}
+	return Status{Source: src, Tag: utag, Bytes: n, Aux: r.Aux()}
 }
 
 // Cancel removes a posted receive that has not matched yet, reporting
@@ -107,6 +111,14 @@ func WaitAll(reqs ...*Request) error {
 // Isend starts a nonblocking send of count elements of dt at buf to (dst,
 // tag).
 func (c *Comm) Isend(buf any, count Count, dt *Datatype, dst, tag int) (*Request, error) {
+	r, err := c.isend(buf, count, dt, dst, tag)
+	if err != nil {
+		return nil, err
+	}
+	return &Request{r: r, comm: c}, nil
+}
+
+func (c *Comm) isend(buf any, count Count, dt *Datatype, dst, tag int) (*ucp.Request, error) {
 	if err := c.checkRevoked(); err != nil {
 		return nil, err
 	}
@@ -117,26 +129,29 @@ func (c *Comm) Isend(buf any, count Count, dt *Datatype, dst, tag int) (*Request
 	if tag < 0 || tag > MaxTag {
 		return nil, fmt.Errorf("core: tag %d out of range [0,%d]", tag, MaxTag)
 	}
-	r, err := c.w.Send(fdst, c.sendTag(tag), dt.transport(), buf, count, 0, ucp.ProtoAuto)
+	return c.w.Send(fdst, c.sendTag(tag), dt.transport(), buf, count, 0, ucp.ProtoAuto)
+}
+
+// Send is the blocking form of Isend.
+func (c *Comm) Send(buf any, count Count, dt *Datatype, dst, tag int) error {
+	r, err := c.isend(buf, count, dt, dst, tag)
+	if err != nil {
+		return err
+	}
+	return r.Wait()
+}
+
+// Irecv posts a nonblocking receive of up to count elements of dt into buf
+// from (src, tag); src may be AnySource and tag AnyTag.
+func (c *Comm) Irecv(buf any, count Count, dt *Datatype, src, tag int) (*Request, error) {
+	r, err := c.irecv(buf, count, dt, src, tag)
 	if err != nil {
 		return nil, err
 	}
 	return &Request{r: r, comm: c}, nil
 }
 
-// Send is the blocking form of Isend.
-func (c *Comm) Send(buf any, count Count, dt *Datatype, dst, tag int) error {
-	r, err := c.Isend(buf, count, dt, dst, tag)
-	if err != nil {
-		return err
-	}
-	_, err = r.Wait()
-	return err
-}
-
-// Irecv posts a nonblocking receive of up to count elements of dt into buf
-// from (src, tag); src may be AnySource and tag AnyTag.
-func (c *Comm) Irecv(buf any, count Count, dt *Datatype, src, tag int) (*Request, error) {
+func (c *Comm) irecv(buf any, count Count, dt *Datatype, src, tag int) (*ucp.Request, error) {
 	if err := c.checkRevoked(); err != nil {
 		return nil, err
 	}
@@ -144,20 +159,16 @@ func (c *Comm) Irecv(buf any, count Count, dt *Datatype, src, tag int) (*Request
 	if err != nil {
 		return nil, err
 	}
-	r, err := c.w.Recv(from, t, mask, dt.transport(), buf, count)
-	if err != nil {
-		return nil, err
-	}
-	return &Request{r: r, comm: c}, nil
+	return c.w.Recv(from, t, mask, dt.transport(), buf, count)
 }
 
 // Recv is the blocking form of Irecv.
 func (c *Comm) Recv(buf any, count Count, dt *Datatype, src, tag int) (Status, error) {
-	r, err := c.Irecv(buf, count, dt, src, tag)
+	r, err := c.irecv(buf, count, dt, src, tag)
 	if err != nil {
 		return Status{}, err
 	}
-	return r.Wait()
+	return waitStatus(r)
 }
 
 // SendRecv performs a combined send and receive (MPI_Sendrecv). Every
@@ -272,6 +283,5 @@ func (c *Comm) MRecv(m *Message, buf any, count Count, dt *Datatype) (Status, er
 	if err != nil {
 		return Status{}, err
 	}
-	req := &Request{r: r, comm: c}
-	return req.Wait()
+	return waitStatus(r)
 }

@@ -22,9 +22,11 @@
 package fabric
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"testing"
 	"time"
 
 	"mpicd/internal/obs"
@@ -77,20 +79,42 @@ const headerWireSize = 1 + 1 + 8 + 8 + 8 + 8 + 8 + 8
 // Packet is a received wire buffer. Payload aliases fabric-owned memory and
 // is valid only until Release is called; receivers must copy out (or consume
 // through a Sink) before releasing.
+//
+// A packet has a single consumer: whoever Recv handed it to, or whoever
+// that consumer passed it on to. Release recycles the Packet together
+// with its wire buffer, so the consumer calls it exactly once and does not
+// touch the packet — header included — afterwards.
 type Packet struct {
 	From    int
 	Hdr     Header
 	Payload []byte
-	release func()
+	pool    *bufPool // where Release returns the packet; nil for hand-built ones
+	buf     []byte   // the pooled buffer Payload is cut from, kept across uses
 }
 
-// Release returns the wire buffer to the fabric. It is safe to call on the
-// zero value and to call exactly once per received packet.
-func (p *Packet) Release() {
-	if p.release != nil {
-		p.release()
-		p.release = nil
+// poison is what test binaries overwrite a released payload with (nil
+// elsewhere), so a consumer that reads a packet it already gave back
+// fails loudly.
+var poison = func() []byte {
+	if !testing.Testing() {
+		return nil
 	}
+	return bytes.Repeat([]byte{0xDB}, 4096)
+}()
+
+// Release returns the Packet and its wire buffer to the fabric. It is a
+// no-op on the zero value and on a second call made before the packet is
+// handed out again.
+func (p *Packet) Release() {
+	pool := p.pool
+	if pool == nil {
+		return
+	}
+	for b := p.Payload; len(b) > 0 && poison != nil; b = b[copy(b, poison):] {
+	}
+	*p = Packet{buf: p.buf}
+	pool.outstanding.Add(-1)
+	pool.classes[len(p.buf)/pool.frag].Put(p)
 }
 
 // NIC is one rank's attachment to the fabric.

@@ -71,18 +71,11 @@ func (f *Inproc) Close() {
 // Leak checks diff it across a workload (obs.LeakGauge).
 func (f *Inproc) PoolOutstanding() int64 { return f.pool.Outstanding() }
 
-func (f *Inproc) getBuf(n int) *[]byte { return f.pool.get(n) }
-
-func (f *Inproc) putBuf(b *[]byte) { f.pool.put(b) }
-
 type inprocNIC struct {
 	fab   *Inproc
 	rank  int
 	inbox chan *Packet
-
-	mu     sync.Mutex
-	closed bool
-	done   chan struct{}
+	done  chan struct{}
 
 	// held implements deterministic adjacent-swap reordering of
 	// FlagUnordered packets when cfg.OutOfOrder is set.
@@ -104,30 +97,30 @@ func (n *inprocNIC) Send(to int, hdr Header, payload ...[]byte) error {
 	if total > MaxFragSize {
 		return fmt.Errorf("fabric: fragment of %d bytes exceeds max %d", total, MaxFragSize)
 	}
-	buf := n.fab.getBuf(total)
-	w := (*buf)[:0]
+	pkt := n.fab.pool.get(total)
+	at := 0
 	for _, p := range payload {
-		w = append(w, p...) // staging copy into the wire buffer
+		at += copy(pkt.Payload[at:], p) // staging copy into the wire buffer
 	}
-	return n.deliver(to, hdr, w, buf)
+	return n.deliver(to, hdr, pkt)
 }
 
 func (n *inprocNIC) SendFrom(to int, hdr Header, src Source, off, size int64) (int64, error) {
 	if size > MaxFragSize {
 		return 0, fmt.Errorf("fabric: fragment of %d bytes exceeds max %d", size, MaxFragSize)
 	}
-	buf := n.fab.getBuf(int(size))
-	w := (*buf)[:size]
-	got, err := src.ReadAt(w, off) // staging copy (packing) into the wire buffer
+	pkt := n.fab.pool.get(int(size))
+	got, err := src.ReadAt(pkt.Payload, off) // staging copy (packing) into the wire buffer
 	if err != nil && err != io.EOF {
-		n.fab.putBuf(buf)
+		pkt.Release()
 		return 0, err
 	}
 	if got == 0 && size > 0 {
-		n.fab.putBuf(buf)
+		pkt.Release()
 		return 0, ErrShortTransfer
 	}
-	return int64(got), n.deliver(to, hdr, w[:got], buf)
+	pkt.Payload = pkt.Payload[:got]
+	return int64(got), n.deliver(to, hdr, pkt)
 }
 
 // deliver enqueues the packet, applying the out-of-order shuffle when
@@ -135,17 +128,12 @@ func (n *inprocNIC) SendFrom(to int, hdr Header, src Source, off, size int64) (i
 // immediately following packet to the same destination; an ordered packet
 // always flushes any held packet first, so transports that mark their final
 // fragment ordered get a bounded reorder window.
-func (n *inprocNIC) deliver(to int, hdr Header, payload []byte, buf *[]byte) error {
+func (n *inprocNIC) deliver(to int, hdr Header, pkt *Packet) error {
 	if to < 0 || to >= len(n.fab.nics) {
-		n.fab.putBuf(buf)
+		pkt.Release()
 		return rangeErr("destination", to, len(n.fab.nics))
 	}
-	pkt := &Packet{
-		From:    n.rank,
-		Hdr:     hdr,
-		Payload: payload,
-		release: func() { n.fab.putBuf(buf) },
-	}
+	pkt.From, pkt.Hdr = n.rank, hdr
 	if n.rng == nil {
 		return n.enqueue(to, pkt)
 	}
@@ -176,12 +164,20 @@ func (n *inprocNIC) deliver(to int, hdr Header, payload []byte, buf *[]byte) err
 	return n.enqueue(to, pkt)
 }
 
+// enqueue and Recv try the inbox without blocking first: a queue with
+// room (or with a packet waiting) is the steady state, and a one-case
+// select with a default is a plain channel operation, not a selectgo.
 func (n *inprocNIC) enqueue(to int, pkt *Packet) error {
 	peer := n.fab.nics[to]
 	select {
 	case <-peer.done:
 		pkt.Release()
 		return ErrClosed
+	default:
+	}
+	select {
+	case peer.inbox <- pkt:
+		return nil
 	default:
 	}
 	select {
@@ -194,6 +190,11 @@ func (n *inprocNIC) enqueue(to int, pkt *Packet) error {
 }
 
 func (n *inprocNIC) Recv() (*Packet, bool) {
+	select {
+	case pkt := <-n.inbox:
+		return pkt, true
+	default:
+	}
 	select {
 	case pkt := <-n.inbox:
 		return pkt, true
@@ -232,9 +233,9 @@ func (n *inprocNIC) Get(from int, key uint64, off int64, sink Sink, sinkOff, siz
 	if !ok {
 		return ErrBadKey
 	}
-	bounce := n.fab.getBuf(n.fab.cfg.FragSize)
-	defer n.fab.putBuf(bounce)
-	return pull(src, off, sink, sinkOff, size, (*bounce)[:n.fab.cfg.FragSize])
+	bounce := n.fab.pool.get(n.fab.cfg.FragSize)
+	defer bounce.Release()
+	return pull(src, off, sink, sinkOff, size, bounce.Payload)
 }
 
 // Membership: in-process ranks are goroutines that cannot die or move, so
@@ -255,10 +256,17 @@ func (n *inprocNIC) Close() error {
 			_ = n.enqueue(dst, held)
 		}
 		n.sendMu.Unlock()
-		n.mu.Lock()
-		n.closed = true
 		close(n.done)
-		n.mu.Unlock()
 	})
-	return nil
+	// Give back what nobody will receive any more; on every call, because
+	// a sender that checked done just before it closed can still slip a
+	// packet in behind the owner's last Recv.
+	for {
+		select {
+		case pkt := <-n.inbox:
+			pkt.Release()
+		default:
+			return nil
+		}
+	}
 }

@@ -650,8 +650,7 @@ func (s *SHM) awaitWinAck(w *shmWin, seq uint64, peer int) bool {
 
 // handleCtrl runs on socket read goroutines and consumes the provider's
 // control frames.
-func (s *SHM) handleCtrl(conn *streamConn, hdr Header, payload []byte, putback func()) {
-	putback() // control frames carry no payload worth keeping
+func (s *SHM) handleCtrl(conn *streamConn, hdr Header) {
 	switch hdr.Kind {
 	case kindRingOpen:
 		go s.acceptRing(conn.peer, int(hdr.Aux0), hdr.Aux1)
@@ -826,13 +825,9 @@ func (s *SHM) pollRings(arm bool) (pkt *Packet, block bool) {
 			continue
 		}
 		s.cursor = at + 1
-		pkt = &Packet{From: in.peer, Hdr: decodeHeader(rec)}
-		if plen := len(rec) - headerWireSize; plen > 0 {
-			pbuf := s.pool.get(plen)
-			pkt.Payload = (*pbuf)[:plen]
-			copy(pkt.Payload, rec[headerWireSize:])
-			pkt.release = func() { s.pool.put(pbuf) }
-		}
+		pkt = s.pool.get(len(rec) - headerWireSize)
+		pkt.From, pkt.Hdr = in.peer, decodeHeader(rec)
+		copy(pkt.Payload, rec[headerWireSize:])
 		in.ring.Advance()
 		return pkt, false
 	}

@@ -217,11 +217,13 @@ type Concat struct {
 	parts      []concatPart
 	total      int64
 	sequential bool
+	two        [2]concatPart // backs parts for the usual packed-part-plus-regions pair
 }
 
 // NewConcatSource composes sources end to end.
 func NewConcatSource(srcs ...Source) *Concat {
 	c := &Concat{}
+	c.parts = c.two[:0]
 	for _, s := range srcs {
 		c.parts = append(c.parts, concatPart{start: c.total, src: s})
 		c.total += s.Size()
@@ -234,6 +236,7 @@ func NewConcatSource(srcs ...Source) *Concat {
 // is only known after an earlier part was consumed).
 func NewConcatSink(sequential bool, sinks ...Sink) *Concat {
 	c := &Concat{sequential: sequential}
+	c.parts = c.two[:0]
 	for _, s := range sinks {
 		c.parts = append(c.parts, concatPart{start: c.total, sink: s})
 		c.total += s.Size()

@@ -67,8 +67,8 @@ type stream struct {
 
 	// ctrl, when non-nil, intercepts provider-extension frames (kinds >=
 	// kindProviderCtrlMin) before they reach the inbox. It runs on the
-	// connection's read goroutine and owns the payload's putback.
-	ctrl func(conn *streamConn, hdr Header, payload []byte, putback func())
+	// connection's read goroutine; their payload is not kept.
+	ctrl func(conn *streamConn, hdr Header)
 	// onGetReq, when non-nil, gets first refusal on inbound Get requests;
 	// returning true claims the request (the SHM provider serves
 	// window-flagged pulls through shared memory instead of the socket).
@@ -837,8 +837,8 @@ func (s *stream) SendFrom(to int, hdr Header, src Source, off, size int64) (int6
 		}
 	}
 	buf := s.pool.get(int(size))
-	defer s.pool.put(buf)
-	staging := (*buf)[:size]
+	defer buf.Release()
+	staging := buf.Payload
 	got, err := src.ReadAt(staging, off)
 	if err != nil && err != io.EOF {
 		return 0, err
@@ -1039,8 +1039,8 @@ func (s *stream) serveGet(conn *streamConn, hdr Header) {
 	}
 	off, left := hdr.Offset, hdr.Total
 	pb := s.pool.get(s.cfg.FragSize)
-	defer s.pool.put(pb)
-	buf := (*pb)[:s.cfg.FragSize]
+	defer pb.Release()
+	buf := pb.Payload
 	for left > 0 {
 		step := int64(len(buf))
 		if step > left {
@@ -1095,31 +1095,24 @@ func (s *stream) readLoop(conn *streamConn) {
 		}
 		plen := int(binary.LittleEndian.Uint32(pre[:4]))
 		hdr := decodeHeader(pre[4:])
-		var payload []byte
-		var pbuf *[]byte
-		if plen > 0 {
-			pbuf = s.pool.get(plen)
-			payload = (*pbuf)[:plen]
-			if _, err := io.ReadFull(br, payload); err != nil {
-				s.pool.put(pbuf)
-				s.dropConn(conn, dropSitePayload)
-				return
-			}
-		}
-		// Frames consumed inline return their buffer here; inbox packets
-		// carry it until the transport calls Release.
-		putback := func() {
-			if pbuf != nil {
-				s.pool.put(pbuf)
-			}
+		// Frames consumed inline release their packet here; inbox packets
+		// carry the payload until the transport calls Release.
+		pkt := s.pool.get(plen)
+		pkt.From, pkt.Hdr = conn.peer, hdr
+		payload := pkt.Payload
+		if _, err := io.ReadFull(br, payload); err != nil {
+			pkt.Release()
+			s.dropConn(conn, dropSitePayload)
+			return
 		}
 		if hdr.Kind >= kindProviderCtrlMin && s.ctrl != nil {
-			s.ctrl(conn, hdr, payload, putback)
+			pkt.Release() // control frames carry no payload worth keeping
+			s.ctrl(conn, hdr)
 			continue
 		}
 		switch hdr.Kind {
 		case kindGetReq:
-			putback()
+			pkt.Release()
 			if s.onGetReq != nil && s.onGetReq(conn, hdr) {
 				continue
 			}
@@ -1127,17 +1120,17 @@ func (s *stream) readLoop(conn *streamConn) {
 		case kindGetResp:
 			g := s.lookupGet(hdr.MsgID)
 			if g == nil {
-				putback()
+				pkt.Release()
 				continue
 			}
 			if s.cfg.Checksum && CRC32(payload) != uint32(uint64(hdr.Aux0)) {
 				s.checksumErrs.Add(1)
-				putback()
+				pkt.Release()
 				g.fail(fmt.Errorf("%w: rendezvous pull frame at offset %d", ErrCorrupt, hdr.Offset))
 				continue
 			}
 			_, err := g.sink.WriteAt(payload, g.sinkOff+hdr.Offset)
-			putback()
+			pkt.Release()
 			if err != nil {
 				g.done <- err
 				continue
@@ -1149,11 +1142,10 @@ func (s *stream) readLoop(conn *streamConn) {
 			if g := s.lookupGet(hdr.MsgID); g != nil {
 				g.done <- errors.New("fabric: remote get: " + string(payload))
 			}
-			putback()
+			pkt.Release()
 		default:
-			pkt := &Packet{From: conn.peer, Hdr: hdr, Payload: payload, release: putback}
 			if !s.deliver(pkt) {
-				putback()
+				pkt.Release()
 				return
 			}
 		}

@@ -1,0 +1,93 @@
+package ucp
+
+import (
+	"runtime"
+	"testing"
+
+	"mpicd/internal/fabric"
+)
+
+// Allocation ceilings per one-way eager message, both ranks and both
+// progress goroutines included; the figures are the measured ones. What
+// is left is what outlives the call: the two Requests the callers hold (a
+// contiguous buffer's datatype state is a field of the request; any other
+// datatype adds its one state object per side). A message that arrives
+// before its receive adds the entry that buffers it. The Reliable figure
+// is measured (6) plus 30 %: on top of the two, the retained copy of the
+// payload and its retransmit entry on the sender, and the ack queue and
+// completed set the acknowledgement passes through.
+const (
+	postedHitAllocCeiling     = 2
+	unexpectedHitAllocCeiling = 3
+	multiFragAllocCeiling     = 2
+	reliableAllocCeiling      = 8
+)
+
+// TestEagerAllocsPerMessage pins the allocation diet of the eager path
+// where it was made. Buffers are boxed once up front, so the caller's own
+// conversion to `any` is not counted against the transport.
+func TestEagerAllocsPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	const frag = 1024
+	cases := []struct {
+		name       string
+		cfg        Config
+		size       int
+		unexpected bool
+		ceiling    float64
+	}{
+		{"posted-hit", Config{FragSize: frag}, 64, false, postedHitAllocCeiling},
+		{"unexpected-hit", Config{FragSize: frag}, 64, true, unexpectedHitAllocCeiling},
+		{"multi-fragment", Config{FragSize: frag}, 3 * frag, false, multiFragAllocCeiling},
+		{"reliable", Config{FragSize: frag, Reliable: true}, 64, false, reliableAllocCeiling},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a, b := pair(t, fabric.Config{FragSize: frag}, c.cfg)
+			var sbuf, rbuf any = pattern(c.size, 3), make([]byte, c.size)
+			n := int64(c.size)
+			oneWay := func() {
+				var rr *Request
+				var err error
+				if !c.unexpected {
+					rr, err = b.Recv(0, 1, exactMask, Contig{}, rbuf, n)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				sr, err := a.Send(1, 1, Contig{}, sbuf, n, 0, ProtoEager)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.unexpected {
+					if err := sr.Wait(); err != nil {
+						t.Fatal(err)
+					}
+					for b.QueueDepths().Unexpected == 0 {
+						runtime.Gosched()
+					}
+					if rr, err = b.Recv(0, 1, exactMask, Contig{}, rbuf, n); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := WaitAll(sr, rr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			avg := testing.AllocsPerRun(200, oneWay)
+			t.Logf("%s: %.1f allocs per one-way message", c.name, avg)
+			if avg > c.ceiling {
+				t.Fatalf("%s allocates %.1f per message, ceiling %.0f", c.name, avg, c.ceiling)
+			}
+			want := b.Stats().PostedHits.Load()
+			if c.unexpected {
+				want = b.Stats().UnexpectedHits.Load()
+			}
+			if want < 200 {
+				t.Fatalf("%s: only %d of the messages took the path under test", c.name, want)
+			}
+		})
+	}
+}

@@ -57,85 +57,85 @@ type ProtoChooser interface {
 	ChooseProto(total, rndvThresh, iovMin int64) Proto
 }
 
-// noFinish adds a no-op Finish to plain sources/sinks.
-type noFinishSrc struct{ fabric.Source }
+// contigState and iovState are the send and receive states of memory that
+// is already laid out for the wire: the fabric's own Source/Sink plus a
+// no-op Finish. Their optional methods (Window, NumRegions) are the
+// embedded type's, so protocol selection and zero-copy see through them.
+// contigState is used by pointer and iovState holds only a pointer, so
+// putting either into an interface allocates nothing more.
+type contigState struct{ fabric.Bytes }
 
-func (noFinishSrc) Finish() error { return nil }
+func (*contigState) Finish() error { return nil }
 
-// Window forwards direct access when the wrapped source supports it.
-func (s noFinishSrc) Window(off, n int64) ([]byte, bool) {
-	if d, ok := s.Source.(fabric.DirectSource); ok {
-		return d.Window(off, n)
-	}
-	return nil, false
-}
+type iovState struct{ *fabric.Iov }
 
-// NumRegions forwards the region count when the wrapped source reports
-// one (protocol selection depends on it).
-func (s noFinishSrc) NumRegions() int {
-	if rc, ok := s.Source.(fabric.RegionCounter); ok {
-		return rc.NumRegions()
-	}
-	return 1
-}
-
-type noFinishSink struct{ fabric.Sink }
-
-func (noFinishSink) Finish() error { return nil }
-
-func (s noFinishSink) Window(off, n int64) ([]byte, bool) {
-	if d, ok := s.Sink.(fabric.DirectSink); ok {
-		return d.Window(off, n)
-	}
-	return nil, false
-}
-
-func (s noFinishSink) Sequential() bool {
-	if q, ok := s.Sink.(fabric.SequentialSink); ok {
-		return q.Sequential()
-	}
-	return false
-}
+func (iovState) Finish() error { return nil }
 
 // Contig is the contiguous-buffer datatype (UCP_DATATYPE_CONTIG). Buffers
 // must be []byte; count is the byte count (a negative count means "use the
 // whole slice").
 type Contig struct{}
 
-func contigBytes(buf any, count int64) (fabric.Bytes, error) {
+// bind points st at the first count bytes of buf.
+func (st *contigState) bind(buf any, count int64) error {
 	b, ok := buf.([]byte)
 	if !ok {
 		if fb, ok := buf.(fabric.Bytes); ok {
 			b = fb
 		} else {
-			return nil, fmt.Errorf("ucp: Contig requires a []byte buffer, got %T", buf)
+			return fmt.Errorf("ucp: Contig requires a []byte buffer, got %T", buf)
 		}
 	}
 	if count < 0 {
 		count = int64(len(b))
 	}
 	if count > int64(len(b)) {
-		return nil, fmt.Errorf("ucp: Contig count %d exceeds buffer length %d", count, len(b))
+		return fmt.Errorf("ucp: Contig count %d exceeds buffer length %d", count, len(b))
 	}
-	return fabric.Bytes(b[:count]), nil
+	st.Bytes = b[:count]
+	return nil
 }
 
 // SendState implements Datatype.
 func (Contig) SendState(buf any, count int64) (SendState, error) {
-	b, err := contigBytes(buf, count)
-	if err != nil {
+	st := new(contigState)
+	if err := st.bind(buf, count); err != nil {
 		return nil, err
 	}
-	return noFinishSrc{b}, nil
+	return st, nil
 }
 
 // RecvState implements Datatype.
 func (Contig) RecvState(buf any, count int64, _ RecvInfo) (RecvState, error) {
-	b, err := contigBytes(buf, count)
-	if err != nil {
+	st := new(contigState)
+	if err := st.bind(buf, count); err != nil {
 		return nil, err
 	}
-	return noFinishSink{b}, nil
+	return st, nil
+}
+
+// sendState and recvState bind the request's datatype to its buffer. A
+// contiguous buffer — most small messages — needs no state object of its
+// own: its window is a field of the request, which outlives the transfer
+// anyway.
+func (r *Request) sendState(dt Datatype, buf any, count int64) (SendState, error) {
+	if _, ok := dt.(Contig); !ok {
+		return dt.SendState(buf, count)
+	}
+	if err := r.contig.bind(buf, count); err != nil {
+		return nil, err
+	}
+	return &r.contig, nil
+}
+
+func (r *Request) recvState(info RecvInfo) (RecvState, error) {
+	if _, ok := r.dt.(Contig); !ok {
+		return r.dt.RecvState(r.buf, r.count, info)
+	}
+	if err := r.contig.bind(r.buf, r.count); err != nil {
+		return nil, err
+	}
+	return &r.contig, nil
 }
 
 // Iov is the scatter/gather datatype (UCP_DATATYPE_IOV). Buffers must be
@@ -159,7 +159,7 @@ func (Iov) SendState(buf any, _ int64) (SendState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return noFinishSrc{v}, nil
+	return iovState{v}, nil
 }
 
 // RecvState implements Datatype.
@@ -168,7 +168,7 @@ func (Iov) RecvState(buf any, _ int64, _ RecvInfo) (RecvState, error) {
 	if err != nil {
 		return nil, err
 	}
-	return noFinishSink{v}, nil
+	return iovState{v}, nil
 }
 
 // GenericOps is the callback set behind a Generic datatype, mirroring

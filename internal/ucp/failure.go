@@ -164,8 +164,8 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 
 	var (
 		failedReqs []*Request
-		eagerOps   []*recvOp
-		pullOps    []*recvOp
+		eagerOps   []*Request
+		pullOps    []*Request
 		deadSends  []*sendOp
 		deadRex    []*rexmitEntry
 	)
@@ -227,19 +227,7 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 		r.complete(rank, 0, 0, 0, err)
 	}
 	for _, op := range eagerOps {
-		op.mu.Lock()
-		already := op.finished
-		op.finished = true
-		op.discard = true
-		if op.failure == nil {
-			op.failure = err
-		}
-		for _, p := range op.pending {
-			p.Release()
-		}
-		op.pending = nil
-		op.mu.Unlock()
-		if !already {
+		if op.fail(err) {
 			w.finishRecv(op)
 		}
 	}

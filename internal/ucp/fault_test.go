@@ -48,6 +48,7 @@ func faultWorkers(t *testing.T, seed int64, cfg Config, mkPlan func(int64) fabri
 	t.Cleanup(func() {
 		a.Close()
 		b.Close()
+		poolDrained(t, f)
 	})
 	return a, b
 }
@@ -188,6 +189,7 @@ func TestLinkDownWaitTimeoutAndRexmitExhaustion(t *testing.T) {
 	defer func() {
 		a.Close()
 		b.Close()
+		poolDrained(t, f)
 	}()
 
 	data := pattern(4000, 1)
@@ -251,6 +253,7 @@ func TestGetRetryRecoversAndStripeFallback(t *testing.T) {
 	defer func() {
 		a.Close()
 		b.Close()
+		poolDrained(t, f)
 	}()
 
 	const size = 64 * 1024
@@ -288,6 +291,7 @@ func TestCorruptEagerWithoutReliableFailsWithErrCorrupt(t *testing.T) {
 	defer func() {
 		a.Close()
 		b.Close()
+		poolDrained(t, f)
 	}()
 
 	data := pattern(5000, 4)

@@ -78,21 +78,22 @@ func (t *matchTable) removePosted(r *Request) bool {
 	return false
 }
 
-// matchPosted finds and removes the earliest-posted receive matching m:
-// the first match in the sender's shard raced against the first match in
-// the AnySource list, decided by postSeq.
-func (t *matchTable) matchPosted(m *unexMsg) *Request {
-	sh := matchShard(m.from)
+// matchPosted finds and removes the earliest-posted receive matching a
+// message from rank from carrying tag: the first match in the sender's
+// shard raced against the first match in the AnySource list, decided by
+// postSeq.
+func (t *matchTable) matchPosted(from int, tag Tag) *Request {
+	sh := matchShard(from)
 	si := -1
 	for i, r := range t.posted[sh] {
-		if matches(r, m.from, m.tag) {
+		if matches(r, from, tag) {
 			si = i
 			break
 		}
 	}
 	ai := -1
 	for i, r := range t.postedAny {
-		if matches(r, m.from, m.tag) {
+		if matches(r, from, tag) {
 			ai = i
 			break
 		}

@@ -18,7 +18,7 @@ func postReq(t *matchTable, from int, tag Tag) *Request {
 }
 
 func arrive(t *matchTable, from int, tag Tag, id uint64) *unexMsg {
-	m := &unexMsg{from: from, tag: tag, id: id}
+	m := newUnex(inbound{from: from, tag: tag, id: id})
 	t.addUnexpected(m)
 	return m
 }
@@ -29,14 +29,13 @@ func TestMatchPostedPrefersEarliestAcrossAnySource(t *testing.T) {
 	spec := postReq(&tab, 3, 7)
 	any2 := postReq(&tab, -1, 7)
 
-	m := &unexMsg{from: 3, tag: 7}
-	if got := tab.matchPosted(m); got != any1 {
+	if got := tab.matchPosted(3, 7); got != any1 {
 		t.Fatalf("first match should be the earliest-posted AnySource receive")
 	}
-	if got := tab.matchPosted(m); got != spec {
+	if got := tab.matchPosted(3, 7); got != spec {
 		t.Fatalf("second match should be the source-specific receive posted before the later AnySource one")
 	}
-	if got := tab.matchPosted(m); got != any2 {
+	if got := tab.matchPosted(3, 7); got != any2 {
 		t.Fatalf("third match should be the remaining AnySource receive")
 	}
 	if tab.lenPosted() != 0 {
@@ -48,8 +47,7 @@ func TestMatchPostedSpecificBeforeLaterAny(t *testing.T) {
 	var tab matchTable
 	spec := postReq(&tab, 17, 9)
 	postReq(&tab, -1, 9)
-	m := &unexMsg{from: 17, tag: 9}
-	if got := tab.matchPosted(m); got != spec {
+	if got := tab.matchPosted(17, 9); got != spec {
 		t.Fatalf("earlier source-specific receive must beat the later AnySource receive")
 	}
 	if tab.lenPosted() != 1 {
@@ -110,7 +108,7 @@ func TestMatchTableMaskedTags(t *testing.T) {
 	if !tab.removeUnexpected(tab.probeEarliest(req)) {
 		t.Fatalf("claim removal failed")
 	}
-	if tab.removeUnexpected(&unexMsg{from: 2}) {
+	if tab.removeUnexpected(newUnex(inbound{from: 2})) {
 		t.Fatalf("removing an unqueued message should report false")
 	}
 }

@@ -92,6 +92,11 @@ func (w *Worker) MRecv(m *Message, dt Datatype, buf any, count int64) (*Request,
 	req.dt = dt
 	req.buf = buf
 	req.count = count
+	if w.cfg.ReqTimeout > 0 {
+		// A claimed eager message can still be missing fragments; the
+		// janitor fails it like any matched receive.
+		req.deadline = time.Now().Add(w.cfg.ReqTimeout)
+	}
 	req.obsStart = w.obsNow()
 	w.mu.Lock()
 	if w.closed {

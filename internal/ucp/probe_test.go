@@ -44,6 +44,7 @@ func TestMprobeBlockingTimeoutLinkDown(t *testing.T) {
 	defer func() {
 		a.Close()
 		b.Close()
+		poolDrained(t, f)
 	}()
 
 	data := pattern(4000, 2)
@@ -72,6 +73,7 @@ func TestMprobeCorruptEagerFragmentBeforeMatch(t *testing.T) {
 	defer func() {
 		a.Close()
 		b.Close()
+		poolDrained(t, f)
 	}()
 
 	const size = 5000 // spans several 1 KiB fragments
@@ -150,5 +152,38 @@ func TestMRecvClosedWorkerPreservesClaim(t *testing.T) {
 	}
 	if err != nil && strings.Contains(err.Error(), "requires a message claimed") {
 		t.Fatalf("retried MRecv lost the claim: %v", err)
+	}
+}
+
+// A claimed eager message whose tail never arrives must fail within
+// Config.ReqTimeout through MRecv exactly as it does through Recv: the
+// janitor only sweeps receives that carry a deadline.
+func TestMRecvHonorsReqTimeout(t *testing.T) {
+	f := fabric.NewInproc(2, fabric.Config{})
+	raw := f.NIC(0)
+	b := NewWorker(f.NIC(1), Config{ReqTimeout: 50 * time.Millisecond})
+	defer func() {
+		b.Close()
+		poolDrained(t, f)
+	}()
+	// Fragment 0 of a 4 KiB message, and nothing after it.
+	hdr := fabric.Header{Kind: kindEager, Tag: 5, MsgID: 1, Total: 4096}
+	if err := raw.Send(1, hdr, pattern(1024, 1)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := b.Mprobe(0, 5, exactMask, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := b.MRecv(m, Contig{}, make([]byte, 4096), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = req.WaitTimeout(2 * time.Second)
+	if done, _ := req.Test(); !done {
+		t.Fatal("MRecv of a message missing its tail is still pending after 40 x ReqTimeout")
+	}
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("MRecv = %v, want ErrTimeout", err)
 	}
 }

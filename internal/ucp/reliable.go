@@ -145,25 +145,13 @@ func (w *Worker) sweep(now time.Time) {
 		}
 		// Matched eager receives whose remaining fragments never came.
 		for key, op := range w.active {
-			if op.req.deadline.IsZero() || now.Before(op.req.deadline) {
+			if op.deadline.IsZero() || now.Before(op.deadline) {
 				continue
 			}
 			delete(w.active, key)
 			expiredOp := op
 			timedCb = append(timedCb, func() {
-				expiredOp.mu.Lock()
-				already := expiredOp.finished
-				expiredOp.finished = true
-				expiredOp.discard = true
-				if expiredOp.failure == nil {
-					expiredOp.failure = ErrTimeout
-				}
-				for _, p := range expiredOp.pending {
-					p.Release()
-				}
-				expiredOp.pending = nil
-				expiredOp.mu.Unlock()
-				if !already {
+				if expiredOp.fail(ErrTimeout) {
 					w.stats.Timeouts.Add(1)
 					w.finishRecv(expiredOp)
 				}
@@ -330,17 +318,6 @@ func (w *Worker) recordCompleted(key msgKey, kind fabric.Kind, status int64) {
 	w.mu.Unlock()
 }
 
-// completedStatus looks up the duplicate-suppression record for key.
-func (w *Worker) completedStatus(key msgKey) (doneRec, bool) {
-	if !w.cfg.Reliable {
-		return doneRec{}, false
-	}
-	w.mu.Lock()
-	rec, ok := w.completed[key]
-	w.mu.Unlock()
-	return rec, ok
-}
-
 // verifyFragCRC checks a checksummed eager fragment. It reports whether
 // the fragment should be delivered; on mismatch the packet is consumed:
 // dropped when retransmission will recover it, or converted into a
@@ -378,14 +355,8 @@ func (w *Worker) failEagerFrag(pkt *fabric.Packet) {
 		if op.failure == nil {
 			op.failure = err
 		}
-		done := w.feedLocked(op, pkt)
 		op.mu.Unlock()
-		if done {
-			w.finishRecv(op)
-			w.mu.Lock()
-			delete(w.active, key)
-			w.mu.Unlock()
-		}
+		w.feed(op, pkt) // keep counting so the receive still finishes
 		return
 	}
 	if m := w.findBuffered(key); m != nil {
@@ -403,20 +374,16 @@ func (w *Worker) failEagerFrag(pkt *fabric.Packet) {
 	}
 	// First sign of this message: record it as errored so a receive that
 	// matches it fails promptly.
-	m := &unexMsg{
-		from: pkt.From, id: pkt.Hdr.MsgID, tag: Tag(pkt.Hdr.Tag),
-		total: pkt.Hdr.Total, aux0: pkt.Hdr.Aux0,
-		errored: err, erroredAt: time.Now(),
-	}
-	if req := w.matchPosted(m); req != nil {
+	m := newUnex(inboundOf(pkt))
+	m.errored, m.erroredAt = err, time.Now()
+	pkt.Release()
+	if req := w.table.matchPosted(m.from, m.tag); req != nil {
 		w.startRecvLocked(req, m) // releases w.mu
-		pkt.Release()
 		return
 	}
 	w.table.addUnexpected(m)
 	w.cond.Broadcast()
 	w.mu.Unlock()
-	pkt.Release()
 }
 
 // timedGet is nic.Get plus the get_rtt_ns histogram observation when the

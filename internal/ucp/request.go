@@ -3,15 +3,21 @@ package ucp
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"mpicd/internal/fabric"
 	"mpicd/internal/obs"
 )
 
 // ErrCanceled is reported by requests removed with CancelRecv.
 var ErrCanceled = errors.New("ucp: request canceled")
 
-// Request tracks one in-flight send or receive.
+// Request tracks one in-flight send or receive. A receive request is also
+// its own receive operation: once matched it carries the delivery state
+// the progress goroutine, the janitor and failure notification work on,
+// so the worker's active and pulls tables point at requests and an
+// operation lives exactly as long as the request the caller holds.
 type Request struct {
 	w      *Worker
 	isSend bool
@@ -21,9 +27,10 @@ type Request struct {
 	mask Tag
 	from int // -1 means any source
 
-	dt    Datatype
-	buf   any
-	count int64
+	dt     Datatype
+	buf    any
+	count  int64
+	contig contigState // the datatype state of a Contig transfer (see sendState)
 
 	// deadline, when non-zero, is enforced by the worker's janitor: an
 	// incomplete request past it fails with ErrTimeout.
@@ -36,36 +43,74 @@ type Request struct {
 	obsStart time.Time // post/send time, for the completion-latency histogram
 	msgID    uint64    // transport message id, once known (0 for unmatched receives)
 
+	// Completion. complete runs its body once: it writes err and the status
+	// fields, then publishes them through completed, so a caller that saw it
+	// set reads them without taking mu. What a waiter sleeps on exists only
+	// once somebody has to sleep: wg carries a count from the first Wait
+	// that found the request pending until complete drops it, and done is
+	// made by Done (or by WaitTimeout finding the request pending). mu
+	// orders both against complete.
 	mu        sync.Mutex
+	completed atomic.Bool
+	blocked   bool // wg holds a count for complete to drop
+	wg        sync.WaitGroup
 	done      chan struct{}
 	err       error
-	completed bool
 
-	// Completion status.
+	// Completion status. A matched receive holds the message's source, tag
+	// and aux word here from the match on.
 	srcRank int
 	srcTag  Tag
 	total   int64
 	aux0    int64
+
+	// Delivery state of a matched receive, guarded by mu so the goroutine
+	// that matched the message can drain buffered fragments while the
+	// progress goroutine routes live ones.
+	msgTotal   int64     // incoming message size
+	tracked    bool      // registered in the worker's active table
+	wireEager  bool      // eager message from a remote rank (ack/dedup applies)
+	reliable   bool      // sender expects an ack on completion
+	start      time.Time // match time, for the unpack_ns histogram (zero when obs is off)
+	sink       RecvState // nil when sink construction failed
+	received   int64
+	discard    bool  // stop delivering; drain remaining fragments
+	failure    error // first failure
+	finished   bool
+	sequential bool
+	next       int64
+	pending    map[int64]*fabric.Packet
+	// seen dedups retransmitted fragments for non-sequential sinks:
+	// offset → longest payload accepted there (a truncated fragment may
+	// be superseded by its full retransmission).
+	seen map[int64]int64
 }
 
 func newRequest(w *Worker) *Request {
-	return &Request{w: w, done: make(chan struct{}), srcRank: -1}
+	return &Request{w: w, srcRank: -1}
 }
 
 // complete finishes the request exactly once.
 func (r *Request) complete(from int, tag Tag, total, aux0 int64, err error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.completed {
+	if r.completed.Load() {
+		r.mu.Unlock()
 		return
 	}
-	r.completed = true
 	r.srcRank = from
 	r.srcTag = tag
 	r.total = total
 	r.aux0 = aux0
 	r.err = err
-	close(r.done)
+	r.completed.Store(true)
+	if r.done != nil {
+		close(r.done)
+	}
+	blocked := r.blocked
+	r.mu.Unlock()
+	if blocked {
+		r.wg.Done()
+	}
 	if o := r.w.obs; o != nil {
 		if !r.obsStart.IsZero() {
 			o.completeNS.Observe(time.Since(r.obsStart).Nanoseconds())
@@ -83,11 +128,36 @@ func (r *Request) complete(from int, tag Tag, total, aux0 int64, err error) {
 	}
 }
 
-// Wait blocks until the request completes and returns its error.
-func (r *Request) Wait() error {
-	<-r.done
+// fail marks a matched receive failed and finished. It reports whether
+// the caller is the one that finished it and so owes the finishRecv; a
+// receive somebody else already finished is left alone, because its
+// finisher reads these fields without the lock.
+func (r *Request) fail(err error) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.finished {
+		return false
+	}
+	r.finished = true
+	r.discard = true
+	if r.failure == nil {
+		r.failure = err
+	}
+	return true
+}
+
+// Wait blocks until the request completes and returns its error.
+func (r *Request) Wait() error {
+	if r.completed.Load() {
+		return r.err
+	}
+	r.mu.Lock()
+	if !r.completed.Load() && !r.blocked {
+		r.blocked = true
+		r.wg.Add(1)
+	}
+	r.mu.Unlock()
+	r.wg.Wait()
 	return r.err
 }
 
@@ -96,12 +166,13 @@ func (r *Request) Wait() error {
 // late completion still lands and can be observed with Test or Wait —
 // so callers get a bounded wait even when the peer's link is down.
 func (r *Request) WaitTimeout(d time.Duration) error {
+	if r.completed.Load() {
+		return r.err
+	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
-	case <-r.done:
-		r.mu.Lock()
-		defer r.mu.Unlock()
+	case <-r.Done():
 		return r.err
 	case <-t.C:
 		return ErrTimeout
@@ -110,35 +181,36 @@ func (r *Request) WaitTimeout(d time.Duration) error {
 
 // Test reports whether the request has completed, without blocking.
 func (r *Request) Test() (bool, error) {
-	select {
-	case <-r.done:
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return true, r.err
-	default:
+	if !r.completed.Load() {
 		return false, nil
 	}
+	return true, r.err
 }
 
-// Done exposes the completion channel for select-based progress.
-func (r *Request) Done() <-chan struct{} { return r.done }
+// Done exposes a completion channel for select-based progress. The channel
+// is made on the first call; Wait and Test never need one.
+func (r *Request) Done() <-chan struct{} {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.done == nil {
+		r.done = make(chan struct{})
+		if r.completed.Load() {
+			close(r.done)
+		}
+	}
+	return r.done
+}
 
 // Status returns the source rank, matched tag and transferred byte count.
 // Valid only after completion.
 func (r *Request) Status() (from int, tag Tag, n int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.srcRank, r.srcTag, r.total
 }
 
 // Aux returns the sender-provided auxiliary word (the point-to-point layer
 // uses it to carry the packed-part length of custom datatypes). Valid only
 // after completion.
-func (r *Request) Aux() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.aux0
-}
+func (r *Request) Aux() int64 { return r.aux0 }
 
 // WaitAll waits on every request and returns the first error encountered.
 // After a failure the remaining requests are not waited blindly — a batch

@@ -23,10 +23,10 @@ type Worker struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	table   matchTable          // posted receives + unexpected messages, sharded by peer
-	active  map[msgKey]*recvOp  // matched receives still consuming fragments
+	active  map[msgKey]*Request // matched receives still consuming fragments
 	claimed map[msgKey]*unexMsg // mprobe-claimed messages still buffering
 	sends   map[uint64]*sendOp  // rendezvous sends awaiting FIN
-	pulls   map[msgKey]*recvOp  // rendezvous receives mid-pull (dup RTS suppression)
+	pulls   map[msgKey]*Request // rendezvous receives mid-pull (dup RTS suppression)
 	closed  bool
 
 	// Reliability state (see reliable.go), guarded by mu.
@@ -103,14 +103,32 @@ type sendOp struct {
 	dst int // destination rank, for failure notification
 }
 
+// inbound is what a message's first fragment, RTS or self-send says about
+// it: everything matching and binding a receive need.
+type inbound struct {
+	from     int
+	id       uint64
+	tag      Tag
+	total    int64
+	aux0     int64
+	reliable bool // sender expects an ack (reliable eager)
+}
+
+func inboundOf(pkt *fabric.Packet) inbound {
+	return inbound{
+		from:     pkt.From,
+		id:       pkt.Hdr.MsgID,
+		tag:      Tag(pkt.Hdr.Tag),
+		total:    pkt.Hdr.Total,
+		aux0:     pkt.Hdr.Aux0,
+		reliable: pkt.Hdr.Flags&flagReliable != 0,
+	}
+}
+
 // unexMsg is an inbound message that arrived before a matching receive was
 // posted (or a local self-send awaiting a match).
 type unexMsg struct {
-	from  int
-	id    uint64
-	tag   Tag
-	total int64
-	aux0  int64
+	inbound
 
 	// Exactly one of these delivery modes applies.
 	rndvKey   uint64 // rendezvous: remote memory key (valid if rndv)
@@ -121,39 +139,18 @@ type unexMsg struct {
 	selfReq   *Request  // self-send: the sender's request
 	errored   error     // abort received before match
 	erroredAt time.Time // when errored was set (janitor reaping)
-	reliable  bool      // sender expects an ack (reliable eager)
 	claimed   bool
 	arriveSeq uint64 // global arrival stamp (see matchTable)
+
+	// inline backs frags until a message has more fragments than it holds,
+	// so buffering a short eager message allocates nothing but the entry.
+	inline [4]*fabric.Packet
 }
 
-// recvOp is a matched receive consuming data. Its mutable fields are
-// guarded by mu so that the goroutine that matched the message can drain
-// buffered fragments while the progress goroutine routes live ones.
-type recvOp struct {
-	req   *Request
-	from  int
-	id    uint64
-	tag   Tag
-	total int64 // incoming message size
-	aux0  int64
-
-	wireEager bool      // eager message from a remote rank (ack/dedup applies)
-	reliable  bool      // sender expects an ack on completion
-	start     time.Time // match time, for the unpack_ns histogram (zero when obs is off)
-
-	mu         sync.Mutex
-	sink       RecvState // nil when sink construction failed
-	received   int64
-	discard    bool  // stop delivering; drain remaining fragments
-	failure    error // first failure
-	finished   bool
-	sequential bool
-	next       int64
-	pending    map[int64]*fabric.Packet
-	// seen dedups retransmitted fragments for non-sequential sinks:
-	// offset → longest payload accepted there (a truncated fragment may
-	// be superseded by its full retransmission).
-	seen map[int64]int64
+func newUnex(in inbound) *unexMsg {
+	m := &unexMsg{inbound: in}
+	m.frags = m.inline[:0]
+	return m
 }
 
 // NewWorker attaches a transport worker to a NIC and starts its progress
@@ -164,10 +161,10 @@ func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 	w := &Worker{
 		nic:     nic,
 		cfg:     cfg.withDefaults(),
-		active:  make(map[msgKey]*recvOp),
+		active:  make(map[msgKey]*Request),
 		claimed: make(map[msgKey]*unexMsg),
 		sends:   make(map[uint64]*sendOp),
-		pulls:   make(map[msgKey]*recvOp),
+		pulls:   make(map[msgKey]*Request),
 		rexmit:  make(map[uint64]*rexmitEntry),
 		dead:    make([]atomic.Bool, nic.Size()),
 		quit:    make(chan struct{}),
@@ -275,11 +272,11 @@ func (w *Worker) Send(dst int, tag Tag, dt Datatype, buf any, count int64, aux i
 	if w.dead[dst].Load() {
 		return nil, procFailedErr(dst)
 	}
-	src, err := dt.SendState(buf, count)
+	req := newRequest(w)
+	src, err := req.sendState(dt, buf, count)
 	if err != nil {
 		return nil, err
 	}
-	req := newRequest(w)
 	req.isSend = true
 	total := src.Size()
 	id := w.nextMsg.Add(1)
@@ -444,7 +441,8 @@ func (w *Worker) eagerSend(dst int, tag Tag, id uint64, total, aux int64, src Se
 
 // selfSend queues a local message for matching without touching the wire.
 func (w *Worker) selfSend(req *Request, src SendState, tag Tag, total, aux int64, id uint64) {
-	m := &unexMsg{from: w.Rank(), id: id, tag: tag, total: total, aux0: aux, selfSrc: src, selfReq: req}
+	m := newUnex(inbound{from: w.Rank(), id: id, tag: tag, total: total, aux0: aux})
+	m.selfSrc, m.selfReq = src, req
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -452,7 +450,7 @@ func (w *Worker) selfSend(req *Request, src SendState, tag Tag, total, aux int64
 		req.complete(-1, 0, 0, 0, ErrWorkerClosed)
 		return
 	}
-	if r := w.matchPosted(m); r != nil {
+	if r := w.table.matchPosted(m.from, m.tag); r != nil {
 		w.ev(obs.EvMatch, m.from, m.id, m.tag, m.total, 1)
 		w.startRecvLocked(r, m) // releases w.mu
 		return
@@ -492,7 +490,7 @@ func (w *Worker) Recv(from int, tag, mask Tag, dt Datatype, buf any, count int64
 			return nil, p.err
 		}
 	}
-	if m := w.matchUnexpected(req); m != nil {
+	if m := w.table.matchUnexpected(req); m != nil {
 		w.stats.UnexpectedHits.Add(1)
 		w.ev(obs.EvMatch, m.from, m.id, m.tag, m.total, 0)
 		w.startRecvLocked(req, m) // releases w.mu
@@ -532,23 +530,13 @@ func matches(req *Request, from int, tag Tag) bool {
 	return (tag & req.mask) == (req.tag & req.mask)
 }
 
-// matchPosted finds and removes the earliest posted receive matching m.
-// Caller holds w.mu.
-func (w *Worker) matchPosted(m *unexMsg) *Request {
-	return w.table.matchPosted(m)
-}
-
-// matchUnexpected finds and removes the earliest unexpected message
-// matching req. Caller holds w.mu.
-func (w *Worker) matchUnexpected(req *Request) *unexMsg {
-	return w.table.matchUnexpected(req)
-}
-
 // startRecvLocked binds a matched (request, message) pair and begins
-// delivery. The caller must hold w.mu; it is released on return. For
-// partially-arrived eager messages the new receive op is registered in the
-// active table before w.mu drops, so live fragments routed by the progress
-// goroutine serialize with the buffered-fragment drain through op.mu.
+// delivery. The caller must hold w.mu; it is released on return. An eager
+// message that can still see traffic — fragments yet to come, or under
+// Reliable a retransmission of any — is registered in the active table
+// before w.mu drops, so what the progress goroutine routes to it
+// serializes with the caller's drain of the buffered fragments through
+// req.mu.
 func (w *Worker) startRecvLocked(req *Request, m *unexMsg) {
 	if m.errored != nil {
 		w.mu.Unlock()
@@ -556,86 +544,113 @@ func (w *Worker) startRecvLocked(req *Request, m *unexMsg) {
 		req.complete(m.from, m.tag, 0, m.aux0, m.errored)
 		return
 	}
-	op := &recvOp{
-		req:   req,
-		from:  m.from,
-		id:    m.id,
-		tag:   m.tag,
-		total: m.total,
-		aux0:  m.aux0,
-		start: w.obsNow(),
-	}
-	req.msgID = m.id
-	key := msgKey{m.from, m.id}
 	eager := m.selfSrc == nil && !m.rndv
-	op.wireEager = eager
-	op.reliable = m.reliable
-	op.mu.Lock()
-	if eager && m.total > 0 {
-		w.active[key] = op
-	}
-	if m.rndv {
-		w.pulls[key] = op
+	partial := eager && m.buffered < m.total
+	req.mu.Lock()
+	switch {
+	case m.rndv:
+		w.pulls[msgKey{m.from, m.id}] = req
+	case partial || eager && w.cfg.Reliable && m.total > 0:
+		w.active[msgKey{m.from, m.id}] = req
+		req.tracked = true
 	}
 	w.mu.Unlock()
-
-	// Build the sink outside w.mu: datatype state construction may run
-	// user callbacks.
-	sink, err := req.dt.RecvState(req.buf, req.count, RecvInfo{From: m.from, Tag: m.tag, Total: m.total, Aux: m.aux0})
-	if err != nil {
-		op.discard = true
-		op.failure = err
-	} else {
-		op.sink = sink
-		if ss, ok := fabric.Sink(sink).(fabric.SequentialSink); ok && ss.Sequential() {
-			op.sequential = true
-			op.pending = make(map[int64]*fabric.Packet)
-		}
-		if m.total > sink.Size() {
-			op.discard = true
-			op.failure = fmt.Errorf("%w: %d bytes incoming, %d byte buffer", ErrTruncated, m.total, sink.Size())
-		}
-	}
-	if w.cfg.Reliable && eager && !op.sequential {
-		op.seen = make(map[int64]int64)
-	}
-
+	w.bind(req, m.inbound, eager, partial)
 	switch {
 	case m.selfSrc != nil:
-		op.mu.Unlock()
+		req.mu.Unlock()
 		w.wg.Add(1)
-		go w.runSelf(op, m)
+		go w.runSelf(req, m)
 	case m.rndv:
-		op.mu.Unlock()
+		req.mu.Unlock()
 		w.wg.Add(1)
-		go w.runPull(op, m.rndvKey)
+		go w.runPull(req, m.rndvKey)
 	default:
-		done := false
-		for _, pkt := range m.frags {
-			if w.feedLocked(op, pkt) {
-				done = true
-			}
-		}
+		frags := m.frags
 		m.frags = nil
-		if m.total == 0 && !op.finished {
-			op.finished = true
+		w.startEager(req, frags)
+	}
+}
+
+// bind makes req the receive operation of message in and builds its sink.
+// partial says some of an eager message's bytes are not in hand yet. The
+// caller holds req.mu and not w.mu: datatype state construction may run
+// user callbacks.
+func (w *Worker) bind(req *Request, in inbound, eager, partial bool) {
+	req.msgID = in.id
+	req.srcRank, req.srcTag, req.aux0 = in.from, in.tag, in.aux0
+	req.msgTotal = in.total
+	req.wireEager = eager
+	req.reliable = in.reliable
+	req.start = w.obsNow()
+	sink, err := req.recvState(RecvInfo{From: in.from, Tag: in.tag, Total: in.total, Aux: in.aux0})
+	if err != nil {
+		req.discard = true
+		req.failure = err
+	} else {
+		req.sink = sink
+		if ss, ok := fabric.Sink(sink).(fabric.SequentialSink); ok && ss.Sequential() {
+			req.sequential = true
+			req.pending = make(map[int64]*fabric.Packet)
+		}
+		if in.total > sink.Size() {
+			req.discard = true
+			req.failure = fmt.Errorf("%w: %d bytes incoming, %d byte buffer", ErrTruncated, in.total, sink.Size())
+		}
+	}
+	if w.cfg.Reliable && partial && !req.sequential {
+		// A message already whole is finished under req.mu before any
+		// retransmitted fragment can be fed to it.
+		req.seen = make(map[int64]int64)
+	}
+}
+
+// startEager feeds a just-bound eager receive the fragments already in
+// hand. req.mu is held on entry and released.
+func (w *Worker) startEager(req *Request, frags []*fabric.Packet) {
+	done := false
+	for _, pkt := range frags {
+		if w.feedLocked(req, pkt) {
 			done = true
 		}
-		op.mu.Unlock()
-		if done {
-			w.finishRecv(op)
-			w.mu.Lock()
-			delete(w.active, key)
-			w.mu.Unlock()
-		}
+	}
+	if req.msgTotal == 0 && !req.finished {
+		req.finished = true
+		done = true
+	}
+	req.mu.Unlock()
+	if done {
+		w.finishEager(req)
+	}
+}
+
+// feed routes one live fragment to the active receive it belongs to.
+func (w *Worker) feed(op *Request, pkt *fabric.Packet) {
+	op.mu.Lock()
+	done := w.feedLocked(op, pkt)
+	op.mu.Unlock()
+	if done {
+		w.finishEager(op)
+	}
+}
+
+// finishEager completes an eager receive whose last byte arrived.
+// finishRecv records the completion before the entry leaves the active
+// table; late duplicates meanwhile bounce off the finished flag.
+func (w *Worker) finishEager(op *Request) {
+	w.finishRecv(op)
+	if op.tracked {
+		w.mu.Lock()
+		delete(w.active, msgKey{op.srcRank, op.msgID})
+		w.mu.Unlock()
 	}
 }
 
 // runSelf completes a matched self-send by local transfer.
-func (w *Worker) runSelf(op *recvOp, m *unexMsg) {
+func (w *Worker) runSelf(op *Request, m *unexMsg) {
 	defer w.wg.Done()
 	err := op.failure
-	n := op.total
+	n := op.msgTotal
 	if err == nil && n > 0 {
 		err = fabric.Transfer(m.selfSrc, 0, op.sink, 0, n, nil)
 	}
@@ -647,7 +662,7 @@ func (w *Worker) runSelf(op *recvOp, m *unexMsg) {
 			err = ferr
 		}
 	}
-	op.req.complete(op.from, op.tag, n, op.aux0, err)
+	op.complete(op.srcRank, op.srcTag, n, op.aux0, err)
 	w.finishSelf(m, err)
 }
 
@@ -665,10 +680,10 @@ func (w *Worker) finishSelf(m *unexMsg, err error) {
 
 // runPull executes the rendezvous receive: pull (striped when the
 // datatype contract allows), FIN after every byte landed, complete.
-func (w *Worker) runPull(op *recvOp, key uint64) {
+func (w *Worker) runPull(op *Request, key uint64) {
 	defer w.wg.Done()
 	err := op.failure
-	n := op.total
+	n := op.msgTotal
 	if err == nil && n > 0 {
 		err = w.pullBody(op, key, n)
 	}
@@ -677,7 +692,7 @@ func (w *Worker) runPull(op *recvOp, key uint64) {
 		status = 1
 		n = 0
 	}
-	mk := msgKey{op.from, op.id}
+	mk := msgKey{op.srcRank, op.msgID}
 	// Record completion before dropping the pull entry: handleRTS checks
 	// both under one lock, so a retransmitted RTS always finds at least
 	// one of them and never redelivers.
@@ -685,13 +700,13 @@ func (w *Worker) runPull(op *recvOp, key uint64) {
 	w.mu.Lock()
 	delete(w.pulls, mk)
 	w.mu.Unlock()
-	_ = w.nic.Send(op.from, fabric.Header{Kind: kindFIN, MsgID: op.id, Aux0: status})
+	_ = w.nic.Send(op.srcRank, fabric.Header{Kind: kindFIN, MsgID: op.msgID, Aux0: status})
 	if op.sink != nil {
 		if ferr := op.sink.Finish(); err == nil {
 			err = ferr
 		}
 	}
-	op.req.complete(op.from, op.tag, n, op.aux0, err)
+	op.complete(op.srcRank, op.srcTag, n, op.aux0, err)
 }
 
 // pullBody moves the rendezvous message body. Transfers of at least
@@ -706,18 +721,18 @@ func (w *Worker) runPull(op *recvOp, key uint64) {
 // (Bytes, Iov, Concat over them) index immutable layout tables, and
 // non-inorder pack/unpack callbacks accept arbitrary-offset fragments by
 // contract, so disjoint stripes never share mutable state.
-func (w *Worker) pullBody(op *recvOp, key uint64, n int64) error {
+func (w *Worker) pullBody(op *Request, key uint64, n int64) error {
 	stripes := int64(w.cfg.PullStripes)
 	if op.sequential || stripes <= 1 || n < w.cfg.PullStripeThresh {
 		w.stats.SequentialPulls.Add(1)
-		return w.getRetry(op.from, key, 0, op.sink, 0, n, op.sequential)
+		return w.getRetry(op.srcRank, key, 0, op.sink, 0, n, op.sequential)
 	}
 	if stripes > n {
 		stripes = n
 	}
 	chunk := (n + stripes - 1) / stripes
 	w.stats.StripedPulls.Add(1)
-	w.ev(obs.EvStripes, op.from, op.id, op.tag, n, (n+chunk-1)/chunk)
+	w.ev(obs.EvStripes, op.srcRank, op.msgID, op.srcTag, n, (n+chunk-1)/chunk)
 	var (
 		wg    sync.WaitGroup
 		errMu sync.Mutex
@@ -732,7 +747,7 @@ func (w *Worker) pullBody(op *recvOp, key uint64, n int64) error {
 		wg.Add(1)
 		go func(off, span int64) {
 			defer wg.Done()
-			if err := w.getRetry(op.from, key, off, op.sink, off, span, false); err != nil {
+			if err := w.getRetry(op.srcRank, key, off, op.sink, off, span, false); err != nil {
 				errMu.Lock()
 				if first == nil {
 					first = err
@@ -755,12 +770,12 @@ func (w *Worker) pullBody(op *recvOp, key uint64, n int64) error {
 	// rewrites at already-covered offsets, so restarting from zero is
 	// contract-safe.
 	w.stats.StripeFallbacks.Add(1)
-	return w.getRetry(op.from, key, 0, op.sink, 0, n, false)
+	return w.getRetry(op.srcRank, key, 0, op.sink, 0, n, false)
 }
 
 // feedLocked delivers one eager fragment. Caller holds op.mu. It returns
 // true exactly once, for the call that completes the message.
-func (w *Worker) feedLocked(op *recvOp, pkt *fabric.Packet) bool {
+func (w *Worker) feedLocked(op *Request, pkt *fabric.Packet) bool {
 	if op.finished {
 		pkt.Release()
 		return false
@@ -825,7 +840,7 @@ func (w *Worker) feedLocked(op *recvOp, pkt *fabric.Packet) bool {
 			write(p)
 		}
 	}
-	if op.received >= op.total && !op.finished {
+	if op.received >= op.msgTotal && !op.finished {
 		op.finished = true
 		return true
 	}
@@ -834,7 +849,13 @@ func (w *Worker) feedLocked(op *recvOp, pkt *fabric.Packet) bool {
 
 // finishRecv completes an eager receive after its final fragment (or an
 // abort). Caller must not hold op.mu or w.mu.
-func (w *Worker) finishRecv(op *recvOp) {
+func (w *Worker) finishRecv(op *Request) {
+	// Fragments still held back for in-order delivery: the receive failed,
+	// or its sender's offsets overlapped.
+	for _, p := range op.pending {
+		p.Release()
+	}
+	op.pending = nil
 	err := op.failure
 	n := op.received
 	if err != nil {
@@ -857,12 +878,12 @@ func (w *Worker) finishRecv(op *recvOp) {
 		}
 		// Record before the ack leaves so a duplicate fragment racing the
 		// ack finds the completion record.
-		w.recordCompleted(msgKey{op.from, op.id}, kindEagerAck, status)
+		w.recordCompleted(msgKey{op.srcRank, op.msgID}, kindEagerAck, status)
 		if op.reliable {
-			w.sendAck(op.from, op.id, status)
+			w.sendAck(op.srcRank, op.msgID, status)
 		}
 	}
-	op.req.complete(op.from, op.tag, n, op.aux0, err)
+	op.complete(op.srcRank, op.srcTag, n, op.aux0, err)
 }
 
 // releaseFrags returns any buffered wire buffers of an unmatched message.
@@ -891,23 +912,19 @@ func (w *Worker) loop() {
 func (w *Worker) drainOnClose() {
 	w.mu.Lock()
 	active := w.active
-	w.active = make(map[msgKey]*recvOp)
+	w.active = make(map[msgKey]*Request)
 	sends := w.sends
 	w.sends = make(map[uint64]*sendOp)
 	rexmit := w.rexmit
 	w.rexmit = make(map[uint64]*rexmitEntry)
 	unex := w.table.takeAllUnexpected()
+	for _, m := range w.claimed {
+		w.releaseFrags(m) // an MRecv from here on fails with ErrWorkerClosed
+	}
 	w.cond.Broadcast()
 	w.mu.Unlock()
 	for _, op := range active {
-		op.mu.Lock()
-		already := op.finished
-		op.finished = true
-		if op.failure == nil {
-			op.failure = ErrWorkerClosed
-		}
-		op.mu.Unlock()
-		if !already {
+		if op.fail(ErrWorkerClosed) {
 			w.finishRecv(op)
 		}
 	}
@@ -960,12 +977,35 @@ func (w *Worker) bufferAckLocked(m *unexMsg) bool {
 		m.errored == nil && m.buffered >= m.total
 }
 
+// bufferLocked holds one more fragment (nil: none, the message is empty) on
+// a buffered message and, once the message is whole, acknowledges it.
+// Caller holds w.mu, which is released.
+func (w *Worker) bufferLocked(m *unexMsg, pkt *fabric.Packet) {
+	if pkt != nil {
+		m.reliable = m.reliable || pkt.Hdr.Flags&flagReliable != 0
+		m.buffered += w.addFragDedup(m, pkt)
+	}
+	ack := w.bufferAckLocked(m)
+	w.cond.Broadcast()
+	w.mu.Unlock()
+	if ack {
+		w.sendAck(m.from, m.id, 0)
+	}
+}
+
 func (w *Worker) handleEager(pkt *fabric.Packet) {
+	// Headers come from another process: one that does not describe a
+	// range inside its own message has no receive to go to.
+	if h := &pkt.Hdr; h.Total < 0 || h.Offset < 0 || h.Offset > h.Total-int64(len(pkt.Payload)) {
+		w.stats.CorruptDrops.Add(1)
+		pkt.Release()
+		return
+	}
 	if !w.verifyFragCRC(pkt) {
 		return // consumed: dropped for retransmit, or routed as a failure
 	}
-	key := msgKey{pkt.From, pkt.Hdr.MsgID}
-	reliable := pkt.Hdr.Flags&flagReliable != 0
+	in := inboundOf(pkt)
+	key := msgKey{in.from, in.id}
 	w.mu.Lock()
 	// A fragment of an already-completed message is a retransmission that
 	// crossed our ack on the wire: answer with a fresh ack, do not
@@ -977,7 +1017,7 @@ func (w *Worker) handleEager(pkt *fabric.Packet) {
 			w.mu.Unlock()
 			w.stats.DupFrags.Add(1)
 			pkt.Release()
-			if reliable && rec.kind == kindEagerAck {
+			if in.reliable && rec.kind == kindEagerAck {
 				w.sendAck(key.from, key.id, rec.status)
 			}
 			return
@@ -985,155 +1025,88 @@ func (w *Worker) handleEager(pkt *fabric.Packet) {
 	}
 	if op, ok := w.active[key]; ok {
 		w.mu.Unlock()
-		op.mu.Lock()
-		done := w.feedLocked(op, pkt)
-		op.mu.Unlock()
-		if done {
-			// finishRecv records the completion before the entry leaves
-			// the active table; late duplicates meanwhile bounce off the
-			// op's finished flag.
-			w.finishRecv(op)
-			w.mu.Lock()
-			delete(w.active, key)
-			w.mu.Unlock()
-		}
+		w.feed(op, pkt)
 		return
 	}
-	if m, ok := w.claimed[key]; ok {
-		m.reliable = m.reliable || reliable
-		m.buffered += w.addFragDedup(m, pkt)
-		ack := w.bufferAckLocked(m)
-		w.cond.Broadcast()
+	first := pkt.Hdr.Offset == 0
+	// A later fragment, or — under Reliable — a retransmitted first one
+	// that raced ahead, of a message already buffered: hold it there.
+	if m := w.findBuffered(key); m != nil && (!first || w.cfg.Reliable || m.claimed) {
+		w.bufferLocked(m, pkt) // releases w.mu
+		return
+	}
+	// Under Reliable a later fragment can beat the first one here; it
+	// opens the message just the same (same tag either way), so nothing
+	// is lost. Otherwise a fragment with no home belongs to a message
+	// that was dropped.
+	if !first && !(w.cfg.Reliable && in.reliable) {
 		w.mu.Unlock()
-		if ack {
-			w.sendAck(key.from, key.id, 0)
-		}
+		pkt.Release()
 		return
 	}
-	if pkt.Hdr.Offset == 0 {
-		// First fragment: try to match — unless a retransmitted first
-		// fragment raced ahead and the message is already buffered.
-		if w.cfg.Reliable {
-			if m := w.findBuffered(key); m != nil {
-				m.reliable = m.reliable || reliable
-				m.buffered += w.addFragDedup(m, pkt)
-				ack := w.bufferAckLocked(m)
-				w.cond.Broadcast()
-				w.mu.Unlock()
-				if ack {
-					w.sendAck(key.from, key.id, 0)
-				}
-				return
-			}
+	// A fragment that finds its receive posted is delivered from its
+	// header: no unexpected entry is built.
+	if req := w.table.matchPosted(in.from, in.tag); req != nil {
+		w.stats.PostedHits.Add(1)
+		w.ev(obs.EvMatch, in.from, in.id, in.tag, in.total, 1)
+		req.mu.Lock()
+		partial := int64(len(pkt.Payload)) < in.total
+		if partial {
+			// More fragments follow. A message that is whole already is
+			// finished before this goroutine routes another packet, so
+			// nothing could find it in the table.
+			w.active[key] = req
+			req.tracked = true
 		}
-		m := &unexMsg{
-			from:     pkt.From,
-			id:       pkt.Hdr.MsgID,
-			tag:      Tag(pkt.Hdr.Tag),
-			total:    pkt.Hdr.Total,
-			aux0:     pkt.Hdr.Aux0,
-			reliable: reliable,
-		}
-		if pkt.Hdr.Total > 0 {
-			m.frags = []*fabric.Packet{pkt}
-			m.buffered = int64(len(pkt.Payload))
-		} else {
+		w.mu.Unlock()
+		w.bind(req, in, true, partial)
+		if in.total == 0 {
 			pkt.Release()
-		}
-		if req := w.matchPosted(m); req != nil {
-			w.stats.PostedHits.Add(1)
-			w.ev(obs.EvMatch, m.from, m.id, m.tag, m.total, 1)
-			w.startRecvLocked(req, m) // releases w.mu
-			return
-		}
-		w.table.addUnexpected(m)
-		ack := w.bufferAckLocked(m)
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		if ack {
-			w.sendAck(key.from, key.id, 0)
+			w.startEager(req, nil)
+		} else {
+			w.startEager(req, []*fabric.Packet{pkt})
 		}
 		return
 	}
-	// Later fragment of an unmatched message: buffer onto its entry.
-	if m := w.table.findUnexpected(key); m != nil {
-		m.reliable = m.reliable || reliable
-		m.buffered += w.addFragDedup(m, pkt)
-		ack := w.bufferAckLocked(m)
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		if ack {
-			w.sendAck(key.from, key.id, 0)
-		}
-		return
+	m := newUnex(in)
+	w.table.addUnexpected(m)
+	if in.total == 0 {
+		pkt.Release()
+		pkt = nil
 	}
-	if w.cfg.Reliable && reliable {
-		// Out-of-order arrival: a later fragment beat the first one here.
-		// Hold it on a fresh entry so nothing is lost; matching still
-		// waits for the offset-0 fragment's metadata (same tag either way).
-		m := &unexMsg{
-			from:     pkt.From,
-			id:       pkt.Hdr.MsgID,
-			tag:      Tag(pkt.Hdr.Tag),
-			total:    pkt.Hdr.Total,
-			aux0:     pkt.Hdr.Aux0,
-			reliable: true,
-			frags:    []*fabric.Packet{pkt},
-			buffered: int64(len(pkt.Payload)),
-		}
-		if req := w.matchPosted(m); req != nil {
-			w.stats.PostedHits.Add(1)
-			w.ev(obs.EvMatch, m.from, m.id, m.tag, m.total, 1)
-			w.startRecvLocked(req, m) // releases w.mu
-			return
-		}
-		w.table.addUnexpected(m)
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		return
-	}
-	w.mu.Unlock()
-	// No home for this fragment (message was dropped); discard.
-	pkt.Release()
+	w.bufferLocked(m, pkt) // releases w.mu
 }
 
 func (w *Worker) handleRTS(pkt *fabric.Packet) {
-	key := msgKey{pkt.From, pkt.Hdr.MsgID}
+	in := inboundOf(pkt)
+	rndvKey := uint64(pkt.Hdr.Aux1)
+	pkt.Release()
+	if in.total < 0 {
+		w.stats.CorruptDrops.Add(1)
+		return
+	}
+	key := msgKey{in.from, in.id}
+	w.mu.Lock()
 	if w.cfg.Reliable {
 		// Retransmitted RTS: if the pull already finished, the FIN was
 		// lost — resend it. If the pull is running or the message is
 		// still buffered awaiting a match, the original RTS is in hand.
 		// One critical section pairs with runPull's record-then-delete
 		// ordering so a duplicate always hits at least one check.
-		w.mu.Lock()
 		rec, done := w.completed[key]
 		_, running := w.pulls[key]
-		buffered := w.findBuffered(key) != nil
-		w.mu.Unlock()
-		if done && rec.kind == kindFIN {
+		if fin := done && rec.kind == kindFIN; fin || running || w.findBuffered(key) != nil {
+			w.mu.Unlock()
 			w.stats.DupRTS.Add(1)
-			pkt.Release()
-			_ = w.nic.Send(key.from, fabric.Header{Kind: kindFIN, MsgID: key.id, Aux0: rec.status})
-			return
-		}
-		if running || buffered {
-			w.stats.DupRTS.Add(1)
-			pkt.Release()
+			if fin {
+				_ = w.nic.Send(key.from, fabric.Header{Kind: kindFIN, MsgID: key.id, Aux0: rec.status})
+			}
 			return
 		}
 	}
-	m := &unexMsg{
-		from:    pkt.From,
-		id:      pkt.Hdr.MsgID,
-		tag:     Tag(pkt.Hdr.Tag),
-		total:   pkt.Hdr.Total,
-		aux0:    pkt.Hdr.Aux0,
-		rndv:    true,
-		rndvKey: uint64(pkt.Hdr.Aux1),
-	}
-	pkt.Release()
-	w.mu.Lock()
-	if req := w.matchPosted(m); req != nil {
+	m := newUnex(in)
+	m.rndv, m.rndvKey = true, rndvKey
+	if req := w.table.matchPosted(m.from, m.tag); req != nil {
 		w.stats.PostedHits.Add(1)
 		w.ev(obs.EvMatch, m.from, m.id, m.tag, m.total, 1)
 		w.startRecvLocked(req, m) // releases w.mu
@@ -1168,51 +1141,31 @@ func (w *Worker) handleFIN(pkt *fabric.Packet) {
 }
 
 func (w *Worker) handleAbort(pkt *fabric.Packet) {
-	key := msgKey{pkt.From, pkt.Hdr.MsgID}
+	in := inboundOf(pkt)
+	key := msgKey{in.from, in.id}
 	err := fmt.Errorf("ucp: sender aborted: %s", string(pkt.Payload))
+	pkt.Release()
 	w.mu.Lock()
 	if op, ok := w.active[key]; ok {
 		delete(w.active, key)
 		w.mu.Unlock()
-		pkt.Release()
-		op.mu.Lock()
-		already := op.finished
-		op.finished = true
-		op.discard = true
-		if op.failure == nil {
-			op.failure = err
-		}
-		op.mu.Unlock()
-		if !already {
+		if op.fail(err) {
 			w.finishRecv(op)
 		}
 		return
 	}
-	if m, ok := w.claimed[key]; ok {
-		m.errored = err
-		m.erroredAt = time.Now()
-		w.releaseFrags(m)
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		pkt.Release()
-		return
+	m := w.findBuffered(key)
+	if m == nil {
+		// Abort for a message whose first fragment never arrived (or was
+		// already consumed): record it as an errored unexpected message so
+		// a future receive fails instead of hanging. The janitor reaps the
+		// entry after abortLinger if no receive ever claims it.
+		m = newUnex(in)
+		w.table.addUnexpected(m)
 	}
-	if m := w.table.findUnexpected(key); m != nil {
-		m.errored = err
-		m.erroredAt = time.Now()
-		w.releaseFrags(m)
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		pkt.Release()
-		return
-	}
-	// Abort for a message whose first fragment never arrived (or was
-	// already consumed): record it as an errored unexpected message so a
-	// future receive fails instead of hanging. The janitor reaps the
-	// entry after abortLinger if no receive ever claims it.
-	m := &unexMsg{from: pkt.From, id: pkt.Hdr.MsgID, tag: Tag(pkt.Hdr.Tag), total: pkt.Hdr.Total, aux0: pkt.Hdr.Aux0, errored: err, erroredAt: time.Now()}
-	w.table.addUnexpected(m)
+	m.errored = err
+	m.erroredAt = time.Now()
+	w.releaseFrags(m)
 	w.cond.Broadcast()
 	w.mu.Unlock()
-	pkt.Release()
 }

@@ -35,11 +35,23 @@ func group(t *testing.T, n int, fcfg fabric.Config, cfg Config) (*Worker, *Worke
 		for _, w := range ws {
 			w.Close()
 		}
+		poolDrained(t, f)
 	})
 	if n == 2 {
 		return ws[0], ws[1]
 	}
 	return ws[0], ws[1]
+}
+
+// poolDrained closes the fabric once its workers are closed and checks
+// that every wire packet went back to the pool: one still out was dropped
+// without Release somewhere in a pending, frags or seen path.
+func poolDrained(t *testing.T, f *fabric.Inproc) {
+	t.Helper()
+	f.Close()
+	if n := f.PoolOutstanding(); n != 0 {
+		t.Errorf("%d wire packets never released", n)
+	}
 }
 
 func pattern(n int, seed byte) []byte {
@@ -607,6 +619,7 @@ func TestGenericInOrderUnderOutOfOrderFabric(t *testing.T) {
 	f := fabric.NewInproc(2, fabric.Config{FragSize: 256, OutOfOrder: true, Seed: 7})
 	a := NewWorker(f.NIC(0), Config{FragSize: 256, RndvThresh: 1 << 30})
 	b := NewWorker(f.NIC(1), Config{FragSize: 256, RndvThresh: 1 << 30})
+	defer poolDrained(t, f)
 	defer a.Close()
 	defer b.Close()
 	ops := &xorOps{key: 0x11}
