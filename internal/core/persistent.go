@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-
-	"mpicd/internal/ucp"
 )
 
 // Persistent requests (MPI_Send_init / MPI_Recv_init / MPI_Start): the
@@ -127,5 +125,3 @@ func WaitAllPersistent(ps ...*PersistentRequest) error {
 	}
 	return first
 }
-
-var _ = ucp.ProtoAuto // keep the import anchored for future tuning hooks

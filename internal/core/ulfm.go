@@ -181,13 +181,12 @@ func (c *Comm) revokeLocal(propagate bool) {
 	if !c.rv.revoked.CompareAndSwap(false, true) {
 		return
 	}
-	// Poison every pending receive on this context except recovery
-	// control traffic (revoke listeners, agreement rounds), and wake
-	// blocked probes so their callers re-check Revoked. The poison is
-	// standing, not a one-shot sweep: a collective that passed its
-	// revocation check before the flag flipped may post its receive
-	// after this sweep, and that receive must fail too — nobody will
-	// ever send on a revoked context again.
+	// Poison every pending receive and blocked probe on this context
+	// except recovery control traffic (revoke listeners, agreement
+	// rounds). The poison is standing, not a one-shot sweep: a collective
+	// that passed its revocation check before the flag flipped may post
+	// its receive after this sweep, and that receive must fail too —
+	// nobody will ever send on a revoked context again.
 	aborted := c.w.PoisonWhere(func(from int, tag, mask ucp.Tag) bool {
 		if uint64(tag)>>ctxShift&0xFFFF != c.ctx {
 			return false

@@ -296,6 +296,50 @@ func TestRevokePropagation(t *testing.T) {
 	}
 }
 
+// blockedOnRevoke: rank 1 blocks in op on a communicator rank 0 revokes
+// 20 ms later, with no ReqTimeout to fall back on. A blocked Probe or Mprobe
+// is a posted request in the transport, so the revocation's abort sweep
+// fails it like the pending Recv of TestRevokePropagation; it used to be
+// woken, find nothing and go back to sleep for good.
+func blockedOnRevoke(t *testing.T, name string, op func(c *Comm) error) {
+	leakChecked(t)
+	done := make(chan error, 1)
+	go func() {
+		done <- Run(2, Options{}, func(c *Comm) error {
+			if c.Rank() == 0 {
+				time.Sleep(20 * time.Millisecond) // let rank 1 block
+				return c.Revoke()
+			}
+			if err := op(c); !errors.Is(err, ErrRevoked) {
+				return fmt.Errorf("%s blocked on a revoked comm = %v, want ErrRevoked", name, err)
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s is still blocked 5 s after the communicator was revoked", name)
+	}
+}
+
+func TestMprobeBlockedOnRevoke(t *testing.T) {
+	blockedOnRevoke(t, "Mprobe", func(c *Comm) error {
+		_, err := c.Mprobe(0, 9)
+		return err
+	})
+}
+
+func TestProbeBlockedOnRevoke(t *testing.T) {
+	blockedOnRevoke(t, "Probe", func(c *Comm) error {
+		_, err := c.Probe(AnySource, 9)
+		return err
+	})
+}
+
 // TestShrinkWithoutFailure: Shrink on a revoked but fully-alive
 // communicator rebuilds the same group with working collectives — the
 // degenerate recovery where the revocation was a false alarm.

@@ -7,19 +7,26 @@ package ucp
 // that may not exist:
 //
 //   - posted receives from the peer (and AnySource receives whose only
-//     possible remote senders are all dead) complete immediately;
+//     possible remote senders are all dead) complete immediately, and so
+//     do blocked probes, which are posted requests like them;
 //   - matched eager receives mid-delivery fail (the remaining fragments
 //     will never arrive);
 //   - rendezvous pulls in flight are failed and their Get loops abandon
 //     retrying;
 //   - rendezvous sends awaiting a FIN, and reliable eager sends awaiting
-//     an ack, complete with the failure instead of burning their
-//     retransmission budget;
-//   - partially-buffered unexpected messages from the peer are marked
-//     errored so a late receive fails fast — but fully-arrived messages
-//     stay deliverable, matching the MPI/ULFM rule that messages handed
-//     to the transport before the death are still receivable;
-//   - blocked probes wake (cond broadcast) and observe the dead peer.
+//     an ack (one table, Worker.sends), complete with the failure instead
+//     of burning their retransmission budget;
+//   - partially-buffered unexpected messages from the peer, claimed by
+//     Mprobe or not, are marked errored so a late receive fails fast — but
+//     fully-arrived messages stay deliverable, matching the MPI/ULFM rule
+//     that messages handed to the transport before the death are still
+//     receivable.
+//
+// Each failure cause selects from the same five tables and fails what it
+// selects the same way (complete for the posted queue, failActive,
+// finishSend): a death selects by peer, AbortWhere/PoisonWhere by matching
+// criteria in the posted queue only, the janitor by deadline and retransmit
+// budget, Close and the NIC going away everything.
 //
 // Death is sticky and per-worker near-monotone: dead[] bits go
 // false→true on declaration and only an explicit Revive — the elastic
@@ -89,11 +96,11 @@ func (w *Worker) OnPeerFailure(fn func(rank int)) {
 	w.mu.Unlock()
 }
 
-// AbortWhere completes every posted-but-unmatched receive satisfying pred
-// with err and wakes blocked probes, returning how many receives it
-// failed. The layer above uses it to poison a revoked communicator's
-// matching context without touching other communicators sharing the
-// worker (pred sees each receive's matching criteria).
+// AbortWhere completes every posted-but-unmatched receive and every blocked
+// probe satisfying pred with err, returning how many it failed. The layer
+// above uses it to poison a revoked communicator's matching context without
+// touching other communicators sharing the worker (pred sees each
+// request's matching criteria).
 func (w *Worker) AbortWhere(pred func(from int, tag, mask Tag) bool, err error) int {
 	var failed []*Request
 	w.mu.Lock()
@@ -101,7 +108,6 @@ func (w *Worker) AbortWhere(pred func(from int, tag, mask Tag) bool, err error) 
 		failed = w.table.filterPosted(func(r *Request) bool {
 			return !pred(r.from, r.tag, r.mask)
 		})
-		w.cond.Broadcast()
 	}
 	w.mu.Unlock()
 	for _, r := range failed {
@@ -110,16 +116,17 @@ func (w *Worker) AbortWhere(pred func(from int, tag, mask Tag) bool, err error) 
 	return len(failed)
 }
 
-// poisonRule is a standing AbortWhere: receives posted after the rule is
-// installed fail at post time if their matching criteria satisfy pred.
+// poisonRule is a standing AbortWhere: receives and probes arriving after
+// the rule is installed fail at once if their matching criteria satisfy
+// pred (admitLocked).
 type poisonRule struct {
 	pred func(from int, tag, mask Tag) bool
 	err  error
 }
 
 // PoisonWhere is AbortWhere made permanent: it completes every currently
-// posted receive satisfying pred with err AND installs pred as a
-// standing rule that fails matching receives posted afterwards. The
+// posted receive or blocked probe satisfying pred with err AND installs
+// pred as a standing rule that fails matching ones posted afterwards. The
 // recovery layer needs the standing half because revocation races the
 // communicator's own operations — a collective that passed its
 // revocation check can post its receive after the abort sweep ran, and
@@ -167,7 +174,6 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 		eagerOps   []*Request
 		pullOps    []*Request
 		deadSends  []*sendOp
-		deadRex    []*rexmitEntry
 	)
 	w.mu.Lock()
 	if w.closed {
@@ -191,21 +197,14 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 	for id, s := range w.sends {
 		if s.dst == rank {
 			delete(w.sends, id)
-			delete(w.rexmit, id)
 			deadSends = append(deadSends, s)
-		}
-	}
-	for id, e := range w.rexmit {
-		if e.dst == rank {
-			delete(w.rexmit, id)
-			deadRex = append(deadRex, e)
 		}
 	}
 	// Buffered messages from the dead peer: complete eager payloads stay
 	// deliverable; anything that still needs the peer (missing fragments,
 	// a rendezvous body to pull) is poisoned so a match fails fast.
 	now := time.Now()
-	poison := func(m *unexMsg) {
+	w.table.forEachUnexpected(func(m *unexMsg) {
 		if m.from != rank || m.errored != nil || m.selfSrc != nil {
 			return
 		}
@@ -214,22 +213,15 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 			m.erroredAt = now
 			w.releaseFrags(m)
 		}
-	}
-	w.table.forEachUnexpected(poison)
-	for _, m := range w.claimed {
-		poison(m)
-	}
+	})
 	cbs := append([]func(int){}, w.onPeerFail...)
-	w.cond.Broadcast()
 	w.mu.Unlock()
 
 	for _, r := range failedReqs {
 		r.complete(rank, 0, 0, 0, err)
 	}
 	for _, op := range eagerOps {
-		if op.fail(err) {
-			w.finishRecv(op)
-		}
+		w.failActive(op, err)
 	}
 	for _, op := range pullOps {
 		// The pull goroutine owns completion; mark the failure so its Get
@@ -242,12 +234,7 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 		op.mu.Unlock()
 	}
 	for _, s := range deadSends {
-		w.nic.Deregister(s.key)
-		s.src.Finish()
-		s.req.complete(rank, 0, 0, 0, err)
-	}
-	for _, e := range deadRex {
-		e.req.complete(rank, e.tag, 0, e.aux, err)
+		w.finishSend(s, err)
 	}
 	for _, cb := range cbs {
 		cb(rank)
@@ -260,7 +247,8 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 // trace of the dead incarnation first — reliable-delivery dedup records
 // (a fresh process restarts its message-id space, so stale records
 // would swallow its first sends as duplicates) and buffered unexpected
-// messages — then clears the dead bit and resets the liveness detector
+// messages (one claimed by Mprobe stays: its owner holds the handle) —
+// then clears the dead bit and resets the liveness detector
 // and the provider's connection state. After Revive, operations on the
 // rank work again and the rank can be declared failed anew.
 func (w *Worker) Revive(rank int) error {

@@ -35,10 +35,13 @@ func fuzzSeq(cfg byte, recs ...[]byte) []byte {
 
 // FuzzWorkerInbound feeds a worker whatever another rank could put on the
 // wire: arbitrary headers over the five kinds it handles, in any order,
-// against a few posted receives (one of them in-order) and one claimed
-// message, with Reliable on and off. Whatever arrives, the worker neither
-// panics nor hangs, every posted request completes once it is closed, and
-// every wire packet goes back to the pool.
+// against a few posted receives (one of them in-order), one claimed message
+// still missing most of its bytes, an eager and a rendezvous send of its own
+// awaiting their answers (ids 1 and 2) and, when cfg bit 2 is set, a blocked
+// Mprobe posted ahead of the tag-1 receive — with Reliable on and off.
+// Whatever arrives, the worker neither panics nor hangs, every request and
+// the prober complete once it is closed, and every wire packet goes back to
+// the pool.
 func FuzzWorkerInbound(f *testing.F) {
 	p := pattern(200, 5)
 	rel := flagReliable
@@ -62,6 +65,30 @@ func FuzzWorkerInbound(f *testing.F) {
 	f.Add(fuzzSeq(0, fuzzRec(0, 0, 0, 1, 0, 60, 0, 0, 0, p[:30]), fuzzRec(3, 0, 0, 1, 0, 60, 0, 0, 0, []byte("boom"))))                                       // abort of an active receive
 	f.Add(fuzzSeq(0, fuzzRec(3, 0, 0, 11, 0, 60, 0, 0, 0, []byte("early"))))                                                                                  // abort before any fragment
 	f.Add(fuzzSeq(1, fuzzRec(2, 0, 0, 1, 0, 0, 1, 0, 0, nil), fuzzRec(4, 0, 0, 1, 0, 0, 1, 0, 0, nil)))                                                       // stray FIN and ack
+	// A blocked Mprobe takes the first tag-1 message as a claimed entry of
+	// the unexpected queue; its later fragments, copies and an abort are
+	// routed there, and the receive behind it takes the next message.
+	for _, cfg := range []byte{4, 5, 6, 7} {
+		r := uint8(cfg&1) * rel
+		f.Add(fuzzSeq(cfg, fuzzRec(0, r, 1, 2, 0, 60, 0, 0, 0, p[:30]), fuzzRec(0, r, 1, 2, 30, 60, 0, 0, 0, p[:30]), fuzzRec(0, r, 1, 3, 0, 20, 0, 0, 0, p[:20])))
+		f.Add(fuzzSeq(cfg, fuzzRec(0, r, 1, 2, 30, 60, 0, 0, 0, p[:30]), fuzzRec(0, r, 1, 2, 30, 60, 0, 0, 0, p[:30]), fuzzRec(3, 0, 1, 2, 0, 60, 0, 0, 0, []byte("late"))))
+		f.Add(fuzzSeq(cfg, fuzzRec(1, 0, 1, 2, 0, 32, 0, 9, 0, nil), fuzzRec(1, 0, 1, 2, 0, 32, 0, 9, 0, nil))) // the claim is a rendezvous message, its RTS repeated
+	}
+	// The message claimed up front (tag 3, id 7, 10 of 100 bytes in hand)
+	// mid-buffer: completed, overlapped, corrupted and aborted, then MRecv'd.
+	for _, cfg := range []byte{2, 3} {
+		r := uint8(cfg&1) * rel
+		f.Add(fuzzSeq(cfg, fuzzRec(0, r, 3, 7, 10, 100, 0, 0, 0, p[:40]), fuzzRec(0, r, 3, 7, 50, 100, 0, 0, 0, p[:50])))
+		f.Add(fuzzSeq(cfg, fuzzRec(0, r, 3, 7, 50, 100, 0, 0, 0, p[:50]), fuzzRec(0, r, 3, 7, 0, 100, 0, 0, 0, p[:10]), fuzzRec(0, r, 3, 7, 10, 100, 0, 0, 0, p[:40])))
+		f.Add(fuzzSeq(cfg, fuzzRec(0, r|flagCRC, 3, 7, 10, 100, 0, 1, 0, p[:40]), fuzzRec(0, r, 3, 7, 10, 100, 0, 0, 0, p[:90])))
+		f.Add(fuzzSeq(cfg, fuzzRec(0, r, 3, 7, 10, 100, 0, 0, 0, p[:40]), fuzzRec(3, 0, 3, 7, 0, 100, 0, 0, 0, []byte("gone"))))
+	}
+	// Answers to the worker's own sends, which wait in one table: the right
+	// kind, the wrong kind, failures and duplicates.
+	for _, cfg := range []byte{0, 1} {
+		f.Add(fuzzSeq(cfg, fuzzRec(4, 0, 0, 1, 0, 0, 0, 0, 0, nil), fuzzRec(2, 0, 0, 2, 0, 0, 0, 0, 0, nil), fuzzRec(2, 0, 0, 2, 0, 0, 0, 0, 0, nil)))
+		f.Add(fuzzSeq(cfg, fuzzRec(2, 0, 0, 1, 0, 0, 0, 0, 0, nil), fuzzRec(4, 0, 0, 2, 0, 0, 0, 0, 0, nil), fuzzRec(4, 0, 0, 1, 0, 0, 1, 0, 0, nil), fuzzRec(2, 0, 0, 2, 0, 0, 1, 0, 0, nil)))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -93,6 +120,19 @@ func FuzzWorkerInbound(f *testing.F) {
 			t.Fatal(err)
 		}
 		var reqs []*Request
+		// The worker's own sends: rank 0 answers only what the input says.
+		for tag, proto := range []Proto{ProtoEager, ProtoRndv} {
+			r, err := w.Send(0, Tag(tag), Contig{}, p[:80], 80, 0, proto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, r)
+		}
+		var prober <-chan probeResult
+		if data[0]&4 != 0 {
+			prober = goProbe(w, 0, 1, true)
+			waitPosted(t, w, 1)
+		}
 		post := func(tag Tag, dt Datatype) {
 			r, err := w.Recv(0, tag, exactMask, dt, make([]byte, 64), 64)
 			if err != nil {
@@ -143,11 +183,22 @@ func FuzzWorkerInbound(f *testing.F) {
 			t.Fatalf("the worker stopped handling packets: %v", err)
 		}
 		if data[0]&2 != 0 {
-			r, err := w.MRecv(claimed, Contig{}, make([]byte, 100), 100)
-			if err != nil {
-				t.Fatal(err)
+			mrecv := func(m *Message) {
+				r, err := w.MRecv(m, Contig{}, make([]byte, 100), 100)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reqs = append(reqs, r)
 			}
-			reqs = append(reqs, r)
+			mrecv(claimed)
+			select {
+			case got := <-prober:
+				prober = nil
+				if got.err == nil {
+					mrecv(got.m)
+				}
+			default: // no prober, or nothing of tag 1 arrived for it
+			}
 		}
 
 		closed := make(chan struct{})
@@ -161,6 +212,9 @@ func FuzzWorkerInbound(f *testing.F) {
 			if done, _ := r.Test(); !done {
 				t.Fatalf("request %d is still pending after Close", i)
 			}
+		}
+		if prober != nil {
+			awaitProbe(t, "the Mprobe, after Close,", prober)
 		}
 		raw.Close()
 		<-drained

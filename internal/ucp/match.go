@@ -20,6 +20,12 @@ package ucp
 //     receive matches the earliest within its shard — which is exactly
 //     per-sender arrival order, the only order MPI guarantees.
 //
+// A message claimed by Mprobe stays in its sender's shard, flagged claimed,
+// until MRecv takes it: matching and probing skip it, but fragments still
+// arriving, aborts and failure sweeps find it where they find every other
+// buffered message. A blocked Probe or Mprobe is a posted request
+// (Request.probe) and takes its turn in posting order like a receive.
+//
 // The table is not separately locked: every method requires the worker's
 // mu, exactly like the slices it replaces. Sharding here buys scan
 // locality, not lock concurrency — the worker lock is held for a bounded
@@ -42,13 +48,15 @@ type matchTable struct {
 	nPosted   int
 
 	unexpected [matchShards][]*unexMsg // buffered messages, by sender
-	nUnex      int
+	nUnex      int                     // claimed ones included
+	nClaimed   int
 }
 
 func (t *matchTable) lenPosted() int     { return t.nPosted }
-func (t *matchTable) lenUnexpected() int { return t.nUnex }
+func (t *matchTable) lenUnexpected() int { return t.nUnex - t.nClaimed }
+func (t *matchTable) lenClaimed() int    { return t.nClaimed }
 
-// addPosted appends a receive in posting order.
+// addPosted appends a receive or blocked probe in posting order.
 func (t *matchTable) addPosted(r *Request) {
 	t.postSeq++
 	r.postSeq = t.postSeq
@@ -150,22 +158,33 @@ func (t *matchTable) takeAllPosted() []*Request {
 	return all
 }
 
-// addUnexpected appends a message in arrival order.
+// addUnexpected appends a message (already claimed, when a blocked Mprobe
+// was waiting for it) in arrival order.
 func (t *matchTable) addUnexpected(m *unexMsg) {
 	t.arriveSeq++
 	m.arriveSeq = t.arriveSeq
 	sh := matchShard(m.from)
 	t.unexpected[sh] = append(t.unexpected[sh], m)
 	t.nUnex++
+	if m.claimed {
+		t.nClaimed++
+	}
 }
 
-// probeEarliest locates (without removing) the earliest-arrival message
-// matching req: first match in the source's shard, or the minimum
+// claim reserves a queued message for a later MRecv: it stays where it is,
+// out of matching's sight.
+func (t *matchTable) claim(m *unexMsg) {
+	m.claimed = true
+	t.nClaimed++
+}
+
+// probeEarliest locates (without removing) the earliest-arrival unclaimed
+// message matching req: first match in the source's shard, or the minimum
 // arriveSeq among each shard's first match for AnySource.
 func (t *matchTable) probeEarliest(req *Request) *unexMsg {
 	if req.from >= 0 {
 		for _, m := range t.unexpected[matchShard(req.from)] {
-			if matches(req, m.from, m.tag) {
+			if !m.claimed && matches(req, m.from, m.tag) {
 				return m
 			}
 		}
@@ -174,7 +193,7 @@ func (t *matchTable) probeEarliest(req *Request) *unexMsg {
 	var best *unexMsg
 	for sh := range t.unexpected {
 		for _, m := range t.unexpected[sh] {
-			if !matches(req, m.from, m.tag) {
+			if m.claimed || !matches(req, m.from, m.tag) {
 				continue
 			}
 			if best == nil || m.arriveSeq < best.arriveSeq {
@@ -196,22 +215,26 @@ func (t *matchTable) matchUnexpected(req *Request) *unexMsg {
 	return m
 }
 
-// removeUnexpected removes a specific message (probe claim), reporting
-// whether it was still queued.
+// removeUnexpected removes a specific message (a match, or the MRecv of a
+// claimed one), reporting whether it was still queued.
 func (t *matchTable) removeUnexpected(m *unexMsg) bool {
 	sh := matchShard(m.from)
 	for i, q := range t.unexpected[sh] {
 		if q == m {
 			t.unexpected[sh] = append(t.unexpected[sh][:i], t.unexpected[sh][i+1:]...)
 			t.nUnex--
+			if m.claimed {
+				t.nClaimed--
+			}
 			return true
 		}
 	}
 	return false
 }
 
-// findUnexpected locates the buffered message for key, scanning only its
-// sender's shard (the hot path for mid-message eager fragments).
+// findUnexpected locates the buffered message for key, claimed or not,
+// scanning only its sender's shard (the hot path for mid-message eager
+// fragments).
 func (t *matchTable) findUnexpected(key msgKey) *unexMsg {
 	for _, m := range t.unexpected[matchShard(key.from)] {
 		if m.from == key.from && m.id == key.id {
@@ -221,7 +244,8 @@ func (t *matchTable) findUnexpected(key msgKey) *unexMsg {
 	return nil
 }
 
-// forEachUnexpected visits every buffered message (failure poisoning).
+// forEachUnexpected visits every buffered message, claimed ones included
+// (failure poisoning).
 func (t *matchTable) forEachUnexpected(fn func(*unexMsg)) {
 	for sh := range t.unexpected {
 		for _, m := range t.unexpected[sh] {
@@ -230,14 +254,15 @@ func (t *matchTable) forEachUnexpected(fn func(*unexMsg)) {
 	}
 }
 
-// filterUnexpected removes every message keep rejects and returns them
-// (janitor reaping of stale errored entries).
+// filterUnexpected removes every unclaimed message keep rejects and returns
+// them (janitor reaping of stale errored entries, Revive's purge). A
+// claimed message has an owner holding its handle and stays for the MRecv.
 func (t *matchTable) filterUnexpected(keep func(*unexMsg) bool) []*unexMsg {
 	var removed []*unexMsg
 	for sh := range t.unexpected {
 		kept := t.unexpected[sh][:0]
 		for _, m := range t.unexpected[sh] {
-			if keep(m) {
+			if m.claimed || keep(m) {
 				kept = append(kept, m)
 			} else {
 				removed = append(removed, m)
@@ -250,13 +275,13 @@ func (t *matchTable) filterUnexpected(keep func(*unexMsg) bool) []*unexMsg {
 }
 
 // takeAllUnexpected empties the unexpected queues and returns the
-// messages.
+// messages, claimed ones included.
 func (t *matchTable) takeAllUnexpected() []*unexMsg {
 	all := make([]*unexMsg, 0, t.nUnex)
 	for sh := range t.unexpected {
 		all = append(all, t.unexpected[sh]...)
 		t.unexpected[sh] = nil
 	}
-	t.nUnex = 0
+	t.nUnex, t.nClaimed = 0, 0
 	return all
 }

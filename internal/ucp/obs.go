@@ -132,7 +132,7 @@ func (w *Worker) obsNow() time.Time {
 
 // QueueDepthsSnapshot reports the instantaneous matching-engine state.
 type QueueDepthsSnapshot struct {
-	Posted       int `json:"posted"`        // receives waiting for a message
+	Posted       int `json:"posted"`        // receives waiting for a message, blocked probes included
 	Unexpected   int `json:"unexpected"`    // messages waiting for a receive
 	Claimed      int `json:"claimed"`       // mprobe-claimed messages not yet MRecv'd
 	ActiveRecvs  int `json:"active_recvs"`  // matched eager receives mid-delivery
@@ -141,19 +141,28 @@ type QueueDepthsSnapshot struct {
 	Rexmit       int `json:"rexmit"`        // unacknowledged sends the janitor tracks
 }
 
-// QueueDepths samples the live queue depths under the worker lock.
+// QueueDepths samples the live queue depths under the worker lock. Claimed
+// and Unexpected split one queue, PendingSends and Rexmit count one table
+// of sends (by protocol, and all of them when Reliable retransmits them).
 func (w *Worker) QueueDepths() QueueDepthsSnapshot {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return QueueDepthsSnapshot{
+	d := QueueDepthsSnapshot{
 		Posted:       w.table.lenPosted(),
 		Unexpected:   w.table.lenUnexpected(),
-		Claimed:      len(w.claimed),
+		Claimed:      w.table.lenClaimed(),
 		ActiveRecvs:  len(w.active),
-		PendingSends: len(w.sends),
 		PendingPulls: len(w.pulls),
-		Rexmit:       len(w.rexmit),
 	}
+	for _, s := range w.sends {
+		if s.rndv() {
+			d.PendingSends++
+		}
+	}
+	if w.cfg.Reliable {
+		d.Rexmit = len(w.sends)
+	}
+	return d
 }
 
 // StatsSnapshot is a plain-value copy of every worker counter plus the

@@ -11,7 +11,9 @@ package ucp
 // message and retransmits all of it until the receiver's ack arrives; a
 // reliable rendezvous send retransmits the RTS until the FIN arrives (a
 // lost FIN is recovered because the receiver answers a duplicate RTS for
-// a completed message by resending the FIN). The receiver keeps a bounded
+// a completed message by resending the FIN). Both wait in the one table of
+// sends awaiting the peer's answer (Worker.sends, keyed by message id),
+// which the janitor walks. The receiver keeps a bounded
 // set of recently completed message ids so duplicates trigger an ack or
 // FIN resend instead of a second delivery — together this gives
 // exactly-once completion on both sides for any pattern of packet drop,
@@ -54,22 +56,6 @@ type doneRec struct {
 	status int64       // 0 success, 1 failure
 }
 
-// rexmitEntry is one unacknowledged send awaiting ack (eager) or FIN
-// (rendezvous RTS).
-type rexmitEntry struct {
-	dst      int
-	tag      Tag
-	id       uint64
-	total    int64
-	aux      int64
-	req      *Request
-	payload  []byte        // retained packed message (eager); nil for RTS
-	hdr      fabric.Header // control header to resend (RTS); unused for eager
-	eager    bool
-	attempts int
-	next     time.Time
-}
-
 // startJanitor launches the sweep goroutine when the configuration needs
 // one.
 func (w *Worker) startJanitor() {
@@ -95,150 +81,94 @@ func (w *Worker) janitor() {
 }
 
 // sweep advances the reliability state machine one tick: resend overdue
-// unacknowledged messages, fail requests past their deadline or
-// retransmission budget, and reap stale errored unexpected entries. All
-// fabric sends and request completions happen after w.mu is released.
+// unanswered sends, fail requests past their deadline or retransmission
+// budget, and reap stale errored unexpected entries. Whatever it takes out
+// of a table under w.mu it finishes after releasing it, as do all fabric
+// sends.
 func (w *Worker) sweep(now time.Time) {
-	type expiredSend struct {
-		e *rexmitEntry
-		s *sendOp // the rendezvous send to tear down; nil for eager
-	}
 	var (
-		resend  []*rexmitEntry
-		expired []expiredSend
-		timedCb []func()
+		resend, expired        []*sendOp
+		latePosted, lateActive []*Request
+		stale                  []*unexMsg
 	)
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return
 	}
-	for id, e := range w.rexmit {
-		if now.Before(e.next) {
-			continue
-		}
-		if e.attempts >= w.cfg.RexmitRetries {
-			delete(w.rexmit, id)
-			var s *sendOp
-			if !e.eager {
-				s = w.sends[id]
+	if w.cfg.Reliable {
+		for id, s := range w.sends {
+			switch {
+			case now.Before(s.next):
+			case s.attempts >= w.cfg.RexmitRetries:
 				delete(w.sends, id)
+				expired = append(expired, s)
+			default:
+				s.attempts++
+				s.next = now.Add(w.rexmitBackoff().Delay(s.attempts, w.rng))
+				resend = append(resend, s)
 			}
-			expired = append(expired, expiredSend{e, s})
-			continue
 		}
-		e.attempts++
-		e.next = now.Add(w.rexmitBackoff().Delay(e.attempts, w.rng))
-		resend = append(resend, e)
 	}
 	if w.cfg.ReqTimeout > 0 {
-		// Posted receives that never matched.
-		expiredReqs := w.table.filterPosted(func(r *Request) bool {
+		// Posted receives and blocked probes that never matched.
+		latePosted = w.table.filterPosted(func(r *Request) bool {
 			return r.deadline.IsZero() || !now.After(r.deadline)
 		})
-		for _, r := range expiredReqs {
-			req := r
-			timedCb = append(timedCb, func() {
-				w.stats.Timeouts.Add(1)
-				req.complete(-1, 0, 0, 0, ErrTimeout)
-			})
-		}
 		// Matched eager receives whose remaining fragments never came.
 		for key, op := range w.active {
-			if op.deadline.IsZero() || now.Before(op.deadline) {
-				continue
+			if !op.deadline.IsZero() && !now.Before(op.deadline) {
+				delete(w.active, key)
+				lateActive = append(lateActive, op)
 			}
-			delete(w.active, key)
-			expiredOp := op
-			timedCb = append(timedCb, func() {
-				if expiredOp.fail(ErrTimeout) {
-					w.stats.Timeouts.Add(1)
-					w.finishRecv(expiredOp)
-				}
-			})
 		}
 	}
 	// Reap errored unexpected entries no receive ever claimed.
 	if w.table.lenUnexpected() > 0 {
-		stale := w.table.filterUnexpected(func(m *unexMsg) bool {
+		stale = w.table.filterUnexpected(func(m *unexMsg) bool {
 			return m.errored == nil || m.erroredAt.IsZero() || now.Sub(m.erroredAt) <= abortLinger
 		})
-		for _, m := range stale {
-			w.stats.AbortsReaped.Add(1)
-			reaped := m
-			timedCb = append(timedCb, func() { w.releaseFrags(reaped) })
-		}
 	}
-	// Wake blocking probes so they re-check their deadlines (probe waits
-	// on w.cond rather than carrying a per-request deadline entry).
-	w.cond.Broadcast()
 	w.mu.Unlock()
 
-	for _, e := range resend {
+	for _, s := range resend {
 		w.stats.Retransmits.Add(1)
-		w.ev(obs.EvRexmit, e.dst, e.id, e.tag, e.total, int64(e.attempts))
-		if e.eager {
-			w.sendEagerFrags(e.dst, e.tag, e.id, e.total, e.aux, e.payload)
+		w.ev(obs.EvRexmit, s.dst, s.hdr.MsgID, Tag(s.hdr.Tag), s.hdr.Total, int64(s.attempts))
+		if s.rndv() {
+			_ = w.nic.Send(s.dst, s.hdr)
 		} else {
-			_ = w.nic.Send(e.dst, e.hdr)
+			w.sendEagerFrags(s.dst, s.hdr, s.payload)
 		}
 	}
-	for _, x := range expired {
+	for _, s := range expired {
 		w.stats.Timeouts.Add(1)
-		if x.s != nil {
-			w.nic.Deregister(x.s.key)
-			x.s.src.Finish()
-		}
 		// A destination the detector has since declared dead gets the
 		// taxonomy error, not a bare timeout (the usual path flushes such
 		// entries at declaration time; this covers the race where the
 		// declaration lands mid-sweep).
-		err := fmt.Errorf("%w: send to rank %d unacked after %d attempts", ErrTimeout, x.e.dst, x.e.attempts)
-		if w.PeerFailed(x.e.dst) {
-			err = procFailedErr(x.e.dst)
+		err := fmt.Errorf("%w: send to rank %d unacked after %d attempts", ErrTimeout, s.dst, s.attempts)
+		if w.PeerFailed(s.dst) {
+			err = procFailedErr(s.dst)
 		}
-		x.e.req.complete(x.e.dst, x.e.tag, 0, x.e.aux, err)
+		w.finishSend(s, err)
 	}
-	for _, cb := range timedCb {
-		cb()
+	for _, r := range latePosted {
+		w.stats.Timeouts.Add(1)
+		r.complete(-1, 0, 0, 0, ErrTimeout)
+	}
+	for _, op := range lateActive {
+		if w.failActive(op, ErrTimeout) {
+			w.stats.Timeouts.Add(1)
+		}
+	}
+	for _, m := range stale {
+		w.stats.AbortsReaped.Add(1)
+		w.releaseFrags(m)
 	}
 }
 
 func (w *Worker) rexmitBackoff() fabric.Backoff {
 	return fabric.Backoff{Base: w.cfg.RexmitBase, Max: w.cfg.RexmitMax, Factor: 2, Jitter: 0.25}
-}
-
-// trackRexmit registers an unacknowledged send with the janitor. Caller
-// must not hold w.mu.
-func (w *Worker) trackRexmit(e *rexmitEntry) error {
-	e.next = time.Now().Add(w.rexmitBackoff().Delay(0, nil))
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrWorkerClosed
-	}
-	w.rexmit[e.id] = e
-	w.mu.Unlock()
-	return nil
-}
-
-// ackRexmit resolves the rexmit entry for id, completing its request with
-// the acknowledged status. Duplicate acks find no entry and are ignored.
-func (w *Worker) ackRexmit(id uint64, status int64) {
-	w.mu.Lock()
-	e, ok := w.rexmit[id]
-	if ok {
-		delete(w.rexmit, id)
-	}
-	w.mu.Unlock()
-	if !ok || !e.eager {
-		return
-	}
-	var err error
-	if status != 0 {
-		err = errors.New("ucp: remote receive failed (eager ack)")
-	}
-	e.req.complete(e.dst, e.tag, e.total, e.aux, err)
 }
 
 // eagerSendReliable packs the whole message into a retained buffer (a
@@ -263,23 +193,28 @@ func (w *Worker) eagerSendReliable(dst int, tag Tag, id uint64, total, aux int64
 		}
 		off += int64(got)
 	}
-	if err := w.trackRexmit(&rexmitEntry{dst: dst, tag: tag, id: id, total: total, aux: aux, req: req, payload: buf, eager: true}); err != nil {
+	s := &sendOp{req: req, dst: dst, payload: buf,
+		hdr: fabric.Header{Kind: kindEager, Flags: flagReliable, Tag: uint64(tag), MsgID: id, Total: total, Aux0: aux}}
+	if err := w.trackSend(s); err != nil {
 		return err
 	}
-	w.sendEagerFrags(dst, tag, id, total, aux, buf)
+	w.sendEagerFrags(dst, s.hdr, buf)
 	return nil
 }
 
-// sendEagerFrags streams one full copy of a retained eager message.
-func (w *Worker) sendEagerFrags(dst int, tag Tag, id uint64, total, aux int64, buf []byte) {
+// sendEagerFrags streams one full copy of a retained eager message; tmpl is
+// what every fragment's header shares.
+func (w *Worker) sendEagerFrags(dst int, tmpl fabric.Header, buf []byte) {
 	frag := int64(w.cfg.FragSize)
+	total := tmpl.Total
 	off := int64(0)
 	for {
 		n := frag
 		if rem := total - off; n > rem {
 			n = rem
 		}
-		hdr := fabric.Header{Kind: kindEager, Flags: flagReliable, Tag: uint64(tag), MsgID: id, Offset: off, Total: total, Aux0: aux}
+		hdr := tmpl
+		hdr.Offset = off
 		if off > 0 && off+n < total {
 			hdr.Flags |= fabric.FlagUnordered
 		}
@@ -359,7 +294,7 @@ func (w *Worker) failEagerFrag(pkt *fabric.Packet) {
 		w.feed(op, pkt) // keep counting so the receive still finishes
 		return
 	}
-	if m := w.findBuffered(key); m != nil {
+	if m := w.table.findUnexpected(key); m != nil {
 		if m.errored == nil {
 			m.errored = err
 			m.erroredAt = time.Now()
@@ -367,7 +302,6 @@ func (w *Worker) failEagerFrag(pkt *fabric.Packet) {
 		w.releaseFrags(m)
 		// Keep counting so nothing downstream waits on this message.
 		m.buffered += int64(len(pkt.Payload))
-		w.cond.Broadcast()
 		w.mu.Unlock()
 		pkt.Release()
 		return
@@ -377,12 +311,10 @@ func (w *Worker) failEagerFrag(pkt *fabric.Packet) {
 	m := newUnex(inboundOf(pkt))
 	m.errored, m.erroredAt = err, time.Now()
 	pkt.Release()
-	if req := w.table.matchPosted(m.from, m.tag); req != nil {
+	if req, _ := w.arriveLocked(m.inbound, m); req != nil {
 		w.startRecvLocked(req, m) // releases w.mu
 		return
 	}
-	w.table.addUnexpected(m)
-	w.cond.Broadcast()
 	w.mu.Unlock()
 }
 
@@ -400,15 +332,6 @@ func (w *Worker) timedGet(from int, key uint64, off int64, sink fabric.Sink, sin
 
 func errorCorruptFrag(off int64) error {
 	return fmt.Errorf("%w: eager fragment at offset %d failed checksum", ErrCorrupt, off)
-}
-
-// findBuffered locates an unexpected or claimed entry for key. Caller
-// holds w.mu.
-func (w *Worker) findBuffered(key msgKey) *unexMsg {
-	if m, ok := w.claimed[key]; ok {
-		return m
-	}
-	return w.table.findUnexpected(key)
 }
 
 // addFragDedup appends an eager fragment to a buffered message, dropping
@@ -451,9 +374,11 @@ type RexmitInfo struct {
 func (w *Worker) RexmitSnapshot() []RexmitInfo {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]RexmitInfo, 0, len(w.rexmit))
-	for _, e := range w.rexmit {
-		out = append(out, RexmitInfo{Dst: e.dst, Tag: e.tag, Eager: e.eager, Attempts: e.attempts})
+	out := make([]RexmitInfo, 0, len(w.sends))
+	if w.cfg.Reliable {
+		for _, s := range w.sends {
+			out = append(out, RexmitInfo{Dst: s.dst, Tag: Tag(s.hdr.Tag), Eager: !s.rndv(), Attempts: s.attempts})
+		}
 	}
 	return out
 }
@@ -511,14 +436,6 @@ func (w *Worker) ackPump() {
 			_ = w.nic.Send(a.to, fabric.Header{Kind: kindEagerAck, MsgID: a.id, Aux0: a.status})
 		}
 	}
-}
-
-// handleEagerAck completes the sender side of a reliable eager message.
-func (w *Worker) handleEagerAck(pkt *fabric.Packet) {
-	id := pkt.Hdr.MsgID
-	status := pkt.Hdr.Aux0
-	pkt.Release()
-	w.ackRexmit(id, status)
 }
 
 // getRetry wraps a rendezvous Get with bounded retries for transient

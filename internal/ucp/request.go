@@ -22,10 +22,15 @@ type Request struct {
 	w      *Worker
 	isSend bool
 
-	// Matching criteria (receives only).
+	// Matching criteria (receives and blocked probes).
 	tag  Tag
 	mask Tag
 	from int // -1 means any source
+
+	// probe, when set, makes this a blocked Probe (or, probe.claimed, Mprobe)
+	// waiting in the posted queue: the arrival that matches it fills the
+	// message in and completes the request instead of delivering to it.
+	probe *Message
 
 	dt     Datatype
 	buf    any
@@ -111,7 +116,7 @@ func (r *Request) complete(from int, tag Tag, total, aux0 int64, err error) {
 	if blocked {
 		r.wg.Done()
 	}
-	if o := r.w.obs; o != nil {
+	if o := r.w.obs; o != nil && r.probe == nil { // a probe moves no message: nothing to measure
 		if !r.obsStart.IsZero() {
 			o.completeNS.Observe(time.Since(r.obsStart).Nanoseconds())
 		}

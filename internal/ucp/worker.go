@@ -15,23 +15,21 @@ import (
 
 // Worker is one rank's transport engine: it owns a NIC, a progress
 // goroutine, and the two matching queues (posted receives and unexpected
-// messages) every MPI implementation carries.
+// messages) every MPI implementation carries. Everything in flight is in
+// exactly one of the tables below, and what fails it looks there.
 type Worker struct {
 	nic fabric.NIC
 	cfg Config
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	table   matchTable          // posted receives + unexpected messages, sharded by peer
-	active  map[msgKey]*Request // matched receives still consuming fragments
-	claimed map[msgKey]*unexMsg // mprobe-claimed messages still buffering
-	sends   map[uint64]*sendOp  // rendezvous sends awaiting FIN
-	pulls   map[msgKey]*Request // rendezvous receives mid-pull (dup RTS suppression)
-	closed  bool
+	mu     sync.Mutex
+	table  matchTable          // posted receives and blocked probes + unexpected and claimed messages, sharded by peer
+	active map[msgKey]*Request // matched receives still consuming fragments
+	sends  map[uint64]*sendOp  // sends awaiting the peer's FIN (rendezvous) or ack (reliable eager)
+	pulls  map[msgKey]*Request // rendezvous receives mid-pull (dup RTS suppression)
+	closed bool
 
 	// Reliability state (see reliable.go), guarded by mu.
-	rexmit        map[uint64]*rexmitEntry // unacknowledged sends by msg id
-	completed     map[msgKey]doneRec      // recently finished wire messages
+	completed     map[msgKey]doneRec // recently finished wire messages
 	completedFIFO []msgKey
 	rng           *rand.Rand // retransmit jitter; guarded by mu
 
@@ -95,13 +93,26 @@ type msgKey struct {
 	id   uint64
 }
 
-// sendOp is a rendezvous send awaiting its FIN.
+// sendOp is a send awaiting the peer's answer: a rendezvous send its FIN
+// (src and key set), a reliable eager send its ack (payload set). Under
+// Reliable the janitor resends it — the RTS, or every fragment of the
+// retained message — until the answer comes or the attempts run out.
 type sendOp struct {
 	req *Request
-	src SendState
-	key uint64
-	dst int // destination rank, for failure notification
+	dst int
+	hdr fabric.Header // the RTS, or the template of every eager fragment
+
+	src SendState // rendezvous: the registered source; nil for eager
+	key uint64    // rendezvous: its memory key
+
+	payload []byte // eager: the retained packed message
+
+	attempts int       // resend rounds so far
+	next     time.Time // when the janitor resends next (Reliable only)
 }
+
+// rndv reports whether the send is answered by a FIN, not an ack.
+func (s *sendOp) rndv() bool { return s.src != nil }
 
 // inbound is what a message's first fragment, RTS or self-send says about
 // it: everything matching and binding a receive need.
@@ -159,22 +170,19 @@ func newUnex(in inbound) *unexMsg {
 // DeclarePeerFailed.
 func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 	w := &Worker{
-		nic:     nic,
-		cfg:     cfg.withDefaults(),
-		active:  make(map[msgKey]*Request),
-		claimed: make(map[msgKey]*unexMsg),
-		sends:   make(map[uint64]*sendOp),
-		pulls:   make(map[msgKey]*Request),
-		rexmit:  make(map[uint64]*rexmitEntry),
-		dead:    make([]atomic.Bool, nic.Size()),
-		quit:    make(chan struct{}),
+		nic:    nic,
+		cfg:    cfg.withDefaults(),
+		active: make(map[msgKey]*Request),
+		sends:  make(map[uint64]*sendOp),
+		pulls:  make(map[msgKey]*Request),
+		dead:   make([]atomic.Bool, nic.Size()),
+		quit:   make(chan struct{}),
 	}
 	if w.cfg.Reliable {
 		w.completed = make(map[msgKey]doneRec, completedCap)
 		w.rng = rand.New(rand.NewSource(int64(nic.Rank())<<32 | 0x5eed))
 	}
 	w.nextMsg.Store(w.cfg.MsgIDBase)
-	w.cond = sync.NewCond(&w.mu)
 	w.ackCond = sync.NewCond(&w.ackMu)
 	w.ackDrained = make(chan struct{})
 	w.wg.Add(1)
@@ -228,7 +236,6 @@ func (w *Worker) Close() {
 	}
 	w.closed = true
 	posted := w.table.takeAllPosted()
-	w.cond.Broadcast()
 	w.mu.Unlock()
 	close(w.quit)
 	w.ackMu.Lock()
@@ -322,39 +329,21 @@ func (w *Worker) Send(dst int, tag Tag, dt Datatype, buf any, count int64, aux i
 		w.stats.RndvBytes.Add(total)
 		w.ev(obs.EvSend, dst, id, tag, total, traceProtoRndv)
 		key := w.nic.Register(src)
-		w.mu.Lock()
-		if w.closed {
-			w.mu.Unlock()
-			w.nic.Deregister(key)
-			src.Finish()
-			return nil, ErrWorkerClosed
-		}
-		w.sends[id] = &sendOp{req: req, src: src, key: key, dst: dst}
-		w.mu.Unlock()
-		hdr := fabric.Header{Kind: kindRTS, Tag: uint64(tag), MsgID: id, Total: total, Aux0: aux, Aux1: int64(key)}
-		if w.cfg.Reliable {
-			// The janitor retransmits the RTS until the FIN arrives, so
-			// even a failed first send (link down) just waits its turn.
-			if err := w.trackRexmit(&rexmitEntry{dst: dst, tag: tag, id: id, total: total, aux: aux, req: req, hdr: hdr}); err != nil {
-				w.mu.Lock()
-				delete(w.sends, id)
-				w.mu.Unlock()
-				w.nic.Deregister(key)
-				src.Finish()
-				return nil, err
+		s := &sendOp{req: req, dst: dst, src: src, key: key,
+			hdr: fabric.Header{Kind: kindRTS, Tag: uint64(tag), MsgID: id, Total: total, Aux0: aux, Aux1: int64(key)}}
+		err := w.trackSend(s)
+		if err == nil {
+			err = w.nic.Send(dst, s.hdr)
+			// Under Reliable the janitor retransmits the RTS until the FIN
+			// arrives, so even a failed first send (link down) just waits
+			// its turn. Otherwise the send is undone — unless a failure
+			// cause took it meanwhile and finished it.
+			if err == nil || w.cfg.Reliable || w.takeSend(id, true) == nil {
+				return req, nil
 			}
-			_ = w.nic.Send(dst, hdr)
-			return req, nil
 		}
-		if err := w.nic.Send(dst, hdr); err != nil {
-			w.mu.Lock()
-			delete(w.sends, id)
-			w.mu.Unlock()
-			w.nic.Deregister(key)
-			src.Finish()
-			return nil, err
-		}
-		return req, nil
+		w.finishSend(s, err)
+		return nil, err
 	}
 
 	// Eager: stream fragments and complete locally — or, when Reliable,
@@ -450,14 +439,58 @@ func (w *Worker) selfSend(req *Request, src SendState, tag Tag, total, aux int64
 		req.complete(-1, 0, 0, 0, ErrWorkerClosed)
 		return
 	}
-	if r := w.table.matchPosted(m.from, m.tag); r != nil {
+	if r, _ := w.arriveLocked(m.inbound, m); r != nil {
 		w.ev(obs.EvMatch, m.from, m.id, m.tag, m.total, 1)
 		w.startRecvLocked(r, m) // releases w.mu
 		return
 	}
-	w.table.addUnexpected(m)
-	w.cond.Broadcast()
 	w.mu.Unlock()
+}
+
+// arriveLocked is the one place a message that just arrived meets the
+// posted queue, so a blocked probe is matched, and failed, exactly like a
+// posted receive. In posting order: every blocked Probe ahead of the taker
+// completes with the message's envelope; a receive is returned to be
+// started; otherwise the message (m, built from in when nil) is queued —
+// claimed, when a blocked Mprobe was next in line — and returned for its
+// bytes to be buffered. Caller holds w.mu.
+func (w *Worker) arriveLocked(in inbound, m *unexMsg) (*Request, *unexMsg) {
+	for {
+		r := w.table.matchPosted(in.from, in.tag)
+		switch {
+		case r != nil && r.probe == nil:
+			return r, m
+		case r != nil && !r.probe.claimed:
+			r.completeProbe(in, nil)
+			continue
+		}
+		if m == nil {
+			m = newUnex(in)
+		}
+		m.claimed = r != nil // r, if any, is the blocked Mprobe next in line
+		w.table.addUnexpected(m)
+		if r != nil {
+			r.completeProbe(in, m)
+		}
+		return nil, m
+	}
+}
+
+// admitLocked is what a receive or probe passes before it may match or
+// post: the worker is open, and no standing poison (PoisonWhere) covers its
+// matching criteria — a poison outranks matching, so an operation on a
+// poisoned context fails even if a stray message could satisfy it. Caller
+// holds w.mu.
+func (w *Worker) admitLocked(from int, tag, mask Tag) error {
+	if w.closed {
+		return ErrWorkerClosed
+	}
+	for _, p := range w.poison {
+		if p.pred(from, tag, mask) {
+			return p.err
+		}
+	}
+	return nil
 }
 
 // Recv posts a tagged receive. from restricts the source rank (-1 accepts
@@ -478,17 +511,9 @@ func (w *Worker) Recv(from int, tag, mask Tag, dt Datatype, buf any, count int64
 	w.ev(obs.EvPost, from, 0, tag, 0, 0)
 
 	w.mu.Lock()
-	if w.closed {
+	if err := w.admitLocked(from, tag, mask); err != nil {
 		w.mu.Unlock()
-		return nil, ErrWorkerClosed
-	}
-	// Standing poisons (PoisonWhere) outrank matching: a receive on a
-	// poisoned context must fail even if a stray message could satisfy it.
-	for _, p := range w.poison {
-		if p.pred(from, tag, mask) {
-			w.mu.Unlock()
-			return nil, p.err
-		}
+		return nil, err
 	}
 	if m := w.table.matchUnexpected(req); m != nil {
 		w.stats.UnexpectedHits.Add(1)
@@ -908,40 +933,39 @@ func (w *Worker) loop() {
 	}
 }
 
-// drainOnClose fails everything still in flight when the NIC closes.
+// drainOnClose fails everything still in flight when the NIC closes
+// (Close itself failed what was posted). A claimed message goes with the
+// rest of the unexpected queue: an MRecv from here on fails with
+// ErrWorkerClosed.
 func (w *Worker) drainOnClose() {
 	w.mu.Lock()
 	active := w.active
 	w.active = make(map[msgKey]*Request)
 	sends := w.sends
 	w.sends = make(map[uint64]*sendOp)
-	rexmit := w.rexmit
-	w.rexmit = make(map[uint64]*rexmitEntry)
 	unex := w.table.takeAllUnexpected()
-	for _, m := range w.claimed {
-		w.releaseFrags(m) // an MRecv from here on fails with ErrWorkerClosed
-	}
-	w.cond.Broadcast()
 	w.mu.Unlock()
 	for _, op := range active {
-		if op.fail(ErrWorkerClosed) {
-			w.finishRecv(op)
-		}
+		w.failActive(op, ErrWorkerClosed)
 	}
 	for _, s := range sends {
-		w.nic.Deregister(s.key)
-		s.src.Finish()
-		s.req.complete(-1, 0, 0, 0, ErrWorkerClosed)
-	}
-	for _, e := range rexmit {
-		// Rendezvous entries share a request with the sends map above
-		// (complete is idempotent); reliable eager entries are only here.
-		e.req.complete(-1, 0, 0, 0, ErrWorkerClosed)
+		w.finishSend(s, ErrWorkerClosed)
 	}
 	for _, m := range unex {
 		w.releaseFrags(m)
 		w.finishSelf(m, ErrWorkerClosed)
 	}
+}
+
+// failActive fails a matched eager receive that was taken out of w.active
+// (or is about to leave it with the worker), unless it finished meanwhile;
+// it reports whether this call failed it.
+func (w *Worker) failActive(op *Request, err error) bool {
+	if !op.fail(err) {
+		return false
+	}
+	w.finishRecv(op)
+	return true
 }
 
 func (w *Worker) handle(pkt *fabric.Packet) {
@@ -950,43 +974,33 @@ func (w *Worker) handle(pkt *fabric.Packet) {
 		w.handleEager(pkt)
 	case kindRTS:
 		w.handleRTS(pkt)
-	case kindFIN:
-		w.handleFIN(pkt)
+	case kindFIN, kindEagerAck:
+		w.handleAnswer(pkt)
 	case kindAbort:
 		w.handleAbort(pkt)
-	case kindEagerAck:
-		w.handleEagerAck(pkt)
 	default:
 		pkt.Release()
 	}
 }
 
-// bufferAckLocked reports whether a reliable eager message is fully
-// buffered and should be acknowledged. An eager send is complete once
-// the data is safely held at the receiver — MPI's local-completion
-// contract — so the ack must NOT wait for the application to post a
-// matching receive: a receiver busy elsewhere (a recovery protocol, a
-// skewed collective schedule) would otherwise stall the sender into
-// retransmission exhaustion and a spurious ErrTimeout. The check is
-// idempotent on purpose: a retransmitted fragment arriving because the
-// ack was lost triggers a fresh ack (duplicate acks find no rexmit
-// entry and are ignored). Caller holds w.mu and sends the ack after
-// releasing it.
-func (w *Worker) bufferAckLocked(m *unexMsg) bool {
-	return m.reliable && !m.rndv && m.selfSrc == nil &&
-		m.errored == nil && m.buffered >= m.total
-}
-
 // bufferLocked holds one more fragment (nil: none, the message is empty) on
-// a buffered message and, once the message is whole, acknowledges it.
-// Caller holds w.mu, which is released.
+// a buffered message and, once a reliable eager message is whole,
+// acknowledges it. An eager send is complete once the data is safely held
+// at the receiver — MPI's local-completion contract — so the ack must NOT
+// wait for the application to post a matching receive: a receiver busy
+// elsewhere (a recovery protocol, a skewed collective schedule) would
+// otherwise stall the sender into retransmission exhaustion and a spurious
+// ErrTimeout. The check is idempotent on purpose: a retransmitted fragment
+// arriving because the ack was lost triggers a fresh ack (duplicate acks
+// find no send waiting and are ignored). Caller holds w.mu, which is
+// released before the ack is queued.
 func (w *Worker) bufferLocked(m *unexMsg, pkt *fabric.Packet) {
 	if pkt != nil {
 		m.reliable = m.reliable || pkt.Hdr.Flags&flagReliable != 0
 		m.buffered += w.addFragDedup(m, pkt)
 	}
-	ack := w.bufferAckLocked(m)
-	w.cond.Broadcast()
+	ack := m.reliable && !m.rndv && m.selfSrc == nil &&
+		m.errored == nil && m.buffered >= m.total
 	w.mu.Unlock()
 	if ack {
 		w.sendAck(m.from, m.id, 0)
@@ -1031,7 +1045,7 @@ func (w *Worker) handleEager(pkt *fabric.Packet) {
 	first := pkt.Hdr.Offset == 0
 	// A later fragment, or — under Reliable — a retransmitted first one
 	// that raced ahead, of a message already buffered: hold it there.
-	if m := w.findBuffered(key); m != nil && (!first || w.cfg.Reliable || m.claimed) {
+	if m := w.table.findUnexpected(key); m != nil && (!first || w.cfg.Reliable || m.claimed) {
 		w.bufferLocked(m, pkt) // releases w.mu
 		return
 	}
@@ -1046,7 +1060,8 @@ func (w *Worker) handleEager(pkt *fabric.Packet) {
 	}
 	// A fragment that finds its receive posted is delivered from its
 	// header: no unexpected entry is built.
-	if req := w.table.matchPosted(in.from, in.tag); req != nil {
+	req, m := w.arriveLocked(in, nil)
+	if req != nil {
 		w.stats.PostedHits.Add(1)
 		w.ev(obs.EvMatch, in.from, in.id, in.tag, in.total, 1)
 		req.mu.Lock()
@@ -1068,8 +1083,6 @@ func (w *Worker) handleEager(pkt *fabric.Packet) {
 		}
 		return
 	}
-	m := newUnex(in)
-	w.table.addUnexpected(m)
 	if in.total == 0 {
 		pkt.Release()
 		pkt = nil
@@ -1095,7 +1108,7 @@ func (w *Worker) handleRTS(pkt *fabric.Packet) {
 		// ordering so a duplicate always hits at least one check.
 		rec, done := w.completed[key]
 		_, running := w.pulls[key]
-		if fin := done && rec.kind == kindFIN; fin || running || w.findBuffered(key) != nil {
+		if fin := done && rec.kind == kindFIN; fin || running || w.table.findUnexpected(key) != nil {
 			w.mu.Unlock()
 			w.stats.DupRTS.Add(1)
 			if fin {
@@ -1106,38 +1119,76 @@ func (w *Worker) handleRTS(pkt *fabric.Packet) {
 	}
 	m := newUnex(in)
 	m.rndv, m.rndvKey = true, rndvKey
-	if req := w.table.matchPosted(m.from, m.tag); req != nil {
+	if req, _ := w.arriveLocked(in, m); req != nil {
 		w.stats.PostedHits.Add(1)
 		w.ev(obs.EvMatch, m.from, m.id, m.tag, m.total, 1)
 		w.startRecvLocked(req, m) // releases w.mu
 		return
 	}
-	w.table.addUnexpected(m)
-	w.cond.Broadcast()
 	w.mu.Unlock()
 }
 
-func (w *Worker) handleFIN(pkt *fabric.Packet) {
-	id := pkt.Hdr.MsgID
-	status := pkt.Hdr.Aux0
+// handleAnswer completes the send a FIN (rendezvous) or an eager ack
+// answers. A duplicate answer, or one of the wrong kind for the send its id
+// names, finds nothing to take and is ignored.
+func (w *Worker) handleAnswer(pkt *fabric.Packet) {
+	id, status, rndv := pkt.Hdr.MsgID, pkt.Hdr.Aux0, pkt.Hdr.Kind == kindFIN
 	pkt.Release()
-	w.mu.Lock()
-	s, ok := w.sends[id]
-	if ok {
-		delete(w.sends, id)
-	}
-	delete(w.rexmit, id) // stop retransmitting the RTS
-	w.mu.Unlock()
-	if !ok {
+	s := w.takeSend(id, rndv)
+	if s == nil {
 		return
 	}
-	w.nic.Deregister(s.key)
-	total := s.src.Size()
-	err := s.src.Finish()
-	if status != 0 && err == nil {
-		err = errors.New("ucp: remote receive failed during rendezvous pull")
+	var err error
+	if status != 0 {
+		err = errors.New("ucp: remote receive failed")
 	}
-	s.req.complete(-1, 0, total, 0, err)
+	w.finishSend(s, err)
+}
+
+// trackSend enters a send in w.sends, where its answer, the janitor and
+// every failure cause find it. Caller must not hold w.mu.
+func (w *Worker) trackSend(s *sendOp) error {
+	if w.cfg.Reliable {
+		s.next = time.Now().Add(w.rexmitBackoff().Delay(0, nil))
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return ErrWorkerClosed
+	}
+	w.sends[s.hdr.MsgID] = s
+	return nil
+}
+
+// takeSend removes and returns the rendezvous (rndv) or reliable eager send
+// id names, if it is still waiting. Whoever takes a send out of w.sends
+// finishes it.
+func (w *Worker) takeSend(id uint64, rndv bool) *sendOp {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	s := w.sends[id]
+	if s == nil || s.rndv() != rndv {
+		return nil
+	}
+	delete(w.sends, id)
+	return s
+}
+
+// finishSend completes a send taken out of w.sends (or never entered): a
+// rendezvous send's registration and source state are given back, and err,
+// if any, says why nothing was transferred.
+func (w *Worker) finishSend(s *sendOp, err error) {
+	total := s.hdr.Total
+	if s.rndv() {
+		w.nic.Deregister(s.key)
+		if ferr := s.src.Finish(); err == nil {
+			err = ferr
+		}
+	}
+	if err != nil {
+		total = 0
+	}
+	s.req.complete(s.dst, Tag(s.hdr.Tag), total, s.hdr.Aux0, err)
 }
 
 func (w *Worker) handleAbort(pkt *fabric.Packet) {
@@ -1149,12 +1200,10 @@ func (w *Worker) handleAbort(pkt *fabric.Packet) {
 	if op, ok := w.active[key]; ok {
 		delete(w.active, key)
 		w.mu.Unlock()
-		if op.fail(err) {
-			w.finishRecv(op)
-		}
+		w.failActive(op, err)
 		return
 	}
-	m := w.findBuffered(key)
+	m := w.table.findUnexpected(key)
 	if m == nil {
 		// Abort for a message whose first fragment never arrived (or was
 		// already consumed): record it as an errored unexpected message so
@@ -1166,6 +1215,5 @@ func (w *Worker) handleAbort(pkt *fabric.Packet) {
 	m.errored = err
 	m.erroredAt = time.Now()
 	w.releaseFrags(m)
-	w.cond.Broadcast()
 	w.mu.Unlock()
 }
