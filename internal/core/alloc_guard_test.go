@@ -8,23 +8,30 @@ import (
 	"mpicd/internal/fabric"
 	"mpicd/internal/obs"
 	"mpicd/internal/ucp"
+	"mpicd/internal/workloads"
 )
 
-// Allocation ceilings for the eager small-message path, per round trip
-// and with both ranks counted. What is left in the plain ping-pong
-// (measured 7 to 8): the two transport requests of each one-way message,
-// plus the four times a []byte becomes the `any` the calls take. The
-// blocking calls build no core.Request, a matched receive is its own
-// receive operation and holds a contiguous buffer's state, wire packets
-// are recycled and nobody sleeps on a channel. The custom path (measured 31) adds what
-// the handler's State returns, the region slice and iovec and the
-// pack-plus-regions composite on each side. The guards leave ~30 %
-// headroom; if one trips, a change added per-message garbage to the hot
-// path — fix the change, don't bump the ceiling without a benchmark
-// showing why.
+// Allocation ceilings for the eager small-message path, per 1 KiB round
+// trip with both ranks counted: four one-way operations, two sends and two
+// receives. What is left in the plain ping-pong (measured 7): the two
+// transport requests of each one-way message, plus the times a []byte
+// becomes the `any` the calls take. The blocking calls build no
+// core.Request, a matched receive is its own receive operation and holds a
+// contiguous buffer's state, wire packets are recycled and nobody sleeps
+// on a channel. Every other datatype adds its binding, one object per
+// operation (gapped ddt and pure-pack custom: measured 11), and what its
+// regions cost on top — the iovec's offset index, the region slice itself
+// being pooled — plus whatever the handler's State returns (head + 2
+// regions over a handler that boxes a slice: measured 19, was 31 when the
+// state was a pack source, an iovec and a two-part composite). Each
+// ceiling is measured + 2; if one trips, a change added per-message
+// garbage to the hot path — fix the change, don't bump the ceiling
+// without a benchmark showing why.
 const (
-	eagerPingPongAllocCeiling  = 10 // allocs per 1 KiB contiguous ping-pong (both ranks)
-	customPingPongAllocCeiling = 40 // allocs per 1 KiB custom-datatype ping-pong (both ranks)
+	eagerPingPongAllocCeiling    = 9  // contiguous bytes
+	ddtPingPongAllocCeiling      = 13 // gapped derived datatype, plan-packed
+	purePackPingPongAllocCeiling = 13 // custom datatype, head only, stateless handler
+	customPingPongAllocCeiling   = 21 // custom datatype, head + 2 regions
 )
 
 // measureEcho runs a fixed-iteration ping-pong between two in-process
@@ -56,34 +63,37 @@ func measureEcho(t *testing.T, sys *core.System, iters int, send func(c *core.Co
 	return avg
 }
 
+// pingPongAllocs measures a 1 KiB ping-pong of count elements of dt
+// between the two ranks of a fresh world.
+func pingPongAllocs(t *testing.T, opt core.Options, dt *core.Datatype, image int, count core.Count) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	sys := core.NewSystem(2, opt)
+	defer sys.Close()
+	msg, out, buf := make([]byte, image), make([]byte, image), make([]byte, image)
+	return measureEcho(t, sys, 100,
+		func(c *core.Comm) error {
+			if err := c.Send(msg, count, dt, 1, 1); err != nil {
+				return err
+			}
+			_, err := c.Recv(out, count, dt, 1, 2)
+			return err
+		},
+		func(c *core.Comm) error {
+			if _, err := c.Recv(buf, count, dt, 0, 1); err != nil {
+				return err
+			}
+			return c.Send(buf, count, dt, 0, 2)
+		})
+}
+
 // TestEagerSmallMessageAllocsPinned pins the per-message allocation count
 // of the eager contiguous path so buffer-pooling work cannot silently
 // regress.
 func TestEagerSmallMessageAllocsPinned(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under -race")
-	}
-	sys := core.NewSystem(2, core.Options{})
-	defer sys.Close()
-	const size = 1024
-	msg := make([]byte, size)
-	out := make([]byte, size)
-	buf := make([]byte, size)
-
-	avg := measureEcho(t, sys, 100,
-		func(c *core.Comm) error {
-			if err := c.Send(msg, -1, core.TypeBytes, 1, 1); err != nil {
-				return err
-			}
-			_, err := c.Recv(out, -1, core.TypeBytes, 1, 2)
-			return err
-		},
-		func(c *core.Comm) error {
-			if _, err := c.Recv(buf, -1, core.TypeBytes, 0, 1); err != nil {
-				return err
-			}
-			return c.Send(buf, -1, core.TypeBytes, 0, 2)
-		})
+	avg := pingPongAllocs(t, core.Options{}, core.TypeBytes, 1024, -1)
 	t.Logf("eager 1 KiB ping-pong: %.1f allocs/op", avg)
 	if avg > eagerPingPongAllocCeiling {
 		t.Fatalf("eager path allocates %.1f/op, ceiling %d", avg, eagerPingPongAllocCeiling)
@@ -96,30 +106,8 @@ func TestEagerSmallMessageAllocsPinned(t *testing.T) {
 // atomics, histogram observation is a fixed-shape bucket increment, and
 // trace recording copies one fixed-size struct into a preallocated ring.
 func TestObsEagerAllocsPinned(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under -race")
-	}
-	sys := core.NewSystem(2, core.Options{UCP: ucp.Config{Obs: obs.New(4096)}})
-	defer sys.Close()
-	const size = 1024
-	msg := make([]byte, size)
-	out := make([]byte, size)
-	buf := make([]byte, size)
-
-	avg := measureEcho(t, sys, 100,
-		func(c *core.Comm) error {
-			if err := c.Send(msg, -1, core.TypeBytes, 1, 1); err != nil {
-				return err
-			}
-			_, err := c.Recv(out, -1, core.TypeBytes, 1, 2)
-			return err
-		},
-		func(c *core.Comm) error {
-			if _, err := c.Recv(buf, -1, core.TypeBytes, 0, 1); err != nil {
-				return err
-			}
-			return c.Send(buf, -1, core.TypeBytes, 0, 2)
-		})
+	opt := core.Options{UCP: ucp.Config{Obs: obs.New(4096)}}
+	avg := pingPongAllocs(t, opt, core.TypeBytes, 1024, -1)
 	t.Logf("obs-enabled eager 1 KiB ping-pong: %.1f allocs/op", avg)
 	if avg > eagerPingPongAllocCeiling {
 		t.Fatalf("obs-enabled eager path allocates %.1f/op, ceiling %d", avg, eagerPingPongAllocCeiling)
@@ -133,66 +121,42 @@ func TestObsEagerAllocsPinned(t *testing.T) {
 // period is kept long so the prober goroutine's own (off-path) sends
 // cannot blur the measurement.
 func TestHeartbeatEagerAllocsPinned(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under -race")
-	}
-	sys := core.NewSystem(2, core.Options{UCP: ucp.Config{
-		Heartbeat: fabric.DetectorConfig{Period: time.Minute},
-	}})
-	defer sys.Close()
-	const size = 1024
-	msg := make([]byte, size)
-	out := make([]byte, size)
-	buf := make([]byte, size)
-
-	avg := measureEcho(t, sys, 100,
-		func(c *core.Comm) error {
-			if err := c.Send(msg, -1, core.TypeBytes, 1, 1); err != nil {
-				return err
-			}
-			_, err := c.Recv(out, -1, core.TypeBytes, 1, 2)
-			return err
-		},
-		func(c *core.Comm) error {
-			if _, err := c.Recv(buf, -1, core.TypeBytes, 0, 1); err != nil {
-				return err
-			}
-			return c.Send(buf, -1, core.TypeBytes, 0, 2)
-		})
+	opt := core.Options{UCP: ucp.Config{Heartbeat: fabric.DetectorConfig{Period: time.Minute}}}
+	avg := pingPongAllocs(t, opt, core.TypeBytes, 1024, -1)
 	t.Logf("heartbeat-enabled eager 1 KiB ping-pong: %.1f allocs/op", avg)
 	if avg > eagerPingPongAllocCeiling {
 		t.Fatalf("heartbeat-enabled eager path allocates %.1f/op, ceiling %d", avg, eagerPingPongAllocCeiling)
 	}
 }
 
-// TestCustomEagerAllocsPinned pins the custom-datatype eager path, which
-// additionally exercises the region-scratch pooling in core.
-func TestCustomEagerAllocsPinned(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under -race")
+// TestDDTEagerAllocsPinned pins a gapped derived datatype, whose binding
+// is all head: 51 struct-simple elements, 1 020 packed bytes.
+func TestDDTEagerAllocsPinned(t *testing.T) {
+	const count = 51
+	dt := core.FromDDT(workloads.StructSimpleType())
+	avg := pingPongAllocs(t, core.Options{}, dt, count*workloads.StructSimpleExtent, count)
+	t.Logf("gapped ddt 1 KiB ping-pong: %.1f allocs/op", avg)
+	if avg > ddtPingPongAllocCeiling {
+		t.Fatalf("ddt eager path allocates %.1f/op, ceiling %d", avg, ddtPingPongAllocCeiling)
 	}
-	sys := core.NewSystem(2, core.Options{})
-	defer sys.Close()
-	const size = 1024
-	dt := core.TypeCreateCustom(&regionHandler{packed: 256, nreg: 2})
-	msg := make([]byte, size)
-	out := make([]byte, size)
-	buf := make([]byte, size)
+}
 
-	avg := measureEcho(t, sys, 100,
-		func(c *core.Comm) error {
-			if err := c.Send(msg, size, dt, 1, 1); err != nil {
-				return err
-			}
-			_, err := c.Recv(out, size, dt, 1, 2)
-			return err
-		},
-		func(c *core.Comm) error {
-			if _, err := c.Recv(buf, size, dt, 0, 1); err != nil {
-				return err
-			}
-			return c.Send(buf, size, dt, 0, 2)
-		})
+// TestCustomPurePackEagerAllocsPinned pins a custom datatype with no
+// regions and no handler state: what the seven-callback API itself costs.
+func TestCustomPurePackEagerAllocsPinned(t *testing.T) {
+	avg := pingPongAllocs(t, core.Options{}, core.TypeCreateCustom(identityHandler{}), 1024, 1024)
+	t.Logf("pure-pack custom 1 KiB ping-pong: %.1f allocs/op", avg)
+	if avg > purePackPingPongAllocCeiling {
+		t.Fatalf("pure-pack custom eager path allocates %.1f/op, ceiling %d", avg, purePackPingPongAllocCeiling)
+	}
+}
+
+// TestCustomEagerAllocsPinned pins the custom-datatype eager path with a
+// packed head and two regions, which additionally exercises the
+// region-scratch pooling in core.
+func TestCustomEagerAllocsPinned(t *testing.T) {
+	dt := core.TypeCreateCustom(&regionHandler{packed: 256, nreg: 2})
+	avg := pingPongAllocs(t, core.Options{}, dt, 1024, 1024)
 	t.Logf("custom 1 KiB ping-pong: %.1f allocs/op", avg)
 	if avg > customPingPongAllocCeiling {
 		t.Fatalf("custom eager path allocates %.1f/op, ceiling %d", avg, customPingPongAllocCeiling)

@@ -1,0 +1,442 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"mpicd/internal/ddt"
+	"mpicd/internal/ucp"
+)
+
+// flatBuf is a buffer already in the canonical form: bytes the handler
+// packs, then regions. flatHandler serves it, producing at most chunk head
+// bytes per Pack call (0: as many as asked for) so reads underfill.
+type flatBuf struct {
+	head    []byte
+	regions [][]byte
+}
+
+func (f *flatBuf) image() []byte {
+	img := append([]byte(nil), f.head...)
+	for _, r := range f.regions {
+		img = append(img, r...)
+	}
+	return img
+}
+
+// blank returns a zeroed buffer of the same shape.
+func (f *flatBuf) blank() *flatBuf {
+	out := &flatBuf{head: make([]byte, len(f.head)), regions: make([][]byte, len(f.regions))}
+	for i, r := range f.regions {
+		out.regions[i] = make([]byte, len(r))
+	}
+	return out
+}
+
+type flatHandler struct{ chunk int }
+
+func (flatHandler) State(buf any, _ Count) (any, error) {
+	if _, ok := buf.(*flatBuf); !ok {
+		return nil, fmt.Errorf("flatHandler: bad buffer %T", buf)
+	}
+	return nil, nil
+}
+func (flatHandler) FreeState(any) error { return nil }
+func (flatHandler) PackedSize(_, buf any, _ Count) (Count, error) {
+	return Count(len(buf.(*flatBuf).head)), nil
+}
+func (h flatHandler) Pack(_, buf any, _, offset Count, dst []byte) (Count, error) {
+	if h.chunk > 0 && len(dst) > h.chunk {
+		dst = dst[:h.chunk]
+	}
+	return Count(copy(dst, buf.(*flatBuf).head[offset:])), nil
+}
+func (flatHandler) Unpack(_, buf any, _, offset Count, src []byte) error {
+	copy(buf.(*flatBuf).head[offset:], src)
+	return nil
+}
+func (flatHandler) RegionCount(_, buf any, _ Count) (Count, error) {
+	return Count(len(buf.(*flatBuf).regions)), nil
+}
+func (flatHandler) Regions(_, buf any, _ Count, regions [][]byte) error {
+	copy(regions, buf.(*flatBuf).regions)
+	return nil
+}
+
+func flatOf(headLen int, regionLens ...int) *flatBuf {
+	f := &flatBuf{head: pattern(headLen, 1)}
+	for i, n := range regionLens {
+		f.regions = append(f.regions, pattern(n, byte(3+i)))
+	}
+	return f
+}
+
+// bindSend and bindRecv open the two sides the way the transport does.
+func bindSend(t testing.TB, dt *Datatype, buf any) *binding {
+	t.Helper()
+	st, err := dt.transport().SendState(buf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.(*binding)
+}
+
+func bindRecv(t testing.TB, dt *Datatype, buf any, total, head int64) *binding {
+	t.Helper()
+	st, err := dt.transport().RecvState(buf, 1, ucp.RecvInfo{Total: total, Aux: head})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.(*binding)
+}
+
+// TestBindingHeadIsCallbackTailIsDirect: reads in odd chunks across the
+// head/tail seam gather the flat image (with a handler that underfills),
+// the head has no window, and tail windows alias the application's
+// regions, one region at a time.
+func TestBindingHeadIsCallbackTailIsDirect(t *testing.T) {
+	f := flatOf(13, 29, 0, 7)
+	want := f.image()
+	b := bindSend(t, TypeCreateCustom(flatHandler{chunk: 3}), f)
+	defer b.Finish()
+	if b.Size() != int64(len(want)) || b.Aux() != 13 || b.NumRegions() != 4 {
+		t.Fatalf("Size %d Aux %d NumRegions %d; want %d, 13, 4", b.Size(), b.Aux(), b.NumRegions(), len(want))
+	}
+	got := make([]byte, len(want))
+	for off := 0; off < len(want); off += 5 {
+		end := min(off+5, len(want))
+		if n, err := b.ReadAt(got[off:end], int64(off)); err != nil || n != end-off {
+			t.Fatalf("ReadAt(%d) = %d, %v", off, n, err)
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("chunked read across the seam differs from the flat image")
+	}
+	if _, ok := b.Window(0, 5); ok {
+		t.Fatal("the head must not expose a window")
+	}
+	if _, ok := b.Window(12, 5); ok {
+		t.Fatal("a window must not start inside the head")
+	}
+	if w, ok := b.Window(13, 100); !ok || len(w) != 29 || &w[0] != &f.regions[0][0] {
+		t.Fatalf("first tail window = %d bytes, ok=%v; want region 0 itself", len(w), ok)
+	}
+	if w, ok := b.Window(13+29, 100); !ok || len(w) != 7 || &w[0] != &f.regions[2][0] {
+		t.Fatalf("window past the empty region = %d bytes, ok=%v; want region 2 itself", len(w), ok)
+	}
+	if _, err := b.ReadAt(got[:1], int64(len(want))+1); err == nil {
+		t.Fatal("read past the end should fail")
+	}
+}
+
+// TestBindingSeamWrite scatters the flat image in 4-byte writes, several
+// of which straddle the head/tail seam and region boundaries.
+func TestBindingSeamWrite(t *testing.T) {
+	f := flatOf(10, 5, 15)
+	want := f.image()
+	out := f.blank()
+	b := bindRecv(t, TypeCreateCustom(flatHandler{}), out, int64(len(want)), 10)
+	for off := 0; off < len(want); off += 4 {
+		end := min(off+4, len(want))
+		if n, err := b.WriteAt(want[off:end], int64(off)); err != nil || n != end-off {
+			t.Fatalf("WriteAt(%d) = %d, %v", off, n, err)
+		}
+	}
+	if err := b.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.image(), want) {
+		t.Fatal("seam-straddling writes lost bytes")
+	}
+}
+
+// TestBindingSequentialOnlyForInorder: only an inorder datatype asks the
+// transport for in-order delivery, and only its receive puts off naming
+// the regions until something past the head is touched.
+func TestBindingSequentialOnlyForInorder(t *testing.T) {
+	f := flatOf(8, 16)
+	total := int64(len(f.image()))
+	plain := bindRecv(t, TypeCreateCustom(flatHandler{}), f.blank(), total, 8)
+	defer plain.Finish()
+	if plain.Sequential() || !plain.resolved {
+		t.Fatalf("plain receive: Sequential %v, resolved %v; want false, true", plain.Sequential(), plain.resolved)
+	}
+	inorder := TypeCreateCustom(flatHandler{}, WithInOrder())
+	lazy := bindRecv(t, inorder, f.blank(), total, 8)
+	defer lazy.Finish()
+	if !lazy.Sequential() || lazy.resolved {
+		t.Fatalf("inorder receive: Sequential %v, resolved %v; want true, false", lazy.Sequential(), lazy.resolved)
+	}
+	if _, err := lazy.WriteAt(f.head, 0); err != nil || lazy.resolved {
+		t.Fatalf("writing the head: %v, resolved %v", err, lazy.resolved)
+	}
+	if w, ok := lazy.Window(8, 16); !ok || len(w) != 16 || !lazy.resolved {
+		t.Fatalf("first window past the head = %d bytes, ok=%v, resolved %v", len(w), ok, lazy.resolved)
+	}
+	if send := bindSend(t, inorder, f); !send.resolved {
+		t.Fatal("a send names its regions when it is bound")
+	}
+	gapped, err := ddt.Vector(2, 1, 4, ddt.Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bindSend(t, FromDDT(gapped), make([]byte, gapped.Span(1))).Sequential() {
+		t.Fatal("a derived datatype is never sequential")
+	}
+}
+
+// TestDerivedNegativeCountIsError: a negative element count is an error for
+// a derived datatype whichever way it lowers, not a slice-bounds panic.
+func TestDerivedNegativeCountIsError(t *testing.T) {
+	gapped, err := ddt.Vector(2, 1, 4, ddt.Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, typ := range []*ddt.Type{ddt.Int64, gapped} {
+		dt := FromDDT(typ)
+		buf := make([]byte, 256)
+		if _, err := dt.transport().SendState(buf, -1); err == nil {
+			t.Errorf("%s: send state of count -1 succeeded", typ.Name())
+		}
+		if _, err := dt.transport().RecvState(buf, -1, ucp.RecvInfo{Total: 8}); err == nil {
+			t.Errorf("%s: receive state of count -1 succeeded", typ.Name())
+		}
+		if _, err := Pack(buf, -1, dt, make([]byte, 256)); err == nil {
+			t.Errorf("%s: Pack of count -1 succeeded", typ.Name())
+		}
+	}
+}
+
+// walkWindows reads b through its windows where it has them and ReadAt
+// elsewhere, step bytes at a time: what a rendezvous pull does.
+func walkWindows(b *binding, step int) ([]byte, error) {
+	out := make([]byte, 0, b.Size())
+	for off := int64(0); off < b.Size(); {
+		if w, ok := b.Window(off, int64(step)); ok && len(w) > 0 {
+			out = append(out, w...)
+			off += int64(len(w))
+			continue
+		}
+		frag := make([]byte, min(int64(step), b.Size()-off))
+		n, err := b.ReadAt(frag, off)
+		if n == 0 {
+			return out, fmt.Errorf("no progress at %d: %v", off, err)
+		}
+		out = append(out, frag[:n]...)
+		off += int64(n)
+	}
+	return out, nil
+}
+
+// FuzzBindingOffsets: for any head length, region lengths (empty regions
+// and no regions included), Pack underfill and chunking, a binding reads
+// as the flat image through ReadAt and through the window walk, and
+// WriteAt rebuilds the buffer from it — striped (disjoint ranges written
+// concurrently, as a striped pull does) for a plain type, one byte at a
+// time in order for an inorder one.
+func FuzzBindingOffsets(f *testing.F) {
+	f.Add(uint8(13), []byte{29, 0, 7}, uint8(3), uint8(5), uint8(2))
+	f.Add(uint8(0), []byte{64}, uint8(0), uint8(9), uint8(3))
+	f.Add(uint8(40), []byte{}, uint8(7), uint8(1), uint8(4))
+	f.Add(uint8(0), []byte{}, uint8(0), uint8(1), uint8(1))
+	f.Add(uint8(1), []byte{0, 0, 1, 0}, uint8(1), uint8(2), uint8(7))
+	f.Fuzz(func(t *testing.T, headLen uint8, regionLens []byte, packChunk, step, stripes uint8) {
+		if len(regionLens) > 16 {
+			regionLens = regionLens[:16]
+		}
+		lens := make([]int, len(regionLens))
+		for i, n := range regionLens {
+			lens[i] = int(n)
+		}
+		src := flatOf(int(headLen), lens...)
+		want := src.image()
+		total := int64(len(want))
+		chunk := int(step)%61 + 1
+		h := flatHandler{chunk: int(packChunk) % 17}
+
+		send := bindSend(t, TypeCreateCustom(h), src)
+		got := make([]byte, total)
+		for off := 0; off < len(want); off += chunk {
+			end := min(off+chunk, len(want))
+			if n, err := send.ReadAt(got[off:end], int64(off)); err != nil || n != end-off {
+				t.Fatalf("ReadAt(%d, %d bytes) = %d, %v", off, end-off, n, err)
+			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("ReadAt differs from the flat image")
+		}
+		if walked, err := walkWindows(send, chunk); err != nil || !bytes.Equal(walked, want) {
+			t.Fatalf("window walk differs from the flat image (%v)", err)
+		}
+		if err := send.Finish(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Striped: each stripe scatters its own range in chunks, concurrently.
+		out := src.blank()
+		recv := bindRecv(t, TypeCreateCustom(h), out, total, int64(headLen))
+		n := int64(stripes)%4 + 1
+		span := (total + n - 1) / n
+		var wg sync.WaitGroup
+		for lo := int64(0); lo < total; lo += span {
+			wg.Add(1)
+			go func(lo, hi int64) {
+				defer wg.Done()
+				for off := lo; off < hi; off += int64(chunk) {
+					end := min(off+int64(chunk), hi)
+					if _, err := recv.WriteAt(want[off:end], off); err != nil {
+						t.Errorf("striped WriteAt(%d): %v", off, err)
+					}
+				}
+			}(lo, min(lo+span, total))
+		}
+		wg.Wait()
+		if err := recv.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.image(), want) {
+			t.Fatal("striped writes did not rebuild the buffer")
+		}
+
+		// Sequential: an inorder receive, fed one byte at a time.
+		out = src.blank()
+		seq := bindRecv(t, TypeCreateCustom(h, WithInOrder()), out, total, int64(headLen))
+		for off := range want {
+			if _, err := seq.WriteAt(want[off:off+1], int64(off)); err != nil {
+				t.Fatalf("sequential WriteAt(%d): %v", off, err)
+			}
+		}
+		if err := seq.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.image(), want) {
+			t.Fatal("1-byte sequential writes did not rebuild the buffer")
+		}
+	})
+}
+
+// badCountHandler is flatHandler with one answer of the opening sequence
+// made wrong.
+type badCountHandler struct {
+	flatHandler
+	packed, nreg Count // when negative, reported instead of the truth
+}
+
+func (h badCountHandler) PackedSize(s, buf any, c Count) (Count, error) {
+	if h.packed < 0 {
+		return h.packed, nil
+	}
+	return h.flatHandler.PackedSize(s, buf, c)
+}
+
+func (h badCountHandler) RegionCount(s, buf any, c Count) (Count, error) {
+	if h.nreg < 0 {
+		return h.nreg, nil
+	}
+	return h.flatHandler.RegionCount(s, buf, c)
+}
+
+// TestCustomHandlerBadCountsAreErrors: a handler that reports a negative
+// packed size or region count, or receive regions that do not add up to
+// the message's tail, fails the operation on every entry — nothing
+// panics, on the caller or on the progress goroutine, and a rendezvous
+// sender learns that its receiver gave up.
+func TestCustomHandlerBadCountsAreErrors(t *testing.T) {
+	good := TypeCreateCustom(flatHandler{})
+	negPacked := TypeCreateCustom(badCountHandler{packed: -1})
+	negRegions := TypeCreateCustom(badCountHandler{nreg: -1})
+	small, large := flatOf(16, 100, 60), flatOf(16, 40000, 30000) // eager, rendezvous
+	shortfall := func(f *flatBuf) *flatBuf {                      // one region byte short of f
+		out := f.blank()
+		out.regions[1] = out.regions[1][1:]
+		return out
+	}
+
+	local := []struct {
+		name string
+		dt   *Datatype
+		buf  *flatBuf
+	}{
+		{"negative-packed-size", negPacked, small},
+		{"negative-region-count", negRegions, small},
+	}
+	for _, c := range local {
+		t.Run(c.name+"/PackedSize", func(t *testing.T) {
+			if _, err := PackedSize(c.buf, 1, c.dt); err == nil {
+				t.Fatal("PackedSize succeeded")
+			}
+		})
+		t.Run(c.name+"/Pack", func(t *testing.T) {
+			if _, err := Pack(c.buf, 1, c.dt, make([]byte, 1<<10)); err == nil {
+				t.Fatal("Pack succeeded")
+			}
+		})
+		t.Run(c.name+"/Unpack", func(t *testing.T) {
+			if err := Unpack(c.buf.image(), c.buf.blank(), 1, c.dt); err == nil {
+				t.Fatal("Unpack succeeded")
+			}
+		})
+		t.Run(c.name+"/Send", func(t *testing.T) {
+			run2(t, Options{},
+				func(c0 *Comm) error {
+					if err := c0.Send(c.buf, 1, c.dt, 1, 1); err == nil {
+						return errors.New("Send succeeded")
+					}
+					return nil
+				},
+				func(*Comm) error { return nil })
+		})
+	}
+	t.Run("regions-short-of-tail/Unpack", func(t *testing.T) {
+		err := Unpack(small.image(), shortfall(small), 1, good)
+		if err == nil || !strings.Contains(err.Error(), "regions total") {
+			t.Fatalf("Unpack = %v; want a region-total error", err)
+		}
+	})
+
+	// Receives: the sender is sound, the receiver's handler or buffer is not.
+	recvs := []struct {
+		name string
+		dt   *Datatype
+		into func(*flatBuf) *flatBuf
+	}{
+		{"negative-region-count", negRegions, (*flatBuf).blank},
+		{"regions-short-of-tail", good, shortfall},
+	}
+	for _, c := range recvs {
+		for _, msg := range []*flatBuf{small, large} {
+			rndv := msg == large
+			for _, entry := range []string{"Recv", "MRecv"} {
+				t.Run(fmt.Sprintf("%s/%s/rndv=%v", c.name, entry, rndv), func(t *testing.T) {
+					run2(t, Options{},
+						func(c0 *Comm) error {
+							err := c0.Send(msg, 1, good, 1, 1)
+							if rndv && err == nil {
+								return errors.New("the rendezvous sender was not told its receiver failed")
+							}
+							return nil
+						},
+						func(c1 *Comm) error {
+							var err error
+							if entry == "Recv" {
+								_, err = c1.Recv(c.into(msg), 1, c.dt, 0, 1)
+							} else {
+								var m *Message
+								if m, err = c1.Mprobe(0, 1); err == nil {
+									_, err = c1.MRecv(m, c.into(msg), 1, c.dt)
+								}
+							}
+							if err == nil {
+								return fmt.Errorf("%s succeeded", entry)
+							}
+							return nil
+						})
+				})
+			}
+		}
+	}
+}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"io"
 
 	"mpicd/internal/ddt"
 	"mpicd/internal/fabric"
@@ -58,36 +58,31 @@ type CustomHandler interface {
 	Regions(state any, buf any, count Count, regions [][]byte) error
 }
 
-type kind int
-
-const (
-	kindBytes kind = iota
-	kindDDT
-	kindCustom
-)
-
-// Datatype is an MPI-level datatype: raw bytes, a derived datatype
-// (classic typemap engine) or a custom serialization handler (the paper's
-// contribution).
+// Datatype is an MPI-level datatype: raw bytes, or a handler's — the
+// application's seven callbacks (TypeCreateCustom, the paper's
+// contribution) or, for a derived datatype, its compiled plan answering
+// the same seven (FromDDT).
 type Datatype struct {
 	name    string
-	kind    kind
-	elem    *ddt.Type
-	plan    *ddt.Plan // compiled pack program (kindDDT)
-	handler CustomHandler
+	esize   int64         // bytes per element for count accounting; 0: handler-defined
+	elem    *ddt.Type     // derived datatypes only
+	plan    *ddt.Plan     // elem's compiled pack program
+	handler CustomHandler // nil: raw bytes
 	inorder bool
 }
 
 // TypeBytes is the predefined MPI_BYTE-like datatype: buffers are []byte
 // and count is a byte count (negative count means the whole slice).
-var TypeBytes = &Datatype{name: "bytes", kind: kindBytes}
+var TypeBytes = &Datatype{name: "bytes", esize: 1}
 
 // FromDDT wraps a derived datatype built with package ddt. Buffers are
 // []byte images in the type's C layout. This is the commit point: the
 // type's plan is compiled (or fetched from the plan cache) here, so every
 // subsequent pack, unpack and region extraction runs compiled kernels.
 func FromDDT(t *ddt.Type) *Datatype {
-	return &Datatype{name: t.Name(), kind: kindDDT, elem: t, plan: t.Plan()}
+	d := &Datatype{name: t.Name(), esize: t.Size(), elem: t, plan: t.Plan()}
+	d.handler = ddtType{d}
+	return d
 }
 
 // CustomOption configures TypeCreateCustom.
@@ -109,7 +104,7 @@ func WithName(name string) CustomOption {
 // TypeCreateCustom mirrors MPI_Type_create_custom: it builds a datatype
 // from an application-provided serialization handler.
 func TypeCreateCustom(h CustomHandler, opts ...CustomOption) *Datatype {
-	d := &Datatype{name: "custom", kind: kindCustom, handler: h}
+	d := &Datatype{name: "custom", handler: h}
 	for _, o := range opts {
 		o(d)
 	}
@@ -122,80 +117,90 @@ func (d *Datatype) Name() string { return d.name }
 // DDT returns the underlying derived datatype, if any.
 func (d *Datatype) DDT() *ddt.Type { return d.elem }
 
-// transport lowers the MPI datatype to the transport datatype.
+// elemSize returns bytes-per-element for count accounting, where defined.
+func (d *Datatype) elemSize() int64 { return d.esize }
+
+// transport lowers the MPI datatype to the transport datatype. A plain
+// memory window — raw bytes, or a derived type whose layout is its packed
+// form — is the transport's own contiguous datatype; everything else is a
+// binding.
 func (d *Datatype) transport() ucp.Datatype {
-	switch d.kind {
-	case kindBytes:
+	switch {
+	case d.handler == nil:
 		return ucp.Contig{}
-	case kindDDT:
-		if d.elem.Contig() {
-			return contigDDT{d.elem}
-		}
-		return ddtType{d}
-	default:
+	case d.elem == nil:
 		return customType{d}
-	}
-}
-
-// extent returns bytes-per-element for count accounting, where defined.
-func (d *Datatype) elemSize() int64 {
-	switch d.kind {
-	case kindBytes:
-		return 1
-	case kindDDT:
-		return d.elem.Size()
+	case d.elem.Contig():
+		return contigDDT{d.elem}
 	default:
-		return 0 // element size is handler-defined
+		return ddtType{d}
 	}
 }
-
-// --- derived datatype adapters ----------------------------------------------
 
 // contigDDT maps a fully contiguous derived type straight onto its
-// memory: layout equals packed layout, so no engine involvement is needed
-// (Open MPI's contiguous fast path) and the state of either direction is
-// the buffer itself.
+// memory: layout equals packed layout, so count elements are the first
+// count*size bytes of the image and no engine is involved (Open MPI's
+// contiguous fast path).
 type contigDDT struct{ t *ddt.Type }
 
-type contigImage struct{ fabric.Bytes }
-
-func (*contigImage) Finish() error { return nil }
-
-func (c contigDDT) state(buf any, count int64) (*contigImage, error) {
-	b, ok := buf.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("core: derived datatype requires a []byte image, got %T", buf)
-	}
-	size := c.t.PackedSize(count)
-	if int64(len(b)) < size {
-		return nil, fmt.Errorf("core: buffer of %d bytes cannot hold %d x %s", len(b), count, c.t.Name())
-	}
-	return &contigImage{b[:size]}, nil
-}
-
 func (c contigDDT) SendState(buf any, count int64) (ucp.SendState, error) {
-	st, err := c.state(buf, count)
-	if err != nil {
-		return nil, err
+	if count < 0 {
+		return nil, fmt.Errorf("core: negative count %d of %s", count, c.t.Name())
 	}
-	return st, nil
+	return ucp.Contig{}.SendState(buf, c.t.PackedSize(count))
 }
 
-func (c contigDDT) RecvState(buf any, count int64, _ ucp.RecvInfo) (ucp.RecvState, error) {
-	st, err := c.state(buf, count)
-	if err != nil {
-		return nil, err
+func (c contigDDT) RecvState(buf any, count int64, info ucp.RecvInfo) (ucp.RecvState, error) {
+	if count < 0 {
+		return nil, fmt.Errorf("core: negative count %d of %s", count, c.t.Name())
 	}
-	return st, nil
+	return ucp.Contig{}.RecvState(buf, c.t.PackedSize(count), info)
 }
 
-// ddtType lowers a non-contiguous derived datatype per operation: small
-// or fragmented layouts stream through the compiled plan's pack kernels;
-// large layouts with substantial contiguous runs are exposed as a
-// memory-region list instead, so the rendezvous pull moves them zero-copy
-// like the paper's custom types. Like customType it wraps one pointer, so
-// lowering a Datatype to it allocates nothing.
+// --- datatype lowering --------------------------------------------------------
+//
+// Every datatype that is not a plain memory window has one wire image, the
+// paper's: the packed bytes its Pack callback produces (the head), then its
+// memory regions, raw (the tail). One type, binding, is that image as the
+// transport's send and receive state. What differs between datatypes is who
+// answers the seven callbacks and where a receive learns the head's length.
+
+// customType lowers an application handler. The sender advertises its head
+// length in the message header, and the receiver's regions must hold
+// exactly the rest of the message.
+type customType struct{ d *Datatype }
+
+func (c customType) SendState(buf any, count int64) (ucp.SendState, error) {
+	return c.d.bind(buf, count, -1, -1)
+}
+
+func (c customType) RecvState(buf any, count int64, info ucp.RecvInfo) (ucp.RecvState, error) {
+	if info.Aux < 0 || info.Aux > info.Total {
+		return nil, fmt.Errorf("core: invalid packed-part length %d for %d-byte message", info.Aux, info.Total)
+	}
+	return c.d.bind(buf, count, info.Total, info.Aux)
+}
+
+// ddtType makes a derived datatype a client of the custom-datatype API:
+// the compiled plan answers the seven callbacks. Per operation the layout
+// is all head or all tail: small or fragmented layouts stream through the
+// plan's pack kernels; large layouts with substantial contiguous runs are
+// exposed as memory regions instead, so the rendezvous pull moves them
+// zero-copy like a custom type's. The wire stream is the packed byte order
+// either way, so sender and receiver choose independently, and a receive
+// is sized by its own (buf, count): a shorter message is legal. (A cost
+// model that routes short runs into the head and long runs into the tail
+// of one message — ROADMAP item 2 — changes PackedSize and Regions here
+// and nothing else.)
 type ddtType struct{ d *Datatype }
+
+func (dt ddtType) SendState(buf any, count int64) (ucp.SendState, error) {
+	return dt.d.bind(buf, count, -1, -1)
+}
+
+func (dt ddtType) RecvState(buf any, count int64, _ ucp.RecvInfo) (ucp.RecvState, error) {
+	return dt.d.bind(buf, count, -1, -1)
+}
 
 // Region-path thresholds: worth bypassing the pack kernels only when the
 // message is rendezvous-sized and the average region is long enough that
@@ -215,164 +220,241 @@ func (dt ddtType) useRegions(count int64) bool {
 	return total >= ddtRegionMinTotal && total/n >= ddtRegionMinAvg
 }
 
-// state binds (buf, count): the pooled iovec view when the layout rides
-// regions (Finish returns the scratch to the pool shared with the
-// custom-datatype engine), the pack-kernel stream otherwise.
-func (dt ddtType) state(buf any, count int64) (ddtState, error) {
-	b, ok := buf.([]byte)
-	if !ok {
+func (dt ddtType) State(buf any, _ Count) (any, error) {
+	if _, ok := buf.([]byte); !ok {
 		return nil, fmt.Errorf("core: derived datatype requires a []byte image, got %T", buf)
 	}
-	plan := dt.d.plan
-	if !dt.useRegions(count) {
-		return &ddtPackState{plan: plan, buf: b, count: count}, nil
-	}
-	sp := getRegionScratch(plan.RegionCount(count))
-	regs, err := plan.AppendRegions((*sp)[:0], b, count)
-	if err != nil {
-		putRegionScratch(sp)
-		return nil, err
-	}
-	*sp = regs
-	return &ddtIovState{iov: fabric.NewIov(regs), scratch: sp}, nil
+	return nil, nil
 }
 
-// ddtState serves both directions: the wire stream is the packed byte
-// order either way, so sender and receiver choose pack vs. regions
-// independently.
-type ddtState interface {
+func (dt ddtType) FreeState(any) error { return nil }
+
+func (dt ddtType) PackedSize(_, _ any, count Count) (Count, error) {
+	if dt.useRegions(count) {
+		return 0, nil
+	}
+	return dt.d.plan.PackedSize(count), nil
+}
+
+func (dt ddtType) Pack(_, buf any, count, offset Count, dst []byte) (Count, error) {
+	n, err := dt.d.plan.PackAt(buf.([]byte), count, offset, dst)
+	if err == io.EOF {
+		err = nil // the plan marks the stream's end; the binding knows its size
+	}
+	return Count(n), err
+}
+
+func (dt ddtType) Unpack(_, buf any, count, offset Count, src []byte) error {
+	return dt.d.plan.UnpackAt(buf.([]byte), count, offset, src)
+}
+
+func (dt ddtType) RegionCount(_, _ any, count Count) (Count, error) {
+	if !dt.useRegions(count) {
+		return 0, nil
+	}
+	return dt.d.plan.RegionCount(count), nil
+}
+
+func (dt ddtType) Regions(_, buf any, count Count, regions [][]byte) error {
+	_, err := dt.d.plan.AppendRegions(regions[:0], buf.([]byte), count)
+	return err
+}
+
+// wireState is a binding as the transport sees it, in either direction.
+type wireState interface {
 	ucp.SendState
 	ucp.RecvState
 }
 
-func (dt ddtType) SendState(buf any, count int64) (ucp.SendState, error) {
-	return dt.state(buf, count)
+// binding is (buf, count) of a handler-backed datatype bound for one
+// operation: the send state, the receive state and what Pack, Unpack and
+// PackedSize run against. Virtual offsets [0, head) are the handler's
+// Pack/Unpack; [head, size) are the handler's regions, exposed as direct
+// windows so the rendezvous pull moves them without a copy.
+type binding struct {
+	d     *Datatype
+	state any // the handler's per-operation state
+	buf   any
+	count Count
+	head  int64 // packed-part length
+	size  int64 // head + tail bytes; negative until the tail has named it
+
+	// The tail is valid once resolved: at bind time, except for an inorder
+	// receive, whose regions may depend on what the head carries and are
+	// asked for on the first access past it — in-order delivery means the
+	// head was unpacked by then.
+	tail     fabric.Iov
+	scratch  *[][]byte // pooled backing of the tail's region list
+	resolved bool
+	err      error // why the tail could not be resolved
 }
 
-func (dt ddtType) RecvState(buf any, count int64, _ ucp.RecvInfo) (ucp.RecvState, error) {
-	return dt.state(buf, count)
-}
-
-// ddtIovState is the region view. Window gives the rendezvous pull direct
-// (zero-copy) access to the application buffer.
-type ddtIovState struct {
-	iov     *fabric.Iov
-	scratch *[][]byte
-}
-
-func (s *ddtIovState) Size() int64                               { return s.iov.Size() }
-func (s *ddtIovState) ReadAt(dst []byte, off int64) (int, error) { return s.iov.ReadAt(dst, off) }
-func (s *ddtIovState) WriteAt(src []byte, off int64) (int, error) {
-	return s.iov.WriteAt(src, off)
-}
-func (s *ddtIovState) Window(off, n int64) ([]byte, bool) { return s.iov.Window(off, n) }
-func (s *ddtIovState) NumRegions() int                    { return s.iov.NumRegions() }
-
-func (s *ddtIovState) Finish() error {
-	if s.scratch != nil {
-		putRegionScratch(s.scratch)
-		s.scratch = nil
-	}
-	return nil
-}
-
-// ddtPackState streams (buf, count) through the compiled plan at virtual
-// packed offsets: the descendant of the Open MPI / RSMPI derived-datatype
-// send path the paper benchmarks as "rsmpi", backed by plan kernels
-// instead of the typemap interpreter. It is the transport state itself —
-// PackAt and UnpackAt already keep to the [0, Size] window — so a
-// derived-datatype operation costs one object.
-type ddtPackState struct {
-	plan  *ddt.Plan
-	buf   []byte
-	count int64
-}
-
-func (s *ddtPackState) Size() int64 { return s.plan.PackedSize(s.count) }
-
-func (s *ddtPackState) ReadAt(dst []byte, off int64) (int, error) {
-	return s.plan.PackAt(s.buf, s.count, off, dst)
-}
-
-func (s *ddtPackState) WriteAt(src []byte, off int64) (int, error) {
-	if err := s.plan.UnpackAt(s.buf, s.count, off, src); err != nil {
-		return 0, err
-	}
-	return len(src), nil
-}
-
-func (s *ddtPackState) Finish() error { return nil }
-
-// --- custom datatype engine ---------------------------------------------------
-
-// customType adapts a custom handler to the transport. The wire image of a
-// message is the packed part followed by the raw memory regions, exactly
-// as the prototype lays out its UCP iovec (packed buffer first, then the
-// region pointers).
-type customType struct{ d *Datatype }
-
-// customSendState is the send-side binding. Its packed part streams
-// through pack, which lives inside the state: the two are one object.
-type customSendState struct {
-	pack packSrc // handler, per-operation state and packed-part length
-	src  *fabric.Concat
-	nreg int
-}
-
-func (c customType) SendState(buf any, count int64) (ucp.SendState, error) {
-	h := c.d.handler
-	state, err := h.State(buf, count)
+// bind opens the binding of (buf, count): the one place the opening
+// sequence State → PackedSize → RegionCount → Regions runs, and every
+// answer is checked. total is the byte count of the message (or packed
+// image) a receive was matched with, whose regions must then hold exactly
+// total-head bytes; negative, the binding sizes itself. head is the
+// packed-part length the sender advertised; negative, the handler is asked.
+func (d *Datatype) bind(buf any, count Count, total, head int64) (wireState, error) {
+	st, err := d.handler.State(buf, count)
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (ucp.SendState, error) {
-		h.FreeState(state)
-		return nil, err
-	}
-	packed, err := h.PackedSize(state, buf, count)
-	if err != nil {
-		return fail(err)
-	}
-	if packed < 0 {
-		return fail(fmt.Errorf("core: negative packed size %d", packed))
-	}
-	nreg, err := h.RegionCount(state, buf, count)
-	if err != nil {
-		return fail(err)
-	}
-	if nreg < 0 {
-		return fail(fmt.Errorf("core: negative region count %d", nreg))
-	}
-	regions := make([][]byte, nreg)
-	if nreg > 0 {
-		if err := h.Regions(state, buf, count, regions); err != nil {
-			return fail(err)
+	b := &binding{d: d, state: st, buf: buf, count: count, head: head, size: total}
+	if head < 0 {
+		b.head, err = d.handler.PackedSize(st, buf, count)
+		if err == nil && (b.head < 0 || total >= 0 && b.head > total) {
+			err = fmt.Errorf("core: packed size %d out of range for a %d-byte image", b.head, total)
 		}
 	}
-	s := &customSendState{
-		pack: packSrc{h: h, state: state, buf: buf, count: count, size: packed},
-		nreg: int(nreg),
+	if err == nil && !(d.inorder && total >= 0) {
+		err = b.resolve()
 	}
-	parts := make([]fabric.Source, 0, 2)
-	if packed > 0 {
-		parts = append(parts, &s.pack)
+	if err != nil {
+		b.Finish()
+		return nil, err
 	}
-	if nreg > 0 {
-		parts = append(parts, fabric.NewIov(regions))
-	}
-	s.src = fabric.NewConcatSource(parts...)
-	return s, nil
+	return b, nil
 }
 
-func (s *customSendState) Size() int64                             { return s.src.Size() }
-func (s *customSendState) ReadAt(d []byte, off int64) (int, error) { return s.src.ReadAt(d, off) }
-func (s *customSendState) Window(off, n int64) ([]byte, bool)      { return s.src.Window(off, n) }
-func (s *customSendState) NumRegions() int                         { return s.nreg + 1 }
-func (s *customSendState) Finish() error                           { return s.pack.h.FreeState(s.pack.state) }
+// resolve asks the handler for the regions, once.
+func (b *binding) resolve() error {
+	if b.resolved {
+		return b.err
+	}
+	b.resolved = true
+	h := b.d.handler
+	nreg, err := h.RegionCount(b.state, b.buf, b.count)
+	switch {
+	case err != nil:
+	case nreg < 0:
+		err = fmt.Errorf("core: negative region count %d", nreg)
+	case nreg > 0:
+		b.scratch = getRegionScratch(nreg)
+		if err = h.Regions(b.state, b.buf, b.count, *b.scratch); err == nil {
+			b.tail = *fabric.NewIov(*b.scratch)
+		}
+	}
+	switch tail := b.tail.Size(); {
+	case err != nil:
+	case b.size < 0:
+		b.size = b.head + tail
+	case b.head+tail != b.size:
+		err = fmt.Errorf("core: receive regions total %d bytes, message carries %d", tail, b.size-b.head)
+	}
+	b.err = err
+	return err
+}
 
-// Aux implements ucp.AuxProvider: the receiver learns the packed-part
-// length from the message header.
-func (s *customSendState) Aux() int64 { return s.pack.size }
+func (b *binding) Size() int64 { return b.size }
+
+// ReadAt implements fabric.Source: Pack fills the head's share of dst —
+// called again where it underfilled — and the regions the rest.
+func (b *binding) ReadAt(dst []byte, off int64) (int, error) {
+	if off < 0 || off > b.size {
+		return 0, fmt.Errorf("core: read offset %d out of range [0,%d]", off, b.size)
+	}
+	n := 0
+	for n < len(dst) && off < b.head {
+		frag := dst[n:]
+		if rem := b.head - off; int64(len(frag)) > rem {
+			frag = frag[:rem]
+		}
+		used, err := b.d.handler.Pack(b.state, b.buf, b.count, off, frag)
+		if err == nil && (used < 0 || used > int64(len(frag))) {
+			err = fmt.Errorf("core: Pack reported %d bytes for a %d-byte fragment", used, len(frag))
+		}
+		if err != nil {
+			return n, err
+		}
+		if used == 0 {
+			return n, io.EOF // nothing more to pack: the transport reports the short transfer
+		}
+		n += int(used)
+		off += used
+	}
+	if n == len(dst) {
+		return n, nil
+	}
+	if err := b.resolve(); err != nil {
+		return n, err
+	}
+	m, err := b.tail.ReadAt(dst[n:], off-b.head)
+	return n + m, err
+}
+
+// WriteAt implements fabric.Sink: Unpack consumes the head's share of src,
+// the regions the rest.
+func (b *binding) WriteAt(src []byte, off int64) (int, error) {
+	if off < 0 || off > b.size {
+		return 0, fmt.Errorf("core: write offset %d out of range [0,%d]", off, b.size)
+	}
+	n := 0
+	if off < b.head {
+		n = len(src)
+		if rem := b.head - off; int64(n) > rem {
+			n = int(rem)
+		}
+		if err := b.d.handler.Unpack(b.state, b.buf, b.count, off, src[:n]); err != nil {
+			return 0, err
+		}
+	}
+	if n == len(src) {
+		return n, nil
+	}
+	if err := b.resolve(); err != nil {
+		return n, err
+	}
+	m, err := b.tail.WriteAt(src[n:], off+int64(n)-b.head)
+	return n + m, err
+}
+
+// Window implements fabric.DirectSource and DirectSink over the tail; the
+// head exists only as callback output, so the fabric bounces that range
+// through ReadAt/WriteAt.
+func (b *binding) Window(off, n int64) ([]byte, bool) {
+	if off < b.head || off > b.size || b.resolve() != nil {
+		return nil, false
+	}
+	return b.tail.Window(off-b.head, n)
+}
+
+// Sequential implements fabric.SequentialSink: the inorder contract, and
+// what makes resolving the tail late sound.
+func (b *binding) Sequential() bool { return b.d.inorder }
+
+// Finish gives the region scratch back and frees the handler's state.
+func (b *binding) Finish() error {
+	if b.scratch != nil {
+		putRegionScratch(b.scratch)
+		b.scratch = nil
+	}
+	return b.d.handler.FreeState(b.state)
+}
+
+// The three answers below are where a derived datatype and a custom one
+// part ways on the send side; each keeps what its message header and
+// protocol were before the two shared a state.
+
+// Aux implements ucp.AuxProvider: a custom receiver learns the head's
+// length from the message header; a derived one computes its own.
+func (b *binding) Aux() int64 {
+	if b.d.elem != nil {
+		return 0
+	}
+	return b.head
+}
+
+// NumRegions implements fabric.RegionCounter. A custom type's head counts
+// as a region of its own, present or not; a derived layout is its regions,
+// or one packed stream.
+func (b *binding) NumRegions() int {
+	n := b.tail.NumRegions()
+	if b.d.elem == nil || n == 0 {
+		n++
+	}
+	return n
+}
 
 // ChooseProto implements ucp.ProtoChooser. Region-bearing custom types
 // ride the iovec (pull) path as soon as messages are non-trivial — only
@@ -380,168 +462,19 @@ func (s *customSendState) Aux() int64 { return s.pack.size }
 // paper's custom method is insensitive to the eager/rendezvous
 // switchover. Pure-pack custom types (no regions) behave like the
 // contiguous path but switch earlier, so their curve has no discontinuity
-// at the classic threshold either.
-func (s *customSendState) ChooseProto(total, rndvThresh, iovMin int64) ucp.Proto {
-	if s.nreg > 0 {
-		if total >= iovMin {
-			return ucp.ProtoRndv
-		}
-		return ucp.ProtoEager
+// at the classic threshold either. Derived types take the transport's own
+// rule: its threshold, or its region-list minimum when NumRegions is
+// several.
+func (b *binding) ChooseProto(total, rndvThresh, iovMin int64) ucp.Proto {
+	if b.d.elem != nil {
+		return ucp.ProtoAuto
 	}
-	if total >= rndvThresh/4 {
+	thresh := rndvThresh / 4
+	if b.tail.NumRegions() > 0 {
+		thresh = iovMin
+	}
+	if total >= thresh {
 		return ucp.ProtoRndv
 	}
 	return ucp.ProtoEager
 }
-
-// packSrc streams the packed part through the handler's Pack callback.
-type packSrc struct {
-	h     CustomHandler
-	state any
-	buf   any
-	count int64
-	size  int64
-}
-
-func (p *packSrc) Size() int64 { return p.size }
-
-func (p *packSrc) ReadAt(dst []byte, off int64) (int, error) {
-	if rem := p.size - off; int64(len(dst)) > rem {
-		dst = dst[:rem]
-	}
-	if len(dst) == 0 {
-		return 0, nil
-	}
-	used, err := p.h.Pack(p.state, p.buf, p.count, off, dst)
-	return int(used), err
-}
-
-// customRecvState is the receive-side binding; like the send side it
-// holds its packed-part sink inside itself.
-type customRecvState struct {
-	unpack unpackSink
-	sink   *fabric.Concat
-}
-
-// recvRegions asks the handler for the receive buffer's regions and
-// checks that they hold exactly the message's region bytes.
-func recvRegions(u *unpackSink, regionSize int64) (*fabric.Iov, error) {
-	nreg, err := u.h.RegionCount(u.state, u.buf, u.count)
-	if err != nil {
-		return nil, err
-	}
-	regions := make([][]byte, nreg)
-	if err := u.h.Regions(u.state, u.buf, u.count, regions); err != nil {
-		return nil, err
-	}
-	iov := fabric.NewIov(regions)
-	if iov.Size() != regionSize {
-		return nil, fmt.Errorf("core: receive regions total %d bytes, message carries %d", iov.Size(), regionSize)
-	}
-	return iov, nil
-}
-
-func (c customType) RecvState(buf any, count int64, info ucp.RecvInfo) (ucp.RecvState, error) {
-	h := c.d.handler
-	state, err := h.State(buf, count)
-	if err != nil {
-		return nil, err
-	}
-	packed := info.Aux
-	if packed < 0 || packed > info.Total {
-		h.FreeState(state)
-		return nil, fmt.Errorf("core: invalid packed-part length %d for %d-byte message", packed, info.Total)
-	}
-	regionSize := info.Total - packed
-	s := &customRecvState{unpack: unpackSink{h: h, state: state, buf: buf, count: count, size: packed}}
-	parts := make([]fabric.Sink, 0, 2)
-	if packed > 0 {
-		parts = append(parts, &s.unpack)
-	}
-	switch {
-	case regionSize == 0:
-	case c.d.inorder:
-		// Region layout may depend on unpacked metadata: defer
-		// resolution until the packed part has been consumed.
-		parts = append(parts, &lazyRegionSink{size: regionSize, from: &s.unpack})
-	default:
-		iov, err := recvRegions(&s.unpack, regionSize)
-		if err != nil {
-			h.FreeState(state)
-			return nil, err
-		}
-		parts = append(parts, iov)
-	}
-	s.sink = fabric.NewConcatSink(c.d.inorder, parts...)
-	return s, nil
-}
-
-func (s *customRecvState) Size() int64 { return s.sink.Size() }
-func (s *customRecvState) WriteAt(src []byte, off int64) (int, error) {
-	return s.sink.WriteAt(src, off)
-}
-func (s *customRecvState) Window(off, n int64) ([]byte, bool) { return s.sink.Window(off, n) }
-func (s *customRecvState) Sequential() bool                   { return s.sink.Sequential() }
-func (s *customRecvState) Finish() error                      { return s.unpack.h.FreeState(s.unpack.state) }
-
-// unpackSink feeds packed-part fragments to the handler's Unpack callback.
-type unpackSink struct {
-	h     CustomHandler
-	state any
-	buf   any
-	count int64
-	size  int64
-}
-
-func (u *unpackSink) Size() int64 { return u.size }
-
-func (u *unpackSink) WriteAt(src []byte, off int64) (int, error) {
-	if err := u.h.Unpack(u.state, u.buf, u.count, off, src); err != nil {
-		return 0, err
-	}
-	return len(src), nil
-}
-
-// lazyRegionSink resolves receive regions on first access, which — under
-// in-order delivery — happens only after the packed part was unpacked.
-// It reports Sequential, so the transport never stripes across it; the
-// mutex only guards the one-shot resolution against misuse.
-type lazyRegionSink struct {
-	size int64
-	from *unpackSink // the binding whose handler names the regions
-
-	mu  sync.Mutex
-	iov *fabric.Iov
-	err error
-}
-
-func (l *lazyRegionSink) materialize() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.iov == nil && l.err == nil {
-		l.iov, l.err = recvRegions(l.from, l.size)
-	}
-	return l.err
-}
-
-func (l *lazyRegionSink) Size() int64 { return l.size }
-
-func (l *lazyRegionSink) WriteAt(src []byte, off int64) (int, error) {
-	if err := l.materialize(); err != nil {
-		return 0, err
-	}
-	return l.iov.WriteAt(src, off)
-}
-
-// Window implements fabric.DirectSink so the rendezvous pull can scatter
-// straight into the application's regions.
-func (l *lazyRegionSink) Window(off, n int64) ([]byte, bool) {
-	if l.materialize() != nil {
-		return nil, false
-	}
-	return l.iov.Window(off, n)
-}
-
-// Sequential implements fabric.SequentialSink: lazy resolution is only
-// sound when the packed part is consumed first.
-func (l *lazyRegionSink) Sequential() bool { return true }

@@ -9,7 +9,7 @@ import (
 )
 
 // Plan-backed derived-datatype transport adapters: the streaming path
-// (ddtPackState over the plan kernels) must survive worst-case 1-byte fragmentation
+// (a binding whose head is the plan kernels) must survive worst-case 1-byte fragmentation
 // at every offset, and the region path must expose the same wire stream
 // zero-copy. These are the core-layer halves of the ddt plan tests: the
 // same kernels, driven through the interfaces the transport actually
@@ -106,9 +106,9 @@ func TestDDTRegionPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iov, ok := ss.(*ddtIovState)
+	iov, ok := ss.(*binding)
 	if !ok {
-		t.Fatalf("send state is %T, want *ddtIovState", ss)
+		t.Fatalf("send state is %T, want *binding", ss)
 	}
 	if iov.NumRegions() <= 1 {
 		t.Fatalf("region path exposed %d regions", iov.NumRegions())
@@ -147,8 +147,8 @@ func TestDDTRegionPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rs.(*ddtIovState); !ok {
-		t.Fatalf("recv state is %T, want *ddtIovState", rs)
+	if win, ok := rs.(*binding).Window(0, 128); !ok || &win[0] != &dst[0] {
+		t.Fatal("recv state does not expose the destination's regions")
 	}
 	if _, err := rs.WriteAt(ref, 0); err != nil {
 		t.Fatal(err)

@@ -2,14 +2,16 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sync"
+
+	"mpicd/internal/fabric"
+	"mpicd/internal/ucp"
 )
 
-// regionScratch recycles the region-slice scratch PackedSize and Unpack
-// hand to handler.Regions, keeping the custom-datatype hot path free of
-// per-call allocations. Slices are cleared before being pooled so no
-// application memory is retained.
+// regionScratch recycles the region slices bindings hand to
+// handler.Regions, keeping the datatype hot path free of a per-operation
+// slice. Slices are cleared before being pooled so no application memory
+// is retained.
 var regionScratch = sync.Pool{New: func() any { return new([][]byte) }}
 
 // getRegionScratch returns a pooled region slice of length n.
@@ -32,168 +34,67 @@ func putRegionScratch(sp *[][]byte) {
 	regionScratch.Put(sp)
 }
 
-// PackedSize returns the packed byte size of count elements of dt
-// (MPI_Pack_size). For custom datatypes it runs the handler's query
-// callback against buf.
+// PackedSize returns the packed byte size of count elements of dt at buf
+// (MPI_Pack_size): the size of the wire image a send of (buf, count, dt)
+// carries. For custom datatypes that runs the handler's query callbacks
+// against buf.
 func PackedSize(buf any, count Count, dt *Datatype) (Count, error) {
-	switch dt.kind {
-	case kindBytes:
-		if count < 0 {
-			b, ok := buf.([]byte)
-			if !ok {
-				return 0, fmt.Errorf("core: bytes datatype requires []byte, got %T", buf)
-			}
-			return int64(len(b)), nil
-		}
-		return count, nil
-	case kindDDT:
-		return dt.elem.PackedSize(count), nil
-	default:
-		h := dt.handler
-		state, err := h.State(buf, count)
-		if err != nil {
-			return 0, err
-		}
-		defer h.FreeState(state)
-		packed, err := h.PackedSize(state, buf, count)
-		if err != nil {
-			return 0, err
-		}
-		nreg, err := h.RegionCount(state, buf, count)
-		if err != nil {
-			return 0, err
-		}
-		sp := getRegionScratch(nreg)
-		defer putRegionScratch(sp)
-		regions := *sp
-		if nreg > 0 {
-			if err := h.Regions(state, buf, count, regions); err != nil {
-				return 0, err
-			}
-		}
-		for _, r := range regions {
-			packed += int64(len(r))
-		}
-		return packed, nil
+	st, err := dt.transport().SendState(buf, count)
+	if err != nil {
+		return 0, err
 	}
+	return st.Size(), st.Finish()
 }
 
 // Pack serializes count elements of dt at buf into dst (MPI_Pack) and
-// returns the number of bytes written. This is the "manual pack before a
-// byte send" baseline of the paper's evaluation when driven by a derived
-// datatype; applications usually write their own loops instead.
+// returns the number of bytes written: the message's wire image, packed
+// part then regions. This is the "manual pack before a byte send"
+// baseline of the paper's evaluation when driven by a derived datatype;
+// applications usually write their own loops instead.
 func Pack(buf any, count Count, dt *Datatype, dst []byte) (Count, error) {
-	switch dt.kind {
-	case kindBytes:
-		b, ok := buf.([]byte)
-		if !ok {
-			return 0, fmt.Errorf("core: bytes datatype requires []byte, got %T", buf)
-		}
-		if count < 0 {
-			count = int64(len(b))
-		}
-		if int64(len(dst)) < count {
-			return 0, fmt.Errorf("core: pack destination too small (%d < %d)", len(dst), count)
-		}
-		return int64(copy(dst[:count], b)), nil
-	case kindDDT:
-		b, ok := buf.([]byte)
-		if !ok {
-			return 0, fmt.Errorf("core: derived datatype requires a []byte image, got %T", buf)
-		}
-		return dt.elem.Pack(b, count, dst)
-	default:
-		// Full serialization through the custom handler: packed part then
-		// regions, matching the wire image.
-		st, err := customType{dt}.SendState(buf, count)
-		if err != nil {
-			return 0, err
-		}
-		total := st.Size()
-		if int64(len(dst)) < total {
-			st.Finish()
-			return 0, fmt.Errorf("core: pack destination too small (%d < %d)", len(dst), total)
-		}
-		var off int64
-		for off < total {
-			n, rerr := st.ReadAt(dst[off:total], off)
-			off += int64(n)
-			if rerr != nil && rerr != io.EOF {
-				st.Finish()
-				return off, rerr
-			}
-			if n == 0 {
-				break
-			}
-		}
-		if err := st.Finish(); err != nil {
-			return off, err
-		}
-		if off != total {
-			return off, fmt.Errorf("core: short pack (%d of %d bytes)", off, total)
-		}
-		return off, nil
+	st, err := dt.transport().SendState(buf, count)
+	if err != nil {
+		return 0, err
 	}
+	total := st.Size()
+	if int64(len(dst)) < total {
+		err = fmt.Errorf("core: pack destination too small (%d < %d)", len(dst), total)
+	} else {
+		err = fabric.Transfer(st, 0, fabric.Bytes(dst), 0, total, nil)
+	}
+	if ferr := st.Finish(); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		return 0, err
+	}
+	return total, nil
 }
 
-// Unpack deserializes src into count elements of dt at buf (MPI_Unpack).
+// Unpack deserializes src, a wire image Pack produced, into count elements
+// of dt at buf (MPI_Unpack). No message header came with it: a handler is
+// asked for its packed-part length against buf, and src must be exactly
+// that plus buf's regions. Raw bytes may underfill buf.
 func Unpack(src []byte, buf any, count Count, dt *Datatype) error {
-	switch dt.kind {
-	case kindBytes:
-		b, ok := buf.([]byte)
-		if !ok {
-			return fmt.Errorf("core: bytes datatype requires []byte, got %T", buf)
-		}
-		if len(src) > len(b) {
-			return fmt.Errorf("core: unpack destination too small (%d < %d)", len(b), len(src))
-		}
-		copy(b, src)
-		return nil
-	case kindDDT:
-		b, ok := buf.([]byte)
-		if !ok {
-			return fmt.Errorf("core: derived datatype requires a []byte image, got %T", buf)
-		}
-		return dt.elem.Unpack(b, count, src)
-	default:
-		h := dt.handler
-		state, err := h.State(buf, count)
-		if err != nil {
-			return err
-		}
-		defer h.FreeState(state)
-		packed, err := h.PackedSize(state, buf, count)
-		if err != nil {
-			return err
-		}
-		if packed > int64(len(src)) {
-			return fmt.Errorf("core: packed part (%d bytes) exceeds source (%d)", packed, len(src))
-		}
-		if packed > 0 {
-			if err := h.Unpack(state, buf, count, 0, src[:packed]); err != nil {
-				return err
-			}
-		}
-		rest := src[packed:]
-		nreg, err := h.RegionCount(state, buf, count)
-		if err != nil {
-			return err
-		}
-		sp := getRegionScratch(nreg)
-		defer putRegionScratch(sp)
-		regions := *sp
-		if nreg > 0 {
-			if err := h.Regions(state, buf, count, regions); err != nil {
-				return err
-			}
-		}
-		for _, r := range regions {
-			if int64(len(rest)) < int64(len(r)) {
-				return fmt.Errorf("core: unpack source exhausted before regions were filled")
-			}
-			copy(r, rest[:len(r)])
-			rest = rest[len(r):]
-		}
-		return nil
+	var (
+		sink ucp.RecvState
+		err  error
+	)
+	if dt.handler == nil {
+		sink, err = ucp.Contig{}.RecvState(buf, -1, ucp.RecvInfo{})
+	} else {
+		sink, err = dt.bind(buf, count, int64(len(src)), -1)
 	}
+	if err != nil {
+		return err
+	}
+	if int64(len(src)) > sink.Size() {
+		err = fmt.Errorf("core: unpack destination too small (%d < %d)", sink.Size(), len(src))
+	} else {
+		err = fabric.Transfer(fabric.Bytes(src), 0, sink, 0, int64(len(src)), nil)
+	}
+	if ferr := sink.Finish(); err == nil {
+		err = ferr
+	}
+	return err
 }

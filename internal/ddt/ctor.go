@@ -190,7 +190,6 @@ func Resized(base *Type, extent int64) (*Type, error) {
 		extent: extent,
 		ub:     base.ub,
 		runs:   base.runs,
-		pre:    base.pre,
 	}
 	t.contig = len(t.runs) == 1 && t.runs[0].Off == 0 && t.size == t.extent
 	return t, nil

@@ -38,7 +38,6 @@ type Type struct {
 	ub     int64 // upper bound: max(run.Off+run.Len), or explicit via Resized
 	runs   []Run // in typemap order (pack order), adjacency-coalesced
 	contig bool  // single run at offset 0 with size == extent
-	pre    []int64
 
 	// plan memoizes the compiled pack/unpack program (see plan.go): one
 	// atomic load on the hot path, filled lazily on first use.
@@ -66,7 +65,6 @@ func predefined(name string, size int64) *Type {
 		ub:     size,
 		runs:   []Run{{0, size}},
 		contig: true,
-		pre:    []int64{0, size},
 	}
 }
 
@@ -114,7 +112,6 @@ func (t *Type) Dup() *Type {
 		ub:     t.ub,
 		runs:   t.runs,
 		contig: t.contig,
-		pre:    t.pre,
 	}
 }
 
@@ -163,6 +160,5 @@ func finalize(name string, extent int64, runs []Run) (*Type, error) {
 		// Zero-size types are legal (e.g. empty struct); treat as contig.
 		t.contig = true
 	}
-	t.pre = computePrefix(t.runs)
 	return t, nil
 }

@@ -158,7 +158,6 @@ func Unmarshal(data []byte) (*Type, error) {
 		extent: extent,
 		ub:     ub,
 		runs:   runs,
-		pre:    computePrefix(runs),
 	}
 	t.contig = len(runs) == 1 && runs[0].Off == 0 && t.size == t.extent
 	if len(runs) == 0 {

@@ -1,9 +1,9 @@
 package ddt
 
-// This file is the datatype plan compiler: the TEMPI-style answer to the
-// typemap interpreter in engine.go. At commit time a type's flattened run
-// list is canonicalized into a small family of strided-block descriptors
-// and a specialized kernel is selected once per type:
+// This file is the datatype plan compiler: the TEMPI-style answer to
+// interpreting the typemap on every pack. At commit time a type's
+// flattened run list is canonicalized into a small family of strided-block
+// descriptors and a specialized kernel is selected once per type:
 //
 //	PlanContig  — layout equals packed form: one straight copy.
 //	PlanBlock   — one fixed-length block per element at stride extent
@@ -11,11 +11,11 @@ package ddt
 //	PlanStrided — n equal blocks per element at a fixed inner stride
 //	              (vectors, subarray rows): vectorizable inner loops with
 //	              4/8/16-byte word moves for small blocks.
-//	PlanRunList — irregular typemaps: the interpreter walk, kept as the
-//	              fallback (and as the differential-testing oracle).
+//	PlanRunList — irregular typemaps: a walk over the run list with a
+//	              move class chosen per run.
 //
 // Uniform plans locate any packed offset in O(1) with div/mod instead of
-// the interpreter's binary search, so striped rendezvous fragments pay no
+// a binary search over the runs, so striped rendezvous fragments pay no
 // per-fragment setup. Compiled plans are interned in a concurrent cache
 // keyed by a canonical layout hash: structurally identical types (Dup,
 // Unmarshal reconstruction, independently built equivalents) share one
@@ -253,6 +253,16 @@ func canonicalRuns(runs []Run) []Run {
 		co = append(co, r)
 	}
 	return co
+}
+
+// computePrefix returns cumulative packed sizes of the runs: element i is
+// the packed offset of run i within one element.
+func computePrefix(runs []Run) []int64 {
+	p := make([]int64, len(runs)+1)
+	for i, r := range runs {
+		p[i+1] = p[i] + r.Len
+	}
+	return p
 }
 
 // buildPlan selects the canonical form for (extent, ub, canonical runs).
@@ -502,8 +512,8 @@ func RegisterObs(r *obs.Registry) {
 
 // PackAt packs up to len(dst) bytes of the packed form of (src, count)
 // starting at virtual packed offset off, returning the bytes produced and
-// io.EOF exactly when the stream end was reached. Semantics match the
-// interpreter entry in engine.go; only the kernel differs.
+// io.EOF exactly when the stream end was reached. The typemap interpreter
+// in interp_test.go is the oracle for these semantics.
 func (p *Plan) PackAt(src []byte, count int64, off int64, dst []byte) (int, error) {
 	total := p.PackedSize(count)
 	if off < 0 || off > total {

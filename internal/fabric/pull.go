@@ -4,11 +4,12 @@ import "io"
 
 // Transfer moves n bytes from src[off:] into sink[sinkOff:] without
 // touching the wire, using direct windows when both ends allow it. It is
-// the self-send path: the loopback analogue of a Get.
+// the self-send path, the loopback analogue of a Get, and how a datatype
+// is packed into or unpacked from a plain buffer. Without a bounce buffer
+// a window is as long as the two ends allow — packing into a plain buffer
+// is one callback — and one is made only if a range turns out to be
+// callback-driven on both ends.
 func Transfer(src Source, off int64, sink Sink, sinkOff, n int64, bounce []byte) error {
-	if len(bounce) == 0 {
-		bounce = make([]byte, DefaultFragSize)
-	}
 	return pull(src, off, sink, sinkOff, n, bounce)
 }
 
@@ -16,7 +17,7 @@ func Transfer(src Source, off int64, sink Sink, sinkOff, n int64, bounce []byte)
 // memory windows on both ends when available. This is the core of the
 // rendezvous (RDMA-read analogue) path and is shared by providers.
 //
-// Direct access is re-evaluated per window because composite streams mix
+// Direct access is re-evaluated per window because one stream can mix
 // direct and callback-backed ranges (a custom datatype's wire image is a
 // packed part followed by raw regions).
 //
@@ -26,14 +27,15 @@ func Transfer(src Source, off int64, sink Sink, sinkOff, n int64, bounce []byte)
 //     other end's window directly, still one pass over the bytes;
 //   - both generic: bounce through a staging buffer, two passes.
 //
-// bounce must be non-empty; it bounds the window size per iteration.
+// bounce bounds the window size per iteration; providers pass a pooled
+// wire buffer, Transfer may pass none.
 func pull(src Source, off int64, sink Sink, sinkOff, n int64, bounce []byte) error {
 	ds, _ := src.(DirectSource)
 	dk, _ := sink.(DirectSink)
 	for n > 0 {
-		step := int64(len(bounce))
-		if step > n {
-			step = n
+		step := n
+		if len(bounce) > 0 && step > int64(len(bounce)) {
+			step = int64(len(bounce))
 		}
 		var (
 			sv     []byte
@@ -95,6 +97,10 @@ func pull(src Source, off int64, sink Sink, sinkOff, n int64, bounce []byte) err
 			}
 			// Both ends are callback-driven: stage through the bounce
 			// buffer (pack copy + unpack copy).
+			if len(bounce) == 0 {
+				bounce = make([]byte, DefaultFragSize)
+				step = min(step, DefaultFragSize)
+			}
 			m, err := src.ReadAt(bounce[:step], off)
 			if err != nil && err != io.EOF {
 				return err

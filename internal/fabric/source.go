@@ -7,8 +7,11 @@ import (
 )
 
 // Source supplies message bytes by virtual offset. It is the send-side
-// abstraction every datatype lowers to: contiguous buffers, iovec region
-// lists and callback-packed (generic) types all implement it.
+// abstraction every datatype lowers to. This package ships the two that
+// are plain memory — Bytes, one window, and Iov, a list of them; a stream
+// with callback-produced ranges (a custom datatype's packed head before
+// its regions) is one type in the layer that owns the callbacks, not a
+// composite built here.
 //
 // ReadAt follows io.ReaderAt semantics restricted to the [0, Size) window:
 // it fills dst with bytes starting at off and returns how many were
@@ -28,7 +31,9 @@ type DirectSource interface {
 	// Window returns a view of the underlying memory starting at off,
 	// capped at n bytes. The view may be shorter than n when off is near a
 	// region boundary; callers iterate. ok is false if the offset cannot
-	// be exposed directly (then the fabric falls back to ReadAt).
+	// be exposed directly (then the fabric falls back to ReadAt): a source
+	// may be direct over part of its range only, so callers ask per
+	// window.
 	Window(off, n int64) (view []byte, ok bool)
 }
 
@@ -104,7 +109,8 @@ func (b Bytes) Window(off, n int64) ([]byte, bool) {
 // Iov is a scatter/gather list of memory regions presented as one virtual
 // byte stream: region 0's bytes first, then region 1's, and so on. It is
 // both a Source and a Sink; the direction is decided by use. Iov is how
-// custom-datatype memory regions reach the wire without packing.
+// memory regions — a custom datatype's, or a derived datatype's long runs
+// — reach the wire without packing.
 //
 // The region table and cumulative-offset index are immutable after
 // construction, so ReadAt/WriteAt/Window are safe to call concurrently
@@ -132,8 +138,13 @@ func (v *Iov) Regions() [][]byte { return v.regions }
 // NumRegions reports how many distinct memory regions back the stream.
 func (v *Iov) NumRegions() int { return len(v.regions) }
 
-// Size implements Source and Sink.
-func (v *Iov) Size() int64 { return v.cum[len(v.regions)] }
+// Size implements Source and Sink. The zero Iov is an empty stream.
+func (v *Iov) Size() int64 {
+	if len(v.cum) == 0 {
+		return 0
+	}
+	return v.cum[len(v.regions)]
+}
 
 // locate returns the region index containing virtual offset off.
 func (v *Iov) locate(off int64) int {
@@ -198,203 +209,8 @@ func (v *Iov) Window(off, n int64) ([]byte, bool) {
 	return r, true
 }
 
-// concatPart is one segment of a Concat stream.
-type concatPart struct {
-	start int64
-	src   Source
-	sink  Sink
-}
-
-// Concat composes several Sources (or Sinks) into one virtual byte stream.
-// The point-to-point engine uses it to lay out a custom-datatype message as
-// the packed part followed by the raw memory regions.
-//
-// Like Iov, the part table is immutable after construction and the
-// offset→part lookup is a binary search over it, so concurrent access at
-// disjoint offsets is lock-free as long as the parts themselves allow it
-// (sequential composites are exempt: the transport never stripes them).
-type Concat struct {
-	parts      []concatPart
-	total      int64
-	sequential bool
-	two        [2]concatPart // backs parts for the usual packed-part-plus-regions pair
-}
-
-// NewConcatSource composes sources end to end.
-func NewConcatSource(srcs ...Source) *Concat {
-	c := &Concat{}
-	c.parts = c.two[:0]
-	for _, s := range srcs {
-		c.parts = append(c.parts, concatPart{start: c.total, src: s})
-		c.total += s.Size()
-	}
-	return c
-}
-
-// NewConcatSink composes sinks end to end. If sequential is true the
-// composite requires in-order delivery (needed when a later part's layout
-// is only known after an earlier part was consumed).
-func NewConcatSink(sequential bool, sinks ...Sink) *Concat {
-	c := &Concat{sequential: sequential}
-	c.parts = c.two[:0]
-	for _, s := range sinks {
-		c.parts = append(c.parts, concatPart{start: c.total, sink: s})
-		c.total += s.Size()
-	}
-	return c
-}
-
-// Size implements Source and Sink.
-func (c *Concat) Size() int64 { return c.total }
-
 // RegionCounter is implemented by sources/sinks made of distinct memory
 // regions; transports use it to pick region-aware protocols.
 type RegionCounter interface {
 	NumRegions() int
-}
-
-// NumRegions sums the region counts of the parts (1 for parts that do not
-// report a count).
-func (c *Concat) NumRegions() int {
-	n := 0
-	for _, p := range c.parts {
-		var v any = p.src
-		if v == nil {
-			v = p.sink
-		}
-		if rc, ok := v.(RegionCounter); ok {
-			n += rc.NumRegions()
-		} else {
-			n++
-		}
-	}
-	return n
-}
-
-// Sequential implements SequentialSink.
-func (c *Concat) Sequential() bool {
-	if c.sequential {
-		return true
-	}
-	for _, p := range c.parts {
-		if ss, ok := p.sink.(SequentialSink); ok && ss.Sequential() {
-			return true
-		}
-	}
-	return false
-}
-
-// find returns the part containing virtual offset off.
-func (c *Concat) find(off int64) int {
-	return sort.Search(len(c.parts), func(i int) bool {
-		end := c.total
-		if i+1 < len(c.parts) {
-			end = c.parts[i+1].start
-		}
-		return end > off
-	})
-}
-
-// ReadAt implements Source across part boundaries.
-func (c *Concat) ReadAt(dst []byte, off int64) (int, error) {
-	if off < 0 || off > c.total {
-		return 0, fmt.Errorf("fabric: Concat.ReadAt offset %d out of range [0,%d]", off, c.total)
-	}
-	total := 0
-	for len(dst) > 0 && off < c.total {
-		i := c.find(off)
-		p := c.parts[i]
-		rel := off - p.start
-		want := int64(len(dst))
-		if rem := p.src.Size() - rel; rem < want {
-			want = rem
-		}
-		n, err := p.src.ReadAt(dst[:want], rel)
-		total += n
-		dst = dst[n:]
-		off += int64(n)
-		if err != nil && err != io.EOF {
-			return total, err
-		}
-		if n == 0 {
-			break
-		}
-	}
-	if len(dst) > 0 {
-		return total, io.EOF
-	}
-	return total, nil
-}
-
-// WriteAt implements Sink across part boundaries.
-func (c *Concat) WriteAt(src []byte, off int64) (int, error) {
-	if off < 0 || off > c.total {
-		return 0, fmt.Errorf("fabric: Concat.WriteAt offset %d out of range [0,%d]", off, c.total)
-	}
-	total := 0
-	for len(src) > 0 && off < c.total {
-		i := c.find(off)
-		p := c.parts[i]
-		rel := off - p.start
-		want := int64(len(src))
-		if rem := p.sink.Size() - rel; rem < want {
-			want = rem
-		}
-		n, err := p.sink.WriteAt(src[:want], rel)
-		total += n
-		src = src[n:]
-		off += int64(n)
-		if err != nil {
-			return total, err
-		}
-		if n == 0 {
-			break
-		}
-	}
-	if len(src) > 0 {
-		return total, io.ErrShortWrite
-	}
-	return total, nil
-}
-
-// Window implements DirectSource/DirectSink where the covering part is
-// itself direct; otherwise it reports ok=false so the fabric bounces that
-// range through ReadAt/WriteAt.
-func (c *Concat) Window(off, n int64) ([]byte, bool) {
-	if off < 0 || off > c.total {
-		return nil, false
-	}
-	if off == c.total {
-		return nil, true
-	}
-	i := c.find(off)
-	p := c.parts[i]
-	rel := off - p.start
-	var (
-		size int64
-		win  []byte
-		ok   bool
-	)
-	if p.src != nil {
-		size = p.src.Size()
-		ds, isDirect := p.src.(DirectSource)
-		if !isDirect {
-			return nil, false
-		}
-		if n > size-rel {
-			n = size - rel
-		}
-		win, ok = ds.Window(rel, n)
-	} else {
-		size = p.sink.Size()
-		ds, isDirect := p.sink.(DirectSink)
-		if !isDirect {
-			return nil, false
-		}
-		if n > size-rel {
-			n = size - rel
-		}
-		win, ok = ds.Window(rel, n)
-	}
-	return win, ok
 }

@@ -161,81 +161,6 @@ type nonDirectSink struct{ b Bytes }
 func (s nonDirectSink) Size() int64                              { return s.b.Size() }
 func (s nonDirectSink) WriteAt(d []byte, off int64) (int, error) { return s.b.WriteAt(d, off) }
 
-func TestConcatSourceMixedParts(t *testing.T) {
-	a := make(Bytes, 13)
-	fillPattern(a, 1)
-	b := make(Bytes, 29)
-	fillPattern(b, 2)
-	c := make(Bytes, 7)
-	fillPattern(c, 3)
-	want := append(append(append([]byte{}, a...), b...), c...)
-
-	src := NewConcatSource(a, nonDirectSource{b}, c)
-	if src.Size() != int64(len(want)) {
-		t.Fatalf("Size = %d; want %d", src.Size(), len(want))
-	}
-	got := make([]byte, len(want))
-	for off := 0; off < len(want); off += 5 {
-		end := off + 5
-		if end > len(want) {
-			end = len(want)
-		}
-		n, err := src.ReadAt(got[off:end], int64(off))
-		if err != nil || n != end-off {
-			t.Fatalf("ReadAt(%d) = %d, %v", off, n, err)
-		}
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("concat read mismatch")
-	}
-	// Direct part windows work; the non-direct middle part reports !ok.
-	if _, ok := src.Window(0, 5); !ok {
-		t.Fatal("window over direct head should succeed")
-	}
-	if _, ok := src.Window(14, 5); ok {
-		t.Fatal("window over generic middle should fail")
-	}
-	if w, ok := src.Window(int64(len(a)+len(b)), 100); !ok || len(w) != len(c) {
-		t.Fatalf("tail window = len %d, %v", len(w), ok)
-	}
-}
-
-func TestConcatSinkSequentialFlag(t *testing.T) {
-	a := make(Bytes, 4)
-	b := make(Bytes, 4)
-	if NewConcatSink(false, a, b).Sequential() {
-		t.Fatal("plain concat should not be sequential")
-	}
-	if !NewConcatSink(true, a, b).Sequential() {
-		t.Fatal("sequential concat must report Sequential")
-	}
-	inner := NewConcatSink(true, a)
-	outer := NewConcatSink(false, inner, b)
-	if !outer.Sequential() {
-		t.Fatal("sequential requirement must propagate through nesting")
-	}
-}
-
-func TestConcatSinkWrite(t *testing.T) {
-	a := make(Bytes, 10)
-	b := make(Bytes, 20)
-	sink := NewConcatSink(false, a, nonDirectSink{b})
-	src := make([]byte, 30)
-	fillPattern(src, 9)
-	for off := 0; off < 30; off += 4 {
-		end := off + 4
-		if end > 30 {
-			end = 30
-		}
-		if _, err := sink.WriteAt(src[off:end], int64(off)); err != nil {
-			t.Fatalf("WriteAt(%d): %v", off, err)
-		}
-	}
-	if !bytes.Equal(a, src[:10]) || !bytes.Equal([]byte(b), src[10:]) {
-		t.Fatal("concat sink scatter mismatch")
-	}
-}
-
 // Property: for any region shape and chunk walk, Iov gathers the exact
 // concatenation of its regions.
 func TestIovGatherProperty(t *testing.T) {

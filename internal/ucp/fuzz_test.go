@@ -72,7 +72,8 @@ func FuzzWorkerInbound(f *testing.F) {
 		r := uint8(cfg&1) * rel
 		f.Add(fuzzSeq(cfg, fuzzRec(0, r, 1, 2, 0, 60, 0, 0, 0, p[:30]), fuzzRec(0, r, 1, 2, 30, 60, 0, 0, 0, p[:30]), fuzzRec(0, r, 1, 3, 0, 20, 0, 0, 0, p[:20])))
 		f.Add(fuzzSeq(cfg, fuzzRec(0, r, 1, 2, 30, 60, 0, 0, 0, p[:30]), fuzzRec(0, r, 1, 2, 30, 60, 0, 0, 0, p[:30]), fuzzRec(3, 0, 1, 2, 0, 60, 0, 0, 0, []byte("late"))))
-		f.Add(fuzzSeq(cfg, fuzzRec(1, 0, 1, 2, 0, 32, 0, 9, 0, nil), fuzzRec(1, 0, 1, 2, 0, 32, 0, 9, 0, nil))) // the claim is a rendezvous message, its RTS repeated
+		f.Add(fuzzSeq(cfg, fuzzRec(1, 0, 1, 2, 0, 32, 0, 9, 0, nil), fuzzRec(1, 0, 1, 2, 0, 32, 0, 9, 0, nil)))   // the claim is a rendezvous message, its RTS repeated
+		f.Add(fuzzSeq(cfg, fuzzRec(1, 0, 1, 2, 0, 32, 0, 9, 0, nil), fuzzRec(0, r, 0, 2, 8, 32, 0, 0, 0, p[:8]))) // ... then an eager fragment under its id
 	}
 	// The message claimed up front (tag 3, id 7, 10 of 100 bytes in hand)
 	// mid-buffer: completed, overlapped, corrupted and aborted, then MRecv'd.

@@ -1,8 +1,14 @@
 // Package ucp implements a UCP-like transport layer: workers, endpoints,
-// 64-bit tag matching with masks, and the three datatype classes the
-// paper's prototype used from UCX — contiguous buffers
-// (UCP_DATATYPE_CONTIG), scatter/gather region lists (UCP_DATATYPE_IOV)
-// and callback-driven generic types (UCP_DATATYPE_GENERIC).
+// 64-bit tag matching with masks, and a datatype interface (Datatype →
+// SendState/RecvState, a fabric Source or Sink with a Finish). It ships
+// one datatype, contiguous buffers (UCP_DATATYPE_CONTIG). What the paper's
+// prototype took from UCX as two more classes — region lists
+// (UCP_DATATYPE_IOV) and callback-driven generic types
+// (UCP_DATATYPE_GENERIC) — are properties a state may have instead: direct
+// windows over some or all of its range, several regions, a sequential
+// sink. The layer above has one state type with all of them (core's
+// binding); this package's tests keep test-local Iov and Generic datatypes
+// to drive each property through the worker on its own.
 //
 // Two protocols move bytes, chosen per message:
 //

@@ -743,9 +743,9 @@ func (w *Worker) runPull(op *Request, key uint64) {
 //
 // The stripe fan-out relies on both endpoints being safe for concurrent
 // access at disjoint offsets: sources/sinks built from memory windows
-// (Bytes, Iov, Concat over them) index immutable layout tables, and
-// non-inorder pack/unpack callbacks accept arbitrary-offset fragments by
-// contract, so disjoint stripes never share mutable state.
+// (Bytes, Iov, the region tail of a core binding) index immutable layout
+// tables, and non-inorder pack/unpack callbacks accept arbitrary-offset
+// fragments by contract, so disjoint stripes never share mutable state.
 func (w *Worker) pullBody(op *Request, key uint64, n int64) error {
 	stripes := int64(w.cfg.PullStripes)
 	if op.sequential || stripes <= 1 || n < w.cfg.PullStripeThresh {
@@ -1046,6 +1046,15 @@ func (w *Worker) handleEager(pkt *fabric.Packet) {
 	// A later fragment, or — under Reliable — a retransmitted first one
 	// that raced ahead, of a message already buffered: hold it there.
 	if m := w.table.findUnexpected(key); m != nil && (!first || w.cfg.Reliable || m.claimed) {
+		if m.rndv {
+			// The id names a message announced by RTS: it has no
+			// fragments, and the receive that pulls it would never
+			// release one held here.
+			w.mu.Unlock()
+			w.stats.CorruptDrops.Add(1)
+			pkt.Release()
+			return
+		}
 		w.bufferLocked(m, pkt) // releases w.mu
 		return
 	}
