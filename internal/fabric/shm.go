@@ -58,12 +58,12 @@ const defaultWinThresh = 64 << 10
 // SHM is a fabric provider for ranks that are separate processes on one
 // node. Eager traffic crosses mmap'd single-producer/single-consumer
 // rings (one per pair and direction, created on first use), which the
-// goroutine in Recv drains itself and sleeps on by doorbell; large
-// rendezvous pulls cross a shared double-buffered window, one copy per
-// side. A unix-domain socket mesh — the lazily-dialed stream core the TCP
-// provider uses — carries bootstrap, control, doorbells, rendezvous
-// requests and spill traffic (fragmented messages, and everything sent
-// before a pair's ring is up).
+// goroutine in Recv drains itself and sleeps on by doorbell; a rendezvous
+// pull reads the sender's memory in place where the source and the host
+// allow, else it crosses a shared double-buffered window. A unix-domain
+// socket mesh — the lazily-dialed stream core the TCP provider uses —
+// carries bootstrap, control, doorbells, rendezvous requests and spill
+// traffic (fragmented messages, and all sent before a pair's ring is up).
 //
 // Channel ordering: within the eager class a pair's traffic moves over
 // exactly one channel at a time — the socket until the ring handshake
@@ -92,9 +92,12 @@ type SHM struct {
 	// non-blocking sends, so any number of bells wake one sleeper once.
 	wake chan struct{}
 
-	winMu   sync.Mutex
+	winMu   sync.Mutex      // guards the four below
 	winOuts map[int]*shmWin // per-requester serve windows (exporter side)
 	winIns  map[int]*shmWin // per-exporter pull windows (requester side)
+	regTab  []byte          // this rank's registration table (cma_linux.go)
+	regIns  map[int][]byte  // the peers', mapped on first use
+	cmaOff  atomic.Bool     // sticky: process_vm_readv is refused on this host
 
 	// segMu guards segs, every segment this endpoint mapped, and files,
 	// the ones it created. Retiring a ring or window only drops the
@@ -118,6 +121,7 @@ type SHM struct {
 	ringSends     atomic.Int64 // eager frames that crossed a ring
 	ringSpills    atomic.Int64 // ring-eligible frames that used the socket
 	winPulls      atomic.Int64 // Gets served through the shared window
+	cmaPulls      atomic.Int64 // Gets that read the exporter's memory in place
 	bellsSent     atomic.Int64 // kindRingBell frames written
 	bellsRecv     atomic.Int64 // kindRingBell frames read
 	recvSleeps    atomic.Int64 // times Recv armed the doorbells and blocked
@@ -199,10 +203,13 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 		wake:      make(chan struct{}, 1),
 		winOuts:   make(map[int]*shmWin),
 		winIns:    make(map[int]*shmWin),
+		regIns:    make(map[int][]byte),
 		downFlags: make([]atomic.Bool, size),
 	}
-	// Generations stay ordered across this rank's incarnations too.
+	// Generations stay ordered across this rank's incarnations too, and a
+	// memory key never matches a registration of another incarnation.
 	s.ringGen.Store(int64(cfg.Epoch) << 32)
+	st.nextKey.Store(uint64(cfg.Epoch) << 32)
 	if s.ringBytes <= 0 {
 		s.ringBytes = DefaultRingBytes
 	}
@@ -223,11 +230,13 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 		st.Close()
 		return nil, err
 	}
+	s.cmaInit()
 	if reg := cfg.Obs; reg != nil {
 		p := func(name string) string { return fmt.Sprintf("fabric.r%d.%s", rank, name) }
 		reg.GaugeFunc(p("shm_ring_sends"), s.ringSends.Load)
 		reg.GaugeFunc(p("shm_ring_spills"), s.ringSpills.Load)
 		reg.GaugeFunc(p("shm_win_pulls"), s.winPulls.Load)
+		reg.GaugeFunc(p("shm_cma_pulls"), s.cmaPulls.Load)
 		reg.GaugeFunc(p("shm_bells_sent"), s.bellsSent.Load)
 		reg.GaugeFunc(p("shm_bells_recv"), s.bellsRecv.Load)
 		reg.GaugeFunc(p("shm_recv_sleeps"), s.recvSleeps.Load)
@@ -242,6 +251,15 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 func (s *SHM) stallPeer(peer int) {
 	if peer >= 0 && peer < len(s.downFlags) {
 		s.downFlags[peer].Store(true)
+		s.winMu.Lock()
+		w := s.winOuts[peer]
+		s.winMu.Unlock()
+		if w != nil {
+			select {
+			case w.ack <- winAckWake: // a serve waiting on this peer looks at the flag
+			default: // it has acks to read, and looks after each
+			}
+		}
 	}
 }
 
@@ -304,29 +322,28 @@ func (s *SHM) connDropped(peer int) {
 	s.winMu.Lock()
 	delete(s.winIns, peer)
 	delete(s.winOuts, peer)
+	delete(s.regIns, peer)
 	s.winMu.Unlock()
 }
 
 // mapSeg maps a shared segment and records it for Close. The creating
 // side first unlinks any file a previous incarnation of this rank left
 // under the name: survivors may still hold it mapped, and reusing its
-// pages would splice the new segment into their stale mappings.
+// pages would splice the new segment into their stale mappings. The file
+// is made under segMu: once Close has swept, nothing appears in the
+// session directory, not even for the moment it takes to notice.
 func (s *SHM) mapSeg(path string, size int, create bool) ([]byte, error) {
+	s.segMu.Lock()
+	defer s.segMu.Unlock()
+	if s.closed() {
+		return nil, ErrClosed
+	}
 	if create {
 		_ = os.Remove(path)
 	}
 	mem, err := mapFile(path, size, create)
 	if err != nil {
 		return nil, err
-	}
-	s.segMu.Lock()
-	defer s.segMu.Unlock()
-	if s.closed() { // Close already swept segs and files
-		_ = unmapFile(mem)
-		if create {
-			_ = os.Remove(path)
-		}
-		return nil, ErrClosed
 	}
 	s.segs = append(s.segs, mem)
 	if create {
@@ -522,10 +539,14 @@ func (s *SHM) reserveBlocking(o *shmOut, to, n int) ([]byte, error) {
 	}
 }
 
-// Get pulls large transfers through the shared window (exporter packs
-// into one half while the requester drains the other) and small ones
-// through socket response frames.
+// Get reads a source the exporter published in its registration table out
+// of the exporter's memory (cma_linux.go). Any other crosses the shared
+// window when large (exporter packs into one half while the requester
+// drains the other) and socket response frames when small.
 func (s *SHM) Get(from int, key uint64, off int64, sink Sink, sinkOff, size int64) error {
+	if done, err := s.cmaGet(from, key, off, sink, sinkOff, size); done {
+		return err
+	}
 	if from != s.rank && size >= defaultWinThresh {
 		if win := s.window(s.winIns, from, shmWinPath(s.dir, from, s.rank), s.winBytes, true); win != nil {
 			s.winPulls.Add(1)
@@ -588,9 +609,11 @@ func (s *SHM) serveWindowGet(peer int, hdr Header) {
 	half := len(w.mem) / 2
 	off, left := hdr.Offset, hdr.Total
 	sent := 0
+	timeout := time.NewTimer(s.cfg.DialTimeout)
+	defer timeout.Stop()
 	for left > 0 {
 		c := w.chunk
-		if sent >= 2 && !s.awaitWinAck(w, c-2, peer) {
+		if sent >= 2 && !s.awaitWinAck(w, c-2, peer, timeout) {
 			fail("pull window ack timeout")
 			return
 		}
@@ -619,19 +642,32 @@ func (s *SHM) serveWindowGet(peer int, hdr Header) {
 		left -= int64(n)
 	}
 	// Wait for the tail acks so the next Get may reuse both halves.
-	if w.chunk > 0 && !s.awaitWinAck(w, w.chunk-1, peer) {
+	if w.chunk > 0 && !s.awaitWinAck(w, w.chunk-1, peer, timeout) {
 		fail("pull window ack timeout")
 	}
 }
 
+// winAckWake is what stallPeer puts on a window's ack channel: as a chunk
+// sequence it is below every real one, so it only wakes the waiter.
+const winAckWake = ^uint64(0)
+
 // awaitWinAck waits until every chunk up to seq was acked. Acks arrive in
 // socket order, so the sequence only moves forward. A requester whose
-// process died mid-pull never acks — the wait bails as soon as the
-// socket plane produces hard death evidence for the peer (a stale pull
-// window), instead of burning the whole dial timeout.
-func (s *SHM) awaitWinAck(w *shmWin, seq uint64, peer int) bool {
-	deadline := time.Now().Add(s.cfg.DialTimeout)
+// process died mid-pull never acks — stallPeer wakes the wait the moment
+// the socket plane produces hard death evidence for the peer (a stale
+// pull window), and DialTimeout, on the serve's one timer, bounds it.
+func (s *SHM) awaitWinAck(w *shmWin, seq uint64, peer int, timeout *time.Timer) bool {
+	if !timeout.Stop() {
+		select {
+		case <-timeout.C:
+		default:
+		}
+	}
+	timeout.Reset(s.cfg.DialTimeout)
 	for w.lastAck < int64(seq) {
+		if s.downFlags[peer].Load() {
+			return false
+		}
 		select {
 		case got := <-w.ack:
 			if int64(got) > w.lastAck {
@@ -639,10 +675,8 @@ func (s *SHM) awaitWinAck(w *shmWin, seq uint64, peer int) bool {
 			}
 		case <-s.done:
 			return false
-		case <-time.After(20 * time.Millisecond):
-			if s.downFlags[peer].Load() || time.Now().After(deadline) {
-				return false
-			}
+		case <-timeout.C:
+			return false
 		}
 	}
 	return true
@@ -903,6 +937,7 @@ func (s *SHM) Close() error {
 		s.winMu.Lock()
 		clear(s.winIns)
 		clear(s.winOuts)
+		s.cmaClose()
 		s.winMu.Unlock()
 		s.inMu.Lock() // excludes a Recv that is reading a ring
 		defer s.inMu.Unlock()

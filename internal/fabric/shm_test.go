@@ -5,6 +5,7 @@ package fabric
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,6 +18,17 @@ import (
 
 	"mpicd/internal/obs"
 )
+
+// forceWindow runs every SHM test with process_vm_readv switched off, as on
+// a host that refuses it: rendezvous takes the pull window and the socket.
+var forceWindow = flag.Bool("shm.window", false, "force SHM Gets onto the pull window and the socket (the fallback of the in-place path)")
+
+// noCMA puts the endpoints where such a host's first refused Get would.
+func noCMA(nics ...*SHM) {
+	for _, nic := range nics {
+		nic.cmaOff.Store(true)
+	}
+}
 
 // shmMesh brings up an n-rank SHM fabric in a per-test session directory.
 // Both endpoints live in this process, which is exactly how the unit
@@ -32,6 +44,9 @@ func shmMesh(t *testing.T, n int, cfg Config) []*SHM {
 			t.Fatal(err)
 		}
 		nics[i] = nic
+	}
+	if *forceWindow {
+		noCMA(nics...)
 	}
 	t.Cleanup(func() {
 		for _, nic := range nics {
@@ -312,6 +327,7 @@ func TestSHMFragmentedMessageSpills(t *testing.T) {
 
 func TestSHMSmallGetSocketPath(t *testing.T) {
 	nics := shmMesh(t, 2, Config{FragSize: 1024})
+	noCMA(nics...)
 	data := make([]byte, 10000) // below winThresh: socket response frames
 	fillPattern(data, 8)
 	key := nics[0].Register(Bytes(data))
@@ -331,6 +347,7 @@ func TestSHMWindowedGet(t *testing.T) {
 	// 16 KiB window → 8 KiB halves → a 300 KiB pull crosses ~38 chunks,
 	// exercising half alternation and the ack pipeline.
 	nics := shmMesh(t, 2, Config{WinBytes: 16 << 10})
+	noCMA(nics...)
 	data := make([]byte, 300<<10)
 	fillPattern(data, 9)
 	key := nics[0].Register(Bytes(data))
@@ -356,6 +373,7 @@ func TestSHMWindowedGet(t *testing.T) {
 
 func TestSHMWindowedGetConcurrent(t *testing.T) {
 	nics := shmMesh(t, 2, Config{WinBytes: 32 << 10})
+	noCMA(nics...)
 	data := make([]byte, 512<<10)
 	fillPattern(data, 11)
 	key := nics[0].Register(Bytes(data))
