@@ -121,6 +121,14 @@ func TestGrowValidation(t *testing.T) {
 		if _, err := sc.Grow([]JoinPeer{{Rank: victim}, {Rank: victim}}); !errors.Is(err, ErrInvalidComm) {
 			return fmt.Errorf("rank %d: Grow(dup) = %v, want ErrInvalidComm", c.Rank(), err)
 		}
+		// A revocation reaches the other survivor asynchronously: without
+		// this it can land while that rank is still inside Grow(dup), which
+		// then reports ErrRevoked. What orders the two is entering the
+		// barrier, not leaving it: the rank that leaves first revokes, and
+		// that may fail the barrier the other is still finishing.
+		if err := sc.Barrier(); err != nil && !errors.Is(err, ErrRevoked) {
+			return fmt.Errorf("rank %d: barrier before revoke: %w", c.Rank(), err)
+		}
 		if err := sc.Revoke(); err != nil {
 			return err
 		}

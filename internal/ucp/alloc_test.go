@@ -14,7 +14,7 @@ import (
 // datatype adds its one state object per side). A message that arrives
 // before its receive adds the entry that buffers it. The Reliable figure
 // is measured (6) plus 30 %: on top of the two, the retained copy of the
-// payload and its retransmit entry on the sender, and the ack queue and
+// payload and what retransmits it on the sender, and the ack queue and
 // completed set the acknowledgement passes through.
 const (
 	postedHitAllocCeiling     = 2
@@ -23,8 +23,24 @@ const (
 	reliableAllocCeiling      = 8
 )
 
-// TestEagerAllocsPerMessage pins the allocation diet of the eager path
-// where it was made. Buffers are boxed once up front, so the caller's own
+// The same for a one-way rendezvous message, measured (3, 4, 3, 3; 5, 5, 12,
+// 5 when every message, stripe and send entry was an object and a goroutine
+// of its own) + 1. The two Requests again — the pull's progress and the
+// stripes' countdown are fields of the receive's, transfer jobs are values
+// in the worker's queue, and starting a puller allocates nothing — plus
+// what the send keeps until its FIN (its own 104 bytes: inside the Request
+// they cost every eager message more than they saved here). A message that
+// arrives before its receive adds the entry that holds its RTS. Striping
+// and Reliable add nothing a message.
+const (
+	rndvPostedHitAllocCeiling     = 4
+	rndvUnexpectedHitAllocCeiling = 5
+	rndvStripedAllocCeiling       = 4
+	rndvReliableAllocCeiling      = 4
+)
+
+// TestEagerAllocsPerMessage pins the allocation diet of the eager path, and
+// since the transfer executor of the rendezvous path, where it was made. Buffers are boxed once up front, so the caller's own
 // conversion to `any` is not counted against the transport.
 func TestEagerAllocsPerMessage(t *testing.T) {
 	if raceEnabled {
@@ -34,14 +50,19 @@ func TestEagerAllocsPerMessage(t *testing.T) {
 	cases := []struct {
 		name       string
 		cfg        Config
+		proto      Proto
 		size       int
 		unexpected bool
 		ceiling    float64
 	}{
-		{"posted-hit", Config{FragSize: frag}, 64, false, postedHitAllocCeiling},
-		{"unexpected-hit", Config{FragSize: frag}, 64, true, unexpectedHitAllocCeiling},
-		{"multi-fragment", Config{FragSize: frag}, 3 * frag, false, multiFragAllocCeiling},
-		{"reliable", Config{FragSize: frag, Reliable: true}, 64, false, reliableAllocCeiling},
+		{"posted-hit", Config{FragSize: frag}, ProtoEager, 64, false, postedHitAllocCeiling},
+		{"unexpected-hit", Config{FragSize: frag}, ProtoEager, 64, true, unexpectedHitAllocCeiling},
+		{"multi-fragment", Config{FragSize: frag}, ProtoEager, 3 * frag, false, multiFragAllocCeiling},
+		{"reliable", Config{FragSize: frag, Reliable: true}, ProtoEager, 64, false, reliableAllocCeiling},
+		{"rndv-posted-hit", Config{PullStripes: 1}, ProtoRndv, 8212, false, rndvPostedHitAllocCeiling},
+		{"rndv-unexpected-hit", Config{PullStripes: 1}, ProtoRndv, 8212, true, rndvUnexpectedHitAllocCeiling},
+		{"rndv-striped", Config{PullStripes: 2}, ProtoRndv, 256 << 10, false, rndvStripedAllocCeiling},
+		{"rndv-reliable", Config{PullStripes: 1, Reliable: true}, ProtoRndv, 8212, false, rndvReliableAllocCeiling},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -57,14 +78,11 @@ func TestEagerAllocsPerMessage(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sr, err := a.Send(1, 1, Contig{}, sbuf, n, 0, ProtoEager)
+				sr, err := a.Send(1, 1, Contig{}, sbuf, n, 0, c.proto)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if c.unexpected {
-					if err := sr.Wait(); err != nil {
-						t.Fatal(err)
-					}
 					for b.QueueDepths().Unexpected == 0 {
 						runtime.Gosched()
 					}
@@ -87,6 +105,9 @@ func TestEagerAllocsPerMessage(t *testing.T) {
 			}
 			if want < 200 {
 				t.Fatalf("%s: only %d of the messages took the path under test", c.name, want)
+			}
+			if c.proto == ProtoRndv && (a.Stats().RndvSends.Load() < 200 || (c.cfg.PullStripes > 1) != (b.Stats().StripedPulls.Load() >= 200)) {
+				t.Fatalf("%s: %d rendezvous sends, %d striped pulls", c.name, a.Stats().RndvSends.Load(), b.Stats().StripedPulls.Load())
 			}
 		})
 	}

@@ -112,3 +112,94 @@ func BenchmarkMessageRate(b *testing.B) {
 	rbuf := make([]byte, 8)
 	benchPingpong(b, Config{}, Contig{}, sbuf, rbuf, 8, 8)
 }
+
+// BenchmarkRndvWindow is the rendezvous rate cell without the bench harness:
+// a 64-deep window of ProtoRndv messages one way, closed by a 1-byte ack, so
+// ns/op and allocs/op are per message, both ranks included. The receiver
+// posts as the window arrives, so part of each burst is unexpected. 8212 is
+// the size of the benchmark's regions-large rate cell; the 256 KiB variant
+// stripes every pull two ways; the tcp variant is the same window over
+// loopback sockets, where a Get is a round trip and the pullers are not capped.
+func BenchmarkRndvWindow(b *testing.B) {
+	const window = 64
+	for _, c := range []struct {
+		name string
+		size int
+		cfg  Config
+		tcp  bool
+	}{
+		{"8212B", 8212, Config{}, false},
+		{"256KiB-striped", 256 << 10, Config{PullStripes: 2}, false},
+		{"8212B-tcp", 8212, Config{}, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var tx, rx *Worker
+			if c.tcp {
+				tx, rx = tcpPair(b, c.cfg)
+			} else {
+				f := fabric.NewInproc(2, fabric.Config{})
+				tx, rx = NewWorker(f.NIC(0), c.cfg), NewWorker(f.NIC(1), c.cfg)
+				defer tx.Close()
+				defer rx.Close()
+			}
+			var sbuf, rbuf any = make([]byte, c.size), make([]byte, c.size)
+			var ack any = make([]byte, 1)
+			n := int64(c.size)
+			windows := (b.N + window - 1) / window
+			done := make(chan error, 1)
+			go func() {
+				reqs := make([]*Request, window)
+				for i := 0; i < windows; i++ {
+					for k := range reqs {
+						r, err := rx.Recv(0, 1, exactMask, Contig{}, rbuf, n)
+						if err != nil {
+							done <- err
+							return
+						}
+						reqs[k] = r
+					}
+					err := WaitAll(reqs...)
+					if err == nil {
+						var sr *Request
+						if sr, err = rx.Send(0, 2, Contig{}, ack, 1, 0, ProtoEager); err == nil {
+							err = sr.Wait()
+						}
+					}
+					if err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+			}()
+			reqs := make([]*Request, window+1)
+			b.SetBytes(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < windows; i++ {
+				for k := 0; k < window; k++ {
+					r, err := tx.Send(1, 1, Contig{}, sbuf, n, 0, ProtoRndv)
+					if err != nil {
+						b.Fatal(err)
+					}
+					reqs[k] = r
+				}
+				r, err := tx.Recv(1, 2, exactMask, Contig{}, ack, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				reqs[window] = r
+				if err := WaitAll(reqs...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if err := <-done; err != nil {
+				b.Fatal(err)
+			}
+			if c.cfg.PullStripes > 1 && rx.Stats().StripedPulls.Load() == 0 {
+				b.Fatal("no pull was striped")
+			}
+		})
+	}
+}

@@ -11,8 +11,8 @@ package ucp
 //     do blocked probes, which are posted requests like them;
 //   - matched eager receives mid-delivery fail (the remaining fragments
 //     will never arrive);
-//   - rendezvous pulls in flight are failed and their Get loops abandon
-//     retrying;
+//   - rendezvous pulls fail at their next Get — running, queued or waiting
+//     out a retry back-off, every Get job checks the verdict first;
 //   - rendezvous sends awaiting a FIN, and reliable eager sends awaiting
 //     an ack (one table, Worker.sends), complete with the failure instead
 //     of burning their retransmission budget;
@@ -38,6 +38,7 @@ package ucp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -146,7 +147,7 @@ func (w *Worker) PoisonWhere(pred func(from int, tag, mask Tag) bool, err error)
 
 // DeclarePeerFailed marks rank dead and fails everything bound to it.
 // Idempotent; safe to call from any goroutine, including the detector's
-// prober and pull goroutines. The local rank cannot be declared dead.
+// prober and the pullers. The local rank cannot be declared dead.
 func (w *Worker) DeclarePeerFailed(rank int) {
 	if rank < 0 || rank >= len(w.dead) || rank == w.Rank() {
 		return
@@ -169,12 +170,7 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 	err := procFailedErr(rank)
 	allDead := w.allOtherPeersDead()
 
-	var (
-		failedReqs []*Request
-		eagerOps   []*Request
-		pullOps    []*Request
-		deadSends  []*sendOp
-	)
+	var failedReqs, eagerOps, deadSends []*Request
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -189,13 +185,8 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 			eagerOps = append(eagerOps, op)
 		}
 	}
-	for key, op := range w.pulls {
-		if key.from == rank {
-			pullOps = append(pullOps, op)
-		}
-	}
 	for id, s := range w.sends {
-		if s.dst == rank {
+		if s.send.dst == rank {
 			delete(w.sends, id)
 			deadSends = append(deadSends, s)
 		}
@@ -205,7 +196,7 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 	// a rendezvous body to pull) is poisoned so a match fails fast.
 	now := time.Now()
 	w.table.forEachUnexpected(func(m *unexMsg) {
-		if m.from != rank || m.errored != nil || m.selfSrc != nil {
+		if m.from != rank || m.errored != nil {
 			return
 		}
 		if m.rndv || m.buffered < m.total {
@@ -222,16 +213,6 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 	}
 	for _, op := range eagerOps {
 		w.failActive(op, err)
-	}
-	for _, op := range pullOps {
-		// The pull goroutine owns completion; mark the failure so its Get
-		// loop (which checks PeerFailed between attempts) finishes with it.
-		op.mu.Lock()
-		if op.failure == nil {
-			op.failure = err
-		}
-		op.discard = true
-		op.mu.Unlock()
 	}
 	for _, s := range deadSends {
 		w.finishSend(s, err)
@@ -264,17 +245,12 @@ func (w *Worker) Revive(rank int) error {
 		w.mu.Unlock()
 		return ErrWorkerClosed
 	}
-	if w.completed != nil {
-		kept := w.completedFIFO[:0]
-		for _, k := range w.completedFIFO {
-			if k.from == rank {
-				delete(w.completed, k)
-			} else {
-				kept = append(kept, k)
-			}
+	w.completedFIFO = slices.DeleteFunc(w.completedFIFO, func(k msgKey) bool {
+		if k.from == rank {
+			delete(w.completed, k)
 		}
-		w.completedFIFO = kept
-	}
+		return k.from == rank
+	})
 	stale = w.table.filterUnexpected(func(m *unexMsg) bool { return m.from != rank })
 	for _, m := range stale {
 		w.releaseFrags(m)

@@ -1,5 +1,7 @@
 package ucp
 
+import "slices"
+
 // Sharded tag-match table. The worker's two matching queues — posted
 // receives and unexpected messages — were flat slices, so every match,
 // probe and failure sweep scanned entries for all peers. At a few ranks
@@ -76,14 +78,12 @@ func (t *matchTable) removePosted(r *Request) bool {
 	if r.from >= 0 {
 		list = &t.posted[matchShard(r.from)]
 	}
-	for i, q := range *list {
-		if q == r {
-			*list = append((*list)[:i], (*list)[i+1:]...)
-			t.nPosted--
-			return true
-		}
+	i := slices.Index(*list, r)
+	if i >= 0 {
+		*list = slices.Delete(*list, i, i+1)
+		t.nPosted--
 	}
-	return false
+	return i >= 0
 }
 
 // matchPosted finds and removes the earliest-posted receive matching a
@@ -219,17 +219,15 @@ func (t *matchTable) matchUnexpected(req *Request) *unexMsg {
 // claimed one), reporting whether it was still queued.
 func (t *matchTable) removeUnexpected(m *unexMsg) bool {
 	sh := matchShard(m.from)
-	for i, q := range t.unexpected[sh] {
-		if q == m {
-			t.unexpected[sh] = append(t.unexpected[sh][:i], t.unexpected[sh][i+1:]...)
-			t.nUnex--
-			if m.claimed {
-				t.nClaimed--
-			}
-			return true
+	i := slices.Index(t.unexpected[sh], m)
+	if i >= 0 {
+		t.unexpected[sh] = slices.Delete(t.unexpected[sh], i, i+1)
+		t.nUnex--
+		if m.claimed {
+			t.nClaimed--
 		}
 	}
-	return false
+	return i >= 0
 }
 
 // findUnexpected locates the buffered message for key, claimed or not,

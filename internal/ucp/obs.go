@@ -55,9 +55,9 @@ func (w *Worker) setupObs(o *obs.Observer) {
 		sizeBytes:  reg.Histogram(p("msg_size_bytes")),
 	}
 	// The cumulative protocol counters live in WorkerStats (they are
-	// always counted — atomics are cheap); the registry exposes them as
-	// gauges so one snapshot unifies both worlds.
-	counters := []struct {
+	// always counted — atomics are cheap); the registry exposes them, and
+	// the live queue depths, as gauges so one snapshot unifies both worlds.
+	for _, g := range []struct {
 		name string
 		fn   obs.Gauge
 	}{
@@ -83,22 +83,13 @@ func (w *Worker) setupObs(o *obs.Observer) {
 		{"timeouts", w.stats.Timeouts.Load},
 		{"aborts_reaped", w.stats.AbortsReaped.Load},
 		{"peer_failures", w.stats.PeerFailures.Load},
-	}
-	for _, c := range counters {
-		reg.GaugeFunc(p(c.name), c.fn)
-	}
-	depths := []struct {
-		name string
-		fn   obs.Gauge
-	}{
 		{"posted_depth", func() int64 { return int64(w.QueueDepths().Posted) }},
 		{"unexpected_depth", func() int64 { return int64(w.QueueDepths().Unexpected) }},
 		{"active_recvs", func() int64 { return int64(w.QueueDepths().ActiveRecvs) }},
 		{"pending_sends", func() int64 { return int64(w.QueueDepths().PendingSends) }},
 		{"rexmit_depth", func() int64 { return int64(w.QueueDepths().Rexmit) }},
-	}
-	for _, d := range depths {
-		reg.GaugeFunc(p(d.name), d.fn)
+	} {
+		reg.GaugeFunc(p(g.name), g.fn)
 	}
 }
 
@@ -155,7 +146,7 @@ func (w *Worker) QueueDepths() QueueDepthsSnapshot {
 		PendingPulls: len(w.pulls),
 	}
 	for _, s := range w.sends {
-		if s.rndv() {
+		if s.send.src != nil {
 			d.PendingSends++
 		}
 	}

@@ -94,9 +94,7 @@ func (w *Worker) MRecv(m *Message, dt Datatype, buf any, count int64) (*Request,
 		return nil, fmt.Errorf("ucp: MRecv requires a message claimed by Mprobe on this worker")
 	}
 	req := newRequest(w)
-	req.dt = dt
-	req.buf = buf
-	req.count = count
+	req.dt, req.buf, req.count = dt, buf, count
 	if w.cfg.ReqTimeout > 0 {
 		// A claimed eager message can still be missing fragments; the
 		// janitor fails it like any matched receive.

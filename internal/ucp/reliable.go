@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"mpicd/internal/fabric"
@@ -86,27 +85,24 @@ func (w *Worker) janitor() {
 // of a table under w.mu it finishes after releasing it, as do all fabric
 // sends.
 func (w *Worker) sweep(now time.Time) {
-	var (
-		resend, expired        []*sendOp
-		latePosted, lateActive []*Request
-		stale                  []*unexMsg
-	)
+	var resend, expired, latePosted, lateActive []*Request
+	var stale []*unexMsg
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return
 	}
 	if w.cfg.Reliable {
-		for id, s := range w.sends {
-			switch {
+		for id, r := range w.sends {
+			switch s := r.send; {
 			case now.Before(s.next):
 			case s.attempts >= w.cfg.RexmitRetries:
 				delete(w.sends, id)
-				expired = append(expired, s)
+				expired = append(expired, r)
 			default:
 				s.attempts++
 				s.next = now.Add(w.rexmitBackoff().Delay(s.attempts, w.rng))
-				resend = append(resend, s)
+				resend = append(resend, r)
 			}
 		}
 	}
@@ -131,26 +127,28 @@ func (w *Worker) sweep(now time.Time) {
 	}
 	w.mu.Unlock()
 
-	for _, s := range resend {
+	for _, r := range resend {
 		w.stats.Retransmits.Add(1)
-		w.ev(obs.EvRexmit, s.dst, s.hdr.MsgID, Tag(s.hdr.Tag), s.hdr.Total, int64(s.attempts))
-		if s.rndv() {
-			_ = w.nic.Send(s.dst, s.hdr)
+		s := r.send
+		w.ev(obs.EvRexmit, s.dst, r.msgID, s.tag, s.total, int64(s.attempts))
+		if s.src != nil {
+			_ = w.nic.Send(s.dst, r.sendHdr())
 		} else {
-			w.sendEagerFrags(s.dst, s.hdr, s.payload)
+			w.sendEagerFrags(s.dst, r.sendHdr(), s.payload)
 		}
 	}
-	for _, s := range expired {
+	for _, r := range expired {
+		dst := r.send.dst
 		w.stats.Timeouts.Add(1)
 		// A destination the detector has since declared dead gets the
 		// taxonomy error, not a bare timeout (the usual path flushes such
 		// entries at declaration time; this covers the race where the
 		// declaration lands mid-sweep).
-		err := fmt.Errorf("%w: send to rank %d unacked after %d attempts", ErrTimeout, s.dst, s.attempts)
-		if w.PeerFailed(s.dst) {
-			err = procFailedErr(s.dst)
+		err := fmt.Errorf("%w: send to rank %d unacked after %d attempts", ErrTimeout, dst, r.send.attempts)
+		if w.PeerFailed(dst) {
+			err = procFailedErr(dst)
 		}
-		w.finishSend(s, err)
+		w.finishSend(r, err)
 	}
 	for _, r := range latePosted {
 		w.stats.Timeouts.Add(1)
@@ -176,14 +174,11 @@ func (w *Worker) rexmitBackoff() fabric.Backoff {
 // types), then streams checksummed fragments that the janitor retransmits
 // until the receiver acks. Fragment-level send errors are deliberately
 // ignored: a down link is exactly what retransmission is for.
-func (w *Worker) eagerSendReliable(dst int, tag Tag, id uint64, total, aux int64, src SendState, req *Request) error {
+func (w *Worker) eagerSendReliable(dst int, total int64, src SendState, req *Request) error {
 	buf := make([]byte, total)
 	frag := int64(w.cfg.FragSize)
 	for off := int64(0); off < total; {
-		n := frag
-		if rem := total - off; n > rem {
-			n = rem
-		}
+		n := min(frag, total-off)
 		got, err := src.ReadAt(buf[off:off+n], off)
 		if err != nil && err != io.EOF {
 			return err
@@ -193,12 +188,11 @@ func (w *Worker) eagerSendReliable(dst int, tag Tag, id uint64, total, aux int64
 		}
 		off += int64(got)
 	}
-	s := &sendOp{req: req, dst: dst, payload: buf,
-		hdr: fabric.Header{Kind: kindEager, Flags: flagReliable, Tag: uint64(tag), MsgID: id, Total: total, Aux0: aux}}
-	if err := w.trackSend(s); err != nil {
+	req.send.payload = buf
+	if err := w.trackSend(req); err != nil {
 		return err
 	}
-	w.sendEagerFrags(dst, s.hdr, buf)
+	w.sendEagerFrags(dst, req.sendHdr(), buf)
 	return nil
 }
 
@@ -209,10 +203,7 @@ func (w *Worker) sendEagerFrags(dst int, tmpl fabric.Header, buf []byte) {
 	total := tmpl.Total
 	off := int64(0)
 	for {
-		n := frag
-		if rem := total - off; n > rem {
-			n = rem
-		}
+		n := min(frag, total-off)
 		hdr := tmpl
 		hdr.Offset = off
 		if off > 0 && off+n < total {
@@ -233,24 +224,20 @@ func (w *Worker) sendEagerFrags(dst int, tmpl fabric.Header, buf []byte) {
 	}
 }
 
-// recordCompleted remembers how a wire message finished so later
-// duplicates can be answered without redelivery. Caller must not hold
-// w.mu. No-op unless Reliable.
-func (w *Worker) recordCompleted(key msgKey, kind fabric.Kind, status int64) {
-	if !w.cfg.Reliable {
+// recordCompletedLocked remembers how a wire message finished so later
+// duplicates can be answered without redelivery. Caller holds w.mu. No-op
+// unless Reliable.
+func (w *Worker) recordCompletedLocked(key msgKey, kind fabric.Kind, status int64) {
+	if _, ok := w.completed[key]; ok || !w.cfg.Reliable {
 		return
 	}
-	w.mu.Lock()
-	if _, ok := w.completed[key]; !ok {
-		w.completed[key] = doneRec{kind: kind, status: status}
-		w.completedFIFO = append(w.completedFIFO, key)
-		if len(w.completedFIFO) > completedCap {
-			evict := w.completedFIFO[0]
-			w.completedFIFO = w.completedFIFO[1:]
-			delete(w.completed, evict)
-		}
+	w.completed[key] = doneRec{kind: kind, status: status}
+	w.completedFIFO = append(w.completedFIFO, key)
+	if len(w.completedFIFO) > completedCap {
+		evict := w.completedFIFO[0]
+		w.completedFIFO = w.completedFIFO[1:]
+		delete(w.completed, evict)
 	}
-	w.mu.Unlock()
 }
 
 // verifyFragCRC checks a checksummed eager fragment. It reports whether
@@ -308,26 +295,16 @@ func (w *Worker) failEagerFrag(pkt *fabric.Packet) {
 	}
 	// First sign of this message: record it as errored so a receive that
 	// matches it fails promptly.
-	m := newUnex(inboundOf(pkt))
-	m.errored, m.erroredAt = err, time.Now()
+	in := inboundOf(pkt)
 	pkt.Release()
-	if req, _ := w.arriveLocked(m.inbound, m); req != nil {
-		w.startRecvLocked(req, m) // releases w.mu
-		return
+	req, m := w.arriveLocked(in)
+	if req == nil {
+		m.errored, m.erroredAt = err, time.Now()
 	}
 	w.mu.Unlock()
-}
-
-// timedGet is nic.Get plus the get_rtt_ns histogram observation when the
-// obs layer is enabled.
-func (w *Worker) timedGet(from int, key uint64, off int64, sink fabric.Sink, sinkOff, n int64) error {
-	if w.obs == nil {
-		return w.nic.Get(from, key, off, sink, sinkOff, n)
+	if req != nil {
+		req.complete(in.from, in.tag, 0, in.aux0, err)
 	}
-	start := time.Now()
-	err := w.nic.Get(from, key, off, sink, sinkOff, n)
-	w.obs.getNS.Observe(time.Since(start).Nanoseconds())
-	return err
 }
 
 func errorCorruptFrag(off int64) error {
@@ -376,8 +353,8 @@ func (w *Worker) RexmitSnapshot() []RexmitInfo {
 	defer w.mu.Unlock()
 	out := make([]RexmitInfo, 0, len(w.sends))
 	if w.cfg.Reliable {
-		for _, s := range w.sends {
-			out = append(out, RexmitInfo{Dst: s.dst, Tag: Tag(s.hdr.Tag), Eager: !s.rndv(), Attempts: s.attempts})
+		for _, r := range w.sends {
+			out = append(out, RexmitInfo{Dst: r.send.dst, Tag: r.send.tag, Eager: r.send.src == nil, Attempts: r.send.attempts})
 		}
 	}
 	return out
@@ -438,50 +415,68 @@ func (w *Worker) ackPump() {
 	}
 }
 
-// getRetry wraps a rendezvous Get with bounded retries for transient
-// failures (link down, corrupt frame). Unrecoverable errors — unknown
-// key, closed NIC — and sequential sinks (which cannot rewind) pass
-// straight through.
-func (w *Worker) getRetry(from int, key uint64, off int64, sink fabric.Sink, sinkOff, n int64, sequential bool) error {
-	if w.PeerFailed(from) {
-		return procFailedErr(from)
-	}
-	err := w.timedGet(from, key, off, sink, sinkOff, n)
-	if err != nil && errors.Is(err, fabric.ErrRankDead) {
-		// Only a dead process produces ErrRankDead: promote it to a peer
-		// failure so every other operation on the rank fails too, and do
-		// not waste a single retry on it.
-		w.DeclarePeerFailed(from)
-		return procFailedErr(from)
-	}
-	if err == nil || sequential ||
-		errors.Is(err, fabric.ErrBadKey) || errors.Is(err, fabric.ErrClosed) {
-		return err
-	}
-	bo := w.rexmitBackoff()
-	rng := rand.New(rand.NewSource(int64(key)<<20 ^ off ^ n))
-	for attempt := 0; attempt < getRetries; attempt++ {
-		t := time.NewTimer(bo.Delay(attempt, rng))
-		select {
-		case <-w.quit:
-			t.Stop()
-			return err
-		case <-t.C:
+// get runs one Get of a pull and passes the outcome on. Unrecoverable errors
+// — unknown key, closed NIC, dead peer — and sequential sinks (which cannot
+// rewind) count the job done at once; a transient failure (link down,
+// corrupt frame) is retried up to getRetries times.
+func (w *Worker) get(j job) {
+	op, from := j.op, j.op.srcRank
+	var err error
+	switch {
+	case w.quitting():
+		err = ErrWorkerClosed
+	case w.PeerFailed(from):
+		err = procFailedErr(from)
+	default:
+		if j.attempt > 0 {
+			w.stats.GetRetries.Add(1)
 		}
-		if w.PeerFailed(from) {
-			return procFailedErr(from)
-		}
-		w.stats.GetRetries.Add(1)
-		if err = w.timedGet(from, key, off, sink, sinkOff, n); err == nil {
-			return nil
+		start := w.obsNow()
+		err = w.nic.Get(from, op.key, j.off, op.sink, j.off, j.n)
+		if w.obs != nil {
+			w.obs.getNS.Observe(time.Since(start).Nanoseconds())
 		}
 		if errors.Is(err, fabric.ErrRankDead) {
+			// Only a dead process produces ErrRankDead: promote it to a peer
+			// failure so every other operation on the rank fails too, and do
+			// not waste a single retry on it.
 			w.DeclarePeerFailed(from)
-			return procFailedErr(from)
-		}
-		if errors.Is(err, fabric.ErrBadKey) || errors.Is(err, fabric.ErrClosed) {
-			return err
+			err = procFailedErr(from)
 		}
 	}
-	return err
+	if err == nil || op.sequential || permanent(err) || j.attempt == getRetries {
+		w.jobDone(op, err)
+		return
+	}
+	// A retry is this job queued again when its back-off has passed: no
+	// puller is held meanwhile. The timer holds a count of w.wg until it has
+	// run, or until Close stops it and fails the job.
+	w.mu.Lock()
+	d := w.rexmitBackoff().Delay(j.attempt, w.rng)
+	w.mu.Unlock()
+	j.attempt++
+	w.jobMu.Lock()
+	if w.quitting() {
+		w.jobMu.Unlock()
+		w.jobDone(op, ErrWorkerClosed)
+		return
+	}
+	w.wg.Add(1)
+	var t *time.Timer
+	t = time.AfterFunc(d, func() {
+		w.jobMu.Lock()
+		delete(w.retries, t)
+		w.jobMu.Unlock()
+		w.enqueue(j)
+		w.wg.Done()
+	})
+	w.retries[t] = j
+	w.jobMu.Unlock()
+}
+
+// permanent reports whether a failed Get is final: neither a retry nor a
+// sequential re-pull of the message could end differently.
+func permanent(err error) bool {
+	return errors.Is(err, fabric.ErrBadKey) || errors.Is(err, fabric.ErrClosed) ||
+		errors.Is(err, ErrProcFailed) || errors.Is(err, ErrWorkerClosed)
 }

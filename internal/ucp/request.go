@@ -15,8 +15,9 @@ var ErrCanceled = errors.New("ucp: request canceled")
 
 // Request tracks one in-flight send or receive. A receive request is also
 // its own receive operation: once matched it carries the delivery state
-// the progress goroutine, the janitor and failure notification work on,
-// so the worker's active and pulls tables point at requests and an
+// the progress goroutine, the pullers, the janitor and failure notification
+// work on, and a send request what is kept until the peer answers, so the
+// worker's active, pulls and sends tables point at requests and an
 // operation lives exactly as long as the request the caller holds.
 type Request struct {
 	w      *Worker
@@ -47,6 +48,7 @@ type Request struct {
 	// Observability (set only when the worker's obs layer is enabled).
 	obsStart time.Time // post/send time, for the completion-latency histogram
 	msgID    uint64    // transport message id, once known (0 for unmatched receives)
+	key      uint64    // rendezvous: the key the sender registered its source under
 
 	// Completion. complete runs its body once: it writes err and the status
 	// fields, then publishes them through completed, so a caller that saw it
@@ -89,6 +91,16 @@ type Request struct {
 	// offset → longest payload accepted there (a truncated fragment may
 	// be superseded by its full retransmission).
 	seen map[int64]int64
+
+	// A matched rendezvous or self receive, whose bytes jobs on the pullers
+	// move (see job): failure above is the first error among its Gets.
+	selfFrom *Request // self-send: the sending request, whose send.src is the source
+	jobsLeft int32    // Get jobs not yet done
+	striped  bool     // they are stripes: a failed one is worth a sequential re-pull
+
+	// send is what a send that outlives its Send call keeps (see sendOp). Not
+	// embedded: that cost every request 104 bytes and eager bursts 9 %.
+	send *sendOp
 }
 
 func newRequest(w *Worker) *Request {

@@ -9,17 +9,17 @@ import (
 )
 
 // Allocation ceilings per one-way SHM rendezvous, both ranks and both
-// progress goroutines included: measured (12 and 18) + 2. A contiguous
-// buffer pays the two Requests, the send's table entry, the buffered RTS,
-// the pull's goroutine, six for the RTS and FIN frames the socket writes,
-// and one in the provider: the registration that stands in for the source.
+// progress goroutines included: measured (10 and 16) + 2. A contiguous
+// buffer pays the two Requests, what the send keeps until its FIN, six for
+// the RTS and FIN frames the socket writes, and one in the provider: the
+// registration that stands in for the source.
 // head + 2 regions adds what this file's datatype allocates to bind a
 // buffer, three a side, and nothing in the provider: the region list, the
 // staged head, both iovec lists of the Get and its bounce buffer are
 // pooled, however many regions a message has.
 const (
-	shmRndvContigAllocCeiling      = 14
-	shmRndvHeadRegionsAllocCeiling = 20
+	shmRndvContigAllocCeiling      = 12
+	shmRndvHeadRegionsAllocCeiling = 18
 )
 
 // headRegions is a test-local datatype with the shape of a custom one: a

@@ -11,7 +11,7 @@ import (
 )
 
 // tcpPair brings up two workers over a real-socket fabric.
-func tcpPair(t *testing.T, cfg Config) (*Worker, *Worker) {
+func tcpPair(t testing.TB, cfg Config) (*Worker, *Worker) {
 	t.Helper()
 	addrs := make([]string, 2)
 	lns := make([]net.Listener, 2)

@@ -20,6 +20,11 @@
 //     analogue) and acknowledges with a FIN. This is the zero-copy path
 //     region-based custom datatypes rely on.
 //
+// A rendezvous pull, a stripe of a large one and a self-send's local copy
+// are jobs queued by source rank, each queue drained by at most
+// Config.PullStripes pullers that start when there is work and exit when
+// there is none. A striped pull is a countdown in its Request, a retry a timer.
+//
 // The eager→rendezvous threshold is configurable; region-bearing (iov)
 // messages switch to rendezvous much earlier because only the pull path
 // avoids the staging copies (this reproduces the paper's observation that
@@ -75,21 +80,22 @@ type Config struct {
 	// FragSize is the eager fragment payload size; defaults to the
 	// fabric's default fragment size.
 	FragSize int
-	// PullStripes is the number of concurrent stripes a rendezvous pull
-	// may be split into when the message is at least PullStripeThresh
-	// bytes and the receive datatype tolerates out-of-order delivery
-	// (the custom-datatype inorder contract forces sequential pulls).
-	// Zero selects min(GOMAXPROCS, 4); 1 disables striping.
+	// PullStripes is how many cores one peer's transfers may use: the
+	// stripes a rendezvous pull of at least PullStripeThresh bytes is split
+	// into when the receive datatype tolerates out-of-order delivery (the
+	// custom-datatype inorder contract forces sequential pulls), and the cap
+	// on the pullers that run one source rank's pulls and stripes (not over
+	// TCP: see NewWorker). Zero selects min(GOMAXPROCS, 4); 1 disables striping.
 	PullStripes int
 	// PullStripeThresh is the minimum rendezvous message size eligible
 	// for striped pulls (default 256 KiB). Smaller pulls always run as a
-	// single sequential Get, so short transfers pay no goroutine cost.
+	// single sequential Get.
 	PullStripeThresh int64
 	// RanksPerNode is how many ranks share this machine, as reported by
 	// the launcher. It scales the automatic PullStripes default: with R
 	// ranks competing for the node's cores, each pull gets NumCPU/R
 	// stripes (clamped to [1,4]) instead of the in-process GOMAXPROCS
-	// rule — 128 co-located ranks must not each spawn 4 pull goroutines.
+	// rule — 128 co-located ranks must not each run 4 pullers.
 	// Zero (unknown placement) keeps the old rule.
 	RanksPerNode int
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -24,9 +25,16 @@ type Worker struct {
 	mu     sync.Mutex
 	table  matchTable          // posted receives and blocked probes + unexpected and claimed messages, sharded by peer
 	active map[msgKey]*Request // matched receives still consuming fragments
-	sends  map[uint64]*sendOp  // sends awaiting the peer's FIN (rendezvous) or ack (reliable eager)
+	sends  map[uint64]*Request // sends awaiting the peer's FIN (rendezvous) or ack (reliable eager)
 	pulls  map[msgKey]*Request // rendezvous receives mid-pull (dup RTS suppression)
 	closed bool
+
+	// The transfer executor (see job), guarded by jobMu, so queueing never
+	// waits behind matching. Close closes quit under it.
+	jobMu   sync.Mutex
+	lanes   []lane              // one queue per source rank, this rank's own for self-sends
+	laneCap int                 // pullers a lane may run (see NewWorker)
+	retries map[*time.Timer]job // Gets waiting out a retry back-off
 
 	// Reliability state (see reliable.go), guarded by mu.
 	completed     map[msgKey]doneRec // recently finished wire messages
@@ -49,7 +57,7 @@ type Worker struct {
 	onPeerFail []func(rank int) // failure callbacks, invoked outside mu
 	poison     []poisonRule     // standing receive-post rejections, guarded by mu
 
-	quit    chan struct{} // stops the janitor
+	quit    chan struct{} // closed by Close: stops the janitor, fails every Get not yet begun
 	nextMsg atomic.Uint64
 	wg      sync.WaitGroup
 	stats   WorkerStats
@@ -93,26 +101,31 @@ type msgKey struct {
 	id   uint64
 }
 
-// sendOp is a send awaiting the peer's answer: a rendezvous send its FIN
-// (src and key set), a reliable eager send its ack (payload set). Under
-// Reliable the janitor resends it — the RTS, or every fragment of the
-// retained message — until the answer comes or the attempts run out.
+// sendOp is what a send that outlives its Send call keeps: a rendezvous send
+// awaits its FIN (src set), a reliable eager send its ack (payload set), both
+// in Worker.sends; a self-send its match (src set). Under Reliable the
+// janitor resends what is in the table — the RTS, or every fragment of the
+// retained message — until the answer comes or the attempts run out; only
+// its own two fields change once a send is there.
 type sendOp struct {
-	req *Request
-	dst int
-	hdr fabric.Header // the RTS, or the template of every eager fragment
-
-	src SendState // rendezvous: the registered source; nil for eager
-	key uint64    // rendezvous: its memory key
-
-	payload []byte // eager: the retained packed message
-
-	attempts int       // resend rounds so far
-	next     time.Time // when the janitor resends next (Reliable only)
+	dst        int // the envelope: destination, tag, size, aux word
+	tag        Tag
+	total, aux int64
+	src        SendState // rendezvous (registered under the request's key) and self: the source
+	payload    []byte    // eager: the retained packed message
+	attempts   int       // resend rounds so far
+	next       time.Time // when the janitor resends next (Reliable only)
 }
 
-// rndv reports whether the send is answered by a FIN, not an ack.
-func (s *sendOp) rndv() bool { return s.src != nil }
+// sendHdr is a rendezvous send's RTS, or a retained eager message's fragment template.
+func (r *Request) sendHdr() fabric.Header {
+	s := r.send
+	h := fabric.Header{Kind: kindEager, Flags: flagReliable, Tag: uint64(s.tag), MsgID: r.msgID, Total: s.total, Aux0: s.aux}
+	if s.src != nil {
+		h.Kind, h.Flags, h.Aux1 = kindRTS, 0, int64(r.key)
+	}
+	return h
+}
 
 // inbound is what a message's first fragment, RTS or self-send says about
 // it: everything matching and binding a receive need.
@@ -146,8 +159,7 @@ type unexMsg struct {
 	rndv      bool
 	frags     []*fabric.Packet // eager: buffered fragments in arrival order
 	buffered  int64
-	selfSrc   SendState // self-send: local source
-	selfReq   *Request  // self-send: the sender's request
+	selfReq   *Request  // self-send: the sender's request, which holds the source
 	errored   error     // abort received before match
 	erroredAt time.Time // when errored was set (janitor reaping)
 	claimed   bool
@@ -170,19 +182,32 @@ func newUnex(in inbound) *unexMsg {
 // DeclarePeerFailed.
 func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 	w := &Worker{
-		nic:    nic,
-		cfg:    cfg.withDefaults(),
-		active: make(map[msgKey]*Request),
-		sends:  make(map[uint64]*sendOp),
-		pulls:  make(map[msgKey]*Request),
-		dead:   make([]atomic.Bool, nic.Size()),
-		quit:   make(chan struct{}),
+		nic:     nic,
+		cfg:     cfg.withDefaults(),
+		active:  make(map[msgKey]*Request),
+		sends:   make(map[uint64]*Request),
+		pulls:   make(map[msgKey]*Request),
+		dead:    make([]atomic.Bool, nic.Size()),
+		quit:    make(chan struct{}),
+		lanes:   make([]lane, nic.Size()),
+		retries: make(map[*time.Timer]job),
+		rng:     rand.New(rand.NewSource(int64(nic.Rank())<<32 | 0x5eed)),
 	}
 	if w.cfg.Reliable {
 		w.completed = make(map[msgKey]doneRec, completedCap)
-		w.rng = rand.New(rand.NewSource(int64(nic.Rank())<<32 | 0x5eed))
 	}
 	w.nextMsg.Store(w.cfg.MsgIDBase)
+	// PullStripes counts cores, so it caps a lane where a Get is a copy made
+	// by the puller. Over TCP a Get waits out a round trip: there every job
+	// gets a puller of its own, as it had a goroutine before the executor.
+	w.laneCap = w.cfg.PullStripes
+	if _, ok := nic.(*fabric.TCP); ok {
+		w.laneCap = math.MaxInt
+	}
+	for i := range w.lanes {
+		l := &w.lanes[i]
+		l.run = func() { w.puller(l) }
+	}
 	w.ackCond = sync.NewCond(&w.ackMu)
 	w.ackDrained = make(chan struct{})
 	w.wg.Add(1)
@@ -237,7 +262,21 @@ func (w *Worker) Close() {
 	w.closed = true
 	posted := w.table.takeAllPosted()
 	w.mu.Unlock()
+	// Under jobMu, so every puller is counted in w.wg before the Wait below.
+	// A Get waiting out a retry back-off fails now, not when its timer fires.
+	w.jobMu.Lock()
 	close(w.quit)
+	var late []job
+	for t, j := range w.retries {
+		if t.Stop() {
+			late = append(late, j)
+		}
+	}
+	w.jobMu.Unlock()
+	for _, j := range late {
+		w.jobDone(j.op, ErrWorkerClosed)
+		w.wg.Done()
+	}
 	w.ackMu.Lock()
 	w.ackClosed = true
 	w.ackMu.Unlock()
@@ -297,43 +336,29 @@ func (w *Worker) Send(dst int, tag Tag, dt Datatype, buf any, count int64, aux i
 		w.stats.SelfSends.Add(1)
 		w.stats.SelfBytes.Add(total)
 		w.ev(obs.EvSend, dst, id, tag, total, traceProtoSelf)
-		w.selfSend(req, src, Tag(tag), total, aux, id)
+		req.send = &sendOp{dst: dst, tag: tag, total: total, aux: aux, src: src}
+		w.selfSend(req)
 		return req, nil
 	}
 
-	useRndv := false
-	switch proto {
-	case ProtoRndv:
-		useRndv = true
-	case ProtoEager:
-	default:
-		if pc, ok := src.(ProtoChooser); ok {
-			proto = pc.ChooseProto(total, w.cfg.RndvThresh, w.cfg.IovRndvMin)
-		}
-		switch {
-		case proto == ProtoRndv:
-			useRndv = true
-		case proto == ProtoEager:
-		case total > w.cfg.RndvThresh:
-			useRndv = true
-		default:
-			if rc, ok := fabric.Source(src).(fabric.RegionCounter); ok && rc.NumRegions() > 1 && total >= w.cfg.IovRndvMin {
-				// Region lists only reach zero-copy through the pull path.
-				useRndv = true
-			}
-		}
+	if pc, ok := src.(ProtoChooser); ok && proto != ProtoRndv && proto != ProtoEager {
+		proto = pc.ChooseProto(total, w.cfg.RndvThresh, w.cfg.IovRndvMin)
+	}
+	useRndv := proto == ProtoRndv
+	if !useRndv && proto != ProtoEager {
+		// Region lists only reach zero-copy through the pull path.
+		rc, ok := fabric.Source(src).(fabric.RegionCounter)
+		useRndv = total > w.cfg.RndvThresh || ok && rc.NumRegions() > 1 && total >= w.cfg.IovRndvMin
 	}
 
 	if useRndv {
 		w.stats.RndvSends.Add(1)
 		w.stats.RndvBytes.Add(total)
 		w.ev(obs.EvSend, dst, id, tag, total, traceProtoRndv)
-		key := w.nic.Register(src)
-		s := &sendOp{req: req, dst: dst, src: src, key: key,
-			hdr: fabric.Header{Kind: kindRTS, Tag: uint64(tag), MsgID: id, Total: total, Aux0: aux, Aux1: int64(key)}}
-		err := w.trackSend(s)
+		req.key, req.send = w.nic.Register(src), &sendOp{dst: dst, tag: tag, total: total, aux: aux, src: src}
+		err := w.trackSend(req)
 		if err == nil {
-			err = w.nic.Send(dst, s.hdr)
+			err = w.nic.Send(dst, req.sendHdr())
 			// Under Reliable the janitor retransmits the RTS until the FIN
 			// arrives, so even a failed first send (link down) just waits
 			// its turn. Otherwise the send is undone — unless a failure
@@ -342,7 +367,7 @@ func (w *Worker) Send(dst int, tag Tag, dt Datatype, buf any, count int64, aux i
 				return req, nil
 			}
 		}
-		w.finishSend(s, err)
+		w.finishSend(req, err)
 		return nil, err
 	}
 
@@ -353,7 +378,8 @@ func (w *Worker) Send(dst int, tag Tag, dt Datatype, buf any, count int64, aux i
 	w.ev(obs.EvSend, dst, id, tag, total, traceProtoEager)
 	packStart := w.obsNow()
 	if w.cfg.Reliable {
-		err = w.eagerSendReliable(dst, tag, id, total, aux, src, req)
+		req.send = &sendOp{dst: dst, tag: tag, total: total, aux: aux}
+		err = w.eagerSendReliable(dst, total, src, req)
 	} else {
 		err = w.eagerSend(dst, tag, id, total, aux, src)
 	}
@@ -380,8 +406,7 @@ func (w *Worker) Send(dst int, tag Tag, dt Datatype, buf any, count int64, aux i
 
 func (w *Worker) eagerSend(dst int, tag Tag, id uint64, total, aux int64, src SendState) error {
 	if total == 0 {
-		hdr := fabric.Header{Kind: kindEager, Tag: uint64(tag), MsgID: id, Offset: 0, Total: 0, Aux0: aux}
-		return w.nic.Send(dst, hdr)
+		return w.nic.Send(dst, fabric.Header{Kind: kindEager, Tag: uint64(tag), MsgID: id, Aux0: aux})
 	}
 	off := int64(0)
 	frag := int64(w.cfg.FragSize)
@@ -393,10 +418,7 @@ func (w *Worker) eagerSend(dst int, tag Tag, id uint64, total, aux int64, src Se
 		staging = make([]byte, frag)
 	}
 	for off < total {
-		n := frag
-		if rem := total - off; n > rem {
-			n = rem
-		}
+		n := min(frag, total-off)
 		hdr := fabric.Header{Kind: kindEager, Tag: uint64(tag), MsgID: id, Offset: off, Total: total, Aux0: aux}
 		if off > 0 && off+n < total {
 			hdr.Flags = fabric.FlagUnordered
@@ -428,22 +450,23 @@ func (w *Worker) eagerSend(dst int, tag Tag, id uint64, total, aux int64, src Se
 	return nil
 }
 
-// selfSend queues a local message for matching without touching the wire.
-func (w *Worker) selfSend(req *Request, src SendState, tag Tag, total, aux int64, id uint64) {
-	m := newUnex(inbound{from: w.Rank(), id: id, tag: tag, total: total, aux0: aux})
-	m.selfSrc, m.selfReq = src, req
+// selfSend matches a local message, or queues it for matching, without
+// touching the wire.
+func (w *Worker) selfSend(req *Request) {
+	in := inbound{from: w.Rank(), id: req.msgID, tag: req.send.tag, total: req.send.total, aux0: req.send.aux}
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		src.Finish()
-		req.complete(-1, 0, 0, 0, ErrWorkerClosed)
+		w.finishSend(req, ErrWorkerClosed)
 		return
 	}
-	if r, _ := w.arriveLocked(m.inbound, m); r != nil {
-		w.ev(obs.EvMatch, m.from, m.id, m.tag, m.total, 1)
-		w.startRecvLocked(r, m) // releases w.mu
+	r, m := w.arriveLocked(in)
+	if r != nil {
+		w.ev(obs.EvMatch, in.from, in.id, in.tag, in.total, 1)
+		w.startTransferLocked(r, in, 0, req) // releases w.mu
 		return
 	}
+	m.selfReq = req
 	w.mu.Unlock()
 }
 
@@ -451,22 +474,20 @@ func (w *Worker) selfSend(req *Request, src SendState, tag Tag, total, aux int64
 // posted queue, so a blocked probe is matched, and failed, exactly like a
 // posted receive. In posting order: every blocked Probe ahead of the taker
 // completes with the message's envelope; a receive is returned to be
-// started; otherwise the message (m, built from in when nil) is queued —
-// claimed, when a blocked Mprobe was next in line — and returned for its
-// bytes to be buffered. Caller holds w.mu.
-func (w *Worker) arriveLocked(in inbound, m *unexMsg) (*Request, *unexMsg) {
+// started, and no unexpected entry is built; otherwise the message is queued
+// — claimed, when a blocked Mprobe was next in line — and returned for the
+// caller to say, under the same w.mu, how its bytes come. Caller holds w.mu.
+func (w *Worker) arriveLocked(in inbound) (*Request, *unexMsg) {
 	for {
 		r := w.table.matchPosted(in.from, in.tag)
 		switch {
 		case r != nil && r.probe == nil:
-			return r, m
+			return r, nil
 		case r != nil && !r.probe.claimed:
 			r.completeProbe(in, nil)
 			continue
 		}
-		if m == nil {
-			m = newUnex(in)
-		}
+		m := newUnex(in)
 		m.claimed = r != nil // r, if any, is the blocked Mprobe next in line
 		w.table.addUnexpected(m)
 		if r != nil {
@@ -498,12 +519,8 @@ func (w *Worker) admitLocked(from int, tag, mask Tag) error {
 // for exact matching).
 func (w *Worker) Recv(from int, tag, mask Tag, dt Datatype, buf any, count int64) (*Request, error) {
 	req := newRequest(w)
-	req.tag = tag
-	req.mask = mask
-	req.from = from
-	req.dt = dt
-	req.buf = buf
-	req.count = count
+	req.tag, req.mask, req.from = tag, mask, from
+	req.dt, req.buf, req.count = dt, buf, count
 	if w.cfg.ReqTimeout > 0 {
 		req.deadline = time.Now().Add(w.cfg.ReqTimeout)
 	}
@@ -563,38 +580,42 @@ func matches(req *Request, from int, tag Tag) bool {
 // serializes with the caller's drain of the buffered fragments through
 // req.mu.
 func (w *Worker) startRecvLocked(req *Request, m *unexMsg) {
-	if m.errored != nil {
+	switch {
+	case m.errored != nil:
 		w.mu.Unlock()
 		w.releaseFrags(m)
 		req.complete(m.from, m.tag, 0, m.aux0, m.errored)
 		return
+	case m.rndv || m.selfReq != nil:
+		w.startTransferLocked(req, m.inbound, m.rndvKey, m.selfReq)
+		return
 	}
-	eager := m.selfSrc == nil && !m.rndv
-	partial := eager && m.buffered < m.total
+	partial := m.buffered < m.total
 	req.mu.Lock()
-	switch {
-	case m.rndv:
-		w.pulls[msgKey{m.from, m.id}] = req
-	case partial || eager && w.cfg.Reliable && m.total > 0:
+	if partial || w.cfg.Reliable && m.total > 0 {
 		w.active[msgKey{m.from, m.id}] = req
 		req.tracked = true
 	}
 	w.mu.Unlock()
-	w.bind(req, m.inbound, eager, partial)
-	switch {
-	case m.selfSrc != nil:
-		req.mu.Unlock()
-		w.wg.Add(1)
-		go w.runSelf(req, m)
-	case m.rndv:
-		req.mu.Unlock()
-		w.wg.Add(1)
-		go w.runPull(req, m.rndvKey)
-	default:
-		frags := m.frags
-		m.frags = nil
-		w.startEager(req, frags)
+	w.bind(req, m.inbound, true, partial)
+	frags := m.frags
+	m.frags = nil
+	w.startEager(req, frags)
+}
+
+// startTransferLocked binds req to a message whose bytes a transfer job
+// moves — a rendezvous message announced with key, or the self-send self —
+// and queues the job. The caller must hold w.mu; it is released on return.
+func (w *Worker) startTransferLocked(req *Request, in inbound, key uint64, self *Request) {
+	req.mu.Lock()
+	if self == nil {
+		w.pulls[msgKey{in.from, in.id}] = req
 	}
+	w.mu.Unlock()
+	w.bind(req, in, false, false)
+	req.key, req.selfFrom = key, self
+	req.mu.Unlock()
+	w.enqueue(job{op: req, whole: true})
 }
 
 // bind makes req the receive operation of message in and builds its sink.
@@ -671,131 +692,147 @@ func (w *Worker) finishEager(op *Request) {
 	}
 }
 
-// runSelf completes a matched self-send by local transfer.
-func (w *Worker) runSelf(op *Request, m *unexMsg) {
-	defer w.wg.Done()
-	err := op.failure
-	n := op.msgTotal
-	if err == nil && n > 0 {
-		err = fabric.Transfer(m.selfSrc, 0, op.sink, 0, n, nil)
-	}
-	if err != nil {
-		n = 0
-	}
-	if op.sink != nil {
-		if ferr := op.sink.Finish(); err == nil {
-			err = ferr
-		}
-	}
-	op.complete(op.srcRank, op.srcTag, n, op.aux0, err)
-	w.finishSelf(m, err)
+// job is one unit of work of the transfer executor. What the jobs of one
+// message share is in its Request.
+type job struct {
+	op      *Request
+	whole   bool  // the transfer of a matched rendezvous or self receive (see transfer)
+	off, n  int64 // otherwise: one Get of bytes [off, off+n) of a pull
+	attempt int   // Gets of this range that failed so far
 }
 
-// finishSelf completes the send side of a self message, if any.
-func (w *Worker) finishSelf(m *unexMsg, err error) {
-	if m.selfSrc == nil {
+// lane queues the transfers from one source rank: a peer stalled inside a Get,
+// or a slow unpack callback, holds up no other peer's pulls and no self-send.
+type lane struct {
+	jobs    []job  // queued, from head on, in arrival order
+	head    int    // index of the next job to run
+	pullers int    // goroutines draining the lane, at most Worker.laneCap
+	run     func() // the lane's puller, bound once: starting one allocates nothing
+}
+
+func (w *Worker) quitting() bool {
+	select {
+	case <-w.quit:
+		return true
+	default:
+		return false
+	}
+}
+
+// enqueue hands a job to its source's lane, where it waits in arrival order
+// for one of at most laneCap pullers; one is started when a job finds fewer
+// running and exits when it finds the lane empty, so an idle worker parks
+// none and a burst pays one spawn and one stack growth, not one a message.
+// Nothing waits on a queued job; once Close has begun one runs here, to fail.
+func (w *Worker) enqueue(j job) {
+	l := &w.lanes[j.op.srcRank]
+	w.jobMu.Lock()
+	if w.quitting() {
+		w.jobMu.Unlock()
+		w.run(j)
 		return
 	}
-	if ferr := m.selfSrc.Finish(); err == nil {
-		err = ferr
+	if l.head > 0 && len(l.jobs) == cap(l.jobs) {
+		n := copy(l.jobs, l.jobs[l.head:])
+		clear(l.jobs[n:])
+		l.jobs, l.head = l.jobs[:n], 0
 	}
-	m.selfReq.complete(w.Rank(), m.tag, m.total, m.aux0, err)
-	m.selfSrc = nil
+	l.jobs = append(l.jobs, j)
+	if l.pullers < w.laneCap {
+		l.pullers++
+		w.wg.Add(1)
+		go l.run()
+	}
+	w.jobMu.Unlock()
 }
 
-// runPull executes the rendezvous receive: pull (striped when the
-// datatype contract allows), FIN after every byte landed, complete.
-func (w *Worker) runPull(op *Request, key uint64) {
+func (w *Worker) puller(l *lane) {
 	defer w.wg.Done()
-	err := op.failure
-	n := op.msgTotal
-	if err == nil && n > 0 {
-		err = w.pullBody(op, key, n)
-	}
-	status := int64(0)
-	if err != nil {
-		status = 1
-		n = 0
-	}
-	mk := msgKey{op.srcRank, op.msgID}
-	// Record completion before dropping the pull entry: handleRTS checks
-	// both under one lock, so a retransmitted RTS always finds at least
-	// one of them and never redelivers.
-	w.recordCompleted(mk, kindFIN, status)
-	w.mu.Lock()
-	delete(w.pulls, mk)
-	w.mu.Unlock()
-	_ = w.nic.Send(op.srcRank, fabric.Header{Kind: kindFIN, MsgID: op.msgID, Aux0: status})
-	if op.sink != nil {
-		if ferr := op.sink.Finish(); err == nil {
-			err = ferr
+	for {
+		w.jobMu.Lock()
+		if l.head == len(l.jobs) {
+			l.jobs, l.head = l.jobs[:0], 0
+			l.pullers--
+			w.jobMu.Unlock()
+			return
 		}
+		j := l.jobs[l.head]
+		l.jobs[l.head] = job{}
+		l.head++
+		w.jobMu.Unlock()
+		w.run(j)
 	}
-	op.complete(op.srcRank, op.srcTag, n, op.aux0, err)
 }
 
-// pullBody moves the rendezvous message body. Transfers of at least
-// PullStripeThresh bytes whose sink tolerates out-of-order delivery are
-// split into PullStripes byte ranges pulled concurrently, putting
-// multiple cores on the sender-side pack (ReadAt) and receiver-side
-// unpack (WriteAt) of one message. Sequential sinks — the inorder
-// contract — and small transfers take the single-Get path unchanged.
-//
-// The stripe fan-out relies on both endpoints being safe for concurrent
-// access at disjoint offsets: sources/sinks built from memory windows
-// (Bytes, Iov, the region tail of a core binding) index immutable layout
-// tables, and non-inorder pack/unpack callbacks accept arbitrary-offset
-// fragments by contract, so disjoint stripes never share mutable state.
-func (w *Worker) pullBody(op *Request, key uint64, n int64) error {
-	stripes := int64(w.cfg.PullStripes)
-	if op.sequential || stripes <= 1 || n < w.cfg.PullStripeThresh {
+func (w *Worker) run(j job) {
+	if j.whole {
+		w.transfer(j.op)
+	} else {
+		w.get(j)
+	}
+}
+
+// transfer moves a matched message: a self-send by one local copy, a
+// rendezvous message by Get. A pull of at least PullStripeThresh bytes is
+// split into PullStripes byte ranges pulled concurrently, putting several
+// cores on the pack (ReadAt) and unpack (WriteAt) of one message: this
+// puller queues the other stripes and runs the first itself. Both ends must
+// take concurrent access at disjoint offsets: memory windows (Bytes, Iov, a
+// binding's region tail) index immutable layout tables, non-inorder callbacks
+// accept any offset by contract. Sequential (inorder) sinks are one Get.
+func (w *Worker) transfer(op *Request) {
+	n, self := op.msgTotal, op.selfFrom
+	if self != nil && op.failure == nil && n > 0 {
+		op.failure = fabric.Transfer(self.send.src, 0, op.sink, 0, n, nil)
+	}
+	if self != nil || op.failure != nil || n == 0 {
+		w.finishRecv(op)
+		return
+	}
+	chunk := n
+	if !op.sequential && n >= w.cfg.PullStripeThresh {
+		stripes := min(int64(w.cfg.PullStripes), n)
+		chunk = (n + stripes - 1) / stripes
+	}
+	segs := (n + chunk - 1) / chunk
+	if segs == 1 {
 		w.stats.SequentialPulls.Add(1)
-		return w.getRetry(op.srcRank, key, 0, op.sink, 0, n, op.sequential)
+	} else {
+		w.stats.StripedPulls.Add(1)
+		w.stats.PullStripeSegs.Add(segs)
+		w.ev(obs.EvStripes, op.srcRank, op.msgID, op.srcTag, n, segs)
 	}
-	if stripes > n {
-		stripes = n
+	op.striped, op.jobsLeft = segs > 1, int32(segs)
+	for off := chunk; off < n; off += chunk {
+		w.enqueue(job{op: op, off: off, n: min(chunk, n-off)})
 	}
-	chunk := (n + stripes - 1) / stripes
-	w.stats.StripedPulls.Add(1)
-	w.ev(obs.EvStripes, op.srcRank, op.msgID, op.srcTag, n, (n+chunk-1)/chunk)
-	var (
-		wg    sync.WaitGroup
-		errMu sync.Mutex
-		first error
-	)
-	for off := int64(0); off < n; off += chunk {
-		span := chunk
-		if rem := n - off; span > rem {
-			span = rem
-		}
-		w.stats.PullStripeSegs.Add(1)
-		wg.Add(1)
-		go func(off, span int64) {
-			defer wg.Done()
-			if err := w.getRetry(op.srcRank, key, off, op.sink, off, span, false); err != nil {
-				errMu.Lock()
-				if first == nil {
-					first = err
-				}
-				errMu.Unlock()
-			}
-		}(off, span)
+	w.get(job{op: op, n: chunk})
+}
+
+// jobDone counts one Get job of op finished, with err if it failed for good.
+// The job that zeroes the count speaks for the message, so the FIN that
+// releases the sender's registration cannot pass a stripe in flight. If a
+// stripe ran out of retries, it pulls the whole range again as one Get:
+// non-sequential sinks accept rewrites at offsets already covered.
+func (w *Worker) jobDone(op *Request, err error) {
+	op.mu.Lock()
+	if op.failure == nil {
+		op.failure = err
 	}
-	// Join every stripe before returning: the FIN that releases the
-	// sender's registration must not race an in-flight stripe.
-	wg.Wait()
-	if first == nil {
-		return nil
+	op.jobsLeft--
+	last := op.jobsLeft == 0
+	again := last && op.striped && op.failure != nil && !permanent(op.failure)
+	if again {
+		op.striped, op.failure, op.jobsLeft = false, nil, 1
 	}
-	if errors.Is(first, fabric.ErrBadKey) || errors.Is(first, fabric.ErrClosed) {
-		return first
+	op.mu.Unlock()
+	switch {
+	case again:
+		w.stats.StripeFallbacks.Add(1)
+		w.get(job{op: op, n: op.msgTotal})
+	case last:
+		w.finishRecv(op)
 	}
-	// Graceful degradation: a stripe exhausted its retries, so re-pull
-	// the whole range as one sequential Get. Non-sequential sinks accept
-	// rewrites at already-covered offsets, so restarting from zero is
-	// contract-safe.
-	w.stats.StripeFallbacks.Add(1)
-	return w.getRetry(op.srcRank, key, 0, op.sink, 0, n, false)
 }
 
 // feedLocked delivers one eager fragment. Caller holds op.mu. It returns
@@ -872,8 +909,10 @@ func (w *Worker) feedLocked(op *Request, pkt *fabric.Packet) bool {
 	return false
 }
 
-// finishRecv completes an eager receive after its final fragment (or an
-// abort). Caller must not hold op.mu or w.mu.
+// finishRecv completes a matched receive: an eager one after its final
+// fragment (or an abort), a rendezvous or self one after its last job. The
+// sink is finished first, so the ack or FIN tells the sender what the
+// receive's caller is told. Caller holds neither op.mu nor w.mu.
 func (w *Worker) finishRecv(op *Request) {
 	// Fragments still held back for in-order delivery: the receive failed,
 	// or its sender's offsets overlapped.
@@ -881,34 +920,50 @@ func (w *Worker) finishRecv(op *Request) {
 		p.Release()
 	}
 	op.pending = nil
-	err := op.failure
-	n := op.received
-	if err != nil {
-		n = 0
+	err, n := op.failure, op.received
+	if !op.wireEager {
+		n = op.msgTotal
 	}
 	if op.sink != nil {
 		if ferr := op.sink.Finish(); err == nil {
 			err = ferr
 		}
 	}
-	if w.obs != nil && !op.start.IsZero() {
-		// Receiver-side delivery: match → every fragment consumed and the
-		// sink finished (buffered drain + live routing + unpack callbacks).
-		w.obs.unpackNS.Observe(time.Since(op.start).Nanoseconds())
+	status := int64(0)
+	if err != nil {
+		status, n = 1, 0
 	}
-	if op.wireEager {
-		status := int64(0)
-		if err != nil {
-			status = 1
+	mk := msgKey{op.srcRank, op.msgID}
+	switch {
+	case op.wireEager:
+		if w.obs != nil && !op.start.IsZero() {
+			// Receiver-side delivery: match → every fragment consumed and the
+			// sink finished (buffered drain + live routing + unpack callbacks).
+			w.obs.unpackNS.Observe(time.Since(op.start).Nanoseconds())
 		}
 		// Record before the ack leaves so a duplicate fragment racing the
 		// ack finds the completion record.
-		w.recordCompleted(msgKey{op.srcRank, op.msgID}, kindEagerAck, status)
+		if w.cfg.Reliable {
+			w.mu.Lock()
+			w.recordCompletedLocked(mk, kindEagerAck, status)
+			w.mu.Unlock()
+		}
 		if op.reliable {
 			w.sendAck(op.srcRank, op.msgID, status)
 		}
+	case op.selfFrom == nil:
+		// Recorded in the critical section that drops the pull entry, so a
+		// retransmitted RTS (handleRTS checks both) finds one of the two.
+		w.mu.Lock()
+		w.recordCompletedLocked(mk, kindFIN, status)
+		delete(w.pulls, mk)
+		w.mu.Unlock()
+		_ = w.nic.Send(op.srcRank, fabric.Header{Kind: kindFIN, MsgID: op.msgID, Aux0: status})
 	}
 	op.complete(op.srcRank, op.srcTag, n, op.aux0, err)
+	if op.selfFrom != nil {
+		w.finishSend(op.selfFrom, err)
+	}
 }
 
 // releaseFrags returns any buffered wire buffers of an unmatched message.
@@ -942,7 +997,7 @@ func (w *Worker) drainOnClose() {
 	active := w.active
 	w.active = make(map[msgKey]*Request)
 	sends := w.sends
-	w.sends = make(map[uint64]*sendOp)
+	w.sends = make(map[uint64]*Request)
 	unex := w.table.takeAllUnexpected()
 	w.mu.Unlock()
 	for _, op := range active {
@@ -953,7 +1008,9 @@ func (w *Worker) drainOnClose() {
 	}
 	for _, m := range unex {
 		w.releaseFrags(m)
-		w.finishSelf(m, ErrWorkerClosed)
+		if m.selfReq != nil {
+			w.finishSend(m.selfReq, ErrWorkerClosed)
+		}
 	}
 }
 
@@ -999,7 +1056,7 @@ func (w *Worker) bufferLocked(m *unexMsg, pkt *fabric.Packet) {
 		m.reliable = m.reliable || pkt.Hdr.Flags&flagReliable != 0
 		m.buffered += w.addFragDedup(m, pkt)
 	}
-	ack := m.reliable && !m.rndv && m.selfSrc == nil &&
+	ack := m.reliable && !m.rndv && m.selfReq == nil &&
 		m.errored == nil && m.buffered >= m.total
 	w.mu.Unlock()
 	if ack {
@@ -1069,7 +1126,7 @@ func (w *Worker) handleEager(pkt *fabric.Packet) {
 	}
 	// A fragment that finds its receive posted is delivered from its
 	// header: no unexpected entry is built.
-	req, m := w.arriveLocked(in, nil)
+	req, m := w.arriveLocked(in)
 	if req != nil {
 		w.stats.PostedHits.Add(1)
 		w.ev(obs.EvMatch, in.from, in.id, in.tag, in.total, 1)
@@ -1113,8 +1170,8 @@ func (w *Worker) handleRTS(pkt *fabric.Packet) {
 		// Retransmitted RTS: if the pull already finished, the FIN was
 		// lost — resend it. If the pull is running or the message is
 		// still buffered awaiting a match, the original RTS is in hand.
-		// One critical section pairs with runPull's record-then-delete
-		// ordering so a duplicate always hits at least one check.
+		// finishRecv records and drops the pull in one critical section,
+		// so a duplicate always hits at least one check.
 		rec, done := w.completed[key]
 		_, running := w.pulls[key]
 		if fin := done && rec.kind == kindFIN; fin || running || w.table.findUnexpected(key) != nil {
@@ -1126,14 +1183,16 @@ func (w *Worker) handleRTS(pkt *fabric.Packet) {
 			return
 		}
 	}
-	m := newUnex(in)
-	m.rndv, m.rndvKey = true, rndvKey
-	if req, _ := w.arriveLocked(in, m); req != nil {
+	// An RTS that finds its receive posted starts the pull from its
+	// header: no unexpected entry is built.
+	req, m := w.arriveLocked(in)
+	if req != nil {
 		w.stats.PostedHits.Add(1)
-		w.ev(obs.EvMatch, m.from, m.id, m.tag, m.total, 1)
-		w.startRecvLocked(req, m) // releases w.mu
+		w.ev(obs.EvMatch, in.from, in.id, in.tag, in.total, 1)
+		w.startTransferLocked(req, in, rndvKey, nil) // releases w.mu
 		return
 	}
+	m.rndv, m.rndvKey = true, rndvKey
 	w.mu.Unlock()
 }
 
@@ -1156,40 +1215,43 @@ func (w *Worker) handleAnswer(pkt *fabric.Packet) {
 
 // trackSend enters a send in w.sends, where its answer, the janitor and
 // every failure cause find it. Caller must not hold w.mu.
-func (w *Worker) trackSend(s *sendOp) error {
+func (w *Worker) trackSend(r *Request) error {
 	if w.cfg.Reliable {
-		s.next = time.Now().Add(w.rexmitBackoff().Delay(0, nil))
+		r.send.next = time.Now().Add(w.rexmitBackoff().Delay(0, nil))
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrWorkerClosed
 	}
-	w.sends[s.hdr.MsgID] = s
+	w.sends[r.msgID] = r
 	return nil
 }
 
 // takeSend removes and returns the rendezvous (rndv) or reliable eager send
 // id names, if it is still waiting. Whoever takes a send out of w.sends
 // finishes it.
-func (w *Worker) takeSend(id uint64, rndv bool) *sendOp {
+func (w *Worker) takeSend(id uint64, rndv bool) *Request {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	s := w.sends[id]
-	if s == nil || s.rndv() != rndv {
+	r := w.sends[id]
+	if r == nil || (r.send.src != nil) != rndv {
 		return nil
 	}
 	delete(w.sends, id)
-	return s
+	return r
 }
 
-// finishSend completes a send taken out of w.sends (or never entered): a
-// rendezvous send's registration and source state are given back, and err,
-// if any, says why nothing was transferred.
-func (w *Worker) finishSend(s *sendOp, err error) {
-	total := s.hdr.Total
-	if s.rndv() {
-		w.nic.Deregister(s.key)
+// finishSend completes a send taken out of w.sends (or never entered) or a
+// self-send: a source still bound is given back, a rendezvous one after its
+// registration, and err, if any, says why nothing was transferred.
+func (w *Worker) finishSend(r *Request, err error) {
+	s := r.send
+	total := s.total
+	if s.src != nil {
+		if s.dst != w.Rank() {
+			w.nic.Deregister(r.key)
+		}
 		if ferr := s.src.Finish(); err == nil {
 			err = ferr
 		}
@@ -1197,7 +1259,7 @@ func (w *Worker) finishSend(s *sendOp, err error) {
 	if err != nil {
 		total = 0
 	}
-	s.req.complete(s.dst, Tag(s.hdr.Tag), total, s.hdr.Aux0, err)
+	r.complete(s.dst, s.tag, total, s.aux, err)
 }
 
 func (w *Worker) handleAbort(pkt *fabric.Packet) {
