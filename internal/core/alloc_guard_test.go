@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -23,8 +24,9 @@ import (
 // regions cost on top — the iovec's offset index, the region slice itself
 // being pooled — plus whatever the handler's State returns (head + 2
 // regions over a handler that boxes a slice: measured 19, was 31 when the
-// state was a pack source, an iovec and a two-part composite). Each
-// ceiling is measured + 2; if one trips, a change added per-message
+// state was a pack source, an iovec and a two-part composite). A self-send
+// is one message, not four, and its two ends meet in one local copy
+// (measured 8). Each ceiling is measured + 2; if one trips, a change added per-message
 // garbage to the hot path — fix the change, don't bump the ceiling
 // without a benchmark showing why.
 const (
@@ -32,6 +34,7 @@ const (
 	ddtPingPongAllocCeiling      = 13 // gapped derived datatype, plan-packed
 	purePackPingPongAllocCeiling = 13 // custom datatype, head only, stateless handler
 	customPingPongAllocCeiling   = 21 // custom datatype, head + 2 regions
+	ddtSelfSendAllocCeiling      = 10 // gapped ddt to itself, one rank: an Irecv, a Send, a Wait
 )
 
 // measureEcho runs a fixed-iteration ping-pong between two in-process
@@ -160,5 +163,50 @@ func TestCustomEagerAllocsPinned(t *testing.T) {
 	t.Logf("custom 1 KiB ping-pong: %.1f allocs/op", avg)
 	if avg > customPingPongAllocCeiling {
 		t.Fatalf("custom eager path allocates %.1f/op, ceiling %d", avg, customPingPongAllocCeiling)
+	}
+}
+
+// TestDDTSelfSendAllocsPinned pins a self-send of a gapped derived datatype
+// into the same type: both ends callback-driven, so the one local copy
+// stages through a bounce buffer — borrowed from fabric's pool, not made
+// per message (16 KiB of garbage a send before it was pooled, which is what
+// the byte bound catches; the count alone moves by one).
+func TestDDTSelfSendAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	const count = 51
+	dt := core.FromDDT(workloads.StructSimpleType())
+	sys := core.NewSystem(1, core.Options{})
+	defer sys.Close()
+	c := sys.Comm(0)
+	msg, out := make([]byte, count*workloads.StructSimpleExtent), make([]byte, count*workloads.StructSimpleExtent)
+	selfSend := func() {
+		r, err := c.Irecv(out, count, dt, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(msg, count, dt, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const iters = 200
+	avg := testing.AllocsPerRun(iters, selfSend)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < iters; i++ {
+		selfSend()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / iters
+	t.Logf("gapped ddt 1 KiB self-send: %.1f allocs/op, %d B/op", avg, perOp)
+	if avg > ddtSelfSendAllocCeiling {
+		t.Fatalf("ddt self-send allocates %.1f/op, ceiling %d", avg, ddtSelfSendAllocCeiling)
+	}
+	if perOp >= fabric.DefaultFragSize {
+		t.Fatalf("ddt self-send allocates %d B/op: the bounce buffer is not pooled", perOp)
 	}
 }

@@ -150,3 +150,13 @@ func (t *Type) regionsInterp(buf []byte, count int64) ([][]byte, error) {
 	}
 	return regions, nil
 }
+
+// computePrefix returns cumulative packed sizes of the runs: element i is
+// the packed offset of run i within one element.
+func computePrefix(runs []Run) []int64 {
+	p := make([]int64, len(runs)+1)
+	for i, r := range runs {
+		p[i+1] = p[i] + r.Len
+	}
+	return p
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // This file implements datatype marshalling and equivalence — the
@@ -131,7 +132,9 @@ func Unmarshal(data []byte) (*Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		if off < 0 || length <= 0 {
+		// A run end or a size that wraps int64 would pass the bounds
+		// checks below and hand the kernels an offset outside the buffer.
+		if off < 0 || length <= 0 || off > math.MaxInt64-length || total > math.MaxInt64-length {
 			return nil, fmt.Errorf("%w: run %d = {%d,%d}", ErrMarshal, i, off, length)
 		}
 		runs[i] = Run{off, length}

@@ -2,6 +2,8 @@ package ddt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -105,6 +107,13 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	bad[4] ^= 0xFF
 	if _, err := Unmarshal(bad); err == nil {
 		t.Fatal("inconsistent size accepted")
+	}
+	// A run whose end wraps int64: it would sit below every bound check.
+	bad = append([]byte{}, good...)
+	run0 := 4 + 3*8 + 4 + len(typ.Name()) + 4
+	binary.LittleEndian.PutUint64(bad[run0:], math.MaxInt64-3)
+	if _, err := Unmarshal(bad); err == nil {
+		t.Fatal("run end past int64 accepted")
 	}
 }
 

@@ -2,21 +2,24 @@ package ddt
 
 // This file is the datatype plan compiler: the TEMPI-style answer to
 // interpreting the typemap on every pack. At commit time a type's
-// flattened run list is canonicalized into a small family of strided-block
-// descriptors and a specialized kernel is selected once per type:
+// flattened run list is folded into a program of strided-block steps, and
+// the shape of that program is the type's canonical form:
 //
 //	PlanContig  — layout equals packed form: one straight copy.
-//	PlanBlock   — one fixed-length block per element at stride extent
+//	PlanBlock   — one step of one block per element, at stride extent
 //	              (vectors with blocklen 1, resized single-run structs).
-//	PlanStrided — n equal blocks per element at a fixed inner stride
-//	              (vectors, subarray rows): vectorizable inner loops with
-//	              4/8/16-byte word moves for small blocks.
-//	PlanRunList — irregular typemaps: a walk over the run list with a
-//	              move class chosen per run.
+//	PlanStrided — one step of n equal blocks per element at a fixed inner
+//	              stride (vectors, subarray rows).
+//	PlanRunList — several steps: irregular typemaps, structs of vectors.
 //
-// Uniform plans locate any packed offset in O(1) with div/mod instead of
-// a binary search over the runs, so striped rendezvous fragments pay no
-// per-fragment setup. Compiled plans are interned in a concurrent cache
+// One kernel runs every program in both directions, over one move
+// primitive with a compile-time move class per step (4/8/16-byte word
+// moves for small blocks) and no per-move bounds check: PackAt / UnpackAt
+// validate their ranges once.
+//
+// A packed offset is located by div/mod to the element and a binary search
+// over the program's steps — O(1) for uniform plans — so striped rendezvous
+// fragments pay no per-fragment setup. Compiled plans are interned in a concurrent cache
 // keyed by a canonical layout hash: structurally identical types (Dup,
 // Unmarshal reconstruction, independently built equivalents) share one
 // plan and are never recompiled. Each Type additionally memoizes its plan
@@ -26,10 +29,13 @@ package ddt
 import (
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"mpicd/internal/obs"
 )
@@ -68,35 +74,28 @@ type Plan struct {
 	extent int64 // element spacing in the buffer
 	ub     int64 // upper bound of one element's runs
 
-	// Uniform geometry (PlanBlock, PlanStrided).
-	base     int64 // offset of the first block within an element
-	blockLen int64 // bytes per block
-	nblocks  int64 // blocks per element
-	stride   int64 // byte distance between consecutive block starts
-
-	// Canonical per-element run list (all kinds except PlanContig keep it
-	// for region extraction; PlanRunList also packs with it).
+	// Canonical per-element run list, kept for region extraction.
 	runs []Run
-	pre  []int64 // packed-offset prefix of runs
 
-	// prog is the compiled per-element program for the run-list kernels:
-	// each run annotated with its move class, so small runs inline as
-	// word moves instead of per-run memmove calls. wprog is the flattened
-	// wide-move variant (see compileWide) used on all but the final
-	// element of a whole-element batch.
-	prog  []runStep
-	wprog []wideStep
+	// prog is the compiled per-element program every non-contiguous kind
+	// packs and unpacks by: the run list folded into strided steps, each
+	// with its move class, so small runs are word moves instead of per-run
+	// memmove calls. A uniform layout (PlanBlock, PlanStrided) is a program
+	// of one step. wprog, when the layout permits one, is the flattened
+	// wide-move variant (see compileWide) that pack uses on all but the
+	// final element of a whole-element batch: its <=15-byte dst spill stays
+	// inside the element's packed image and its src overread inside the
+	// following element. tile is how many elements a program step covers
+	// before the next step runs.
+	prog  []step
+	wprog []step
+	tile  int64
 
 	// merge: the last run of element e ends exactly where the first run of
 	// element e+1 begins, so regions coalesce across element boundaries
 	// (always true when extent == size).
 	merge bool
-	// wide: the run-list pack kernel may use spilling wide moves — the
-	// <=15-byte dst spill stays inside the element's packed image (a
-	// compileWide guarantee) and the src overread is covered by the
-	// element extent plus the exact-program final element.
-	wide bool
-	hash uint64
+	hash  uint64
 }
 
 // Kind returns the canonical form the layout compiled to.
@@ -116,22 +115,30 @@ func (p *Plan) Span(count int64) int64 {
 	return (count-1)*p.extent + p.ub
 }
 
+// checkBuf is the single validation point of the typed side: buf holds
+// count elements. The kernels dereference raw pointers on the strength of
+// it, so the span is computed without wrapping — a count or a wire-supplied
+// extent large enough to overflow int64 is refused, not truncated.
 func (p *Plan) checkBuf(buf []byte, count int64) error {
 	if count < 0 {
 		return fmt.Errorf("ddt: negative count %d", count)
 	}
-	if need := p.Span(count); int64(len(buf)) < need {
-		return fmt.Errorf("ddt: buffer of %d bytes cannot hold %d elements (%d bytes)", len(buf), count, need)
+	if count == 0 {
+		return nil
+	}
+	hi, lo := bits.Mul64(uint64(count-1), uint64(p.extent))
+	if hi != 0 || lo > uint64(math.MaxInt64-p.ub) || int64(lo)+p.ub > int64(len(buf)) {
+		return fmt.Errorf("ddt: buffer of %d bytes cannot hold %d elements (extent %d)", len(buf), count, p.extent)
 	}
 	return nil
 }
 
 // --- compilation -------------------------------------------------------------
 
-// Move classes for one run: selected once at compile time so the
-// whole-element kernels replace per-run memmove calls with inlined word
-// moves — the difference between a derived type and the constant-size
-// copies a hand-written pack compiles to.
+// Move classes for one block or run: selected once at compile time so the
+// kernels replace per-run memmove calls with word moves of a fixed shape
+// — the difference between a derived type and the constant-size copies a
+// hand-written pack compiles to. moveStrided has one loop per class.
 const (
 	clsTiny   uint8 = iota // 1..3 bytes: byte loop
 	clsMove4               // exactly 4 bytes
@@ -139,15 +146,30 @@ const (
 	clsMove16              // exactly 16 bytes
 	clsDual4               // 5..7 bytes: two overlapping 4-byte moves
 	clsDual8               // 9..15 bytes: two overlapping 8-byte moves
-	clsWords               // 17..128 bytes: 8-byte word loop + overlap tail
+	clsWords               // 17..128 bytes: 16-byte moves + overlap tail
 	clsCopy                // >128 bytes: memmove wins
 )
 
-// runStep is one instruction of the compiled per-element program.
-type runStep struct {
-	off int64 // source offset within the element
-	len int64
-	cls uint8
+// tileElems is the run-major tile: a 64-element window of a layout the
+// tiled kernels accept (extent <= 4096) stays cache-resident while every
+// program step passes over it.
+const tileElems = 64
+
+// step is one instruction of a compiled per-element program: n moves of
+// class cls between mem (offset within the element, advancing mstep a
+// move) and pk (offset within the element's packed image, advancing len).
+// The exact program folds every maximal sequence of equal-length runs at a
+// constant stride into one step, so a run list that is strided in parts —
+// a struct of vectors, one giant element with thousands of small runs —
+// executes as a few strided moves, not one call a run. The wide program
+// keeps n == 1; there a clsMove16 step may cover fewer than 16 payload
+// bytes: the spill is compiled in only when it stays inside the element's
+// packed image, on positions later steps rewrite.
+type step struct {
+	mem, pk  int64
+	len      int64
+	n, mstep int64
+	cls      uint8
 }
 
 func moveClass(n int64) uint8 {
@@ -171,23 +193,23 @@ func moveClass(n int64) uint8 {
 	}
 }
 
-func compileProg(runs []Run) []runStep {
-	prog := make([]runStep, len(runs))
-	for i, r := range runs {
-		prog[i] = runStep{off: r.Off, len: r.Len, cls: moveClass(r.Len)}
+func compileProg(runs []Run) []step {
+	var prog []step
+	w := int64(0)
+	for i := 0; i < len(runs); {
+		r := runs[i]
+		s := step{mem: r.Off, pk: w, len: r.Len, n: 1, cls: moveClass(r.Len)}
+		if i+1 < len(runs) && runs[i+1].Len == r.Len {
+			s.mstep = runs[i+1].Off - r.Off
+			for j := i + 1; j < len(runs) && runs[j].Len == r.Len && runs[j].Off-runs[j-1].Off == s.mstep; j++ {
+				s.n++
+			}
+		}
+		prog = append(prog, s)
+		i += int(s.n)
+		w += s.n * r.Len
 	}
 	return prog
-}
-
-// wideStep is one instruction of the flattened wide program: a move of
-// class cls reading src (offset within the element) and writing dst
-// (packed offset). A clsMove16 step may cover fewer than 16 payload
-// bytes (len < 16): the spill is compiled in only when it stays inside
-// the element's packed image, on positions later steps rewrite.
-type wideStep struct {
-	src, dst int64
-	len      int64
-	cls      uint8
 }
 
 // compileWide flattens the run list into a straight-line move program
@@ -202,24 +224,24 @@ type wideStep struct {
 // any step/element order (the kernels run it run-major, tiled).
 // Spilling moves may still READ up to 15 bytes past their run, so
 // callers keep the final element of a batch on the exact program.
-func compileWide(runs []Run, size int64) []wideStep {
-	var prog []wideStep
+func compileWide(runs []Run, size int64) []step {
+	var prog []step
 	w := int64(0)
 	for _, r := range runs {
 		if r.Len > 128 {
-			prog = append(prog, wideStep{src: r.Off, dst: w, len: r.Len, cls: clsCopy})
+			prog = append(prog, step{mem: r.Off, pk: w, len: r.Len, n: 1, cls: clsCopy})
 			w += r.Len
 			continue
 		}
 		k := int64(0)
 		for ; k+16 <= r.Len; k += 16 {
-			prog = append(prog, wideStep{src: r.Off + k, dst: w + k, len: 16, cls: clsMove16})
+			prog = append(prog, step{mem: r.Off + k, pk: w + k, len: 16, n: 1, cls: clsMove16})
 		}
 		if t := r.Len - k; t > 0 {
 			if w+k+16 <= size {
-				prog = append(prog, wideStep{src: r.Off + k, dst: w + k, len: 16, cls: clsMove16})
+				prog = append(prog, step{mem: r.Off + k, pk: w + k, len: 16, n: 1, cls: clsMove16})
 			} else {
-				prog = append(prog, wideStep{src: r.Off + k, dst: w + k, len: t, cls: moveClass(t)})
+				prog = append(prog, step{mem: r.Off + k, pk: w + k, len: t, n: 1, cls: moveClass(t)})
 			}
 		}
 		w += r.Len
@@ -255,79 +277,45 @@ func canonicalRuns(runs []Run) []Run {
 	return co
 }
 
-// computePrefix returns cumulative packed sizes of the runs: element i is
-// the packed offset of run i within one element.
-func computePrefix(runs []Run) []int64 {
-	p := make([]int64, len(runs)+1)
-	for i, r := range runs {
-		p[i+1] = p[i] + r.Len
-	}
-	return p
-}
-
-// buildPlan selects the canonical form for (extent, ub, canonical runs).
+// buildPlan selects the canonical form for (extent, ub, canonical runs):
+// contiguous, or whatever the compiled program turns out to be — a single
+// move an element, a single strided step, or a list of them.
 func buildPlan(extent, ub int64, runs []Run) *Plan {
 	var size int64
 	for _, r := range runs {
 		size += r.Len
 	}
-	p := &Plan{
-		size:   size,
-		extent: extent,
-		ub:     ub,
-		runs:   runs,
-		pre:    computePrefix(runs),
+	p := &Plan{size: size, extent: extent, ub: ub, runs: runs}
+	if len(runs) == 0 || (len(runs) == 1 && runs[0].Off == 0 && size == extent) {
+		p.kind = PlanContig
+		return p
 	}
+	// Adjacent-in-sequence runs are already coalesced, so a uniform stride
+	// never equals the block length.
+	p.prog = compileProg(runs)
 	switch {
-	case len(runs) == 0:
-		p.kind = PlanContig
-	case len(runs) == 1 && runs[0].Off == 0 && size == extent:
-		p.kind = PlanContig
-	case len(runs) == 1:
-		p.kind = PlanBlock
-		p.base = runs[0].Off
-		p.blockLen = runs[0].Len
-		p.nblocks = 1
-		p.stride = extent
+	case len(p.prog) > 1:
+		p.kind = PlanRunList
+	case p.prog[0].n > 1:
+		p.kind = PlanStrided
 	default:
-		// Uniform when every run has the same length and the offsets form
-		// an arithmetic sequence. Adjacent-in-sequence runs are already
-		// coalesced, so a uniform stride never equals the block length.
-		uniform := true
-		bl := runs[0].Len
-		stride := runs[1].Off - runs[0].Off
-		for i := 1; i < len(runs); i++ {
-			if runs[i].Len != bl || runs[i].Off-runs[i-1].Off != stride {
-				uniform = false
-				break
-			}
-		}
-		if uniform {
-			p.kind = PlanStrided
-			p.base = runs[0].Off
-			p.blockLen = bl
-			p.nblocks = int64(len(runs))
-			p.stride = stride
-		} else {
-			p.kind = PlanRunList
-		}
+		p.kind = PlanBlock
 	}
-	if p.kind == PlanRunList {
-		p.prog = compileProg(runs)
-		// The tiled wide kernel needs >=16-byte spill headroom on both
-		// sides and only pays off when a tile of elements stays
-		// cache-resident: for large extents the run-major interchange
-		// re-walks a huge source window once per program step, so those
-		// layouts keep the element-major exact program.
-		p.wide = size >= 16 && extent >= 16 && extent <= 4096
-		if p.wide {
-			p.wprog = compileWide(runs, size)
-		}
+	// Run-major tiling only pays off when a tile of elements stays
+	// cache-resident: for large extents the interchange re-walks a huge
+	// window once per program step, so those layouts run the program
+	// element by element (a tile of one).
+	p.tile = 1
+	if extent <= 4096 {
+		p.tile = tileElems
 	}
-	if p.kind != PlanContig && len(runs) > 0 {
-		last := runs[len(runs)-1]
-		p.merge = runs[0].Off == 0 && last.Off+last.Len == extent
+	// The wide pack program also needs >=16-byte spill headroom on both
+	// sides; a uniform layout's one exact step is already a single loop.
+	if p.kind == PlanRunList && p.tile > 1 && size >= 16 && extent >= 16 {
+		p.wprog = compileWide(runs, size)
 	}
+	last := runs[len(runs)-1]
+	p.merge = runs[0].Off == 0 && last.Off+last.Len == extent
 	return p
 }
 
@@ -508,12 +496,29 @@ func RegisterObs(r *obs.Registry) {
 	r.GaugeFunc("ddt.plan_evictions", planEvicts.Load)
 }
 
-// --- pack kernels ------------------------------------------------------------
+// --- pack/unpack kernels -----------------------------------------------------
+//
+// Both directions run the same kernels over one primitive, moveStrided.
+// The rule that makes its raw pointers sound is validate once: PackAt and
+// UnpackAt check, before the first byte moves, that
+//
+//   - the typed buffer holds Span(count) bytes (checkBuf, overflow-safe):
+//     every run of every element e < count lies in [e*extent,
+//     e*extent+ub), so any typed-side address a kernel forms from an
+//     element index below count and a run of the plan is inside it;
+//   - the packed fragment is [off, off+n) with off+n <= PackedSize(count):
+//     the kernels derive element indices from off and n alone, so they
+//     never name an element at or past count, and they move exactly n
+//     packed bytes, so they never leave the fragment.
+//
+// After that no kernel reslices or re-checks: they take the two base
+// pointers (xfer) and offsets into the validated ranges. The interpreter
+// in interp_test.go is the oracle for the semantics; the canary tests in
+// fuzz_test.go hold the kernels to "not one byte outside a run".
 
 // PackAt packs up to len(dst) bytes of the packed form of (src, count)
 // starting at virtual packed offset off, returning the bytes produced and
-// io.EOF exactly when the stream end was reached. The typemap interpreter
-// in interp_test.go is the oracle for these semantics.
+// io.EOF exactly when the stream end was reached.
 func (p *Plan) PackAt(src []byte, count int64, off int64, dst []byte) (int, error) {
 	total := p.PackedSize(count)
 	if off < 0 || off > total {
@@ -531,23 +536,19 @@ func (p *Plan) PackAt(src []byte, count int64, off int64, dst []byte) (int, erro
 		}
 		return 0, nil
 	}
-	var w int
-	switch p.kind {
-	case PlanContig:
+	if p.kind == PlanContig {
 		return copy(dst, src[off:]), nil
-	case PlanBlock, PlanStrided:
-		w = p.packAtUniform(src, count, off, dst)
-	default:
-		w = p.packAtRuns(src, count, off, dst)
 	}
-	if off+int64(w) == total {
-		return w, io.EOF
+	p.moveAt(&xfer{mem: unsafe.Pointer(unsafe.SliceData(src)), pk: unsafe.Pointer(unsafe.SliceData(dst)), pack: true}, off, int64(len(dst)))
+	if off+int64(len(dst)) == total {
+		return len(dst), io.EOF
 	}
-	return w, nil
+	return len(dst), nil
 }
 
 // UnpackAt scatters the packed bytes in src at virtual packed offset off
-// back into the memory layout of (dst, count).
+// back into the memory layout of (dst, count). It writes the bytes of the
+// runs and nothing else: gaps keep what they held.
 func (p *Plan) UnpackAt(dst []byte, count int64, off int64, src []byte) error {
 	total := p.PackedSize(count)
 	if off < 0 || off+int64(len(src)) > total {
@@ -559,14 +560,11 @@ func (p *Plan) UnpackAt(dst []byte, count int64, off int64, src []byte) error {
 	if len(src) == 0 {
 		return nil
 	}
-	switch p.kind {
-	case PlanContig:
+	if p.kind == PlanContig {
 		copy(dst[off:], src)
-	case PlanBlock, PlanStrided:
-		p.unpackAtUniform(dst, count, off, src)
-	default:
-		p.unpackAtRuns(dst, count, off, src)
+		return nil
 	}
+	p.moveAt(&xfer{mem: unsafe.Pointer(unsafe.SliceData(dst)), pk: unsafe.Pointer(unsafe.SliceData(src))}, off, int64(len(src)))
 	return nil
 }
 
@@ -594,498 +592,197 @@ func (p *Plan) Unpack(dst []byte, count int64, src []byte) error {
 	return p.UnpackAt(dst, count, 0, src)
 }
 
-// packAtUniform is the PlanBlock/PlanStrided kernel: O(1) offset location
-// (div/mod), then whole blocks through specialized word-move loops. dst is
-// pre-trimmed to the remaining stream, so the kernel always fills it.
-func (p *Plan) packAtUniform(src []byte, count int64, off int64, dst []byte) int {
-	L := p.blockLen
+// xfer is one validated PackAt/UnpackAt call: mem is the start of the
+// typed buffer, pk the start of the packed fragment, pack the direction.
+type xfer struct {
+	mem, pk unsafe.Pointer
+	pack    bool
+}
+
+// bytes moves one range of n bytes: the split blocks and runs a fragment
+// edge leaves behind.
+func (x *xfer) bytes(mo, po, n int64) { x.moveStrided(mo, po, 1, 0, 0, n, clsCopy) }
+
+// moveStrided is the one move primitive: n blocks of L bytes between typed
+// offset mo, advancing mstep a block, and fragment offset po, advancing
+// pstep. Direction is only which side is the destination. cls is
+// moveClass(L), or clsMove16 for a step of the wide pack program, spilling
+// or not. There is no bounds check here: every byte touched lies in
+// a range PackAt/UnpackAt validated. The offsets are integers and a
+// pointer is formed only for the access itself, so no pointer outside the
+// two buffers ever exists, not even one past the last block.
+func (x *xfer) moveStrided(mo, po, n, mstep, pstep, L int64, cls uint8) {
+	d, s, dstep, sstep := unsafe.Add(x.mem, mo), unsafe.Add(x.pk, po), mstep, pstep
+	if x.pack {
+		d, s, dstep, sstep = s, d, sstep, dstep
+	}
+	var do, so int64
+	switch cls {
+	case clsMove16:
+		for ; n > 0; n-- {
+			*(*[16]byte)(unsafe.Add(d, do)) = *(*[16]byte)(unsafe.Add(s, so))
+			do += dstep
+			so += sstep
+		}
+	case clsMove8:
+		for ; n > 0; n-- {
+			*(*[8]byte)(unsafe.Add(d, do)) = *(*[8]byte)(unsafe.Add(s, so))
+			do += dstep
+			so += sstep
+		}
+	case clsMove4:
+		for ; n > 0; n-- {
+			*(*[4]byte)(unsafe.Add(d, do)) = *(*[4]byte)(unsafe.Add(s, so))
+			do += dstep
+			so += sstep
+		}
+	case clsDual8:
+		for t := L - 8; n > 0; n-- {
+			*(*[8]byte)(unsafe.Add(d, do)) = *(*[8]byte)(unsafe.Add(s, so))
+			*(*[8]byte)(unsafe.Add(d, do+t)) = *(*[8]byte)(unsafe.Add(s, so+t))
+			do += dstep
+			so += sstep
+		}
+	case clsDual4:
+		for t := L - 4; n > 0; n-- {
+			*(*[4]byte)(unsafe.Add(d, do)) = *(*[4]byte)(unsafe.Add(s, so))
+			*(*[4]byte)(unsafe.Add(d, do+t)) = *(*[4]byte)(unsafe.Add(s, so+t))
+			do += dstep
+			so += sstep
+		}
+	case clsTiny:
+		for ; n > 0; n-- {
+			for k := int64(0); k < L; k++ {
+				*(*byte)(unsafe.Add(d, do+k)) = *(*byte)(unsafe.Add(s, so+k))
+			}
+			do += dstep
+			so += sstep
+		}
+	case clsWords:
+		// 17..128 bytes: 16-byte moves, the last one overlapping back so
+		// it ends exactly at L.
+		for t := L - 16; n > 0; n-- {
+			for k := int64(0); k < t; k += 16 {
+				*(*[16]byte)(unsafe.Add(d, do+k)) = *(*[16]byte)(unsafe.Add(s, so+k))
+			}
+			*(*[16]byte)(unsafe.Add(d, do+t)) = *(*[16]byte)(unsafe.Add(s, so+t))
+			do += dstep
+			so += sstep
+		}
+	default: // clsCopy
+		for ; n > 0; n-- {
+			copy(unsafe.Slice((*byte)(unsafe.Add(d, do)), L), unsafe.Slice((*byte)(unsafe.Add(s, so)), L))
+			do += dstep
+			so += sstep
+		}
+	}
+}
+
+// moveAt moves the n packed bytes at packed offset off; n >= 1 and
+// off+n <= PackedSize(count), the typed side validated by checkBuf. A
+// partial leading element enters the program at the step holding the
+// offset (streaming resume), whole elements run it tiled, a partial
+// trailing element enters at its start.
+func (p *Plan) moveAt(x *xfer, off, n int64) {
 	elem := off / p.size
 	within := off - elem*p.size
-	bi := within / L
-	rem := within - bi*L
-	w := 0
-	if rem > 0 {
-		// Resume mid-block: finish the split block first.
-		so := elem*p.extent + p.base + bi*p.stride + rem
-		n := copy(dst, src[so:so+(L-rem)])
-		w += n
-		if int64(n) < L-rem {
-			return w
-		}
-		bi++
-		if bi == p.nblocks {
-			bi, elem = 0, elem+1
-		}
-	}
-	if nb := int64(len(dst)-w) / L; nb > 0 {
-		var n int
-		n, elem, bi = p.packWholeBlocks(dst[w:], src, elem, bi, nb)
-		w += n
-	}
-	if w < len(dst) && elem < count {
-		// Trailing partial block.
-		so := elem*p.extent + p.base + bi*p.stride
-		w += copy(dst[w:], src[so:so+L])
-	}
-	return w
-}
-
-func (p *Plan) unpackAtUniform(dst []byte, count int64, off int64, src []byte) {
-	L := p.blockLen
-	elem := off / p.size
-	within := off - elem*p.size
-	bi := within / L
-	rem := within - bi*L
-	r := 0
-	if rem > 0 {
-		do := elem*p.extent + p.base + bi*p.stride + rem
-		n := copy(dst[do:do+(L-rem)], src)
-		r += n
-		if int64(n) < L-rem {
-			return
-		}
-		bi++
-		if bi == p.nblocks {
-			bi, elem = 0, elem+1
-		}
-	}
-	if nb := int64(len(src)-r) / L; nb > 0 {
-		var n int
-		n, elem, bi = p.unpackWholeBlocks(dst, src[r:], elem, bi, nb)
-		r += n
-	}
-	if r < len(src) && elem < count {
-		do := elem*p.extent + p.base + bi*p.stride
-		copy(dst[do:do+L], src[r:])
-	}
-}
-
-// packWholeBlocks copies nb whole blocks starting at (elem, bi) into dst
-// and returns the bytes moved plus the advanced cursor. Blocks of 4/8/16
-// bytes (int32/float64/complex128 and friends) move as direct word loads;
-// other 8-byte multiples up to 128 move as unrolled word loops; anything
-// else falls back to copy.
-func (p *Plan) packWholeBlocks(dst, src []byte, elem, bi, nb int64) (int, int64, int64) {
-	L, stride := p.blockLen, p.stride
-	w := int64(0)
-	if p.nblocks == 1 {
-		// One block per element: the whole message is a single arithmetic
-		// sequence at stride extent.
-		so := elem*p.extent + p.base
-		switch {
-		case L == 4:
-			for ; nb > 0; nb-- {
-				*(*[4]byte)(dst[w:]) = *(*[4]byte)(src[so:])
-				w += 4
-				so += p.extent
-			}
-		case L == 8:
-			for ; nb > 0; nb-- {
-				*(*[8]byte)(dst[w:]) = *(*[8]byte)(src[so:])
-				w += 8
-				so += p.extent
-			}
-		case L == 16:
-			for ; nb > 0; nb-- {
-				*(*[16]byte)(dst[w:]) = *(*[16]byte)(src[so:])
-				w += 16
-				so += p.extent
-			}
-		case L%8 == 0 && L <= 128:
-			for ; nb > 0; nb-- {
-				for k := int64(0); k < L; k += 8 {
-					*(*[8]byte)(dst[w+k:]) = *(*[8]byte)(src[so+k:])
-				}
-				w += L
-				so += p.extent
-			}
-		default:
-			for ; nb > 0; nb-- {
-				copy(dst[w:w+L], src[so:so+L])
-				w += L
-				so += p.extent
-			}
-		}
-		return int(w), (so - p.base) / p.extent, 0
-	}
-	for nb > 0 {
-		so := elem*p.extent + p.base + bi*stride
-		m := p.nblocks - bi
-		if m > nb {
-			m = nb
-		}
-		nb -= m
-		bi += m
-		switch {
-		case L == 4:
-			for ; m > 0; m-- {
-				*(*[4]byte)(dst[w:]) = *(*[4]byte)(src[so:])
-				w += 4
-				so += stride
-			}
-		case L == 8:
-			for ; m > 0; m-- {
-				*(*[8]byte)(dst[w:]) = *(*[8]byte)(src[so:])
-				w += 8
-				so += stride
-			}
-		case L == 16:
-			for ; m > 0; m-- {
-				*(*[16]byte)(dst[w:]) = *(*[16]byte)(src[so:])
-				w += 16
-				so += stride
-			}
-		case L%8 == 0 && L <= 128:
-			for ; m > 0; m-- {
-				for k := int64(0); k < L; k += 8 {
-					*(*[8]byte)(dst[w+k:]) = *(*[8]byte)(src[so+k:])
-				}
-				w += L
-				so += stride
-			}
-		default:
-			for ; m > 0; m-- {
-				copy(dst[w:w+L], src[so:so+L])
-				w += L
-				so += stride
-			}
-		}
-		if bi == p.nblocks {
-			bi, elem = 0, elem+1
-		}
-	}
-	return int(w), elem, bi
-}
-
-func (p *Plan) unpackWholeBlocks(dst, src []byte, elem, bi, nb int64) (int, int64, int64) {
-	L, stride := p.blockLen, p.stride
-	r := int64(0)
-	if p.nblocks == 1 {
-		do := elem*p.extent + p.base
-		switch {
-		case L == 4:
-			for ; nb > 0; nb-- {
-				*(*[4]byte)(dst[do:]) = *(*[4]byte)(src[r:])
-				r += 4
-				do += p.extent
-			}
-		case L == 8:
-			for ; nb > 0; nb-- {
-				*(*[8]byte)(dst[do:]) = *(*[8]byte)(src[r:])
-				r += 8
-				do += p.extent
-			}
-		case L == 16:
-			for ; nb > 0; nb-- {
-				*(*[16]byte)(dst[do:]) = *(*[16]byte)(src[r:])
-				r += 16
-				do += p.extent
-			}
-		case L%8 == 0 && L <= 128:
-			for ; nb > 0; nb-- {
-				for k := int64(0); k < L; k += 8 {
-					*(*[8]byte)(dst[do+k:]) = *(*[8]byte)(src[r+k:])
-				}
-				r += L
-				do += p.extent
-			}
-		default:
-			for ; nb > 0; nb-- {
-				copy(dst[do:do+L], src[r:r+L])
-				r += L
-				do += p.extent
-			}
-		}
-		return int(r), (do - p.base) / p.extent, 0
-	}
-	for nb > 0 {
-		do := elem*p.extent + p.base + bi*stride
-		m := p.nblocks - bi
-		if m > nb {
-			m = nb
-		}
-		nb -= m
-		bi += m
-		switch {
-		case L == 4:
-			for ; m > 0; m-- {
-				*(*[4]byte)(dst[do:]) = *(*[4]byte)(src[r:])
-				r += 4
-				do += stride
-			}
-		case L == 8:
-			for ; m > 0; m-- {
-				*(*[8]byte)(dst[do:]) = *(*[8]byte)(src[r:])
-				r += 8
-				do += stride
-			}
-		case L == 16:
-			for ; m > 0; m-- {
-				*(*[16]byte)(dst[do:]) = *(*[16]byte)(src[r:])
-				r += 16
-				do += stride
-			}
-		case L%8 == 0 && L <= 128:
-			for ; m > 0; m-- {
-				for k := int64(0); k < L; k += 8 {
-					*(*[8]byte)(dst[do+k:]) = *(*[8]byte)(src[r+k:])
-				}
-				r += L
-				do += stride
-			}
-		default:
-			for ; m > 0; m-- {
-				copy(dst[do:do+L], src[r:r+L])
-				r += L
-				do += stride
-			}
-		}
-		if bi == p.nblocks {
-			bi, elem = 0, elem+1
-		}
-	}
-	return int(r), elem, bi
-}
-
-// packAtRuns is the PlanRunList kernel: a partial leading element walks
-// the run list with a runOff carry (streaming resume), whole elements go
-// through the class-specialized program, and a partial trailing element
-// falls back to the careful walk.
-func (p *Plan) packAtRuns(src []byte, count int64, off int64, dst []byte) int {
-	elem := off / p.size
-	within := off - elem*p.size
-	w := 0
+	po := int64(0)
 	if within > 0 {
-		w = p.packElemTail(dst, src, elem, within)
-		if within+int64(w) < p.size {
-			return w // dst exhausted mid-element
+		po = p.moveElemPart(x, elem, within, 0, n)
+		if within+po < p.size {
+			return // fragment ends inside the element
 		}
 		elem++
 	}
-	if nE := int64(len(dst)-w) / p.size; nE > 0 {
-		if rem := count - elem; nE > rem {
-			nE = rem
-		}
-		w += p.packRunsWhole(dst[w:], src, elem, nE)
+	if nE := (n - po) / p.size; nE > 0 {
+		p.moveElems(x, elem, po, nE)
 		elem += nE
+		po += nE * p.size
 	}
-	if w < len(dst) && elem < count {
-		w += p.packElemTail(dst[w:], src, elem, 0)
+	if po < n {
+		p.moveElemPart(x, elem, 0, po, n-po)
 	}
-	return w
 }
 
-// packElemTail packs element elem from packed offset within to the end
-// of the element (or until dst fills), returning the bytes produced.
-func (p *Plan) packElemTail(dst, src []byte, elem, within int64) int {
-	pre := p.pre
-	ri := sort.Search(len(p.runs), func(i int) bool { return pre[i+1] > within })
-	runOff := within - pre[ri]
+// moveElemPart moves element elem from packed offset within to the end of
+// the element, or until n bytes are done, against fragment offset po, and
+// returns the bytes moved. It costs one search over the program's steps —
+// O(1) for a uniform layout — then, step by step, a split leading block,
+// the whole blocks as one strided move, a split trailing block: a fragment
+// edge inside a giant element is as cheap as the element's middle.
+func (p *Plan) moveElemPart(x *xfer, elem, within, po, n int64) int64 {
+	prog := p.prog
+	si := sort.Search(len(prog), func(i int) bool { return prog[i].pk+prog[i].n*prog[i].len > within })
 	base := elem * p.extent
-	w := 0
-	for ; ri < len(p.runs) && w < len(dst); ri++ {
-		r := p.runs[ri]
-		w += copy(dst[w:], src[base+r.Off+runOff:base+r.Off+r.Len])
-		runOff = 0
+	done := int64(0)
+	for ; si < len(prog) && done < n; si++ {
+		s := &prog[si]
+		at := max(within-s.pk, 0) // the first step is entered mid-way, the rest at 0
+		k := at / s.len
+		if rem := at - k*s.len; rem > 0 {
+			m := min(s.len-rem, n-done)
+			x.bytes(base+s.mem+k*s.mstep+rem, po+done, m)
+			done += m
+			k++
+		}
+		if nb := min(s.n-k, (n-done)/s.len); nb > 0 {
+			x.moveStrided(base+s.mem+k*s.mstep, po+done, nb, s.mstep, s.len, s.len, s.cls)
+			done += nb * s.len
+			k += nb
+		}
+		if k < s.n && done < n {
+			x.bytes(base+s.mem+k*s.mstep, po+done, n-done)
+			done = n
+		}
 	}
-	return w
+	return done
 }
 
-// packRunsWhole runs the compiled program over n complete elements. dst
-// must hold at least n elements of packed data. All but the last element
-// go through the wide program when the layout permits, executed
-// run-major over tiles of elements: for each program step, a tight loop
-// over the tile with constant source/dest strides — one move shape per
-// inner loop, the program walk amortized across the tile. Safe in this
-// order because compileWide confines every write to its own element;
-// the exact final element covers the spill READS (up to 15 bytes past a
-// run), which must not run off the end of the source buffer.
-func (p *Plan) packRunsWhole(dst, src []byte, elem, n int64) int {
-	w := int64(0)
-	last := elem + n
-	if p.wide && n > 1 {
-		const tile = 64
-		ext, sz := p.extent, p.size
-		nw := n - 1 // final element runs the exact program below
-		for t0 := int64(0); t0 < nw; t0 += tile {
-			nt := nw - t0
-			if nt > tile {
-				nt = tile
-			}
-			sbase := (elem + t0) * ext
-			dbase := t0 * sz
-			for _, m := range p.wprog {
-				so := sbase + m.src
-				do := dbase + m.dst
-				L := m.len
-				switch m.cls {
-				case clsMove16:
-					for e := int64(0); e < nt; e++ {
-						*(*[16]byte)(dst[do:]) = *(*[16]byte)(src[so:])
-						so += ext
-						do += sz
-					}
-				case clsMove8:
-					for e := int64(0); e < nt; e++ {
-						*(*[8]byte)(dst[do:]) = *(*[8]byte)(src[so:])
-						so += ext
-						do += sz
-					}
-				case clsMove4:
-					for e := int64(0); e < nt; e++ {
-						*(*[4]byte)(dst[do:]) = *(*[4]byte)(src[so:])
-						so += ext
-						do += sz
-					}
-				case clsDual8:
-					for e := int64(0); e < nt; e++ {
-						*(*[8]byte)(dst[do:]) = *(*[8]byte)(src[so:])
-						*(*[8]byte)(dst[do+L-8:]) = *(*[8]byte)(src[so+L-8:])
-						so += ext
-						do += sz
-					}
-				case clsDual4:
-					for e := int64(0); e < nt; e++ {
-						*(*[4]byte)(dst[do:]) = *(*[4]byte)(src[so:])
-						*(*[4]byte)(dst[do+L-4:]) = *(*[4]byte)(src[so+L-4:])
-						so += ext
-						do += sz
-					}
-				case clsTiny:
-					for e := int64(0); e < nt; e++ {
-						for k := int64(0); k < L; k++ {
-							dst[do+k] = src[so+k]
-						}
-						so += ext
-						do += sz
-					}
-				default: // clsCopy
-					for e := int64(0); e < nt; e++ {
-						copy(dst[do:do+L], src[so:so+L])
-						so += ext
-						do += sz
-					}
+// moveElems runs the compiled program over n whole elements from elem,
+// whose packed image starts at fragment offset po. Unpack always runs the
+// exact program: it may not put a byte in a gap. Pack runs all but its
+// last element through the wide program when the layout has one — the
+// spill stays inside each element's packed image (a compileWide
+// guarantee), and a spilling step reads at most 15 bytes past its run,
+// which extent >= 16 keeps inside the following element; the last element
+// of the batch has no follower to read into, so it is packed exactly.
+func (p *Plan) moveElems(x *xfer, elem, po, n int64) {
+	if x.pack && p.wprog != nil && n > 1 {
+		p.runProg(x, p.wprog, elem, po, n-1)
+		elem += n - 1
+		po += (n - 1) * p.size
+		n = 1
+	}
+	p.runProg(x, p.prog, elem, po, n)
+}
+
+// runProg executes prog over tiles of elements, each step with its longer
+// trip count innermost: across the tile for a step of few moves (run-major
+// — one move shape per inner loop, the program walk amortized over the
+// tile, the tile's bytes still in cache when the next step comes round),
+// along the step for one with more moves than the tile has elements. Any
+// order is sound on the packed side (steps write disjoint ranges, or, in
+// the wide program, spill only onto positions a later step of the same
+// element rewrites); on the typed side elements never overlap (ub <=
+// extent) and the moves of one element keep their typemap order, which is
+// what overlapping runs unpack by.
+func (p *Plan) runProg(x *xfer, prog []step, elem, po, n int64) {
+	ext, sz := p.extent, p.size
+	for t0 := int64(0); t0 < n; t0 += p.tile {
+		nt := min(p.tile, n-t0)
+		mo, qo := (elem+t0)*ext, po+t0*sz
+		for _, s := range prog {
+			if s.n <= nt {
+				for k := int64(0); k < s.n; k++ {
+					x.moveStrided(mo+s.mem+k*s.mstep, qo+s.pk+k*s.len, nt, ext, sz, s.len, s.cls)
+				}
+			} else {
+				for e := int64(0); e < nt; e++ {
+					x.moveStrided(mo+e*ext+s.mem, qo+e*sz+s.pk, s.n, s.mstep, s.len, s.len, s.cls)
 				}
 			}
 		}
-		w = nw * sz
-		elem = last - 1
 	}
-	for e := elem; e < last; e++ {
-		base := e * p.extent
-		for _, s := range p.prog {
-			so := base + s.off
-			L := s.len
-			switch s.cls {
-			case clsMove4:
-				*(*[4]byte)(dst[w:]) = *(*[4]byte)(src[so:])
-			case clsMove8:
-				*(*[8]byte)(dst[w:]) = *(*[8]byte)(src[so:])
-			case clsMove16:
-				*(*[16]byte)(dst[w:]) = *(*[16]byte)(src[so:])
-			case clsDual4:
-				*(*[4]byte)(dst[w:]) = *(*[4]byte)(src[so:])
-				*(*[4]byte)(dst[w+L-4:]) = *(*[4]byte)(src[so+L-4:])
-			case clsDual8:
-				*(*[8]byte)(dst[w:]) = *(*[8]byte)(src[so:])
-				*(*[8]byte)(dst[w+L-8:]) = *(*[8]byte)(src[so+L-8:])
-			case clsWords:
-				k := int64(0)
-				for ; k+8 <= L; k += 8 {
-					*(*[8]byte)(dst[w+k:]) = *(*[8]byte)(src[so+k:])
-				}
-				if k < L {
-					*(*[8]byte)(dst[w+L-8:]) = *(*[8]byte)(src[so+L-8:])
-				}
-			case clsTiny:
-				for k := int64(0); k < L; k++ {
-					dst[w+k] = src[so+k]
-				}
-			default:
-				copy(dst[w:w+L], src[so:so+L])
-			}
-			w += L
-		}
-	}
-	return int(w)
-}
-
-func (p *Plan) unpackAtRuns(dst []byte, count int64, off int64, src []byte) {
-	elem := off / p.size
-	within := off - elem*p.size
-	r := 0
-	if within > 0 {
-		r = p.unpackElemTail(dst, src, elem, within)
-		if within+int64(r) < p.size {
-			return // src exhausted mid-element
-		}
-		elem++
-	}
-	if nE := int64(len(src)-r) / p.size; nE > 0 {
-		if rem := count - elem; nE > rem {
-			nE = rem
-		}
-		r += p.unpackRunsWhole(dst, src[r:], elem, nE)
-		elem += nE
-	}
-	if r < len(src) && elem < count {
-		p.unpackElemTail(dst, src[r:], elem, 0)
-	}
-}
-
-func (p *Plan) unpackElemTail(dst, src []byte, elem, within int64) int {
-	pre := p.pre
-	ri := sort.Search(len(p.runs), func(i int) bool { return pre[i+1] > within })
-	runOff := within - pre[ri]
-	base := elem * p.extent
-	r := 0
-	for ; ri < len(p.runs) && r < len(src); ri++ {
-		run := p.runs[ri]
-		r += copy(dst[base+run.Off+runOff:base+run.Off+run.Len], src[r:])
-		runOff = 0
-	}
-	return r
-}
-
-func (p *Plan) unpackRunsWhole(dst, src []byte, elem, n int64) int {
-	r := int64(0)
-	for e := elem; e < elem+n; e++ {
-		base := e * p.extent
-		for _, s := range p.prog {
-			do := base + s.off
-			L := s.len
-			switch s.cls {
-			case clsMove4:
-				*(*[4]byte)(dst[do:]) = *(*[4]byte)(src[r:])
-			case clsMove8:
-				*(*[8]byte)(dst[do:]) = *(*[8]byte)(src[r:])
-			case clsMove16:
-				*(*[16]byte)(dst[do:]) = *(*[16]byte)(src[r:])
-			case clsDual4:
-				*(*[4]byte)(dst[do:]) = *(*[4]byte)(src[r:])
-				*(*[4]byte)(dst[do+L-4:]) = *(*[4]byte)(src[r+L-4:])
-			case clsDual8:
-				*(*[8]byte)(dst[do:]) = *(*[8]byte)(src[r:])
-				*(*[8]byte)(dst[do+L-8:]) = *(*[8]byte)(src[r+L-8:])
-			case clsWords:
-				k := int64(0)
-				for ; k+8 <= L; k += 8 {
-					*(*[8]byte)(dst[do+k:]) = *(*[8]byte)(src[r+k:])
-				}
-				if k < L {
-					*(*[8]byte)(dst[do+L-8:]) = *(*[8]byte)(src[r+L-8:])
-				}
-			case clsTiny:
-				for k := int64(0); k < L; k++ {
-					dst[do+k] = src[r+k]
-				}
-			default:
-				copy(dst[do:do+L], src[r:r+L])
-			}
-			r += L
-		}
-	}
-	return int(r)
 }
 
 // --- region extraction -------------------------------------------------------

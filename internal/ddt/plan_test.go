@@ -54,8 +54,8 @@ func TestPlanKindSelection(t *testing.T) {
 	}
 	// Geometry of the strided plan: 3 blocks of 16 bytes, inner stride 32.
 	p := shapes["strided"].Plan()
-	if p.nblocks != 3 || p.blockLen != 16 || p.stride != 32 || p.base != 0 {
-		t.Fatalf("strided geometry: base=%d len=%d n=%d stride=%d", p.base, p.blockLen, p.nblocks, p.stride)
+	if s := p.prog[0]; len(p.prog) != 1 || s.n != 3 || s.len != 16 || s.mstep != 32 || s.mem != 0 {
+		t.Fatalf("strided geometry: %d steps, first %+v", len(p.prog), s)
 	}
 	// Predefined types are contiguous plans.
 	if Float64.Plan().Kind() != PlanContig {
@@ -217,7 +217,8 @@ func TestPlanCacheChurn(t *testing.T) {
 }
 
 // TestPlanPackZeroAllocs is the cache-hit alloc guard: once a type's
-// plan is memoized, Pack/PackAt/UnpackAt allocate nothing.
+// plan is memoized, Pack/Unpack/PackAt/UnpackAt allocate nothing — the
+// whole-element kernels and the split-element walk alike.
 func TestPlanPackZeroAllocs(t *testing.T) {
 	for name, typ := range planShapes(t) {
 		const count = 4
@@ -230,6 +231,14 @@ func TestPlanPackZeroAllocs(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Errorf("%s: Pack allocates %v per op on the cache-hit path", name, allocs)
+		}
+		out := make([]byte, typ.Span(count))
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := typ.Unpack(out, count, dst); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Unpack allocates %v per op on the cache-hit path", name, allocs)
 		}
 		frag := make([]byte, 16)
 		if allocs := testing.AllocsPerRun(100, func() {
@@ -336,6 +345,18 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if _, err := p.AppendRegions(nil, src[:1], count); err == nil {
 		t.Fatal("short region buffer accepted")
+	}
+	// A span that wraps int64 must be refused, not truncated: 4 x 2^62
+	// wraps to 0, and the kernels trust whatever checkBuf lets through.
+	huge, err := Resized(Float64, 1<<62)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := huge.PackAt(src[:8], 5, 8, dst); err == nil {
+		t.Fatal("wrapped span accepted by PackAt")
+	}
+	if err := huge.UnpackAt(src[:8], 5, 8, dst[:8]); err == nil {
+		t.Fatal("wrapped span accepted by UnpackAt")
 	}
 }
 

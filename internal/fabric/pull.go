@@ -1,14 +1,22 @@
 package fabric
 
-import "io"
+import (
+	"io"
+	"sync"
+)
+
+// bouncePool holds the staging buffers pull lends itself when both ends of
+// a range are callback-driven and the caller passed none: every self-send
+// of a derived or custom datatype to another.
+var bouncePool = sync.Pool{New: func() any { return new([DefaultFragSize]byte) }}
 
 // Transfer moves n bytes from src[off:] into sink[sinkOff:] without
 // touching the wire, using direct windows when both ends allow it. It is
 // the self-send path, the loopback analogue of a Get, and how a datatype
 // is packed into or unpacked from a plain buffer. Without a bounce buffer
 // a window is as long as the two ends allow — packing into a plain buffer
-// is one callback — and one is made only if a range turns out to be
-// callback-driven on both ends.
+// is one callback — and one is borrowed from a pool only if a range turns
+// out to be callback-driven on both ends.
 func Transfer(src Source, off int64, sink Sink, sinkOff, n int64, bounce []byte) error {
 	return pull(src, off, sink, sinkOff, n, bounce)
 }
@@ -97,23 +105,19 @@ func pull(src Source, off int64, sink Sink, sinkOff, n int64, bounce []byte) err
 			}
 			// Both ends are callback-driven: stage through the bounce
 			// buffer (pack copy + unpack copy).
-			if len(bounce) == 0 {
-				bounce = make([]byte, DefaultFragSize)
-				step = min(step, DefaultFragSize)
+			var (
+				m   int
+				err error
+			)
+			if len(bounce) > 0 {
+				m, err = stage(src, off, sink, sinkOff, bounce[:step])
+			} else {
+				lent := bouncePool.Get().(*[DefaultFragSize]byte)
+				m, err = stage(src, off, sink, sinkOff, lent[:min(step, DefaultFragSize)])
+				bouncePool.Put(lent)
 			}
-			m, err := src.ReadAt(bounce[:step], off)
-			if err != nil && err != io.EOF {
-				return err
-			}
-			if m == 0 {
-				return ErrShortTransfer
-			}
-			w, err := sink.WriteAt(bounce[:m], sinkOff)
 			if err != nil {
 				return err
-			}
-			if w != m {
-				return ErrShortTransfer
 			}
 			off += int64(m)
 			sinkOff += int64(m)
@@ -121,4 +125,24 @@ func pull(src Source, off int64, sink Sink, sinkOff, n int64, bounce []byte) err
 		}
 	}
 	return nil
+}
+
+// stage moves one window between two callback-driven ends through buf and
+// returns the bytes moved. The sink must take all the source produced.
+func stage(src Source, off int64, sink Sink, sinkOff int64, buf []byte) (int, error) {
+	m, err := src.ReadAt(buf, off)
+	if err != nil && err != io.EOF {
+		return 0, err
+	}
+	if m == 0 {
+		return 0, ErrShortTransfer
+	}
+	w, err := sink.WriteAt(buf[:m], sinkOff)
+	if err != nil {
+		return 0, err
+	}
+	if w != m {
+		return 0, ErrShortTransfer
+	}
+	return m, nil
 }
