@@ -54,30 +54,28 @@ func benchOpWith(b *testing.B, opt core.Options, op harness.Op) {
 	}
 }
 
-// BenchmarkAblationRndvThreshold sweeps the eager→rendezvous switch for a
-// contiguous 64 KiB transfer: too low pays handshakes, too high pays the
-// extra eager staging copies.
+// BenchmarkAblationRndvThreshold sweeps the eager→rendezvous switch for
+// two 64 KiB transfers. Contiguous: too low pays handshakes, too high pays
+// the extra eager staging copies. A region-heavy custom type (double-vec,
+// 1024-byte subvectors) switches at a quarter of the threshold: below it
+// regions are gathered into eager fragments, above it they move zero-copy
+// but pay the handshake.
 func BenchmarkAblationRndvThreshold(b *testing.B) {
 	const size = 64 * 1024
-	for _, thresh := range []int64{4 << 10, 32 << 10, 256 << 10} {
-		b.Run(fmt.Sprintf("thresh-%dK", thresh/1024), func(b *testing.B) {
-			opt := core.Options{UCP: ucp.Config{RndvThresh: thresh}}
-			benchOpWith(b, opt, harness.PickleOp("roofline", nil, size))
-		})
+	ops := []struct {
+		name string
+		op   func() harness.Op
+	}{
+		{"contig", func() harness.Op { return harness.PickleOp("roofline", nil, size) }},
+		{"custom-regions", func() harness.Op { return harness.DoubleVecOp("custom", size, 1024) }},
 	}
-}
-
-// BenchmarkAblationIovRndvMin sweeps the region-list rendezvous threshold
-// on a region-heavy transfer (double-vec, 1024-byte subvectors, 64 KiB):
-// below the threshold regions are gathered into eager fragments, above it
-// they move zero-copy but pay the handshake.
-func BenchmarkAblationIovRndvMin(b *testing.B) {
-	const size = 64 * 1024
-	for _, min := range []int64{1 << 10, 8 << 10, 1 << 20} {
-		b.Run(fmt.Sprintf("min-%dK", min/1024), func(b *testing.B) {
-			opt := core.Options{UCP: ucp.Config{IovRndvMin: min}}
-			benchOpWith(b, opt, harness.DoubleVecOp("custom", size, 1024))
-		})
+	for _, o := range ops {
+		for _, thresh := range []int64{4 << 10, 32 << 10, 1 << 20} {
+			b.Run(fmt.Sprintf("%s/thresh-%dK", o.name, thresh/1024), func(b *testing.B) {
+				opt := core.Options{UCP: ucp.Config{RndvThresh: thresh}}
+				benchOpWith(b, opt, o.op())
+			})
+		}
 	}
 }
 
@@ -87,8 +85,7 @@ func BenchmarkAblationIovRndvMin(b *testing.B) {
 func BenchmarkAblationFragSize(b *testing.B) {
 	for _, frag := range []int{4 << 10, 16 << 10, 64 << 10} {
 		b.Run(fmt.Sprintf("frag-%dK", frag/1024), func(b *testing.B) {
-			opt := core.Options{UCP: ucp.Config{FragSize: frag, RndvThresh: 1 << 30}}
-			opt.Fabric.FragSize = frag
+			opt := core.Options{Fabric: fabric.Config{FragSize: frag}, UCP: ucp.Config{RndvThresh: 1 << 30}}
 			benchOpWith(b, opt, harness.StructSimpleOp("custom", 256<<10))
 		})
 	}
@@ -121,9 +118,10 @@ func BenchmarkAblationRegionCoalescing(b *testing.B) {
 // and packs under the non-inorder contract, so stripes engage; double-vec
 // is declared inorder and must fall back to one sequential pull at every
 // setting — its flat curve is the correctness baseline. The 32 KiB point
-// stays under PullStripeThresh and pins the no-regression claim for small
-// messages. Wall-clock gains need real cores: on GOMAXPROCS=1 the stripes
-// time-slice and the sweep only shows the fan-out overhead staying flat.
+// stays under the 256 KiB striping threshold and pins the no-regression
+// claim for small messages. Wall-clock gains need real cores: on
+// GOMAXPROCS=1 the stripes time-slice and the sweep only shows the fan-out
+// overhead staying flat.
 func BenchmarkAblationPullStripes(b *testing.B) {
 	sizes := []int{32 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20}
 	ops := []struct {
@@ -137,10 +135,7 @@ func BenchmarkAblationPullStripes(b *testing.B) {
 		for _, size := range sizes {
 			for _, stripes := range []int{1, 2, 4, 8} {
 				b.Run(fmt.Sprintf("%s/size-%dK/stripes-%d", o.name, size/1024, stripes), func(b *testing.B) {
-					opt := core.Options{UCP: ucp.Config{
-						PullStripes:      stripes,
-						PullStripeThresh: ucp.DefaultPullStripeThresh,
-					}}
+					opt := core.Options{UCP: ucp.Config{PullStripes: stripes}}
 					benchOpWith(b, opt, o.op(size))
 				})
 			}
@@ -149,7 +144,7 @@ func BenchmarkAblationPullStripes(b *testing.B) {
 }
 
 // BenchmarkAblationObs prices the observability layer on the latency
-// path: off (Config.Obs nil — one pointer check per instrumentation
+// path: off (fabric.Config.Obs nil — one pointer check per instrumentation
 // site), metrics (registry counters, gauges and histograms) and trace
 // (metrics plus the per-message lifecycle ring). The 1 KiB point rides
 // eager, 64 KiB rides rendezvous. Allocations are reported: the off and
@@ -169,7 +164,7 @@ func BenchmarkAblationObs(b *testing.B) {
 		for _, m := range modes {
 			b.Run(fmt.Sprintf("size-%dK/%s", size/1024, m.name), func(b *testing.B) {
 				b.ReportAllocs()
-				opt := core.Options{UCP: ucp.Config{Obs: m.mk()}}
+				opt := core.Options{Fabric: fabric.Config{Obs: m.mk()}}
 				benchOpWith(b, opt, harness.PickleOp("roofline", nil, size))
 			})
 		}

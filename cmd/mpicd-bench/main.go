@@ -44,7 +44,7 @@ func main() {
 	var observer *obs.Observer
 	if *stats != "" {
 		observer = obs.New(*traceCap)
-		cfg.Opt.UCP.Obs = observer
+		cfg.Opt.Fabric.Obs = observer
 	}
 
 	figures := map[string]func() error{

@@ -43,7 +43,7 @@ func main() {
 	opt := mpi.Options{}
 	if *stats != "" {
 		observer = mpi.NewObserver(*traceCap)
-		opt.UCP.Obs = observer
+		opt.Fabric.Obs = observer
 	}
 
 	op := func(size int64) harness.Op {

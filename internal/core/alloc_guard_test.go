@@ -109,7 +109,7 @@ func TestEagerSmallMessageAllocsPinned(t *testing.T) {
 // atomics, histogram observation is a fixed-shape bucket increment, and
 // trace recording copies one fixed-size struct into a preallocated ring.
 func TestObsEagerAllocsPinned(t *testing.T) {
-	opt := core.Options{UCP: ucp.Config{Obs: obs.New(4096)}}
+	opt := core.Options{Fabric: fabric.Config{Obs: obs.New(4096)}}
 	avg := pingPongAllocs(t, opt, core.TypeBytes, 1024, -1)
 	t.Logf("obs-enabled eager 1 KiB ping-pong: %.1f allocs/op", avg)
 	if avg > eagerPingPongAllocCeiling {

@@ -70,14 +70,10 @@ type System struct {
 
 // NewSystem brings up n in-process ranks.
 func NewSystem(n int, opt Options) *System {
-	// One Observer serves all ranks: per-rank metric prefixes keep them
-	// apart, and the fabric registry is shared with the transport's.
-	if o := opt.UCP.Obs; o != nil && opt.Fabric.Obs == nil {
-		opt.Fabric.Obs = o.Registry
-	}
-	if o := opt.UCP.Obs; o != nil {
-		// Datatype plan-cache gauges (hits/misses/compile time) ride the
-		// same registry as the transport counters.
+	// One Observer (opt.Fabric.Obs) serves every layer of all ranks:
+	// per-rank metric prefixes keep them apart. Datatype plan-cache gauges
+	// (hits/misses/compile time) ride the same registry.
+	if o := opt.Fabric.Obs; o != nil {
 		ddt.RegisterObs(o.Registry)
 	}
 	s := &System{fab: fabric.NewInproc(n, opt.Fabric)}
@@ -87,11 +83,6 @@ func NewSystem(n int, opt Options) *System {
 		nic := fabric.NIC(s.fab.NIC(i))
 		if opt.WrapNIC != nil {
 			nic = opt.WrapNIC(i, nic)
-		}
-		if o := opt.UCP.Obs; o != nil {
-			if fn, ok := nic.(*fabric.FaultNIC); ok {
-				fn.RegisterObs(o.Registry)
-			}
 		}
 		s.workers[i] = ucp.NewWorker(nic, opt.UCP)
 		s.comms[i] = newWorldComm(s.workers[i])

@@ -331,7 +331,7 @@ func TestCustomDynamicDoubleVecEagerAndSmall(t *testing.T) {
 	// Tiny messages go eager; the dynamic header flow must still work.
 	dt := TypeCreateCustom(dvHandler{}, WithInOrder())
 	send := [][]byte{pattern(5, 1), pattern(9, 2)}
-	run2(t, Options{UCP: ucp.Config{IovRndvMin: 1 << 20}},
+	run2(t, Options{UCP: ucp.Config{RndvThresh: 4 << 20}},
 		func(c *Comm) error { return c.Send(send, 1, dt, 1, 1) },
 		func(c *Comm) error {
 			var recv [][]byte
@@ -354,7 +354,7 @@ func TestCustomDynamicUnderOutOfOrderFabric(t *testing.T) {
 	}
 	opt := Options{
 		Fabric: fabric.Config{FragSize: 512, OutOfOrder: true, Seed: 99},
-		UCP:    ucp.Config{FragSize: 512, IovRndvMin: 1 << 30, RndvThresh: 1 << 30},
+		UCP:    ucp.Config{RndvThresh: 1 << 30},
 	}
 	run2(t, opt,
 		func(c *Comm) error { return c.Send(send, 1, dt, 1, 1) },

@@ -456,24 +456,20 @@ func (b *binding) NumRegions() int {
 	return n
 }
 
-// ChooseProto implements ucp.ProtoChooser. Region-bearing custom types
-// ride the iovec (pull) path as soon as messages are non-trivial — only
-// the pull path gives the regions zero-copy treatment, and it is why the
-// paper's custom method is insensitive to the eager/rendezvous
-// switchover. Pure-pack custom types (no regions) behave like the
-// contiguous path but switch earlier, so their curve has no discontinuity
-// at the classic threshold either. Derived types take the transport's own
-// rule: its threshold, or its region-list minimum when NumRegions is
-// several.
-func (b *binding) ChooseProto(total, rndvThresh, iovMin int64) ucp.Proto {
+// ChooseProto implements ucp.ProtoChooser. A custom type switches to
+// rendezvous at a quarter of the transport's threshold, the same point
+// region lists switch at: region-bearing types ride the iovec (pull) path
+// as soon as messages are non-trivial — only the pull path gives the
+// regions zero-copy treatment, and it is why the paper's custom method is
+// insensitive to the eager/rendezvous switchover — and pure-pack ones
+// (no regions) have no discontinuity at the classic threshold either.
+// Derived types take the transport's own rule: its threshold, or its
+// region-list minimum when NumRegions is several.
+func (b *binding) ChooseProto(total, rndvThresh int64) ucp.Proto {
 	if b.d.elem != nil {
 		return ucp.ProtoAuto
 	}
-	thresh := rndvThresh / 4
-	if b.tail.NumRegions() > 0 {
-		thresh = iovMin
-	}
-	if total >= thresh {
+	if total >= rndvThresh/4 {
 		return ucp.ProtoRndv
 	}
 	return ucp.ProtoEager

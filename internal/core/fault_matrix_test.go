@@ -19,11 +19,9 @@ var faultMatrixSeeds = []int64{1, 42, 20240711}
 // the reliability machinery turned on to recover from it.
 func faultOptions(seed int64) Options {
 	return Options{
-		Fabric: fabric.Config{FragSize: 1024},
+		Fabric: fabric.Config{FragSize: 1024, Checksum: true},
 		UCP: ucp.Config{
 			Reliable:      true,
-			Checksum:      true,
-			FragSize:      1024,
 			RexmitBase:    time.Millisecond,
 			RexmitMax:     20 * time.Millisecond,
 			RexmitRetries: 200,

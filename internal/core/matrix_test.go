@@ -22,10 +22,9 @@ func TestConfigMatrixProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		frag := int(fragRaw)%8000 + 256
 		thresh := int64(threshRaw)%100000 + 512
-		iovMin := int64(rng.Intn(32768) + 128)
 		opt := Options{
 			Fabric: fabric.Config{FragSize: frag, OutOfOrder: ooo, Seed: seed},
-			UCP:    ucp.Config{FragSize: frag, RndvThresh: thresh, IovRndvMin: iovMin},
+			UCP:    ucp.Config{RndvThresh: thresh},
 		}
 		// Random double-vector shape.
 		n := rng.Intn(8)
@@ -72,7 +71,7 @@ func TestConfigMatrixBytes(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					opt := Options{
 						Fabric: fabric.Config{FragSize: frag},
-						UCP:    ucp.Config{FragSize: frag, RndvThresh: thresh},
+						UCP:    ucp.Config{RndvThresh: thresh},
 					}
 					data := pattern(100000, 3)
 					run2(t, opt,

@@ -21,7 +21,7 @@ func TestMessageStorm(t *testing.T) {
 		perRank  = 120
 		maxBytes = 100000
 	)
-	opt := Options{UCP: ucp.Config{RndvThresh: 8192, FragSize: 2048}, Fabric: fabric.Config{FragSize: 2048}}
+	opt := Options{UCP: ucp.Config{RndvThresh: 8192}, Fabric: fabric.Config{FragSize: 2048}}
 	payload := func(src, seq int) []byte {
 		rng := rand.New(rand.NewSource(int64(src)*100000 + int64(seq)))
 		b := make([]byte, rng.Intn(maxBytes))

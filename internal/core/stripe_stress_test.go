@@ -10,14 +10,11 @@ import (
 	"mpicd/internal/ucp"
 )
 
-// stripedWorldOpts enables rendezvous striping aggressively so the tests
-// exercise the concurrent path on any host.
+// stripedWorldOpts sets the stripe count explicitly so the tests exercise
+// the concurrent path on any host (messages here are all past the 256 KiB
+// striping threshold).
 func stripedWorldOpts(stripes int) core.Options {
-	return core.Options{UCP: ucp.Config{
-		RndvThresh:       32 * 1024,
-		PullStripes:      stripes,
-		PullStripeThresh: 64 * 1024,
-	}}
+	return core.Options{UCP: ucp.Config{PullStripes: stripes}}
 }
 
 // seqHandler is a pure-pack custom handler (identity serialization of a

@@ -158,6 +158,12 @@ type NIC interface {
 	// Close detaches the NIC; pending and future Recv calls return ok=false.
 	Close() error
 
+	// Config returns the provider's resolved configuration (defaults
+	// filled in). It is the one home of the facts every layer above shares:
+	// the fragment size, integrity checking, this process's incarnation and
+	// the observer; wrappers inherit it by embedding.
+	Config() Config
+
 	Membership
 }
 
@@ -187,25 +193,33 @@ type Membership interface {
 }
 
 // Config tunes fabric behaviour. The zero value is usable; NewConfig fills
-// in defaults.
+// in defaults. A NIC reports it back through NIC.Config, and the transport
+// worker, the heartbeat detector and the fault wrapper take FragSize,
+// Checksum, Epoch and Obs from there: each is set once, here.
 type Config struct {
-	// FragSize is the maximum wire fragment (MTU) in bytes.
+	// FragSize is the maximum wire fragment (MTU) in bytes, and the
+	// transport's eager fragment payload size.
 	FragSize int
 	// OutOfOrder enables reordering of FlagUnordered packets, with
 	// deterministic behaviour derived from Seed.
 	OutOfOrder bool
 	// Seed drives the out-of-order shuffle.
 	Seed int64
-	// Checksum enables CRC32C integrity protection on byte-stream
-	// providers: TCP Get responses carry a per-frame checksum verified
-	// before the payload touches the sink (a mismatch fails the Get with
-	// ErrCorrupt so the transport can retry). The in-process provider
-	// moves bytes memory-to-memory and ignores it.
+	// Checksum enables CRC32C integrity protection. The transport carries
+	// a CRC32C of every eager fragment in its header (a corrupt fragment
+	// is dropped for retransmission under Reliable, or fails the receive
+	// with ErrCorrupt); on byte-stream providers every Get response frame
+	// carries one too, verified before the payload touches the sink (a
+	// mismatch fails the Get with ErrCorrupt so the transport can retry).
+	// In-process Gets move bytes memory-to-memory and are not checked.
 	Checksum bool
-	// Obs, when non-nil, is the metrics registry providers report into
-	// (TCP registers link-health gauges under fabric.r<rank>.*). Nil
-	// disables provider-level observability at zero cost.
-	Obs *obs.Registry
+	// Obs, when non-nil, is the observer every layer on this NIC reports
+	// into: providers register their gauges under fabric.r<rank>.*, the
+	// transport its counters, histograms and trace events under
+	// ucp.r<rank>.*, the detector hb.r<rank>.*, a fault wrapper
+	// fault.r<rank>.*. Nil disables observability at zero cost — the
+	// transport hot path pays one pointer check.
+	Obs *obs.Observer
 
 	// DialTimeout bounds connection establishment on byte-stream
 	// providers: each lazy first dial and each redial campaign after a
@@ -227,9 +241,15 @@ type Config struct {
 	// RingBytes is the per-direction eager ring capacity of the SHM
 	// provider (rounded up to a power of two). Zero selects a default.
 	RingBytes int
-	// WinBytes is the shared pull-window size of the SHM provider's
-	// large-message Get path. Zero selects a default.
-	WinBytes int
+}
+
+// registry is where providers register their gauges: Obs's registry, or
+// nil when observability is off.
+func (c Config) registry() *obs.Registry {
+	if c.Obs == nil {
+		return nil
+	}
+	return c.Obs.Registry
 }
 
 // DefaultFragSize matches a typical transport bounce-buffer size.

@@ -190,13 +190,17 @@ type heldSend struct {
 	payload []byte
 }
 
-// WrapFault wraps nic with a fault plan. The rule list is copied.
+// WrapFault wraps nic with a fault plan. The rule list is copied. When the
+// NIC's Config carries an observer, the fired-fault counters are exposed in
+// it as gauges under fault.r<rank>.*, plus faults_total summing every
+// injected fault, so a stats dump shows exactly what adversity a run
+// survived.
 func WrapFault(nic NIC, plan FaultPlan) *FaultNIC {
 	ks := plan.Kills
 	if ks == nil {
 		ks = NewKillSwitch()
 	}
-	return &FaultNIC{
+	f := &FaultNIC{
 		NIC:   nic,
 		rules: append([]FaultRule(nil), plan.Rules...),
 		kills: ks,
@@ -204,6 +208,10 @@ func WrapFault(nic NIC, plan FaultPlan) *FaultNIC {
 		fired: make([]int, len(plan.Rules)),
 		down:  make(map[int]int),
 	}
+	if reg := nic.Config().registry(); reg != nil {
+		f.registerObs(reg)
+	}
+	return f
 }
 
 // Kill marks this NIC's own rank permanently dead on its kill switch
@@ -226,13 +234,7 @@ func (f *FaultNIC) Kills() *KillSwitch { return f.kills }
 // Stats exposes the fired-fault counters.
 func (f *FaultNIC) Stats() *FaultStats { return &f.stats }
 
-// RegisterObs exposes the fired-fault counters as gauges under
-// fault.r<rank>.*, plus faults_total summing every injected fault, so a
-// stats dump shows exactly what adversity a run survived.
-func (f *FaultNIC) RegisterObs(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
+func (f *FaultNIC) registerObs(reg *obs.Registry) {
 	p := func(name string) string { return fmt.Sprintf("fault.r%d.%s", f.NIC.Rank(), name) }
 	s := &f.stats
 	counters := []struct {

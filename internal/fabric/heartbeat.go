@@ -45,10 +45,6 @@ type DetectorConfig struct {
 	// mute; the survivors' re-admission grace then expires waiting for a
 	// peer that will never speak first).
 	BootGrace time.Duration
-	// Obs, when non-nil, receives hb.r<rank>.peers_suspected and
-	// hb.r<rank>.peers_dead gauges plus an hb.r<rank>.rtt_ns histogram
-	// of probe round-trip times.
-	Obs *obs.Registry
 }
 
 // NewDetectorConfig returns cfg with zero thresholds defaulted.
@@ -110,7 +106,9 @@ type Detector struct {
 
 // NewDetector wraps nic with a detector. cfg.Period must be > 0. The
 // detector is passive until Start is called; set the OnDead callback
-// first.
+// first. When the NIC's Config carries an observer, the detector reports
+// hb.r<rank>.peers_suspected and hb.r<rank>.peers_dead gauges plus an
+// hb.r<rank>.rtt_ns histogram of probe round-trip times into it.
 func NewDetector(nic NIC, cfg DetectorConfig) *Detector {
 	cfg = NewDetectorConfig(cfg)
 	if cfg.Period <= 0 {
@@ -130,11 +128,11 @@ func NewDetector(nic NIC, cfg DetectorConfig) *Detector {
 	for i := range d.lastSeen {
 		d.lastSeen[i].Store(boot)
 	}
-	if cfg.Obs != nil {
+	if reg := nic.Config().registry(); reg != nil {
 		p := func(name string) string { return fmt.Sprintf("hb.r%d.%s", nic.Rank(), name) }
-		cfg.Obs.GaugeFunc(p("peers_suspected"), d.nSuspect.Load)
-		cfg.Obs.GaugeFunc(p("peers_dead"), d.nDead.Load)
-		d.rtt = cfg.Obs.Histogram(p("rtt_ns"))
+		reg.GaugeFunc(p("peers_suspected"), d.nSuspect.Load)
+		reg.GaugeFunc(p("peers_dead"), d.nDead.Load)
+		d.rtt = reg.Histogram(p("rtt_ns"))
 	}
 	return d
 }

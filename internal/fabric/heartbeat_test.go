@@ -47,11 +47,11 @@ func TestDetectorConfigDefaults(t *testing.T) {
 // quiet fabric keep each other alive purely through probes, and the
 // pong side times round trips into the RTT histogram.
 func TestDetectorPingPong(t *testing.T) {
-	f := NewInproc(2, Config{})
+	o := obs.New(0)
+	reg := o.Registry
+	f := NewInproc(2, Config{Obs: o})
 	defer f.Close()
-	reg := obs.New(0).Registry
-	cfg := DetectorConfig{Period: 2 * time.Millisecond, Obs: reg}
-	d0 := NewDetector(f.NIC(0), cfg)
+	d0 := NewDetector(f.NIC(0), DetectorConfig{Period: 2 * time.Millisecond})
 	d1 := NewDetector(f.NIC(1), DetectorConfig{Period: 2 * time.Millisecond})
 	drain(d0)
 	drain(d1)

@@ -35,7 +35,7 @@ func NewInproc(n int, cfg Config) *Inproc {
 		pool: newBufPool(cfg.FragSize),
 		regs: make(map[regKey]Source),
 	}
-	if reg := cfg.Obs; reg != nil {
+	if reg := cfg.registry(); reg != nil {
 		reg.GaugeFunc("fabric.pool_outstanding", f.pool.Outstanding)
 	}
 	f.nics = make([]*inprocNIC, n)
@@ -86,8 +86,9 @@ type inprocNIC struct {
 	closeOne sync.Once
 }
 
-func (n *inprocNIC) Rank() int { return n.rank }
-func (n *inprocNIC) Size() int { return len(n.fab.nics) }
+func (n *inprocNIC) Rank() int      { return n.rank }
+func (n *inprocNIC) Size() int      { return len(n.fab.nics) }
+func (n *inprocNIC) Config() Config { return n.fab.cfg }
 
 func (n *inprocNIC) Send(to int, hdr Header, payload ...[]byte) error {
 	total := 0

@@ -47,9 +47,9 @@ const flagGetWindow uint8 = 1 << 1
 // DefaultRingBytes is the default per-direction eager ring capacity.
 const DefaultRingBytes = 256 << 10
 
-// DefaultWinBytes is the default shared pull-window size (two halves,
+// winBytes is the shared pull-window size (two 8-aligned halves,
 // double-buffered).
-const DefaultWinBytes = 512 << 10
+const winBytes = 512 << 10
 
 // defaultWinThresh is the Get size at and above which the SHM provider
 // pulls through the shared window instead of socket response frames.
@@ -74,7 +74,6 @@ type SHM struct {
 	*stream
 	dir       string
 	ringBytes int
-	winBytes  int
 
 	outMu sync.Mutex
 	outs  map[int]*shmOut
@@ -197,7 +196,6 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 		stream:    st,
 		dir:       dir,
 		ringBytes: cfg.RingBytes,
-		winBytes:  cfg.WinBytes,
 		outs:      make(map[int]*shmOut),
 		mapped:    make(map[int]*shmIn),
 		wake:      make(chan struct{}, 1),
@@ -213,10 +211,6 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 	if s.ringBytes <= 0 {
 		s.ringBytes = DefaultRingBytes
 	}
-	if s.winBytes < 16<<10 {
-		s.winBytes = DefaultWinBytes
-	}
-	s.winBytes &^= 15 // two 8-aligned halves
 	st.ctrl = s.handleCtrl
 	st.onGetReq = s.handleGetReq
 	st.onHardDown = s.stallPeer
@@ -231,7 +225,7 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 		return nil, err
 	}
 	s.cmaInit()
-	if reg := cfg.Obs; reg != nil {
+	if reg := cfg.registry(); reg != nil {
 		p := func(name string) string { return fmt.Sprintf("fabric.r%d.%s", rank, name) }
 		reg.GaugeFunc(p("shm_ring_sends"), s.ringSends.Load)
 		reg.GaugeFunc(p("shm_ring_spills"), s.ringSpills.Load)
@@ -548,7 +542,7 @@ func (s *SHM) Get(from int, key uint64, off int64, sink Sink, sinkOff, size int6
 		return err
 	}
 	if from != s.rank && size >= defaultWinThresh {
-		if win := s.window(s.winIns, from, shmWinPath(s.dir, from, s.rank), s.winBytes, true); win != nil {
+		if win := s.window(s.winIns, from, shmWinPath(s.dir, from, s.rank), winBytes, true); win != nil {
 			s.winPulls.Add(1)
 			return s.getVia(from, key, off, sink, sinkOff, size, flagGetWindow, int64(len(win.mem)))
 		}

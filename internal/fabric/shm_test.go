@@ -344,11 +344,11 @@ func TestSHMSmallGetSocketPath(t *testing.T) {
 }
 
 func TestSHMWindowedGet(t *testing.T) {
-	// 16 KiB window → 8 KiB halves → a 300 KiB pull crosses ~38 chunks,
-	// exercising half alternation and the ack pipeline.
-	nics := shmMesh(t, 2, Config{WinBytes: 16 << 10})
+	// 512 KiB window → 256 KiB halves → a 1300 KiB pull crosses 6 chunks,
+	// the last one short, exercising half alternation and the ack pipeline.
+	nics := shmMesh(t, 2, Config{})
 	noCMA(nics...)
-	data := make([]byte, 300<<10)
+	data := make([]byte, 1300<<10)
 	fillPattern(data, 9)
 	key := nics[0].Register(Bytes(data))
 	out := make([]byte, len(data))
@@ -372,9 +372,12 @@ func TestSHMWindowedGet(t *testing.T) {
 }
 
 func TestSHMWindowedGetConcurrent(t *testing.T) {
-	nics := shmMesh(t, 2, Config{WinBytes: 32 << 10})
+	// Each Get is 2.5 window halves: the four share one window, one at a
+	// time, each through the ack pipeline.
+	const part = 640 << 10
+	nics := shmMesh(t, 2, Config{})
 	noCMA(nics...)
-	data := make([]byte, 512<<10)
+	data := make([]byte, 4*part)
 	fillPattern(data, 11)
 	key := nics[0].Register(Bytes(data))
 	var wg sync.WaitGroup
@@ -384,8 +387,8 @@ func TestSHMWindowedGetConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i] = make([]byte, 128<<10)
-			errs[i] = nics[1].Get(0, key, int64(i)*(128<<10), Bytes(outs[i]), 0, 128<<10)
+			outs[i] = make([]byte, part)
+			errs[i] = nics[1].Get(0, key, int64(i)*part, Bytes(outs[i]), 0, part)
 		}(i)
 	}
 	wg.Wait()
@@ -393,7 +396,7 @@ func TestSHMWindowedGetConcurrent(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("get %d: %v", i, errs[i])
 		}
-		if !bytes.Equal(outs[i], data[i*(128<<10):(i+1)*(128<<10)]) {
+		if !bytes.Equal(outs[i], data[i*part:(i+1)*part]) {
 			t.Fatalf("concurrent windowed get %d mismatch", i)
 		}
 	}

@@ -209,7 +209,7 @@ func newStream(network string, rank, size int, bind string, cfg Config) (*stream
 		return nil, fmt.Errorf("fabric: rank %d listen %s %s: %w", rank, network, bind, err)
 	}
 	s.ln = ln
-	if reg := cfg.Obs; reg != nil {
+	if reg := cfg.registry(); reg != nil {
 		p := func(name string) string { return fmt.Sprintf("fabric.r%d.%s", rank, name) }
 		reg.GaugeFunc(p("tcp_conn_drops"), s.connDrops.Load)
 		reg.GaugeFunc(p("tcp_redials"), s.redials.Load)
@@ -224,6 +224,9 @@ func newStream(network string, rank, size int, bind string, cfg Config) (*stream
 // Addr returns the bound local address (the concrete port when bind used
 // ":0"), for the bootstrap exchange.
 func (s *stream) Addr() string { return s.ln.Addr().String() }
+
+// Config returns the provider's resolved configuration.
+func (s *stream) Config() Config { return s.cfg }
 
 // join provides the full peer address table and returns immediately;
 // links come up on first use.

@@ -305,12 +305,8 @@ func Attach(nic fabric.NIC, opt core.Options) *World {
 
 // Connect binds this worker's transport endpoint, runs the rendezvous
 // exchange, and returns the world communicator. opt carries the usual
-// fabric/ucp configuration; observability registries propagate the same
-// way mpi.ConnectTCP propagates them.
+// fabric/ucp configuration.
 func (in *Info) Connect(opt core.Options) (*World, error) {
-	if o := opt.UCP.Obs; o != nil && opt.Fabric.Obs == nil {
-		opt.Fabric.Obs = o.Registry
-	}
 	if opt.UCP.RanksPerNode == 0 {
 		opt.UCP.RanksPerNode = in.RanksPerNode
 	}
@@ -321,18 +317,14 @@ func (in *Info) Connect(opt core.Options) (*World, error) {
 	} else if ok {
 		opt.UCP.Heartbeat = hb
 	}
-	// A replacement restarts its message-id counter at zero; offsetting
-	// the id space by incarnation keeps its first reliable sends from
-	// colliding with the dead predecessor's dedup records on peers that
-	// have not purged them yet.
-	if in.Epoch > 0 && opt.UCP.MsgIDBase == 0 {
-		opt.UCP.MsgIDBase = uint64(in.Epoch) << 40
-	}
 	// The fabric announces the incarnation in every connection handshake:
 	// a replacement that reconnects to survivors before their silence
 	// threshold expires would otherwise mask its predecessor's death with
 	// its own heartbeats, and the survivors would hang forever in the
-	// dead incarnation's last collective.
+	// dead incarnation's last collective. The worker offsets its
+	// message-id space by it, so a replacement's first reliable sends do
+	// not collide with the dead predecessor's dedup records on peers that
+	// have not purged them yet.
 	opt.Fabric.Epoch = uint32(in.Epoch)
 	// A replacement boots into a world that will not talk to it until a
 	// survivor notices its join request and issues an invite. Counting

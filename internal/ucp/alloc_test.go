@@ -55,10 +55,10 @@ func TestEagerAllocsPerMessage(t *testing.T) {
 		unexpected bool
 		ceiling    float64
 	}{
-		{"posted-hit", Config{FragSize: frag}, ProtoEager, 64, false, postedHitAllocCeiling},
-		{"unexpected-hit", Config{FragSize: frag}, ProtoEager, 64, true, unexpectedHitAllocCeiling},
-		{"multi-fragment", Config{FragSize: frag}, ProtoEager, 3 * frag, false, multiFragAllocCeiling},
-		{"reliable", Config{FragSize: frag, Reliable: true}, ProtoEager, 64, false, reliableAllocCeiling},
+		{"posted-hit", Config{}, ProtoEager, 64, false, postedHitAllocCeiling},
+		{"unexpected-hit", Config{}, ProtoEager, 64, true, unexpectedHitAllocCeiling},
+		{"multi-fragment", Config{}, ProtoEager, 3 * frag, false, multiFragAllocCeiling},
+		{"reliable", Config{Reliable: true}, ProtoEager, 64, false, reliableAllocCeiling},
 		{"rndv-posted-hit", Config{PullStripes: 1}, ProtoRndv, 8212, false, rndvPostedHitAllocCeiling},
 		{"rndv-unexpected-hit", Config{PullStripes: 1}, ProtoRndv, 8212, true, rndvUnexpectedHitAllocCeiling},
 		{"rndv-striped", Config{PullStripes: 2}, ProtoRndv, 256 << 10, false, rndvStripedAllocCeiling},

@@ -53,9 +53,9 @@ type AuxProvider interface {
 }
 
 // ProtoChooser is implemented by send states that override automatic
-// protocol selection under ProtoAuto.
+// protocol selection under ProtoAuto, given the worker's RndvThresh.
 type ProtoChooser interface {
-	ChooseProto(total, rndvThresh, iovMin int64) Proto
+	ChooseProto(total, rndvThresh int64) Proto
 }
 
 // contigState is the send and receive state of memory that is already

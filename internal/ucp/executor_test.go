@@ -338,7 +338,7 @@ func TestExecutorCloseWithQueuedJobs(t *testing.T) {
 // ErrProcFailed, and the sender is not told the receive succeeded.
 func TestExecutorPeerFailureWithQueuedStripes(t *testing.T) {
 	const small, large = 4096, 256 << 10
-	a, b := pair(t, fabric.Config{}, Config{PullStripes: 2, PullStripeThresh: large})
+	a, b := pair(t, fabric.Config{}, Config{PullStripes: 2})
 	ops := gated(t)
 	dt := Generic{Ops: ops}
 	// The small pull holds one puller inside its Get; the other takes the
@@ -420,8 +420,7 @@ func TestExecutorTCPPullsOverlap(t *testing.T) {
 // receive fails and the sender is told so, whichever protocol carried the
 // message.
 func TestFinishErrorReachesBothEnds(t *testing.T) {
-	const size = 128 << 10
-	striped := Config{PullStripes: 2, PullStripeThresh: size}
+	const size = 256 << 10 // the striping threshold
 	for _, c := range []struct {
 		name    string
 		cfg     Config
@@ -430,7 +429,7 @@ func TestFinishErrorReachesBothEnds(t *testing.T) {
 	}{
 		{"eager", Config{Reliable: true}, ProtoEager, 0},
 		{"rendezvous-sequential", Config{PullStripes: 1}, ProtoRndv, 0},
-		{"rendezvous-striped", striped, ProtoRndv, 1},
+		{"rendezvous-striped", Config{PullStripes: 2}, ProtoRndv, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			a, b := pair(t, fabric.Config{}, c.cfg)

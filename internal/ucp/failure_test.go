@@ -30,7 +30,7 @@ func hbCfg() Config {
 func killWorld(t *testing.T, n int, cfg Config) ([]*Worker, []*fabric.FaultNIC) {
 	t.Helper()
 	ks := fabric.NewKillSwitch()
-	f := fabric.NewInproc(n, fabric.Config{FragSize: cfg.FragSize})
+	f := fabric.NewInproc(n, fabric.Config{})
 	ws := make([]*Worker, n)
 	fns := make([]*fabric.FaultNIC, n)
 	for i := range ws {

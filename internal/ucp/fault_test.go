@@ -10,14 +10,15 @@ import (
 	"mpicd/internal/fabric"
 )
 
-// reliableCfg is the transport configuration the fault matrix runs under:
-// small fragments so every message spans many packets, fast retransmit so
+// reliableFab and reliableCfg are the fabric and transport configuration
+// the fault matrix runs under: small checksummed fragments so every message
+// spans many packets and a corrupt one is caught, fast retransmit so
 // recovery happens within test time.
+func reliableFab() fabric.Config { return fabric.Config{FragSize: 1024, Checksum: true} }
+
 func reliableCfg() Config {
 	return Config{
 		Reliable:      true,
-		Checksum:      true,
-		FragSize:      1024,
 		RndvThresh:    32 * 1024,
 		RexmitBase:    time.Millisecond,
 		RexmitMax:     20 * time.Millisecond,
@@ -40,9 +41,9 @@ func lossyPlan(seed int64) fabric.FaultPlan {
 // faultWorkers builds a 2-rank inproc fabric with both NICs wrapped in
 // fault plans (seed on rank 0, seed+1 on rank 1 so the two directions
 // draw independent decisions).
-func faultWorkers(t *testing.T, seed int64, cfg Config, mkPlan func(int64) fabric.FaultPlan) (*Worker, *Worker) {
+func faultWorkers(t *testing.T, seed int64, fcfg fabric.Config, cfg Config, mkPlan func(int64) fabric.FaultPlan) (*Worker, *Worker) {
 	t.Helper()
-	f := fabric.NewInproc(2, fabric.Config{FragSize: cfg.FragSize})
+	f := fabric.NewInproc(2, fcfg)
 	a := NewWorker(fabric.WrapFault(f.NIC(0), mkPlan(seed)), cfg)
 	b := NewWorker(fabric.WrapFault(f.NIC(1), mkPlan(seed+1)), cfg)
 	t.Cleanup(func() {
@@ -59,7 +60,7 @@ var faultSeeds = []int64{1, 42, 20240711}
 func TestFaultMatrixEagerContig(t *testing.T) {
 	for _, seed := range faultSeeds {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			a, b := faultWorkers(t, seed, reliableCfg(), lossyPlan)
+			a, b := faultWorkers(t, seed, reliableFab(), reliableCfg(), lossyPlan)
 			for i := 0; i < 8; i++ {
 				size := 1 + i*3000 // sub-fragment through multi-fragment
 				data := pattern(size, byte(i))
@@ -89,7 +90,7 @@ func TestFaultMatrixEagerContig(t *testing.T) {
 func TestFaultMatrixEagerGeneric(t *testing.T) {
 	for _, seed := range faultSeeds {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			a, b := faultWorkers(t, seed, reliableCfg(), lossyPlan)
+			a, b := faultWorkers(t, seed, reliableFab(), reliableCfg(), lossyPlan)
 			const size = 20000
 			for i, inorder := range []bool{false, true} {
 				ops := &xorOps{key: 0x3C}
@@ -122,7 +123,7 @@ func TestFaultMatrixRendezvous(t *testing.T) {
 	}
 	for _, seed := range faultSeeds {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			a, b := faultWorkers(t, seed, reliableCfg(), mkPlan)
+			a, b := faultWorkers(t, seed, reliableFab(), reliableCfg(), mkPlan)
 			const size = 100000
 			for i := 0; i < 3; i++ {
 				data := pattern(size, byte(7+i))
@@ -146,7 +147,7 @@ func TestFaultMatrixRendezvous(t *testing.T) {
 func TestFaultMatrixIovRendezvous(t *testing.T) {
 	for _, seed := range faultSeeds {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			a, b := faultWorkers(t, seed, reliableCfg(), lossyPlan)
+			a, b := faultWorkers(t, seed, reliableFab(), reliableCfg(), lossyPlan)
 			rows, width := 40, 500
 			sdata := make([][]byte, rows)
 			rdata := make([][]byte, rows)
@@ -183,7 +184,7 @@ func TestLinkDownWaitTimeoutAndRexmitExhaustion(t *testing.T) {
 	}
 	cfg := reliableCfg()
 	cfg.RexmitRetries = 5
-	f := fabric.NewInproc(2, fabric.Config{FragSize: cfg.FragSize})
+	f := fabric.NewInproc(2, reliableFab())
 	a := NewWorker(fabric.WrapFault(f.NIC(0), downPlan(0)), cfg)
 	b := NewWorker(f.NIC(1), cfg)
 	defer func() {
@@ -239,15 +240,13 @@ func TestGetRetryRecoversAndStripeFallback(t *testing.T) {
 		}}
 	}
 	cfg := Config{
-		Reliable:         true,
-		FragSize:         4096,
-		PullStripes:      2,
-		PullStripeThresh: 8 * 1024,
-		RexmitBase:       time.Millisecond,
-		RexmitMax:        10 * time.Millisecond,
-		RexmitRetries:    200,
+		Reliable:      true,
+		PullStripes:   2,
+		RexmitBase:    time.Millisecond,
+		RexmitMax:     10 * time.Millisecond,
+		RexmitRetries: 200,
 	}
-	f := fabric.NewInproc(2, fabric.Config{FragSize: cfg.FragSize})
+	f := fabric.NewInproc(2, fabric.Config{FragSize: 4096})
 	a := NewWorker(f.NIC(0), cfg)
 	b := NewWorker(fabric.WrapFault(f.NIC(1), failPlan(0)), cfg)
 	defer func() {
@@ -256,7 +255,7 @@ func TestGetRetryRecoversAndStripeFallback(t *testing.T) {
 		poolDrained(t, f)
 	}()
 
-	const size = 64 * 1024
+	const size = 256 << 10 // the striping threshold
 	data := pattern(size, 9)
 	out := make([]byte, size)
 	rr, _ := b.Recv(0, 1, exactMask, Contig{}, out, int64(size))
@@ -284,10 +283,9 @@ func TestCorruptEagerWithoutReliableFailsWithErrCorrupt(t *testing.T) {
 			{Peer: -1, Action: fabric.Corrupt, Prob: 1, Count: 1},
 		}}
 	}
-	cfg := Config{Checksum: true, FragSize: 1024}
-	f := fabric.NewInproc(2, fabric.Config{FragSize: cfg.FragSize})
-	a := NewWorker(fabric.WrapFault(f.NIC(0), corruptPlan(0)), cfg)
-	b := NewWorker(f.NIC(1), cfg)
+	f := fabric.NewInproc(2, fabric.Config{FragSize: 1024, Checksum: true})
+	a := NewWorker(fabric.WrapFault(f.NIC(0), corruptPlan(0)), Config{})
+	b := NewWorker(f.NIC(1), Config{})
 	defer func() {
 		a.Close()
 		b.Close()
@@ -314,10 +312,7 @@ func TestCorruptEagerWithoutReliableFailsWithErrCorrupt(t *testing.T) {
 // the parked entry by backdating its stamp instead of sleeping the linger
 // out.
 func TestAbortEntriesReaped(t *testing.T) {
-	cfg := Config{
-		FragSize:   512,
-		ReqTimeout: time.Second, // starts the janitor
-	}
+	cfg := Config{ReqTimeout: time.Second} // starts the janitor
 	a, b := pair(t, fabric.Config{FragSize: 512}, cfg)
 	ops := &failPackOps{failAt: 1000}
 	data := pattern(5000, 14)
@@ -364,8 +359,7 @@ func TestReliableDuplicateSuppression(t *testing.T) {
 			{Peer: -1, Action: fabric.Duplicate, Prob: 1},
 		}}
 	}
-	cfg := reliableCfg()
-	a, b := faultWorkers(t, 11, cfg, dupPlan)
+	a, b := faultWorkers(t, 11, reliableFab(), reliableCfg(), dupPlan)
 	const size = 10000
 	data := pattern(size, 3)
 	out := make([]byte, size)

@@ -95,7 +95,7 @@ func FuzzWorkerInbound(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		cfg := Config{FragSize: 256, Reliable: data[0]&1 != 0, RexmitBase: time.Millisecond, RexmitMax: 5 * time.Millisecond}
+		cfg := Config{Reliable: data[0]&1 != 0, RexmitBase: time.Millisecond, RexmitMax: 5 * time.Millisecond}
 		fab := fabric.NewInproc(2, fabric.Config{FragSize: 256})
 		raw := fab.NIC(0)
 		w := NewWorker(fab.NIC(1), cfg)

@@ -1,9 +1,9 @@
 package ucp
 
-// Observability glue: when Config.Obs is set, the worker registers its
-// protocol counters and queue-depth gauges with the shared registry,
-// observes latency/size histograms, and records per-message lifecycle
-// events into the trace ring. When Config.Obs is nil (the default) the
+// Observability glue: when the NIC's fabric.Config.Obs is set, the worker
+// registers its protocol counters and queue-depth gauges with the shared
+// registry, observes latency/size histograms, and records per-message
+// lifecycle events into the trace ring. When it is nil (the default) the
 // worker's obs pointer is nil and every instrumentation site reduces to
 // one pointer check — the eager path stays allocation-free and its
 // latency is pinned by BenchmarkAblationObs.
@@ -195,7 +195,7 @@ type StatsSnapshot struct {
 }
 
 // StatsSnapshot copies every counter and the live queue depths. It works
-// with or without Config.Obs — the protocol counters are always
+// with or without an observer — the protocol counters are always
 // maintained.
 func (w *Worker) StatsSnapshot() StatsSnapshot {
 	s := &w.stats

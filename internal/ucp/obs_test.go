@@ -16,8 +16,7 @@ import (
 // Observer (per-rank metric prefixes keep them apart in the registry).
 func obsPair(t *testing.T, o *obs.Observer, cfg Config) (*Worker, *Worker) {
 	t.Helper()
-	cfg.Obs = o
-	return pair(t, fabric.Config{}, cfg)
+	return pair(t, fabric.Config{Obs: o}, cfg)
 }
 
 func TestObsByteCountersByProtocol(t *testing.T) {
@@ -66,8 +65,8 @@ func TestObsByteCountersByProtocol(t *testing.T) {
 
 func TestObsSelfSendBytes(t *testing.T) {
 	o := obs.New(0)
-	f := fabric.NewInproc(1, fabric.Config{})
-	w := NewWorker(f.NIC(0), Config{Obs: o})
+	f := fabric.NewInproc(1, fabric.Config{Obs: o})
+	w := NewWorker(f.NIC(0), Config{})
 	defer w.Close()
 	out := make([]byte, 512)
 	rr, _ := w.Recv(0, 1, exactMask, Contig{}, out, -1)
@@ -256,9 +255,9 @@ func TestObsSnapshotConsistencyConcurrent(t *testing.T) {
 // invariants and delivered bytes are unchanged.
 func TestObsStatsConsistentUnderFaults(t *testing.T) {
 	o := obs.New(512)
-	cfg := reliableCfg()
-	cfg.Obs = o
-	a, b := faultWorkers(t, 42, cfg, lossyPlan)
+	fcfg := reliableFab()
+	fcfg.Obs = o
+	a, b := faultWorkers(t, 42, fcfg, reliableCfg(), lossyPlan)
 	const msgs = 6
 	var delivered int64
 	for i := 0; i < msgs; i++ {
@@ -303,7 +302,7 @@ func TestObsStatsConsistentUnderFaults(t *testing.T) {
 	}
 }
 
-// Disabled mode: a worker without Config.Obs still keeps counters and
+// Disabled mode: a worker without an observer still keeps counters and
 // serves snapshots, and records nothing anywhere else.
 func TestObsDisabledStillCounts(t *testing.T) {
 	a, b := pair(t, fabric.Config{}, Config{})

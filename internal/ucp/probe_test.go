@@ -40,7 +40,7 @@ func TestMprobeBlockingTimeoutLinkDown(t *testing.T) {
 	cfg := reliableCfg()
 	cfg.ReqTimeout = 30 * time.Millisecond
 	cfg.RexmitRetries = 3
-	f := fabric.NewInproc(2, fabric.Config{FragSize: cfg.FragSize})
+	f := fabric.NewInproc(2, reliableFab())
 	a := NewWorker(fabric.WrapFault(f.NIC(0), downPlan), cfg)
 	b := NewWorker(f.NIC(1), cfg)
 	defer func() {
@@ -69,7 +69,7 @@ func TestMprobeCorruptEagerFragmentBeforeMatch(t *testing.T) {
 	}}
 	cfg := reliableCfg()
 	cfg.ReqTimeout = 2 * time.Second
-	f := fabric.NewInproc(2, fabric.Config{FragSize: cfg.FragSize})
+	f := fabric.NewInproc(2, reliableFab())
 	a := NewWorker(fabric.WrapFault(f.NIC(0), corruptPlan), cfg)
 	b := NewWorker(f.NIC(1), cfg)
 	defer func() {
@@ -304,7 +304,7 @@ func TestProbePostOrder(t *testing.T) {
 		proto Proto
 	}{{"eager", false, ProtoEager}, {"rndv", false, ProtoRndv}, {"self", true, ProtoAuto}} {
 		t.Run(tc.name, func(t *testing.T) {
-			a, b := pair(t, fabric.Config{FragSize: 1024}, Config{FragSize: 1024})
+			a, b := pair(t, fabric.Config{FragSize: 1024}, Config{})
 			src, from := a, 0
 			if tc.self {
 				src, from = b, 1
@@ -403,8 +403,8 @@ func TestProbeWaitConcurrent(t *testing.T) {
 	wins := map[string]int{}
 	for round := 0; round < rounds; round++ {
 		f := fabric.NewInproc(2, fabric.Config{FragSize: 1024})
-		a := NewWorker(f.NIC(0), Config{FragSize: 1024})
-		b := NewWorker(f.NIC(1), Config{FragSize: 1024, ReqTimeout: 50 * time.Millisecond})
+		a := NewWorker(f.NIC(0), Config{})
+		b := NewWorker(f.NIC(1), Config{ReqTimeout: 50 * time.Millisecond})
 		var probers []<-chan probeResult
 		for _, claim := range []bool{false, true} {
 			for _, from := range []int{0, -1} {
@@ -494,9 +494,7 @@ func TestProbeWaitConcurrent(t *testing.T) {
 func TestAnswerOfWrongKindIgnored(t *testing.T) {
 	f := fabric.NewInproc(2, fabric.Config{})
 	raw := f.NIC(0)
-	cfg := reliableCfg()
-	cfg.Checksum = false
-	w := NewWorker(f.NIC(1), cfg)
+	w := NewWorker(f.NIC(1), reliableCfg())
 	defer func() {
 		w.Close()
 		raw.Close()

@@ -176,7 +176,7 @@ func (w *Worker) rexmitBackoff() fabric.Backoff {
 // ignored: a down link is exactly what retransmission is for.
 func (w *Worker) eagerSendReliable(dst int, total int64, src SendState, req *Request) error {
 	buf := make([]byte, total)
-	frag := int64(w.cfg.FragSize)
+	frag := int64(w.fab.FragSize)
 	for off := int64(0); off < total; {
 		n := min(frag, total-off)
 		got, err := src.ReadAt(buf[off:off+n], off)
@@ -199,7 +199,7 @@ func (w *Worker) eagerSendReliable(dst int, total int64, src SendState, req *Req
 // sendEagerFrags streams one full copy of a retained eager message; tmpl is
 // what every fragment's header shares.
 func (w *Worker) sendEagerFrags(dst int, tmpl fabric.Header, buf []byte) {
-	frag := int64(w.cfg.FragSize)
+	frag := int64(w.fab.FragSize)
 	total := tmpl.Total
 	off := int64(0)
 	for {
@@ -210,7 +210,7 @@ func (w *Worker) sendEagerFrags(dst int, tmpl fabric.Header, buf []byte) {
 			hdr.Flags |= fabric.FlagUnordered
 		}
 		payload := buf[off : off+n]
-		if w.cfg.Checksum {
+		if w.fab.Checksum {
 			hdr.Flags |= flagCRC
 			hdr.Aux1 = int64(fabric.CRC32(payload))
 		}

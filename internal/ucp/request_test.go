@@ -27,9 +27,9 @@ func TestRequestWaitConcurrent(t *testing.T) {
 	wins := map[string]int{}
 	for round := 0; round < rounds; round++ {
 		o := obs.New(0)
-		f := fabric.NewInproc(2, fabric.Config{})
+		f := fabric.NewInproc(2, fabric.Config{Obs: o})
 		a := NewWorker(f.NIC(0), Config{})
-		b := NewWorker(f.NIC(1), Config{ReqTimeout: time.Millisecond, Obs: o})
+		b := NewWorker(f.NIC(1), Config{ReqTimeout: time.Millisecond})
 		req, err := b.Recv(0, 1, exactMask, Contig{}, make([]byte, 8), 8)
 		if err != nil {
 			t.Fatal(err)

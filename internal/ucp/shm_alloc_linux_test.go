@@ -85,7 +85,7 @@ func TestSHMRndvAllocsPerMessage(t *testing.T) {
 	dir, reg := t.TempDir(), obs.NewRegistry()
 	nics := make([]*fabric.SHM, 2)
 	for i := range nics {
-		nic, err := fabric.NewSHM(i, 2, dir, fabric.Config{Obs: reg})
+		nic, err := fabric.NewSHM(i, 2, dir, fabric.Config{Obs: &obs.Observer{Registry: reg}})
 		if err != nil {
 			t.Fatal(err)
 		}

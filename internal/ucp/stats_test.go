@@ -43,7 +43,8 @@ func TestStatsEagerVsRndvSelection(t *testing.T) {
 }
 
 func TestStatsIovGoesRndvEarly(t *testing.T) {
-	a, b := pair(t, fabric.Config{}, Config{RndvThresh: 1 << 20, IovRndvMin: 8192})
+	// Region lists switch at a quarter of RndvThresh: 16 KiB here.
+	a, b := pair(t, fabric.Config{}, Config{RndvThresh: 64 << 10})
 	parts := [][]byte{make([]byte, 8192), make([]byte, 8192)}
 	dst := [][]byte{make([]byte, 16384)}
 	rr, _ := b.Recv(0, 1, exactMask, Iov{}, dst, -1)
@@ -61,7 +62,7 @@ func TestStatsIovGoesRndvEarly(t *testing.T) {
 }
 
 func TestStatsEagerFragmentCount(t *testing.T) {
-	a, b := pair(t, fabric.Config{FragSize: 1024}, Config{FragSize: 1024, RndvThresh: 1 << 20})
+	a, b := pair(t, fabric.Config{FragSize: 1024}, Config{RndvThresh: 1 << 20})
 	data := make([]byte, 10*1024)
 	out := make([]byte, len(data))
 	rr, _ := b.Recv(0, 1, exactMask, Contig{}, out, -1)

@@ -9,14 +9,10 @@ import (
 	"mpicd/internal/fabric"
 )
 
-// stripeCfg enables striping aggressively so tests exercise the fan-out
-// regardless of GOMAXPROCS.
+// stripeCfg sets the stripe count explicitly so tests exercise the fan-out
+// regardless of GOMAXPROCS; messages of 256 KiB and more stripe.
 func stripeCfg(stripes int) Config {
-	return Config{
-		RndvThresh:       32 * 1024,
-		PullStripes:      stripes,
-		PullStripeThresh: 64 * 1024,
-	}
+	return Config{PullStripes: stripes}
 }
 
 func TestStripedPullContig(t *testing.T) {
@@ -48,7 +44,7 @@ func TestStripedPullContig(t *testing.T) {
 
 func TestStripedPullBypassBelowThreshold(t *testing.T) {
 	a, b := pair(t, fabric.Config{}, stripeCfg(4))
-	const size = 48 * 1024 // above RndvThresh, below PullStripeThresh
+	const size = 48 * 1024 // above RndvThresh, below the striping threshold
 	data := pattern(size, 4)
 	out := make([]byte, size)
 	rr, _ := b.Recv(0, 1, exactMask, Contig{}, out, size)
@@ -128,29 +124,6 @@ func TestStripedPullInOrderFallsBack(t *testing.T) {
 			t.Fatalf("unpack offsets not strictly increasing: %d then %d",
 				ops.offsets[i-1], ops.offsets[i])
 		}
-	}
-}
-
-// TestStripedPullStripesCappedByBytes: more stripes than bytes must not
-// spawn empty Gets.
-func TestStripedPullStripesCappedByBytes(t *testing.T) {
-	cfg := Config{RndvThresh: 1, PullStripes: 8, PullStripeThresh: 1}
-	a, b := pair(t, fabric.Config{}, cfg)
-	data := []byte{1, 2, 3}
-	out := make([]byte, 3)
-	rr, _ := b.Recv(0, 1, exactMask, Contig{}, out, 3)
-	sr, err := a.Send(1, 1, Contig{}, data, 3, 0, ProtoRndv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WaitAll(sr, rr); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, data) {
-		t.Fatal("tiny striped roundtrip mismatch")
-	}
-	if got := b.Stats().PullStripeSegs.Load(); got > 3 {
-		t.Fatalf("stripe segments = %d for a 3-byte pull", got)
 	}
 }
 

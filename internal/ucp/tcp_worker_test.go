@@ -75,7 +75,7 @@ func TestTCPWorkerEagerAndRndv(t *testing.T) {
 func TestTCPWorkerIovRendezvous(t *testing.T) {
 	// Region lists over sockets: the pull protocol runs as GET
 	// request/response frames.
-	a, b := tcpPair(t, Config{IovRndvMin: 1024})
+	a, b := tcpPair(t, Config{RndvThresh: 4096})
 	parts := [][]byte{pattern(10000, 1), pattern(50000, 2), pattern(7, 3)}
 	var want []byte
 	for _, p := range parts {

@@ -26,9 +26,10 @@
 // there is none. A striped pull is a countdown in its Request, a retry a timer.
 //
 // The eager→rendezvous threshold is configurable; region-bearing (iov)
-// messages switch to rendezvous much earlier because only the pull path
-// avoids the staging copies (this reproduces the paper's observation that
-// the custom API is insensitive to the UCX eager/rendezvous switchover).
+// messages switch to rendezvous at a quarter of it because only the pull
+// path avoids the staging copies (this reproduces the paper's observation
+// that the custom API is insensitive to the UCX eager/rendezvous
+// switchover).
 package ucp
 
 import (
@@ -37,7 +38,6 @@ import (
 	"time"
 
 	"mpicd/internal/fabric"
-	"mpicd/internal/obs"
 )
 
 // Protocol kinds carried in fabric headers (all below fabric's reserved
@@ -66,31 +66,24 @@ const (
 	ProtoRndv
 )
 
-// Config tunes the transport.
+// Config tunes the transport. What the worker shares with the NIC below it
+// — the fragment size, integrity checking, the incarnation that offsets its
+// message ids and the observer — it reads from NIC.Config, not from here.
 type Config struct {
 	// RndvThresh is the eager→rendezvous switch in bytes for generic and
 	// contiguous messages (default 32 KiB, the classic UCX value the paper
-	// observes a manual-pack dip at).
+	// observes a manual-pack dip at). Region-bearing (direct,
+	// non-contiguous) messages and custom datatypes switch at a quarter of
+	// it: below that regions are gathered into eager fragments, above it
+	// the pull path transfers them zero-copy.
 	RndvThresh int64
-	// IovRndvMin is the size at which region-bearing (direct,
-	// non-contiguous) messages switch to rendezvous (default 8 KiB).
-	// Below it regions are gathered into eager fragments; above it the
-	// pull path transfers them zero-copy.
-	IovRndvMin int64
-	// FragSize is the eager fragment payload size; defaults to the
-	// fabric's default fragment size.
-	FragSize int
 	// PullStripes is how many cores one peer's transfers may use: the
-	// stripes a rendezvous pull of at least PullStripeThresh bytes is split
-	// into when the receive datatype tolerates out-of-order delivery (the
-	// custom-datatype inorder contract forces sequential pulls), and the cap
-	// on the pullers that run one source rank's pulls and stripes (not over
-	// TCP: see NewWorker). Zero selects min(GOMAXPROCS, 4); 1 disables striping.
+	// stripes a rendezvous pull of at least 256 KiB is split into when the
+	// receive datatype tolerates out-of-order delivery (the custom-datatype
+	// inorder contract forces sequential pulls), and the cap on the pullers
+	// that run one source rank's pulls and stripes (not over TCP: see
+	// NewWorker). Zero selects min(GOMAXPROCS, 4); 1 disables striping.
 	PullStripes int
-	// PullStripeThresh is the minimum rendezvous message size eligible
-	// for striped pulls (default 256 KiB). Smaller pulls always run as a
-	// single sequential Get.
-	PullStripeThresh int64
 	// RanksPerNode is how many ranks share this machine, as reported by
 	// the launcher. It scales the automatic PullStripes default: with R
 	// ranks competing for the node's cores, each pull gets NumCPU/R
@@ -106,12 +99,6 @@ type Config struct {
 	// every message is delivered exactly once. Off by default: the
 	// in-process fabric never loses packets, so plain runs pay nothing.
 	Reliable bool
-	// Checksum protects eager fragment payloads with a CRC32C carried in
-	// the fragment header. Corrupt fragments are dropped (and recovered
-	// by retransmission when Reliable is set) or fail the receive with
-	// ErrCorrupt. Rendezvous pull frames are protected separately by
-	// fabric.Config.Checksum on byte-stream providers.
-	Checksum bool
 	// ReqTimeout bounds how long a posted receive may wait unmatched and
 	// how long a matched eager receive may wait for its remaining
 	// fragments before failing with ErrTimeout. Zero disables deadlines.
@@ -124,14 +111,6 @@ type Config struct {
 	// before the send fails with ErrTimeout (default 12).
 	RexmitRetries int
 
-	// MsgIDBase offsets the worker's message-id space. Respawned workers
-	// re-admitted under a previously used fabric rank must set a base no
-	// prior incarnation used (the launcher derives it from the restart
-	// epoch): receivers deduplicate reliable messages by (rank, msg id),
-	// and a fresh process counting from zero would collide with the dead
-	// incarnation's ids still held in their dedup windows.
-	MsgIDBase uint64
-
 	// Heartbeat enables the liveness detector (see fabric.Detector): the
 	// worker's NIC is wrapped so every inbound packet refreshes its
 	// sender's last-seen stamp, quiet peers are pinged each period, and a
@@ -140,26 +119,21 @@ type Config struct {
 	// receives/probes matched to it wake, with no per-request deadline
 	// required. Zero Period (the default) disables detection entirely.
 	Heartbeat fabric.DetectorConfig
-
-	// Obs attaches the observability layer: the worker registers its
-	// counters, queue-depth gauges and latency/size histograms with
-	// Obs.Registry (under ucp.r<rank>.*) and, when Obs.Trace is set,
-	// records per-message lifecycle events into the ring. Nil (the
-	// default) disables observability entirely — the hot path pays one
-	// pointer check and allocates nothing extra (see
-	// BenchmarkAblationObs).
-	Obs *obs.Observer
 }
 
 // DefaultRndvThresh is the default eager→rendezvous threshold (32 KiB).
 const DefaultRndvThresh = 32 * 1024
 
-// DefaultIovRndvMin is the default rendezvous threshold for region lists.
-const DefaultIovRndvMin = 8 * 1024
+// pullStripeThresh is the minimum message size for a striped rendezvous
+// pull. Smaller pulls always run as a single sequential Get.
+const pullStripeThresh = 256 * 1024
 
-// DefaultPullStripeThresh is the default minimum message size for striped
-// rendezvous pulls (256 KiB).
-const DefaultPullStripeThresh = 256 * 1024
+// msgIDEpochShift places a worker's message ids above every id an earlier
+// incarnation of its rank (fabric.Config.Epoch) could have used: receivers
+// deduplicate reliable messages by (rank, msg id), and a respawned process
+// counting from zero would collide with the dead incarnation's ids still
+// held in their dedup windows.
+const msgIDEpochShift = 40
 
 // getRetries is how many times a failed rendezvous Get (link down,
 // corrupt frame) is retried with backoff before the pull degrades or
@@ -211,23 +185,11 @@ func (c Config) withDefaults() Config {
 	if c.RndvThresh <= 0 {
 		c.RndvThresh = DefaultRndvThresh
 	}
-	if c.IovRndvMin <= 0 {
-		c.IovRndvMin = DefaultIovRndvMin
-	}
-	if c.FragSize <= 0 {
-		c.FragSize = fabric.DefaultFragSize
-	}
-	if c.FragSize > fabric.MaxFragSize {
-		c.FragSize = fabric.MaxFragSize
-	}
 	if c.PullStripes == 0 {
 		c.PullStripes = DefaultPullStripesFor(c.RanksPerNode)
 	}
 	if c.PullStripes < 1 {
 		c.PullStripes = 1
-	}
-	if c.PullStripeThresh <= 0 {
-		c.PullStripeThresh = DefaultPullStripeThresh
 	}
 	if c.RexmitBase <= 0 {
 		c.RexmitBase = 3 * time.Millisecond

@@ -21,6 +21,7 @@ import (
 type Worker struct {
 	nic fabric.NIC
 	cfg Config
+	fab fabric.Config // the NIC's: fragment size, checksum, epoch, observer
 
 	mu     sync.Mutex
 	table  matchTable          // posted receives and blocked probes + unexpected and claimed messages, sharded by peer
@@ -61,7 +62,7 @@ type Worker struct {
 	nextMsg atomic.Uint64
 	wg      sync.WaitGroup
 	stats   WorkerStats
-	obs     *workerObs // nil when Config.Obs is unset (see obs.go)
+	obs     *workerObs // nil when the NIC's Config has no observer (see obs.go)
 }
 
 // WorkerStats counts protocol events; all fields are cumulative.
@@ -177,13 +178,16 @@ func newUnex(in inbound) *unexMsg {
 }
 
 // NewWorker attaches a transport worker to a NIC and starts its progress
-// goroutine. When Config.Heartbeat enables liveness detection the NIC is
+// goroutine. The eager fragment size, fragment checksums, the message-id
+// base (the incarnation's Epoch << 40) and the observer come from
+// nic.Config(). When Config.Heartbeat enables liveness detection the NIC is
 // wrapped with a fabric.Detector whose death verdicts feed
 // DeclarePeerFailed.
 func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 	w := &Worker{
 		nic:     nic,
 		cfg:     cfg.withDefaults(),
+		fab:     nic.Config(),
 		active:  make(map[msgKey]*Request),
 		sends:   make(map[uint64]*Request),
 		pulls:   make(map[msgKey]*Request),
@@ -196,7 +200,7 @@ func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 	if w.cfg.Reliable {
 		w.completed = make(map[msgKey]doneRec, completedCap)
 	}
-	w.nextMsg.Store(w.cfg.MsgIDBase)
+	w.nextMsg.Store(uint64(w.fab.Epoch) << msgIDEpochShift)
 	// PullStripes counts cores, so it caps a lane where a Get is a copy made
 	// by the puller. Over TCP a Get waits out a round trip: there every job
 	// gets a puller of its own, as it had a goroutine before the executor.
@@ -212,11 +216,8 @@ func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 	w.ackDrained = make(chan struct{})
 	w.wg.Add(1)
 	go w.ackPump()
-	w.setupObs(w.cfg.Obs)
+	w.setupObs(w.fab.Obs)
 	if hb := w.cfg.Heartbeat; hb.Period > 0 {
-		if hb.Obs == nil && w.cfg.Obs != nil {
-			hb.Obs = w.cfg.Obs.Registry
-		}
 		w.det = fabric.NewDetector(nic, hb)
 		w.det.OnDead(w.DeclarePeerFailed)
 		w.nic = w.det
@@ -342,13 +343,13 @@ func (w *Worker) Send(dst int, tag Tag, dt Datatype, buf any, count int64, aux i
 	}
 
 	if pc, ok := src.(ProtoChooser); ok && proto != ProtoRndv && proto != ProtoEager {
-		proto = pc.ChooseProto(total, w.cfg.RndvThresh, w.cfg.IovRndvMin)
+		proto = pc.ChooseProto(total, w.cfg.RndvThresh)
 	}
 	useRndv := proto == ProtoRndv
 	if !useRndv && proto != ProtoEager {
 		// Region lists only reach zero-copy through the pull path.
 		rc, ok := fabric.Source(src).(fabric.RegionCounter)
-		useRndv = total > w.cfg.RndvThresh || ok && rc.NumRegions() > 1 && total >= w.cfg.IovRndvMin
+		useRndv = total > w.cfg.RndvThresh || ok && rc.NumRegions() > 1 && total >= w.cfg.RndvThresh/4
 	}
 
 	if useRndv {
@@ -409,12 +410,12 @@ func (w *Worker) eagerSend(dst int, tag Tag, id uint64, total, aux int64, src Se
 		return w.nic.Send(dst, fabric.Header{Kind: kindEager, Tag: uint64(tag), MsgID: id, Aux0: aux})
 	}
 	off := int64(0)
-	frag := int64(w.cfg.FragSize)
+	frag := int64(w.fab.FragSize)
 	// Checksummed fragments must be staged so the CRC covers exactly the
 	// bytes on the wire; this trades the zero-copy SendFrom path for
 	// integrity (the checksum-ablation benchmark quantifies the cost).
 	var staging []byte
-	if w.cfg.Checksum {
+	if w.fab.Checksum {
 		staging = make([]byte, frag)
 	}
 	for off < total {
@@ -773,7 +774,7 @@ func (w *Worker) run(j job) {
 }
 
 // transfer moves a matched message: a self-send by one local copy, a
-// rendezvous message by Get. A pull of at least PullStripeThresh bytes is
+// rendezvous message by Get. A pull of at least pullStripeThresh bytes is
 // split into PullStripes byte ranges pulled concurrently, putting several
 // cores on the pack (ReadAt) and unpack (WriteAt) of one message: this
 // puller queues the other stripes and runs the first itself. Both ends must
@@ -790,8 +791,8 @@ func (w *Worker) transfer(op *Request) {
 		return
 	}
 	chunk := n
-	if !op.sequential && n >= w.cfg.PullStripeThresh {
-		stripes := min(int64(w.cfg.PullStripes), n)
+	if !op.sequential && n >= pullStripeThresh {
+		stripes := int64(w.cfg.PullStripes)
 		chunk = (n + stripes - 1) / stripes
 	}
 	segs := (n + chunk - 1) / chunk

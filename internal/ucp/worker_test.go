@@ -92,7 +92,7 @@ func TestContigSizes(t *testing.T) {
 	// rendezvous sizes.
 	for _, size := range []int{0, 1, 100, 4096, 16384, 16385, 32768, 32769, 100000, 1 << 20} {
 		t.Run(fmt.Sprint(size), func(t *testing.T) {
-			sendRecvContig(t, size, Config{FragSize: 4096}, fabric.Config{FragSize: 4096})
+			sendRecvContig(t, size, Config{}, fabric.Config{FragSize: 4096})
 		})
 	}
 }
@@ -449,8 +449,8 @@ func TestConcurrentPingPongManyGoroutines(t *testing.T) {
 // Property: random sizes and thresholds roundtrip exactly.
 func TestContigRoundtripProperty(t *testing.T) {
 	f := fabric.NewInproc(2, fabric.Config{FragSize: 512})
-	a := NewWorker(f.NIC(0), Config{FragSize: 512, RndvThresh: 2048})
-	b := NewWorker(f.NIC(1), Config{FragSize: 512, RndvThresh: 2048})
+	a := NewWorker(f.NIC(0), Config{RndvThresh: 2048})
+	b := NewWorker(f.NIC(1), Config{RndvThresh: 2048})
 	defer a.Close()
 	defer b.Close()
 	check := func(sz uint16, seed int64) bool {
@@ -532,7 +532,7 @@ func (u *xorUnpack) Unpack(off int64, src []byte) error {
 func (u *xorUnpack) Finish() error { return nil }
 
 func TestGenericDatatypeEager(t *testing.T) {
-	a, b := pair(t, fabric.Config{FragSize: 1024}, Config{FragSize: 1024})
+	a, b := pair(t, fabric.Config{FragSize: 1024}, Config{})
 	ops := &xorOps{key: 0x5A}
 	data := pattern(10000, 10)
 	out := make([]byte, 10000)
@@ -598,7 +598,7 @@ func (p *partialPack) Pack(off int64, dst []byte) (int, error) {
 func (p *partialPack) Finish() error { return nil }
 
 func TestGenericPartialPack(t *testing.T) {
-	a, b := pair(t, fabric.Config{FragSize: 4096}, Config{FragSize: 4096})
+	a, b := pair(t, fabric.Config{FragSize: 4096}, Config{})
 	ops := &partialPackOps{chunk: 100}
 	data := pattern(5000, 12)
 	out := make([]byte, 5000)
@@ -617,8 +617,8 @@ func TestGenericPartialPack(t *testing.T) {
 
 func TestGenericInOrderUnderOutOfOrderFabric(t *testing.T) {
 	f := fabric.NewInproc(2, fabric.Config{FragSize: 256, OutOfOrder: true, Seed: 7})
-	a := NewWorker(f.NIC(0), Config{FragSize: 256, RndvThresh: 1 << 30})
-	b := NewWorker(f.NIC(1), Config{FragSize: 256, RndvThresh: 1 << 30})
+	a := NewWorker(f.NIC(0), Config{RndvThresh: 1 << 30})
+	b := NewWorker(f.NIC(1), Config{RndvThresh: 1 << 30})
 	defer poolDrained(t, f)
 	defer a.Close()
 	defer b.Close()
@@ -682,7 +682,7 @@ func (p *failPack) Pack(off int64, dst []byte) (int, error) {
 func (p *failPack) Finish() error { return nil }
 
 func TestPackErrorPropagatesToBothSides(t *testing.T) {
-	a, b := pair(t, fabric.Config{FragSize: 512}, Config{FragSize: 512})
+	a, b := pair(t, fabric.Config{FragSize: 512}, Config{})
 	ops := &failPackOps{failAt: 1000}
 	data := pattern(5000, 14)
 	out := make([]byte, 5000)

@@ -168,13 +168,11 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		// retransmission until acked. Without these, a corrupt burst on
 		// the zero-copy in-process fabric would hand flipped bytes
 		// straight to the application.
-		Fabric: fabric.Config{Checksum: true},
+		Fabric: fabric.Config{Checksum: true, Obs: &obs.Observer{Registry: reg}},
 		UCP: ucp.Config{
 			Heartbeat:     hb,
 			Reliable:      true,
-			Checksum:      true,
 			RexmitRetries: rexmitRetries,
-			Obs:           &obs.Observer{Registry: reg},
 		},
 		WrapNIC: func(rank int, nic fabric.NIC) fabric.NIC {
 			fn := fabric.WrapFault(nic, fabric.FaultPlan{Kills: ks})

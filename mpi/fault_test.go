@@ -18,11 +18,9 @@ import (
 // unrecoverable.
 func TestFacadeFaultRecovery(t *testing.T) {
 	opt := mpi.Options{
-		Fabric: fabric.Config{FragSize: 1024},
+		Fabric: fabric.Config{FragSize: 1024, Checksum: true},
 		UCP: ucp.Config{
 			Reliable:      true,
-			Checksum:      true,
-			FragSize:      1024,
 			RexmitBase:    time.Millisecond,
 			RexmitMax:     20 * time.Millisecond,
 			RexmitRetries: 200,

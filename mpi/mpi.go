@@ -220,7 +220,8 @@ const (
 
 // Observer is the observability layer: a metrics registry of counters,
 // gauges and power-of-two-bucket histograms plus an optional bounded
-// per-message trace ring. Attach one with Options.UCP.Obs; dump it with
+// per-message trace ring. Attach one with Options.Fabric.Obs (provider,
+// transport and detector all report into it); dump it with
 // Observer.WriteJSON. Nil disables observability — the transport hot
 // path then pays a single pointer check.
 type Observer = obs.Observer
@@ -265,9 +266,6 @@ type TCPWorld = ProcWorld
 // cross-process world runs (acked eager sends, an oversubscription-scaled
 // retransmission budget).
 func ConnectTCP(rank int, addrs []string, opt Options) (*ProcWorld, error) {
-	if o := opt.UCP.Obs; o != nil && opt.Fabric.Obs == nil {
-		opt.Fabric.Obs = o.Registry
-	}
 	nic, err := fabric.NewTCP(rank, addrs, opt.Fabric)
 	if err != nil {
 		return nil, err
@@ -281,9 +279,6 @@ func ConnectTCP(rank int, addrs []string, opt Options) (*ProcWorld, error) {
 // only thing ranks must agree on out of band is dir itself (and keep it
 // short — unix socket paths cap at ~100 bytes).
 func ConnectSHM(rank, size int, dir string, opt Options) (*ProcWorld, error) {
-	if o := opt.UCP.Obs; o != nil && opt.Fabric.Obs == nil {
-		opt.Fabric.Obs = o.Registry
-	}
 	nic, err := fabric.NewSHM(rank, size, dir, opt.Fabric)
 	if err != nil {
 		return nil, err
