@@ -193,11 +193,11 @@ func BenchmarkAblationContigFastPath(b *testing.B) {
 func BenchmarkAblationHeartbeat(b *testing.B) {
 	modes := []struct {
 		name string
-		hb   fabric.DetectorConfig
+		hb   ucp.DetectorConfig
 	}{
-		{"off", fabric.DetectorConfig{}},
-		{"period-100ms", fabric.DetectorConfig{Period: 100 * time.Millisecond}},
-		{"period-5ms", fabric.DetectorConfig{Period: 5 * time.Millisecond}},
+		{"off", ucp.DetectorConfig{}},
+		{"period-100ms", ucp.DetectorConfig{Period: 100 * time.Millisecond}},
+		{"period-5ms", ucp.DetectorConfig{Period: 5 * time.Millisecond}},
 	}
 	for _, size := range []int64{1 << 10, 64 << 10} {
 		for _, m := range modes {

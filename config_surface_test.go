@@ -36,7 +36,7 @@ func TestConfigSurface(t *testing.T) {
 	}{
 		{"fabric.Config", reflect.TypeOf(fabric.Config{}), 8},
 		{"ucp.Config", reflect.TypeOf(ucp.Config{}), 9},
-		{"fabric.DetectorConfig", reflect.TypeOf(fabric.DetectorConfig{}), 4},
+		{"ucp.DetectorConfig", reflect.TypeOf(ucp.DetectorConfig{}), 4},
 	} {
 		if n := c.typ.NumField(); n != c.fields {
 			t.Errorf("%s has %d fields, want %d: a knob added or removed updates this test and DESIGN.md's table", c.name, n, c.fields)

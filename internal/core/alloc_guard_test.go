@@ -124,7 +124,7 @@ func TestObsEagerAllocsPinned(t *testing.T) {
 // period is kept long so the prober goroutine's own (off-path) sends
 // cannot blur the measurement.
 func TestHeartbeatEagerAllocsPinned(t *testing.T) {
-	opt := core.Options{UCP: ucp.Config{Heartbeat: fabric.DetectorConfig{Period: time.Minute}}}
+	opt := core.Options{UCP: ucp.Config{Heartbeat: ucp.DetectorConfig{Period: time.Minute}}}
 	avg := pingPongAllocs(t, opt, core.TypeBytes, 1024, -1)
 	t.Logf("heartbeat-enabled eager 1 KiB ping-pong: %.1f allocs/op", avg)
 	if avg > eagerPingPongAllocCeiling {

@@ -35,14 +35,14 @@ func (c *Comm) classifyCommErr(err error) error {
 		errors.Is(err, ErrProcFailed) || errors.Is(err, ErrRevoked) {
 		return err
 	}
-	det := c.w.Detector()
-	if det == nil {
+	deadAfter := c.w.DeadAfter()
+	if deadAfter == 0 {
 		return err
 	}
 	// The peer fell silent at or before the link error, so the verdict
 	// arrives within DeadAfter of *now*; the extra half-window plus a
 	// constant absorbs probe cadence and scheduler slack.
-	deadline := time.Now().Add(det.DeadAfter() + det.DeadAfter()/2 + 100*time.Millisecond)
+	deadline := time.Now().Add(deadAfter + deadAfter/2 + 100*time.Millisecond)
 	for {
 		if c.Revoked() {
 			return fmt.Errorf("%w (link failure during revocation: %v)", ErrRevoked, err)

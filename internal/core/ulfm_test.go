@@ -29,7 +29,7 @@ func hbUCP() ucp.Config {
 	// race detector and TCP syscalls can starve a rank's pong path for
 	// tens of milliseconds, so the threshold stays comfortably above that
 	// while keeping recovery well under a second.
-	return ucp.Config{Heartbeat: fabric.DetectorConfig{
+	return ucp.Config{Heartbeat: ucp.DetectorConfig{
 		Period:       5 * time.Millisecond,
 		SuspectAfter: 40 * time.Millisecond,
 		DeadAfter:    150 * time.Millisecond,

@@ -27,7 +27,7 @@ const (
 	// sends, then the runner restores it — a cable pull, not a death.
 	ChaosLinkFlap
 	// ChaosKill permanently kills a rank via its shared KillSwitch. The
-	// application layer is expected to detect it (heartbeats), revoke,
+	// application layer is expected to detect it (silence), revoke,
 	// agree, shrink, and resume.
 	ChaosKill
 )

@@ -1,9 +1,6 @@
 package fabric
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // Every provider and wrapper implements the whole NIC contract,
 // Membership included.
@@ -13,7 +10,6 @@ var (
 	_ NIC = (*SHM)(nil)
 	_ NIC = (*inprocNIC)(nil)
 	_ NIC = (*FaultNIC)(nil)
-	_ NIC = (*Detector)(nil)
 )
 
 // recordingNIC is a provider that counts the membership calls reaching it.
@@ -33,17 +29,11 @@ func (r *recordingNIC) SetPeerDownHook(func(int, bool)) { r.hook++ }
 // exactly once, whatever decorators sit in between.
 func TestMembershipReachesProviderThroughWrappers(t *testing.T) {
 	fault := func(n NIC) NIC { return WrapFault(n, FaultPlan{}) }
-	// Never started: Start installs the detector's own hook, which would
-	// count as a second SetPeerDownHook.
-	detect := func(n NIC) NIC { return NewDetector(n, DetectorConfig{Period: time.Hour}) }
 	for _, tc := range []struct {
 		name string
 		wrap func(NIC) NIC
 	}{
 		{"FaultNIC", fault},
-		{"Detector", detect},
-		{"Detector(FaultNIC)", func(n NIC) NIC { return detect(fault(n)) }},
-		{"FaultNIC(Detector)", func(n NIC) NIC { return fault(detect(n)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := NewInproc(2, Config{})

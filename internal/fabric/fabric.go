@@ -37,20 +37,10 @@ import (
 // the reserved range.
 type Kind uint8
 
-// Kinds at and above KindFabricReserved belong to fabric-level services;
-// transport layers must allocate their kinds below it. The heartbeat
-// detector (see Detector) owns the low values of the range (0xF0..0xF6);
-// byte-stream providers keep their internal frame kinds above them
-// (0xF7..) so their read loops never consume detector traffic.
-const (
-	KindFabricReserved Kind = 0xF0
-	// KindHeartbeatPing is a liveness probe; Aux0 carries the sender's
-	// send timestamp (ns) to be echoed back.
-	KindHeartbeatPing Kind = 0xF0
-	// KindHeartbeatPong answers a ping, echoing the probe timestamp in
-	// Aux0 so the prober can measure round-trip time.
-	KindHeartbeatPong Kind = 0xF1
-)
+// Kinds at and above KindFabricReserved belong to the providers' own frames
+// (byte-stream providers use 0xF7..), which their read loops consume;
+// transport layers must allocate their kinds below it.
+const KindFabricReserved Kind = 0xF0
 
 // Flags carried in a packet header.
 const (
@@ -194,8 +184,8 @@ type Membership interface {
 
 // Config tunes fabric behaviour. The zero value is usable; NewConfig fills
 // in defaults. A NIC reports it back through NIC.Config, and the transport
-// worker, the heartbeat detector and the fault wrapper take FragSize,
-// Checksum, Epoch and Obs from there: each is set once, here.
+// worker and the fault wrapper take FragSize, Checksum, Epoch and Obs from
+// there: each is set once, here.
 type Config struct {
 	// FragSize is the maximum wire fragment (MTU) in bytes, and the
 	// transport's eager fragment payload size.
@@ -216,8 +206,8 @@ type Config struct {
 	// Obs, when non-nil, is the observer every layer on this NIC reports
 	// into: providers register their gauges under fabric.r<rank>.*, the
 	// transport its counters, histograms and trace events under
-	// ucp.r<rank>.*, the detector hb.r<rank>.*, a fault wrapper
-	// fault.r<rank>.*. Nil disables observability at zero cost — the
+	// ucp.r<rank>.* (and hb.r<rank>.* for its liveness detection), a fault
+	// wrapper fault.r<rank>.*. Nil disables observability at zero cost — the
 	// transport hot path pays one pointer check.
 	Obs *obs.Observer
 
@@ -233,7 +223,7 @@ type Config struct {
 	// previously recorded for that rank, from a rank this side had
 	// already communicated with, is hard evidence that the rank's
 	// previous incarnation died. Without it a fast respawn masks the
-	// death: the replacement reconnects and heartbeats under the same
+	// death: the replacement reconnects and answers probes under the same
 	// rank before the silence threshold expires, and survivors hang
 	// forever in collectives the dead incarnation will never finish.
 	Epoch uint32

@@ -415,7 +415,7 @@ func (f *FaultNIC) apply(to int, hdr Header, payload []byte) error {
 	// A dead endpoint on either side swallows the packet: a dead sender
 	// emits nothing, and nothing is deliverable to a dead receiver. No
 	// error — the sender of a real network learns of the death only
-	// through silence (or the liveness detector above).
+	// through silence, which the worker above measures.
 	if f.kills.Dead(f.NIC.Rank()) || f.kills.Dead(to) {
 		f.stats.KillDrops.Add(1)
 		if f.kills.Dead(f.NIC.Rank()) {

@@ -15,11 +15,9 @@ import (
 )
 
 // Reserved header kinds used internally by byte-stream providers for the
-// Get (RDMA-read emulation) protocol. Transports must keep their own kinds
-// below KindFabricReserved; within the reserved range the heartbeat
-// detector owns the low values (0xF0..0xF6), providers the high ones —
-// these frames are consumed by the provider's read loop and must never
-// shadow detector traffic that has to reach Recv.
+// Get (RDMA-read emulation) protocol. Transports keep their own kinds
+// below KindFabricReserved, so these frames, which the provider's read
+// loop consumes, never shadow traffic that has to reach Recv.
 const (
 	kindGetReq  Kind = 0xF7
 	kindGetResp Kind = 0xF8
@@ -91,7 +89,7 @@ type stream struct {
 
 	// hookMu guards peerDown, the one public hook slot
 	// (Membership.SetPeerDownHook): it is installed after construction
-	// (the worker layer wires it into the liveness detector) while accept
+	// (the worker layer wires it into its failure state) while accept
 	// and read goroutines may already be reporting link events.
 	hookMu   sync.Mutex
 	peerDown func(peer int, hard bool)
@@ -537,8 +535,8 @@ func (s *stream) verdict(v byte) []byte {
 // recorded incarnation this side knows (epochKnown), proves that
 // incarnation dead — the launcher only increments the epoch when it
 // restarts the rank — and is reported as a hard peer-down event, so the
-// liveness detector declares the death even while the replacement's own
-// heartbeats keep the rank looking noisy. No socket to the dead
+// worker declares the death even while the replacement's own traffic
+// keeps the rank looking noisy. No socket to the dead
 // incarnation is required: a survivor that shared a communicator with it
 // but never exchanged a frame would otherwise wait for it in the next
 // agreement forever. A rank that joined later, or that just revived the

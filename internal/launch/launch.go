@@ -131,10 +131,10 @@ func envInt(name string, def int) (int, error) {
 // ok reports whether any of them is set; when it is, the returned config
 // is fully validated and ready for ucp.Config.Heartbeat. Every
 // validation failure names the offending variable.
-func HeartbeatFromEnv() (cfg fabric.DetectorConfig, ok bool, err error) {
+func HeartbeatFromEnv() (cfg ucp.DetectorConfig, ok bool, err error) {
 	pv, sv, dv := os.Getenv(EnvHBPeriod), os.Getenv(EnvHBSuspect), os.Getenv(EnvHBDead)
 	if pv == "" && sv == "" && dv == "" {
-		return fabric.DetectorConfig{}, false, nil
+		return ucp.DetectorConfig{}, false, nil
 	}
 	if pv == "" {
 		return cfg, false, fmt.Errorf("launch: %s/%s need %s to be set", EnvHBSuspect, EnvHBDead, EnvHBPeriod)
@@ -170,7 +170,7 @@ func HeartbeatFromEnv() (cfg fabric.DetectorConfig, ok bool, err error) {
 	if dead <= suspect {
 		return cfg, false, fmt.Errorf("launch: %s (%g) must exceed %s (%g)", EnvHBDead, dead, EnvHBSuspect, suspect)
 	}
-	cfg = fabric.DetectorConfig{
+	cfg = ucp.DetectorConfig{
 		Period:       period,
 		SuspectAfter: time.Duration(suspect * float64(period)),
 		DeadAfter:    time.Duration(dead * float64(period)),

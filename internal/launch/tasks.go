@@ -14,6 +14,7 @@ import (
 	"mpicd/internal/ddt"
 	"mpicd/internal/fabric"
 	"mpicd/internal/layout"
+	"mpicd/internal/ucp"
 )
 
 // Built-in worker tasks. cmd/mpicd-run re-executes itself with
@@ -37,7 +38,7 @@ func RunTask(name string, in *Info, opt core.Options) error {
 		// learns of the death from transport-level evidence, which a
 		// quiet link may never produce. Default a snappy single-host
 		// cadence; MPICD_HB_* (applied in Connect) overrides it.
-		opt.UCP.Heartbeat = fabric.DetectorConfig{
+		opt.UCP.Heartbeat = ucp.DetectorConfig{
 			Period:       20 * time.Millisecond,
 			SuspectAfter: 150 * time.Millisecond,
 			DeadAfter:    600 * time.Millisecond,

@@ -1,10 +1,10 @@
 package ucp
 
-// Failure notification: when a peer process is declared dead — by the
-// heartbeat detector, by a fabric error only a dead process can produce
-// (ErrRankDead), or by the layer above — every operation bound to that
-// peer completes with ErrProcFailed instead of hanging on a deadline
-// that may not exist:
+// Failure notification: when a peer process is declared dead — by liveness
+// detection (liveness.go), by evidence only a dead process produces (a Get
+// failing with ErrRankDead, the provider's hard peer-down report), or by
+// the layer above — every operation bound to that peer completes with
+// ErrProcFailed instead of hanging on a deadline that may not exist:
 //
 //   - posted receives from the peer (and AnySource receives whose only
 //     possible remote senders are all dead) complete immediately, and so
@@ -146,8 +146,8 @@ func (w *Worker) PoisonWhere(pred func(from int, tag, mask Tag) bool, err error)
 }
 
 // DeclarePeerFailed marks rank dead and fails everything bound to it.
-// Idempotent; safe to call from any goroutine, including the detector's
-// prober and the pullers. The local rank cannot be declared dead.
+// Idempotent; safe to call from any goroutine, including the liveness
+// tick and the pullers. The local rank cannot be declared dead.
 func (w *Worker) DeclarePeerFailed(rank int) {
 	if rank < 0 || rank >= len(w.dead) || rank == w.Rank() {
 		return
@@ -157,10 +157,8 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 	}
 	w.deadCount.Add(1)
 	w.stats.PeerFailures.Add(1)
-	if w.det != nil {
-		// Keep the detector's view consistent when the declaration came
-		// from above (it no-ops if the detector made the call).
-		w.det.DeclareDead(rank)
+	if w.live != nil {
+		w.live.clearSuspect(rank) // suspicion resolved into death
 	}
 	// Tell the provider too: an SHM ring producer parked on the dead
 	// consumer's full ring unblocks only when the provider knows the
@@ -229,9 +227,10 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 // (a fresh process restarts its message-id space, so stale records
 // would swallow its first sends as duplicates) and buffered unexpected
 // messages (one claimed by Mprobe stays: its owner holds the handle) —
-// then clears the dead bit and resets the liveness detector
-// and the provider's connection state. After Revive, operations on the
-// rank work again and the rank can be declared failed anew.
+// then clears the dead bit and resets the provider's connection state.
+// Liveness detection gives the replacement max(2×DeadAfter, 2 s) to boot.
+// After Revive, operations on the rank work again and the rank can be
+// declared failed anew.
 func (w *Worker) Revive(rank int) error {
 	if rank < 0 || rank >= len(w.dead) {
 		return fmt.Errorf("ucp: revive rank %d out of range [0,%d)", rank, len(w.dead))
@@ -256,12 +255,17 @@ func (w *Worker) Revive(rank int) error {
 		w.releaseFrags(m)
 	}
 	w.mu.Unlock()
+	// The grace is stamped before the dead bit clears, so the liveness tick
+	// never sees the rank alive with its predecessor's silence.
+	if l := w.live; l != nil {
+		l.lastSeen[rank].Store(time.Now().Add(max(2*w.cfg.Heartbeat.DeadAfter, 2*time.Second)).UnixNano())
+		l.clearSuspect(rank)
+	}
 	if w.dead[rank].CompareAndSwap(true, false) {
 		w.deadCount.Add(-1)
 	}
-	// Reset liveness and connection state last, so probes toward the
-	// still-booting replacement start from a clean slate. The detector
-	// (when present) wraps the provider and forwards.
+	// Reset connection state last, so probes toward the still-booting
+	// replacement start from a clean slate.
 	w.nic.ReviveRank(rank)
 	return nil
 }

@@ -17,7 +17,7 @@ import (
 // hbCfg is the detector-enabled transport configuration: fast heartbeat
 // cadence so deaths are declared within test time, no request deadline.
 func hbCfg() Config {
-	return Config{Heartbeat: fabric.DetectorConfig{
+	return Config{Heartbeat: DetectorConfig{
 		Period:       2 * time.Millisecond,
 		SuspectAfter: 8 * time.Millisecond,
 		DeadAfter:    25 * time.Millisecond,

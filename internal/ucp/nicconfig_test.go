@@ -10,9 +10,9 @@ import (
 
 // TestNICConfigReachesEveryLayer: the fragment size, the checksum switch,
 // the incarnation and the observer are set once, on the provider, and every
-// layer stacked on it — a fault wrapper, the worker's heartbeat detector, the
-// worker — reads the same values through NIC.Config, and reports into the
-// one observer. An epoch-3 endpoint numbers its messages above every id an
+// layer stacked on it — a fault wrapper, the worker — reads the same values
+// through NIC.Config, and reports into the one observer (the worker's
+// liveness detection included). An epoch-3 endpoint numbers its messages above every id an
 // earlier incarnation of its rank could have used.
 func TestNICConfigReachesEveryLayer(t *testing.T) {
 	providers := []struct {
@@ -39,7 +39,7 @@ func TestNICConfigReachesEveryLayer(t *testing.T) {
 				t.Fatal(err)
 			}
 			fn := fabric.WrapFault(nic, fabric.FaultPlan{})
-			w := NewWorker(fn, Config{Heartbeat: fabric.DetectorConfig{Period: time.Hour}})
+			w := NewWorker(fn, Config{Heartbeat: DetectorConfig{Period: time.Hour}})
 			defer w.Close()
 
 			for _, layer := range []struct {
@@ -48,7 +48,6 @@ func TestNICConfigReachesEveryLayer(t *testing.T) {
 			}{
 				{"provider", nic.Config()},
 				{"fault wrapper", fn.Config()},
-				{"detector", w.Detector().Config()},
 				{"worker", w.fab},
 			} {
 				g := layer.got

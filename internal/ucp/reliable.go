@@ -140,10 +140,9 @@ func (w *Worker) sweep(now time.Time) {
 	for _, r := range expired {
 		dst := r.send.dst
 		w.stats.Timeouts.Add(1)
-		// A destination the detector has since declared dead gets the
-		// taxonomy error, not a bare timeout (the usual path flushes such
-		// entries at declaration time; this covers the race where the
-		// declaration lands mid-sweep).
+		// A destination declared dead since gets the taxonomy error, not a
+		// bare timeout (the usual path flushes such entries at declaration
+		// time; this covers the race where the declaration lands mid-sweep).
 		err := fmt.Errorf("%w: send to rank %d unacked after %d attempts", ErrTimeout, dst, r.send.attempts)
 		if w.PeerFailed(dst) {
 			err = procFailedErr(dst)
@@ -360,17 +359,25 @@ func (w *Worker) RexmitSnapshot() []RexmitInfo {
 	return out
 }
 
-// ackItem is one queued outbound eager ack.
-type ackItem struct {
+// answer is one queued outbound reply: an eager ack, or the FIN that
+// answers a duplicate RTS.
+type answer struct {
 	to     int
+	kind   fabric.Kind
 	id     uint64
 	status int64
 }
 
-// sendAck acknowledges a completed reliable eager message. Acks are
-// queued, not sent inline: every call site runs on the progress
-// goroutine, and a wire send can block on transport backpressure (a
-// full shared-memory ring, a full socket buffer). A blocked progress
+// sendAck acknowledges a completed reliable eager message.
+func (w *Worker) sendAck(to int, id uint64, status int64) {
+	w.stats.AcksSent.Add(1)
+	w.queueAnswer(answer{to: to, kind: kindEagerAck, id: id, status: status})
+}
+
+// queueAnswer hands a reply to the ack pump, starting the pump on the first
+// one. Answers are queued, not sent inline: every call site runs on the
+// progress goroutine, and a wire send can block on transport backpressure
+// (a full shared-memory ring, a full socket buffer). A blocked progress
 // loop stops draining the inbox, which stalls the provider's inbound
 // path, which keeps the peer's channel to this rank full — at scale
 // that closes a distributed cycle where every rank waits to enqueue an
@@ -379,19 +386,23 @@ type ackItem struct {
 // channels). The pump goroutine absorbs the backpressure instead; the
 // queue is bounded in practice by the number of in-flight reliable
 // messages.
-func (w *Worker) sendAck(to int, id uint64, status int64) {
-	w.stats.AcksSent.Add(1)
+func (w *Worker) queueAnswer(a answer) {
 	w.ackMu.Lock()
 	if w.ackClosed {
 		w.ackMu.Unlock()
 		return
 	}
-	w.ackQ = append(w.ackQ, ackItem{to, id, status})
+	w.ackQ = append(w.ackQ, a)
+	if w.ackDrained == nil {
+		w.ackDrained = make(chan struct{})
+		w.wg.Add(1)
+		go w.ackPump()
+	}
 	w.ackMu.Unlock()
 	w.ackCond.Signal()
 }
 
-// ackPump drains queued acks onto the wire, absorbing any transport
+// ackPump drains queued answers onto the wire, absorbing any transport
 // backpressure off the progress goroutine. Post-close sends fail fast
 // (the NIC is closed), so shutdown never wedges here.
 func (w *Worker) ackPump() {
@@ -410,7 +421,7 @@ func (w *Worker) ackPump() {
 		w.ackQ = nil
 		w.ackMu.Unlock()
 		for _, a := range q {
-			_ = w.nic.Send(a.to, fabric.Header{Kind: kindEagerAck, MsgID: a.id, Aux0: a.status})
+			_ = w.nic.Send(a.to, fabric.Header{Kind: a.kind, MsgID: a.id, Aux0: a.status})
 		}
 	}
 }

@@ -41,7 +41,7 @@ import (
 )
 
 // Protocol kinds carried in fabric headers (all below fabric's reserved
-// range).
+// range, which is the providers' own; the rest are in worker.go).
 const (
 	kindEager fabric.Kind = 1 + iota // message fragment
 	kindRTS                          // rendezvous request-to-send
@@ -111,14 +111,13 @@ type Config struct {
 	// before the send fails with ErrTimeout (default 12).
 	RexmitRetries int
 
-	// Heartbeat enables the liveness detector (see fabric.Detector): the
-	// worker's NIC is wrapped so every inbound packet refreshes its
-	// sender's last-seen stamp, quiet peers are pinged each period, and a
-	// peer silent past the dead threshold is declared failed — its
-	// in-flight operations complete with ErrProcFailed and blocked
-	// receives/probes matched to it wake, with no per-request deadline
-	// required. Zero Period (the default) disables detection entirely.
-	Heartbeat fabric.DetectorConfig
+	// Heartbeat enables liveness detection (see liveness.go): every inbound
+	// packet refreshes its sender's last-seen stamp, quiet peers are pinged
+	// each period, and a peer silent past the dead threshold is declared
+	// failed — its in-flight operations complete with ErrProcFailed and
+	// blocked receives/probes matched to it wake, with no per-request
+	// deadline required. Zero Period (the default) disables detection.
+	Heartbeat DetectorConfig
 }
 
 // DefaultRndvThresh is the default eager→rendezvous threshold (32 KiB).
@@ -200,6 +199,7 @@ func (c Config) withDefaults() Config {
 	if c.RexmitRetries <= 0 {
 		c.RexmitRetries = 12
 	}
+	c.Heartbeat = c.Heartbeat.withDefaults()
 	return c
 }
 
@@ -217,7 +217,7 @@ var ErrTruncated = errors.New("ucp: message truncated (receive buffer too small)
 var ErrTimeout = errors.New("ucp: request timed out")
 
 // ErrProcFailed is returned when the peer process of an operation has
-// been declared dead — by the heartbeat detector, by a fabric error that
+// been declared dead — by liveness detection, by a fabric error that
 // only a dead process can produce, or by the layer above
 // (DeclarePeerFailed). Unlike ErrTimeout it is a verdict about the peer,
 // not the operation: every past and future operation on the dead rank

@@ -42,18 +42,19 @@ type Worker struct {
 	completedFIFO []msgKey
 	rng           *rand.Rand // retransmit jitter; guarded by mu
 
-	// Outbound eager-ack queue (see ackPump in reliable.go), guarded by
-	// ackMu. ackClosed stops the pump.
+	// Outbound answer queue (see ackPump in reliable.go), guarded by ackMu:
+	// eager acks, and the FINs that answer duplicate RTSs. The pump starts
+	// with the first answer queued; ackClosed stops it.
 	ackMu      sync.Mutex
 	ackCond    *sync.Cond
-	ackQ       []ackItem
+	ackQ       []answer
 	ackClosed  bool
-	ackDrained chan struct{} // closed by ackPump once the queue is flushed after ackClosed
+	ackDrained chan struct{} // made when the pump starts, closed by it once the queue is flushed after ackClosed
 
 	// Failure-notification state (see failure.go). dead is read lock-free
 	// on the send/receive hot paths; the rest is guarded by mu.
-	det        *fabric.Detector // nil unless Config.Heartbeat enables detection
-	dead       []atomic.Bool    // per-peer declared-failed flags
+	live       *liveness        // nil unless Config.Heartbeat enables detection (see liveness.go)
+	dead       []atomic.Bool    // per-peer declared-failed flags: the rank's one death record
 	deadCount  atomic.Int64     // number of true entries in dead
 	onPeerFail []func(rank int) // failure callbacks, invoked outside mu
 	poison     []poisonRule     // standing receive-post rejections, guarded by mu
@@ -180,9 +181,11 @@ func newUnex(in inbound) *unexMsg {
 // NewWorker attaches a transport worker to a NIC and starts its progress
 // goroutine. The eager fragment size, fragment checksums, the message-id
 // base (the incarnation's Epoch << 40) and the observer come from
-// nic.Config(). When Config.Heartbeat enables liveness detection the NIC is
-// wrapped with a fabric.Detector whose death verdicts feed
-// DeclarePeerFailed.
+// nic.Config(). The worker takes the NIC's peer-down hook: hard evidence (a
+// refused redial to a once-connected peer, a higher handshake epoch: the
+// process is gone) declares the peer failed, with or without heartbeats;
+// soft evidence (an established link broke) makes it suspect when
+// Config.Heartbeat enables liveness detection and is ignored otherwise.
 func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 	w := &Worker{
 		nic:     nic,
@@ -213,39 +216,21 @@ func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 		l.run = func() { w.puller(l) }
 	}
 	w.ackCond = sync.NewCond(&w.ackMu)
-	w.ackDrained = make(chan struct{})
-	w.wg.Add(1)
-	go w.ackPump()
 	w.setupObs(w.fab.Obs)
-	if hb := w.cfg.Heartbeat; hb.Period > 0 {
-		w.det = fabric.NewDetector(nic, hb)
-		w.det.OnDead(w.DeclarePeerFailed)
-		w.nic = w.det
-	} else {
-		// No detector, but the provider can still report hard link-level
-		// death evidence (a refused redial to a peer that was connected:
-		// its process is gone). Feed it straight into failure
-		// notification so cross-process death fails fast even without
-		// heartbeats. Soft evidence needs the detector's state machine to
-		// mean anything; ignore it here.
-		nic.SetPeerDownHook(func(rank int, hard bool) {
-			if hard {
-				w.DeclarePeerFailed(rank)
-			}
-		})
-	}
+	w.startLiveness()
+	nic.SetPeerDownHook(func(rank int, hard bool) {
+		switch {
+		case hard:
+			w.DeclarePeerFailed(rank)
+		case w.live != nil:
+			w.suspectPeer(rank)
+		}
+	})
 	w.wg.Add(1)
 	go w.loop()
 	w.startJanitor()
-	if w.det != nil {
-		w.det.Start()
-	}
 	return w
 }
-
-// Detector exposes the worker's liveness detector (nil when heartbeats
-// are disabled).
-func (w *Worker) Detector() *fabric.Detector { return w.det }
 
 // Rank returns the worker's fabric rank.
 func (w *Worker) Rank() int { return w.nic.Rank() }
@@ -265,6 +250,7 @@ func (w *Worker) Close() {
 	w.mu.Unlock()
 	// Under jobMu, so every puller is counted in w.wg before the Wait below.
 	// A Get waiting out a retry back-off fails now, not when its timer fires.
+	// A liveness tick stopped before it ran gives back its count of w.wg.
 	w.jobMu.Lock()
 	close(w.quit)
 	var late []job
@@ -273,6 +259,9 @@ func (w *Worker) Close() {
 			late = append(late, j)
 		}
 	}
+	if w.live != nil && w.live.tick.Stop() {
+		w.wg.Done()
+	}
 	w.jobMu.Unlock()
 	for _, j := range late {
 		w.jobDone(j.op, ErrWorkerClosed)
@@ -280,6 +269,7 @@ func (w *Worker) Close() {
 	}
 	w.ackMu.Lock()
 	w.ackClosed = true
+	drained := w.ackDrained
 	w.ackMu.Unlock()
 	w.ackCond.Broadcast()
 	for _, r := range posted {
@@ -295,9 +285,11 @@ func (w *Worker) Close() {
 	// into a closed endpoint for its whole timeout budget. Bounded wait:
 	// if a peer has genuinely wedged the pump, nic.Close below unblocks
 	// it and the remaining acks are lost — that peer is failing anyway.
-	select {
-	case <-w.ackDrained:
-	case <-time.After(3 * time.Second):
+	if drained != nil {
+		select {
+		case <-drained:
+		case <-time.After(3 * time.Second):
+		}
 	}
 	w.nic.Close()
 	w.wg.Wait()
@@ -306,6 +298,8 @@ func (w *Worker) Close() {
 const (
 	kindAbort    fabric.Kind = 10 // sender-side pack failure notification
 	kindEagerAck fabric.Kind = 11 // reliable eager completion ack (status in Aux0)
+	kindPing     fabric.Kind = 12 // liveness probe (the sender's clock in Aux0)
+	kindPong     fabric.Kind = 13 // answer to a ping (its Aux0 echoed)
 )
 
 // Send starts a tagged send of (buf, count) with datatype dt to rank dst.
@@ -976,7 +970,8 @@ func (w *Worker) releaseFrags(m *unexMsg) {
 }
 
 // loop is the progress goroutine: it turns wire packets into matching and
-// delivery events.
+// delivery events. Under liveness detection every packet also stamps its
+// sender as heard from.
 func (w *Worker) loop() {
 	defer w.wg.Done()
 	for {
@@ -984,6 +979,9 @@ func (w *Worker) loop() {
 		if !ok {
 			w.drainOnClose()
 			return
+		}
+		if w.live != nil {
+			w.live.seen(pkt.From)
 		}
 		w.handle(pkt)
 	}
@@ -1036,6 +1034,8 @@ func (w *Worker) handle(pkt *fabric.Packet) {
 		w.handleAnswer(pkt)
 	case kindAbort:
 		w.handleAbort(pkt)
+	case kindPing, kindPong:
+		w.handleHeartbeat(pkt)
 	default:
 		pkt.Release()
 	}
@@ -1169,8 +1169,9 @@ func (w *Worker) handleRTS(pkt *fabric.Packet) {
 	w.mu.Lock()
 	if w.cfg.Reliable {
 		// Retransmitted RTS: if the pull already finished, the FIN was
-		// lost — resend it. If the pull is running or the message is
-		// still buffered awaiting a match, the original RTS is in hand.
+		// lost — resend it, through the ack pump like every answer the
+		// progress goroutine gives. If the pull is running or the message
+		// is still buffered awaiting a match, the original RTS is in hand.
 		// finishRecv records and drops the pull in one critical section,
 		// so a duplicate always hits at least one check.
 		rec, done := w.completed[key]
@@ -1179,7 +1180,7 @@ func (w *Worker) handleRTS(pkt *fabric.Packet) {
 			w.mu.Unlock()
 			w.stats.DupRTS.Add(1)
 			if fin {
-				_ = w.nic.Send(key.from, fabric.Header{Kind: kindFIN, MsgID: key.id, Aux0: rec.status})
+				w.queueAnswer(answer{to: key.from, kind: kindFIN, id: key.id, status: rec.status})
 			}
 			return
 		}

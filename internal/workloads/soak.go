@@ -117,7 +117,7 @@ type SoakReport struct {
 // stretched past DeadAfter so the detector's typed verdict
 // (ErrProcFailed) always lands before the reliable layer gives up with
 // a bare timeout.
-func soakTuning(budget time.Duration) (hb fabric.DetectorConfig, rexmitRetries int) {
+func soakTuning(budget time.Duration) (hb ucp.DetectorConfig, rexmitRetries int) {
 	deadAfter := budget / 35
 	if deadAfter < 150*time.Millisecond {
 		deadAfter = 150 * time.Millisecond
@@ -125,7 +125,7 @@ func soakTuning(budget time.Duration) (hb fabric.DetectorConfig, rexmitRetries i
 	if deadAfter > 2*time.Second {
 		deadAfter = 2 * time.Second
 	}
-	hb = fabric.DetectorConfig{
+	hb = ucp.DetectorConfig{
 		Period:       5 * time.Millisecond,
 		SuspectAfter: deadAfter / 4,
 		DeadAfter:    deadAfter,

@@ -100,10 +100,10 @@ var (
 	ErrRevoked = core.ErrRevoked
 )
 
-// DetectorConfig tunes the heartbeat liveness detector enabled through
-// Options.UCP.Heartbeat (zero Period disables detection). See
+// DetectorConfig tunes the transport worker's liveness detection, enabled
+// through Options.UCP.Heartbeat (zero Period disables it). See
 // Comm.Revoke/Agree/Shrink for the recovery flow it feeds.
-type DetectorConfig = fabric.DetectorConfig
+type DetectorConfig = ucp.DetectorConfig
 
 // KillSwitch is the shared death registry fault plans use to model whole
 // process failure across an in-process world (fabric.FaultPlan.Kills).
@@ -297,7 +297,7 @@ func ConnectSHM(rank, size int, dir string, opt Options) (*ProcWorld, error) {
 //
 // The environment can also tune cross-process failure detection without
 // code changes: MPICD_HB_PERIOD (a Go duration, e.g. "20ms") enables
-// the heartbeat detector at that probe period, and MPICD_HB_SUSPECT /
+// liveness detection at that probe period, and MPICD_HB_SUSPECT /
 // MPICD_HB_DEAD scale the suspicion and death thresholds as multiples
 // of the period (defaults 8 and 30). Options.UCP.Heartbeat, when set,
 // wins over the environment.
