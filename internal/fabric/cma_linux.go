@@ -229,9 +229,7 @@ func (s *SHM) Register(src Source) uint64 {
 // and the staging are let go, so a peer that read any of them after that
 // finds the key gone when it looks again.
 func (s *SHM) Deregister(key uint64) {
-	src, _ := s.lookupReg(key)
-	s.stream.Deregister(key)
-	r, ok := src.(*cmaReg)
+	r, ok := s.unregister(key).(*cmaReg)
 	if !ok {
 		return
 	}

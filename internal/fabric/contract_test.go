@@ -23,6 +23,41 @@ func (r *recordingNIC) ReviveRank(int)                  { r.revive++ }
 func (r *recordingNIC) UpdateAddr(int, string) error    { r.addr++; return nil }
 func (r *recordingNIC) SetPeerDownHook(func(int, bool)) { r.hook++ }
 
+// TestFaultPlanLink: a fault wrapper states its provider's link, lossy as
+// soon as its plan can lose a packet to a live peer — drop, corrupt,
+// truncate, flap a link or kill a rank — and unchanged by rules that only
+// delay, duplicate, reorder or fail Gets, or that can never fire.
+func TestFaultPlanLink(t *testing.T) {
+	f := NewInproc(2, Config{})
+	defer f.Close()
+	inner := f.NIC(0).Link()
+	for _, tc := range []struct {
+		rules    []FaultRule
+		lossless bool
+	}{
+		{nil, true},
+		{[]FaultRule{{Peer: -1, Action: Delay, Prob: 1}, {Peer: -1, Action: Duplicate, Prob: 1}, {Peer: -1, Action: Reorder, Prob: 1}, {Peer: -1, Action: FailGet, Prob: 1}}, true},
+		{[]FaultRule{{Peer: -1, Action: Drop, Prob: 0}}, true},
+		{[]FaultRule{{Peer: -1, Action: Drop, Prob: 0.01}}, false},
+		{[]FaultRule{{Peer: 1, Action: Corrupt, Prob: 1}}, false},
+		{[]FaultRule{{Peer: -1, Action: Truncate, Prob: 1}}, false},
+		{[]FaultRule{{Peer: -1, Action: LinkDown, Prob: 1, Down: 3}}, false},
+		{[]FaultRule{{Peer: -1, Action: Kill, Prob: 1, Count: 1}}, false},
+	} {
+		fn := WrapFault(f.NIC(0), FaultPlan{Rules: tc.rules})
+		want := inner
+		want.Lossless = tc.lossless
+		if got := fn.Link(); got != want {
+			t.Errorf("plan %+v: link %+v, want %+v", tc.rules, got, want)
+		}
+	}
+	fn := WrapFault(f.NIC(0), FaultPlan{})
+	fn.DisableRule(fn.AddRule(FaultRule{Peer: -1, Action: Drop, Prob: 1}))
+	if !fn.Link().Lossless {
+		t.Error("a disabled drop rule made the link lossy")
+	}
+}
+
 // TestMembershipReachesProviderThroughWrappers pins the reason Membership
 // is mandatory: a death verdict, revival, address update or hook
 // installation made on the outermost wrapper must reach the provider

@@ -2,7 +2,7 @@
 // UCP-like transport layer.
 //
 // The paper's prototype ran on two InfiniBand-connected nodes through
-// UCX/UCP. This package substitutes a fabric abstraction with two
+// UCX/UCP. This package substitutes a fabric abstraction with three
 // providers:
 //
 //   - inproc: ranks are goroutines in one process; links are channels and
@@ -15,6 +15,8 @@
 //     with gather writes (net.Buffers, the writev analogue of an iovec
 //     send) and the Get primitive is implemented as a request/response
 //     protocol.
+//   - shm: ranks are separate processes on one node; eager frames cross
+//     shared-memory rings and a Get reads the exporter's memory in place.
 //
 // The copy accounting is what makes the paper's results reproducible:
 // packed sends pay user-pack + wire + user-unpack copies while region
@@ -141,6 +143,12 @@ type NIC interface {
 	Register(src Source) uint64
 	// Deregister revokes a key returned by Register.
 	Deregister(key uint64)
+	// Served reports whether this provider has served a peer's Get of the
+	// source registered under key — its evidence that the peer holds the
+	// rendezvous announcement. A Get the exporter takes no part in (the
+	// in-process one, SHM's in-place read: memory copies the requester
+	// makes) leaves it false.
+	Served(key uint64) bool
 	// Get pulls n bytes at offset off of the remote Source registered
 	// under key at rank `from`, writing them at offset sinkOff of sink.
 	Get(from int, key uint64, off int64, sink Sink, sinkOff, n int64) error
@@ -154,7 +162,27 @@ type NIC interface {
 	// the observer; wrappers inherit it by embedding.
 	Config() Config
 
+	// Link states what the provider's link is. Unlike Config nothing in it
+	// is set: it follows from the provider (and from a fault plan that
+	// degrades it); wrappers inherit it by embedding.
+	Link() Link
+
 	Membership
+}
+
+// Link is what a provider's link is, as the layers above need to know it.
+type Link struct {
+	// Lossless: a Send that returned nil toward a live peer reaches the
+	// peer's Recv, and the link to a live peer does not go down. Only a
+	// death verdict or the peer's exit strands a frame, and a Send refused
+	// with ErrLinkDown means one of the two happened.
+	Lossless bool
+	// LocalGet: a Get is a memory copy made by the calling goroutine, not a
+	// wait on the exporter's side of a wire.
+	LocalGet bool
+	// CrossProcess: peers are separate processes, which may exit while
+	// frames this side sent them are still on their way to their Recv.
+	CrossProcess bool
 }
 
 // Membership is the peer-lifecycle control plane of a NIC: the layer above

@@ -90,6 +90,10 @@ func (n *inprocNIC) Rank() int      { return n.rank }
 func (n *inprocNIC) Size() int      { return len(n.fab.nics) }
 func (n *inprocNIC) Config() Config { return n.fab.cfg }
 
+// Link: channels lose nothing, a Get copies on the caller's goroutine, and
+// every rank lives and dies with this process.
+func (n *inprocNIC) Link() Link { return Link{Lossless: true, LocalGet: true} }
+
 func (n *inprocNIC) Send(to int, hdr Header, payload ...[]byte) error {
 	total := 0
 	for _, p := range payload {
@@ -223,6 +227,10 @@ func (n *inprocNIC) Deregister(key uint64) {
 	delete(n.fab.regs, regKey{n.rank, key})
 	n.fab.regMu.Unlock()
 }
+
+// Served is false: a Get reads the source on the requester's goroutine, and
+// the exporter takes no part in it.
+func (n *inprocNIC) Served(uint64) bool { return false }
 
 func (n *inprocNIC) Get(from int, key uint64, off int64, sink Sink, sinkOff, size int64) error {
 	if from < 0 || from >= len(n.fab.nics) {

@@ -134,13 +134,25 @@ type SHM struct {
 // socket frames and after-switch ring frames. ackd is written without
 // mu, so a sender blocked mid-dial cannot stall the handshake.
 type shmOut struct {
-	mu    sync.Mutex
-	gen   int64 // handshake generation; ring acks must echo it
-	ring  *Ring
-	open  bool        // kindRingOpen reached the socket
-	ackd  atomic.Bool // kindRingAck received
-	down  atomic.Bool // pair reset; a producer parked on the ring must bail
-	ready bool        // switch marker sent; senders use the ring
+	mu      sync.Mutex
+	gen     int64         // handshake generation; ring acks must echo it
+	connGen atomic.Uint64 // the socket the open went out on (stream.connGen); 0 before
+	ring    *Ring
+	open    bool        // kindRingOpen reached the socket
+	ackd    atomic.Bool // kindRingAck received
+	ready   bool        // switch marker sent; senders use the ring
+}
+
+// stale reports whether the socket pair o's ring was announced on has broken
+// or been replaced since. The receiver may have retired the ring with it —
+// its ReviveRank does, in band — so nothing may be written there any more:
+// the next send starts a new pair (lockPair), and a producer parked on the
+// ring bails. It holds the moment the socket changes, not when the
+// conn-drop hook runs, which can be after a new socket came up; a pair whose
+// open has not gone out yet is not stale.
+func (s *SHM) stale(to int, o *shmOut) bool {
+	g := o.connGen.Load()
+	return g != 0 && g != s.connGen[to].Load()
 }
 
 // shmIn is one inbound eager ring; gen is the producer's handshake
@@ -268,9 +280,9 @@ func (s *SHM) DeclareRankDown(peer int) {
 }
 
 // ReviveRank forgets all shared-memory state toward a peer so a
-// respawned process can be re-admitted under the same rank: the pair is
-// reset, the dead incarnation's inbound rings are retired and the down
-// flags clear. Socket-plane state resets via the embedded stream core.
+// respawned process can be re-admitted under the same rank: the pull
+// windows are dropped, the inbound rings are retired, the down flags clear,
+// and the outbound pair goes stale with the socket the stream core closes.
 func (s *SHM) ReviveRank(peer int) {
 	if peer < 0 || peer >= s.size || peer == s.rank {
 		return
@@ -287,31 +299,46 @@ func (s *SHM) ReviveRank(peer int) {
 	s.stream.ReviveRank(peer)
 }
 
+// Link states SHM lossless: an accepted Send to a live peer arrives. What
+// Send accepted sits in a ring or in a unix socket:
+//   - a unix stream socket never breaks by itself (a full one blocks the
+//     writer). An end is closed only by Close (the process leaving), by
+//     DeclareRankDown (a death verdict), by ReviveRank (the revival that
+//     follows one), by sever (a ring whose shared words contradict each
+//     other, which a live producer never leaves behind: it publishes each
+//     record with one atomic store of the tail, after writing it), or when
+//     a fresh connection replaces one whose other end broke first. A
+//     reader drains what the writer flushed up to EOF unless it closed its
+//     own end first, and only those calls do;
+//   - a frame in a ring is lost only when the consumer retires the ring
+//     before reading it: on ReviveRank, or for the producer's next
+//     generation — which the producer starts only once the socket its ring
+//     was announced on changed, and from that moment it writes nothing
+//     more to the old ring (shmOut.stale).
+//
+// So frames between live processes are lost only to a death verdict or the
+// revival after one, both about the rank's previous incarnation. A revival
+// can cut off a respawned incarnation that reached this side first, but
+// what it sent before it was readmitted is no message of the protocol (the
+// readmission, core.Grow, invites the rank only after reviving it), and
+// what it sends after leaves on a new pair over the new socket. The layer
+// above therefore needs no acks over SHM; what an exiting peer must wait
+// for is the drain of its own frames (ucp's Close). A Get reads the
+// exporter's memory on the caller's goroutine (the pull window, where the
+// host refuses that, is the fallback).
+func (s *SHM) Link() Link { return Link{Lossless: true, LocalGet: true, CrossProcess: true} }
+
 // connDropped is the stream core's conn-drop hook: the socket to peer
-// broke, so the shared-memory establishment keyed to it — the outbound
-// ring and both pull windows — is torn down; the next send restarts the
-// handshake. Without it a respawned rank would keep producing into a
-// ring its reviving survivor retired. Inbound rings are left alone: the
-// producer sees the same break, resets here too, and the switch marker of
-// its fresh ring retires them. Frames stranded in torn-down rings are
-// recovered by the reliable layer's retransmission. Death evidence is NOT
-// touched: downFlags belong to DeclareRankDown/ReviveRank.
+// broke, so the pull windows keyed to it are torn down. The outbound ring
+// is not touched here: it went stale with the socket (shmOut.stale), and
+// the next send starts a new pair — this hook runs on its own goroutine,
+// possibly after a new socket came up and a new pair with it, which it must
+// not tear down. Inbound rings are left alone: the producer's next pair has
+// a switch marker that retires them. Death evidence is NOT touched:
+// downFlags belong to DeclareRankDown/ReviveRank.
 func (s *SHM) connDropped(peer int) {
 	if peer < 0 || peer >= s.size || peer == s.rank {
 		return
-	}
-	s.outMu.Lock()
-	o := s.outs[peer]
-	delete(s.outs, peer)
-	s.outMu.Unlock()
-	if o != nil {
-		// Unblock a producer parked on the full ring before taking the pair
-		// lock it holds; its send fails with ErrLinkDown, which is what a
-		// broken socket would have produced anyway.
-		o.down.Store(true)
-		o.mu.Lock()
-		o.ring, o.ready = nil, false
-		o.mu.Unlock()
 	}
 	s.winMu.Lock()
 	delete(s.winIns, peer)
@@ -379,7 +406,7 @@ func (s *SHM) ringEligible(hdr Header, n int) bool {
 func (s *SHM) lockPair(to int) *shmOut {
 	s.outMu.Lock()
 	o := s.outs[to]
-	if o == nil {
+	if o == nil || s.stale(to, o) {
 		o = &shmOut{gen: s.ringGen.Add(1)}
 		s.outs[to] = o
 		go s.openRing(to, o)
@@ -396,15 +423,21 @@ func (s *SHM) lockPair(to int) *shmOut {
 // handshakeLocked moves the pair's ring handshake one step: announce the
 // mapped ring (again, if the open was lost to a broken socket), then,
 // once the receiver's ack is in, emit the ordered handoff marker and flip
-// the pair onto the ring. Caller holds o.mu.
+// the pair onto the ring — only if the marker went out on the socket the
+// open did; otherwise the pair is stale and the next send replaces it.
+// Caller holds o.mu.
 func (s *SHM) handshakeLocked(to int, o *shmOut) {
 	switch {
 	case o.ready || o.ring == nil:
 	case !o.open:
 		size := int64(RingHeaderSize + o.ring.Cap())
-		o.open = s.stream.Send(to, Header{Kind: kindRingOpen, Aux0: size, Aux1: o.gen}) == nil
+		if gen, err := s.stream.sendOn(to, Header{Kind: kindRingOpen, Aux0: size, Aux1: o.gen}); err == nil {
+			o.open = true
+			o.connGen.Store(gen)
+		}
 	case o.ackd.Load():
-		o.ready = s.stream.Send(to, Header{Kind: kindRingSwitch, Aux1: o.gen}) == nil
+		gen, err := s.stream.sendOn(to, Header{Kind: kindRingSwitch, Aux1: o.gen})
+		o.ready = err == nil && gen == o.connGen.Load()
 	}
 }
 
@@ -502,12 +535,12 @@ func (s *SHM) SendFrom(to int, hdr Header, src Source, off, size int64) (int64, 
 // which must never write to the wire.
 func (s *SHM) reserveBlocking(o *shmOut, to, n int) ([]byte, error) {
 	for i := 0; ; i++ {
-		if o.down.Load() || s.downFlags[to].Load() {
+		if s.stale(to, o) || s.downFlags[to].Load() {
 			return nil, fmt.Errorf("%w: rank %d exited; eager ring stalled", ErrLinkDown, to)
 		}
 		buf, ok, err := o.ring.Reserve(n)
 		if err != nil {
-			s.stream.sever(to) // both sides' connDropped reset the pair
+			s.stream.sever(to) // both sides' pairs go stale with the socket
 			return nil, fmt.Errorf("%w: eager ring to rank %d: %w", ErrLinkDown, to, err)
 		}
 		if ok {
@@ -588,7 +621,7 @@ func (s *SHM) serveWindowGet(peer int, hdr Header) {
 	fail := func(msg string) {
 		_ = s.stream.Send(peer, Header{Kind: kindGetErr, MsgID: hdr.MsgID}, []byte(msg))
 	}
-	src, ok := s.lookupReg(uint64(hdr.Aux1))
+	src, ok := s.serveReg(uint64(hdr.Aux1))
 	if !ok {
 		fail(ErrBadKey.Error())
 		return

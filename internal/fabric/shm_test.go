@@ -110,14 +110,17 @@ func outGen(nic *SHM, peer int) (gen int64, ready bool) {
 	return o.gen, o.ready
 }
 
-// waitPairReset returns once nic's conn-drop hook has forgotten the
-// outbound ring of generation gen toward peer. The hook runs on its own
-// goroutine; until it has, a frame can still be committed to the old ring.
+// waitPairReset returns once nic's outbound ring of generation gen toward
+// peer is done with: replaced, or stale — its socket broke, so no frame is
+// committed to it any more and the next send starts a new pair.
 func waitPairReset(t *testing.T, nic *SHM, peer int, gen int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if g, _ := outGen(nic, peer); g != gen {
+		nic.outMu.Lock()
+		o := nic.outs[peer]
+		nic.outMu.Unlock()
+		if o == nil || o.gen != gen || nic.stale(peer, o) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -755,7 +758,7 @@ func TestSHMCloseDuringRingOpen(t *testing.T) {
 
 // TestSHMRingResetWhileReceiverSleeps drives both ways a pair's inbound
 // ring is replaced under a sleeping receiver — a duplicate kindRingOpen
-// after the producer reset its side, and the survivor's own ReviveRank —
+// after the pair's socket broke, and the survivor's own ReviveRank —
 // and requires that the receiver ends up on the fresh ring (not stranded
 // on the retired one, not ignoring the new one) with the class in order.
 func TestSHMRingResetWhileReceiverSleeps(t *testing.T) {
@@ -793,10 +796,13 @@ func TestSHMRingResetWhileReceiverSleeps(t *testing.T) {
 	}
 	gen := pump(0)
 
-	// Duplicate open: the producer forgets its ring (what a conn drop on
-	// its side does) while the receiver sleeps on the old one.
+	// Duplicate open: the pair's socket breaks while the receiver sleeps on
+	// the old ring, so the producer starts a new pair over the next socket.
+	// (A frame committed to the ring while the break is still unnoticed is
+	// delivered, but its bell fails the Send: the pump waits that out.)
 	waitAsleep(t, nics[1])
-	nics[0].connDropped(1)
+	nics[0].sever(1)
+	waitPairReset(t, nics[0], 1, gen)
 	gen = pump(gen)
 	expectRing := func() {
 		t.Helper()
@@ -867,5 +873,86 @@ func TestSHMCorruptRingResetsPair(t *testing.T) {
 	}
 	if last == 0 {
 		t.Fatal("nothing was delivered after the reset")
+	}
+}
+
+// TestSHMLosslessUnderBackpressure backs the provider's Lossless claim
+// (SHM.Link): two senders push frames at one slow receiver through a ring a
+// few frames deep — whole frames on the ring, fragments on the socket — so
+// producers park on the full ring again and again. Every Send that returned
+// nil arrives exactly once, and nothing between the live endpoints reset a
+// pair: no socket broke and no ring was replaced.
+func TestSHMLosslessUnderBackpressure(t *testing.T) {
+	nics := shmMesh(t, 3, Config{RingBytes: 4096})
+	for _, s := range []int{0, 2} {
+		waitRing(t, nics[s], nics[1], 1)
+	}
+	gens := [3]int64{}
+	for _, s := range []int{0, 2} {
+		gens[s], _ = outGen(nics[s], 1)
+	}
+	const frames = 1500
+	got := make(map[uint64]int)
+	recvd := make(chan struct{})
+	go func() {
+		defer close(recvd)
+		for n := 0; n < 2*frames; n++ {
+			pkt, ok := nics[1].Recv()
+			if !ok {
+				return
+			}
+			got[pkt.Hdr.Tag]++
+			pkt.Release()
+			if n%100 == 0 {
+				time.Sleep(time.Millisecond) // a receiver busy elsewhere
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	payload := make([]byte, 200)
+	for _, s := range []int{0, 2} {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < frames; i++ {
+				hdr := Header{Kind: 6, Tag: uint64(s)<<32 | uint64(i), Total: int64(len(payload))}
+				if i%3 == 2 {
+					hdr.Offset, hdr.Total = 1, hdr.Total+1 // a fragment: the socket
+				}
+				if err := nics[s].Send(1, hdr, payload); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	select {
+	case <-recvd:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%d of %d accepted frames arrived\n%s", len(got), 2*frames, nics[1].DebugState())
+	}
+	for _, s := range []int{0, 2} {
+		for i := 0; i < frames; i++ {
+			if n := got[uint64(s)<<32|uint64(i)]; n != 1 {
+				t.Fatalf("frame %d of rank %d arrived %d times", i, s, n)
+			}
+		}
+		if g, ready := outGen(nics[s], 1); g != gens[s] || !ready {
+			t.Errorf("rank %d's ring toward 1 went from generation %d to %d (ready %v)", s, gens[s], g, ready)
+		}
+		if nics[s].ringFullWaits.Load() == 0 {
+			t.Errorf("rank %d never waited on a full ring: no backpressure exercised", s)
+		}
+	}
+	for r, nic := range nics {
+		if n := nic.connDrops.Load(); n != 0 {
+			t.Errorf("rank %d dropped %d connections between live endpoints", r, n)
+		}
 	}
 }

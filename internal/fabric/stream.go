@@ -73,13 +73,11 @@ type stream struct {
 	onGetReq func(conn *streamConn, hdr Header) bool
 	// onConnDrop, when non-nil, is told every time a connection to a peer
 	// broke (read failure, write failure, or teardown of a replaced
-	// socket). The SHM provider keys its per-pair shared-memory
-	// establishment to the socket generation through this hook: a peer
-	// that drops and re-dials (revival of a respawned rank) has forgotten
-	// the pair's rings, and a producer that kept writing into the old
-	// segment would black-hole everything it sends. Invoked on a fresh
-	// goroutine — drops fire from send paths that hold provider pair
-	// locks. Set before join, like ctrl.
+	// socket); the SHM provider drops its pull windows toward the peer.
+	// Invoked on a fresh goroutine — drops fire from send paths that hold
+	// provider pair locks — so it may run after a new connection came up:
+	// state that must follow the socket exactly reads connGen instead.
+	// Set before join, like ctrl.
 	onConnDrop func(peer int)
 	// onHardDown, when non-nil, sees hard peer-death evidence before the
 	// public hook does (the SHM provider stalls the pair's shared-memory
@@ -99,6 +97,13 @@ type stream struct {
 	// teardown all mutate connection state from different goroutines.
 	connsMu sync.RWMutex
 	conns   []*streamConn
+	// connGen mirrors conns as generations, for lock-free reads: the
+	// generation of the connection to each peer, 0 while there is none.
+	// Every installed connection gets a fresh one (lastGen counts them), so
+	// a value that changed means the socket a peer state was keyed to broke
+	// or was replaced (the SHM provider's rings, see shmOut.stale).
+	connGen []atomic.Uint64
+	lastGen uint64
 	// connChanged is closed and re-made whenever a connection is installed
 	// or a dial campaign gives up: the two events awaitConn waits for.
 	connChanged chan struct{}
@@ -129,6 +134,7 @@ type stream struct {
 
 	regMu   sync.RWMutex
 	regs    map[uint64]Source
+	served  map[uint64]bool // keys a Get request has been served for (NIC.Served)
 	nextKey atomic.Uint64
 
 	getMu   sync.Mutex
@@ -144,6 +150,7 @@ type stream struct {
 
 type streamConn struct {
 	peer int
+	gen  uint64 // see stream.connGen
 	c    net.Conn
 	wmu  sync.Mutex
 }
@@ -180,6 +187,7 @@ func newStream(network string, rank, size int, bind string, cfg Config) (*stream
 		network:     network,
 		pool:        newBufPool(cfg.FragSize),
 		conns:       make([]*streamConn, size),
+		connGen:     make([]atomic.Uint64, size),
 		connChanged: make(chan struct{}),
 		dialing:     make(map[int]bool),
 		everConn:    make([]bool, size),
@@ -190,6 +198,7 @@ func newStream(network string, rank, size int, bind string, cfg Config) (*stream
 		inbox:       make(chan *Packet, inboxDepth),
 		done:        make(chan struct{}),
 		regs:        make(map[uint64]Source),
+		served:      make(map[uint64]bool),
 		gets:        make(map[uint64]*streamGet),
 	}
 	if network == "unix" && bind != "" {
@@ -225,6 +234,12 @@ func (s *stream) Addr() string { return s.ln.Addr().String() }
 
 // Config returns the provider's resolved configuration.
 func (s *stream) Config() Config { return s.cfg }
+
+// Link is the TCP provider's (the SHM provider states its own): a written
+// frame can be lost — a broken connection is redialed, and a peer closing
+// with unread inbound bytes resets both directions, discarding what the
+// kernel buffered — and a Get is a round trip to the exporter.
+func (s *stream) Link() Link { return Link{CrossProcess: true} }
 
 // join provides the full peer address table and returns immediately;
 // links come up on first use.
@@ -306,7 +321,7 @@ func (s *stream) DeclareRankDown(rank int) {
 	s.connsMu.Lock()
 	s.down[rank] = true
 	old := s.conns[rank]
-	s.conns[rank] = nil
+	s.setConnLocked(rank, nil)
 	s.connsMu.Unlock()
 	if old != nil {
 		old.c.Close()
@@ -326,7 +341,7 @@ func (s *stream) ReviveRank(peer int) {
 	}
 	s.connsMu.Lock()
 	old := s.conns[peer]
-	s.conns[peer] = nil
+	s.setConnLocked(peer, nil)
 	s.everConn[peer] = false
 	s.down[peer] = false
 	s.connsMu.Unlock()
@@ -582,9 +597,10 @@ func (s *stream) awaitConn(peer int, deadline time.Time, campaign bool) *streamC
 // predecessor). Caller holds connsMu and starts the read loop after
 // releasing it.
 func (s *stream) installConnLocked(peer int, c net.Conn) *streamConn {
-	conn := &streamConn{peer: peer, c: c}
+	s.lastGen++
+	conn := &streamConn{peer: peer, gen: s.lastGen, c: c}
 	old := s.conns[peer]
-	s.conns[peer] = conn
+	s.setConnLocked(peer, conn)
 	s.everConn[peer] = true
 	delete(s.dialing, peer)
 	close(s.connChanged)
@@ -596,6 +612,17 @@ func (s *stream) installConnLocked(peer int, c net.Conn) *streamConn {
 	}
 	connTrace(s.rank, peer, cevInstall, replaced)
 	return conn
+}
+
+// setConnLocked makes c (nil: none) the connection to peer. Caller holds
+// connsMu.
+func (s *stream) setConnLocked(peer int, c *streamConn) {
+	s.conns[peer] = c
+	var gen uint64
+	if c != nil {
+		gen = c.gen
+	}
+	s.connGen[peer].Store(gen)
 }
 
 // dropConn tears down a broken connection, fails its outstanding Gets
@@ -636,7 +663,7 @@ func (s *stream) dropConn(conn *streamConn, site int64) {
 		s.notifyConnDrop(conn.peer)
 		return
 	}
-	s.conns[conn.peer] = nil
+	s.setConnLocked(conn.peer, nil)
 	connTrace(s.rank, conn.peer, cevDrop, site)
 	s.connDrops.Add(1)
 	if s.rank > conn.peer {
@@ -803,11 +830,18 @@ func (s *stream) writeFrame(conn *streamConn, hdr Header, payload ...[]byte) err
 }
 
 func (s *stream) Send(to int, hdr Header, payload ...[]byte) error {
+	_, err := s.sendOn(to, hdr, payload...)
+	return err
+}
+
+// sendOn is Send, reporting the generation of the connection the frame
+// went out on.
+func (s *stream) sendOn(to int, hdr Header, payload ...[]byte) (uint64, error) {
 	conn, err := s.conn(to)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return s.writeFrame(conn, hdr, payload...)
+	return conn.gen, s.writeFrame(conn, hdr, payload...)
 }
 
 func (s *stream) SendFrom(to int, hdr Header, src Source, off, size int64) (int64, error) {
@@ -963,18 +997,34 @@ func (s *stream) Register(src Source) uint64 {
 	return key
 }
 
-func (s *stream) Deregister(key uint64) {
+func (s *stream) Deregister(key uint64) { s.unregister(key) }
+
+// unregister revokes key and returns what it named (nil if nothing).
+func (s *stream) unregister(key uint64) Source {
 	s.regMu.Lock()
+	src := s.regs[key]
 	delete(s.regs, key)
+	delete(s.served, key)
 	s.regMu.Unlock()
+	return src
 }
 
-// lookupReg resolves a registered source (provider extensions use it to
-// serve window pulls).
-func (s *stream) lookupReg(key uint64) (Source, bool) {
+func (s *stream) Served(key uint64) bool {
 	s.regMu.RLock()
+	defer s.regMu.RUnlock()
+	return s.served[key]
+}
+
+// serveReg resolves the source a Get request names and records it served
+// (the socket server here, the SHM provider's window server): once a Get
+// request, which is a frame, not once a fragment.
+func (s *stream) serveReg(key uint64) (Source, bool) {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
 	src, ok := s.regs[key]
-	s.regMu.RUnlock()
+	if ok {
+		s.served[key] = true
+	}
 	return src, ok
 }
 
@@ -1029,8 +1079,7 @@ func (s *stream) lookupGet(id uint64) *streamGet {
 // With Config.Checksum set, every response frame carries a CRC32C of its
 // payload in Aux0 for verification before delivery.
 func (s *stream) serveGet(conn *streamConn, hdr Header) {
-	key := uint64(hdr.Aux1)
-	src, ok := s.lookupReg(key)
+	src, ok := s.serveReg(uint64(hdr.Aux1))
 	fail := func(msg string) {
 		_ = s.writeFrame(conn, Header{Kind: kindGetErr, MsgID: hdr.MsgID}, []byte(msg))
 	}

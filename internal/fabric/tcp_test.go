@@ -127,6 +127,9 @@ func TestTCPRegisterGet(t *testing.T) {
 	data := make([]byte, 10000)
 	fillPattern(data, 8)
 	key := nics[0].Register(Bytes(data))
+	if nics[0].Served(key) {
+		t.Fatal("a registration nobody read reports Served")
+	}
 	out := make([]byte, 10000)
 	if err := nics[1].Get(0, key, 0, Bytes(out), 0, int64(len(data))); err != nil {
 		t.Fatal(err)
@@ -134,6 +137,14 @@ func TestTCPRegisterGet(t *testing.T) {
 	if !bytes.Equal(out, data) {
 		t.Fatal("TCP Get mismatch")
 	}
+	if !nics[0].Served(key) {
+		t.Fatal("the exporter does not report the Get it served")
+	}
+	defer func() {
+		if nics[0].Deregister(key); nics[0].Served(key) {
+			t.Error("a revoked key reports Served")
+		}
+	}()
 	// Offset get into a shifted sink position.
 	out2 := make([]byte, 600)
 	if err := nics[1].Get(0, key, 500, Bytes(out2), 100, 500); err != nil {

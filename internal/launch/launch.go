@@ -255,17 +255,20 @@ func (w *World) Close() error {
 
 // crossProcessDefaults returns cfg with the protocol settings every
 // world of separate OS processes runs, launched (Connect) or directly
-// connected (Attach), for a world of size ranks.
-func crossProcessDefaults(cfg ucp.Config, size int) ucp.Config {
-	// Cross-process worlds always run the acked eager protocol. Unlike
-	// the in-process transport, a socket can lose data when its peer
-	// process exits right after writing (a TCP close with unread inbound
-	// bytes turns into a reset, which discards kernel-buffered data in
-	// both directions) — and a dissemination barrier lets fast ranks
-	// exit while their last token to a laggard is still in flight. With
-	// acked completion, a send that has completed is a send the
-	// receiver's worker holds, so finish-barrier-then-exit is safe.
-	cfg.Reliable = true
+// connected (Attach), for a world of size ranks over a provider whose link
+// is link.
+func crossProcessDefaults(cfg ucp.Config, link fabric.Link, size int) ucp.Config {
+	// Acks where the link can lose a frame, and only there. Over TCP a
+	// broken connection is redialed, and a peer that closes with unread
+	// inbound bytes resets the connection, discarding kernel-buffered data
+	// in both directions; there a completed send must be one the receiver's
+	// worker acked. SHM loses nothing between live processes, and a rank
+	// that exits right after its last send is covered by the worker's drain
+	// at Close (every peer's loop has taken in every frame before it
+	// returns), so SHM worlds run unacked eager. A caller's Reliable stays on.
+	if !link.Lossless {
+		cfg.Reliable = true
+	}
 	// Multi-process jobs oversubscribe cores hard — every rank is a full
 	// OS process, and CI-class machines run 128 of them on a few CPUs —
 	// so a receiver can legitimately sit unscheduled for whole seconds.
@@ -294,7 +297,7 @@ func crossProcessDefaults(cfg ucp.Config, size int) ucp.Config {
 // same protocol defaults Connect applies. No rendezvous service stands
 // behind such a world, so its Join and PollRejoins fail.
 func Attach(nic fabric.NIC, opt core.Options) *World {
-	w := ucp.NewWorker(nic, crossProcessDefaults(opt.UCP, nic.Size()))
+	w := ucp.NewWorker(nic, crossProcessDefaults(opt.UCP, nic.Link(), nic.Size()))
 	return &World{
 		Comm:   core.NewComm(w),
 		Info:   &Info{Rank: nic.Rank(), Size: nic.Size()},
@@ -337,7 +340,6 @@ func (in *Info) Connect(opt core.Options) (*World, error) {
 	if in.Epoch > 0 && opt.UCP.Heartbeat.Period > 0 && opt.UCP.Heartbeat.BootGrace == 0 {
 		opt.UCP.Heartbeat.BootGrace = 10 * time.Second
 	}
-	opt.UCP = crossProcessDefaults(opt.UCP, in.Size)
 
 	var (
 		nic  fabric.NIC
@@ -403,7 +405,7 @@ func (in *Info) Connect(opt core.Options) (*World, error) {
 		}
 	}
 
-	w := ucp.NewWorker(nic, opt.UCP)
+	w := ucp.NewWorker(nic, crossProcessDefaults(opt.UCP, nic.Link(), in.Size))
 	world := &World{Info: in, Addrs: addrs, Nodes: nodes, worker: w, nic: nic}
 	if in.Epoch == 0 {
 		// A replacement has no world communicator — the one its dead

@@ -77,12 +77,14 @@ func TestLaunchAllreduceWithTopology(t *testing.T) {
 
 // TestLaunchIdleLinkNoRetransmits: a launched ping-pong whose messages
 // always find the receiver idle must finish without one retransmission
-// on a healthy link. Over SHM that is the doorbell's job: a receiver that
-// polled on a timer slept through the 3 ms retransmit timer, and a lost
-// wake-up would be papered over by the reliable layer at every one of the
-// task's 40 idle rounds. The count is still a timing outcome — a loaded
-// machine can hold any one round trip past 3 ms — so a run is retried
-// twice before its retransmissions count as the transport's.
+// on a healthy link. Over TCP (acked) that is the receiver's wake-up
+// inside the 3 ms retransmit timer; over SHM no frame is acked at all:
+// both ranks send no ack, and each rank's stack keeps four goroutines (the
+// progress loop, the socket plane's accept loop and its one connection's
+// reader, the communicator's revoke listener: no janitor, no ack pump —
+// acked, it kept six). The TCP count is a timing outcome — a
+// loaded machine can hold any one round trip past 3 ms — so a run is
+// retried twice before its retransmissions count as the transport's.
 func TestLaunchIdleLinkNoRetransmits(t *testing.T) {
 	for _, tr := range []string{TransportSHM, TransportTCP} {
 		t.Run(tr, func(t *testing.T) {
@@ -92,15 +94,44 @@ func TestLaunchIdleLinkNoRetransmits(t *testing.T) {
 				if err, out = runJob(t, 2, tr, "thinkpong", 0, time.Minute); err != nil {
 					t.Fatalf("job failed: %v\n%s", err, out)
 				}
-				if strings.Count(out, "rexmits=") != 2 {
-					t.Fatalf("want a retransmit count from both ranks:\n%s", out)
+				var rexmits, acks, goroutines int
+				reports := 0
+				for _, line := range strings.Split(out, "\n") {
+					var rank, r, a, g int
+					_, report, _ := strings.Cut(line, "] ") // the launcher's "[rank] " prefix
+					if _, err := fmt.Sscanf(report, "rank %d: rexmits=%d acks=%d goroutines=%d", &rank, &r, &a, &g); err == nil {
+						reports++
+						rexmits, acks, goroutines = rexmits+r, acks+a, max(goroutines, g)
+					}
 				}
-				if strings.Count(out, "rexmits=0\n") == 2 {
+				if reports != 2 {
+					t.Fatalf("want a report from both ranks:\n%s", out)
+				}
+				if tr == TransportSHM && (acks != 0 || goroutines > 4) {
+					t.Fatalf("an unacked SHM rank sent %d acks or kept %d goroutines, want 0 and at most 4:\n%s", acks, goroutines, out)
+				}
+				if rexmits == 0 {
 					return
 				}
 				t.Logf("attempt %d retransmitted:\n%s", attempt, out)
 			}
 			t.Fatalf("three runs in a row retransmitted on an idle, healthy link:\n%s", out)
+		})
+	}
+}
+
+// TestLaunchExitRace: every rank of an 8-rank ring sends its neighbour a
+// rendezvous, a 64 B and a two-fragment eager message and exits the moment
+// its last send completes, with no linger; every receiver must get every
+// byte. Over TCP completion is the receiver's ack; over SHM the eager sends
+// complete unacked, and it is the drain at Close that keeps the exit from
+// overtaking them.
+func TestLaunchExitRace(t *testing.T) {
+	for _, tr := range []string{TransportSHM, TransportTCP} {
+		t.Run(tr, func(t *testing.T) {
+			if err, out := runJob(t, 8, tr, "exitrace", 0, time.Minute); err != nil {
+				t.Fatalf("job failed: %v\n%s", err, out)
+			}
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"syscall"
@@ -62,7 +63,7 @@ func RunTask(name string, in *Info, opt core.Options) error {
 	if err != nil && os.Getenv(EnvDebug) != "" {
 		debugDump(w, err.Error())
 	}
-	if err == nil {
+	if err == nil && name != "exitrace" {
 		// Exit linger: task completion is not symmetric across ranks. A
 		// rank can finish the closing collective and exit while a peer
 		// still owes that collective's last acknowledgements — and a
@@ -71,7 +72,8 @@ func RunTask(name string, in *Info, opt core.Options) error {
 		// rank failed (observed as a survivor stranded at size 1 after
 		// everyone else exited cleanly). Keep the fabric alive briefly so
 		// stragglers drain; heartbeats keep flowing, so the linger can
-		// never be mistaken for a death.
+		// never be mistaken for a death. The exitrace task skips it: it is
+		// the check that Close alone makes an immediate exit safe.
 		time.Sleep(exitLinger)
 	}
 	return err
@@ -101,6 +103,8 @@ func runTask(name string, w *World) error {
 		return taskElastic(w)
 	case "facts":
 		return taskFacts(w)
+	case "exitrace":
+		return taskExitRace(w.Comm)
 	default:
 		return fmt.Errorf("launch: unknown worker task %q", name)
 	}
@@ -178,8 +182,10 @@ func taskPingpong(c *core.Comm) error {
 // each message finds the peer's progress goroutine asleep, the way an
 // application that computed since its last message finds it. A healthy
 // link wakes the receiver well inside the retransmit timer however long
-// it slept; each rank reports its worker's retransmit count so the launch
-// test can pin it at zero.
+// it slept; each rank reports its worker's retransmit and ack counts and
+// its goroutines, so the launch test can pin retransmissions at zero, and
+// over SHM acks at zero and the rank's goroutines at what an unacked
+// worker keeps.
 func taskThinkpong(w *World) error {
 	c := w.Comm
 	const rounds, think, pause = 40, 5 * time.Millisecond, 2500 * time.Millisecond
@@ -211,8 +217,63 @@ func taskThinkpong(w *World) error {
 	if err := c.Barrier(); err != nil {
 		return err
 	}
-	fmt.Printf("rank %d: rexmits=%d\n", c.Rank(), w.worker.Stats().Retransmits.Load())
+	// goroutines: the stack's, besides the one running this task.
+	st := w.worker.Stats()
+	fmt.Printf("rank %d: rexmits=%d acks=%d goroutines=%d\n", c.Rank(), st.Retransmits.Load(), st.AcksSent.Load(), runtime.NumGoroutine()-1)
 	return nil
+}
+
+// taskExitRace is the exit race end to end. Rank r sends its ring neighbour
+// r+1 a burst — one rendezvous message, then a 64 B and a 20 KiB eager one
+// (two fragments: over SHM they cross the socket, the 64 B the ring) — and
+// exits as soon as its last send completes, with no linger. Every rank but 0
+// sends only once its own burst from r-1 arrived and was verified, so the
+// receiver is still running when the sender leaves, and what decides whether
+// r+1 gets the eager bytes is whether r's Close waited until r+1's progress
+// loop had taken them in: an unacked eager send completes before that.
+func taskExitRace(c *core.Comm) error {
+	rank, size := c.Rank(), c.Size()
+	right, left := (rank+1)%size, (rank+size-1)%size
+	sizes := []int{64 << 10, 64, 20 << 10}
+	bufs := make([][]byte, len(sizes))
+	reqs := make([]*core.Request, len(sizes))
+	for i, n := range sizes {
+		bufs[i] = make([]byte, n)
+		r, err := c.Irecv(bufs[i], core.Count(n), core.TypeBytes, left, 40+i)
+		if err != nil {
+			return err
+		}
+		reqs[i] = r
+	}
+	send := func() error {
+		for i, n := range sizes {
+			if err := c.Send(fill(n, byte(rank+i)), core.Count(n), core.TypeBytes, right, 40+i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	recv := func() error {
+		if err := core.WaitAll(reqs...); err != nil {
+			return fmt.Errorf("rank %d: burst from %d: %w", rank, left, err)
+		}
+		for i, n := range sizes {
+			if !bytes.Equal(bufs[i], fill(n, byte(left+i))) {
+				return fmt.Errorf("rank %d: %d-byte message from %d corrupted", rank, n, left)
+			}
+		}
+		return nil
+	}
+	if rank == 0 {
+		if err := send(); err != nil {
+			return err
+		}
+		return recv()
+	}
+	if err := recv(); err != nil {
+		return err
+	}
+	return send()
 }
 
 // taskAllreduce verifies an int64 sum Allreduce and a Bcast — the two
@@ -285,8 +346,8 @@ func taskRingping(w *World) error {
 	// collective): a two-pass ring token barrier. The collect pass
 	// certifies every rank finished its traffic; the release pass lets
 	// ranks exit. Both passes ride the existing neighbor links, so the
-	// connection count stays exactly the ring degree — and under the
-	// reliable protocol the final release forward is acked before the
+	// connection count stays exactly the ring degree — and the final
+	// release forward is acked (TCP) or drained at Close (SHM) before the
 	// forwarding rank tears down.
 	token := make([]byte, 1)
 	for _, tag := range []int{11, 12} {

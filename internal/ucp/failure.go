@@ -160,6 +160,9 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 	if w.live != nil {
 		w.live.clearSuspect(rank) // suspicion resolved into death
 	}
+	if w.drain != nil {
+		w.drain.nudge() // Close does not wait for a dead peer's answer
+	}
 	// Tell the provider too: an SHM ring producer parked on the dead
 	// consumer's full ring unblocks only when the provider knows the
 	// peer is gone, and a silence-based verdict may precede the socket
@@ -225,9 +228,10 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 // before any traffic flows toward the replacement). It purges every
 // trace of the dead incarnation first — reliable-delivery dedup records
 // (a fresh process restarts its message-id space, so stale records
-// would swallow its first sends as duplicates) and buffered unexpected
-// messages (one claimed by Mprobe stays: its owner holds the handle) —
-// then clears the dead bit and resets the provider's connection state.
+// would swallow its first sends as duplicates), buffered unexpected
+// messages (one claimed by Mprobe stays: its owner holds the handle) and
+// the drain's frame counts — then clears the dead bit and resets the
+// provider's connection state.
 // Liveness detection gives the replacement max(2×DeadAfter, 2 s) to boot.
 // After Revive, operations on the rank work again and the rank can be
 // declared failed anew.
@@ -255,6 +259,7 @@ func (w *Worker) Revive(rank int) error {
 		w.releaseFrags(m)
 	}
 	w.mu.Unlock()
+	w.resetDrain(rank)
 	// The grace is stamped before the dead bit clears, so the liveness tick
 	// never sees the rank alive with its predecessor's silence.
 	if l := w.live; l != nil {

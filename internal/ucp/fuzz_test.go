@@ -9,13 +9,14 @@ import (
 )
 
 // fuzzKinds are the packet kinds a worker accepts from another rank.
-var fuzzKinds = []fabric.Kind{kindEager, kindRTS, kindFIN, kindAbort, kindEagerAck}
+var fuzzKinds = []fabric.Kind{kindEager, kindRTS, kindFIN, kindAbort, kindEagerAck, kindPing, kindPong, kindBye, kindByeAck}
 
 const fuzzRecLen = 12 // bytes of header description before a record's payload
 
 // fuzzRec encodes one inbound packet the way FuzzWorkerInbound decodes it.
 // big picks which of offset (1) and total (2) are scaled up to values no
-// buffer could hold.
+// buffer could hold, and whether aux0 (4) — a bye's count — is scaled far
+// past any frame count.
 func fuzzRec(kind int, flags uint8, tag, id uint8, off, total int16, aux0, aux1 int8, big uint8, payload []byte) []byte {
 	r := make([]byte, fuzzRecLen, fuzzRecLen+len(payload))
 	r[0], r[1], r[2], r[3] = byte(kind), flags, tag, id
@@ -34,14 +35,17 @@ func fuzzSeq(cfg byte, recs ...[]byte) []byte {
 }
 
 // FuzzWorkerInbound feeds a worker whatever another rank could put on the
-// wire: arbitrary headers over the five kinds it handles, in any order,
+// wire: arbitrary headers over the nine kinds it handles, in any order,
 // against a few posted receives (one of them in-order), one claimed message
 // still missing most of its bytes, an eager and a rendezvous send of its own
 // awaiting their answers (ids 1 and 2) and, when cfg bit 2 is set, a blocked
-// Mprobe posted ahead of the tag-1 receive — with Reliable on and off.
-// Whatever arrives, the worker neither panics nor hangs, every request and
-// the prober complete once it is closed, and every wire packet goes back to
-// the pool.
+// Mprobe posted ahead of the tag-1 receive — with Reliable on and off. The
+// Reliable worker's NIC states a cross-process link, so it counts frames and
+// answers byes, whatever count they carry; it sends none itself, and the
+// unacked worker is in-process and does not drain, so Close never waits on
+// rank 0. Whatever arrives, the worker neither panics nor hangs, every
+// request and the prober complete once it is closed, and every wire packet
+// goes back to the pool.
 func FuzzWorkerInbound(f *testing.F) {
 	p := pattern(200, 5)
 	rel := flagReliable
@@ -65,6 +69,14 @@ func FuzzWorkerInbound(f *testing.F) {
 	f.Add(fuzzSeq(0, fuzzRec(0, 0, 0, 1, 0, 60, 0, 0, 0, p[:30]), fuzzRec(3, 0, 0, 1, 0, 60, 0, 0, 0, []byte("boom"))))                                       // abort of an active receive
 	f.Add(fuzzSeq(0, fuzzRec(3, 0, 0, 11, 0, 60, 0, 0, 0, []byte("early"))))                                                                                  // abort before any fragment
 	f.Add(fuzzSeq(1, fuzzRec(2, 0, 0, 1, 0, 0, 1, 0, 0, nil), fuzzRec(4, 0, 0, 1, 0, 0, 1, 0, 0, nil)))                                                       // stray FIN and ack
+	f.Add(fuzzSeq(0, fuzzRec(5, 0, 0, 0, 0, 0, 9, 0, 0, nil), fuzzRec(6, 0, 0, 0, 0, 0, -3, 0, 0, nil)))                                                      // ping, and a pong with a bad clock
+	// Byes: a count reached by the frames after it, one already reached, a
+	// negative and a huge one, and an answer to a bye nobody sent.
+	for _, cfg := range []byte{0, 1} {
+		f.Add(fuzzSeq(cfg, fuzzRec(7, 0, 0, 0, 0, 0, 2, 0, 0, nil), fuzzRec(0, 0, 0, 1, 0, 40, 0, 0, 0, p[:40]), fuzzRec(0, 0, 1, 2, 0, 20, 0, 0, 0, p[:20])))
+		f.Add(fuzzSeq(cfg, fuzzRec(0, 0, 0, 1, 0, 40, 0, 0, 0, p[:40]), fuzzRec(7, 0, 0, 0, 0, 0, 1, 0, 0, nil), fuzzRec(7, 0, 0, 0, 0, 0, 1, 0, 0, nil)))
+		f.Add(fuzzSeq(cfg, fuzzRec(7, 0, 0, 0, 0, 0, -7, 0, 0, nil), fuzzRec(7, 0, 0, 0, 0, 0, 100, 0, 4, nil), fuzzRec(7, 0, 0, 0, 0, 0, -100, 0, 4, nil), fuzzRec(8, 0, 0, 0, 0, 0, 0, 0, 0, nil)))
+	}
 	// A blocked Mprobe takes the first tag-1 message as a claimed entry of
 	// the unexpected queue; its later fragments, copies and an abort are
 	// routed there, and the receive behind it takes the next message.
@@ -98,8 +110,13 @@ func FuzzWorkerInbound(f *testing.F) {
 		cfg := Config{Reliable: data[0]&1 != 0, RexmitBase: time.Millisecond, RexmitMax: 5 * time.Millisecond}
 		fab := fabric.NewInproc(2, fabric.Config{FragSize: 256})
 		raw := fab.NIC(0)
-		w := NewWorker(fab.NIC(1), cfg)
-		// Rank 0 is not a worker: drop the acks and FINs sent back to it.
+		nic := fab.NIC(1)
+		if cfg.Reliable {
+			nic = newCrossProcess(nic)
+		}
+		w := NewWorker(nic, cfg)
+		// Rank 0 is not a worker: drop the acks, FINs, pongs and bye answers
+		// sent back to it.
 		drained := make(chan struct{})
 		go func() {
 			defer close(drained)
@@ -170,6 +187,9 @@ func FuzzWorkerInbound(f *testing.F) {
 			}
 			if r[10]&2 != 0 {
 				hdr.Total <<= 47
+			}
+			if r[10]&4 != 0 {
+				hdr.Aux0 <<= 55
 			}
 			if err := raw.Send(1, hdr, payload); err != nil {
 				t.Fatal(err)

@@ -11,7 +11,9 @@ package ucp
 // message and retransmits all of it until the receiver's ack arrives; a
 // reliable rendezvous send retransmits the RTS until the FIN arrives (a
 // lost FIN is recovered because the receiver answers a duplicate RTS for
-// a completed message by resending the FIN). Both wait in the one table of
+// a completed message by resending the FIN). The first Get the NIC serves
+// of its source acknowledges the RTS: from then on it is resent only once
+// a RexmitMax, for a FIN that may have been lost. Both wait in the one table of
 // sends awaiting the peer's answer (Worker.sends, keyed by message id),
 // which the janitor walks. The receiver keeps a bounded
 // set of recently completed message ids so duplicates trigger an ack or
@@ -96,12 +98,21 @@ func (w *Worker) sweep(now time.Time) {
 		for id, r := range w.sends {
 			switch s := r.send; {
 			case now.Before(s.next):
+			case s.src != nil && !s.served && w.nic.Served(r.key):
+				// The receiver is pulling: the RTS arrived. Only a lost FIN
+				// still needs one, so its timer drops to a probe a RexmitMax.
+				s.served = true
+				s.next = now.Add(w.cfg.RexmitMax)
 			case s.attempts >= w.cfg.RexmitRetries:
 				delete(w.sends, id)
 				expired = append(expired, r)
 			default:
 				s.attempts++
-				s.next = now.Add(w.rexmitBackoff().Delay(s.attempts, w.rng))
+				d := w.cfg.RexmitMax
+				if !s.served {
+					d = w.rexmitBackoff().Delay(s.attempts, w.rng)
+				}
+				s.next = now.Add(d)
 				resend = append(resend, r)
 			}
 		}
@@ -359,8 +370,9 @@ func (w *Worker) RexmitSnapshot() []RexmitInfo {
 	return out
 }
 
-// answer is one queued outbound reply: an eager ack, or the FIN that
-// answers a duplicate RTS.
+// answer is one queued outbound control frame: an eager ack, the FIN that
+// answers a duplicate RTS, or Close's drain: a bye (its count in status) and
+// the answer to one.
 type answer struct {
 	to     int
 	kind   fabric.Kind
@@ -421,7 +433,10 @@ func (w *Worker) ackPump() {
 		w.ackQ = nil
 		w.ackMu.Unlock()
 		for _, a := range q {
-			_ = w.nic.Send(a.to, fabric.Header{Kind: a.kind, MsgID: a.id, Aux0: a.status})
+			err := w.nic.Send(a.to, fabric.Header{Kind: a.kind, MsgID: a.id, Aux0: a.status})
+			if err != nil && a.kind == kindBye {
+				w.drain.settle(a.to) // no link to the peer: nobody will answer
+			}
 		}
 	}
 }

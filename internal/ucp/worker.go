@@ -43,8 +43,9 @@ type Worker struct {
 	rng           *rand.Rand // retransmit jitter; guarded by mu
 
 	// Outbound answer queue (see ackPump in reliable.go), guarded by ackMu:
-	// eager acks, and the FINs that answer duplicate RTSs. The pump starts
-	// with the first answer queued; ackClosed stops it.
+	// eager acks, the FINs that answer duplicate RTSs, and the drain's byes
+	// and their answers. The pump starts with the first answer queued;
+	// ackClosed stops it.
 	ackMu      sync.Mutex
 	ackCond    *sync.Cond
 	ackQ       []answer
@@ -64,6 +65,9 @@ type Worker struct {
 	wg      sync.WaitGroup
 	stats   WorkerStats
 	obs     *workerObs // nil when the NIC's Config has no observer (see obs.go)
+
+	link  fabric.Link // the NIC's: what its link loses, where a Get runs, who can exit
+	drain *drainState // nil unless the link is CrossProcess (see drain.go)
 }
 
 // WorkerStats counts protocol events; all fields are cumulative.
@@ -107,8 +111,9 @@ type msgKey struct {
 // awaits its FIN (src set), a reliable eager send its ack (payload set), both
 // in Worker.sends; a self-send its match (src set). Under Reliable the
 // janitor resends what is in the table — the RTS, or every fragment of the
-// retained message — until the answer comes or the attempts run out; only
-// its own two fields change once a send is there.
+// retained message — until the answer comes or the attempts run out, an
+// RTS whose source a Get has read only once a RexmitMax; only its own three
+// fields change once a send is there.
 type sendOp struct {
 	dst        int // the envelope: destination, tag, size, aux word
 	tag        Tag
@@ -117,6 +122,7 @@ type sendOp struct {
 	payload    []byte    // eager: the retained packed message
 	attempts   int       // resend rounds so far
 	next       time.Time // when the janitor resends next (Reliable only)
+	served     bool      // rendezvous: the NIC has served a Get of the source (Reliable only)
 }
 
 // sendHdr is a rendezvous send's RTS, or a retained eager message's fragment template.
@@ -181,16 +187,19 @@ func newUnex(in inbound) *unexMsg {
 // NewWorker attaches a transport worker to a NIC and starts its progress
 // goroutine. The eager fragment size, fragment checksums, the message-id
 // base (the incarnation's Epoch << 40) and the observer come from
-// nic.Config(). The worker takes the NIC's peer-down hook: hard evidence (a
-// refused redial to a once-connected peer, a higher handshake epoch: the
-// process is gone) declares the peer failed, with or without heartbeats;
-// soft evidence (an established link broke) makes it suspect when
-// Config.Heartbeat enables liveness detection and is ignored otherwise.
+// nic.Config(); what the link is — whether a Get is a local copy, whether
+// peers are processes that exit on their own — from nic.Link(). The worker
+// takes the NIC's peer-down hook: hard evidence (a refused redial to a
+// once-connected peer, a higher handshake epoch: the process is gone)
+// declares the peer failed, with or without heartbeats; soft evidence (an
+// established link broke) makes it suspect when Config.Heartbeat enables
+// liveness detection, and ends Close's wait for the peer's drain answer.
 func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 	w := &Worker{
 		nic:     nic,
 		cfg:     cfg.withDefaults(),
 		fab:     nic.Config(),
+		link:    nic.Link(),
 		active:  make(map[msgKey]*Request),
 		sends:   make(map[uint64]*Request),
 		pulls:   make(map[msgKey]*Request),
@@ -205,11 +214,14 @@ func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 	}
 	w.nextMsg.Store(uint64(w.fab.Epoch) << msgIDEpochShift)
 	// PullStripes counts cores, so it caps a lane where a Get is a copy made
-	// by the puller. Over TCP a Get waits out a round trip: there every job
-	// gets a puller of its own, as it had a goroutine before the executor.
+	// by the puller. Where a Get waits out a round trip every job gets a
+	// puller of its own, as it had a goroutine before the executor.
 	w.laneCap = w.cfg.PullStripes
-	if _, ok := nic.(*fabric.TCP); ok {
+	if !w.link.LocalGet {
 		w.laneCap = math.MaxInt
+	}
+	if w.link.CrossProcess {
+		w.drain = newDrainState(nic.Size())
 	}
 	for i := range w.lanes {
 		l := &w.lanes[i]
@@ -225,6 +237,9 @@ func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 		case w.live != nil:
 			w.suspectPeer(rank)
 		}
+		if w.drain != nil {
+			w.drain.settle(rank)
+		}
 	})
 	w.wg.Add(1)
 	go w.loop()
@@ -239,6 +254,9 @@ func (w *Worker) Rank() int { return w.nic.Rank() }
 func (w *Worker) Size() int { return w.nic.Size() }
 
 // Close shuts the worker down. In-flight operations complete with errors.
+// On a link whose peers are separate processes, an unacked worker first
+// drains: it returns only once every live peer it sent frames to has taken
+// them in (see drain.go), or after closeDrainBound.
 func (w *Worker) Close() {
 	w.mu.Lock()
 	if w.closed {
@@ -248,6 +266,10 @@ func (w *Worker) Close() {
 	w.closed = true
 	posted := w.table.takeAllPosted()
 	w.mu.Unlock()
+	for _, r := range posted {
+		r.complete(-1, 0, 0, 0, ErrWorkerClosed)
+	}
+	w.drainPeers()
 	// Under jobMu, so every puller is counted in w.wg before the Wait below.
 	// A Get waiting out a retry back-off fails now, not when its timer fires.
 	// A liveness tick stopped before it ran gives back its count of w.wg.
@@ -272,9 +294,6 @@ func (w *Worker) Close() {
 	drained := w.ackDrained
 	w.ackMu.Unlock()
 	w.ackCond.Broadcast()
-	for _, r := range posted {
-		r.complete(-1, 0, 0, 0, ErrWorkerClosed)
-	}
 	// Flush queued eager acks before tearing down the NIC. The reliable
 	// protocol's exit story — a completed send is an acked send, so
 	// finish-barrier-then-exit is safe — holds only if this side's acks
@@ -300,6 +319,7 @@ const (
 	kindEagerAck fabric.Kind = 11 // reliable eager completion ack (status in Aux0)
 	kindPing     fabric.Kind = 12 // liveness probe (the sender's clock in Aux0)
 	kindPong     fabric.Kind = 13 // answer to a ping (its Aux0 echoed)
+	// kindBye and kindByeAck (14, 15) are Close's drain, in drain.go.
 )
 
 // Send starts a tagged send of (buf, count) with datatype dt to rank dst.
@@ -353,12 +373,18 @@ func (w *Worker) Send(dst int, tag Tag, dt Datatype, buf any, count int64, aux i
 		req.key, req.send = w.nic.Register(src), &sendOp{dst: dst, tag: tag, total: total, aux: aux, src: src}
 		err := w.trackSend(req)
 		if err == nil {
-			err = w.nic.Send(dst, req.sendHdr())
+			if err = w.nic.Send(dst, req.sendHdr()); err == nil {
+				w.sentFrame(dst)
+			}
 			// Under Reliable the janitor retransmits the RTS until the FIN
 			// arrives, so even a failed first send (link down) just waits
 			// its turn. Otherwise the send is undone — unless a failure
-			// cause took it meanwhile and finished it.
-			if err == nil || w.cfg.Reliable || w.takeSend(id, true) == nil {
+			// cause (the peer's death, which a refused frame can be) took it
+			// meanwhile and finished it.
+			if err == nil || w.cfg.Reliable {
+				return req, nil
+			}
+			if err = w.refused(dst, err); w.takeSend(id, true) == nil {
 				return req, nil
 			}
 		}
@@ -376,7 +402,9 @@ func (w *Worker) Send(dst int, tag Tag, dt Datatype, buf any, count int64, aux i
 		req.send = &sendOp{dst: dst, tag: tag, total: total, aux: aux}
 		err = w.eagerSendReliable(dst, total, src, req)
 	} else {
-		err = w.eagerSend(dst, tag, id, total, aux, src)
+		if err = w.eagerSend(dst, tag, id, total, aux, src); err != nil {
+			err = w.refused(dst, err)
+		}
 	}
 	if w.obs != nil {
 		// The eager fragment loop interleaves pack (source reads /
@@ -389,7 +417,9 @@ func (w *Worker) Send(dst int, tag Tag, dt Datatype, buf any, count int64, aux i
 	}
 	if err != nil {
 		// Notify the receiver so a matched receive does not hang.
-		_ = w.nic.Send(dst, fabric.Header{Kind: kindAbort, Tag: uint64(tag), MsgID: id, Total: total, Aux0: aux}, []byte(err.Error()))
+		if w.nic.Send(dst, fabric.Header{Kind: kindAbort, Tag: uint64(tag), MsgID: id, Total: total, Aux0: aux}, []byte(err.Error())) == nil {
+			w.sentFrame(dst)
+		}
 		req.complete(dst, tag, 0, aux, err)
 		return req, err
 	}
@@ -399,9 +429,25 @@ func (w *Worker) Send(dst int, tag Tag, dt Datatype, buf any, count int64, aux i
 	return req, nil
 }
 
+// refused says what a frame the NIC refused means. On a lossless link
+// nothing between two live endpoints breaks (fabric.Link), so a link that is
+// down toward dst is the peer's exit or death: declared here, and reported
+// like any send to a dead rank. Elsewhere the error stands.
+func (w *Worker) refused(dst int, err error) error {
+	if w.link.Lossless && errors.Is(err, fabric.ErrLinkDown) {
+		w.DeclarePeerFailed(dst)
+		return procFailedErr(dst)
+	}
+	return err
+}
+
 func (w *Worker) eagerSend(dst int, tag Tag, id uint64, total, aux int64, src SendState) error {
 	if total == 0 {
-		return w.nic.Send(dst, fabric.Header{Kind: kindEager, Tag: uint64(tag), MsgID: id, Aux0: aux})
+		err := w.nic.Send(dst, fabric.Header{Kind: kindEager, Tag: uint64(tag), MsgID: id, Aux0: aux})
+		if err == nil {
+			w.sentFrame(dst)
+		}
+		return err
 	}
 	off := int64(0)
 	frag := int64(w.fab.FragSize)
@@ -440,6 +486,7 @@ func (w *Worker) eagerSend(dst int, tag Tag, id uint64, total, aux int64, src Se
 			return err
 		}
 		w.stats.EagerFragments.Add(1)
+		w.sentFrame(dst)
 		off += sent
 	}
 	return nil
@@ -953,7 +1000,9 @@ func (w *Worker) finishRecv(op *Request) {
 		w.recordCompletedLocked(mk, kindFIN, status)
 		delete(w.pulls, mk)
 		w.mu.Unlock()
-		_ = w.nic.Send(op.srcRank, fabric.Header{Kind: kindFIN, MsgID: op.msgID, Aux0: status})
+		if w.nic.Send(op.srcRank, fabric.Header{Kind: kindFIN, MsgID: op.msgID, Aux0: status}) == nil {
+			w.sentFrame(op.srcRank)
+		}
 	}
 	op.complete(op.srcRank, op.srcTag, n, op.aux0, err)
 	if op.selfFrom != nil {
@@ -971,7 +1020,8 @@ func (w *Worker) releaseFrags(m *unexMsg) {
 
 // loop is the progress goroutine: it turns wire packets into matching and
 // delivery events. Under liveness detection every packet also stamps its
-// sender as heard from.
+// sender as heard from; on a cross-process link every data frame, once
+// handled, counts toward its sender's drain at Close.
 func (w *Worker) loop() {
 	defer w.wg.Done()
 	for {
@@ -982,6 +1032,12 @@ func (w *Worker) loop() {
 		}
 		if w.live != nil {
 			w.live.seen(pkt.From)
+		}
+		if w.drain != nil && dataFrame(pkt.Hdr.Kind) {
+			from := pkt.From
+			w.handle(pkt)
+			w.tookFrame(from)
+			continue
 		}
 		w.handle(pkt)
 	}
@@ -1036,6 +1092,8 @@ func (w *Worker) handle(pkt *fabric.Packet) {
 		w.handleAbort(pkt)
 	case kindPing, kindPong:
 		w.handleHeartbeat(pkt)
+	case kindBye, kindByeAck:
+		w.handleBye(pkt)
 	default:
 		pkt.Release()
 	}

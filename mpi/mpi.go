@@ -263,8 +263,8 @@ type TCPWorld = ProcWorld
 // ConnectTCP joins a TCP world: rank i of addrs listens at addrs[i];
 // connections come up on first use. Options' fabric configuration applies
 // (fragment sizes, thresholds), over the protocol defaults every
-// cross-process world runs (acked eager sends, an oversubscription-scaled
-// retransmission budget).
+// cross-process world runs (acked eager sends where the link can lose a
+// frame — TCP's can — an oversubscription-scaled retransmission budget).
 func ConnectTCP(rank int, addrs []string, opt Options) (*ProcWorld, error) {
 	nic, err := fabric.NewTCP(rank, addrs, opt.Fabric)
 	if err != nil {
@@ -277,7 +277,9 @@ func ConnectTCP(rank int, addrs []string, opt Options) (*ProcWorld, error) {
 // local filesystem every rank of the job can reach. Segment and socket
 // names inside dir are deterministic functions of the rank pair, so the
 // only thing ranks must agree on out of band is dir itself (and keep it
-// short — unix socket paths cap at ~100 bytes).
+// short — unix socket paths cap at ~100 bytes). SHM loses nothing between
+// live processes, so eager sends are not acked; closing the world waits
+// until every peer has taken in what this rank sent it.
 func ConnectSHM(rank, size int, dir string, opt Options) (*ProcWorld, error) {
 	nic, err := fabric.NewSHM(rank, size, dir, opt.Fabric)
 	if err != nil {
