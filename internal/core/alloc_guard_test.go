@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -20,11 +21,12 @@ import (
 // core.Request, a matched receive is its own receive operation and holds a
 // contiguous buffer's state, wire packets are recycled and nobody sleeps
 // on a channel. Every other datatype adds its binding, one object per
-// operation (gapped ddt and pure-pack custom: measured 11), and what its
-// regions cost on top — the iovec's offset index, the region slice itself
-// being pooled — plus whatever the handler's State returns (head + 2
-// regions over a handler that boxes a slice: measured 19, was 31 when the
-// state was a pack source, an iovec and a two-part composite). A self-send
+// operation (gapped ddt and pure-pack custom: measured 11), plus whatever
+// the handler's State returns; its regions cost nothing on top, the region
+// slice and the iovec's offset index being pooled together (head + 2
+// regions over a handler that boxes a slice: measured 16, was 19 while
+// every binding made its offset index, 31 when the state was a pack
+// source, an iovec and a two-part composite). A self-send
 // is one message, not four, and its two ends meet in one local copy
 // (measured 8). Each ceiling is measured + 2; if one trips, a change added per-message
 // garbage to the hot path — fix the change, don't bump the ceiling
@@ -33,7 +35,7 @@ const (
 	eagerPingPongAllocCeiling    = 9  // contiguous bytes
 	ddtPingPongAllocCeiling      = 13 // gapped derived datatype, plan-packed
 	purePackPingPongAllocCeiling = 13 // custom datatype, head only, stateless handler
-	customPingPongAllocCeiling   = 21 // custom datatype, head + 2 regions
+	customPingPongAllocCeiling   = 18 // custom datatype, head + 2 regions
 	ddtSelfSendAllocCeiling      = 10 // gapped ddt to itself, one rank: an Irecv, a Send, a Wait
 )
 
@@ -163,6 +165,66 @@ func TestCustomEagerAllocsPinned(t *testing.T) {
 	t.Logf("custom 1 KiB ping-pong: %.1f allocs/op", avg)
 	if avg > customPingPongAllocCeiling {
 		t.Fatalf("custom eager path allocates %.1f/op, ceiling %d", avg, customPingPongAllocCeiling)
+	}
+}
+
+// TestCustomRegionsRndvAllocsPinned: a custom-regions rendezvous costs the
+// same allocations per message whatever its region count — the region
+// list and its offset index are pooled together, and the pull walks both
+// lists without allocating — so 4 096 regions of 16 bytes allocate no more,
+// in count or in bytes, than 4 of 16 KiB. Under -race only the payload is
+// checked.
+func TestCustomRegionsRndvAllocsPinned(t *testing.T) {
+	const image = 64 << 10 // rendezvous: custom types switch at RndvThresh/4
+	measure := func(nreg int) (allocs float64, bytesPerOp uint64) {
+		dt := core.TypeCreateCustom(&regionHandler{nreg: nreg})
+		sys := core.NewSystem(2, core.Options{})
+		defer sys.Close()
+		msg, out, buf := make([]byte, image), make([]byte, image), make([]byte, image)
+		for i := range msg {
+			msg[i] = byte(i*7 + nreg)
+		}
+		roundTrip := func(c *core.Comm) error {
+			if err := c.Send(msg, image, dt, 1, 1); err != nil {
+				return err
+			}
+			_, err := c.Recv(out, image, dt, 1, 2)
+			return err
+		}
+		echo := func(c *core.Comm) error {
+			if _, err := c.Recv(buf, image, dt, 0, 1); err != nil {
+				return err
+			}
+			return c.Send(buf, image, dt, 0, 2)
+		}
+		// The first pass also grows the pooled scratch to the region count;
+		// the bytes are read off the second. A few hundred round trips
+		// amortise a pool the collector emptied meanwhile.
+		iters := 400
+		if raceEnabled {
+			iters = 4
+		}
+		allocs = measureEcho(t, sys, iters, roundTrip, echo)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		measureEcho(t, sys, iters, roundTrip, echo)
+		runtime.ReadMemStats(&after)
+		if !bytes.Equal(out, msg) {
+			t.Fatalf("%d regions: the echo differs from what was sent", nreg)
+		}
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / uint64(iters+1)
+	}
+	fewA, fewB := measure(4)
+	manyA, manyB := measure(4096)
+	t.Logf("custom-regions 64 KiB rendezvous ping-pong: 4 regions %.1f allocs, %d B; 4 096 regions %.1f allocs, %d B", fewA, fewB, manyA, manyB)
+	if raceEnabled {
+		return
+	}
+	if manyA > fewA {
+		t.Fatalf("4 096 regions allocate %.1f/op, 4 regions %.1f: allocation grows with the region count", manyA, fewA)
+	}
+	if manyB > fewB+1<<10 {
+		t.Fatalf("4 096 regions allocate %d B/op, 4 regions %d B: a per-region index or list is made per message", manyB, fewB)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mpicd/internal/ddt"
+	"mpicd/internal/fabric"
 	"mpicd/internal/ucp"
 )
 
@@ -232,19 +233,47 @@ func walkWindows(b *binding, step int) ([]byte, error) {
 	return out, nil
 }
 
+// withEmpties is f with empty regions at the front, in the middle and at
+// the end: the same image, more regions to walk past.
+func (f *flatBuf) withEmpties() *flatBuf {
+	mid := len(f.regions) / 2
+	regions := append([][]byte{{}}, f.regions[:mid]...)
+	regions = append(append(regions, []byte{}), f.regions[mid:]...)
+	return &flatBuf{head: f.head, regions: append(regions, []byte{})}
+}
+
+// splitAs is a zeroed buffer for an n-byte image split its own way: a head
+// of head bytes, then regions of the lengths cuts gives (mod 64), the last
+// taking the rest.
+func splitAs(n, head int, cuts []byte) *flatBuf {
+	out := &flatBuf{head: make([]byte, head)}
+	rest := n - head
+	for _, c := range cuts {
+		l := min(int(c)%64, rest)
+		out.regions = append(out.regions, make([]byte, l))
+		rest -= l
+	}
+	out.regions = append(out.regions, make([]byte, rest))
+	return out.withEmpties()
+}
+
 // FuzzBindingOffsets: for any head length, region lengths (empty regions
 // and no regions included), Pack underfill and chunking, a binding reads
 // as the flat image through ReadAt and through the window walk, and
 // WriteAt rebuilds the buffer from it — striped (disjoint ranges written
 // concurrently, as a striped pull does) for a plain type, one byte at a
-// time in order for an inorder one.
+// time in order for an inorder one. And a binding moves into a binding
+// split its own way — its own head, its own regions, empty ones at the
+// front, middle and end on both sides — through fabric.Transfer: from a
+// random offset in 1–4 concurrent stripes, and whole into an inorder one.
 func FuzzBindingOffsets(f *testing.F) {
-	f.Add(uint8(13), []byte{29, 0, 7}, uint8(3), uint8(5), uint8(2))
-	f.Add(uint8(0), []byte{64}, uint8(0), uint8(9), uint8(3))
-	f.Add(uint8(40), []byte{}, uint8(7), uint8(1), uint8(4))
-	f.Add(uint8(0), []byte{}, uint8(0), uint8(1), uint8(1))
-	f.Add(uint8(1), []byte{0, 0, 1, 0}, uint8(1), uint8(2), uint8(7))
-	f.Fuzz(func(t *testing.T, headLen uint8, regionLens []byte, packChunk, step, stripes uint8) {
+	f.Add(uint8(13), []byte{29, 0, 7}, uint8(3), uint8(5), uint8(2), uint8(0), []byte{5, 0, 9}, uint16(3))
+	f.Add(uint8(0), []byte{64}, uint8(0), uint8(9), uint8(3), uint8(17), []byte{1, 1, 1}, uint16(0))
+	f.Add(uint8(40), []byte{}, uint8(7), uint8(1), uint8(4), uint8(40), []byte{}, uint16(41))
+	f.Add(uint8(0), []byte{}, uint8(0), uint8(1), uint8(1), uint8(0), []byte{}, uint16(0))
+	f.Add(uint8(1), []byte{0, 0, 1, 0}, uint8(1), uint8(2), uint8(7), uint8(2), []byte{0, 63}, uint16(1))
+	f.Add(uint8(200), []byte{8, 8, 8, 8, 8, 8, 8, 8}, uint8(16), uint8(60), uint8(3), uint8(3), []byte{8, 8, 8, 8, 8, 8, 8, 8, 8, 8}, uint16(150))
+	f.Fuzz(func(t *testing.T, headLen uint8, regionLens []byte, packChunk, step, stripes, recvHead uint8, recvCuts []byte, start uint16) {
 		if len(regionLens) > 16 {
 			regionLens = regionLens[:16]
 		}
@@ -316,7 +345,161 @@ func FuzzBindingOffsets(f *testing.F) {
 		if !bytes.Equal(out.image(), want) {
 			t.Fatal("1-byte sequential writes did not rebuild the buffer")
 		}
+
+		// Binding to binding, each stripe on its own walk, with a bounce
+		// buffer of the chunk size or none.
+		if len(recvCuts) > 32 {
+			recvCuts = recvCuts[:32]
+		}
+		rh := int(recvHead) % (len(want) + 1)
+		from := int64(start) % (total + 1)
+		bounce := func() []byte {
+			if step%2 == 1 {
+				return make([]byte, chunk)
+			}
+			return nil
+		}
+		sender := bindSend(t, TypeCreateCustom(h), src.withEmpties())
+		defer sender.Finish()
+		into := splitAs(len(want), rh, recvCuts)
+		dst := bindRecv(t, TypeCreateCustom(h), into, total, int64(rh))
+		span = (total - from + n - 1) / n
+		for lo := from; lo < total; lo += span {
+			wg.Add(1)
+			go func(lo, size int64) {
+				defer wg.Done()
+				if err := fabric.Transfer(sender, lo, dst, lo, size, bounce()); err != nil {
+					t.Errorf("Transfer [%d,+%d): %v", lo, size, err)
+				}
+			}(lo, min(span, total-lo))
+		}
+		wg.Wait()
+		if err := dst.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if got := into.image(); !bytes.Equal(got[from:], want[from:]) || !bytes.Equal(got[:from], make([]byte, from)) {
+			t.Fatalf("Transfer from %d in %d stripes (heads %d and %d) did not rebuild the image", from, n, headLen, rh)
+		}
+
+		into = splitAs(len(want), rh, recvCuts)
+		seq = bindRecv(t, TypeCreateCustom(h, WithInOrder()), into, total, int64(rh))
+		if err := fabric.Transfer(sender, 0, seq, 0, total, bounce()); err != nil {
+			t.Fatalf("Transfer into an inorder receive: %v", err)
+		}
+		if err := seq.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(into.image(), want) {
+			t.Fatal("Transfer into an inorder receive did not rebuild the image")
+		}
 	})
+}
+
+// sizedBuf is a buffer whose head names its regions: one length byte a
+// region, as double-vec's head carries its sub-vector lengths. A receive
+// sizes its regions from the head it unpacked, so its Regions is only
+// sound once the last head byte is in; askedAt records how many were.
+type sizedBuf struct {
+	head     []byte
+	regions  [][]byte
+	unpacked int
+	askedAt  int // unpacked when Regions ran; -1 before
+}
+
+type sizedHandler struct{}
+
+func (sizedHandler) State(buf any, _ Count) (any, error) { return buf.(*sizedBuf), nil }
+func (sizedHandler) FreeState(any) error                 { return nil }
+func (sizedHandler) PackedSize(s, _ any, _ Count) (Count, error) {
+	return Count(len(s.(*sizedBuf).head)), nil
+}
+func (sizedHandler) Pack(s, _ any, _, offset Count, dst []byte) (Count, error) {
+	return Count(copy(dst, s.(*sizedBuf).head[offset:])), nil
+}
+func (sizedHandler) Unpack(s, _ any, _, offset Count, src []byte) error {
+	b := s.(*sizedBuf)
+	b.unpacked = max(b.unpacked, int(offset)+copy(b.head[offset:], src))
+	return nil
+}
+func (sizedHandler) RegionCount(s, _ any, _ Count) (Count, error) {
+	return Count(len(s.(*sizedBuf).head)), nil
+}
+func (sizedHandler) Regions(s, _ any, _ Count, regions [][]byte) error {
+	b := s.(*sizedBuf)
+	b.askedAt = b.unpacked
+	if b.regions == nil { // a receive: sized from the head
+		for _, l := range b.head {
+			b.regions = append(b.regions, make([]byte, l))
+		}
+	}
+	copy(regions, b.regions)
+	return nil
+}
+
+// TestInorderTailResolvedAfterHead: an inorder receive whose regions are
+// sized from its head is asked for them only after the last head byte was
+// unpacked — by a self-send's Transfer, an in-process Get and an SHM Get,
+// each of which walks the receive's region tail once it reaches it.
+func TestInorderTailResolvedAfterHead(t *testing.T) {
+	msg := &sizedBuf{head: make([]byte, 300), askedAt: -1}
+	for i := range msg.head {
+		msg.head[i] = byte(i * 37 % 97) // some regions empty
+		msg.regions = append(msg.regions, pattern(int(msg.head[i]), byte(i)))
+	}
+	dt := TypeCreateCustom(sizedHandler{}, WithInOrder())
+	flat := (&flatBuf{head: msg.head, regions: msg.regions}).image()
+	total := int64(len(flat))
+
+	inproc := fabric.NewInproc(2, fabric.Config{})
+	defer inproc.Close()
+	dir := t.TempDir()
+	var shm [2]*fabric.SHM
+	for i := range shm {
+		nic, err := fabric.NewSHM(i, 2, dir, fabric.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nic.Close()
+		shm[i] = nic
+	}
+	get := func(nics [2]fabric.NIC) func(src, sink *binding) error {
+		return func(src, sink *binding) error {
+			key := nics[0].Register(src)
+			defer nics[0].Deregister(key)
+			return nics[1].Get(0, key, 0, sink, 0, total)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		move func(src, sink *binding) error
+	}{
+		{"Transfer", func(src, sink *binding) error { return fabric.Transfer(src, 0, sink, 0, total, nil) }},
+		{"inproc-Get", get([2]fabric.NIC{inproc.NIC(0), inproc.NIC(1)})},
+		{"shm-Get", get([2]fabric.NIC{shm[0], shm[1]})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			out := &sizedBuf{head: make([]byte, len(msg.head)), askedAt: -1}
+			src := bindSend(t, dt, msg)
+			sink := bindRecv(t, dt, out, total, int64(len(msg.head)))
+			if out.askedAt != -1 {
+				t.Fatal("an inorder receive named its regions when it was bound")
+			}
+			err := c.move(src, sink)
+			if ferr := sink.Finish(); err == nil {
+				err = ferr
+			}
+			src.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.askedAt != len(msg.head) {
+				t.Fatalf("Regions ran with %d of %d head bytes unpacked", out.askedAt, len(msg.head))
+			}
+			if got := (&flatBuf{head: out.head, regions: out.regions}).image(); !bytes.Equal(got, flat) {
+				t.Fatal("the received image differs")
+			}
+		})
+	}
 }
 
 // badCountHandler is flatHandler with one answer of the opening sequence

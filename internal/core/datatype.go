@@ -284,7 +284,7 @@ type binding struct {
 	// asked for on the first access past it — in-order delivery means the
 	// head was unpacked by then.
 	tail     fabric.Iov
-	scratch  *[][]byte // pooled backing of the tail's region list
+	scratch  *regionScratch // pooled backing of the tail: regions and index
 	resolved bool
 	err      error // why the tail could not be resolved
 }
@@ -331,8 +331,8 @@ func (b *binding) resolve() error {
 		err = fmt.Errorf("core: negative region count %d", nreg)
 	case nreg > 0:
 		b.scratch = getRegionScratch(nreg)
-		if err = h.Regions(b.state, b.buf, b.count, *b.scratch); err == nil {
-			b.tail = *fabric.NewIov(*b.scratch)
+		if err = h.Regions(b.state, b.buf, b.count, b.scratch.regions); err == nil {
+			b.tail = fabric.MakeIov(b.scratch.regions, b.scratch.cum)
 		}
 	}
 	switch tail := b.tail.Size(); {
@@ -419,6 +419,17 @@ func (b *binding) Window(off, n int64) ([]byte, bool) {
 	return b.tail.Window(off-b.head, n)
 }
 
+// RegionTail hands the tail to a transfer that walks it with a cursor of
+// its own rather than through Window, region by region — and, like
+// Window, only once off has reached the head's end: an inorder receive's
+// regions are asked for then, after its head was unpacked.
+func (b *binding) RegionTail(off int64) (int64, *fabric.Iov) {
+	if off < b.head || b.resolve() != nil {
+		return b.head, nil
+	}
+	return b.head, &b.tail
+}
+
 // Sequential implements fabric.SequentialSink: the inorder contract, and
 // what makes resolving the tail late sound.
 func (b *binding) Sequential() bool { return b.d.inorder }
@@ -426,6 +437,7 @@ func (b *binding) Sequential() bool { return b.d.inorder }
 // Finish gives the region scratch back and frees the handler's state.
 func (b *binding) Finish() error {
 	if b.scratch != nil {
+		b.tail = fabric.Iov{}
 		putRegionScratch(b.scratch)
 		b.scratch = nil
 	}

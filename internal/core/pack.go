@@ -8,30 +8,36 @@ import (
 	"mpicd/internal/ucp"
 )
 
-// regionScratch recycles the region slices bindings hand to
-// handler.Regions, keeping the datatype hot path free of a per-operation
-// slice. Slices are cleared before being pooled so no application memory
+// regionScratch is what a binding's region tail is built in: the slice
+// handler.Regions fills and the Iov's offset index over it. Both are
+// pooled, so a message allocates neither whatever its region count; the
+// regions are cleared before the pair is pooled so no application memory
 // is retained.
-var regionScratch = sync.Pool{New: func() any { return new([][]byte) }}
-
-// getRegionScratch returns a pooled region slice of length n.
-func getRegionScratch(n Count) *[][]byte {
-	sp := regionScratch.Get().(*[][]byte)
-	if int64(cap(*sp)) < n {
-		*sp = make([][]byte, n)
-	}
-	*sp = (*sp)[:n]
-	return sp
+type regionScratch struct {
+	regions [][]byte
+	cum     []int64 // len(regions)+1 entries: fabric.MakeIov's index
 }
 
-// putRegionScratch drops region references and recycles the slice.
-func putRegionScratch(sp *[][]byte) {
-	s := *sp
-	for i := range s {
-		s[i] = nil
+var regionScratchPool = sync.Pool{New: func() any { return new(regionScratch) }}
+
+// getRegionScratch returns pooled scratch for n regions.
+func getRegionScratch(n Count) *regionScratch {
+	s := regionScratchPool.Get().(*regionScratch)
+	if int64(cap(s.regions)) < n {
+		s.regions = make([][]byte, n)
 	}
-	*sp = s[:0]
-	regionScratch.Put(sp)
+	if int64(cap(s.cum)) < n+1 {
+		s.cum = make([]int64, n+1)
+	}
+	s.regions, s.cum = s.regions[:n], s.cum[:n+1]
+	return s
+}
+
+// putRegionScratch drops region references and recycles the scratch.
+func putRegionScratch(s *regionScratch) {
+	clear(s.regions)
+	s.regions = s.regions[:0]
+	regionScratchPool.Put(s)
 }
 
 // PackedSize returns the packed byte size of count elements of dt at buf

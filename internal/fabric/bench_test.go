@@ -38,6 +38,8 @@ func BenchmarkInprocSendRecv(b *testing.B) {
 	}
 }
 
+// benchGet times a Get of n bytes from src into sink and, where the source
+// is a region list, what one of its regions costs.
 func benchGet(b *testing.B, src Source, sink Sink, n int64) {
 	f := NewInproc(2, Config{})
 	defer f.Close()
@@ -49,6 +51,19 @@ func benchGet(b *testing.B, src Source, sink Sink, n int64) {
 			b.Fatal(err)
 		}
 	}
+	if rc, ok := src.(RegionCounter); ok && rc.NumRegions() > 1 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rc.NumRegions()), "ns/region")
+	}
+}
+
+// tinyRegions is count regions of size bytes each, apart in memory.
+func tinyRegions(count, size int) *Iov {
+	mem := make([]byte, 2*count*size)
+	regions := make([][]byte, count)
+	for i := range regions {
+		regions[i] = mem[2*i*size : (2*i+1)*size]
+	}
+	return NewIov(regions)
 }
 
 func BenchmarkGetDirectToDirect(b *testing.B) {
@@ -73,6 +88,20 @@ func BenchmarkGetManyTinyRegions(b *testing.B) {
 		regions[i] = make([]byte, 8)
 	}
 	benchGet(b, NewIov(regions), Bytes(make([]byte, n)), n)
+}
+
+// BenchmarkGetManyTinyRegionsIov is the same shape on both ends: region
+// list to region list, as a custom-regions receive of NAS_MG_x lands.
+func BenchmarkGetManyTinyRegionsIov(b *testing.B) {
+	const n = 1 << 17
+	benchGet(b, tinyRegions(n/8, 8), tinyRegions(n/8, 8), n)
+}
+
+// BenchmarkGetNASLUyShape is NAS_LU_y's face at scale 2 on both ends:
+// 1 024 runs of 40 bytes.
+func BenchmarkGetNASLUyShape(b *testing.B) {
+	const count, size = 1024, 40
+	benchGet(b, tinyRegions(count, size), tinyRegions(count, size), count*size)
 }
 
 func BenchmarkGetGenericBounce(b *testing.B) {

@@ -146,16 +146,16 @@ func (r *cmaReg) release() {
 // listed like a region. nil: not a source a peer can read in place, and
 // nothing of it was packed.
 func (s *SHM) export(src Source) *cmaReg {
-	ds, ok := src.(DirectSource)
 	size := src.Size()
-	if !ok || size <= 0 || s.cmaOff.Load() {
+	sw := walk(src, 0)
+	if !sw.direct() || size <= 0 || s.cmaOff.Load() {
 		return nil
 	}
 	r := &cmaReg{src: src}
 	lp := iovPool.Get().(*[]iovec)
 	list, off := (*lp)[:0], int64(0)
 	for off < size {
-		if w, ok := ds.Window(off, size-off); ok && len(w) > 0 {
+		if w := sw.window(off, size-off); len(w) > 0 {
 			if len(list) == cmaMaxRegions {
 				break
 			}
@@ -451,8 +451,10 @@ func (s *SHM) cmaGet(from int, key uint64, off int64, sink Sink, sinkOff, size i
 // the sink's own windows are filled in place, and a range without one (a
 // packed head on the receive side) goes through a pooled bounce buffer
 // into WriteAt, a step at a time, once everything before it has landed.
+// A step stops where the sink's region tail begins, so no tail byte is
+// copied twice.
 func (s *SHM) cmaLand(p *cmaPull, locp *[]iovec, sink Sink, sinkOff, size int64) error {
-	dk, _ := sink.(DirectSink)
+	kw := walk(sink, sinkOff)
 	loc := (*locp)[:0]
 	var bounce *Packet
 	defer func() {
@@ -462,12 +464,7 @@ func (s *SHM) cmaLand(p *cmaPull, locp *[]iovec, sink Sink, sinkOff, size int64)
 		}
 	}()
 	for size > 0 {
-		var w []byte
-		if dk != nil {
-			if v, ok := dk.Window(sinkOff, size); ok {
-				w = v
-			}
-		}
+		w := kw.window(sinkOff, size)
 		if len(w) > 0 {
 			loc = append(loc, iovOf(w))
 			sinkOff, size = sinkOff+int64(len(w)), size-int64(len(w))
@@ -484,7 +481,11 @@ func (s *SHM) cmaLand(p *cmaPull, locp *[]iovec, sink Sink, sinkOff, size int64)
 		if bounce == nil {
 			bounce = s.pool.get(cmaBounce)
 		}
-		b := bounce.Payload[:min(size, cmaBounce)]
+		step := min(size, cmaBounce)
+		if head := kw.headLeft(sinkOff); head > 0 {
+			step = min(step, head)
+		}
+		b := bounce.Payload[:step]
 		if err := p.into(append(loc, iovOf(b))); err != nil {
 			return err
 		}

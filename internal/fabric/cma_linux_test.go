@@ -101,12 +101,39 @@ func (h *headTail) Window(off, n int64) ([]byte, bool) {
 	return h.tail.Window(off-int64(len(h.head)), n)
 }
 
+// walkedHeadTail is headTail handing its tail over to the walk, as a
+// datatype binding does, and counting the bytes that reach it through
+// WriteAt.
+type walkedHeadTail struct {
+	*headTail
+	written int64
+}
+
+func (w *walkedHeadTail) RegionTail(off int64) (int64, *Iov) {
+	base := int64(len(w.head))
+	if off < base {
+		return base, nil
+	}
+	if w.sink && w.in < len(w.head) {
+		w.t.Errorf("tail handed over at %d with %d of %d head bytes in", off, w.in, len(w.head))
+	}
+	return base, w.tail
+}
+
+func (w *walkedHeadTail) WriteAt(src []byte, off int64) (int, error) {
+	w.written += int64(len(src))
+	return w.headTail.WriteAt(src, off)
+}
+
 func TestCMAGetShapes(t *testing.T) {
 	const n = 1 << 20
 	data := randBytes(n, 1)
 	iov := func(b []byte, lens ...int) *Iov { return NewIov(carve(b, lens...)) }
 	mixed := func(b []byte, head int, sink bool, lens ...int) *headTail {
 		return &headTail{t: t, head: b[:head:head], tail: iov(b[head:], lens...), sink: sink}
+	}
+	walked := func(b []byte, head int, sink bool, lens ...int) *walkedHeadTail {
+		return &walkedHeadTail{headTail: mixed(b, head, sink, lens...)}
 	}
 	cases := []struct {
 		name       string
@@ -124,6 +151,9 @@ func TestCMAGetShapes(t *testing.T) {
 		{"long-head", func(b []byte) Source { return mixed(b, 40000, false, 8192) }, func(b []byte) Sink { return mixed(b, 40000, true, 4096) }, 0, 0},
 		{"head-to-bytes", func(b []byte) Source { return mixed(b, 100, false, 1000) }, func(b []byte) Sink { return Bytes(b) }, 0, 0},
 		{"bytes-to-head", func(b []byte) Source { return Bytes(b) }, func(b []byte) Sink { return mixed(b, 70000, true, 1000) }, 0, 0},
+		{"walked-head+regions", func(b []byte) Source { return walked(b, 2052, false, 8192) }, func(b []byte) Sink { return walked(b, 2052, true, 300, 17) }, 0, 0},
+		{"walked-long-head", func(b []byte) Source { return walked(b, 40000, false, 8192) }, func(b []byte) Sink { return walked(b, 70000, true, 4096) }, 0, 0},
+		{"walked-sub-range", func(b []byte) Source { return walked(b, 64, false, 4096) }, func(b []byte) Sink { return walked(b, 40, false, 1000) }, 60, 1000},
 		{"sub-range", func(b []byte) Source { return iov(b, 8192) }, func(b []byte) Sink { return iov(b, 5000) }, 123457, 400001},
 		{"sub-range-small", func(b []byte) Source { return mixed(b, 64, false, 4096) }, func(b []byte) Sink { return Bytes(b) }, 60, 1000},
 	}
@@ -165,6 +195,30 @@ func TestCMAGetShapes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// An in-place receive bounces only the sink's head: a step without a
+// window stops where the sink's region tail begins, so the tail bytes are
+// read into its regions once and never pass through WriteAt.
+func TestCMALandBouncesOnlyTheHead(t *testing.T) {
+	nics := cmaMesh(t, 2, Config{})
+	data := randBytes(256<<10, 3)
+	key := nics[0].Register(NewIov(carve(bytes.Clone(data), 8192)))
+	defer nics[0].Deregister(key)
+	for _, head := range []int{1, 2052, cmaBounce - 1, cmaBounce + 7} {
+		out := make([]byte, len(data))
+		sink := &walkedHeadTail{headTail: &headTail{t: t, head: out[:head:head], tail: NewIov(carve(out[head:], 4096, 13)), sink: true}}
+		before := nics[1].cmaPulls.Load()
+		if err := nics[1].Get(0, key, 0, sink, 0, int64(len(out))); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, data) || nics[1].cmaPulls.Load() != before+1 {
+			t.Fatalf("head %d: equal=%v, in-place pulls %d", head, bytes.Equal(out, data), nics[1].cmaPulls.Load()-before)
+		}
+		if sink.written != int64(head) {
+			t.Fatalf("head %d: %d bytes went through WriteAt, want the head's %d", head, sink.written, head)
+		}
 	}
 }
 

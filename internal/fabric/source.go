@@ -114,7 +114,8 @@ func (b Bytes) Window(off, n int64) ([]byte, bool) {
 //
 // The region table and cumulative-offset index are immutable after
 // construction, so ReadAt/WriteAt/Window are safe to call concurrently
-// at disjoint offsets — the property striped rendezvous pulls rely on.
+// at disjoint offsets — the property striped rendezvous pulls rely on. A
+// caller walking the list keeps its position itself (see walker).
 type Iov struct {
 	regions [][]byte
 	// cum[i] is the virtual offset of regions[i]; cum[len(regions)] is the
@@ -125,11 +126,22 @@ type Iov struct {
 // NewIov builds an Iov over the given regions. The region slices are
 // retained, not copied.
 func NewIov(regions [][]byte) *Iov {
-	cum := make([]int64, len(regions)+1)
+	v := MakeIov(regions, make([]int64, len(regions)+1))
+	return &v
+}
+
+// MakeIov is NewIov building the offset index in cum, which must hold
+// len(regions)+1 entries: a caller that pools its region lists pools the
+// index beside them and keeps the Iov by value. Both are retained.
+func MakeIov(regions [][]byte, cum []int64) Iov {
+	cum = cum[:len(regions)+1]
+	cum[0] = 0
+	var at int64 // summed here, not reloaded from cum: no store-to-load chain
 	for i, r := range regions {
-		cum[i+1] = cum[i] + int64(len(r))
+		at += int64(len(r))
+		cum[i+1] = at
 	}
-	return &Iov{regions: regions, cum: cum}
+	return Iov{regions: regions, cum: cum}
 }
 
 // Regions returns the underlying region list.
@@ -152,16 +164,15 @@ func (v *Iov) locate(off int64) int {
 	return sort.Search(len(v.regions), func(i int) bool { return v.cum[i+1] > off })
 }
 
-// ReadAt implements Source, gathering across region boundaries.
+// ReadAt implements Source, gathering across region boundaries: one
+// search for the first region, then the following ones in turn.
 func (v *Iov) ReadAt(dst []byte, off int64) (int, error) {
 	if off < 0 || off > v.Size() {
 		return 0, fmt.Errorf("fabric: Iov.ReadAt offset %d out of range [0,%d]", off, v.Size())
 	}
 	total := 0
-	for len(dst) > 0 && off < v.Size() {
-		i := v.locate(off)
-		r := v.regions[i][off-v.cum[i]:]
-		n := copy(dst, r)
+	for i := v.locate(off); len(dst) > 0 && i < len(v.regions); i++ {
+		n := copy(dst, v.regions[i][off-v.cum[i]:])
 		dst = dst[n:]
 		off += int64(n)
 		total += n
@@ -172,16 +183,15 @@ func (v *Iov) ReadAt(dst []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// WriteAt implements Sink, scattering across region boundaries.
+// WriteAt implements Sink, scattering across region boundaries like
+// ReadAt gathers.
 func (v *Iov) WriteAt(src []byte, off int64) (int, error) {
 	if off < 0 || off > v.Size() {
 		return 0, fmt.Errorf("fabric: Iov.WriteAt offset %d out of range [0,%d]", off, v.Size())
 	}
 	total := 0
-	for len(src) > 0 && off < v.Size() {
-		i := v.locate(off)
-		r := v.regions[i][off-v.cum[i]:]
-		n := copy(r, src)
+	for i := v.locate(off); len(src) > 0 && i < len(v.regions); i++ {
+		n := copy(v.regions[i][off-v.cum[i]:], src)
 		src = src[n:]
 		off += int64(n)
 		total += n
@@ -195,14 +205,30 @@ func (v *Iov) WriteAt(src []byte, off int64) (int, error) {
 // Window implements DirectSource and DirectSink: it exposes the maximal
 // contiguous view inside one region.
 func (v *Iov) Window(off, n int64) ([]byte, bool) {
-	if off < 0 || off > v.Size() {
-		return nil, false
-	}
-	if off == v.Size() {
-		return nil, true
-	}
 	i := v.locate(off)
-	r := v.regions[i][off-v.cum[i]:]
+	return v.at(&i, off, n)
+}
+
+// at is Window for a caller walking the list forward: *i is the region
+// its previous view came from (or where locate put it), and the region
+// holding off is found by stepping on from there, not by a search.
+func (v *Iov) at(i *int, off, n int64) ([]byte, bool) {
+	j := *i
+	if j >= len(v.regions) || off < v.cum[j] {
+		// The end, or a step back: not a walk.
+		if off < 0 || off > v.Size() {
+			return nil, false
+		}
+		j = v.locate(off)
+	}
+	for j < len(v.regions) && v.cum[j+1] <= off {
+		j++ // past the region, and any empty ones after it
+	}
+	*i = j
+	if j == len(v.regions) {
+		return nil, off == v.Size()
+	}
+	r := v.regions[j][off-v.cum[j]:]
 	if int64(len(r)) > n {
 		r = r[:n]
 	}

@@ -149,6 +149,75 @@ func TestIovWindowWalk(t *testing.T) {
 	}
 }
 
+// TestIovCursorMatchesWindow: a cursor answers what Window answers at every
+// offset, walking forward one offset at a time, jumping ahead, stepping
+// back, at the end and past it, and over an empty list.
+func TestIovCursorMatchesWindow(t *testing.T) {
+	v, _ := makeIov(t, 0, 8, 1, 0, 0, 9, 2, 0)
+	check := func(i *int, off int64) {
+		t.Helper()
+		want, wantOK := v.Window(off, 5)
+		got, ok := v.at(i, off, 5)
+		if ok != wantOK || len(got) != len(want) || len(got) > 0 && &got[0] != &want[0] {
+			t.Fatalf("at(%d) = %d bytes, %v; Window: %d bytes, %v", off, len(got), ok, len(want), wantOK)
+		}
+	}
+	i := v.locate(0)
+	for off := int64(0); off <= v.Size()+1; off++ {
+		check(&i, off)
+	}
+	for _, off := range []int64{3, 19, 8, 0, 20, 9, -1, 12, 21, 1} {
+		check(&i, off)
+	}
+	var empty Iov
+	j := empty.locate(0)
+	if w, ok := empty.at(&j, 0, 5); ok != true || len(w) != 0 {
+		t.Fatalf("empty Iov at 0 = %d bytes, %v; want none, true", len(w), ok)
+	}
+	if _, ok := empty.at(&j, 1, 5); ok {
+		t.Fatal("empty Iov at 1 answered")
+	}
+}
+
+// Property: pull between two region lists split independently — empty
+// regions included — moves any sub-range exactly, for any bounce size, and
+// a source that ends early is a short transfer.
+func TestPullIovToIovProperty(t *testing.T) {
+	split := func(rng *rand.Rand, b []byte) *Iov {
+		var regions [][]byte
+		for len(b) > 0 {
+			n := min(rng.Intn(24), len(b))
+			regions = append(regions, b[:n:n])
+			b = b[n:]
+		}
+		return NewIov(append(regions, nil))
+	}
+	f := func(n uint16, from, count uint16, bounceSize uint8, seed int64) bool {
+		size := int(n)%3000 + 1
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, size)
+		rng.Read(data)
+		out := make([]byte, size)
+		off := int64(from) % int64(size)
+		cnt := int64(count)%(int64(size)-off) + 1
+		var bounce []byte
+		if bounceSize%2 == 1 {
+			bounce = make([]byte, int(bounceSize)%97+1)
+		}
+		if err := pull(split(rng, data), off, split(rng, out), off, cnt, bounce); err != nil {
+			return false
+		}
+		if !bytes.Equal(out[off:off+cnt], data[off:off+cnt]) || !bytes.Equal(out[:off], make([]byte, off)) ||
+			!bytes.Equal(out[off+cnt:], make([]byte, int64(size)-off-cnt)) {
+			return false
+		}
+		return pull(split(rng, data), off, split(rng, make([]byte, size+8)), off, int64(size)+8-off, bounce) == ErrShortTransfer
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // nonDirectSource wraps a Bytes to hide its direct window, forcing the
 // generic (ReadAt) path.
 type nonDirectSource struct{ b Bytes }

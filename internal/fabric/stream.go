@@ -854,12 +854,12 @@ func (s *stream) SendFrom(to int, hdr Header, src Source, off, size int64) (int6
 	}
 	// If the source exposes direct windows, gather them straight into the
 	// socket; otherwise pack into a staging buffer first.
-	if ds, ok := src.(DirectSource); ok {
+	if sw := walk(src, off); sw.direct() {
 		bufs := make([][]byte, 0, 8)
 		at, left := off, size
 		for left > 0 {
-			w, ok := ds.Window(at, left)
-			if !ok || len(w) == 0 {
+			w := sw.window(at, left)
+			if len(w) == 0 {
 				bufs = nil
 				break
 			}
