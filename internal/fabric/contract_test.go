@@ -1,6 +1,9 @@
 package fabric
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // Every provider and wrapper implements the whole NIC contract,
 // Membership included.
@@ -55,6 +58,31 @@ func TestFaultPlanLink(t *testing.T) {
 	fn.DisableRule(fn.AddRule(FaultRule{Peer: -1, Action: Drop, Prob: 1}))
 	if !fn.Link().Lossless {
 		t.Error("a disabled drop rule made the link lossy")
+	}
+}
+
+// TestHandoffContract: the in-process provider takes a consumer's Handoff
+// and a fault wrapper passes it on by embedding, so a packet for an idle
+// fault-wrapped consumer is handled before its Send returns; the
+// byte-stream providers, TCP and SHM, decline it.
+func TestHandoffContract(t *testing.T) {
+	f := NewInproc(2, Config{})
+	defer f.Close()
+	var s handoffSink
+	if !WrapFault(f.NIC(1), FaultPlan{}).Handoff(&s.mu, s.handle) {
+		t.Fatal("a fault wrapper declined the Handoff its provider takes")
+	}
+	if err := f.NIC(0).Send(1, Header{MsgID: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if s.handled() != 1 {
+		t.Fatal("a packet for an idle fault-wrapped consumer was not handed over")
+	}
+	var mu sync.Mutex
+	for name, nic := range map[string]NIC{"TCP": &TCP{}, "SHM": &SHM{}} {
+		if nic.Handoff(&mu, s.handle) {
+			t.Errorf("%s took a Handoff", name)
+		}
 	}
 }
 

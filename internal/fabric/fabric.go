@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 	"testing"
 	"time"
 
@@ -72,10 +73,11 @@ const headerWireSize = 1 + 1 + 8 + 8 + 8 + 8 + 8 + 8
 // is valid only until Release is called; receivers must copy out (or consume
 // through a Sink) before releasing.
 //
-// A packet has a single consumer: whoever Recv handed it to, or whoever
-// that consumer passed it on to. Release recycles the Packet together
-// with its wire buffer, so the consumer calls it exactly once and does not
-// touch the packet — header included — afterwards.
+// A packet has a single consumer at a time: whoever Recv (or a Handoff
+// handler) handed it to, or whoever that consumer passed it on to. Release
+// recycles the Packet together with its wire buffer, so the consumer calls
+// it exactly once and does not touch the packet — header included —
+// afterwards.
 type Packet struct {
 	From    int
 	Hdr     Header
@@ -138,6 +140,22 @@ type NIC interface {
 
 	// Recv blocks for the next inbound packet. ok is false after Close.
 	Recv() (pkt *Packet, ok bool)
+
+	// Handoff offers the provider the consumer's per-packet handler and
+	// the progress lock mu the consumer runs it under for every packet
+	// Recv returns, and reports whether the provider takes the offer. One
+	// that does may instead run handle itself, holding mu, on the
+	// goroutine of another rank's Send: only when it wins mu with TryLock
+	// and no earlier packet for this NIC is queued or still in the
+	// consumer's hands (returned by Recv, the consumer not yet back for
+	// the next), so packets from one sender keep their order. A packet
+	// for a closed NIC is released there, under mu, and a self-send always
+	// queues. So handle runs on foreign goroutines, one at a time, and
+	// must not send synchronously: that Send could run the handler of the
+	// rank whose Send is below it on the stack, while that rank's caller
+	// holds its locks. Wrappers inherit it by embedding; one that changes
+	// what Recv returns says no itself.
+	Handoff(mu *sync.Mutex, handle func(*Packet)) bool
 
 	// Register exposes src for remote Get operations and returns its key.
 	Register(src Source) uint64

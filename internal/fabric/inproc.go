@@ -77,6 +77,15 @@ type inprocNIC struct {
 	inbox chan *Packet
 	done  chan struct{}
 
+	// The consumer's Handoff, and what keeps a packet handed over from
+	// passing one sent through the inbox: queued counts the packets sent
+	// through it that the consumer is not done with — queued, or the last
+	// one Recv returned (inHand, the consumer's own) until the consumer
+	// comes back for the next.
+	consumer atomic.Pointer[consumer]
+	queued   atomic.Int64
+	inHand   bool
+
 	// held implements deterministic adjacent-swap reordering of
 	// FlagUnordered packets when cfg.OutOfOrder is set.
 	held     *Packet
@@ -84,6 +93,12 @@ type inprocNIC struct {
 	rng      *rand.Rand
 	sendMu   sync.Mutex
 	closeOne sync.Once
+}
+
+// consumer is what Handoff was given: the handler and the lock it runs under.
+type consumer struct {
+	mu     *sync.Mutex
+	handle func(*Packet)
 }
 
 func (n *inprocNIC) Rank() int      { return n.rank }
@@ -128,11 +143,11 @@ func (n *inprocNIC) SendFrom(to int, hdr Header, src Source, off, size int64) (i
 	return int64(got), n.deliver(to, hdr, pkt)
 }
 
-// deliver enqueues the packet, applying the out-of-order shuffle when
-// enabled. Only packets flagged FlagUnordered may be swapped with the
-// immediately following packet to the same destination; an ordered packet
-// always flushes any held packet first, so transports that mark their final
-// fragment ordered get a bounded reorder window.
+// deliver hands the packet over (enqueue), applying the out-of-order
+// shuffle when enabled. Only packets flagged FlagUnordered may be swapped
+// with the immediately following packet to the same destination; an
+// ordered packet always flushes any held packet first, so transports that
+// mark their final fragment ordered get a bounded reorder window.
 func (n *inprocNIC) deliver(to int, hdr Header, pkt *Packet) error {
 	if to < 0 || to >= len(n.fab.nics) {
 		pkt.Release()
@@ -169,17 +184,25 @@ func (n *inprocNIC) deliver(to int, hdr Header, pkt *Packet) error {
 	return n.enqueue(to, pkt)
 }
 
-// enqueue and Recv try the inbox without blocking first: a queue with
-// room (or with a packet waiting) is the steady state, and a one-case
-// select with a default is a plain channel operation, not a selectgo.
+// enqueue gives the packet to an idle consumer on this goroutine
+// (handOff), else queues it. enqueue and Recv try the inbox without
+// blocking first: a queue with room (or with a packet waiting) is the
+// steady state, and a one-case select with a default is a plain channel
+// operation, not a selectgo.
 func (n *inprocNIC) enqueue(to int, pkt *Packet) error {
 	peer := n.fab.nics[to]
+	if to != n.rank {
+		if took, err := peer.handOff(pkt); took {
+			return err
+		}
+	}
 	select {
 	case <-peer.done:
 		pkt.Release()
 		return ErrClosed
 	default:
 	}
+	peer.queued.Add(1)
 	select {
 	case peer.inbox <- pkt:
 		return nil
@@ -194,7 +217,19 @@ func (n *inprocNIC) enqueue(to int, pkt *Packet) error {
 	}
 }
 
+// Recv counts the consumer done with the packet it returned last: the
+// consumer is back for the next.
 func (n *inprocNIC) Recv() (*Packet, bool) {
+	if n.inHand {
+		n.inHand = false
+		n.queued.Add(-1)
+	}
+	pkt, ok := n.next()
+	n.inHand = ok
+	return pkt, ok
+}
+
+func (n *inprocNIC) next() (*Packet, bool) {
 	select {
 	case pkt := <-n.inbox:
 		return pkt, true
@@ -212,6 +247,35 @@ func (n *inprocNIC) Recv() (*Packet, bool) {
 			return nil, false
 		}
 	}
+}
+
+// Handoff is taken: a sender that finds the consumer idle runs its handler
+// (handOff) instead of waking it through the inbox.
+func (n *inprocNIC) Handoff(mu *sync.Mutex, handle func(*Packet)) bool {
+	n.consumer.Store(&consumer{mu: mu, handle: handle})
+	return true
+}
+
+// handOff runs pkt through the consumer's handler on the calling goroutine
+// if the consumer is idle: nothing sent through the inbox is still queued
+// or in its hands, and its lock is free. It reports whether it took the
+// packet. The closed check is made under the lock, which the consumer's
+// sweep at close holds too, so a packet handled here is in place before
+// the sweep, or is given back with ErrClosed.
+func (n *inprocNIC) handOff(pkt *Packet) (bool, error) {
+	c := n.consumer.Load()
+	if c == nil || n.queued.Load() != 0 || !c.mu.TryLock() {
+		return false, nil
+	}
+	defer c.mu.Unlock()
+	select {
+	case <-n.done:
+		pkt.Release()
+		return true, ErrClosed
+	default:
+	}
+	c.handle(pkt)
+	return true, nil
 }
 
 func (n *inprocNIC) Register(src Source) uint64 {

@@ -2,9 +2,175 @@ package fabric
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 )
+
+// handoffSink is a consumer shaped like ucp's worker: one handler, run
+// under one progress lock, by its own loop (consume) or by a sender the
+// NIC hands a packet to. Its fields are guarded by mu.
+type handoffSink struct {
+	mu     sync.Mutex
+	inLoop bool     // the consumer's loop is the one handling
+	ids    []uint64 // MsgIDs, in the order handled
+	looped []bool   // per handled packet: by the loop, not by a sender
+}
+
+func (s *handoffSink) handle(p *Packet) {
+	s.ids = append(s.ids, p.Hdr.MsgID)
+	s.looped = append(s.looped, s.inLoop)
+	p.Release()
+}
+
+// handled returns how many packets have been handled so far.
+func (s *handoffSink) handled() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.ids)
+}
+
+// consume offers the sink to nic and runs its loop until the NIC closes:
+// Recv, then, under mu, hold (if set) and the handler. It yields before
+// each Recv, so a sender gets to run between two packets the loop handles.
+func (s *handoffSink) consume(t *testing.T, nic NIC, hold func(*Packet)) <-chan struct{} {
+	t.Helper()
+	if !nic.Handoff(&s.mu, s.handle) {
+		t.Fatal("the in-process NIC declined a Handoff")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			runtime.Gosched()
+			pkt, ok := nic.Recv()
+			if !ok {
+				return
+			}
+			s.mu.Lock()
+			if hold != nil {
+				hold(pkt)
+			}
+			s.inLoop = true
+			s.handle(pkt)
+			s.inLoop = false
+			s.mu.Unlock()
+		}
+	}()
+	return done
+}
+
+// TestInprocHandoffKeepsSenderOrder: one sender's packets are handled in
+// the order sent while delivery moves from the sender's goroutine to the
+// consumer's loop and back. Packets to an idle consumer are handed over; one
+// that finds the progress lock taken queues, and the loop parks in its
+// handler while the sender keeps sending, so those queue behind it; while
+// the loop drains, the sender yields after every send and must still queue;
+// once the loop is back in Recv, packets are handed over again.
+func TestInprocHandoffKeepsSenderOrder(t *testing.T) {
+	const idle, parked, racing, after = 50, 50, 100, 10
+	const total = idle + parked + racing
+	f := NewInproc(2, Config{})
+	var s handoffSink
+	entered, release := make(chan struct{}), make(chan struct{})
+	done := s.consume(t, f.NIC(1), func(p *Packet) {
+		if p.Hdr.MsgID == idle {
+			close(entered)
+			<-release
+		}
+	})
+	send := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := f.NIC(0).Send(1, Header{MsgID: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.Gosched()
+		}
+	}
+	send(0, idle)
+	s.mu.Lock() // as if another sender's packet were being handled
+	send(idle, idle+1)
+	s.mu.Unlock()
+	<-entered
+	send(idle+1, idle+parked)
+	close(release)
+	send(idle+parked, total)
+	for s.handled() < total {
+		runtime.Gosched()
+	}
+	for f.nics[1].queued.Load() != 0 { // the loop is back in Recv
+		runtime.Gosched()
+	}
+	send(total, total+after)
+	f.Close()
+	<-done
+
+	if len(s.ids) != total+after {
+		t.Fatalf("%d packets handled, want %d", len(s.ids), total+after)
+	}
+	for i, id := range s.ids {
+		if id != uint64(i) {
+			t.Fatalf("packet %d handled at position %d: order lost (%v)", id, i, s.ids)
+		}
+	}
+	for i, looped := range s.looped {
+		want := i >= idle && i < idle+parked
+		if i >= idle+parked && i < total {
+			continue // either, as long as in order
+		}
+		if looped != want {
+			t.Errorf("packet %d handled by the loop: %v, want %v", i, looped, want)
+		}
+	}
+	if n := f.PoolOutstanding(); n != 0 {
+		t.Fatalf("%d wire packets never released", n)
+	}
+}
+
+// TestInprocHandoffSkipsSelfSends: a packet a NIC sends itself queues even
+// for an idle consumer — run inline, its handler would be on the stack of
+// the very call that sent it — while one from a peer is handed over.
+func TestInprocHandoffSkipsSelfSends(t *testing.T) {
+	f := NewInproc(2, Config{})
+	var s handoffSink
+	done := s.consume(t, f.NIC(0), nil)
+	if err := f.NIC(1).Send(0, Header{MsgID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if s.handled() != 1 {
+		t.Fatal("a packet for an idle consumer was not handled before its Send returned")
+	}
+	if err := f.NIC(0).Send(0, Header{MsgID: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for s.handled() < 2 {
+		runtime.Gosched()
+	}
+	f.Close()
+	<-done
+	if s.looped[0] || !s.looped[1] {
+		t.Fatalf("handled by the loop: peer's %v, self-send's %v; want false, true", s.looped[0], s.looped[1])
+	}
+}
+
+// TestInprocHandoffAfterClose: a packet for a closed NIC is given back with
+// ErrClosed, never handed to its consumer.
+func TestInprocHandoffAfterClose(t *testing.T) {
+	f := NewInproc(2, Config{})
+	var s handoffSink
+	f.NIC(1).Handoff(&s.mu, s.handle)
+	f.NIC(1).Close()
+	if err := f.NIC(0).Send(1, Header{MsgID: 1}, []byte("late")); err != ErrClosed {
+		t.Fatalf("Send to a closed NIC = %v, want ErrClosed", err)
+	}
+	if s.handled() != 0 {
+		t.Fatal("a packet for a closed NIC reached its consumer")
+	}
+	if n := f.PoolOutstanding(); n != 0 {
+		t.Fatalf("%d wire packets never released", n)
+	}
+}
 
 func TestInprocSendRecv(t *testing.T) {
 	f := NewInproc(2, Config{})

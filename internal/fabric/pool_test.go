@@ -36,6 +36,9 @@ func TestBufPoolRecyclesOversized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement")
 	}
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops Puts at random: the count is noise")
+	}
 	p := newBufPool(16 * 1024)
 	for _, n := range []int{0, 16 * 1024, 100 * 1024, MaxFragSize} {
 		avg := testing.AllocsPerRun(50, func() {

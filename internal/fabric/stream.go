@@ -977,6 +977,10 @@ func (s *stream) Recv() (*Packet, bool) {
 	}
 }
 
+// Handoff is declined: frames arrive on read goroutines that must keep
+// reading, and the SHM provider's Recv drains its rings itself.
+func (s *stream) Handoff(*sync.Mutex, func(*Packet)) bool { return false }
+
 // deliver pushes a packet into the inbox (used by the read loops and by
 // the SHM provider's in-band ring markers). It reports false when the
 // provider shut down before delivery.

@@ -84,7 +84,7 @@ func (w *Worker) sentFrame(dst int) {
 }
 
 // tookFrame counts a data frame the progress loop took in from a peer and
-// answers the peer's bye once the count reaches it. Progress loop only.
+// answers the peer's bye once the count reaches it. Under w.progress.
 func (w *Worker) tookFrame(from int) {
 	d := w.drain
 	if from < 0 || from >= len(d.taken) {

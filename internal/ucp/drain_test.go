@@ -2,6 +2,7 @@ package ucp
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,6 +24,9 @@ func (c *crossProcess) Link() fabric.Link {
 	l.CrossProcess = true
 	return l
 }
+
+// Handoff is declined: every packet goes through Recv, where held can stop it.
+func (c *crossProcess) Handoff(*sync.Mutex, func(*fabric.Packet)) bool { return false }
 
 func (c *crossProcess) Recv() (*fabric.Packet, bool) {
 	if c.held != nil {

@@ -141,7 +141,7 @@ func (w *Worker) livenessTick() {
 	}
 }
 
-// seen stamps a packet's sender as heard from, on the progress loop.
+// seen stamps a packet's sender as heard from, as the packet is delivered.
 func (l *liveness) seen(from int) {
 	if from >= 0 && from < len(l.lastSeen) {
 		l.lastSeen[from].Store(l.coarse.Load())

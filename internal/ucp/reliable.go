@@ -387,8 +387,10 @@ func (w *Worker) sendAck(to int, id uint64, status int64) {
 }
 
 // queueAnswer hands a reply to the ack pump, starting the pump on the first
-// one. Answers are queued, not sent inline: every call site runs on the
-// progress goroutine, and a wire send can block on transport backpressure
+// one. Answers are queued, not sent inline: the call sites deliver packets
+// under the progress lock — on the progress goroutine, or on an in-process
+// sender's (fabric.NIC.Handoff), where a Send would nest another rank's
+// handler — and a wire send can block on transport backpressure
 // (a full shared-memory ring, a full socket buffer). A blocked progress
 // loop stops draining the inbox, which stalls the provider's inbound
 // path, which keeps the peer's channel to this rank full — at scale

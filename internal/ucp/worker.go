@@ -60,6 +60,11 @@ type Worker struct {
 	onPeerFail []func(rank int) // failure callbacks, invoked outside mu
 	poison     []poisonRule     // standing receive-post rejections, guarded by mu
 
+	// progress is held while a wire packet is delivered (see deliver), and
+	// while drainOnClose runs: one packet at a time, whichever goroutine
+	// delivers it.
+	progress sync.Mutex
+
 	quit    chan struct{} // closed by Close: stops the janitor, fails every Get not yet begun
 	nextMsg atomic.Uint64
 	wg      sync.WaitGroup
@@ -185,8 +190,10 @@ func newUnex(in inbound) *unexMsg {
 }
 
 // NewWorker attaches a transport worker to a NIC and starts its progress
-// goroutine. The eager fragment size, fragment checksums, the message-id
-// base (the incarnation's Epoch << 40) and the observer come from
+// goroutine; a NIC that takes the worker's Handoff may also deliver a
+// packet on its sender's goroutine while the worker is idle. The eager
+// fragment size, fragment checksums, the message-id base (the
+// incarnation's Epoch << 40) and the observer come from
 // nic.Config(); what the link is — whether a Get is a local copy, whether
 // peers are processes that exit on their own — from nic.Link(). The worker
 // takes the NIC's peer-down hook: hard evidence (a refused redial to a
@@ -241,7 +248,10 @@ func NewWorker(nic fabric.NIC, cfg Config) *Worker {
 			w.drain.settle(rank)
 		}
 	})
+	// Counted before the offer: a handler running on a sender's goroutine
+	// holds the lock the loop needs to exit, so w.wg is never zero under it.
 	w.wg.Add(1)
+	nic.Handoff(&w.progress, w.deliver)
 	go w.loop()
 	w.startJanitor()
 	return w
@@ -1018,29 +1028,47 @@ func (w *Worker) releaseFrags(m *unexMsg) {
 	m.frags = nil
 }
 
-// loop is the progress goroutine: it turns wire packets into matching and
-// delivery events. Under liveness detection every packet also stamps its
-// sender as heard from; on a cross-process link every data frame, once
-// handled, counts toward its sender's drain at Close.
+// loop is the progress goroutine: it delivers what the NIC queued, each
+// packet under w.progress, and once the NIC is closed fails what is still
+// in flight under it too, so a packet a sender delivered meanwhile is in
+// its table before the sweep (and one that comes later finds the NIC
+// closed).
 func (w *Worker) loop() {
 	defer w.wg.Done()
 	for {
 		pkt, ok := w.nic.Recv()
+		w.progress.Lock()
 		if !ok {
 			w.drainOnClose()
+			w.progress.Unlock()
 			return
 		}
-		if w.live != nil {
-			w.live.seen(pkt.From)
-		}
-		if w.drain != nil && dataFrame(pkt.Hdr.Kind) {
-			from := pkt.From
-			w.handle(pkt)
-			w.tookFrame(from)
-			continue
-		}
-		w.handle(pkt)
+		w.deliver(pkt)
+		w.progress.Unlock()
 	}
+}
+
+// deliver turns one wire packet into matching and delivery events. It runs
+// under w.progress: on the progress goroutine, or on a sender's that found
+// the worker idle (fabric.NIC.Handoff), which is why nothing it calls sends
+// synchronously — answers queue on the ack pump, pongs leave on goroutines
+// of their own, transfers run on the pullers. (A pull matched here just as
+// Close begins is failed on the spot by enqueue, FIN included; no Send call
+// site holds a worker lock, so that FIN cannot wedge the rank it reaches.)
+// Under liveness detection every packet also stamps its sender as heard
+// from; on a cross-process link every data frame, once handled, counts
+// toward its sender's drain at Close.
+func (w *Worker) deliver(pkt *fabric.Packet) {
+	if w.live != nil {
+		w.live.seen(pkt.From)
+	}
+	if w.drain != nil && dataFrame(pkt.Hdr.Kind) {
+		from := pkt.From
+		w.handle(pkt)
+		w.tookFrame(from)
+		return
+	}
+	w.handle(pkt)
 }
 
 // drainOnClose fails everything still in flight when the NIC closes
@@ -1193,7 +1221,7 @@ func (w *Worker) handleEager(pkt *fabric.Packet) {
 		partial := int64(len(pkt.Payload)) < in.total
 		if partial {
 			// More fragments follow. A message that is whole already is
-			// finished before this goroutine routes another packet, so
+			// finished before w.progress lets another packet be routed, so
 			// nothing could find it in the table.
 			w.active[key] = req
 			req.tracked = true
@@ -1337,11 +1365,17 @@ func (w *Worker) handleAbort(pkt *fabric.Packet) {
 	m := w.table.findUnexpected(key)
 	if m == nil {
 		// Abort for a message whose first fragment never arrived (or was
-		// already consumed): record it as an errored unexpected message so
-		// a future receive fails instead of hanging. The janitor reaps the
-		// entry after abortLinger if no receive ever claims it.
-		m = newUnex(in)
-		w.table.addUnexpected(m)
+		// already consumed): it meets the posted queue like any arrival, so
+		// a receive waiting for it fails now; otherwise it is recorded as an
+		// errored unexpected message so a future receive fails instead of
+		// hanging. The janitor reaps the entry after abortLinger if no
+		// receive ever claims it.
+		var req *Request
+		if req, m = w.arriveLocked(in); req != nil {
+			w.mu.Unlock()
+			req.complete(in.from, in.tag, 0, in.aux0, err)
+			return
+		}
 	}
 	m.errored = err
 	m.erroredAt = time.Now()

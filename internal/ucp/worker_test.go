@@ -699,6 +699,27 @@ func TestPackErrorPropagatesToBothSides(t *testing.T) {
 	}
 }
 
+// TestAbortBeforeFirstFragmentFailsPostedRecv: a send whose pack fails
+// before its first fragment leaves (always so under Reliable, which packs
+// the whole message first) sends only the abort, and the receive posted for
+// the message fails instead of waiting forever.
+func TestAbortBeforeFirstFragmentFailsPostedRecv(t *testing.T) {
+	for _, cfg := range []Config{{}, {Reliable: true}} {
+		a, b := pair(t, fabric.Config{FragSize: 1024}, cfg)
+		out := make([]byte, 5000)
+		rr, err := b.Recv(0, 1, exactMask, Contig{}, out, 5000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Send(1, 1, Generic{Ops: &failPackOps{failAt: 0}}, pattern(5000, 9), 5000, 0, ProtoEager); err == nil {
+			t.Fatal("send should fail")
+		}
+		if err := rr.WaitTimeout(5 * time.Second); err == nil || errors.Is(err, ErrTimeout) {
+			t.Fatalf("Reliable=%v: posted receive of an aborted message = %v, want the sender's abort", cfg.Reliable, err)
+		}
+	}
+}
+
 // failUnpackOps fails on the receive side.
 type failUnpackOps struct{ xorOps }
 
