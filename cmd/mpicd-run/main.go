@@ -13,9 +13,13 @@
 //	mpicd-run -n 32 -transport tcp -task allreduce
 //	mpicd-run -n 16 -task ringping          # asserts lazy dialing held
 //
+// A job that fits the CPUs this process may use starts each rank bound to
+// a CPU slice of its own (Linux); a larger one is left to the kernel.
+//
 // The -rpn flag carves the job into synthetic nodes of that many
-// consecutive ranks, which routes small collectives hierarchically and
-// scales per-rank pull parallelism as a real multi-node placement would.
+// consecutive ranks, which routes small collectives hierarchically and,
+// in a job too large to bind, scales per-rank pull parallelism as a real
+// multi-node placement would.
 //
 // -supervise turns first-failure-kill into a restart policy: failed
 // ranks are respawned (with a fresh incarnation epoch) until their

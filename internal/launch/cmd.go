@@ -16,7 +16,8 @@ import (
 
 // Cmd spawns an N-rank job as N local OS processes, the way mpirun does
 // on one node: start a rendezvous listener, fork the workers with their
-// MPICD_* identity in the environment, multiplex their output, and wait.
+// MPICD_* identity in the environment — each on CPUs of its own when the
+// job fits the launcher's (bind.go) — multiplex their output, and wait.
 //
 // Exit policy without supervision: the job's status is the first
 // non-zero worker exit. As soon as one worker fails, the rest are
@@ -43,8 +44,9 @@ type Cmd struct {
 
 	// RanksPerNode carves the job into synthetic nodes of this many
 	// consecutive ranks for placement-aware code paths (hierarchical
-	// collectives, pull-stripe scaling). 0 or >= N places every rank on
-	// one node, which is the truth for a single-host launcher.
+	// collectives, and pull-stripe scaling in a job too large to bind).
+	// 0 or >= N places every rank on one node, which is the truth for a
+	// single-host launcher. CPU binding ignores it: every rank runs here.
 	RanksPerNode int
 
 	Timeout time.Duration // kill-all guard; default 2 minutes
@@ -251,7 +253,32 @@ func (c *Cmd) Run() error {
 		killAll(ps)
 	}
 
+	debug := os.Getenv(EnvDebug) != ""
+	logf := func(format string, args ...any) {
+		outMu.Lock()
+		fmt.Fprintf(stderr, "[launch] "+format+"\n", args...)
+		outMu.Unlock()
+	}
+
+	place := placeRanks(c.N)
 	spawn := func(r, epoch int) error {
+		// Bind before the fork: the child inherits this thread's mask.
+		bound, why := 0, place.why
+		if cpus := place.cpus(r); cpus != nil {
+			unpin, err := pinThread(cpus)
+			if err == nil {
+				defer unpin()
+				bound, why = 1, ""
+				if debug {
+					logf("rank %d on CPUs %s", r, cpuList(cpus))
+				}
+			} else {
+				why = err.Error()
+			}
+		}
+		if debug && why != "" {
+			logf("rank %d unbound: %s", r, why)
+		}
 		p := exec.Command(c.Prog, c.Args...)
 		p.Env = append(os.Environ(),
 			fmt.Sprintf("%s=%d", EnvRank, r),
@@ -262,6 +289,7 @@ func (c *Cmd) Run() error {
 			fmt.Sprintf("%s=%d", EnvRPN, rpn),
 			fmt.Sprintf("%s=%d", EnvNode, r/rpn),
 			fmt.Sprintf("%s=%d", EnvEpoch, epoch),
+			fmt.Sprintf("%s=%d", EnvBound, bound),
 		)
 		p.Env = append(p.Env, c.Env...)
 		op, _ := p.StdoutPipe()
@@ -297,13 +325,6 @@ func (c *Cmd) Run() error {
 	defer close(chaosStop)
 	if c.Chaos != nil {
 		go runChaos(*c.Chaos, procs, alive, startedAt, &mu, chaosStop, &outMu, stderr)
-	}
-
-	debug := os.Getenv(EnvDebug) != ""
-	logf := func(format string, args ...any) {
-		outMu.Lock()
-		fmt.Fprintf(stderr, "[launch] "+format+"\n", args...)
-		outMu.Unlock()
 	}
 
 	timer := time.NewTimer(timeout)

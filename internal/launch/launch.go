@@ -10,10 +10,13 @@
 // every rank has checked in. The rendezvous doubles as a startup barrier,
 // so no worker sends before every peer is reachable.
 //
-// Placement is threaded through the stack: RanksPerNode scales the
-// transport's automatic pull-stripe count (128 co-located ranks must not
-// each spawn 4 pull goroutines), and the per-rank node ids become the
-// communicator's CollTopology so small collectives route hierarchically.
+// Placement is threaded through the stack: a job that fits the launcher's
+// CPUs starts each rank on a CPU slice of its own (bind.go), whose Go
+// runtime then sizes GOMAXPROCS and the transport's automatic pull-stripe
+// count to that slice; an unbound job's RanksPerNode scales the stripe
+// count instead (128 co-located ranks must not each spawn 4 pull
+// goroutines). The per-rank node ids become the communicator's
+// CollTopology so small collectives route hierarchically.
 package launch
 
 import (
@@ -38,6 +41,7 @@ const (
 	EnvRPN       = "MPICD_RPN"       // ranks per node
 	EnvNode      = "MPICD_NODE"      // this rank's node id
 	EnvEpoch     = "MPICD_EPOCH"     // incarnation; > 0 marks a respawned replacement
+	EnvBound     = "MPICD_BOUND"     // 1: started on a CPU slice of its own (see bind.go)
 )
 
 // Heartbeat detector overrides, honored by Info.Connect (and therefore
@@ -67,6 +71,10 @@ type Info struct {
 	RanksPerNode int    // 0 means unknown (single node assumed)
 	Node         int    // node id of this rank
 	Bind         string // TCP bind pattern; default "127.0.0.1:0"
+
+	// Bound reports that the launcher started this process on CPUs of its
+	// own, so runtime.NumCPU is already the rank's share of the host.
+	Bound bool
 
 	// Epoch is this process's incarnation under its rank: 0 for an
 	// original worker, n for the n-th supervised respawn. A non-zero
@@ -106,6 +114,11 @@ func FromEnv() (*Info, error) {
 	if in.Epoch < 0 {
 		return nil, fmt.Errorf("launch: %s=%d: incarnation cannot be negative", EnvEpoch, in.Epoch)
 	}
+	bound, err := envInt(EnvBound, 0)
+	if err != nil {
+		return nil, err
+	}
+	in.Bound = bound == 1
 	if in.Rank < 0 || in.Size <= 0 || in.Rank >= in.Size {
 		return nil, fmt.Errorf("launch: bad identity rank=%d size=%d (is %s set?)", in.Rank, in.Size, EnvRank)
 	}
@@ -255,9 +268,9 @@ func (w *World) Close() error {
 
 // crossProcessDefaults returns cfg with the protocol settings every
 // world of separate OS processes runs, launched (Connect) or directly
-// connected (Attach), for a world of size ranks over a provider whose link
-// is link.
-func crossProcessDefaults(cfg ucp.Config, link fabric.Link, size int) ucp.Config {
+// connected (Attach), over a provider whose link is link, for a rank that
+// shares each of its CPUs with over ranks.
+func crossProcessDefaults(cfg ucp.Config, link fabric.Link, over int) ucp.Config {
 	// Acks where the link can lose a frame, and only there. Over TCP a
 	// broken connection is redialed, and a peer that closes with unread
 	// inbound bytes resets the connection, discarding kernel-buffered data
@@ -276,7 +289,6 @@ func crossProcessDefaults(cfg ucp.Config, link fabric.Link, size int) ucp.Config
 	// budget than the in-process defaults, scaled by how oversubscribed
 	// this job actually is, so scheduler starvation is not misread as
 	// message loss.
-	over := (size + runtime.NumCPU() - 1) / runtime.NumCPU()
 	if cfg.RexmitMax == 0 {
 		cfg.RexmitMax = time.Second
 		if over >= 8 {
@@ -292,12 +304,18 @@ func crossProcessDefaults(cfg ucp.Config, link fabric.Link, size int) ucp.Config
 	return cfg
 }
 
+// oversubscription is how many ranks of a size-rank world share each CPU
+// when they all run on this process's CPUs.
+func oversubscription(size int) int {
+	return (size + runtime.NumCPU() - 1) / runtime.NumCPU()
+}
+
 // Attach builds a world on a provider the caller bound and joined itself
 // — the launcher-less path behind mpi.ConnectTCP / ConnectSHM — with the
 // same protocol defaults Connect applies. No rendezvous service stands
 // behind such a world, so its Join and PollRejoins fail.
 func Attach(nic fabric.NIC, opt core.Options) *World {
-	w := ucp.NewWorker(nic, crossProcessDefaults(opt.UCP, nic.Link(), nic.Size()))
+	w := ucp.NewWorker(nic, crossProcessDefaults(opt.UCP, nic.Link(), oversubscription(nic.Size())))
 	return &World{
 		Comm:   core.NewComm(w),
 		Info:   &Info{Rank: nic.Rank(), Size: nic.Size()},
@@ -310,8 +328,15 @@ func Attach(nic fabric.NIC, opt core.Options) *World {
 // exchange, and returns the world communicator. opt carries the usual
 // fabric/ucp configuration.
 func (in *Info) Connect(opt core.Options) (*World, error) {
-	if opt.UCP.RanksPerNode == 0 {
-		opt.UCP.RanksPerNode = in.RanksPerNode
+	// A bound rank's NumCPU and GOMAXPROCS are already its share of the
+	// host: it neither divides the CPUs by its node's ranks again for the
+	// stripe default nor counts itself oversubscribed.
+	over := 1
+	if !in.Bound {
+		over = oversubscription(in.Size)
+		if opt.UCP.RanksPerNode == 0 {
+			opt.UCP.RanksPerNode = in.RanksPerNode
+		}
 	}
 	// Environment overrides win over programmatic heartbeat config, so a
 	// launched test can tighten failure detection without code changes.
@@ -405,7 +430,7 @@ func (in *Info) Connect(opt core.Options) (*World, error) {
 		}
 	}
 
-	w := ucp.NewWorker(nic, crossProcessDefaults(opt.UCP, nic.Link(), in.Size))
+	w := ucp.NewWorker(nic, crossProcessDefaults(opt.UCP, nic.Link(), over))
 	world := &World{Info: in, Addrs: addrs, Nodes: nodes, worker: w, nic: nic}
 	if in.Epoch == 0 {
 		// A replacement has no world communicator — the one its dead

@@ -17,10 +17,15 @@ import (
 func TestMain(m *testing.M) {
 	if task := os.Getenv(EnvTask); task != "" && IsWorker() {
 		in, err := FromEnv()
-		if err == nil && task == "killpull" {
-			err = runKillPull(in) // test-local, in killpull_test.go
-		} else if err == nil {
-			err = RunTask(task, in, core.Options{})
+		if err == nil {
+			switch task {
+			case "killpull":
+				err = runKillPull(in) // test-local, in killpull_test.go
+			case "bindreport":
+				err = runBindReport(in) // test-local, in bind_test.go
+			default:
+				err = RunTask(task, in, core.Options{})
+			}
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "worker: %v\n", err)

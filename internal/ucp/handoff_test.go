@@ -243,18 +243,6 @@ func TestHandlersNeverSendSynchronously(t *testing.T) {
 				for _, w := range ws {
 					w.Close()
 				}
-				// Close does not wait for a ping or pong on its way out; its
-				// send fails on the closed NIC and gives the packet back.
-				waitFor(t, "heartbeats in flight to end", func() bool {
-					for _, w := range ws {
-						for p := 0; w.live != nil && p < len(w.live.probing); p++ {
-							if w.live.probing[p].Load() {
-								return false
-							}
-						}
-					}
-					return true
-				})
 				poolDrained(t, f)
 			})
 			ops := &stackOps{}

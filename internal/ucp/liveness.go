@@ -8,7 +8,8 @@ package ucp
 // (DeclarePeerFailed in, Revive out); suspect is a flag beside it that any
 // packet from the peer clears. The tick is a re-armed timer, so detection
 // parks no goroutine; pings and pongs leave on short-lived goroutines, since
-// neither the tick nor the progress loop may block on the wire.
+// neither the tick nor the progress loop may block on the wire, and Close
+// waits for them.
 
 import (
 	"fmt"
@@ -189,15 +190,27 @@ func (w *Worker) handleHeartbeat(pkt *fabric.Packet) {
 // send can wait out a dial to a booting peer or a full ring. One is in
 // flight per peer, and one finding another on its way is dropped — either
 // tells p this rank is alive. A failed send is silence, which p measures.
-// Close does not wait for it: sends on a closed NIC fail at once.
+// Each send holds a count of w.wg, taken under jobMu unless Close has begun,
+// so Close returns only once it is over: its nic.Close releases a send
+// waiting out a dial, and the send's buffer is back in the pool.
 func (w *Worker) heartbeat(p int, kind fabric.Kind, stamp int64) {
 	l := w.live
-	if p >= 0 && p < len(l.probing) && l.probing[p].CompareAndSwap(false, true) {
-		go w.sendHeartbeat(p, fabric.Header{Kind: kind, Aux0: stamp})
+	if p < 0 || p >= len(l.probing) || !l.probing[p].CompareAndSwap(false, true) {
+		return
 	}
+	w.jobMu.Lock()
+	if w.quitting() {
+		w.jobMu.Unlock()
+		l.probing[p].Store(false)
+		return
+	}
+	w.wg.Add(1)
+	w.jobMu.Unlock()
+	go w.sendHeartbeat(p, fabric.Header{Kind: kind, Aux0: stamp})
 }
 
 func (w *Worker) sendHeartbeat(p int, hdr fabric.Header) {
+	defer w.wg.Done()
 	_ = w.nic.Send(p, hdr)
 	w.live.probing[p].Store(false)
 }

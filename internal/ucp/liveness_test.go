@@ -1,6 +1,7 @@
 package ucp
 
 import (
+	"io"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -170,6 +171,61 @@ func TestDetectorBootGrace(t *testing.T) {
 		t.Fatalf("silent peer reads %s inside its boot grace", s)
 	}
 	waitFor(t, "the death after the grace", func() bool { return w.PeerFailed(1) })
+}
+
+// slowPongs holds each pong it sends for hold with a wire packet taken from
+// the pool, the way a pong waiting out a dial or a full ring holds one, and
+// counts the pongs inside Send.
+type slowPongs struct {
+	fabric.NIC
+	hold     time.Duration
+	inFlight *atomic.Int64
+}
+
+func (s *slowPongs) Send(to int, hdr fabric.Header, payload ...[]byte) error {
+	if hdr.Kind != kindPong || len(payload) != 0 {
+		return s.NIC.Send(to, hdr, payload...)
+	}
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	_, err := s.NIC.SendFrom(to, hdr, heldSource{s.hold}, 0, 0)
+	return err
+}
+
+// heldSource is an empty source whose read takes its time.
+type heldSource struct{ hold time.Duration }
+
+func (heldSource) Size() int64 { return 0 }
+func (h heldSource) ReadAt([]byte, int64) (int, error) {
+	time.Sleep(h.hold)
+	return 0, io.EOF
+}
+
+// TestCloseWaitsForHeartbeats: three ranks ping each other every
+// millisecond and each pong holds a pool packet for 20 ms, so pongs are on
+// their way when the workers close. Close returns only once its own are
+// over: right after the last Close no pong is inside Send and every packet
+// is back in the pool.
+func TestCloseWaitsForHeartbeats(t *testing.T) {
+	const n = 3
+	f := fabric.NewInproc(n, fabric.Config{})
+	var inFlight atomic.Int64
+	ws := make([]*Worker, n)
+	for i := range ws {
+		nic := &slowPongs{NIC: f.NIC(i), hold: 20 * time.Millisecond, inFlight: &inFlight}
+		ws[i] = NewWorker(nic, Config{Heartbeat: DetectorConfig{Period: time.Millisecond, DeadAfter: time.Hour}})
+	}
+	waitFor(t, "pongs in flight", func() bool { return inFlight.Load() >= 2 })
+	for _, w := range ws {
+		w.Close()
+	}
+	if k := inFlight.Load(); k != 0 {
+		t.Fatalf("%d pongs still inside Send after every worker closed", k)
+	}
+	if k := f.PoolOutstanding(); k != 0 {
+		t.Fatalf("%d wire packets out after every worker closed", k)
+	}
+	poolDrained(t, f)
 }
 
 // TestDetectorReviveGrace: a revived rank gets max(2×DeadAfter, 2 s) to boot

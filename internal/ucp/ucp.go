@@ -84,12 +84,14 @@ type Config struct {
 	// that run one source rank's pulls and stripes (not over TCP: see
 	// NewWorker). Zero selects min(GOMAXPROCS, 4); 1 disables striping.
 	PullStripes int
-	// RanksPerNode is how many ranks share this machine, as reported by
-	// the launcher. It scales the automatic PullStripes default: with R
-	// ranks competing for the node's cores, each pull gets NumCPU/R
-	// stripes (clamped to [1,4]) instead of the in-process GOMAXPROCS
-	// rule — 128 co-located ranks must not each run 4 pullers.
-	// Zero (unknown placement) keeps the old rule.
+	// RanksPerNode is how many ranks share this machine's CPUs, as
+	// reported by the launcher for ranks it could not bind. It scales the
+	// automatic PullStripes default: with R ranks competing for the node's
+	// cores, each pull gets NumCPU/R stripes (clamped to [1,4]) instead of
+	// the in-process GOMAXPROCS rule — 128 co-located ranks must not each
+	// run 4 pullers. Zero keeps the GOMAXPROCS rule, which is also the
+	// right one for a rank started on CPUs of its own: its NumCPU is
+	// already its share.
 	RanksPerNode int
 
 	// Reliable enables the loss-tolerant protocol: eager messages are
@@ -163,9 +165,9 @@ func DefaultPullStripes() int {
 }
 
 // DefaultPullStripesFor returns the automatic stripe count when
-// ranksPerNode ranks share the machine: NumCPU/ranksPerNode clamped to
-// [1, 4]. Non-positive ranksPerNode (placement unknown) falls back to
-// DefaultPullStripes.
+// ranksPerNode ranks share the machine's CPUs: NumCPU/ranksPerNode clamped
+// to [1, 4]. Non-positive ranksPerNode (placement unknown, or a rank bound
+// to CPUs of its own) falls back to DefaultPullStripes.
 func DefaultPullStripesFor(ranksPerNode int) int {
 	if ranksPerNode <= 0 {
 		return DefaultPullStripes()

@@ -107,6 +107,9 @@ type WorkerStats struct {
 // Stats exposes the worker's protocol counters.
 func (w *Worker) Stats() *WorkerStats { return &w.stats }
 
+// Config returns the worker's configuration with its defaults filled in.
+func (w *Worker) Config() Config { return w.cfg }
+
 type msgKey struct {
 	from int
 	id   uint64
