@@ -34,7 +34,7 @@ func TestConfigSurface(t *testing.T) {
 		typ    reflect.Type
 		fields int
 	}{
-		{"fabric.Config", reflect.TypeOf(fabric.Config{}), 8},
+		{"fabric.Config", reflect.TypeOf(fabric.Config{}), 5},
 		{"ucp.Config", reflect.TypeOf(ucp.Config{}), 9},
 		{"ucp.DetectorConfig", reflect.TypeOf(ucp.DetectorConfig{}), 4},
 	} {

@@ -352,10 +352,10 @@ func TestCustomDynamicUnderOutOfOrderFabric(t *testing.T) {
 	for i := range send {
 		send[i] = pattern(700, byte(i))
 	}
-	opt := Options{
-		Fabric: fabric.Config{FragSize: 512, OutOfOrder: true, Seed: 99},
+	opt := ReorderOptions(Options{
+		Fabric: fabric.Config{FragSize: 512},
 		UCP:    ucp.Config{RndvThresh: 1 << 30},
-	}
+	}, 99)
 	run2(t, opt,
 		func(c *Comm) error { return c.Send(send, 1, dt, 1, 1) },
 		func(c *Comm) error {

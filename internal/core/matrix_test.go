@@ -13,7 +13,8 @@ import (
 
 // TestConfigMatrixProperty drives the full stack — custom dynamic
 // datatype over randomized fragment sizes, protocol thresholds, fabric
-// ordering and message shapes — and requires exact roundtrips. This is
+// ordering (ooo: a fault plan reorders packets, see ReorderOptions) and
+// message shapes — and requires exact roundtrips. This is
 // the repo's broadest integrity property: any protocol-selection or
 // fragmentation bug surfaces here.
 func TestConfigMatrixProperty(t *testing.T) {
@@ -23,8 +24,11 @@ func TestConfigMatrixProperty(t *testing.T) {
 		frag := int(fragRaw)%8000 + 256
 		thresh := int64(threshRaw)%100000 + 512
 		opt := Options{
-			Fabric: fabric.Config{FragSize: frag, OutOfOrder: ooo, Seed: seed},
+			Fabric: fabric.Config{FragSize: frag},
 			UCP:    ucp.Config{RndvThresh: thresh},
+		}
+		if ooo {
+			opt = ReorderOptions(opt, seed)
 		}
 		// Random double-vector shape.
 		n := rng.Intn(8)

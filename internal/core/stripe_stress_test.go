@@ -67,14 +67,12 @@ func (h *seqHandler) Regions(state, _ any, count core.Count, regions [][]byte) e
 }
 
 // TestInOrderLargeMessageSequentialFallback sends a large inorder custom
-// message with striping configured and an out-of-order fabric: the
-// sequential fallback must engage (no striped pulls) and the unpack
-// callbacks must observe strictly increasing, gap-free offsets.
+// message with striping configured over a fabric that reorders packets
+// (core.ReorderOptions): the sequential fallback must engage (no striped
+// pulls) and the unpack callbacks must observe strictly increasing,
+// gap-free offsets.
 func TestInOrderLargeMessageSequentialFallback(t *testing.T) {
-	opt := stripedWorldOpts(8)
-	opt.Fabric.OutOfOrder = true
-	opt.Fabric.Seed = 42
-	sys := core.NewSystem(2, opt)
+	sys := core.NewSystem(2, core.ReorderOptions(stripedWorldOpts(8), 42))
 	defer sys.Close()
 
 	const size = 2 << 20

@@ -45,14 +45,6 @@ type Kind uint8
 // transport layers must allocate their kinds below it.
 const KindFabricReserved Kind = 0xF0
 
-// Flags carried in a packet header.
-const (
-	// FlagUnordered marks a packet that the fabric may reorder relative to
-	// other unordered packets on the same link (used to exercise the
-	// custom-datatype inorder contract).
-	FlagUnordered uint8 = 1 << iota
-)
-
 // Header is the fixed-size packet header. The transport layer owns the
 // interpretation of every field except From, which the fabric fills in.
 type Header struct {
@@ -191,9 +183,10 @@ type NIC interface {
 // Link is what a provider's link is, as the layers above need to know it.
 type Link struct {
 	// Lossless: a Send that returned nil toward a live peer reaches the
-	// peer's Recv, and the link to a live peer does not go down. Only a
-	// death verdict or the peer's exit strands a frame, and a Send refused
-	// with ErrLinkDown means one of the two happened.
+	// peer's Recv once, after every frame a Send accepted before it for
+	// that peer, and the link to a live peer does not go down. Only a death
+	// verdict or the peer's exit strands a frame, and a Send refused with
+	// ErrLinkDown means one of the two happened.
 	Lossless bool
 	// LocalGet: a Get is a memory copy made by the calling goroutine, not a
 	// wait on the exporter's side of a wire.
@@ -236,11 +229,6 @@ type Config struct {
 	// FragSize is the maximum wire fragment (MTU) in bytes, and the
 	// transport's eager fragment payload size.
 	FragSize int
-	// OutOfOrder enables reordering of FlagUnordered packets, with
-	// deterministic behaviour derived from Seed.
-	OutOfOrder bool
-	// Seed drives the out-of-order shuffle.
-	Seed int64
 	// Checksum enables CRC32C integrity protection. The transport carries
 	// a CRC32C of every eager fragment in its header (a corrupt fragment
 	// is dropped for retransmission under Reliable, or fails the receive
@@ -273,10 +261,6 @@ type Config struct {
 	// rank before the silence threshold expires, and survivors hang
 	// forever in collectives the dead incarnation will never finish.
 	Epoch uint32
-
-	// RingBytes is the per-direction eager ring capacity of the SHM
-	// provider (rounded up to a power of two). Zero selects a default.
-	RingBytes int
 }
 
 // registry is where providers register their gauges: Obs's registry, or

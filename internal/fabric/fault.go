@@ -303,17 +303,18 @@ func (f *FaultNIC) LinkUp(peer int) {
 	f.mu.Unlock()
 }
 
-// Link is the inner NIC's, except that a plan that can drop, corrupt,
-// truncate or take a link down (or kill a rank) makes it lossy. It reads the
-// rules as they are now: a rule added later does not change what a worker
-// built on the NIC already read.
+// Link is the inner NIC's, except that a plan that can drop, duplicate,
+// reorder, corrupt, truncate or take a link down (or kill a rank) makes it
+// lossy: each breaks "once, in order, intact". It reads the rules as they
+// are now: a rule added later does not change what a worker built on the
+// NIC already read.
 func (f *FaultNIC) Link() Link {
 	l := f.NIC.Link()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, r := range f.rules {
 		switch r.Action {
-		case Drop, Corrupt, Truncate, LinkDown, Kill:
+		case Drop, Duplicate, Reorder, Corrupt, Truncate, LinkDown, Kill:
 			if r.Prob > 0 {
 				l.Lossless = false
 			}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 )
@@ -46,9 +45,6 @@ func NewInproc(n int, cfg Config) *Inproc {
 			inbox: make(chan *Packet, inboxDepth),
 			done:  make(chan struct{}),
 		}
-		if cfg.OutOfOrder {
-			f.nics[i].rng = rand.New(rand.NewSource(cfg.Seed + int64(i)))
-		}
 	}
 	return f
 }
@@ -86,12 +82,6 @@ type inprocNIC struct {
 	queued   atomic.Int64
 	inHand   bool
 
-	// held implements deterministic adjacent-swap reordering of
-	// FlagUnordered packets when cfg.OutOfOrder is set.
-	held     *Packet
-	heldDst  int
-	rng      *rand.Rand
-	sendMu   sync.Mutex
 	closeOne sync.Once
 }
 
@@ -105,8 +95,10 @@ func (n *inprocNIC) Rank() int      { return n.rank }
 func (n *inprocNIC) Size() int      { return len(n.fab.nics) }
 func (n *inprocNIC) Config() Config { return n.fab.cfg }
 
-// Link: channels lose nothing, a Get copies on the caller's goroutine, and
-// every rank lives and dies with this process.
+// Link: channels lose and reorder nothing (a packet handed over on the
+// sender's goroutine waits for the ones queued before it, see handOff), a
+// Get copies on the caller's goroutine, and every rank lives and dies with
+// this process.
 func (n *inprocNIC) Link() Link { return Link{Lossless: true, LocalGet: true} }
 
 func (n *inprocNIC) Send(to int, hdr Header, payload ...[]byte) error {
@@ -143,53 +135,17 @@ func (n *inprocNIC) SendFrom(to int, hdr Header, src Source, off, size int64) (i
 	return int64(got), n.deliver(to, hdr, pkt)
 }
 
-// deliver hands the packet over (enqueue), applying the out-of-order
-// shuffle when enabled. Only packets flagged FlagUnordered may be swapped
-// with the immediately following packet to the same destination; an
-// ordered packet always flushes any held packet first, so transports that
-// mark their final fragment ordered get a bounded reorder window.
+// deliver stamps the packet and gives it to an idle consumer on this
+// goroutine (handOff), else queues it. deliver and Recv try the inbox
+// without blocking first: a queue with room (or with a packet waiting) is
+// the steady state, and a one-case select with a default is a plain channel
+// operation, not a selectgo.
 func (n *inprocNIC) deliver(to int, hdr Header, pkt *Packet) error {
 	if to < 0 || to >= len(n.fab.nics) {
 		pkt.Release()
 		return rangeErr("destination", to, len(n.fab.nics))
 	}
 	pkt.From, pkt.Hdr = n.rank, hdr
-	if n.rng == nil {
-		return n.enqueue(to, pkt)
-	}
-
-	n.sendMu.Lock()
-	defer n.sendMu.Unlock()
-	if n.held != nil {
-		if n.heldDst == to {
-			// Swap: deliver the new packet before the held one.
-			if err := n.enqueue(to, pkt); err != nil {
-				return err
-			}
-			held := n.held
-			n.held = nil
-			return n.enqueue(to, held)
-		}
-		held, dst := n.held, n.heldDst
-		n.held = nil
-		if err := n.enqueue(dst, held); err != nil {
-			return err
-		}
-	}
-	if hdr.Flags&FlagUnordered != 0 && n.rng.Intn(2) == 0 {
-		n.held = pkt
-		n.heldDst = to
-		return nil
-	}
-	return n.enqueue(to, pkt)
-}
-
-// enqueue gives the packet to an idle consumer on this goroutine
-// (handOff), else queues it. enqueue and Recv try the inbox without
-// blocking first: a queue with room (or with a packet waiting) is the
-// steady state, and a one-case select with a default is a plain channel
-// operation, not a selectgo.
-func (n *inprocNIC) enqueue(to int, pkt *Packet) error {
 	peer := n.fab.nics[to]
 	if to != n.rank {
 		if took, err := peer.handOff(pkt); took {
@@ -321,16 +277,7 @@ func (n *inprocNIC) UpdateAddr(int, string) error {
 }
 
 func (n *inprocNIC) Close() error {
-	n.closeOne.Do(func() {
-		n.sendMu.Lock()
-		if n.held != nil {
-			held, dst := n.held, n.heldDst
-			n.held = nil
-			_ = n.enqueue(dst, held)
-		}
-		n.sendMu.Unlock()
-		close(n.done)
-	})
+	n.closeOne.Do(func() { close(n.done) })
 	// Give back what nobody will receive any more; on every call, because
 	// a sender that checked done just before it closed can still slip a
 	// packet in behind the owner's last Recv.

@@ -344,49 +344,6 @@ func TestInprocConcurrentSenders(t *testing.T) {
 	wg.Wait()
 }
 
-func TestInprocOutOfOrderReordersUnordered(t *testing.T) {
-	f := NewInproc(2, Config{OutOfOrder: true, Seed: 42})
-	defer f.Close()
-	const n = 64
-	for i := 0; i < n; i++ {
-		hdr := Header{MsgID: uint64(i)}
-		if i < n-1 {
-			hdr.Flags = FlagUnordered
-		}
-		if err := f.NIC(0).Send(1, hdr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var order []uint64
-	for i := 0; i < n; i++ {
-		pkt, ok := f.NIC(1).Recv()
-		if !ok {
-			t.Fatal("early close")
-		}
-		order = append(order, pkt.Hdr.MsgID)
-		pkt.Release()
-	}
-	// All packets arrive exactly once.
-	seen := make([]bool, n)
-	swapped := false
-	for i, id := range order {
-		if seen[id] {
-			t.Fatalf("duplicate MsgID %d", id)
-		}
-		seen[id] = true
-		if uint64(i) != id {
-			swapped = true
-		}
-	}
-	if !swapped {
-		t.Fatal("OutOfOrder fabric never reordered; seed produced identity order")
-	}
-	// The ordered final packet must still arrive last.
-	if order[n-1] != n-1 {
-		t.Fatalf("ordered packet arrived at position != last: %v", order)
-	}
-}
-
 func TestInprocLargeSingleFragmentRejected(t *testing.T) {
 	f := NewInproc(2, Config{})
 	defer f.Close()

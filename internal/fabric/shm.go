@@ -32,8 +32,8 @@ const (
 	// kindWinAck confirms the requester copied a chunk out of the window
 	// (Tag echoes the chunk sequence).
 	kindWinAck Kind = 0xFE
-	// kindRingSwitch is the ordered handoff marker, the last frame of this
-	// pair's eager class on the socket. The read loop forwards it in band
+	// kindRingSwitch is the ordered handoff marker, the last of this pair's
+	// data frames on the socket. The read loop forwards it in band
 	// through the inbox, so Recv starts on the ring (Aux1: its generation)
 	// only after every earlier socket frame, and retires the pair's
 	// previous ring. ReviveRank queues one naming no ring (generation 0).
@@ -44,8 +44,15 @@ const (
 // window instead of socket response frames; Aux0 carries the window size.
 const flagGetWindow uint8 = 1 << 1
 
-// DefaultRingBytes is the default per-direction eager ring capacity.
-const DefaultRingBytes = 256 << 10
+// ringFrags is how many full fragments a pair's ring holds at once.
+const ringFrags = 8
+
+// ringCapForFrag is the data capacity of a pair's ring for a fragment size:
+// ringFrags records of a full fragment, rounded up to a power of two
+// (256 KiB at DefaultFragSize).
+func ringCapForFrag(frag int) uint64 {
+	return ringCapFor(ringFrags * int(recordSpan(headerWireSize+frag)))
+}
 
 // winBytes is the shared pull-window size (two 8-aligned halves,
 // double-buffered).
@@ -56,24 +63,26 @@ const winBytes = 512 << 10
 const defaultWinThresh = 64 << 10
 
 // SHM is a fabric provider for ranks that are separate processes on one
-// node. Eager traffic crosses mmap'd single-producer/single-consumer
+// node. Data frames cross mmap'd single-producer/single-consumer
 // rings (one per pair and direction, created on first use), which the
 // goroutine in Recv drains itself and sleeps on by doorbell; a rendezvous
 // pull reads the sender's memory in place where the source and the host
 // allow, else it crosses a shared double-buffered window. A unix-domain
 // socket mesh — the lazily-dialed stream core the TCP provider uses —
 // carries bootstrap, control, doorbells, rendezvous requests and spill
-// traffic (fragmented messages, and all sent before a pair's ring is up).
+// traffic (what a pair sends before its ring is up).
 //
-// Channel ordering: within the eager class a pair's traffic moves over
-// exactly one channel at a time — the socket until the ring handshake
-// completes, the ring after the kindRingSwitch marker — so eager frames
-// never overtake each other. Fragmented messages always use the socket,
-// keeping a message's fragments mutually ordered.
+// Channel ordering: a pair's data frames — every frame of the layer above,
+// fragments included — move over exactly one channel at a time: the socket
+// until the ring handshake completes, the ring after the kindRingSwitch
+// marker. So no frame overtakes one sent before it (Link's order). The ring
+// is sized from FragSize, and a data frame too large for it is refused on
+// both sides of the switch.
 type SHM struct {
 	*stream
-	dir       string
-	ringBytes int
+	dir      string
+	ringCap  uint64 // data capacity of every ring this endpoint creates
+	frameMax int64  // largest data frame payload: a quarter of the ring
 
 	outMu sync.Mutex
 	outs  map[int]*shmOut
@@ -117,8 +126,8 @@ type SHM struct {
 
 	shmOnce sync.Once
 
-	ringSends     atomic.Int64 // eager frames that crossed a ring
-	ringSpills    atomic.Int64 // ring-eligible frames that used the socket
+	ringSends     atomic.Int64 // data frames that crossed a ring
+	ringSpills    atomic.Int64 // data frames sent on the socket before their pair switched
 	winPulls      atomic.Int64 // Gets served through the shared window
 	cmaPulls      atomic.Int64 // Gets that read the exporter's memory in place
 	bellsSent     atomic.Int64 // kindRingBell frames written
@@ -128,11 +137,11 @@ type SHM struct {
 }
 
 // shmOut is the producer side of one outbound eager ring. mu serializes
-// the pair's whole eager class — ring production AND pre-ring socket
-// spills — so the kindRingSwitch marker (sent under mu by the first
-// sender that observes the ack) splits the class into before-switch
-// socket frames and after-switch ring frames. ackd is written without
-// mu, so a sender blocked mid-dial cannot stall the handshake.
+// the pair's data frames — ring production AND pre-ring socket spills — so
+// the kindRingSwitch marker (sent under mu by the first sender that
+// observes the ack) splits them into before-switch socket frames and
+// after-switch ring frames. ackd is written without mu, so a sender
+// blocked mid-dial cannot stall the handshake.
 type shmOut struct {
 	mu      sync.Mutex
 	gen     int64         // handshake generation; ring acks must echo it
@@ -207,7 +216,7 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 	s := &SHM{
 		stream:    st,
 		dir:       dir,
-		ringBytes: cfg.RingBytes,
+		ringCap:   ringCapForFrag(st.cfg.FragSize),
 		outs:      make(map[int]*shmOut),
 		mapped:    make(map[int]*shmIn),
 		wake:      make(chan struct{}, 1),
@@ -220,9 +229,7 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 	// memory key never matches a registration of another incarnation.
 	s.ringGen.Store(int64(cfg.Epoch) << 32)
 	st.nextKey.Store(uint64(cfg.Epoch) << 32)
-	if s.ringBytes <= 0 {
-		s.ringBytes = DefaultRingBytes
-	}
+	s.frameMax = int64(s.ringCap/4) - 4 - headerWireSize // its record spans a quarter of the ring
 	st.ctrl = s.handleCtrl
 	st.onGetReq = s.handleGetReq
 	st.onHardDown = s.stallPeer
@@ -322,10 +329,11 @@ func (s *SHM) ReviveRank(peer int) {
 // what it sent before it was readmitted is no message of the protocol (the
 // readmission, core.Grow, invites the rank only after reviving it), and
 // what it sends after leaves on a new pair over the new socket. The layer
-// above therefore needs no acks over SHM; what an exiting peer must wait
-// for is the drain of its own frames (ucp's Close). A Get reads the
-// exporter's memory on the caller's goroutine (the pull window, where the
-// host refuses that, is the fallback).
+// above therefore needs no acks over SHM. And a pair's data frames share one
+// channel (see SHM), so they arrive in the order they were sent: that an
+// exiting peer's last frames were taken in, a marker sent behind them shows
+// (ucp's Close). A Get reads the exporter's memory on the caller's goroutine
+// (the pull window, where the host refuses that, is the fallback).
 func (s *SHM) Link() Link { return Link{Lossless: true, LocalGet: true, CrossProcess: true} }
 
 // connDropped is the stream core's conn-drop hook: the socket to peer
@@ -390,17 +398,23 @@ func (s *SHM) mapRing(path string, size int, create bool) (*Ring, error) {
 	return AttachRing(mem, create)
 }
 
-// ringEligible reports whether a frame may cross the eager ring: it must
-// be self-contained (its payload is the whole message, so no cross-frame
-// ordering constraints exist outside the eager class) and small enough
-// that a few fit the ring at once. Control kinds always use the socket.
-func (s *SHM) ringEligible(hdr Header, n int) bool {
-	return hdr.Kind < kindProviderCtrlMin &&
-		hdr.Offset == 0 && int64(n) == hdr.Total &&
-		recordSpan(headerWireSize+n) <= uint64(ringCapFor(s.ringBytes))/4
+// ringEligible reports whether a frame to a peer is a data frame, which
+// crosses the pair's ring once it is up: every frame of the layer above is
+// one, the provider's control kinds use the socket. A data frame larger than
+// a quarter of the ring — so a few fit at once — is refused, before the
+// switch as after it: no other channel may carry it without overtaking.
+func (s *SHM) ringEligible(to int, hdr Header, n int64) (bool, error) {
+	if to == s.rank || to < 0 || to >= s.size || hdr.Kind >= kindProviderCtrlMin {
+		return false, nil
+	}
+	if n > s.frameMax {
+		return false, fmt.Errorf("fabric: %d-byte frame exceeds the SHM ring's limit of %d bytes (a quarter of the ring FragSize %d sizes)",
+			n, s.frameMax, s.cfg.FragSize)
+	}
+	return true, nil
 }
 
-// lockPair returns the pair's eager-class state, locked, starting the
+// lockPair returns the pair's outbound ring state, locked, starting the
 // ring handshake on first use and advancing it on every later one. Until
 // the pair is ready callers spill onto the socket under the lock.
 func (s *SHM) lockPair(to int) *shmOut {
@@ -444,7 +458,7 @@ func (s *SHM) handshakeLocked(to int, o *shmOut) {
 // openRing creates the eager ring toward a peer and announces it.
 // Failures leave the pair on the socket path — correct, just slower.
 func (s *SHM) openRing(to int, o *shmOut) {
-	total := RingHeaderSize + int(ringCapFor(s.ringBytes))
+	total := RingHeaderSize + int(s.ringCap)
 	if ring, err := s.mapRing(shmRingPath(s.dir, s.rank, to), total, true); err == nil {
 		o.mu.Lock()
 		o.ring = ring
@@ -453,17 +467,19 @@ func (s *SHM) openRing(to int, o *shmOut) {
 	}
 }
 
-// Send places self-contained frames on the pair's eager ring (blocking
-// on a full ring, the shared-memory analogue of socket backpressure) and
-// everything else on the socket. Pre-switch spills run under the same
-// per-pair lock as ring production, so the eager class stays ordered
-// across the handoff.
+// Send places data frames on the pair's ring (blocking on a full ring,
+// the shared-memory analogue of socket backpressure) and the rest on the
+// socket. Pre-switch spills run under the same per-pair lock as ring
+// production, so the pair's data frames stay ordered across the handoff.
 func (s *SHM) Send(to int, hdr Header, payload ...[]byte) error {
 	n := 0
 	for _, p := range payload {
 		n += len(p)
 	}
-	if to == s.rank || to < 0 || to >= s.size || !s.ringEligible(hdr, n) {
+	if ok, err := s.ringEligible(to, hdr, int64(n)); !ok {
+		if err != nil {
+			return err
+		}
 		return s.stream.Send(to, hdr, payload...)
 	}
 	o := s.lockPair(to)
@@ -500,7 +516,10 @@ func (s *SHM) ringBell(to int, o *shmOut) error {
 // zero-staging path where a datatype pack callback writes into the
 // consumer-visible segment.
 func (s *SHM) SendFrom(to int, hdr Header, src Source, off, size int64) (int64, error) {
-	if to == s.rank || to < 0 || to >= s.size || size > MaxFragSize || !s.ringEligible(hdr, int(size)) {
+	if ok, err := s.ringEligible(to, hdr, size); !ok {
+		if err != nil {
+			return 0, err
+		}
 		return s.stream.SendFrom(to, hdr, src, off, size)
 	}
 	o := s.lockPair(to)
@@ -786,22 +805,19 @@ func (s *SHM) handleWinData(peer int, hdr Header) {
 		start, n := hdr.Aux0, hdr.Aux1
 		if start >= 0 && n > 0 && start+n <= int64(len(win.mem)) {
 			if _, err := g.sink.WriteAt(win.mem[start:start+n], g.sinkOff+hdr.Offset); err != nil {
-				g.fail(err)
+				g.finish(err)
 			} else {
 				copied = n
 			}
 		} else {
-			g.fail(fmt.Errorf("fabric: window chunk [%d,+%d) outside %d-byte window", start, n, len(win.mem)))
+			g.finish(fmt.Errorf("fabric: window chunk [%d,+%d) outside %d-byte window", start, n, len(win.mem)))
 		}
 	}
 	// Ack unconditionally — even for an unknown MsgID (a Get that already
 	// failed locally) the exporter must be able to recycle the half.
 	_ = s.stream.Send(peer, Header{Kind: kindWinAck, Tag: hdr.Tag, MsgID: hdr.MsgID})
 	if copied > 0 && atomic.AddInt64(&g.left, -copied) <= 0 {
-		select {
-		case g.done <- nil:
-		default:
-		}
+		g.finish(nil)
 	}
 }
 

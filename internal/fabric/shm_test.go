@@ -176,6 +176,22 @@ func expectTags(t *testing.T, nic *SHM, tags <-chan uint64, first uint64, n int)
 	}
 }
 
+// shmPairs are TestNICPairOrder's SHM cases: from first contact, so the
+// switch from socket to ring happens mid-stream, and after the switch.
+func shmPairs() []nicPair {
+	return []nicPair{
+		{"shm-first-contact", func(t *testing.T) (NIC, NIC) {
+			nics := shmMesh(t, 2, Config{FragSize: 1024})
+			return nics[0], nics[1]
+		}},
+		{"shm-after-switch", func(t *testing.T) (NIC, NIC) {
+			nics := shmMesh(t, 2, Config{FragSize: 1024})
+			waitRing(t, nics[0], nics[1], 1)
+			return nics[0], nics[1]
+		}},
+	}
+}
+
 func TestSHMSendRecvSpillThenRing(t *testing.T) {
 	nics := shmMesh(t, 2, Config{})
 	payload := make([]byte, 3000)
@@ -216,7 +232,7 @@ func TestSHMSendRecvSpillThenRing(t *testing.T) {
 // so a ring it started on before it consumed the last pre-switch socket
 // frame would show up here as a tag out of sequence.
 func TestSHMEagerOrderingAcrossSwitch(t *testing.T) {
-	nics := shmMesh(t, 2, Config{RingBytes: 4096})
+	nics := shmMesh(t, 2, Config{FragSize: 256}) // a 4 KiB ring
 	const msgs = 10000
 	type result struct {
 		at, tag uint64
@@ -263,7 +279,8 @@ func TestSHMEagerOrderingAcrossSwitch(t *testing.T) {
 // fills it (exercising wraparound and full-ring blocking) while the
 // consumer drains concurrently.
 func TestSHMRingBackpressure(t *testing.T) {
-	nics := shmMesh(t, 2, Config{RingBytes: 1024})
+	nics := shmMesh(t, 2, Config{FragSize: 64}) // a 1 KiB ring, the smallest
+
 	waitRing(t, nics[0], nics[1], 1)
 	const msgs = 3000
 	errc := make(chan error, 1)
@@ -316,25 +333,77 @@ func TestSHMSendFromRingPack(t *testing.T) {
 	}
 }
 
-func TestSHMFragmentedMessageSpills(t *testing.T) {
+// TestSHMFragmentsCrossTheRing: once a pair switched, a frame that is part
+// of a larger message — a leading fragment (payload < Total) or a later one
+// (Offset > 0) — crosses the ring like a whole one; a pair's data frames
+// have one channel.
+func TestSHMFragmentsCrossTheRing(t *testing.T) {
 	nics := shmMesh(t, 2, Config{})
 	waitRing(t, nics[0], nics[1], 1)
-	// A fragment that is part of a larger message (payload < Total) must
-	// use the socket regardless of ring state.
+	before, spills := nics[0].ringSends.Load(), nics[0].ringSpills.Load()
 	body := make([]byte, 100)
-	if err := nics[0].Send(1, Header{Kind: 5, Offset: 0, Total: 4000}, body); err != nil {
-		t.Fatal(err)
+	for _, hdr := range []Header{{Kind: 5, Offset: 0, Total: 4000}, {Kind: 5, Offset: 100, Total: 4000}} {
+		if err := nics[0].Send(1, hdr, body); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := nics[0].SendFrom(1, hdr, Bytes(body), 0, 100); err != nil || n != 100 {
+			t.Fatalf("SendFrom = %d, %v", n, err)
+		}
 	}
-	if err := nics[0].Send(1, Header{Kind: 5, Offset: 100, Total: 4000}, body); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 4; i++ {
 		pkt, ok := nics[1].Recv()
 		if !ok {
 			t.Fatal("fragment lost")
 		}
 		pkt.Release()
 	}
+	if got := nics[0].ringSends.Load() - before; got != 4 {
+		t.Fatalf("%d of 4 fragments crossed the ring", got)
+	}
+	if got := nics[0].ringSpills.Load(); got != spills {
+		t.Fatalf("%d fragments spilled onto the socket after the switch", got-spills)
+	}
+}
+
+// TestSHMRingSizedFromFragSize: a pair's ring holds eight full fragments,
+// 256 KiB at the default FragSize, and a data frame larger than a quarter
+// of it is refused, by Send and SendFrom, before the pair switched to its
+// ring and after.
+func TestSHMRingSizedFromFragSize(t *testing.T) {
+	if got := ringCapForFrag(DefaultFragSize); got != 256<<10 {
+		t.Fatalf("default ring holds %d bytes, want 256 KiB", got)
+	}
+	for _, frag := range []int{64, 256, 1024, DefaultFragSize, 64 << 10} {
+		if c := ringCapForFrag(frag); c < 8*recordSpan(headerWireSize+frag) {
+			t.Errorf("FragSize %d: a %d-byte ring holds fewer than 8 fragments", frag, c)
+		}
+	}
+	nics := shmMesh(t, 2, Config{FragSize: 1024})
+	limit := nics[0].frameMax
+	if recordSpan(headerWireSize+int(limit)) != nics[0].ringCap/4 || recordSpan(headerWireSize+int(limit)+1) <= nics[0].ringCap/4 {
+		t.Fatalf("frame limit %d is not the largest frame a quarter of the %d-byte ring holds", limit, nics[0].ringCap)
+	}
+	tooBig := make([]byte, limit+1)
+	refused := func(when string) {
+		t.Helper()
+		if err := nics[0].Send(1, Header{Kind: 5, Total: limit + 1}, tooBig); err == nil || !strings.Contains(err.Error(), strconv.FormatInt(limit, 10)) {
+			t.Errorf("%s: Send of %d bytes: %v, want an error naming the %d-byte limit", when, limit+1, err, limit)
+		}
+		if _, err := nics[0].SendFrom(1, Header{Kind: 5, Total: limit + 1}, Bytes(tooBig), 0, limit+1); err == nil {
+			t.Errorf("%s: SendFrom of %d bytes accepted", when, limit+1)
+		}
+	}
+	refused("before the switch")
+	waitRing(t, nics[0], nics[1], 1)
+	refused("after the switch")
+	if err := nics[0].Send(1, Header{Kind: 5, Total: limit}, tooBig[:limit]); err != nil {
+		t.Fatalf("a frame at the limit: %v", err)
+	}
+	pkt, ok := nics[1].Recv()
+	if !ok || int64(len(pkt.Payload)) != limit {
+		t.Fatal("the frame at the limit did not arrive whole")
+	}
+	pkt.Release()
 }
 
 func TestSHMSmallGetSocketPath(t *testing.T) {
@@ -896,12 +965,12 @@ func TestSHMCorruptRingResetsPair(t *testing.T) {
 
 // TestSHMLosslessUnderBackpressure backs the provider's Lossless claim
 // (SHM.Link): two senders push frames at one slow receiver through a ring a
-// few frames deep — whole frames on the ring, fragments on the socket — so
-// producers park on the full ring again and again. Every Send that returned
-// nil arrives exactly once, and nothing between the live endpoints reset a
-// pair: no socket broke and no ring was replaced.
+// few frames deep — whole frames and fragments alike — so producers park on
+// the full ring again and again. Every Send that returned nil arrives
+// exactly once, and nothing between the live endpoints reset a pair: no
+// socket broke and no ring was replaced.
 func TestSHMLosslessUnderBackpressure(t *testing.T) {
-	nics := shmMesh(t, 3, Config{RingBytes: 4096})
+	nics := shmMesh(t, 3, Config{FragSize: 256}) // a 4 KiB ring
 	for _, s := range []int{0, 2} {
 		waitRing(t, nics[s], nics[1], 1)
 	}
@@ -936,7 +1005,7 @@ func TestSHMLosslessUnderBackpressure(t *testing.T) {
 			for i := 0; i < frames; i++ {
 				hdr := Header{Kind: 6, Tag: uint64(s)<<32 | uint64(i), Total: int64(len(payload))}
 				if i%3 == 2 {
-					hdr.Offset, hdr.Total = 1, hdr.Total+1 // a fragment: the socket
+					hdr.Offset, hdr.Total = 1, hdr.Total+1 // a fragment
 				}
 				if err := nics[s].Send(1, hdr, payload); err != nil {
 					errs <- err

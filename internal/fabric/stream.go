@@ -149,10 +149,11 @@ type stream struct {
 }
 
 type streamConn struct {
-	peer int
-	gen  uint64 // see stream.connGen
-	c    net.Conn
-	wmu  sync.Mutex
+	peer     int
+	gen      uint64 // see stream.connGen
+	c        net.Conn
+	wmu      sync.Mutex
+	readDone bool // the read loop returned; guarded by stream.connsMu
 }
 
 type streamGet struct {
@@ -655,7 +656,7 @@ func (s *stream) dropConn(conn *streamConn, site int64) {
 		connTrace(s.rank, conn.peer, cevDropStale, site)
 		if site == dropSiteWrite {
 			s.connsMu.Lock()
-			s.draining[conn] = struct{}{}
+			s.drainingLocked(conn)
 			s.connsMu.Unlock()
 		} else {
 			conn.c.Close()
@@ -670,7 +671,7 @@ func (s *stream) dropConn(conn *streamConn, site int64) {
 		s.startDialLocked(conn.peer, true)
 	}
 	if site == dropSiteWrite {
-		s.draining[conn] = struct{}{}
+		s.drainingLocked(conn)
 	}
 	s.connsMu.Unlock()
 	if site != dropSiteWrite {
@@ -732,10 +733,7 @@ func (s *stream) failGets(peer int) {
 		if g.peer != peer {
 			continue
 		}
-		select {
-		case g.done <- fmt.Errorf("%w: connection to rank %d broke mid-pull", ErrLinkDown, peer):
-		default:
-		}
+		g.finish(fmt.Errorf("%w: connection to rank %d broke mid-pull", ErrLinkDown, peer))
 	}
 }
 
@@ -1121,12 +1119,24 @@ func (s *stream) serveGet(conn *streamConn, hdr Header) {
 	}
 }
 
-// failGet delivers a Get failure to its waiting initiator (shared by the
-// read loop and provider extensions).
-func (g *streamGet) fail(err error) {
+// finish completes a Get with err (nil: every byte landed) unless it was
+// completed already. It never waits: the read loop that calls it reads
+// every frame of the connection, heartbeats included, and a second
+// completion must not park it (shared by the read loop and provider
+// extensions).
+func (g *streamGet) finish(err error) {
 	select {
 	case g.done <- err:
 	default:
+	}
+}
+
+// drainingLocked records a write-dropped connection for Close while its
+// read loop still runs; one that returned closed the socket already.
+// Caller holds connsMu.
+func (s *stream) drainingLocked(conn *streamConn) {
+	if !conn.readDone {
+		s.draining[conn] = struct{}{}
 	}
 }
 
@@ -1136,6 +1146,7 @@ func (s *stream) readLoop(conn *streamConn) {
 	// dropped it (net.Conn.Close is idempotent).
 	defer func() {
 		s.connsMu.Lock()
+		conn.readDone = true
 		delete(s.draining, conn)
 		s.connsMu.Unlock()
 		conn.c.Close()
@@ -1148,6 +1159,11 @@ func (s *stream) readLoop(conn *streamConn) {
 			return
 		}
 		plen := int(binary.LittleEndian.Uint32(pre[:4]))
+		if plen > MaxFragSize {
+			// No writer frames more (writeFrame): the stream is corrupt.
+			s.dropConn(conn, dropSiteHeader)
+			return
+		}
 		hdr := decodeHeader(pre[4:])
 		// Frames consumed inline release their packet here; inbox packets
 		// carry the payload until the transport calls Release.
@@ -1180,21 +1196,21 @@ func (s *stream) readLoop(conn *streamConn) {
 			if s.cfg.Checksum && CRC32(payload) != uint32(uint64(hdr.Aux0)) {
 				s.checksumErrs.Add(1)
 				pkt.Release()
-				g.fail(fmt.Errorf("%w: rendezvous pull frame at offset %d", ErrCorrupt, hdr.Offset))
+				g.finish(fmt.Errorf("%w: rendezvous pull frame at offset %d", ErrCorrupt, hdr.Offset))
 				continue
 			}
 			_, err := g.sink.WriteAt(payload, g.sinkOff+hdr.Offset)
 			pkt.Release()
 			if err != nil {
-				g.done <- err
+				g.finish(err)
 				continue
 			}
 			if atomic.AddInt64(&g.left, -int64(plen)) <= 0 {
-				g.done <- nil
+				g.finish(nil)
 			}
 		case kindGetErr:
 			if g := s.lookupGet(hdr.MsgID); g != nil {
-				g.done <- errors.New("fabric: remote get: " + string(payload))
+				g.finish(errors.New("fabric: remote get: " + string(payload)))
 			}
 			pkt.Release()
 		default:

@@ -230,7 +230,7 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 // (a fresh process restarts its message-id space, so stale records
 // would swallow its first sends as duplicates), buffered unexpected
 // messages (one claimed by Mprobe stays: its owner holds the handle) and
-// the drain's frame counts — then clears the dead bit and resets the
+// the drain's record of it — then clears the dead bit and resets the
 // provider's connection state.
 // Liveness detection gives the replacement max(2×DeadAfter, 2 s) to boot.
 // After Revive, operations on the rank work again and the rank can be

@@ -38,6 +38,13 @@ func lossyPlan(seed int64) fabric.FaultPlan {
 	}}
 }
 
+// reorderPlan reorders half the outbound packets and does nothing else; the
+// worker needs Reliable under it (an unacked one drops a fragment that
+// arrives before its message's first).
+func reorderPlan(seed int64) fabric.FaultPlan {
+	return fabric.FaultPlan{Seed: seed, Rules: []fabric.FaultRule{{Peer: -1, Action: fabric.Reorder, Prob: 0.5}}}
+}
+
 // faultWorkers builds a 2-rank inproc fabric with both NICs wrapped in
 // fault plans (seed on rank 0, seed+1 on rank 1 so the two directions
 // draw independent decisions).

@@ -216,9 +216,6 @@ func (w *Worker) sendEagerFrags(dst int, tmpl fabric.Header, buf []byte) {
 		n := min(frag, total-off)
 		hdr := tmpl
 		hdr.Offset = off
-		if off > 0 && off+n < total {
-			hdr.Flags |= fabric.FlagUnordered
-		}
 		payload := buf[off : off+n]
 		if w.fab.Checksum {
 			hdr.Flags |= flagCRC
@@ -371,8 +368,7 @@ func (w *Worker) RexmitSnapshot() []RexmitInfo {
 }
 
 // answer is one queued outbound control frame: an eager ack, the FIN that
-// answers a duplicate RTS, or Close's drain: a bye (its count in status) and
-// the answer to one.
+// answers a duplicate RTS, or Close's drain: a bye and the answer to one.
 type answer struct {
 	to     int
 	kind   fabric.Kind

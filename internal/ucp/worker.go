@@ -268,8 +268,8 @@ func (w *Worker) Size() int { return w.nic.Size() }
 
 // Close shuts the worker down. In-flight operations complete with errors.
 // On a link whose peers are separate processes, an unacked worker first
-// drains: it returns only once every live peer it sent frames to has taken
-// them in (see drain.go), or after closeDrainBound.
+// drains: it returns only once every live peer it sent data frames to has
+// taken them in (see drain.go), or after closeDrainBound.
 func (w *Worker) Close() {
 	w.mu.Lock()
 	if w.closed {
@@ -474,9 +474,6 @@ func (w *Worker) eagerSend(dst int, tag Tag, id uint64, total, aux int64, src Se
 	for off < total {
 		n := min(frag, total-off)
 		hdr := fabric.Header{Kind: kindEager, Tag: uint64(tag), MsgID: id, Offset: off, Total: total, Aux0: aux}
-		if off > 0 && off+n < total {
-			hdr.Flags = fabric.FlagUnordered
-		}
 		var sent int64
 		var err error
 		if staging != nil {
@@ -1059,17 +1056,10 @@ func (w *Worker) loop() {
 // Close begins is failed on the spot by enqueue, FIN included; no Send call
 // site holds a worker lock, so that FIN cannot wedge the rank it reaches.)
 // Under liveness detection every packet also stamps its sender as heard
-// from; on a cross-process link every data frame, once handled, counts
-// toward its sender's drain at Close.
+// from.
 func (w *Worker) deliver(pkt *fabric.Packet) {
 	if w.live != nil {
 		w.live.seen(pkt.From)
-	}
-	if w.drain != nil && dataFrame(pkt.Hdr.Kind) {
-		from := pkt.From
-		w.handle(pkt)
-		w.tookFrame(from)
-		return
 	}
 	w.handle(pkt)
 }

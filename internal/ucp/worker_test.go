@@ -615,13 +615,13 @@ func TestGenericPartialPack(t *testing.T) {
 	}
 }
 
+// TestGenericInOrderUnderOutOfOrderFabric: a fault plan reorders half the
+// packets (reorderPlan), and the inorder datatype still sees its fragments
+// in order.
 func TestGenericInOrderUnderOutOfOrderFabric(t *testing.T) {
-	f := fabric.NewInproc(2, fabric.Config{FragSize: 256, OutOfOrder: true, Seed: 7})
-	a := NewWorker(f.NIC(0), Config{RndvThresh: 1 << 30})
-	b := NewWorker(f.NIC(1), Config{RndvThresh: 1 << 30})
-	defer poolDrained(t, f)
-	defer a.Close()
-	defer b.Close()
+	cfg := reliableCfg()
+	cfg.RndvThresh = 1 << 30
+	a, b := faultWorkers(t, 7, fabric.Config{FragSize: 256}, cfg, reorderPlan)
 	ops := &xorOps{key: 0x11}
 	data := pattern(20000, 13)
 	out := make([]byte, 20000)
