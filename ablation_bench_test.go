@@ -116,12 +116,11 @@ func BenchmarkAblationRegionCoalescing(b *testing.B) {
 // BenchmarkAblationPullStripes sweeps the striped-rendezvous fan-out
 // (Config.PullStripes) over large transfers. struct-vec exposes regions
 // and packs under the non-inorder contract, so stripes engage; double-vec
-// is declared inorder and must fall back to one sequential pull at every
-// setting — its flat curve is the correctness baseline. The 32 KiB point
-// stays under the 256 KiB striping threshold and pins the no-regression
-// claim for small messages. Wall-clock gains need real cores: on
-// GOMAXPROCS=1 the stripes time-slice and the sweep only shows the fan-out
-// overhead staying flat.
+// is declared inorder, so its head is one ordered Get and only its region
+// tail stripes. The 32 KiB point stays under the 256 KiB striping
+// threshold and pins the no-regression claim for small messages.
+// Wall-clock gains need real cores: on GOMAXPROCS=1 the stripes time-slice
+// and the sweep only shows the fan-out overhead staying flat.
 func BenchmarkAblationPullStripes(b *testing.B) {
 	sizes := []int{32 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20}
 	ops := []struct {

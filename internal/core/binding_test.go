@@ -156,27 +156,30 @@ func TestBindingSeamWrite(t *testing.T) {
 }
 
 // TestBindingSequentialOnlyForInorder: only an inorder datatype asks the
-// transport for in-order delivery, and only its receive puts off naming
-// the regions until something past the head is touched.
+// transport for in-order delivery, of its head, and only its receive puts
+// off naming the regions until the last head byte is unpacked.
 func TestBindingSequentialOnlyForInorder(t *testing.T) {
 	f := flatOf(8, 16)
 	total := int64(len(f.image()))
 	plain := bindRecv(t, TypeCreateCustom(flatHandler{}), f.blank(), total, 8)
 	defer plain.Finish()
-	if plain.Sequential() || !plain.resolved {
-		t.Fatalf("plain receive: Sequential %v, resolved %v; want false, true", plain.Sequential(), plain.resolved)
+	if plain.Ordered() != 0 || !plain.resolved {
+		t.Fatalf("plain receive: Ordered %d, resolved %v; want 0, true", plain.Ordered(), plain.resolved)
 	}
 	inorder := TypeCreateCustom(flatHandler{}, WithInOrder())
 	lazy := bindRecv(t, inorder, f.blank(), total, 8)
 	defer lazy.Finish()
-	if !lazy.Sequential() || lazy.resolved {
-		t.Fatalf("inorder receive: Sequential %v, resolved %v; want true, false", lazy.Sequential(), lazy.resolved)
+	if lazy.Ordered() != 8 || lazy.resolved {
+		t.Fatalf("inorder receive: Ordered %d, resolved %v; want 8, false", lazy.Ordered(), lazy.resolved)
 	}
-	if _, err := lazy.WriteAt(f.head, 0); err != nil || lazy.resolved {
-		t.Fatalf("writing the head: %v, resolved %v", err, lazy.resolved)
+	if _, err := lazy.WriteAt(f.head[:7], 0); err != nil || lazy.resolved {
+		t.Fatalf("writing all but the head's last byte: %v, resolved %v", err, lazy.resolved)
 	}
-	if w, ok := lazy.Window(8, 16); !ok || len(w) != 16 || !lazy.resolved {
-		t.Fatalf("first window past the head = %d bytes, ok=%v, resolved %v", len(w), ok, lazy.resolved)
+	if _, err := lazy.WriteAt(f.head[7:], 7); err != nil || !lazy.resolved {
+		t.Fatalf("writing the head's last byte: %v, resolved %v", err, lazy.resolved)
+	}
+	if w, ok := lazy.Window(8, 16); !ok || len(w) != 16 {
+		t.Fatalf("first window past the head = %d bytes, ok=%v", len(w), ok)
 	}
 	if send := bindSend(t, inorder, f); !send.resolved {
 		t.Fatal("a send names its regions when it is bound")
@@ -185,7 +188,7 @@ func TestBindingSequentialOnlyForInorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bindSend(t, FromDDT(gapped), make([]byte, gapped.Span(1))).Sequential() {
+	if bindSend(t, FromDDT(gapped), make([]byte, gapped.Span(1))).Ordered() != 0 {
 		t.Fatal("a derived datatype is never sequential")
 	}
 }

@@ -36,8 +36,10 @@ type Count = int64
 // Concurrency contract: unless the type is created WithInOrder, Pack and
 // Unpack must tolerate being called at arbitrary — including concurrent —
 // disjoint offsets against one state. The transport exploits this to
-// stripe large rendezvous pulls across cores; inorder types are always
-// driven sequentially at strictly increasing offsets.
+// stripe large rendezvous pulls across cores; an inorder type's Pack and
+// Unpack are always driven sequentially at strictly increasing offsets,
+// and only its regions — named once the packed part is unpacked — are
+// filled concurrently.
 type CustomHandler interface {
 	// State allocates per-operation state for (buf, count); it may return
 	// nil for stateless types.
@@ -91,7 +93,8 @@ type CustomOption func(*Datatype)
 // WithInOrder sets the paper's inorder flag: unpack callbacks observe
 // strictly increasing offsets and regions are resolved only after the
 // packed part has been fully unpacked (required when the region layout
-// depends on unpacked metadata, e.g. serialized dynamic objects).
+// depends on unpacked metadata, e.g. serialized dynamic objects). The
+// order covers the packed part; the regions are moved like any type's.
 func WithInOrder() CustomOption {
 	return func(d *Datatype) { d.inorder = true }
 }
@@ -280,9 +283,10 @@ type binding struct {
 	size  int64 // head + tail bytes; negative until the tail has named it
 
 	// The tail is valid once resolved: at bind time, except for an inorder
-	// receive, whose regions may depend on what the head carries and are
-	// asked for on the first access past it — in-order delivery means the
-	// head was unpacked by then.
+	// receive with a head, whose regions may depend on what the head
+	// carries and are asked for when its last byte has been unpacked —
+	// before any byte past it can arrive (Ordered), so whoever moves the
+	// tail, stripes included, reads a table that no longer changes.
 	tail     fabric.Iov
 	scratch  *regionScratch // pooled backing of the tail: regions and index
 	resolved bool
@@ -307,7 +311,7 @@ func (d *Datatype) bind(buf any, count Count, total, head int64) (wireState, err
 			err = fmt.Errorf("core: packed size %d out of range for a %d-byte image", b.head, total)
 		}
 	}
-	if err == nil && !(d.inorder && total >= 0) {
+	if err == nil && !(d.inorder && total >= 0 && b.head > 0) {
 		err = b.resolve()
 	}
 	if err != nil {
@@ -398,6 +402,11 @@ func (b *binding) WriteAt(src []byte, off int64) (int, error) {
 		if err := b.d.handler.Unpack(b.state, b.buf, b.count, off, src[:n]); err != nil {
 			return 0, err
 		}
+		if off+int64(n) == b.head {
+			if err := b.resolve(); err != nil {
+				return n, err
+			}
+		}
 	}
 	if n == len(src) {
 		return n, nil
@@ -421,8 +430,8 @@ func (b *binding) Window(off, n int64) ([]byte, bool) {
 
 // RegionTail hands the tail to a transfer that walks it with a cursor of
 // its own rather than through Window, region by region — and, like
-// Window, only once off has reached the head's end: an inorder receive's
-// regions are asked for then, after its head was unpacked.
+// Window, only once off has reached the head's end, which an inorder
+// receive's head has resolved by then.
 func (b *binding) RegionTail(off int64) (int64, *fabric.Iov) {
 	if off < b.head || b.resolve() != nil {
 		return b.head, nil
@@ -430,9 +439,16 @@ func (b *binding) RegionTail(off int64) (int64, *fabric.Iov) {
 	return b.head, &b.tail
 }
 
-// Sequential implements fabric.SequentialSink: the inorder contract, and
-// what makes resolving the tail late sound.
-func (b *binding) Sequential() bool { return b.d.inorder }
+// Ordered implements fabric.OrderedSink: an inorder type orders its head
+// — what makes resolving the tail at the head's end sound — and nothing
+// past it, so its region tail is pulled like any other. A pure-pack type
+// is all head.
+func (b *binding) Ordered() int64 {
+	if !b.d.inorder {
+		return 0
+	}
+	return b.head
+}
 
 // Finish gives the region scratch back and frees the handler's state.
 func (b *binding) Finish() error {

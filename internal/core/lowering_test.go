@@ -162,8 +162,9 @@ func TestProtocolSelectionTable(t *testing.T) {
 			[]string{eager, eager, rndv, rndv, rndv, rndv, rndv, rndv, rndv, striped, striped}},
 		{"custom-head+2-regions", core.TypeCreateCustom(&regionHandler{packed: 256, nreg: 2}), bytesOf,
 			[]string{eager, eager, rndv, rndv, rndv, rndv, rndv, rndv, rndv, striped, striped}},
+		// The head is pulled in order, then a tail of 256 KiB or more stripes.
 		{"custom-inorder-head+2-regions", core.TypeCreateCustom(&regionHandler{packed: 256, nreg: 2}, core.WithInOrder()), bytesOf,
-			[]string{eager, eager, rndv, rndv, rndv, rndv, rndv, rndv, rndv, rndv, rndv}},
+			[]string{eager, eager, rndv, rndv, rndv, rndv, rndv, rndv, rndv, rndv, striped}},
 	}
 
 	sys := core.NewSystem(2, core.Options{UCP: ucp.Config{PullStripes: 2}})

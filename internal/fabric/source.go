@@ -55,9 +55,21 @@ type DirectSink interface {
 	Window(off, n int64) (view []byte, ok bool)
 }
 
-// SequentialSink is implemented by sinks that must observe bytes in
-// strictly increasing offset order (the custom-datatype inorder contract).
-// Transports buffer out-of-order fragments before delivering to such sinks.
+// OrderedSink is implemented by sinks whose leading bytes must arrive in
+// order: the custom-datatype inorder contract, which covers a type's
+// packed head. Transports buffer out-of-order fragments of that range
+// before delivering them, and never split or rewind it.
+type OrderedSink interface {
+	Sink
+	// Ordered returns n: bytes [0, n) must be written in increasing
+	// offset order, each once, before any byte past them. 0 means none.
+	Ordered() int64
+}
+
+// SequentialSink is the whole-sink order flag that OrderedSink replaced.
+//
+// Deprecated: transports read only OrderedSink; Sequential is never
+// called.
 type SequentialSink interface {
 	Sink
 	// Sequential reports whether in-order delivery is required.

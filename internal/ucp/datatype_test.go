@@ -10,7 +10,7 @@ import (
 // Test-local datatypes. The transport ships Contig only; these drive what
 // Contig cannot through the worker: Iov a region list (many windows, early
 // rendezvous), Generic a callback-packed stream (a source with no direct
-// window, short packs, pack and unpack failures, a sequential sink).
+// window, short packs, pack and unpack failures, an ordered sink).
 
 type iovState struct{ *fabric.Iov }
 
@@ -161,7 +161,12 @@ type genericSink struct {
 
 func (s *genericSink) Size() int64 { return s.size }
 
-func (s *genericSink) Sequential() bool { return s.inorder }
+func (s *genericSink) Ordered() int64 {
+	if s.inorder {
+		return s.size
+	}
+	return 0
+}
 
 func (s *genericSink) WriteAt(src []byte, off int64) (int, error) {
 	if off < 0 || off+int64(len(src)) > s.size {

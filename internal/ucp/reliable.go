@@ -440,35 +440,14 @@ func (w *Worker) ackPump() {
 }
 
 // get runs one Get of a pull and passes the outcome on. Unrecoverable errors
-// — unknown key, closed NIC, dead peer — and sequential sinks (which cannot
-// rewind) count the job done at once; a transient failure (link down,
-// corrupt frame) is retried up to getRetries times.
+// — unknown key, closed NIC, dead peer — and a job starting inside the
+// sink's ordered prefix (which cannot rewind) count the job done at once; a
+// transient failure (link down, corrupt frame) is retried up to getRetries
+// times.
 func (w *Worker) get(j job) {
-	op, from := j.op, j.op.srcRank
-	var err error
-	switch {
-	case w.quitting():
-		err = ErrWorkerClosed
-	case w.PeerFailed(from):
-		err = procFailedErr(from)
-	default:
-		if j.attempt > 0 {
-			w.stats.GetRetries.Add(1)
-		}
-		start := w.obsNow()
-		err = w.nic.Get(from, op.key, j.off, op.sink, j.off, j.n)
-		if w.obs != nil {
-			w.obs.getNS.Observe(time.Since(start).Nanoseconds())
-		}
-		if errors.Is(err, fabric.ErrRankDead) {
-			// Only a dead process produces ErrRankDead: promote it to a peer
-			// failure so every other operation on the rank fails too, and do
-			// not waste a single retry on it.
-			w.DeclarePeerFailed(from)
-			err = procFailedErr(from)
-		}
-	}
-	if err == nil || op.sequential || permanent(err) || j.attempt == getRetries {
+	op := j.op
+	err := w.fetch(j)
+	if err == nil || j.off < op.ordered || permanent(err) || j.attempt == getRetries {
 		w.jobDone(op, err)
 		return
 	}
@@ -496,6 +475,33 @@ func (w *Worker) get(j job) {
 	})
 	w.retries[t] = j
 	w.jobMu.Unlock()
+}
+
+// fetch runs the Get of job j once.
+func (w *Worker) fetch(j job) error {
+	op, from := j.op, j.op.srcRank
+	switch {
+	case w.quitting():
+		return ErrWorkerClosed
+	case w.PeerFailed(from):
+		return procFailedErr(from)
+	}
+	if j.attempt > 0 {
+		w.stats.GetRetries.Add(1)
+	}
+	start := w.obsNow()
+	err := w.nic.Get(from, op.key, j.off, op.sink, j.off, j.n)
+	if w.obs != nil {
+		w.obs.getNS.Observe(time.Since(start).Nanoseconds())
+	}
+	if errors.Is(err, fabric.ErrRankDead) {
+		// Only a dead process produces ErrRankDead: promote it to a peer
+		// failure so every other operation on the rank fails too, and do
+		// not waste a single retry on it.
+		w.DeclarePeerFailed(from)
+		err = procFailedErr(from)
+	}
+	return err
 }
 
 // permanent reports whether a failed Get is final: neither a retry nor a

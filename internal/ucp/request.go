@@ -74,19 +74,23 @@ type Request struct {
 	// Delivery state of a matched receive, guarded by mu so the goroutine
 	// that matched the message can drain buffered fragments while the
 	// progress goroutine routes live ones.
-	msgTotal   int64     // incoming message size
-	tracked    bool      // registered in the worker's active table
-	wireEager  bool      // eager message from a remote rank (ack/dedup applies)
-	reliable   bool      // sender expects an ack on completion
-	start      time.Time // match time, for the unpack_ns histogram (zero when obs is off)
-	sink       RecvState // nil when sink construction failed
-	received   int64
-	discard    bool  // stop delivering; drain remaining fragments
-	failure    error // first failure
-	finished   bool
-	sequential bool
-	next       int64
-	pending    map[int64]*fabric.Packet
+	msgTotal  int64 // incoming message size
+	tracked   bool  // registered in the worker's active table
+	wireEager bool  // eager message from a remote rank (ack/dedup applies)
+	reliable  bool  // sender expects an ack on completion
+	discard   bool  // stop delivering; drain remaining fragments
+	finished  bool
+	start     time.Time // match time, for the unpack_ns histogram (zero when obs is off)
+	sink      RecvState // nil when sink construction failed
+	received  int64
+	failure   error // first failure
+	// ordered is the sink's fabric.OrderedSink answer: bytes [0, ordered) are
+	// delivered in order, each once — an eager message's fragments all of
+	// them, through next and pending (see sequential); a pull's by one Get
+	// that is never retried or split.
+	ordered int64
+	next    int64
+	pending map[int64]*fabric.Packet
 	// seen dedups retransmitted fragments for non-sequential sinks:
 	// offset → longest payload accepted there (a truncated fragment may
 	// be superseded by its full retransmission).
@@ -102,6 +106,10 @@ type Request struct {
 	// embedded: that cost every request 104 bytes and eager bursts 9 %.
 	send *sendOp
 }
+
+// sequential reports whether an eager receive's fragments are delivered
+// in offset order: all of them, when any leading bytes must be.
+func (r *Request) sequential() bool { return r.ordered > 0 }
 
 func newRequest(w *Worker) *Request {
 	return &Request{w: w, srcRank: -1}

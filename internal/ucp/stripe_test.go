@@ -88,9 +88,10 @@ func TestStripedPullGenericUnordered(t *testing.T) {
 	}
 }
 
-// TestStripedPullInOrderFallsBack pins the `inorder ⇒ sequential` rule:
-// an InOrder generic sink never stripes, and its unpack callbacks see
-// strictly increasing, gap-free offsets even with striping configured.
+// TestStripedPullInOrderFallsBack pins the `inorder ⇒ ordered head` rule
+// for a sink that orders all of itself: an InOrder generic sink never
+// stripes, and its unpack callbacks see strictly increasing, gap-free
+// offsets even with striping configured.
 func TestStripedPullInOrderFallsBack(t *testing.T) {
 	a, b := pair(t, fabric.Config{}, stripeCfg(8))
 	ops := &xorOps{key: 0x77}

@@ -5,8 +5,8 @@
 // prototype took from UCX as two more classes — region lists
 // (UCP_DATATYPE_IOV) and callback-driven generic types
 // (UCP_DATATYPE_GENERIC) — are properties a state may have instead: direct
-// windows over some or all of its range, several regions, a sequential
-// sink. The layer above has one state type with all of them (core's
+// windows over some or all of its range, several regions, an ordered
+// prefix. The layer above has one state type with all of them (core's
 // binding); this package's tests keep test-local Iov and Generic datatypes
 // to drive each property through the worker on its own.
 //
@@ -78,11 +78,11 @@ type Config struct {
 	// the pull path transfers them zero-copy.
 	RndvThresh int64
 	// PullStripes is how many cores one peer's transfers may use: the
-	// stripes a rendezvous pull of at least 256 KiB is split into when the
-	// receive datatype tolerates out-of-order delivery (the custom-datatype
-	// inorder contract forces sequential pulls), and the cap on the pullers
-	// that run one source rank's pulls and stripes (not over TCP: see
-	// NewWorker). Zero selects min(GOMAXPROCS, 4); 1 disables striping.
+	// stripes a rendezvous pull of at least 256 KiB is split into (for an
+	// inorder custom datatype, the part past its head, which is pulled
+	// first and whole), and the cap on the pullers that run one source
+	// rank's pulls and stripes (not over TCP: see NewWorker). Zero selects
+	// min(GOMAXPROCS, 4); 1 disables striping.
 	PullStripes int
 	// RanksPerNode is how many ranks share this machine's CPUs, as
 	// reported by the launcher for ranks it could not bind. It scales the
@@ -125,8 +125,9 @@ type Config struct {
 // DefaultRndvThresh is the default eager→rendezvous threshold (32 KiB).
 const DefaultRndvThresh = 32 * 1024
 
-// pullStripeThresh is the minimum message size for a striped rendezvous
-// pull. Smaller pulls always run as a single sequential Get.
+// pullStripeThresh is the minimum size of a striped rendezvous pull, or of
+// the part past its ordered prefix. Smaller pulls always run as a single
+// sequential Get.
 const pullStripeThresh = 256 * 1024
 
 // msgIDEpochShift places a worker's message ids above every id an earlier
@@ -138,8 +139,8 @@ const msgIDEpochShift = 40
 
 // getRetries is how many times a failed rendezvous Get (link down,
 // corrupt frame) is retried with backoff before the pull degrades or
-// fails. Sequential (inorder) sinks never retry: their contract forbids
-// rewinding.
+// fails. A Get starting inside the sink's ordered prefix (an inorder
+// type's head) never retries: its contract forbids rewinding.
 const getRetries = 3
 
 // abortLinger is how long an errored unmatched message is kept for a

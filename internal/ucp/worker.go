@@ -687,8 +687,11 @@ func (w *Worker) bind(req *Request, in inbound, eager, partial bool) {
 		req.failure = err
 	} else {
 		req.sink = sink
-		if ss, ok := fabric.Sink(sink).(fabric.SequentialSink); ok && ss.Sequential() {
-			req.sequential = true
+		req.ordered = 0
+		if o, ok := sink.(fabric.OrderedSink); ok {
+			req.ordered = o.Ordered()
+		}
+		if req.ordered > 0 {
 			req.pending = make(map[int64]*fabric.Packet)
 		}
 		if in.total > sink.Size() {
@@ -696,7 +699,7 @@ func (w *Worker) bind(req *Request, in inbound, eager, partial bool) {
 			req.failure = fmt.Errorf("%w: %d bytes incoming, %d byte buffer", ErrTruncated, in.total, sink.Size())
 		}
 	}
-	if w.cfg.Reliable && partial && !req.sequential {
+	if w.cfg.Reliable && partial && !req.sequential() {
 		// A message already whole is finished under req.mu before any
 		// retransmitted fragment can be fed to it.
 		req.seen = make(map[int64]int64)
@@ -831,7 +834,10 @@ func (w *Worker) run(j job) {
 // puller queues the other stripes and runs the first itself. Both ends must
 // take concurrent access at disjoint offsets: memory windows (Bytes, Iov, a
 // binding's region tail) index immutable layout tables, non-inorder callbacks
-// accept any offset by contract. Sequential (inorder) sinks are one Get.
+// accept any offset by contract. An ordered prefix (an inorder type's head,
+// fabric.OrderedSink) is never split: it is one Get, run here before the
+// stripes of what follows it are queued, and only a tail past it of at
+// least pullStripeThresh bytes stripes — otherwise the message is one Get.
 func (w *Worker) transfer(op *Request) {
 	n, self := op.msgTotal, op.selfFrom
 	if self != nil && op.failure == nil && n > 0 {
@@ -841,12 +847,16 @@ func (w *Worker) transfer(op *Request) {
 		w.finishRecv(op)
 		return
 	}
-	chunk := n
-	if !op.sequential && n >= pullStripeThresh {
+	p := min(op.ordered, n)
+	chunk := n - p
+	if chunk >= pullStripeThresh {
 		stripes := int64(w.cfg.PullStripes)
-		chunk = (n + stripes - 1) / stripes
+		chunk = (chunk + stripes - 1) / stripes
 	}
-	segs := (n + chunk - 1) / chunk
+	if chunk >= n-p {
+		p, chunk = 0, n // one Get, the ordered prefix first
+	}
+	segs := (n - p + chunk - 1) / chunk
 	if segs == 1 {
 		w.stats.SequentialPulls.Add(1)
 	} else {
@@ -855,17 +865,25 @@ func (w *Worker) transfer(op *Request) {
 		w.ev(obs.EvStripes, op.srcRank, op.msgID, op.srcTag, n, segs)
 	}
 	op.striped, op.jobsLeft = segs > 1, int32(segs)
-	for off := chunk; off < n; off += chunk {
+	if p > 0 {
+		if err := w.fetch(job{op: op, n: p}); err != nil {
+			op.striped, op.jobsLeft = false, 1
+			w.jobDone(op, err)
+			return
+		}
+	}
+	for off := p + chunk; off < n; off += chunk {
 		w.enqueue(job{op: op, off: off, n: min(chunk, n-off)})
 	}
-	w.get(job{op: op, n: chunk})
+	w.get(job{op: op, off: p, n: min(chunk, n-p)})
 }
 
 // jobDone counts one Get job of op finished, with err if it failed for good.
 // The job that zeroes the count speaks for the message, so the FIN that
 // releases the sender's registration cannot pass a stripe in flight. If a
-// stripe ran out of retries, it pulls the whole range again as one Get:
-// non-sequential sinks accept rewrites at offsets already covered.
+// stripe ran out of retries, it pulls the striped range again as one Get:
+// the sink accepts rewrites there, past its ordered prefix, which already
+// landed and is not pulled again.
 func (w *Worker) jobDone(op *Request, err error) {
 	op.mu.Lock()
 	if op.failure == nil {
@@ -881,7 +899,8 @@ func (w *Worker) jobDone(op *Request, err error) {
 	switch {
 	case again:
 		w.stats.StripeFallbacks.Add(1)
-		w.get(job{op: op, n: op.msgTotal})
+		p := min(op.ordered, op.msgTotal)
+		w.get(job{op: op, off: p, n: op.msgTotal - p})
 	case last:
 		w.finishRecv(op)
 	}
@@ -920,7 +939,7 @@ func (w *Worker) feedLocked(op *Request, pkt *fabric.Packet) bool {
 		p.Release()
 		op.received += got
 	}
-	if !op.sequential || op.discard {
+	if !op.sequential() || op.discard {
 		write(pkt)
 	} else {
 		if pkt.Hdr.Offset < op.next {

@@ -491,20 +491,35 @@ func DoubleVecBytes(v [][]byte) int {
 }
 
 // doubleVecHandler is the custom handler for [][]byte on the send side and
-// *[][]byte on the receive side. The packed part carries the subvector
-// count and lengths; each subvector is a memory region. Because the
-// receive-side region layout is only known after the header is unpacked,
-// the type requires in-order delivery (the paper's inorder flag).
+// *[][]byte on the receive side. The packed part (the head) carries the
+// sub-vector count and lengths; each sub-vector is a memory region.
+// Because the receive-side region layout is only known once the head is
+// unpacked, the type requires in-order delivery (the paper's inorder
+// flag): the head arrives in order, and its last byte names the regions,
+// which are then moved like any type's — striped, when large. A receive
+// gives the sub-vectors one backing array, cut capacity-clipped, so an
+// append to one sub-vector cannot write into its neighbour.
 type doubleVecHandler struct{}
 
 type dvState struct {
-	vecs   [][]byte  // send side (or materialized receive)
-	out    *[][]byte // receive side destination
-	header []byte    // receive: staged header bytes
-	got    Count     // receive: header bytes seen
+	vecs [][]byte  // send side (or materialized receive)
+	out  *[][]byte // receive side destination
+	head []byte    // receive: the head bytes unpacked so far
+	size Count     // receive: the head's length, once its count is in
 }
 
 func dvHeaderSize(n int) Count { return Count(8 * (n + 1)) }
+
+const (
+	// dvMaxCount is the largest sub-vector count whose head length is an
+	// int64.
+	dvMaxCount = 1<<60 - 2
+	// dvMaxBytes bounds the payload a received head may name: lengths
+	// past it are a corrupt head, refused before anything is allocated. A
+	// head naming less, but more than the host can give, still fails in
+	// the receive's one allocation.
+	dvMaxBytes = 1 << 40
+)
 
 func (doubleVecHandler) State(buf any, _ Count) (any, error) {
 	switch v := buf.(type) {
@@ -519,11 +534,16 @@ func (doubleVecHandler) State(buf any, _ Count) (any, error) {
 
 func (doubleVecHandler) FreeState(any) error { return nil }
 
+// sendVecs returns the sub-vectors that are the state's regions: a send's,
+// a receive's once its head named them, or — before a receive has
+// unpacked anything — the ones its buffer holds.
 func (s *dvState) sendVecs() ([][]byte, error) {
-	if s.vecs != nil {
+	switch {
+	case s.vecs != nil:
 		return s.vecs, nil
-	}
-	if s.out != nil && *s.out != nil {
+	case len(s.head) > 0:
+		return nil, fmt.Errorf("workloads: double-vec head cut short at %d bytes", len(s.head))
+	case s.out != nil && *s.out != nil:
 		return *s.out, nil
 	}
 	return nil, errors.New("workloads: double-vec buffer holds no data to pack")
@@ -537,52 +557,88 @@ func (doubleVecHandler) PackedSize(state, _ any, _ Count) (Count, error) {
 	return dvHeaderSize(len(vecs)), nil
 }
 
+// Pack writes the window [offset, offset+len(dst)) of the head — the
+// count, then each sub-vector's length, little-endian words — into dst.
 func (doubleVecHandler) Pack(state, _ any, _, offset Count, dst []byte) (Count, error) {
 	vecs, err := state.(*dvState).sendVecs()
 	if err != nil {
 		return 0, err
 	}
-	hdr := make([]byte, dvHeaderSize(len(vecs)))
-	layout.PutI64(hdr, 0, int64(len(vecs)))
-	for i, v := range vecs {
-		layout.PutI64(hdr, 8*(i+1), int64(len(v)))
+	end := min(offset+Count(len(dst)), dvHeaderSize(len(vecs)))
+	var word [8]byte
+	n := Count(0)
+	for off := offset; off < end; {
+		v := int64(len(vecs))
+		if i := off / 8; i > 0 {
+			v = int64(len(vecs[i-1]))
+		}
+		layout.PutI64(word[:], 0, v)
+		k := Count(copy(dst[n:end-offset], word[off%8:]))
+		n += k
+		off += k
 	}
-	return Count(copy(dst, hdr[offset:])), nil
+	return n, nil
 }
 
+// Unpack stages the head; its last byte sizes the sub-vectors.
 func (doubleVecHandler) Unpack(state, _ any, _, offset Count, src []byte) error {
 	s := state.(*dvState)
 	if s.out == nil {
 		return errors.New("workloads: unpack into a send-side double-vec")
 	}
-	if s.header == nil {
-		s.header = make([]byte, 8)
+	if offset != Count(len(s.head)) || s.vecs != nil {
+		return fmt.Errorf("workloads: double-vec head bytes at %d out of order", offset)
 	}
-	if offset < 8 {
-		n := copy(s.header[offset:8], src)
-		s.got += Count(n)
-		src = src[n:]
-		offset += Count(n)
-	}
-	if s.got >= 8 && len(s.header) == 8 {
-		n := int(layout.I64(s.header, 0))
-		grown := make([]byte, dvHeaderSize(n))
-		copy(grown, s.header)
-		s.header = grown
-	}
-	if len(src) > 0 {
-		copy(s.header[offset:], src)
-		s.got += Count(len(src))
-	}
-	if len(s.header) > 8 && s.got == Count(len(s.header)) {
-		n := int(layout.I64(s.header, 0))
-		vecs := make([][]byte, n)
-		for i := 0; i < n; i++ {
-			vecs[i] = make([]byte, layout.I64(s.header, 8*(i+1)))
+	s.head = append(s.head, src...)
+	if s.size == 0 && len(s.head) >= 8 {
+		n := layout.I64(s.head, 0)
+		if n < 0 || n > dvMaxCount {
+			return fmt.Errorf("workloads: corrupt double-vec count %d", n)
 		}
-		*s.out = vecs
+		s.size = dvHeaderSize(int(n))
 	}
+	switch got := Count(len(s.head)); {
+	case s.size == 0 || got < s.size:
+		return nil
+	case got > s.size:
+		return fmt.Errorf("workloads: double-vec head of %d bytes runs past its %d", got, s.size)
+	}
+	n := int(layout.I64(s.head, 0))
+	total, err := dvPayload(s.head, n, dvMaxBytes)
+	if err != nil {
+		return err
+	}
+	s.vecs = dvCut(s.head, n, make([]byte, total))
+	*s.out, s.head = s.vecs, nil
 	return nil
+}
+
+// dvPayload checks the n lengths a head names and returns their sum, which
+// may not pass limit.
+func dvPayload(head []byte, n int, limit int64) (int64, error) {
+	total := int64(0)
+	for i := 1; i <= n; i++ {
+		l := layout.I64(head, 8*i)
+		if l < 0 || l > limit-total {
+			return 0, fmt.Errorf("workloads: corrupt double-vec length %d of sub-vector %d", l, i-1)
+		}
+		total += l
+	}
+	return total, nil
+}
+
+// dvCut hands backing out as the n sub-vectors whose lengths head names
+// (dvPayload: they sum to len(backing)), each capacity-clipped. The result
+// is never nil.
+func dvCut(head []byte, n int, backing []byte) [][]byte {
+	vecs := make([][]byte, n)
+	o := int64(0)
+	for i := range vecs {
+		l := layout.I64(head, 8*(i+1))
+		vecs[i] = backing[o : o+l : o+l]
+		o += l
+	}
+	return vecs
 }
 
 func (doubleVecHandler) RegionCount(state, _ any, _ Count) (Count, error) {
@@ -630,25 +686,22 @@ func PackedDoubleVecSize(vecs [][]byte) int {
 	return int(dvHeaderSize(len(vecs))) + DoubleVecBytes(vecs)
 }
 
-// UnpackDoubleVec reverses PackDoubleVec, allocating the subvectors.
+// UnpackDoubleVec reverses PackDoubleVec, giving the subvectors one
+// backing array, cut as a custom receive cuts it.
 func UnpackDoubleVec(src []byte) ([][]byte, error) {
 	if len(src) < 8 {
 		return nil, errors.New("workloads: double-vec buffer too short")
 	}
-	n := int(layout.I64(src, 0))
-	if n < 0 || int64(dvHeaderSize(n)) > int64(len(src)) {
+	n := layout.I64(src, 0)
+	if n < 0 || n > int64(len(src))/8-1 {
 		return nil, errors.New("workloads: corrupt double-vec header")
 	}
-	r := int(dvHeaderSize(n))
-	vecs := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		l := int(layout.I64(src, 8*(i+1)))
-		if l < 0 || r+l > len(src) {
-			return nil, errors.New("workloads: corrupt double-vec length")
-		}
-		vecs[i] = make([]byte, l)
-		copy(vecs[i], src[r:r+l])
-		r += l
+	r := int(dvHeaderSize(int(n)))
+	total, err := dvPayload(src, int(n), int64(len(src)-r))
+	if err != nil {
+		return nil, err
 	}
-	return vecs, nil
+	backing := make([]byte, total)
+	copy(backing, src[r:])
+	return dvCut(src, int(n), backing), nil
 }
