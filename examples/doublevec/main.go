@@ -78,6 +78,9 @@ func main() {
 					} else {
 						switch method {
 						case "custom":
+							// A fresh buffer each time: a same-shape one would
+							// be received into in place, and the comparison
+							// with manual-pack's allocation would not be fair.
 							var recv [][]byte
 							if _, err := c.Recv(&recv, 1, dt, peer, 1); err != nil {
 								return err

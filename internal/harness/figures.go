@@ -61,6 +61,8 @@ func DoubleVecOp(method string, total, subvec int) Op {
 			Bytes: bytes,
 			Send:  func(c *core.Comm, dst, tag int) error { return c.Send(send, 1, dt, dst, tag) },
 			Recv: func(c *core.Comm, src, tag int) error {
+				// Fresh each op, not received into in place: the figures
+				// compare allocation-inclusive receives with manual-pack.
 				var recv [][]byte
 				_, err := c.Recv(&recv, 1, dt, src, tag)
 				return err

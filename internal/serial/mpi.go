@@ -3,6 +3,7 @@ package serial
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mpicd/internal/core"
 )
@@ -179,10 +180,13 @@ func (objectHandler) Unpack(state, _ any, _, offset core.Count, src []byte) erro
 	if !ok {
 		return errors.New("serial: unpack on a send-side state")
 	}
-	if need := offset + int64(len(src)); int64(len(m.header)) < need {
-		grown := make([]byte, need)
-		copy(grown, m.header)
-		m.header = grown
+	if need := int(offset) + len(src); len(m.header) < need {
+		// Doubling: a header that arrives in k fragments is grown
+		// O(log k) times and copied O(1) times a byte, not k and O(k).
+		if need > cap(m.header) {
+			m.header = slices.Grow(m.header, max(need, 2*cap(m.header))-len(m.header))
+		}
+		m.header = m.header[:need]
 	}
 	copy(m.header[offset:], src)
 	m.got += int64(len(src))

@@ -2,8 +2,10 @@ package serial
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -223,5 +225,96 @@ func TestCDTSelfSend(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bufRefHeader is a header holding one out-of-band buffer reference per
+// length, in a list, with no check that the lengths are sane.
+func bufRefHeader(lens ...uint64) []byte {
+	h := binary.LittleEndian.AppendUint32([]byte{tagList}, uint32(len(lens)))
+	for i, n := range lens {
+		h = binary.LittleEndian.AppendUint32(append(h, tagBufRef), uint32(i))
+		h = binary.LittleEndian.AppendUint64(h, n)
+	}
+	return h
+}
+
+// TestCorruptHeaderIsAnError: a header naming a buffer past int64, or
+// buffers summing past the 1 TiB cap, is refused by BufferLens — so the
+// custom type's RegionCount and RecvOOB return an error instead of
+// panicking in make on the rank that received it.
+func TestCorruptHeaderIsAnError(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		lens []uint64
+	}{
+		{"past-int64", []uint64{1 << 63}},
+		{"max-uint64", []uint64{math.MaxUint64}},
+		{"one-past-cap", []uint64{maxBufferBytes + 1}},
+		{"sum-past-cap", []uint64{8, maxBufferBytes/2 + 1, maxBufferBytes / 2}},
+	} {
+		header := bufRefHeader(c.lens...)
+		t.Run(c.name+"/BufferLens", func(t *testing.T) {
+			if lens, err := BufferLens(header); !errors.Is(err, ErrFormat) {
+				t.Fatalf("BufferLens = %v, %v; want ErrFormat", lens, err)
+			}
+		})
+		t.Run(c.name+"/handler", func(t *testing.T) {
+			var h objectHandler
+			m := &Msg{}
+			if err := h.Unpack(m, m, 1, 0, header); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := h.RegionCount(m, m, 1); err == nil {
+				t.Fatalf("RegionCount = %d, want an error", n)
+			}
+			if err := h.Regions(m, m, 1, nil); err == nil {
+				t.Fatal("Regions accepted the corrupt header")
+			}
+		})
+		t.Run(c.name+"/RecvOOB", func(t *testing.T) {
+			var got error
+			run2(t,
+				func(c *core.Comm) error { return c.Send(header, -1, core.TypeBytes, 1, 3) },
+				func(c *core.Comm) error {
+					_, got = RecvOOB(c, 0, 3)
+					return nil
+				})
+			if !errors.Is(got, ErrFormat) {
+				t.Fatalf("RecvOOB err = %v, want ErrFormat", got)
+			}
+		})
+	}
+	// The cap itself is a legal total: refused only past it.
+	if lens, err := BufferLens(bufRefHeader(maxBufferBytes/2, maxBufferBytes/2)); err != nil || len(lens) != 2 {
+		t.Fatalf("a header at the cap: %v, %v", lens, err)
+	}
+}
+
+// TestObjectHeaderFragmentsGrowGeometrically: a receive's header that
+// arrives in k fragments is regrown O(log k) times, not once a fragment.
+func TestObjectHeaderFragmentsGrowGeometrically(t *testing.T) {
+	header, _, err := DumpsOOB(complexObject(200, 8192), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h objectHandler
+	m := &Msg{}
+	for _, c := range []struct{ frags, max int }{{5, 4}, {64, 7}} {
+		k := (len(header) + c.frags - 1) / c.frags
+		allocs := testing.AllocsPerRun(20, func() {
+			m.header = nil
+			for off := 0; off < len(header); off += k {
+				if err := h.Unpack(m, m, 1, int64(off), header[off:min(off+k, len(header))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if !bytes.Equal(m.header, header) {
+			t.Fatalf("%d fragments: the staged header differs", c.frags)
+		}
+		if !raceEnabled && allocs > float64(c.max) {
+			t.Fatalf("a %d-byte header in %d fragments allocates %v times, want at most %d", len(header), c.frags, allocs, c.max)
+		}
 	}
 }

@@ -411,13 +411,19 @@ func LoadsOOB(header []byte, oob []Buffer) (any, error) {
 	return v, err
 }
 
+// maxBufferBytes bounds the out-of-band bytes a received header may name:
+// more is a corrupt header, refused before anything is allocated.
+const maxBufferBytes = 1 << 40
+
 // BufferLens lists the out-of-band buffer lengths referenced by a header,
 // in order — what the multi-message receive side needs to preallocate (the
 // paper's "separate message with the buffer lengths" workaround reads
-// these from the wire instead).
+// these from the wire instead). Lengths summing past maxBufferBytes are
+// an error.
 func BufferLens(header []byte) ([]int64, error) {
 	d := NewDecoder(header)
 	var lens []int64
+	total := uint64(0)
 	var walk func() error
 	walk = func() error {
 		tb, err := d.take(1)
@@ -438,9 +444,14 @@ func BufferLens(header []byte) ([]int64, error) {
 				return err
 			}
 			var n uint64
-			if n, err = d.u64(); err == nil {
-				lens = append(lens, int64(n))
+			if n, err = d.u64(); err != nil {
+				return err
 			}
+			if n > maxBufferBytes-total {
+				return fmt.Errorf("%w: buffer %d of %d bytes takes the header's total past %d", ErrFormat, len(lens), n, maxBufferBytes)
+			}
+			total += n
+			lens = append(lens, int64(n))
 		case tagList:
 			var n uint32
 			if n, err = d.u32(); err != nil {

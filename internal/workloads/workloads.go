@@ -21,6 +21,8 @@ package workloads
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"unsafe"
 
 	"mpicd/internal/core"
 	"mpicd/internal/ddt"
@@ -497,16 +499,23 @@ func DoubleVecBytes(v [][]byte) int {
 // unpacked, the type requires in-order delivery (the paper's inorder
 // flag): the head arrives in order, and its last byte names the regions,
 // which are then moved like any type's — striped, when large. A receive
-// gives the sub-vectors one backing array, cut capacity-clipped, so an
-// append to one sub-vector cannot write into its neighbour.
+// lands in the buffer it was given when that already has the shape the
+// head names (dvReusable), as json.Unmarshal reuses a slice: the old
+// sub-vectors are overwritten. Otherwise it gives the sub-vectors one new
+// backing array. Either way each sub-vector is capacity-clipped, so an
+// append to one cannot write into its neighbour.
 type doubleVecHandler struct{}
 
 type dvState struct {
 	vecs [][]byte  // send side (or materialized receive)
 	out  *[][]byte // receive side destination
 	head []byte    // receive: the head bytes unpacked so far
+	hbuf *[]byte   // receive: the dvHeads buffer head is staged in
 	size Count     // receive: the head's length, once its count is in
 }
+
+// dvHeads recycles the buffers receives stage their heads in.
+var dvHeads = sync.Pool{New: func() any { return new([]byte) }}
 
 func dvHeaderSize(n int) Count { return Count(8 * (n + 1)) }
 
@@ -580,7 +589,8 @@ func (doubleVecHandler) Pack(state, _ any, _, offset Count, dst []byte) (Count, 
 	return n, nil
 }
 
-// Unpack stages the head; its last byte sizes the sub-vectors.
+// Unpack stages the head in a recycled buffer; its last byte sizes the
+// sub-vectors, in the old buffer where it fits.
 func (doubleVecHandler) Unpack(state, _ any, _, offset Count, src []byte) error {
 	s := state.(*dvState)
 	if s.out == nil {
@@ -588,6 +598,10 @@ func (doubleVecHandler) Unpack(state, _ any, _, offset Count, src []byte) error 
 	}
 	if offset != Count(len(s.head)) || s.vecs != nil {
 		return fmt.Errorf("workloads: double-vec head bytes at %d out of order", offset)
+	}
+	if s.hbuf == nil {
+		s.hbuf = dvHeads.Get().(*[]byte)
+		s.head = (*s.hbuf)[:0]
 	}
 	s.head = append(s.head, src...)
 	if s.size == 0 && len(s.head) >= 8 {
@@ -608,9 +622,47 @@ func (doubleVecHandler) Unpack(state, _ any, _, offset Count, src []byte) error 
 	if err != nil {
 		return err
 	}
-	s.vecs = dvCut(s.head, n, make([]byte, total))
-	*s.out, s.head = s.vecs, nil
+	if old := *s.out; dvReusable(old, s.head, n) {
+		for i, v := range old {
+			old[i] = v[:len(v):len(v)]
+		}
+		s.vecs = old
+	} else {
+		s.vecs = dvCut(s.head, n, make([]byte, total))
+		*s.out = s.vecs
+	}
+	*s.hbuf = s.head[:0]
+	dvHeads.Put(s.hbuf)
+	s.head, s.hbuf = nil, nil
 	return nil
+}
+
+// dvReusable reports whether old already has the shape head names: n
+// sub-vectors of the named lengths whose non-empty ones are one
+// contiguous, in-order cut — what a previous receive's dvCut leaves — so
+// no two of them share a byte and a receive can land in them. A nil old
+// never has a shape, so an empty message into nil still yields a non-nil
+// result.
+func dvReusable(old [][]byte, head []byte, n int) bool {
+	if old == nil || len(old) != n {
+		return false
+	}
+	var next uintptr // where the next non-empty sub-vector must begin
+	for i, v := range old {
+		l := layout.I64(head, 8*(i+1))
+		if int64(len(v)) != l {
+			return false
+		}
+		if l == 0 {
+			continue
+		}
+		p := uintptr(unsafe.Pointer(unsafe.SliceData(v)))
+		if next != 0 && p != next {
+			return false
+		}
+		next = p + uintptr(l)
+	}
+	return true
 }
 
 // dvPayload checks the n lengths a head names and returns their sum, which
