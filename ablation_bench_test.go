@@ -57,9 +57,9 @@ func benchOpWith(b *testing.B, opt core.Options, op harness.Op) {
 // BenchmarkAblationRndvThreshold sweeps the eager→rendezvous switch for
 // two 64 KiB transfers. Contiguous: too low pays handshakes, too high pays
 // the extra eager staging copies. A region-heavy custom type (double-vec,
-// 1024-byte subvectors) switches at a quarter of the threshold: below it
-// regions are gathered into eager fragments, above it they move zero-copy
-// but pay the handshake.
+// 1024-byte subvectors) switches a little below the threshold, its 64
+// regions charged against it: below, regions are gathered into eager
+// fragments, above, they move zero-copy but pay the handshake.
 func BenchmarkAblationRndvThreshold(b *testing.B) {
 	const size = 64 * 1024
 	ops := []struct {

@@ -175,7 +175,7 @@ func TestCustomEagerAllocsPinned(t *testing.T) {
 // in count or in bytes, than 4 of 16 KiB. Under -race only the payload is
 // checked.
 func TestCustomRegionsRndvAllocsPinned(t *testing.T) {
-	const image = 64 << 10 // rendezvous: custom types switch at RndvThresh/4
+	const image = 64 << 10 // rendezvous: past RndvThresh at any region count
 	measure := func(nreg int) (allocs float64, bytesPerOp uint64) {
 		dt := core.TypeCreateCustom(&regionHandler{nreg: nreg})
 		sys := core.NewSystem(2, core.Options{})

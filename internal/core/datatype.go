@@ -193,8 +193,8 @@ func (c customType) RecvState(buf any, count int64, info ucp.RecvInfo) (ucp.Recv
 // either way, so sender and receiver choose independently, and a receive
 // is sized by its own (buf, count): a shorter message is legal. (A cost
 // model that routes short runs into the head and long runs into the tail
-// of one message — ROADMAP item 2 — changes PackedSize and Regions here
-// and nothing else.)
+// of one message — ROADMAP's "one cost model for pack or region" —
+// changes PackedSize and Regions here and nothing else.)
 type ddtType struct{ d *Datatype }
 
 func (dt ddtType) SendState(buf any, count int64) (ucp.SendState, error) {
@@ -460,9 +460,8 @@ func (b *binding) Finish() error {
 	return b.d.handler.FreeState(b.state)
 }
 
-// The three answers below are where a derived datatype and a custom one
-// part ways on the send side; each keeps what its message header and
-// protocol were before the two shared a state.
+// The two answers below are where a derived datatype and a custom one
+// part ways on the send side.
 
 // Aux implements ucp.AuxProvider: a custom receiver learns the head's
 // length from the message header; a derived one computes its own.
@@ -482,23 +481,4 @@ func (b *binding) NumRegions() int {
 		n++
 	}
 	return n
-}
-
-// ChooseProto implements ucp.ProtoChooser. A custom type switches to
-// rendezvous at a quarter of the transport's threshold, the same point
-// region lists switch at: region-bearing types ride the iovec (pull) path
-// as soon as messages are non-trivial — only the pull path gives the
-// regions zero-copy treatment, and it is why the paper's custom method is
-// insensitive to the eager/rendezvous switchover — and pure-pack ones
-// (no regions) have no discontinuity at the classic threshold either.
-// Derived types take the transport's own rule: its threshold, or its
-// region-list minimum when NumRegions is several.
-func (b *binding) ChooseProto(total, rndvThresh int64) ucp.Proto {
-	if b.d.elem != nil {
-		return ucp.ProtoAuto
-	}
-	if total >= rndvThresh/4 {
-		return ucp.ProtoRndv
-	}
-	return ucp.ProtoEager
 }

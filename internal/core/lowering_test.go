@@ -17,8 +17,8 @@ import (
 // image and the protocol its messages ride. Both were captured at the
 // commit before every datatype was given the one packed-head +
 // region-tail state, and a change to how types are lowered must leave
-// them alone — or, like the pack-or-region cost model (ROADMAP item 2),
-// change the second one on purpose.
+// them alone — or, like a pack-or-region cost model or a change to how
+// ucp picks its protocol, change the second one on purpose.
 
 // wireImageCRC is the CRC32C of core.Pack's output: the message's wire
 // image, head first, regions after.
@@ -116,9 +116,10 @@ func (identityHandler) RegionCount(_, _ any, _ core.Count) (core.Count, error) {
 func (identityHandler) Regions(_, _ any, _ core.Count, _ [][]byte) error       { return nil }
 
 // TestProtocolSelectionTable sends one message per cell between two
-// in-process ranks at the default thresholds (IovRndvMin 8 KiB, RndvThresh
-// 32 KiB, PullStripeThresh 256 KiB) and reads off which protocol moved it.
-// A cell's size is nominal: whole elements, rounded down.
+// in-process ranks at the defaults (RndvThresh 32 KiB, a region past a
+// message's first charged 16 bytes against it, striping from 256 KiB)
+// and reads off which protocol moved it. A cell's size is nominal: whole
+// elements, rounded down.
 func TestProtocolSelectionTable(t *testing.T) {
 	const (
 		eager   = "eager"
@@ -159,12 +160,16 @@ func TestProtocolSelectionTable(t *testing.T) {
 			},
 			[]string{eager, eager, eager, eager, eager, rndv, rndv, rndv, rndv, striped, striped}},
 		{"custom-pure-pack", core.TypeCreateCustom(identityHandler{}), bytesOf,
-			[]string{eager, eager, rndv, rndv, rndv, rndv, rndv, rndv, rndv, striped, striped}},
+			[]string{eager, eager, eager, eager, eager, eager, rndv, rndv, rndv, striped, striped}},
+		// Head and two regions: 32 bytes of charge, so 32 KiB itself goes rndv.
 		{"custom-head+2-regions", core.TypeCreateCustom(&regionHandler{packed: 256, nreg: 2}), bytesOf,
-			[]string{eager, eager, rndv, rndv, rndv, rndv, rndv, rndv, rndv, striped, striped}},
+			[]string{eager, eager, eager, eager, eager, rndv, rndv, rndv, rndv, striped, striped}},
 		// The head is pulled in order, then a tail of 256 KiB or more stripes.
 		{"custom-inorder-head+2-regions", core.TypeCreateCustom(&regionHandler{packed: 256, nreg: 2}, core.WithInOrder()), bytesOf,
-			[]string{eager, eager, rndv, rndv, rndv, rndv, rndv, rndv, rndv, rndv, striped}},
+			[]string{eager, eager, eager, eager, eager, rndv, rndv, rndv, rndv, rndv, striped}},
+		// NAS_MG_x's region count: 64 KiB of charge puts every size on rndv.
+		{"custom-4096-regions", core.TypeCreateCustom(&regionHandler{nreg: 4096}), bytesOf,
+			[]string{rndv, rndv, rndv, rndv, rndv, rndv, rndv, rndv, rndv, striped, striped}},
 	}
 
 	sys := core.NewSystem(2, core.Options{UCP: ucp.Config{PullStripes: 2}})

@@ -7,13 +7,20 @@ import (
 	"mpicd/internal/fabric"
 )
 
-// benchPingpong times half-round-trips of (dt, bufs) between two workers.
+// benchPingpong times half-round-trips of (dt, bufs) between two in-process
+// workers.
 func benchPingpong(b *testing.B, cfg Config, dt Datatype, sbuf, rbuf any, count int64, bytes int64) {
 	f := fabric.NewInproc(2, fabric.Config{})
 	a := NewWorker(f.NIC(0), cfg)
 	w := NewWorker(f.NIC(1), cfg)
 	defer a.Close()
 	defer w.Close()
+	pingpong(b, a, w, dt, sbuf, rbuf, count, bytes, ProtoAuto)
+}
+
+// pingpong times half-round-trips of (dt, bufs) from a to w and back, both
+// ways under proto.
+func pingpong(b *testing.B, a, w *Worker, dt Datatype, sbuf, rbuf any, count, bytes int64, proto Proto) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < b.N; i++ {
@@ -25,7 +32,7 @@ func benchPingpong(b *testing.B, cfg Config, dt Datatype, sbuf, rbuf any, count 
 				done <- err
 				return
 			}
-			sr, err := w.Send(0, 2, dt, rbuf, count, 0, ProtoAuto)
+			sr, err := w.Send(0, 2, dt, rbuf, count, 0, proto)
 			if err == nil {
 				err = sr.Wait()
 			}
@@ -39,7 +46,7 @@ func benchPingpong(b *testing.B, cfg Config, dt Datatype, sbuf, rbuf any, count 
 	b.SetBytes(2 * bytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sr, err := a.Send(1, 1, dt, sbuf, count, 0, ProtoAuto)
+		sr, err := a.Send(1, 1, dt, sbuf, count, 0, proto)
 		if err == nil {
 			err = sr.Wait()
 		}
@@ -88,6 +95,82 @@ func BenchmarkIovRegions(b *testing.B) {
 			benchPingpong(b, Config{}, Iov{}, mk(), mk(), -1, total)
 		})
 	}
+}
+
+// BenchmarkProtoCrossover is where regionCharge comes from: a region-list
+// ping-pong forced eager against the same one forced rendezvous, at sizes
+// up to RndvThresh and 1 to 4 096 regions, per transport. Eager walks the
+// list twice (gathered into fragments, scattered out of them), rendezvous
+// once but pays its handshake, so at each size the eager row overtakes
+// the rndv row at some region count n; ProtoAuto makes the same switch
+// where size + (n−1)·regionCharge = RndvThresh. The in-process rows set
+// the constant; the shm and tcp rows say how far their crossovers fall
+// from it. The regions of one list are equal cuts of one array, walked as
+// a datatype binding's region tail is (tailIov).
+func BenchmarkProtoCrossover(b *testing.B) {
+	transports := []struct {
+		name string
+		pair func(b *testing.B) (*Worker, *Worker)
+	}{
+		{"inproc", func(b *testing.B) (*Worker, *Worker) {
+			f := fabric.NewInproc(2, fabric.Config{})
+			tx, rx := NewWorker(f.NIC(0), Config{}), NewWorker(f.NIC(1), Config{})
+			b.Cleanup(func() { tx.Close(); rx.Close() })
+			return tx, rx
+		}},
+		{"shm", func(b *testing.B) (*Worker, *Worker) {
+			dir := b.TempDir()
+			var nics [2]fabric.NIC
+			for i := range nics {
+				nic, err := fabric.NewSHM(i, 2, dir, fabric.Config{})
+				if err != nil {
+					b.Skip(err)
+				}
+				nics[i] = nic
+			}
+			tx, rx := NewWorker(nics[0], Config{}), NewWorker(nics[1], Config{})
+			b.Cleanup(func() { tx.Close(); rx.Close() })
+			return tx, rx
+		}},
+		{"tcp", func(b *testing.B) (*Worker, *Worker) { return tcpPair(b, Config{}) }},
+	}
+	for _, tr := range transports {
+		b.Run(tr.name, func(b *testing.B) {
+			tx, rx := tr.pair(b)
+			for _, size := range []int{4 << 10, 8 << 10, 16 << 10, 32 << 10} {
+				for _, regions := range []int{1, 2, 16, 64, 256, 1024, 4096} {
+					// Built once, like core's pooled region scratch: a
+					// message binds the list, it does not rebuild it.
+					sbuf, rbuf := fabric.NewIov(cutRegions(size, regions)), fabric.NewIov(cutRegions(size, regions))
+					for _, p := range []struct {
+						name  string
+						proto Proto
+					}{{"eager", ProtoEager}, {"rndv", ProtoRndv}} {
+						b.Run(fmt.Sprintf("%dKiB/%dregions/%s", size>>10, regions, p.name), func(b *testing.B) {
+							pingpong(b, tx, rx, tailIov{}, sbuf, rbuf, -1, int64(size), p.proto)
+						})
+					}
+				}
+			}
+		})
+	}
+}
+
+// tailIov is a region list, a *fabric.Iov, handed to a transfer as a
+// region tail from offset 0, the way core's binding hands over its
+// regions: a pull walks it with a cursor instead of asking Window region
+// by region, as it would the window-only Iov.
+type tailIov struct{}
+
+type tailIovState struct{ *fabric.Iov }
+
+func (tailIovState) Finish() error                           { return nil }
+func (s tailIovState) RegionTail(int64) (int64, *fabric.Iov) { return 0, s.Iov }
+func (tailIov) SendState(buf any, _ int64) (SendState, error) {
+	return tailIovState{buf.(*fabric.Iov)}, nil
+}
+func (tailIov) RecvState(buf any, _ int64, _ RecvInfo) (RecvState, error) {
+	return tailIovState{buf.(*fabric.Iov)}, nil
 }
 
 // BenchmarkGenericCallbacks measures the callback-packed path against the

@@ -52,12 +52,6 @@ type AuxProvider interface {
 	Aux() int64
 }
 
-// ProtoChooser is implemented by send states that override automatic
-// protocol selection under ProtoAuto, given the worker's RndvThresh.
-type ProtoChooser interface {
-	ChooseProto(total, rndvThresh int64) Proto
-}
-
 // contigState is the send and receive state of memory that is already
 // laid out for the wire: the fabric's own Source/Sink plus a no-op Finish.
 // Window is the embedded type's, so zero-copy sees through it; it is used

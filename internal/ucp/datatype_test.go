@@ -49,6 +49,17 @@ func (Iov) RecvState(buf any, _ int64, _ RecvInfo) (RecvState, error) {
 	return iovState{v}, nil
 }
 
+// cutRegions cuts one size-byte array into n regions of equal length, give
+// or take a byte, each capped at its end.
+func cutRegions(size, n int) [][]byte {
+	p, out := make([]byte, size), make([][]byte, n)
+	for i := range out {
+		lo, hi := i*size/n, (i+1)*size/n
+		out[i] = p[lo:hi:hi]
+	}
+	return out
+}
+
 // GenericOps is the callback set behind a Generic datatype, mirroring
 // ucp_generic_dt_ops: per-operation pack/unpack state with virtual byte
 // offsets. The paper's custom-datatype callbacks were designed against

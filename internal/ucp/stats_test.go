@@ -42,22 +42,37 @@ func TestStatsEagerVsRndvSelection(t *testing.T) {
 	}
 }
 
-func TestStatsIovGoesRndvEarly(t *testing.T) {
-	// Region lists switch at a quarter of RndvThresh: 16 KiB here.
-	a, b := pair(t, fabric.Config{}, Config{RndvThresh: 64 << 10})
-	parts := [][]byte{make([]byte, 8192), make([]byte, 8192)}
-	dst := [][]byte{make([]byte, 16384)}
-	rr, _ := b.Recv(0, 1, exactMask, Iov{}, dst, -1)
-	sr, err := a.Send(1, 1, Iov{}, parts, -1, 0, ProtoAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WaitAll(sr, rr); err != nil {
-		t.Fatal(err)
-	}
-	// 16 KiB is far below RndvThresh, but the region list still pulls.
-	if got := a.Stats().RndvSends.Load(); got != 1 {
-		t.Fatalf("iov rndv sends = %d", got)
+// TestStatsRegionCharge pins ProtoAuto's one rule: a region list is its
+// bytes plus regionCharge for each region past its first, against
+// RndvThresh. Two 8 KiB regions are far below it and go eager; 16 KiB cut
+// into as many regions as bring the charged size to RndvThresh still goes
+// eager, and one region more goes by rendezvous.
+func TestStatsRegionCharge(t *testing.T) {
+	const size = 16 << 10
+	atThresh := int((DefaultRndvThresh-size)/regionCharge) + 1 // size + (n−1)·charge = RndvThresh
+	for _, c := range []struct {
+		name    string
+		regions [][]byte
+		rndv    bool
+	}{
+		{"two-8KiB-regions", [][]byte{make([]byte, 8<<10), make([]byte, 8<<10)}, false},
+		{"charged-to-thresh", cutRegions(size, atThresh), false},
+		{"charged-past-thresh", cutRegions(size, atThresh+1), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a, b := pair(t, fabric.Config{}, Config{})
+			rr, _ := b.Recv(0, 1, exactMask, Iov{}, [][]byte{make([]byte, size)}, -1)
+			sr, err := a.Send(1, 1, Iov{}, c.regions, -1, 0, ProtoAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := WaitAll(sr, rr); err != nil {
+				t.Fatal(err)
+			}
+			if rndv := a.Stats().RndvSends.Load() == 1; rndv != c.rndv {
+				t.Fatalf("%d regions of %d bytes: rendezvous %v, want %v", len(c.regions), size, rndv, c.rndv)
+			}
+		})
 	}
 }
 

@@ -25,11 +25,11 @@
 // Config.PullStripes pullers that start when there is work and exit when
 // there is none. A striped pull is a countdown in its Request, a retry a timer.
 //
-// The eager→rendezvous threshold is configurable; region-bearing (iov)
-// messages switch to rendezvous at a quarter of it because only the pull
-// path avoids the staging copies (this reproduces the paper's observation
-// that the custom API is insensitive to the UCX eager/rendezvous
-// switchover).
+// The eager→rendezvous threshold is configurable and is the one switch
+// every datatype takes: a message of several regions is charged a few
+// bytes per region against it (regionCharge), because eager gathers and
+// scatters a region list in two passes where the pull copies region to
+// region in one.
 package ucp
 
 import (
@@ -57,8 +57,8 @@ type Proto int
 
 // Protocol selection hints.
 const (
-	// ProtoAuto picks eager below the rendezvous threshold and rendezvous
-	// above it, with the iov threshold applied to direct (region) sources.
+	// ProtoAuto picks rendezvous when the message's bytes, plus
+	// regionCharge for each region past its first, exceed RndvThresh.
 	ProtoAuto Proto = iota
 	// ProtoEager forces the eager path.
 	ProtoEager
@@ -70,12 +70,11 @@ const (
 // — the fragment size, integrity checking, the incarnation that offsets its
 // message ids and the observer — it reads from NIC.Config, not from here.
 type Config struct {
-	// RndvThresh is the eager→rendezvous switch in bytes for generic and
-	// contiguous messages (default 32 KiB, the classic UCX value the paper
-	// observes a manual-pack dip at). Region-bearing (direct,
-	// non-contiguous) messages and custom datatypes switch at a quarter of
-	// it: below that regions are gathered into eager fragments, above it
-	// the pull path transfers them zero-copy.
+	// RndvThresh is the eager→rendezvous switch in bytes (default 32 KiB,
+	// the classic UCX value the paper observes a manual-pack dip at). A
+	// source of several regions is charged regionCharge bytes for each
+	// region past its first: below the switch its regions are gathered
+	// into eager fragments, above it the pull path moves them zero-copy.
 	RndvThresh int64
 	// PullStripes is how many cores one peer's transfers may use: the
 	// stripes a rendezvous pull of at least 256 KiB is split into (for an
@@ -124,6 +123,14 @@ type Config struct {
 
 // DefaultRndvThresh is the default eager→rendezvous threshold (32 KiB).
 const DefaultRndvThresh = 32 * 1024
+
+// regionCharge is the bytes each region past a source's first adds to its
+// size when ProtoAuto weighs it against RndvThresh. An eager region list is
+// walked twice — gathered into fragments, scattered out of them — and a
+// pulled one once, so many small regions reach rendezvous before their
+// bytes do. It is where forced eager and forced rendezvous cost the same
+// in process (BenchmarkProtoCrossover).
+const regionCharge = 16
 
 // pullStripeThresh is the minimum size of a striped rendezvous pull, or of
 // the part past its ordered prefix. Smaller pulls always run as a single

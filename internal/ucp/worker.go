@@ -369,14 +369,13 @@ func (w *Worker) Send(dst int, tag Tag, dt Datatype, buf any, count int64, aux i
 		return req, nil
 	}
 
-	if pc, ok := src.(ProtoChooser); ok && proto != ProtoRndv && proto != ProtoEager {
-		proto = pc.ChooseProto(total, w.cfg.RndvThresh)
-	}
 	useRndv := proto == ProtoRndv
-	if !useRndv && proto != ProtoEager {
-		// Region lists only reach zero-copy through the pull path.
-		rc, ok := fabric.Source(src).(fabric.RegionCounter)
-		useRndv = total > w.cfg.RndvThresh || ok && rc.NumRegions() > 1 && total >= w.cfg.RndvThresh/4
+	if proto == ProtoAuto {
+		cost := total
+		if rc, ok := src.(fabric.RegionCounter); ok && rc.NumRegions() > 1 {
+			cost += int64(rc.NumRegions()-1) * regionCharge
+		}
+		useRndv = cost > w.cfg.RndvThresh
 	}
 
 	if useRndv {

@@ -431,13 +431,15 @@ func recvByHandler(out *[][]byte, send [][]byte) error {
 }
 
 // dvPaths receive each of sends in turn into *out — through the bare
-// handler, or as messages of a two-rank world — and call after(i) once the
-// i-th has landed; an error from after fails the test.
+// handler, or as messages of a two-rank world, posted before the messages
+// arrive or only once every one has — and call after(i) once the i-th has
+// landed; an error from after fails the test. A world path returns how
+// many of the sends went eager and how many by rendezvous.
 var dvPaths = []struct {
 	name string
-	recv func(t *testing.T, out *[][]byte, sends [][][]byte, after func(i int) error)
+	recv func(t *testing.T, out *[][]byte, sends [][][]byte, after func(i int) error) (eager, rndv int64)
 }{
-	{"handler", func(t *testing.T, out *[][]byte, sends [][][]byte, after func(int) error) {
+	{"handler", func(t *testing.T, out *[][]byte, sends [][][]byte, after func(int) error) (int64, int64) {
 		t.Helper()
 		for i, s := range sends {
 			if err := recvByHandler(out, s); err != nil {
@@ -447,35 +449,83 @@ var dvPaths = []struct {
 				t.Fatal(err)
 			}
 		}
+		return 0, 0
 	}},
-	{"recv", func(t *testing.T, out *[][]byte, sends [][][]byte, after func(int) error) {
+	{"recv", func(t *testing.T, out *[][]byte, sends [][][]byte, after func(int) error) (int64, int64) {
 		t.Helper()
-		dt := DoubleVecCustom()
-		run2(t,
-			func(c *core.Comm) error {
-				for i, s := range sends {
+		return dvWorld(t, out, sends, after, false)
+	}},
+	{"recv-unexpected", func(t *testing.T, out *[][]byte, sends [][][]byte, after func(int) error) (int64, int64) {
+		t.Helper()
+		return dvWorld(t, out, sends, after, true)
+	}},
+}
+
+// dvWorld sends each of sends from rank 0 and receives it into *out on
+// rank 1. With late, rank 1 posts no receive before every message has
+// arrived: rank 0 sends them all nonblocking, then a marker on the same
+// link, and rank 1 receives the marker first.
+func dvWorld(t *testing.T, out *[][]byte, sends [][][]byte, after func(int) error, late bool) (eager, rndv int64) {
+	t.Helper()
+	dt := DoubleVecCustom()
+	marker := len(sends)
+	run2(t,
+		func(c *core.Comm) error {
+			st := c.Worker().Stats()
+			e0, r0 := st.EagerSends.Load(), st.RndvSends.Load()
+			var reqs []*core.Request
+			for i, s := range sends {
+				if !late {
 					if err := c.Send(s, 1, dt, 1, i); err != nil {
 						return err
 					}
+					continue
 				}
-				return nil
-			},
-			func(c *core.Comm) error {
-				// Every message is received, whatever fails, so the
-				// sender is never left waiting for a receive.
-				var first error
-				for i := range sends {
-					_, err := c.Recv(out, 1, dt, 0, i)
-					if err == nil {
-						err = after(i)
-					}
-					if first == nil {
-						first = err
-					}
+				r, err := c.Isend(s, 1, dt, 1, i)
+				if err != nil {
+					return err
 				}
-				return first
-			})
-	}},
+				reqs = append(reqs, r)
+			}
+			eager, rndv = st.EagerSends.Load()-e0, st.RndvSends.Load()-r0
+			if late {
+				if err := c.Send([]byte{1}, 1, core.TypeBytes, 1, marker); err != nil {
+					return err
+				}
+			}
+			for _, r := range reqs {
+				if _, err := r.Wait(); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		func(c *core.Comm) error {
+			st := c.Worker().Stats()
+			if late {
+				if _, err := c.Recv(make([]byte, 1), 1, core.TypeBytes, 0, marker); err != nil {
+					return err
+				}
+			}
+			u0 := st.UnexpectedHits.Load()
+			// Every message is received, whatever fails, so the
+			// sender is never left waiting for a receive.
+			var first error
+			for i := range sends {
+				_, err := c.Recv(out, 1, dt, 0, i)
+				if err == nil {
+					err = after(i)
+				}
+				if first == nil {
+					first = err
+				}
+			}
+			if u := st.UnexpectedHits.Load() - u0; first == nil && late && u != int64(len(sends)) {
+				first = fmt.Errorf("%d of %d messages arrived before their receive", u, len(sends))
+			}
+			return first
+		})
+	return eager, rndv
 }
 
 // sameDoubleVec reports how got differs from want, shape and bytes.
@@ -493,9 +543,14 @@ func sameDoubleVec(got, want [][]byte) error {
 
 // TestDoubleVecReuseSameShape: twenty same-shape messages, each of other
 // bytes, land in one buffer — the first receive's cut — and each leaves
-// exactly what was sent, in eager and in striped rendezvous messages.
+// exactly what was sent: in one-fragment and two-fragment eager messages,
+// the 24 KiB shape's head and sub-vectors spanning fragments, and in
+// striped rendezvous ones.
 func TestDoubleVecReuseSameShape(t *testing.T) {
-	for _, shape := range []struct{ total, subvec int }{{2 << 10, 256}, {256 << 10, 1 << 10}} {
+	for _, shape := range []struct {
+		total, subvec int
+		eager         bool
+	}{{2 << 10, 256, true}, {24 << 10, 1 << 10, true}, {256 << 10, 1 << 10, false}} {
 		sends := make([][][]byte, 20)
 		for i := range sends {
 			sends[i] = NewDoubleVec(shape.total, shape.subvec, byte(3*i+1))
@@ -505,7 +560,7 @@ func TestDoubleVecReuseSameShape(t *testing.T) {
 				var out [][]byte
 				var outer *[]byte
 				var data *byte
-				p.recv(t, &out, sends, func(i int) error {
+				eager, rndv := p.recv(t, &out, sends, func(i int) error {
 					if err := sameDoubleVec(out, sends[i]); err != nil {
 						return fmt.Errorf("receive %d: %v", i, err)
 					}
@@ -516,6 +571,12 @@ func TestDoubleVecReuseSameShape(t *testing.T) {
 					}
 					return nil
 				})
+				if p.name == "handler" {
+					return
+				}
+				if n := int64(len(sends)); shape.eager && eager != n || !shape.eager && rndv != n {
+					t.Fatalf("%d eager and %d rendezvous sends, want all %d eager: %v", eager, rndv, n, shape.eager)
+				}
 			})
 		}
 	}
