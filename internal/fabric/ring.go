@@ -20,7 +20,7 @@ import (
 //
 //	[ 0.. 8) tail   — producer cursor, free-running byte count
 //	[ 8..16) head   — consumer cursor, free-running byte count
-//	[16..24) reserved
+//	[16..24) label  — a word the creator names the ring by (SetLabel)
 //	[24..32) cap    — data-area capacity, for attach-time validation
 //	[32..40) asleep — nonzero while the consumer is blocked on its doorbell
 //	[40..64) reserved
@@ -53,6 +53,7 @@ type Ring struct {
 	tail   *uint64
 	head   *uint64
 	asleep *uint64
+	label  *uint64
 
 	// Consumer-local: padded span of the record Next last returned, so
 	// Advance never re-reads a length the peer could have changed.
@@ -114,12 +115,14 @@ func AttachRing(mem []byte, init bool) (*Ring, error) {
 		tail:   (*uint64)(unsafe.Pointer(&mem[0])),
 		head:   (*uint64)(unsafe.Pointer(&mem[8])),
 		asleep: (*uint64)(unsafe.Pointer(&mem[32])),
+		label:  (*uint64)(unsafe.Pointer(&mem[16])),
 	}
 	capWord := (*uint64)(unsafe.Pointer(&mem[24]))
 	if init {
 		atomic.StoreUint64(r.tail, 0)
 		atomic.StoreUint64(r.head, 0)
 		atomic.StoreUint64(r.asleep, 0)
+		atomic.StoreUint64(r.label, 0)
 		atomic.StoreUint64(capWord, capacity)
 	} else if got := atomic.LoadUint64(capWord); got != capacity {
 		return nil, fmt.Errorf("fabric: ring capacity mismatch: header says %d, buffer holds %d", got, capacity)
@@ -129,6 +132,11 @@ func AttachRing(mem []byte, init bool) (*Ring, error) {
 
 // Cap returns the data-area capacity in bytes.
 func (r *Ring) Cap() int { return int(r.cap) }
+
+// SetLabel names the ring in its shared header, so a side that attaches by
+// file name can tell which ring the file holds; Label reads it (0: none).
+func (r *Ring) SetLabel(v uint64) { atomic.StoreUint64(r.label, v) }
+func (r *Ring) Label() uint64     { return atomic.LoadUint64(r.label) }
 
 // recordSpan returns the padded byte span of a record with an n-byte
 // payload.

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -25,13 +26,9 @@ const (
 	kindRingOpen Kind = 0xFB
 	// kindRingAck confirms the receiver mapped the ring.
 	kindRingAck Kind = 0xFC
-	// kindWinData announces a chunk placed in the shared pull window:
-	// Tag is the window-global chunk sequence, Offset the data offset
-	// within the Get, Aux0 the window byte offset, Aux1 the chunk length.
-	kindWinData Kind = 0xFD
-	// kindWinAck confirms the requester copied a chunk out of the window
-	// (Tag echoes the chunk sequence).
-	kindWinAck Kind = 0xFE
+	// kindWinBell wakes a requester asleep on its pull ring (Ring.Arm); Tag
+	// names the ring by its generation.
+	kindWinBell Kind = 0xFD
 	// kindRingSwitch is the ordered handoff marker, the last of this pair's
 	// data frames on the socket. The read loop forwards it in band
 	// through the inbox, so Recv starts on the ring (Aux1: its generation)
@@ -40,8 +37,8 @@ const (
 	kindRingSwitch Kind = 0xFF
 )
 
-// flagGetWindow marks a Get request to be served through the shared pull
-// window instead of socket response frames; Aux0 carries the window size.
+// flagGetWindow marks a Get request served through the requester's pull
+// ring; Tag names the ring by its generation, Aux0 gives its segment size.
 const flagGetWindow uint8 = 1 << 1
 
 // ringFrags is how many full fragments a pair's ring holds at once.
@@ -54,12 +51,18 @@ func ringCapForFrag(frag int) uint64 {
 	return ringCapFor(ringFrags * int(recordSpan(headerWireSize+frag)))
 }
 
-// winBytes is the shared pull-window size (two 8-aligned halves,
-// double-buffered).
+// winBytes is the data area of a pull ring.
 const winBytes = 512 << 10
 
+// A pull ring record is the Get's id, padded so the data is 8-aligned, then
+// up to winChunk bytes of the Get: a full record spans a quarter of the ring.
+const (
+	winRecHdr = 12
+	winChunk  = winBytes/4 - 4 - winRecHdr
+)
+
 // defaultWinThresh is the Get size at and above which the SHM provider
-// pulls through the shared window instead of socket response frames.
+// pulls through the pull ring instead of socket response frames.
 const defaultWinThresh = 64 << 10
 
 // SHM is a fabric provider for ranks that are separate processes on one
@@ -67,7 +70,7 @@ const defaultWinThresh = 64 << 10
 // rings (one per pair and direction, created on first use), which the
 // goroutine in Recv drains itself and sleeps on by doorbell; a rendezvous
 // pull reads the sender's memory in place where the source and the host
-// allow, else it crosses a shared double-buffered window. A unix-domain
+// allow, else it crosses a pull ring the requester drains. A unix-domain
 // socket mesh — the lazily-dialed stream core the TCP provider uses —
 // carries bootstrap, control, doorbells, rendezvous requests and spill
 // traffic (what a pair sends before its ring is up).
@@ -100,40 +103,41 @@ type SHM struct {
 	// non-blocking sends, so any number of bells wake one sleeper once.
 	wake chan struct{}
 
-	winMu   sync.Mutex      // guards the four below
-	winOuts map[int]*shmWin // per-requester serve windows (exporter side)
-	winIns  map[int]*shmWin // per-exporter pull windows (requester side)
+	winMu   sync.Mutex      // guards the five below
+	winOuts map[int]*shmWin // per-requester pull rings (exporter side)
+	winIns  map[int]*shmWin // per-exporter pull rings (requester side)
+	wins    []*shmWin       // every pull ring mapped, either side
 	regTab  []byte          // this rank's registration table (cma_linux.go)
 	regIns  map[int][]byte  // the peers', mapped on first use
 	cmaOff  atomic.Bool     // sticky: process_vm_readv is refused on this host
 
 	// segMu guards segs, every segment this endpoint mapped, and files,
-	// the ones it created. Retiring a ring or window only drops the
-	// reference (a window serve may still be writing through it); Close
-	// unmaps. Bounded by the number of pair resets.
+	// the ones it created. Retiring a ring only drops the reference (a
+	// producer may still be writing through it); Close unmaps. Bounded by
+	// the number of pair resets.
 	segMu sync.Mutex
 	segs  [][]byte
 	files []string
 
-	// downFlags marks peers with hard death evidence: ring producers and
-	// window serves toward them bail out instead of waiting on a consumer
-	// that no longer exists. Cleared by ReviveRank.
+	// downFlags marks peers with hard death evidence: ring producers —
+	// eager senders and pull serves — toward them bail out instead of
+	// waiting on a consumer that no longer exists. Cleared by ReviveRank.
 	downFlags []atomic.Bool
 
-	// ringGen numbers ring handshakes; each shmOut carries the generation
-	// it was created under, and ring acks must echo it to take effect.
+	// ringGen numbers ring handshakes and pull rings; each shmOut carries
+	// the generation it was created under, and ring acks must echo it.
 	ringGen atomic.Int64
 
 	shmOnce sync.Once
 
 	ringSends     atomic.Int64 // data frames that crossed a ring
 	ringSpills    atomic.Int64 // data frames sent on the socket before their pair switched
-	winPulls      atomic.Int64 // Gets served through the shared window
+	winPulls      atomic.Int64 // Gets pulled through a pull ring
 	cmaPulls      atomic.Int64 // Gets that read the exporter's memory in place
-	bellsSent     atomic.Int64 // kindRingBell frames written
-	bellsRecv     atomic.Int64 // kindRingBell frames read
+	bellsSent     atomic.Int64 // kindRingBell and kindWinBell frames written
+	bellsRecv     atomic.Int64 // kindRingBell and kindWinBell frames read
 	recvSleeps    atomic.Int64 // times Recv armed the doorbells and blocked
-	ringFullWaits atomic.Int64 // sends that found their ring full and waited
+	ringFullWaits atomic.Int64 // eager sends and pull records that found their ring full and waited
 }
 
 // shmOut is the producer side of one outbound eager ring. mu serializes
@@ -172,16 +176,15 @@ type shmIn struct {
 	ring *Ring
 }
 
-// shmWin is one side of a shared pull window: two halves, alternated by
-// the window-global chunk sequence. The exporter side holds mu for a
-// whole Get (serializing pulls per requester) and tracks the highest
-// acked chunk; the requester side only reads chunks it was told about.
+// shmWin is one side of a pull ring: the requester's, which creates and
+// consumes it, or an exporter's mapping, which produces. mu is held for a
+// whole Get or serve, so one Get at a time crosses a ring, and Close clears
+// ring under mu before it unmaps.
 type shmWin struct {
-	mu      sync.Mutex
-	mem     []byte
-	chunk   uint64 // next chunk sequence to write (exporter side)
-	lastAck int64  // highest acked chunk sequence, -1 before any
-	ack     chan uint64
+	mu   sync.Mutex
+	ring *Ring         // nil once Close detached it
+	gen  int64         // the requester's generation for the ring, its label
+	bell chan struct{} // requester side: this ring's kindWinBell frames land here
 }
 
 // ShmSocket returns the unix-socket path rank binds inside dir. Exported
@@ -231,7 +234,7 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 	st.nextKey.Store(uint64(cfg.Epoch) << 32)
 	s.frameMax = int64(s.ringCap/4) - 4 - headerWireSize // its record spans a quarter of the ring
 	st.ctrl = s.handleCtrl
-	st.onGetReq = s.handleGetReq
+	st.onPull = s.servePull
 	st.onHardDown = s.stallPeer
 	// Shared-memory establishment is keyed to the socket generation.
 	st.onConnDrop = s.connDropped
@@ -259,20 +262,12 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 }
 
 // stallPeer is the stream core's hard-evidence hook (the peer's process
-// is gone): ring producers and window serves toward peer bail out with
-// ErrLinkDown instead of waiting on a consumer that will never drain.
+// is gone): ring producers toward peer — eager senders and pull serves —
+// bail out with ErrLinkDown instead of waiting on a consumer that will
+// never drain.
 func (s *SHM) stallPeer(peer int) {
 	if peer >= 0 && peer < len(s.downFlags) {
 		s.downFlags[peer].Store(true)
-		s.winMu.Lock()
-		w := s.winOuts[peer]
-		s.winMu.Unlock()
-		if w != nil {
-			select {
-			case w.ack <- winAckWake: // a serve waiting on this peer looks at the flag
-			default: // it has acks to read, and looks after each
-			}
-		}
 	}
 }
 
@@ -288,7 +283,7 @@ func (s *SHM) DeclareRankDown(peer int) {
 
 // ReviveRank forgets all shared-memory state toward a peer so a
 // respawned process can be re-admitted under the same rank: the pull
-// windows are dropped, the inbound rings are retired, the down flags clear,
+// ring from it is dropped, the inbound rings are retired, the down flags clear,
 // and the outbound pair goes stale with the socket the stream core closes.
 func (s *SHM) ReviveRank(peer int) {
 	if peer < 0 || peer >= s.size || peer == s.rank {
@@ -333,12 +328,12 @@ func (s *SHM) ReviveRank(peer int) {
 // channel (see SHM), so they arrive in the order they were sent: that an
 // exiting peer's last frames were taken in, a marker sent behind them shows
 // (ucp's Close). A Get reads the exporter's memory on the caller's goroutine
-// (the pull window, where the host refuses that, is the fallback).
+// (the pull ring, where the host refuses that, is the fallback).
 func (s *SHM) Link() Link { return Link{Lossless: true, LocalGet: true, CrossProcess: true} }
 
 // connDropped is the stream core's conn-drop hook: the socket to peer
-// broke, so the pull windows keyed to it are torn down. The outbound ring
-// is not touched here: it went stale with the socket (shmOut.stale), and
+// broke, so the next Get from peer creates a fresh pull ring. The outbound
+// ring is not touched here: it went stale with the socket (shmOut.stale), and
 // the next send starts a new pair — this hook runs on its own goroutine,
 // possibly after a new socket came up and a new pair with it, which it must
 // not tear down. Inbound rings are left alone: the producer's next pair has
@@ -350,7 +345,6 @@ func (s *SHM) connDropped(peer int) {
 	}
 	s.winMu.Lock()
 	delete(s.winIns, peer)
-	delete(s.winOuts, peer)
 	delete(s.regIns, peer)
 	s.winMu.Unlock()
 }
@@ -487,7 +481,7 @@ func (s *SHM) Send(to int, hdr Header, payload ...[]byte) error {
 	if !o.ready {
 		return s.stream.Send(to, hdr, payload...)
 	}
-	buf, err := s.reserveBlocking(o, to, headerWireSize+n)
+	buf, err := s.reserveBlocking(o.ring, to, o.connGen.Load(), headerWireSize+n)
 	if err != nil {
 		return err
 	}
@@ -527,7 +521,7 @@ func (s *SHM) SendFrom(to int, hdr Header, src Source, off, size int64) (int64, 
 	if !o.ready {
 		return s.stream.SendFrom(to, hdr, src, off, size)
 	}
-	buf, err := s.reserveBlocking(o, to, headerWireSize+int(size))
+	buf, err := s.reserveBlocking(o.ring, to, o.connGen.Load(), headerWireSize+int(size))
 	if err != nil {
 		return 0, err
 	}
@@ -545,22 +539,22 @@ func (s *SHM) SendFrom(to int, hdr Header, src Source, off, size int64) (int64, 
 	return int64(got), s.ringBell(to, o)
 }
 
-// reserveBlocking reserves ring space, waiting for the consumer when the
-// ring is full. Caller holds o.mu (so waiting senders queue in order).
-// A ring whose consumer process died would stay full forever; the down
-// flags (fed by socket-plane death evidence) break that stall with
-// ErrLinkDown so the transport's failure machinery takes over. The wait
-// is timed, not a doorbell: the consumer is the peer's progress goroutine,
-// which must never write to the wire.
-func (s *SHM) reserveBlocking(o *shmOut, to, n int) ([]byte, error) {
+// reserveBlocking reserves n bytes in a ring toward peer to — an eager
+// pair's or a pull ring's, whose producer lock the caller holds — waiting
+// while it is full. A ring whose consumer died would stay full forever:
+// the down flags (socket-plane death evidence) and a change of the socket
+// the ring's use is keyed to (gen, a stream.connGen) break the wait with
+// ErrLinkDown. The wait is timed, not a doorbell: the consumer must never
+// write to the wire for it.
+func (s *SHM) reserveBlocking(r *Ring, to int, gen uint64, n int) ([]byte, error) {
 	for i := 0; ; i++ {
-		if s.stale(to, o) || s.downFlags[to].Load() {
-			return nil, fmt.Errorf("%w: rank %d exited; eager ring stalled", ErrLinkDown, to)
+		if gen != s.connGen[to].Load() || s.downFlags[to].Load() {
+			return nil, fmt.Errorf("%w: rank %d exited; ring stalled", ErrLinkDown, to)
 		}
-		buf, ok, err := o.ring.Reserve(n)
+		buf, ok, err := r.Reserve(n)
 		if err != nil {
 			s.stream.sever(to) // both sides' pairs go stale with the socket
-			return nil, fmt.Errorf("%w: eager ring to rank %d: %w", ErrLinkDown, to, err)
+			return nil, fmt.Errorf("%w: ring to rank %d: %w", ErrLinkDown, to, err)
 		}
 		if ok {
 			return buf, nil
@@ -586,57 +580,118 @@ func (s *SHM) reserveBlocking(o *shmOut, to, n int) ([]byte, error) {
 }
 
 // Get reads a source the exporter published in its registration table out
-// of the exporter's memory (cma_linux.go). Any other crosses the shared
-// window when large (exporter packs into one half while the requester
-// drains the other) and socket response frames when small.
+// of the exporter's memory (cma_linux.go). Any other crosses the pull ring
+// when large — the exporter packs records into it while this goroutine
+// copies them out — and socket response frames when small.
 func (s *SHM) Get(from int, key uint64, off int64, sink Sink, sinkOff, size int64) error {
 	if done, err := s.cmaGet(from, key, off, sink, sinkOff, size); done {
 		return err
 	}
 	if from != s.rank && size >= defaultWinThresh {
-		if win := s.window(s.winIns, from, shmWinPath(s.dir, from, s.rank), winBytes, true); win != nil {
-			s.winPulls.Add(1)
-			return s.getVia(from, key, off, sink, sinkOff, size, flagGetWindow, int64(len(win.mem)))
+		if w := s.pullRing(from, 0, RingHeaderSize+winBytes); w != nil {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			if w.ring != nil {
+				s.winPulls.Add(1)
+				req := Header{Flags: flagGetWindow, Tag: uint64(w.gen), Offset: off, Total: size, Aux0: RingHeaderSize + winBytes, Aux1: int64(key)}
+				return s.getVia(from, req, sink, sinkOff, func(g *streamGet) error { return s.drainPull(w, g, sinkOff, size) })
+			}
 		}
 	}
 	return s.stream.Get(from, key, off, sink, sinkOff, size)
 }
 
-// window returns, mapping it on first use, this rank's side of the pull
-// window shared with peer: the requester (set winIns) creates the
-// segment before its first window-flagged request, the exporter (set
-// winOuts) attaches. nil makes the Get fall back to the socket.
-func (s *SHM) window(set map[int]*shmWin, peer int, path string, size int, create bool) *shmWin {
+// pullRing returns this rank's side of a pull ring shared with peer. A
+// requester (gen 0) creates it on first use under a fresh generation, which
+// labels the ring and which its requests name. An exporter maps the ring a
+// request names, again when its mapping is older (the requester replaced
+// the ring; the conn-drop hook that says so may run late), never one file
+// twice: labels only grow at a path. nil: no ring, or not the one named.
+func (s *SHM) pullRing(peer int, gen int64, size int) *shmWin {
 	s.winMu.Lock()
 	defer s.winMu.Unlock()
-	if w := set[peer]; w != nil {
-		return w
+	set, path := s.winIns, shmWinPath(s.dir, peer, s.rank)
+	if gen != 0 {
+		set, path = s.winOuts, shmWinPath(s.dir, s.rank, peer)
 	}
-	mem, err := s.mapSeg(path, size, create)
-	if err != nil {
+	w := set[peer]
+	if w == nil || w.gen < gen {
+		ring, err := s.mapRing(path, size, gen == 0)
+		if err != nil {
+			return nil
+		}
+		w = &shmWin{ring: ring, gen: int64(ring.Label())}
+		if gen == 0 {
+			w.gen, w.bell = s.ringGen.Add(1), make(chan struct{}, 1)
+			ring.SetLabel(uint64(w.gen))
+		}
+		set[peer] = w
+		s.wins = append(s.wins, w)
+	}
+	if w.gen != gen && gen != 0 {
 		return nil
 	}
-	w := &shmWin{mem: mem, lastAck: -1, ack: make(chan uint64, 64)}
-	set[peer] = w
 	return w
 }
 
-// handleGetReq claims window-flagged Get requests off the socket read
-// loop; plain requests fall through to the stream's socket server.
-func (s *SHM) handleGetReq(conn *streamConn, hdr Header) bool {
-	if hdr.Flags&flagGetWindow == 0 {
-		return false
+// drainPull is a windowed Get's wait: it copies the Get's records out of
+// the pull ring into the sink, in order from sinkOff, until size bytes
+// landed, and skips what a Get that failed before draining left behind.
+// With the ring empty it spins the way Recv does, then sleeps on the ring's
+// bell, g.done (the exporter's kindGetErr, or link loss) and Close.
+func (s *SHM) drainPull(w *shmWin, g *streamGet, sinkOff, size int64) error {
+	r := w.ring
+	for idle := 0; size > 0; idle++ {
+		rec, ok, err := r.Next()
+		mine := ok && len(rec) >= winRecHdr && binary.LittleEndian.Uint64(rec) == g.id
+		if err == nil && ok && (len(rec) < winRecHdr || mine && int64(len(rec)-winRecHdr) > size) {
+			err = fmt.Errorf("%w: %d-byte pull ring record", ErrCorrupt, len(rec))
+		}
+		switch {
+		case err != nil: // a link failure: the serve bails, the next Get maps anew
+			s.stream.sever(g.peer)
+			return fmt.Errorf("%w: pull ring from rank %d: %w", ErrLinkDown, g.peer, err)
+		case ok:
+			idle = 0
+			if data := rec[winRecHdr:]; mine {
+				if _, err = g.sink.WriteAt(data, sinkOff); err == nil {
+					sinkOff += int64(len(data))
+					size -= int64(len(data))
+				}
+			}
+			r.Advance()
+		case idle < recvSpins:
+			runtime.Gosched()
+		case r.Arm():
+			select {
+			case <-w.bell:
+			case err = <-g.done:
+			case <-s.done:
+				err = ErrClosed
+			}
+			r.Disarm()
+		}
+		if err == nil && size > 0 {
+			select {
+			case err = <-g.done: // the serve failed: the next Get skips what it left
+			case <-s.done:
+				err = ErrClosed
+			default:
+			}
+		}
+		if err != nil {
+			return err
+		}
 	}
-	go s.serveWindowGet(conn.peer, hdr)
-	return true
+	return nil
 }
 
-// serveWindowGet is the exporter side of a windowed pull: it packs the
-// registered source into alternating window halves, announcing each
-// chunk over the socket and recycling a half only after the requester
-// acked copying it out (classic double buffering — chunk i waits on the
-// ack of chunk i-2).
-func (s *SHM) serveWindowGet(peer int, hdr Header) {
+// servePull is the exporter side of a pull: a record a chunk, the source
+// packing straight into ring memory, and a kindWinBell when the requester
+// sleeps. It waits for space as an eager send does, and bails as one does
+// once the request's socket is replaced, the peer dies or Close runs.
+func (s *SHM) servePull(conn *streamConn, hdr Header) {
+	peer := conn.peer
 	fail := func(msg string) {
 		_ = s.stream.Send(peer, Header{Kind: kindGetErr, MsgID: hdr.MsgID}, []byte(msg))
 	}
@@ -645,87 +700,44 @@ func (s *SHM) serveWindowGet(peer int, hdr Header) {
 		fail(ErrBadKey.Error())
 		return
 	}
-	w := s.window(s.winOuts, peer, shmWinPath(s.dir, s.rank, peer), int(hdr.Aux0), false)
+	w := s.pullRing(peer, int64(hdr.Tag), int(hdr.Aux0))
 	if w == nil {
-		fail("pull window unavailable")
+		fail("pull ring unavailable")
 		return
 	}
-	w.mu.Lock()
+	w.mu.Lock() // w.ring is nil only once closed(), which the loop checks
 	defer w.mu.Unlock()
-	half := len(w.mem) / 2
+	// Records of one size, a multiple of 8: a Get just over a chunk is two.
 	off, left := hdr.Offset, hdr.Total
-	sent := 0
-	timeout := time.NewTimer(s.cfg.DialTimeout)
-	defer timeout.Stop()
-	for left > 0 {
-		c := w.chunk
-		if sent >= 2 && !s.awaitWinAck(w, c-2, peer, timeout) {
-			fail("pull window ack timeout")
-			return
-		}
-		base := int(c%2) * half
-		step := int64(half)
-		if step > left {
-			step = left
-		}
-		n, err := src.ReadAt(w.mem[base:base+int(step)], off)
-		if err != nil && err != io.EOF {
+	recs := (left + winChunk - 1) / winChunk
+	chunk := ((left+recs-1)/recs + 7) &^ 7
+	for left > 0 && !s.closed() {
+		step := int(min(left, chunk))
+		buf, err := s.reserveBlocking(w.ring, peer, conn.gen, winRecHdr+step)
+		if err != nil {
 			fail(err.Error())
 			return
 		}
-		if n == 0 {
-			fail(ErrShortTransfer.Error())
+		binary.LittleEndian.PutUint64(buf, hdr.MsgID)
+		n, err := src.ReadAt(buf[winRecHdr:], off)
+		if n == 0 && (err == nil || err == io.EOF) {
+			err = ErrShortTransfer
+		}
+		if err != nil && err != io.EOF {
+			w.ring.Abort()
+			fail(err.Error())
 			return
 		}
-		ann := Header{Kind: kindWinData, Tag: c, MsgID: hdr.MsgID,
-			Offset: off, Total: hdr.Total, Aux0: int64(base), Aux1: int64(n)}
-		if s.stream.Send(peer, ann) != nil {
-			return // link down; the requester's Get fails via failGets
+		w.ring.Commit(winRecHdr + n)
+		if w.ring.Bell() {
+			s.bellsSent.Add(1)
+			if s.stream.Send(peer, Header{Kind: kindWinBell, Tag: hdr.Tag}) != nil {
+				return // link down; the requester's Get fails via failGets
+			}
 		}
-		w.chunk++
-		sent++
 		off += int64(n)
 		left -= int64(n)
 	}
-	// Wait for the tail acks so the next Get may reuse both halves.
-	if w.chunk > 0 && !s.awaitWinAck(w, w.chunk-1, peer, timeout) {
-		fail("pull window ack timeout")
-	}
-}
-
-// winAckWake is what stallPeer puts on a window's ack channel: as a chunk
-// sequence it is below every real one, so it only wakes the waiter.
-const winAckWake = ^uint64(0)
-
-// awaitWinAck waits until every chunk up to seq was acked. Acks arrive in
-// socket order, so the sequence only moves forward. A requester whose
-// process died mid-pull never acks — stallPeer wakes the wait the moment
-// the socket plane produces hard death evidence for the peer (a stale
-// pull window), and DialTimeout, on the serve's one timer, bounds it.
-func (s *SHM) awaitWinAck(w *shmWin, seq uint64, peer int, timeout *time.Timer) bool {
-	if !timeout.Stop() {
-		select {
-		case <-timeout.C:
-		default:
-		}
-	}
-	timeout.Reset(s.cfg.DialTimeout)
-	for w.lastAck < int64(seq) {
-		if s.downFlags[peer].Load() {
-			return false
-		}
-		select {
-		case got := <-w.ack:
-			if int64(got) > w.lastAck {
-				w.lastAck = int64(got)
-			}
-		case <-s.done:
-			return false
-		case <-timeout.C:
-			return false
-		}
-	}
-	return true
 }
 
 // handleCtrl runs on socket read goroutines and consumes the provider's
@@ -745,18 +757,18 @@ func (s *SHM) handleCtrl(conn *streamConn, hdr Header) {
 		case s.wake <- struct{}{}:
 		default: // a wake-up is already pending
 		}
-	case kindWinData:
-		s.handleWinData(conn.peer, hdr)
-	case kindWinAck:
+	case kindWinBell: // a ring a conn drop replaced may still be drained
+		s.bellsRecv.Add(1)
 		s.winMu.Lock()
-		w := s.winOuts[conn.peer]
-		s.winMu.Unlock()
-		if w != nil {
-			select {
-			case w.ack <- hdr.Tag:
-			default: // ≤2 chunks are ever unacked; a full channel means a dead serve
+		for _, w := range s.wins {
+			if w.bell != nil && w.gen == int64(hdr.Tag) {
+				select {
+				case w.bell <- struct{}{}:
+				default: // a wake-up is already pending
+				}
 			}
 		}
+		s.winMu.Unlock()
 	}
 }
 
@@ -788,36 +800,6 @@ func (s *SHM) completeRing(peer int, gen int64) {
 	s.outMu.Unlock()
 	if o != nil && o.gen == gen {
 		o.ackd.Store(true)
-	}
-}
-
-// handleWinData copies one announced chunk out of the pull window into
-// the Get's sink and acks the half back to the exporter. It runs on the
-// socket read goroutine, so chunks from one exporter are handled in
-// announcement order.
-func (s *SHM) handleWinData(peer int, hdr Header) {
-	g := s.lookupGet(hdr.MsgID)
-	s.winMu.Lock()
-	win := s.winIns[peer]
-	s.winMu.Unlock()
-	var copied int64
-	if g != nil && win != nil {
-		start, n := hdr.Aux0, hdr.Aux1
-		if start >= 0 && n > 0 && start+n <= int64(len(win.mem)) {
-			if _, err := g.sink.WriteAt(win.mem[start:start+n], g.sinkOff+hdr.Offset); err != nil {
-				g.finish(err)
-			} else {
-				copied = n
-			}
-		} else {
-			g.finish(fmt.Errorf("fabric: window chunk [%d,+%d) outside %d-byte window", start, n, len(win.mem)))
-		}
-	}
-	// Ack unconditionally — even for an unknown MsgID (a Get that already
-	// failed locally) the exporter must be able to recycle the half.
-	_ = s.stream.Send(peer, Header{Kind: kindWinAck, Tag: hdr.Tag, MsgID: hdr.MsgID})
-	if copied > 0 && atomic.AddInt64(&g.left, -copied) <= 0 {
-		g.finish(nil)
 	}
 }
 
@@ -964,9 +946,9 @@ func (s *SHM) DebugState() string {
 }
 
 // Close tears the provider down: stop the socket plane (which wakes a
-// sleeping Recv and keeps it off the rings), detach producers and the
-// receiver from ring memory, then unmap every segment and remove the ones
-// this endpoint created.
+// sleeping Recv and keeps it off the rings), detach producers, pulls and
+// the receiver from ring memory, then unmap every segment and remove the
+// ones this endpoint created.
 func (s *SHM) Close() error {
 	s.shmOnce.Do(func() {
 		_ = s.stream.Close()
@@ -978,10 +960,16 @@ func (s *SHM) Close() error {
 		}
 		s.outMu.Unlock()
 		s.winMu.Lock()
-		clear(s.winIns)
-		clear(s.winOuts)
+		wins := s.wins // complete: nothing maps once closed
 		s.cmaClose()
 		s.winMu.Unlock()
+		// A pull ring is unmapped only once its Get or serve let go, which
+		// may mean a sink or source callback returning.
+		for _, w := range wins {
+			w.mu.Lock()
+			w.ring = nil
+			w.mu.Unlock()
+		}
 		s.inMu.Lock() // excludes a Recv that is reading a ring
 		defer s.inMu.Unlock()
 		s.active = nil

@@ -425,8 +425,10 @@ func TestSHMSmallGetSocketPath(t *testing.T) {
 }
 
 func TestSHMWindowedGet(t *testing.T) {
-	// 512 KiB window → 256 KiB halves → a 1300 KiB pull crosses 6 chunks,
-	// the last one short, exercising half alternation and the ack pipeline.
+	// A 512 KiB pull ring holds four full records of winChunk bytes: a
+	// 1300 KiB pull crosses as 11 records of ~118 KiB, the last a little
+	// shorter, so the ring wraps and the exporter waits for the space the
+	// requester frees.
 	nics := shmMesh(t, 2, Config{})
 	noCMA(nics...)
 	data := make([]byte, 1300<<10)
@@ -442,7 +444,7 @@ func TestSHMWindowedGet(t *testing.T) {
 	if nics[1].winPulls.Load() != 1 {
 		t.Fatalf("winPulls = %d, want 1", nics[1].winPulls.Load())
 	}
-	// Offset pull into a shifted sink region, reusing the same window.
+	// Offset pull into a shifted sink region, reusing the same ring.
 	out2 := make([]byte, 80<<10)
 	if err := nics[1].Get(0, key, 100<<10, Bytes(out2), 8<<10, 72<<10); err != nil {
 		t.Fatal(err)
@@ -453,8 +455,9 @@ func TestSHMWindowedGet(t *testing.T) {
 }
 
 func TestSHMWindowedGetConcurrent(t *testing.T) {
-	// Each Get is 2.5 window halves: the four share one window, one at a
-	// time, each through the ack pipeline.
+	// Each Get is just over five full records, so it crosses as six of
+	// ~107 KiB: the four share one pull ring, one Get at a time, each
+	// starting where the last left off in the ring.
 	const part = 640 << 10
 	nics := shmMesh(t, 2, Config{})
 	noCMA(nics...)
@@ -480,6 +483,203 @@ func TestSHMWindowedGetConcurrent(t *testing.T) {
 		if !bytes.Equal(outs[i], data[i*part:(i+1)*part]) {
 			t.Fatalf("concurrent windowed get %d mismatch", i)
 		}
+	}
+}
+
+// parkAt is a pack-only source and an unpack-only sink over b whose call
+// number park blocks, after closing parked, until release is closed.
+type parkAt struct {
+	b       Bytes
+	park    int32
+	calls   atomic.Int32
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func newParkAt(b Bytes, park int32) *parkAt {
+	return &parkAt{b: b, park: park, parked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (p *parkAt) hold() {
+	if p.calls.Add(1) == p.park {
+		close(p.parked)
+		<-p.release
+	}
+}
+
+func (p *parkAt) Size() int64                              { return p.b.Size() }
+func (p *parkAt) ReadAt(d []byte, off int64) (int, error)  { p.hold(); return p.b.ReadAt(d, off) }
+func (p *parkAt) WriteAt(d []byte, off int64) (int, error) { p.hold(); return p.b.WriteAt(d, off) }
+
+// closeMidPull starts a 1 MiB pull through the ring from nics[0] to
+// nics[1] with the callback p parked inside ring memory, closes nics[side],
+// and releases the callback 50 ms later. Close must wait for the callback,
+// which writes or reads the ring, before it unmaps: unmapped, the process
+// dies with a fault no test can catch.
+func closeMidPull(t *testing.T, side int, src Source, sink Sink, p *parkAt) {
+	nics := shmMesh(t, 2, Config{})
+	noCMA(nics...)
+	key := nics[0].Register(src)
+	got := make(chan error, 1)
+	go func() { got <- nics[1].Get(0, key, 0, sink, 0, sink.Size()) }()
+	select {
+	case <-p.parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the pull never reached its second chunk")
+	}
+	closed := make(chan struct{})
+	go func() {
+		nics[side].Close()
+		close(closed)
+	}()
+	var early bool
+	select {
+	case <-closed:
+		early = true
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(p.release)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return once the callback did")
+	}
+	if early {
+		t.Error("Close returned while a callback was inside the pull ring")
+	}
+	select {
+	case <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the Get outlived both ends of its pull")
+	}
+}
+
+// TestSHMCloseMidWindowServe closes the exporter while its serve packs
+// into the pull ring.
+func TestSHMCloseMidWindowServe(t *testing.T) {
+	data := make([]byte, 1<<20)
+	fillPattern(data, 21)
+	src := newParkAt(Bytes(data), 2)
+	closeMidPull(t, 0, src, Bytes(make([]byte, len(data))), src)
+}
+
+// TestSHMCloseMidWindowCopy closes the requester while it copies a record
+// out of the pull ring into its sink.
+func TestSHMCloseMidWindowCopy(t *testing.T) {
+	data := make([]byte, 1<<20)
+	fillPattern(data, 22)
+	sink := newParkAt(Bytes(make([]byte, len(data))), 2)
+	closeMidPull(t, 1, nonDirectSource{Bytes(data)}, sink, sink)
+}
+
+// TestSHMWindowAfterRequesterRemap: the requester's conn-drop hook ran and
+// the exporter's has not (it runs on its own goroutine), so the requester
+// pulls through a fresh ring while the exporter still maps the old one.
+// The request names the ring, and the bytes land where the requester reads.
+func TestSHMWindowAfterRequesterRemap(t *testing.T) {
+	nics := shmMesh(t, 2, Config{})
+	noCMA(nics...)
+	data := make([]byte, 300<<10)
+	fillPattern(data, 23)
+	key := nics[0].Register(Bytes(data))
+	out := make([]byte, len(data))
+	for i := 0; i < 2; i++ {
+		if i == 1 {
+			nics[1].connDropped(0)
+		}
+		clear(out)
+		if err := nics[1].Get(0, key, 0, Bytes(out), 0, int64(len(out))); err != nil {
+			t.Fatalf("get %d: %v", i, err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatalf("get %d: the bytes are not the source's", i)
+		}
+	}
+	if n := nics[1].winPulls.Load(); n != 2 {
+		t.Fatalf("winPulls = %d, want 2", n)
+	}
+}
+
+// failThird is a pack-only source whose third ReadAt fails.
+type failThird struct {
+	b      Bytes
+	calls  int // one serve calls it, one call at a time
+	failed chan struct{}
+}
+
+func (f *failThird) Size() int64 { return f.b.Size() }
+func (f *failThird) ReadAt(d []byte, off int64) (int, error) {
+	if f.calls++; f.calls == 3 {
+		close(f.failed)
+		return 0, errors.New("the source gives out on its third chunk")
+	}
+	return f.b.ReadAt(d, off)
+}
+
+// waitGetErr is a sink whose first write waits until the source failed and
+// the Get's error reached the requester, so the Get returns with a record
+// of its own still in the ring.
+type waitGetErr struct {
+	Bytes
+	t      *testing.T
+	nic    *SHM
+	failed chan struct{}
+	calls  int
+}
+
+func (w *waitGetErr) WriteAt(d []byte, off int64) (int, error) {
+	if w.calls++; w.calls == 1 {
+		<-w.failed
+		for end := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			w.nic.getMu.Lock()
+			arrived := false
+			for _, g := range w.nic.gets {
+				arrived = arrived || len(g.done) > 0
+			}
+			w.nic.getMu.Unlock()
+			if arrived {
+				break
+			}
+			if time.Now().After(end) {
+				w.t.Error("the source's error never reached the requester")
+				break
+			}
+		}
+	}
+	return w.Bytes.WriteAt(d, off)
+}
+
+// TestSHMWindowLeftoverRecords: a Get whose source fails on its third
+// chunk fails with the source's error and leaves a record in the ring; the
+// next Get through the ring skips it and returns the source's bytes.
+func TestSHMWindowLeftoverRecords(t *testing.T) {
+	nics := shmMesh(t, 2, Config{})
+	noCMA(nics...)
+	data := make([]byte, 3*winChunk+100)
+	fillPattern(data, 24)
+	bad := &failThird{b: Bytes(data), failed: make(chan struct{})}
+	badKey := nics[0].Register(bad)
+	sink := &waitGetErr{Bytes: Bytes(make([]byte, len(data))), t: t, nic: nics[1], failed: bad.failed}
+	err := nics[1].Get(0, badKey, 0, sink, 0, int64(len(data)))
+	if err == nil || !strings.Contains(err.Error(), "third chunk") {
+		t.Fatalf("Get over a failing source: %v, want the source's error", err)
+	}
+	nics[1].winMu.Lock()
+	w := nics[1].winIns[0]
+	nics[1].winMu.Unlock()
+	w.mu.Lock()
+	left := !w.ring.Empty()
+	w.mu.Unlock()
+	if !left {
+		t.Fatal("the failed Get left no record behind: nothing to skip")
+	}
+	key := nics[0].Register(Bytes(data))
+	out := make([]byte, len(data))
+	if err := nics[1].Get(0, key, 0, Bytes(out), 0, int64(len(out))); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, data) {
+		t.Fatal("the Get after a failed one did not return the source's bytes")
 	}
 }
 

@@ -67,13 +67,12 @@ type stream struct {
 	// kindProviderCtrlMin) before they reach the inbox. It runs on the
 	// connection's read goroutine; their payload is not kept.
 	ctrl func(conn *streamConn, hdr Header)
-	// onGetReq, when non-nil, gets first refusal on inbound Get requests;
-	// returning true claims the request (the SHM provider serves
-	// window-flagged pulls through shared memory instead of the socket).
-	onGetReq func(conn *streamConn, hdr Header) bool
+	// onPull, when non-nil, serves the Get requests flagged flagGetWindow
+	// (the SHM provider's pull ring), each on a goroutine of its own.
+	onPull func(conn *streamConn, hdr Header)
 	// onConnDrop, when non-nil, is told every time a connection to a peer
 	// broke (read failure, write failure, or teardown of a replaced
-	// socket); the SHM provider drops its pull windows toward the peer.
+	// socket); the SHM provider forgets its pull ring from the peer.
 	// Invoked on a fresh goroutine — drops fire from send paths that hold
 	// provider pair locks — so it may run after a new connection came up:
 	// state that must follow the socket exactly reads connGen instead.
@@ -81,7 +80,7 @@ type stream struct {
 	onConnDrop func(peer int)
 	// onHardDown, when non-nil, sees hard peer-death evidence before the
 	// public hook does (the SHM provider stalls the pair's shared-memory
-	// channels so ring producers and window serves stop waiting on a
+	// channels so ring producers and pull serves stop waiting on a
 	// consumer that no longer exists). Set before join, like ctrl.
 	onHardDown func(peer int)
 
@@ -157,6 +156,7 @@ type streamConn struct {
 }
 
 type streamGet struct {
+	id      uint64 // the request's MsgID
 	peer    int
 	sink    Sink
 	sinkOff int64 // sink offset corresponding to remote offset 0 of this get
@@ -1018,7 +1018,7 @@ func (s *stream) Served(key uint64) bool {
 }
 
 // serveReg resolves the source a Get request names and records it served
-// (the socket server here, the SHM provider's window server): once a Get
+// (the socket server here, the SHM provider's pull serve): once a Get
 // request, which is a frame, not once a fragment.
 func (s *stream) serveReg(key uint64) (Source, bool) {
 	s.regMu.Lock()
@@ -1031,16 +1031,15 @@ func (s *stream) serveReg(key uint64) (Source, bool) {
 }
 
 func (s *stream) Get(from int, key uint64, off int64, sink Sink, sinkOff, size int64) error {
-	return s.getVia(from, key, off, sink, sinkOff, size, 0, 0)
+	return s.getVia(from, Header{Offset: off, Total: size, Aux1: int64(key)}, sink, sinkOff, nil)
 }
 
-// getVia runs the Get request/response protocol; flags and aux0 are
-// carried in the request header for provider extensions (the SHM
-// provider sets its window flag and size). The registered streamGet
-// entry also receives windowed responses routed by the provider's ctrl
-// hook.
-func (s *stream) getVia(from int, key uint64, off int64, sink Sink, sinkOff, size int64, flags uint8, aux0 int64) error {
-	if size == 0 {
+// getVia registers a Get (where response frames, kindGetErr and link loss
+// find it), sends req under its id and waits for its end: with wait when
+// non-nil (the SHM provider drains its pull ring there), else for the
+// response frames the read loop lands.
+func (s *stream) getVia(from int, req Header, sink Sink, sinkOff int64, wait func(*streamGet) error) error {
+	if req.Total == 0 {
 		return nil
 	}
 	conn, err := s.conn(from)
@@ -1048,7 +1047,7 @@ func (s *stream) getVia(from int, key uint64, off int64, sink Sink, sinkOff, siz
 		return err
 	}
 	id := s.nextGet.Add(1)
-	g := &streamGet{peer: from, sink: sink, sinkOff: sinkOff - off, left: size, done: make(chan error, 1)}
+	g := &streamGet{id: id, peer: from, sink: sink, sinkOff: sinkOff - req.Offset, left: req.Total, done: make(chan error, 1)}
 	s.getMu.Lock()
 	s.gets[id] = g
 	s.getMu.Unlock()
@@ -1057,9 +1056,12 @@ func (s *stream) getVia(from int, key uint64, off int64, sink Sink, sinkOff, siz
 		delete(s.gets, id)
 		s.getMu.Unlock()
 	}()
-	req := Header{Kind: kindGetReq, Flags: flags, MsgID: id, Offset: off, Total: size, Aux0: aux0, Aux1: int64(key)}
+	req.Kind, req.MsgID = kindGetReq, id
 	if err := s.writeFrame(conn, req); err != nil {
 		return err
+	}
+	if wait != nil {
+		return wait(g)
 	}
 	select {
 	case err := <-g.done:
@@ -1069,7 +1071,7 @@ func (s *stream) getVia(from int, key uint64, off int64, sink Sink, sinkOff, siz
 	}
 }
 
-// lookupGet resolves an outstanding Get by id (for ctrl-hook routing).
+// lookupGet resolves an outstanding Get by id.
 func (s *stream) lookupGet(id uint64) *streamGet {
 	s.getMu.Lock()
 	g := s.gets[id]
@@ -1183,10 +1185,11 @@ func (s *stream) readLoop(conn *streamConn) {
 		switch hdr.Kind {
 		case kindGetReq:
 			pkt.Release()
-			if s.onGetReq != nil && s.onGetReq(conn, hdr) {
-				continue
+			if hdr.Flags&flagGetWindow != 0 && s.onPull != nil {
+				go s.onPull(conn, hdr)
+			} else {
+				go s.serveGet(conn, hdr)
 			}
-			go s.serveGet(conn, hdr)
 		case kindGetResp:
 			g := s.lookupGet(hdr.MsgID)
 			if g == nil {
