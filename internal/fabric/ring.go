@@ -154,7 +154,7 @@ func (r *Ring) cursors() (head, tail uint64, err error) {
 
 // Reserve claims a contiguous n-byte payload area in the ring, returning
 // a slice the caller fills before Commit. ok is false when the ring lacks
-// space (the caller waits or spills to the control socket); err is
+// space (the caller waits for the consumer to free some); err is
 // ErrCorrupt when the shared cursors are inconsistent. Only one
 // reservation may be open at a time — the ring is single-producer.
 func (r *Ring) Reserve(n int) (buf []byte, ok bool, err error) {

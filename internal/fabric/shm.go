@@ -20,21 +20,16 @@ const (
 	// kindRingBell wakes a receiver that declared itself asleep on the
 	// ring (Ring.Arm) the sender just committed a record to.
 	kindRingBell Kind = 0xFA
-	// kindRingOpen announces an eager ring the sender created for this
-	// pair; Aux0 carries the segment size in bytes, Aux1 the producer's
-	// handshake generation, which the ack and the switch marker echo.
+	// kindRingOpen announces the eager ring the sender created and labelled
+	// for this pair before its first data frame; Aux0 carries the segment
+	// size in bytes, Aux1 the ring's generation, its label. The read loop
+	// forwards it in band through the inbox, so Recv retires the pair's
+	// previous ring and maps this one after every earlier socket frame of
+	// the peer. ReviveRank queues one naming no ring (generation 0).
 	kindRingOpen Kind = 0xFB
-	// kindRingAck confirms the receiver mapped the ring.
-	kindRingAck Kind = 0xFC
 	// kindWinBell wakes a requester asleep on its pull ring (Ring.Arm); Tag
 	// names the ring by its generation.
 	kindWinBell Kind = 0xFD
-	// kindRingSwitch is the ordered handoff marker, the last of this pair's
-	// data frames on the socket. The read loop forwards it in band
-	// through the inbox, so Recv starts on the ring (Aux1: its generation)
-	// only after every earlier socket frame, and retires the pair's
-	// previous ring. ReviveRank queues one naming no ring (generation 0).
-	kindRingSwitch Kind = 0xFF
 )
 
 // flagGetWindow marks a Get request served through the requester's pull
@@ -72,15 +67,14 @@ const defaultWinThresh = 64 << 10
 // pull reads the sender's memory in place where the source and the host
 // allow, else it crosses a pull ring the requester drains. A unix-domain
 // socket mesh — the lazily-dialed stream core the TCP provider uses —
-// carries bootstrap, control, doorbells, rendezvous requests and spill
-// traffic (what a pair sends before its ring is up).
+// carries bootstrap, ring announcements, doorbells and rendezvous requests,
+// never a data frame.
 //
 // Channel ordering: a pair's data frames — every frame of the layer above,
-// fragments included — move over exactly one channel at a time: the socket
-// until the ring handshake completes, the ring after the kindRingSwitch
-// marker. So no frame overtakes one sent before it (Link's order). The ring
-// is sized from FragSize, and a data frame too large for it is refused on
-// both sides of the switch.
+// fragments included — cross its ring, the first one included: the sender
+// creates, labels and announces the ring before it writes a frame there. So
+// no frame overtakes one sent before it (Link's order). The ring is sized
+// from FragSize, and a data frame too large for it is refused.
 type SHM struct {
 	*stream
 	dir      string
@@ -90,12 +84,10 @@ type SHM struct {
 	outMu sync.Mutex
 	outs  map[int]*shmOut
 
-	// inMu guards the inbound rings: mapped holds rings that were acked
-	// but whose switch marker Recv has not consumed yet, active the ones
-	// Recv drains. Only the goroutine in Recv changes active or reads
-	// ring memory, and it holds inMu while it does, so Close can unmap.
+	// inMu guards the inbound rings Recv drains. Only the goroutine in Recv
+	// changes active or reads ring memory, and it holds inMu while it does,
+	// so Close can unmap.
 	inMu   sync.Mutex
-	mapped map[int]*shmIn
 	active []*shmIn
 	cursor int  // round-robin position in active
 	armed  bool // asleep flags are set on the active rings
@@ -124,14 +116,13 @@ type SHM struct {
 	// waiting on a consumer that no longer exists. Cleared by ReviveRank.
 	downFlags []atomic.Bool
 
-	// ringGen numbers ring handshakes and pull rings; each shmOut carries
-	// the generation it was created under, and ring acks must echo it.
+	// ringGen numbers eager and pull rings; a ring is labelled with its
+	// generation, and the frames that announce or name it carry it.
 	ringGen atomic.Int64
 
 	shmOnce sync.Once
 
 	ringSends     atomic.Int64 // data frames that crossed a ring
-	ringSpills    atomic.Int64 // data frames sent on the socket before their pair switched
 	winPulls      atomic.Int64 // Gets pulled through a pull ring
 	cmaPulls      atomic.Int64 // Gets that read the exporter's memory in place
 	bellsSent     atomic.Int64 // kindRingBell and kindWinBell frames written
@@ -140,26 +131,19 @@ type SHM struct {
 	ringFullWaits atomic.Int64 // eager sends and pull records that found their ring full and waited
 }
 
-// shmOut is the producer side of one outbound eager ring. mu serializes
-// the pair's data frames — ring production AND pre-ring socket spills — so
-// the kindRingSwitch marker (sent under mu by the first sender that
-// observes the ack) splits them into before-switch socket frames and
-// after-switch ring frames. ackd is written without mu, so a sender
-// blocked mid-dial cannot stall the handshake.
+// shmOut is the producer side of a pair's outbound eager ring. mu
+// serializes the pair's data frames and the ring's replacement, so every
+// frame lands on the ring announced last.
 type shmOut struct {
 	mu      sync.Mutex
-	gen     int64         // handshake generation; ring acks must echo it
 	connGen atomic.Uint64 // the socket the open went out on (stream.connGen); 0 before
-	ring    *Ring
-	open    bool        // kindRingOpen reached the socket
-	ackd    atomic.Bool // kindRingAck received
-	ready   bool        // switch marker sent; senders use the ring
+	ring    *Ring         // labelled with its generation; nil before the first open
 }
 
 // stale reports whether the socket pair o's ring was announced on has broken
 // or been replaced since. The receiver may have retired the ring with it —
 // its ReviveRank does, in band — so nothing may be written there any more:
-// the next send starts a new pair (lockPair), and a producer parked on the
+// the next send opens a new ring (lockPair), and a producer parked on the
 // ring bails. It holds the moment the socket changes, not when the
 // conn-drop hook runs, which can be after a new socket came up; a pair whose
 // open has not gone out yet is not stale.
@@ -168,8 +152,8 @@ func (s *SHM) stale(to int, o *shmOut) bool {
 	return g != 0 && g != s.connGen[to].Load()
 }
 
-// shmIn is one inbound eager ring; gen is the producer's handshake
-// generation, which its switch marker names.
+// shmIn is one inbound eager ring; gen is its label, the generation its
+// kindRingOpen named.
 type shmIn struct {
 	peer int
 	gen  int64
@@ -221,7 +205,6 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 		dir:       dir,
 		ringCap:   ringCapForFrag(st.cfg.FragSize),
 		outs:      make(map[int]*shmOut),
-		mapped:    make(map[int]*shmIn),
 		wake:      make(chan struct{}, 1),
 		winOuts:   make(map[int]*shmWin),
 		winIns:    make(map[int]*shmWin),
@@ -250,7 +233,6 @@ func NewSHM(rank, size int, dir string, cfg Config) (*SHM, error) {
 	if reg := cfg.registry(); reg != nil {
 		p := func(name string) string { return fmt.Sprintf("fabric.r%d.%s", rank, name) }
 		reg.GaugeFunc(p("shm_ring_sends"), s.ringSends.Load)
-		reg.GaugeFunc(p("shm_ring_spills"), s.ringSpills.Load)
 		reg.GaugeFunc(p("shm_win_pulls"), s.winPulls.Load)
 		reg.GaugeFunc(p("shm_cma_pulls"), s.cmaPulls.Load)
 		reg.GaugeFunc(p("shm_bells_sent"), s.bellsSent.Load)
@@ -290,26 +272,25 @@ func (s *SHM) ReviveRank(peer int) {
 		return
 	}
 	s.connDropped(peer)
-	s.inMu.Lock()
-	delete(s.mapped, peer)
-	s.inMu.Unlock()
 	// The active ring belongs to the goroutine in Recv: retire it in band,
-	// before the stream core closes the socket, so that the switch of a
-	// ring opened over the next socket is consumed after this marker.
-	s.deliver(&Packet{From: peer, Hdr: Header{Kind: kindRingSwitch}})
+	// before the stream core closes the socket, so that the open of a ring
+	// announced over the next socket is taken after this one.
+	s.deliver(&Packet{From: peer, Hdr: Header{Kind: kindRingOpen}})
 	s.downFlags[peer].Store(false)
 	s.stream.ReviveRank(peer)
 }
 
 // Link states SHM lossless: an accepted Send to a live peer arrives. What
-// Send accepted sits in a ring or in a unix socket:
+// Send accepted sits in a ring, which an open in a unix socket announced:
 //   - a unix stream socket never breaks by itself (a full one blocks the
 //     writer). An end is closed only by Close (the process leaving), by
 //     DeclareRankDown (a death verdict), by ReviveRank (the revival that
 //     follows one), by sever (a ring whose shared words contradict each
 //     other, which a live producer never leaves behind: it publishes each
-//     record with one atomic store of the tail, after writing it), or when
-//     a fresh connection replaces one whose other end broke first. A
+//     record with one atomic store of the tail, after writing it; or a
+//     ring the receiver cannot map, which a live producer removes only to
+//     replace it once its socket changed), or when a fresh connection
+//     replaces one whose other end broke first. A
 //     reader drains what the writer flushed up to EOF unless it closed its
 //     own end first, and only those calls do;
 //   - a frame in a ring is lost only when the consumer retires the ring
@@ -323,21 +304,21 @@ func (s *SHM) ReviveRank(peer int) {
 // can cut off a respawned incarnation that reached this side first, but
 // what it sent before it was readmitted is no message of the protocol (the
 // readmission, core.Grow, invites the rank only after reviving it), and
-// what it sends after leaves on a new pair over the new socket. The layer
-// above therefore needs no acks over SHM. And a pair's data frames share one
-// channel (see SHM), so they arrive in the order they were sent: that an
-// exiting peer's last frames were taken in, a marker sent behind them shows
-// (ucp's Close). A Get reads the exporter's memory on the caller's goroutine
+// what it sends after crosses a new ring announced over the new socket. The
+// layer above therefore needs no acks over SHM. And a pair's data frames
+// share one channel (see SHM), so they arrive in the order they were sent:
+// that an exiting peer's last frames were taken in, a marker sent behind
+// them shows (ucp's Close). A Get reads the exporter's memory on the caller's goroutine
 // (the pull ring, where the host refuses that, is the fallback).
 func (s *SHM) Link() Link { return Link{Lossless: true, LocalGet: true, CrossProcess: true} }
 
 // connDropped is the stream core's conn-drop hook: the socket to peer
 // broke, so the next Get from peer creates a fresh pull ring. The outbound
 // ring is not touched here: it went stale with the socket (shmOut.stale), and
-// the next send starts a new pair — this hook runs on its own goroutine,
-// possibly after a new socket came up and a new pair with it, which it must
-// not tear down. Inbound rings are left alone: the producer's next pair has
-// a switch marker that retires them. Death evidence is NOT touched:
+// the next send opens a new ring — this hook runs on its own goroutine,
+// possibly after a new socket came up and a new ring with it, which it must
+// not tear down. Inbound rings are left alone: the producer's next ring has
+// an open that retires them. Death evidence is NOT touched:
 // downFlags belong to DeclareRankDown/ReviveRank.
 func (s *SHM) connDropped(peer int) {
 	if peer < 0 || peer >= s.size || peer == s.rank {
@@ -377,7 +358,7 @@ func (s *SHM) mapSeg(path string, size int, create bool) ([]byte, error) {
 
 // mapRing maps a ring segment and lays the ring over it. Close unmaps
 // whatever mapSeg recorded, so the header is touched under segMu and only
-// while Close has not begun: the last acks of a run make first contact
+// while Close has not begun: the last frames of a run make first contact
 // (and so open rings) while the endpoint is already shutting down.
 func (s *SHM) mapRing(path string, size int, create bool) (*Ring, error) {
 	mem, err := s.mapSeg(path, size, create)
@@ -393,10 +374,9 @@ func (s *SHM) mapRing(path string, size int, create bool) (*Ring, error) {
 }
 
 // ringEligible reports whether a frame to a peer is a data frame, which
-// crosses the pair's ring once it is up: every frame of the layer above is
-// one, the provider's control kinds use the socket. A data frame larger than
-// a quarter of the ring — so a few fit at once — is refused, before the
-// switch as after it: no other channel may carry it without overtaking.
+// crosses the pair's ring: every frame of the layer above is one, the
+// provider's control kinds use the socket. A data frame larger than a
+// quarter of the ring — so a few fit at once — is refused.
 func (s *SHM) ringEligible(to int, hdr Header, n int64) (bool, error) {
 	if to == s.rank || to < 0 || to >= s.size || hdr.Kind >= kindProviderCtrlMin {
 		return false, nil
@@ -408,63 +388,55 @@ func (s *SHM) ringEligible(to int, hdr Header, n int64) (bool, error) {
 	return true, nil
 }
 
-// lockPair returns the pair's outbound ring state, locked, starting the
-// ring handshake on first use and advancing it on every later one. Until
-// the pair is ready callers spill onto the socket under the lock.
-func (s *SHM) lockPair(to int) *shmOut {
+// lockPair returns the pair's outbound ring state, locked, with a ring the
+// receiver was told of: on first use, and once the socket the ring was
+// announced on changed (stale), it opens a new one first. A ring that
+// cannot be opened is the send's error; the next send tries again.
+func (s *SHM) lockPair(to int) (*shmOut, error) {
 	s.outMu.Lock()
 	o := s.outs[to]
-	if o == nil || s.stale(to, o) {
-		o = &shmOut{gen: s.ringGen.Add(1)}
+	if o == nil {
+		o = &shmOut{}
 		s.outs[to] = o
-		go s.openRing(to, o)
 	}
 	s.outMu.Unlock()
 	o.mu.Lock()
-	s.handshakeLocked(to, o)
-	if !o.ready {
-		s.ringSpills.Add(1)
-	}
-	return o
-}
-
-// handshakeLocked moves the pair's ring handshake one step: announce the
-// mapped ring (again, if the open was lost to a broken socket), then,
-// once the receiver's ack is in, emit the ordered handoff marker and flip
-// the pair onto the ring — only if the marker went out on the socket the
-// open did; otherwise the pair is stale and the next send replaces it.
-// Caller holds o.mu.
-func (s *SHM) handshakeLocked(to int, o *shmOut) {
-	switch {
-	case o.ready || o.ring == nil:
-	case !o.open:
-		size := int64(RingHeaderSize + o.ring.Cap())
-		if gen, err := s.stream.sendOn(to, Header{Kind: kindRingOpen, Aux0: size, Aux1: o.gen}); err == nil {
-			o.open = true
-			o.connGen.Store(gen)
+	if o.ring == nil || s.stale(to, o) {
+		if err := s.openRing(to, o); err != nil {
+			o.mu.Unlock()
+			return nil, err
 		}
-	case o.ackd.Load():
-		gen, err := s.stream.sendOn(to, Header{Kind: kindRingSwitch, Aux1: o.gen})
-		o.ready = err == nil && gen == o.connGen.Load()
 	}
+	return o, nil
 }
 
-// openRing creates the eager ring toward a peer and announces it.
-// Failures leave the pair on the socket path — correct, just slower.
-func (s *SHM) openRing(to int, o *shmOut) {
-	total := RingHeaderSize + int(s.ringCap)
-	if ring, err := s.mapRing(shmRingPath(s.dir, s.rank, to), total, true); err == nil {
-		o.mu.Lock()
-		o.ring = ring
-		s.handshakeLocked(to, o)
-		o.mu.Unlock()
+// openRing creates the pair's eager ring, labels it with a fresh
+// generation and announces it with kindRingOpen, the way pullRing makes a
+// pull ring: once it returns, the receiver maps the ring when it takes the
+// open, after the peer's earlier socket frames. The socket comes first, so
+// a peer that cannot be reached costs no segment. Caller holds o.mu.
+func (s *SHM) openRing(to int, o *shmOut) error {
+	conn, err := s.stream.conn(to)
+	if err != nil {
+		return err
 	}
+	ring, err := s.mapRing(shmRingPath(s.dir, s.rank, to), RingHeaderSize+int(s.ringCap), true)
+	if err != nil {
+		return err
+	}
+	gen := s.ringGen.Add(1)
+	ring.SetLabel(uint64(gen))
+	if err := s.writeFrame(conn, Header{Kind: kindRingOpen, Aux0: int64(RingHeaderSize + ring.Cap()), Aux1: gen}); err != nil {
+		return err
+	}
+	o.ring = ring
+	o.connGen.Store(conn.gen)
+	return nil
 }
 
 // Send places data frames on the pair's ring (blocking on a full ring,
 // the shared-memory analogue of socket backpressure) and the rest on the
-// socket. Pre-switch spills run under the same per-pair lock as ring
-// production, so the pair's data frames stay ordered across the handoff.
+// socket.
 func (s *SHM) Send(to int, hdr Header, payload ...[]byte) error {
 	n := 0
 	for _, p := range payload {
@@ -476,11 +448,11 @@ func (s *SHM) Send(to int, hdr Header, payload ...[]byte) error {
 		}
 		return s.stream.Send(to, hdr, payload...)
 	}
-	o := s.lockPair(to)
-	defer o.mu.Unlock()
-	if !o.ready {
-		return s.stream.Send(to, hdr, payload...)
+	o, err := s.lockPair(to)
+	if err != nil {
+		return err
 	}
+	defer o.mu.Unlock()
 	buf, err := s.reserveBlocking(o.ring, to, o.connGen.Load(), headerWireSize+n)
 	if err != nil {
 		return err
@@ -516,11 +488,11 @@ func (s *SHM) SendFrom(to int, hdr Header, src Source, off, size int64) (int64, 
 		}
 		return s.stream.SendFrom(to, hdr, src, off, size)
 	}
-	o := s.lockPair(to)
-	defer o.mu.Unlock()
-	if !o.ready {
-		return s.stream.SendFrom(to, hdr, src, off, size)
+	o, err := s.lockPair(to)
+	if err != nil {
+		return 0, err
 	}
+	defer o.mu.Unlock()
 	buf, err := s.reserveBlocking(o.ring, to, o.connGen.Load(), headerWireSize+int(size))
 	if err != nil {
 		return 0, err
@@ -689,11 +661,17 @@ func (s *SHM) drainPull(w *shmWin, g *streamGet, sinkOff, size int64) error {
 // servePull is the exporter side of a pull: a record a chunk, the source
 // packing straight into ring memory, and a kindWinBell when the requester
 // sleeps. It waits for space as an eager send does, and bails as one does
-// once the request's socket is replaced, the peer dies or Close runs.
+// once the request's socket is replaced, the peer dies or Close runs. A
+// request for no bytes, or naming no ring (generation 0, which would make
+// pullRing create one on this side), is refused.
 func (s *SHM) servePull(conn *streamConn, hdr Header) {
 	peer := conn.peer
 	fail := func(msg string) {
 		_ = s.stream.Send(peer, Header{Kind: kindGetErr, MsgID: hdr.MsgID}, []byte(msg))
+	}
+	if hdr.Total <= 0 || hdr.Tag == 0 {
+		fail(fmt.Sprintf("malformed pull request: %d bytes through ring generation %d", hdr.Total, int64(hdr.Tag)))
+		return
 	}
 	src, ok := s.serveReg(uint64(hdr.Aux1))
 	if !ok {
@@ -745,10 +723,6 @@ func (s *SHM) servePull(conn *streamConn, hdr Header) {
 func (s *SHM) handleCtrl(conn *streamConn, hdr Header) {
 	switch hdr.Kind {
 	case kindRingOpen:
-		go s.acceptRing(conn.peer, int(hdr.Aux0), hdr.Aux1)
-	case kindRingAck:
-		s.completeRing(conn.peer, hdr.Aux1)
-	case kindRingSwitch:
 		// In band: every earlier socket frame of the peer is ahead of it.
 		s.deliver(&Packet{From: conn.peer, Hdr: hdr})
 	case kindRingBell:
@@ -772,34 +746,32 @@ func (s *SHM) handleCtrl(conn *streamConn, hdr Header) {
 	}
 }
 
-// acceptRing maps a peer's freshly exported eager ring and acks it. Recv
-// reads it only once the switch marker arrives, so no ring frame can
-// overtake socket frames sent before the handshake finished.
-func (s *SHM) acceptRing(peer, size int, gen int64) {
-	ring, err := s.mapRing(shmRingPath(s.dir, peer, s.rank), size, false)
-	if err != nil {
-		return // no ack: the peer keeps using the socket
-	}
+// acceptRing takes a peer's kindRingOpen on the goroutine in Recv: it
+// retires the peer's active ring and maps the one the open names. An open
+// no newer than the active ring came late on an older socket and is
+// dropped; a ring whose label is not the open's generation was replaced
+// under a later open, which follows, and is not drained. A ring that cannot
+// be mapped is a link failure, as a corrupt one is: its producer writes to
+// it already, so both sides reset. Generation 0 (ReviveRank) only retires.
+func (s *SHM) acceptRing(peer int, size, gen int64) {
 	s.inMu.Lock()
-	// Opens run on a goroutine each: one overtaken by its successor loses.
-	if old := s.mapped[peer]; old == nil || old.gen < gen {
-		s.mapped[peer] = &shmIn{peer: peer, gen: gen, ring: ring}
+	defer s.inMu.Unlock()
+	for _, in := range s.active {
+		if in.peer == peer && gen != 0 && gen <= in.gen {
+			return
+		}
 	}
-	s.inMu.Unlock()
-	_ = s.stream.Send(peer, Header{Kind: kindRingAck, Aux1: gen})
-}
-
-// completeRing records the receiver's ack. The next eligible send
-// performs the actual switch (under the pair lock, so the marker lands
-// between the last spilled frame and the first ring frame). A stale ack,
-// for a ring a conn drop has since torn down, must not flip the fresh
-// handshake onto a segment the receiver is not reading.
-func (s *SHM) completeRing(peer int, gen int64) {
-	s.outMu.Lock()
-	o := s.outs[peer]
-	s.outMu.Unlock()
-	if o != nil && o.gen == gen {
-		o.ackd.Store(true)
+	s.retireLocked(peer)
+	if gen == 0 {
+		return
+	}
+	ring, err := s.mapRing(shmRingPath(s.dir, peer, s.rank), int(size), false)
+	if err != nil {
+		s.stream.sever(peer)
+		return
+	}
+	if ring.Label() == uint64(gen) {
+		s.active = append(s.active, &shmIn{peer: peer, gen: gen, ring: ring})
 	}
 }
 
@@ -812,7 +784,7 @@ const recvSpins = 64
 // read it declares itself asleep on every ring and blocks until a socket
 // frame, a doorbell or Close arrives; no timer is involved. Recv is
 // single-consumer (the NIC contract): the active rings are state of the
-// calling goroutine, changed only by the switch markers it consumes here.
+// calling goroutine, changed only by the ring opens it takes here.
 func (s *SHM) Recv() (*Packet, bool) {
 	for idle := 0; ; idle++ {
 		var pkt *Packet
@@ -838,16 +810,10 @@ func (s *SHM) Recv() (*Packet, bool) {
 				}
 			}
 		}
-		if pkt.Hdr.Kind != kindRingSwitch {
+		if pkt.Hdr.Kind != kindRingOpen {
 			return pkt, true
 		}
-		s.inMu.Lock()
-		s.retireLocked(pkt.From)
-		if in := s.mapped[pkt.From]; in != nil && in.gen == pkt.Hdr.Aux1 {
-			delete(s.mapped, pkt.From)
-			s.active = append(s.active, in)
-		}
-		s.inMu.Unlock()
+		s.acceptRing(pkt.From, pkt.Hdr.Aux0, pkt.Hdr.Aux1)
 	}
 }
 
@@ -875,7 +841,8 @@ func (s *SHM) pollRings(arm bool) (pkt *Packet, block bool) {
 			err = fmt.Errorf("%w: %d-byte ring record", ErrCorrupt, len(rec))
 		}
 		if err != nil {
-			// A link failure of the pair: both sides reset and re-handshake.
+			// A link failure of the pair: both sides reset, and the
+			// producer's next send opens a new ring.
 			s.retireLocked(in.peer)
 			s.stream.sever(in.peer)
 			return nil, false
@@ -920,26 +887,23 @@ func (s *SHM) retireLocked(peer int) {
 // was never sent; bellsRecv behind the peer's bellsSent: it was lost.
 func (s *SHM) DebugState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "  shm: inbox=%d/%d ringSends=%d spills=%d winPulls=%d conns=%d\n"+
+	fmt.Fprintf(&b, "  shm: inbox=%d/%d ringSends=%d winPulls=%d conns=%d\n"+
 		"  shm: bellsSent=%d bellsRecv=%d recvSleeps=%d ringFullWaits=%d\n",
-		len(s.inbox), cap(s.inbox), s.ringSends.Load(), s.ringSpills.Load(), s.winPulls.Load(), s.NumConns(),
+		len(s.inbox), cap(s.inbox), s.ringSends.Load(), s.winPulls.Load(), s.NumConns(),
 		s.bellsSent.Load(), s.bellsRecv.Load(), s.recvSleeps.Load(), s.ringFullWaits.Load())
 	s.outMu.Lock()
 	for to, o := range s.outs {
 		if o.mu.TryLock() {
-			fmt.Fprintf(&b, "  out->%d: ready=%v ackd=%v\n", to, o.ready, o.ackd.Load())
+			fmt.Fprintf(&b, "  out->%d: open=%v stale=%v\n", to, o.ring != nil, s.stale(to, o))
 			o.mu.Unlock()
 		} else {
-			fmt.Fprintf(&b, "  out->%d: busy (sender holds pair lock; full ring?) ackd=%v\n", to, o.ackd.Load())
+			fmt.Fprintf(&b, "  out->%d: busy (sender holds pair lock; full ring?) stale=%v\n", to, s.stale(to, o))
 		}
 	}
 	s.outMu.Unlock()
 	s.inMu.Lock()
 	for _, in := range s.active {
-		fmt.Fprintf(&b, "  in<-%d: empty=%v asleep=%v\n", in.peer, in.ring.Empty(), in.ring.Asleep())
-	}
-	for peer := range s.mapped {
-		fmt.Fprintf(&b, "  in<-%d: mapped, switch marker not consumed\n", peer)
+		fmt.Fprintf(&b, "  in<-%d: gen=%d empty=%v asleep=%v\n", in.peer, in.gen, in.ring.Empty(), in.ring.Asleep())
 	}
 	s.inMu.Unlock()
 	return b.String()
@@ -955,7 +919,7 @@ func (s *SHM) Close() error {
 		s.outMu.Lock()
 		for _, o := range s.outs {
 			o.mu.Lock()
-			o.ring, o.ready = nil, false
+			o.ring = nil
 			o.mu.Unlock()
 		}
 		s.outMu.Unlock()
@@ -973,7 +937,6 @@ func (s *SHM) Close() error {
 		s.inMu.Lock() // excludes a Recv that is reading a ring
 		defer s.inMu.Unlock()
 		s.active = nil
-		clear(s.mapped)
 		s.segMu.Lock()
 		defer s.segMu.Unlock()
 		for _, mem := range s.segs {

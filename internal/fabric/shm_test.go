@@ -56,23 +56,21 @@ func shmMesh(t *testing.T, n int, cfg Config) []*SHM {
 	return nics
 }
 
-// waitRing drives traffic until the pair's ring handshake completes and
-// frames flow through shared memory.
+// waitRing opens the pair's ring with one frame and receives it, so the
+// receiver has taken the ring's open and drains the ring from then on.
 func waitRing(t *testing.T, from, to *SHM, dst int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for from.ringSends.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("ring handshake never completed")
-		}
-		if err := from.Send(dst, Header{Kind: 5, Tag: 1, Total: 1}, []byte{0}); err != nil {
-			t.Fatal(err)
-		}
-		pkt, ok := to.Recv()
-		if !ok {
-			t.Fatal("recv failed during ring warmup")
-		}
-		pkt.Release()
+	sends := from.ringSends.Load()
+	if err := from.Send(dst, Header{Kind: 5, Tag: 1, Total: 1}, []byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	pkt, ok := to.Recv()
+	if !ok {
+		t.Fatal("recv failed during ring warmup")
+	}
+	pkt.Release()
+	if from.ringSends.Load() == sends {
+		t.Fatal("the pair's first frame did not cross its ring")
 	}
 }
 
@@ -96,8 +94,8 @@ func waitAsleep(t *testing.T, nic *SHM) {
 	}
 }
 
-// outGen returns the generation of nic's outbound ring state toward peer
-// (0 when it has none) and whether senders are on the ring.
+// outGen returns the generation of nic's outbound ring toward peer (0
+// when it has none) and whether senders use it: it is open and not stale.
 func outGen(nic *SHM, peer int) (gen int64, ready bool) {
 	nic.outMu.Lock()
 	o := nic.outs[peer]
@@ -107,20 +105,33 @@ func outGen(nic *SHM, peer int) (gen int64, ready bool) {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.gen, o.ready
+	if o.ring == nil {
+		return 0, false
+	}
+	return int64(o.ring.Label()), !nic.stale(peer, o)
+}
+
+// activeGen returns the generation of nic's active inbound ring from peer
+// (0 when it reads none).
+func activeGen(nic *SHM, peer int) int64 {
+	nic.inMu.Lock()
+	defer nic.inMu.Unlock()
+	for _, in := range nic.active {
+		if in.peer == peer {
+			return in.gen
+		}
+	}
+	return 0
 }
 
 // waitPairReset returns once nic's outbound ring of generation gen toward
 // peer is done with: replaced, or stale — its socket broke, so no frame is
-// committed to it any more and the next send starts a new pair.
+// committed to it any more and the next send opens a new ring.
 func waitPairReset(t *testing.T, nic *SHM, peer int, gen int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		nic.outMu.Lock()
-		o := nic.outs[peer]
-		nic.outMu.Unlock()
-		if o == nil || o.gen != gen || nic.stale(peer, o) {
+		if g, ready := outGen(nic, peer); g != gen || !ready {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -177,7 +188,7 @@ func expectTags(t *testing.T, nic *SHM, tags <-chan uint64, first uint64, n int)
 }
 
 // shmPairs are TestNICPairOrder's SHM cases: from first contact, so the
-// switch from socket to ring happens mid-stream, and after the switch.
+// ring is opened mid-stream, and with the ring open and taken in already.
 func shmPairs() []nicPair {
 	return []nicPair{
 		{"shm-first-contact", func(t *testing.T) (NIC, NIC) {
@@ -192,46 +203,116 @@ func shmPairs() []nicPair {
 	}
 }
 
-func TestSHMSendRecvSpillThenRing(t *testing.T) {
-	nics := shmMesh(t, 2, Config{})
+// TestSHMRingOpenRules pins how a pair's eager ring comes up and how the
+// receiver takes the kindRingOpen that announces it. The rows call
+// acceptRing on the test goroutine, the receiver's only consumer, as Recv
+// does when it takes an open from the inbox.
+func TestSHMRingOpenRules(t *testing.T) {
 	payload := make([]byte, 3000)
 	fillPattern(payload, 4)
-	// First send spills (handshake still in flight) but must deliver.
-	hdr := Header{Kind: 5, Tag: 99, MsgID: 1, Total: 3000, Aux0: -7, Aux1: 12345}
-	if err := nics[0].Send(1, hdr, payload); err != nil {
-		t.Fatal(err)
+	send := func(t *testing.T, nic *SHM, tag uint64) {
+		t.Helper()
+		if err := nic.Send(1, Header{Kind: 5, Tag: tag, Total: 3000}, payload); err != nil {
+			t.Fatal(err)
+		}
 	}
-	pkt, ok := nics[1].Recv()
-	if !ok {
-		t.Fatal("Recv failed")
+	recv := func(t *testing.T, nic *SHM, tag uint64) {
+		t.Helper()
+		pkt, ok := nic.Recv()
+		if !ok || pkt.From != 0 || pkt.Hdr.Tag != tag || !bytes.Equal(pkt.Payload, payload) {
+			t.Fatalf("want frame %d from rank 0, got ok=%v %+v", tag, ok, pkt)
+		}
+		pkt.Release()
 	}
-	if pkt.From != 0 || pkt.Hdr != hdr || !bytes.Equal(pkt.Payload, payload) {
-		t.Fatalf("spilled frame mismatch: From=%d %+v", pkt.From, pkt.Hdr)
-	}
-	pkt.Release()
-	// Drive until the ring engages, then verify a frame crossing it.
-	waitRing(t, nics[0], nics[1], 1)
-	before := nics[0].ringSends.Load()
-	if err := nics[0].Send(1, hdr, payload); err != nil {
-		t.Fatal(err)
-	}
-	pkt, ok = nics[1].Recv()
-	if !ok || pkt.From != 0 || pkt.Hdr != hdr || !bytes.Equal(pkt.Payload, payload) {
-		t.Fatal("ring frame mismatch")
-	}
-	pkt.Release()
-	if nics[0].ringSends.Load() != before+1 {
-		t.Fatalf("frame did not cross the ring (sends %d -> %d)", before, nics[0].ringSends.Load())
-	}
+	size := RingHeaderSize + int64(ringCapForFrag(DefaultFragSize))
+
+	t.Run("first-frame-crosses-ring", func(t *testing.T) {
+		nics := shmMesh(t, 2, Config{})
+		hdr := Header{Kind: 5, Tag: 99, MsgID: 1, Total: 3000, Aux0: -7, Aux1: 12345}
+		if err := nics[0].Send(1, hdr, payload); err != nil {
+			t.Fatal(err)
+		}
+		if n := nics[0].ringSends.Load(); n != 1 {
+			t.Fatalf("ringSends = %d after the pair's first Send, want 1", n)
+		}
+		pkt, ok := nics[1].Recv()
+		if !ok || pkt.From != 0 || pkt.Hdr != hdr || !bytes.Equal(pkt.Payload, payload) {
+			t.Fatalf("first frame mismatch: ok=%v %+v", ok, pkt)
+		}
+		pkt.Release()
+		gen, ready := outGen(nics[0], 1)
+		if !ready || activeGen(nics[1], 0) != gen {
+			t.Fatalf("producer writes ring generation %d (ready %v), receiver drains %d", gen, ready, activeGen(nics[1], 0))
+		}
+	})
+
+	t.Run("older-open-dropped", func(t *testing.T) {
+		nics := shmMesh(t, 2, Config{Epoch: 1}) // gen-1 is a generation, not ReviveRank's 0
+		send(t, nics[0], 1)
+		recv(t, nics[1], 1)
+		gen, _ := outGen(nics[0], 1)
+		send(t, nics[0], 2)
+		// Opens no newer than the active ring came late on an older socket.
+		nics[1].acceptRing(0, size, gen)
+		nics[1].acceptRing(0, size, gen-1)
+		send(t, nics[0], 3)
+		if got := activeGen(nics[1], 0); got != gen {
+			t.Fatalf("receiver drains ring generation %d after stale opens, want %d", got, gen)
+		}
+		recv(t, nics[1], 2)
+		recv(t, nics[1], 3)
+	})
+
+	t.Run("relabelled-ring-not-drained", func(t *testing.T) {
+		nics := shmMesh(t, 2, Config{})
+		send(t, nics[0], 1)
+		recv(t, nics[1], 1)
+		gen, _ := outGen(nics[0], 1)
+		send(t, nics[0], 2)
+		// A newer open names a file still labelled gen: the open that
+		// replaces it follows, and this one retires without draining.
+		nics[1].acceptRing(0, size, gen+1)
+		if got := activeGen(nics[1], 0); got != 0 {
+			t.Fatalf("receiver drains ring generation %d, labelled %d, for an open of %d", got, gen, gen+1)
+		}
+		if pkt, _ := nics[1].pollRings(false); pkt != nil {
+			t.Fatalf("frame %d drained from a ring whose label is not its open's", pkt.Hdr.Tag)
+		}
+	})
+
+	t.Run("missing-ring-resets-pair", func(t *testing.T) {
+		nics := shmMesh(t, 2, Config{})
+		send(t, nics[0], 1)
+		recv(t, nics[1], 1)
+		gen, _ := outGen(nics[0], 1)
+		if err := os.Remove(shmRingPath(nics[1].dir, 0, 1)); err != nil {
+			t.Fatal(err)
+		}
+		nics[1].acceptRing(0, size, gen+1)
+		waitPairReset(t, nics[0], 1, gen)
+		deadline := time.Now().Add(10 * time.Second)
+		for err := errors.New("not sent"); err != nil; {
+			if time.Now().After(deadline) {
+				t.Fatalf("no send went through after the reset: %v\n%s", err, nics[0].DebugState())
+			}
+			if err = nics[0].Send(1, Header{Kind: 5, Tag: 2, Total: 3000}, payload); err != nil && !errors.Is(err, ErrLinkDown) {
+				t.Fatal(err) // down until the redial lands
+			}
+		}
+		recv(t, nics[1], 2)
+		if g, ready := outGen(nics[0], 1); g <= gen || !ready || activeGen(nics[1], 0) != g {
+			t.Fatalf("after the reset the producer writes generation %d (ready %v, was %d), the receiver drains %d", g, ready, gen, activeGen(nics[1], 0))
+		}
+	})
 }
 
-// TestSHMEagerOrderingAcrossSwitch floods sequenced frames through the
-// socket→ring handoff, from first contact and with the receiver already
-// blocked in Recv: the switch protocol must keep the eager class in order
-// while the transition happens mid-stream. Recv reads the rings itself,
-// so a ring it started on before it consumed the last pre-switch socket
-// frame would show up here as a tag out of sequence.
-func TestSHMEagerOrderingAcrossSwitch(t *testing.T) {
+// TestSHMEagerOrderingFromFirstContact floods sequenced frames from first
+// contact, with the receiver already blocked in Recv: the ring is opened
+// and taken in mid-stream, and the eager class must stay in order. The
+// receiver wakes on the open, not on a doorbell, so a first frame it did
+// not find on the ring it just mapped would show up here as a hang, and a
+// frame read from anywhere else as a tag out of sequence.
+func TestSHMEagerOrderingFromFirstContact(t *testing.T) {
 	nics := shmMesh(t, 2, Config{FragSize: 256}) // a 4 KiB ring
 	const msgs = 10000
 	type result struct {
@@ -267,11 +348,11 @@ func TestSHMEagerOrderingAcrossSwitch(t *testing.T) {
 		}
 	}
 	if r := <-got; r.bad {
-		t.Fatalf("eager class broken at frame %d: tag %d (ring sends %d, spills %d)",
-			r.at, r.tag, nics[0].ringSends.Load(), nics[0].ringSpills.Load())
+		t.Fatalf("eager class broken at frame %d: tag %d (ring sends %d)",
+			r.at, r.tag, nics[0].ringSends.Load())
 	}
-	if nics[0].ringSends.Load() == 0 {
-		t.Fatal("stream never switched to the ring")
+	if n := nics[0].ringSends.Load(); n != msgs {
+		t.Fatalf("%d of %d frames crossed the ring", n, msgs)
 	}
 }
 
@@ -333,14 +414,13 @@ func TestSHMSendFromRingPack(t *testing.T) {
 	}
 }
 
-// TestSHMFragmentsCrossTheRing: once a pair switched, a frame that is part
+// TestSHMFragmentsCrossTheRing: from first contact, a frame that is part
 // of a larger message — a leading fragment (payload < Total) or a later one
 // (Offset > 0) — crosses the ring like a whole one; a pair's data frames
 // have one channel.
 func TestSHMFragmentsCrossTheRing(t *testing.T) {
 	nics := shmMesh(t, 2, Config{})
-	waitRing(t, nics[0], nics[1], 1)
-	before, spills := nics[0].ringSends.Load(), nics[0].ringSpills.Load()
+	before := nics[0].ringSends.Load()
 	body := make([]byte, 100)
 	for _, hdr := range []Header{{Kind: 5, Offset: 0, Total: 4000}, {Kind: 5, Offset: 100, Total: 4000}} {
 		if err := nics[0].Send(1, hdr, body); err != nil {
@@ -360,15 +440,12 @@ func TestSHMFragmentsCrossTheRing(t *testing.T) {
 	if got := nics[0].ringSends.Load() - before; got != 4 {
 		t.Fatalf("%d of 4 fragments crossed the ring", got)
 	}
-	if got := nics[0].ringSpills.Load(); got != spills {
-		t.Fatalf("%d fragments spilled onto the socket after the switch", got-spills)
-	}
 }
 
 // TestSHMRingSizedFromFragSize: a pair's ring holds eight full fragments,
 // 256 KiB at the default FragSize, and a data frame larger than a quarter
-// of it is refused, by Send and SendFrom, before the pair switched to its
-// ring and after.
+// of it is refused, by Send and SendFrom, before the pair's ring is open
+// and after.
 func TestSHMRingSizedFromFragSize(t *testing.T) {
 	if got := ringCapForFrag(DefaultFragSize); got != 256<<10 {
 		t.Fatalf("default ring holds %d bytes, want 256 KiB", got)
@@ -393,9 +470,9 @@ func TestSHMRingSizedFromFragSize(t *testing.T) {
 			t.Errorf("%s: SendFrom of %d bytes accepted", when, limit+1)
 		}
 	}
-	refused("before the switch")
+	refused("before the ring is open")
 	waitRing(t, nics[0], nics[1], 1)
-	refused("after the switch")
+	refused("on the open ring")
 	if err := nics[0].Send(1, Header{Kind: 5, Total: limit}, tooBig[:limit]); err != nil {
 		t.Fatalf("a frame at the limit: %v", err)
 	}
@@ -683,6 +760,79 @@ func TestSHMWindowLeftoverRecords(t *testing.T) {
 	}
 }
 
+// forgeGet sends req to rank from as a Get request of nic's, registered
+// where kindGetErr finds it, and returns the error the exporter answers.
+func forgeGet(t *testing.T, nic *SHM, from int, req Header) error {
+	t.Helper()
+	id := nic.nextGet.Add(1)
+	g := &streamGet{id: id, peer: from, done: make(chan error, 1)}
+	nic.getMu.Lock()
+	nic.gets[id] = g
+	nic.getMu.Unlock()
+	defer func() {
+		nic.getMu.Lock()
+		delete(nic.gets, id)
+		nic.getMu.Unlock()
+	}()
+	req.Kind, req.MsgID = kindGetReq, id
+	if _, err := nic.sendOn(from, req); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-g.done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatalf("rank %d never answered the request %+v", from, req)
+		return nil
+	}
+}
+
+// TestSHMWindowRequestRefused: an exporter refuses a windowed Get request
+// for no bytes — its serve would divide by a record count of 0 — and one
+// naming generation 0, pullRing's "create", which would make the exporter
+// serve into a requester-side ring of its own. It answers kindGetErr and
+// lives on, and the next real Get returns the source's bytes.
+func TestSHMWindowRequestRefused(t *testing.T) {
+	nics := shmMesh(t, 2, Config{})
+	noCMA(nics...)
+	data := make([]byte, 300<<10)
+	fillPattern(data, 25)
+	key := nics[0].Register(Bytes(data))
+	get := func(t *testing.T) {
+		t.Helper()
+		out := make([]byte, len(data))
+		if err := nics[1].Get(0, key, 0, Bytes(out), 0, int64(len(out))); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatal("the Get did not return the source's bytes")
+		}
+	}
+	get(t) // the requester's pull ring exists from here on
+	nics[1].winMu.Lock()
+	gen := nics[1].winIns[0].gen
+	nics[1].winMu.Unlock()
+	for _, row := range []struct {
+		name       string
+		total, gen int64
+	}{
+		{"total-0", 0, gen},
+		{"total-negative", -1, gen},
+		{"generation-0", 4096, 0},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			req := Header{Flags: flagGetWindow, Tag: uint64(row.gen), Total: row.total, Aux0: RingHeaderSize + winBytes, Aux1: int64(key)}
+			if err := forgeGet(t, nics[1], 0, req); err == nil || !strings.Contains(err.Error(), "malformed") {
+				t.Fatalf("request %+v answered %v, want a refusal", req, err)
+			}
+			get(t)
+		})
+	}
+	if _, err := os.Stat(shmWinPath(nics[0].dir, 1, 0)); err == nil {
+		t.Fatal("the exporter made a requester-side pull ring of its own")
+	}
+}
+
 func TestSHMGetBadKey(t *testing.T) {
 	nics := shmMesh(t, 2, Config{})
 	out := make([]byte, 256<<10)
@@ -724,7 +874,7 @@ func TestSHMThreeRankMesh(t *testing.T) {
 }
 
 // TestSHMPoolQuiesce asserts no wire buffers leak once traffic drains —
-// the ring poller and spill paths share the stream's counting pool.
+// the ring poller and the socket plane share the stream's counting pool.
 func TestSHMPoolQuiesce(t *testing.T) {
 	nics := shmMesh(t, 2, Config{})
 	waitRing(t, nics[0], nics[1], 1)
@@ -796,18 +946,34 @@ func TestSHMDeclaredDownFailsFirstContactFast(t *testing.T) {
 	pkt.Release()
 }
 
-// TestSHMRingHandshakePeerDeath kills the consumer side of the eager
-// ring inside the handshake window — after kindRingOpen goes out, before
-// the kindRingSwitch marker ever does — and requires the producer to
-// (a) stay off the ring, (b) fail fast once the death verdict lands, and
-// (c) tear down leak-free: no openRing goroutine parked forever, no dial
-// campaign outliving the world, no mapped segment left registered.
+// TestSHMRingHandshakePeerDeath kills the consumer side of an eager ring
+// while the ring comes up — before the producer could reach it, and after
+// its open and first frame went out but before the consumer took them in
+// — and requires the producer to (a) fail sends fast once the death
+// verdict lands, and (b) tear down leak-free: no dial campaign outliving
+// the world, no wire buffer checked out, no ring file left behind.
 func TestSHMRingHandshakePeerDeath(t *testing.T) {
 	snap := obs.TakeLeakSnapshot()
 	cfg := Config{DialTimeout: 300 * time.Millisecond}
+	failsFast := func(t *testing.T, a *SHM) {
+		t.Helper()
+		a.DeclareRankDown(1)
+		start := time.Now()
+		if err := a.Send(1, Header{Kind: 5, Tag: 3, Total: 1}, []byte{0}); err == nil {
+			t.Fatal("send after DeclareRankDown succeeded")
+		}
+		if d := time.Since(start); d > 200*time.Millisecond {
+			t.Fatalf("post-verdict send took %v, want fast failure", d)
+		}
+	}
+	noRingFile := func(t *testing.T, dir string) {
+		t.Helper()
+		if left, _ := filepath.Glob(filepath.Join(dir, "ring-*")); len(left) != 0 {
+			t.Fatalf("ring files left after Close: %v", left)
+		}
+	}
 
-	// Window entry 1: the peer is dead before the open is even sendable,
-	// so the handshake can never receive its ack.
+	// The peer is dead before the open is even sendable: no ring is made.
 	t.Run("open-unacked", func(t *testing.T) {
 		dir := t.TempDir()
 		a, err := NewSHM(0, 2, dir, cfg)
@@ -821,34 +987,23 @@ func TestSHMRingHandshakePeerDeath(t *testing.T) {
 		}
 		b.Close() // rank 1 dies before any traffic
 
-		// Ring-eligible send: starts the handshake, spills to the broken
-		// socket, and must surface an error within the dial window
-		// instead of waiting on an ack that cannot come.
+		// Ring-eligible send: the socket the open would go out on never
+		// comes up, so the send fails within the dial window.
 		err = a.Send(1, Header{Kind: 5, Tag: 1, Total: 1}, []byte{0})
 		if err == nil {
-			t.Fatal("send toward a dead peer mid-handshake succeeded")
+			t.Fatal("send toward a dead peer succeeded")
 		}
 		if a.ringSends.Load() != 0 {
-			t.Fatal("frames crossed a ring whose handshake never completed")
+			t.Fatal("a frame crossed a ring whose open never went out")
 		}
-
-		// The detector's verdict: every later send fails fast, not after
-		// another dial window.
-		a.DeclareRankDown(1)
-		start := time.Now()
-		err = a.Send(1, Header{Kind: 5, Tag: 2, Total: 1}, []byte{0})
-		if err == nil {
-			t.Fatal("send after DeclareRankDown succeeded")
-		}
-		if d := time.Since(start); d > 200*time.Millisecond {
-			t.Fatalf("post-verdict send took %v, want fast failure", d)
-		}
+		failsFast(t, a)
+		a.Close()
+		noRingFile(t, dir)
 	})
 
-	// Window entry 2: the handshake gets as far as the ack (the producer
-	// holds a mapped, acknowledged ring) but the peer dies before the
-	// switch marker is sent — the ring must be abandoned, not used.
-	t.Run("acked-unswitch", func(t *testing.T) {
+	// The open and the first frame are out, and the consumer dies holding
+	// both unread: it never mapped the ring.
+	t.Run("opened-never-mapped", func(t *testing.T) {
 		dir := t.TempDir()
 		a, err := NewSHM(0, 2, dir, cfg)
 		if err != nil {
@@ -859,70 +1014,30 @@ func TestSHMRingHandshakePeerDeath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		// First eligible send opens the handshake; drain it on the peer
-		// so its control plane processes the open and acks.
 		if err := a.Send(1, Header{Kind: 5, Tag: 1, Total: 1}, []byte{0}); err != nil {
 			t.Fatal(err)
 		}
-		pkt, ok := b.Recv()
-		if !ok {
-			t.Fatal("recv failed")
+		if a.ringSends.Load() != 1 {
+			t.Fatal("the first frame did not cross the ring")
 		}
-		pkt.Release()
-		a.outMu.Lock()
-		o := a.outs[1]
-		a.outMu.Unlock()
-		if o == nil {
-			t.Fatal("no handshake state after an eligible send")
-		}
+		b.Close() // dies holding an unread open and frame
+
+		// Sends go into the ring until its socket is seen broken (or the
+		// ring fills), then fail: the pair is stale and no new socket
+		// comes up to announce another ring on.
 		deadline := time.Now().Add(5 * time.Second)
-		for !o.ackd.Load() {
-			if time.Now().After(deadline) {
-				t.Fatal("ring ack never arrived")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		o.mu.Lock()
-		ready := o.ready
-		o.mu.Unlock()
-		if ready {
-			t.Fatal("pair switched before the test could enter the window")
-		}
-
-		b.Close() // dies holding the window open: acked, never switched
-
-		// The next send attempts the switch marker over the broken
-		// socket; whether it errors immediately or after the link drop
-		// is observed, the pair must never flip onto the ring.
-		deadline = time.Now().Add(5 * time.Second)
-		for {
-			err = a.Send(1, Header{Kind: 5, Tag: 2, Total: 1}, []byte{0})
-			if err != nil {
-				break
-			}
+		for a.Send(1, Header{Kind: 5, Tag: 2, Total: 1}, []byte{0}) == nil {
 			if time.Now().After(deadline) {
 				t.Fatal("sends kept succeeding toward a dead peer")
 			}
-			time.Sleep(10 * time.Millisecond)
 		}
-		if a.ringSends.Load() != 0 {
-			t.Fatal("frames crossed the ring after the consumer died unswitched")
-		}
-
-		a.DeclareRankDown(1)
-		start := time.Now()
-		if err = a.Send(1, Header{Kind: 5, Tag: 3, Total: 1}, []byte{0}); err == nil {
-			t.Fatal("send after DeclareRankDown succeeded")
-		}
-		if d := time.Since(start); d > 200*time.Millisecond {
-			t.Fatalf("post-verdict send took %v, want fast failure", d)
-		}
+		failsFast(t, a)
+		a.Close()
+		noRingFile(t, dir)
 	})
 
-	// Every goroutine the two worlds spawned — pollers, openRing
-	// handshakes, dial campaigns — must be gone, and no wire buffer may
-	// remain checked out.
+	// Every goroutine the two worlds spawned — pollers and dial campaigns —
+	// must be gone, and no wire buffer may remain checked out.
 	if err := snap.Check(0); err != nil {
 		t.Fatal(err)
 	}
@@ -1009,43 +1124,50 @@ func TestSHMCloseWakesSleepingRecv(t *testing.T) {
 
 // TestSHMCloseDuringRingOpen closes an endpoint while first-contact sends
 // are still opening their rings, which is how every launched run ends (the
-// last acks reach peers never written to before). Close unmaps the
-// segments; an opener that lays its ring over one afterwards dies with a
-// fault that no test can catch, so the guard is that this returns at all.
+// last frames reach peers never written to before). Close unmaps the
+// segments; a sender that laid its ring over one afterwards would die with
+// a fault that no test can catch, so the first guard is that this returns
+// at all. Rings are made on the sending goroutine only, so once every
+// endpoint closed the session directory is empty.
 func TestSHMCloseDuringRingOpen(t *testing.T) {
-	const peers = 32
+	const peers = 4
 	base := t.TempDir()
 	for round := 0; round < 40; round++ {
 		dir := filepath.Join(base, strconv.Itoa(round))
 		if err := os.Mkdir(dir, 0o700); err != nil {
 			t.Fatal(err)
 		}
-		nic, err := NewSHM(0, peers+1, dir, Config{DialTimeout: 50 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
+		nics := make([]*SHM, peers+1)
+		for r := range nics {
+			nic, err := NewSHM(r, peers+1, dir, Config{DialTimeout: 50 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nics[r] = nic
 		}
 		var wg sync.WaitGroup
 		for p := 1; p <= peers; p++ {
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()
-				_ = nic.Send(p, Header{Kind: 1, Total: 1}, []byte{1}) // nobody listens; the ring opens regardless
+				_ = nics[0].Send(p, Header{Kind: 1, Total: 1}, []byte{1})
 			}(p)
 		}
 		runtime.Gosched()
-		nic.Close()
+		nics[0].Close()
 		wg.Wait()
-	}
-	// An opener outlives its Send by a moment and may still create (and
-	// remove) its file: sweep until it is done, so the cleanup finds nothing.
-	for end := time.Now().Add(5 * time.Second); os.RemoveAll(base) != nil && time.Now().Before(end); {
-		time.Sleep(time.Millisecond)
+		for _, nic := range nics[1:] {
+			nic.Close()
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Fatalf("round %d: %d files left after Close, the first %s", round, len(left), left[0].Name())
+		}
 	}
 }
 
 // TestSHMRingResetWhileReceiverSleeps drives both ways a pair's inbound
-// ring is replaced under a sleeping receiver — a duplicate kindRingOpen
-// after the pair's socket broke, and the survivor's own ReviveRank —
+// ring is replaced under a sleeping receiver — a new kindRingOpen after
+// the pair's socket broke, and the survivor's own ReviveRank —
 // and requires that the receiver ends up on the fresh ring (not stranded
 // on the retired one, not ignoring the new one) with the class in order.
 func TestSHMRingResetWhileReceiverSleeps(t *testing.T) {
@@ -1073,18 +1195,10 @@ func TestSHMRingResetWhileReceiverSleeps(t *testing.T) {
 			}
 		}
 	}
-	activeGen := func() int64 {
-		nics[1].inMu.Lock()
-		defer nics[1].inMu.Unlock()
-		if len(nics[1].active) != 1 || len(nics[1].mapped) != 0 {
-			t.Fatalf("receiver holds %d active and %d mapped rings, want 1 and 0", len(nics[1].active), len(nics[1].mapped))
-		}
-		return nics[1].active[0].gen
-	}
 	gen := pump(0)
 
-	// Duplicate open: the pair's socket breaks while the receiver sleeps on
-	// the old ring, so the producer starts a new pair over the next socket.
+	// New open: the pair's socket breaks while the receiver sleeps on the
+	// old ring, so the producer opens a new ring over the next socket.
 	// (A frame committed to the ring while the break is still unnoticed is
 	// delivered, but its bell fails the Send: the pump waits that out.)
 	waitAsleep(t, nics[1])
@@ -1104,14 +1218,14 @@ func TestSHMRingResetWhileReceiverSleeps(t *testing.T) {
 		if d := nics[0].ringSends.Load() - before; d != 50 {
 			t.Fatalf("%d of 50 frames crossed the fresh ring", d)
 		}
-		if got := activeGen(); got != gen {
+		if got := activeGen(nics[1], 0); got != gen {
 			t.Fatalf("receiver drains ring generation %d, producer writes generation %d", got, gen)
 		}
 	}
 	expectRing()
 
 	// Revival: the receiver side retires the ring in band and breaks the
-	// socket; the producer resets on the drop and re-handshakes.
+	// socket; the producer resets on the drop and opens a new ring.
 	waitAsleep(t, nics[1])
 	nics[1].ReviveRank(0)
 	waitPairReset(t, nics[0], 1, gen)
@@ -1122,7 +1236,7 @@ func TestSHMRingResetWhileReceiverSleeps(t *testing.T) {
 // TestSHMCorruptRingResetsPair scribbles over an active inbound ring's
 // tail word — what a peer killed mid-Commit leaves behind. The receiver
 // must not fault: it retires the ring, breaks the pair's socket, and both
-// sides re-handshake onto a fresh ring.
+// sides reset, and the producer's next send opens a fresh ring.
 func TestSHMCorruptRingResetsPair(t *testing.T) {
 	nics := shmMesh(t, 2, Config{})
 	waitRing(t, nics[0], nics[1], 1)
@@ -1242,4 +1356,102 @@ func TestSHMLosslessUnderBackpressure(t *testing.T) {
 			t.Errorf("rank %d dropped %d connections between live endpoints", r, n)
 		}
 	}
+}
+
+// ctrlKinds are the provider frames FuzzSHMCtrl writes, picked by a
+// record's first byte.
+var ctrlKinds = [...]Kind{kindRingOpen, kindRingBell, kindWinBell, kindGetReq}
+
+// ctrlRecord is one FuzzSHMCtrl record: the kind's index, then a header.
+func ctrlRecord(kind byte, hdr Header) []byte {
+	rec := make([]byte, 1+headerWireSize)
+	rec[0] = kind
+	encodeHeader((*[headerWireSize]byte)(rec[1:]), hdr)
+	return rec
+}
+
+// FuzzSHMCtrl writes a fuzzed sequence of the SHM provider's control
+// frames — ring opens, doorbells and windowed Get requests, every header
+// field arbitrary — from rank 1's socket to rank 0 while rank 0 receives,
+// after rank 1 opened a real ring toward it. Whatever the frames say,
+// nothing panics, both endpoints close, no wire buffer stays checked out
+// and the session directory ends empty.
+func FuzzSHMCtrl(f *testing.F) {
+	ringSize := int64(RingHeaderSize + ringCapForFrag(1024))
+	f.Add(ctrlRecord(3, Header{Tag: 1, Total: 0, Aux0: RingHeaderSize + winBytes, Aux1: 1}))
+	f.Add(ctrlRecord(3, Header{Tag: 0, Total: 4096, Aux0: RingHeaderSize + winBytes, Aux1: 1}))
+	f.Add(append(ctrlRecord(0, Header{Aux0: ringSize, Aux1: 2}), ctrlRecord(1, Header{})...))
+	f.Add(append(ctrlRecord(0, Header{}), ctrlRecord(0, Header{Aux0: ringSize, Aux1: 1})...))
+	f.Add(append(ctrlRecord(0, Header{Aux0: -1, Aux1: 9}), ctrlRecord(2, Header{Tag: 1})...))
+	f.Fuzz(func(t *testing.T, frames []byte) {
+		nics := shmMesh(t, 2, Config{FragSize: 1024})
+		nics[0].Register(Bytes(make([]byte, 64<<10)))
+		if err := nics[1].Send(0, Header{Kind: 5, Total: 1}, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		pkt, ok := nics[0].Recv()
+		if !ok {
+			t.Fatal("the real ring's frame never arrived")
+		}
+		pkt.Release()
+		received := make(chan struct{})
+		go func() {
+			defer close(received)
+			for {
+				pkt, ok := nics[0].Recv()
+				if !ok {
+					return
+				}
+				pkt.Release()
+			}
+		}()
+
+		const maxFrames = 16
+		bells := int64(0)
+		for n := 0; len(frames) >= 1+headerWireSize && n < maxFrames; n++ {
+			hdr := decodeHeader(frames[1 : 1+headerWireSize])
+			hdr.Kind = ctrlKinds[int(frames[0])%len(ctrlKinds)]
+			if hdr.Kind == kindGetReq {
+				hdr.Flags |= flagGetWindow
+			}
+			frames = frames[1+headerWireSize:]
+			if _, err := nics[1].sendOn(0, hdr); err == nil && (hdr.Kind == kindRingBell || hdr.Kind == kindWinBell) {
+				bells++
+			}
+		}
+		// A last bell: once rank 0 counted every bell, its read loop took
+		// every frame, and once its inbox is empty Recv took every open.
+		// A socket rank 0 severed lost what was still in it.
+		if _, err := nics[1].sendOn(0, Header{Kind: kindRingBell}); err == nil {
+			bells++
+		}
+		for end := time.Now().Add(2 * time.Second); time.Now().Before(end); runtime.Gosched() {
+			if nics[0].connDrops.Load() != 0 || nics[0].bellsRecv.Load() >= bells && len(nics[0].inbox) == 0 {
+				break
+			}
+		}
+
+		closed := make(chan struct{})
+		go func() {
+			nics[1].Close()
+			nics[0].Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Close hung\n%s\n%s", nics[0].DebugState(), nics[1].DebugState())
+		}
+		<-received
+		for _, nic := range nics {
+			for end := time.Now().Add(2 * time.Second); nic.PoolOutstanding() != 0; runtime.Gosched() {
+				if time.Now().After(end) {
+					t.Fatalf("rank %d leaks %d pool buffers", nic.Rank(), nic.PoolOutstanding())
+				}
+			}
+		}
+		if left, _ := os.ReadDir(nics[0].dir); len(left) != 0 {
+			t.Fatalf("%d files left in the session directory, the first %s", len(left), left[0].Name())
+		}
+	})
 }

@@ -35,7 +35,7 @@ const (
 )
 
 // stream is the shared core of the byte-stream providers (TCP and the
-// SHM provider's unix-socket control/spill plane): length-prefixed
+// SHM provider's unix-socket control plane): length-prefixed
 // frames over net.Conn links, gather writes, a request/response Get
 // protocol, lazy connection establishment and redial.
 //
@@ -635,10 +635,10 @@ func (s *stream) setConnLocked(peer int, c *streamConn) {
 // is known dead, and the kernel may still hold inbound frames the peer
 // flushed before its end went away. Stream sockets deliver buffered
 // data up to EOF — unless the reader closes first, which discards it.
-// Those last frames matter: a peer that exits right after upgrading a
-// pair to the shared-memory ring announces the switch on the socket,
-// and eating that announcement leaves this side blind to a ring that
-// holds the peer's final acks. The read loop keeps draining and closes
+// Those last frames matter: a peer that exits right after opening a
+// pair's shared-memory ring announces the ring on the socket, and eating
+// that announcement leaves this side blind to a ring that holds the
+// peer's final frames. The read loop keeps draining and closes
 // the socket itself when it hits EOF (its own dropConn lands in the
 // stale branch below).
 func (s *stream) dropConn(conn *streamConn, site int64) {

@@ -5,7 +5,7 @@ package fabric
 // kernel without an intermediate application copy, mirroring how UCX hands
 // an iovec to the verbs layer. It is a thin specialization of the shared
 // byte-stream core (see stream.go), which also carries the SHM provider's
-// control and spill plane over unix sockets.
+// control plane over unix sockets.
 //
 // Connections are established lazily: the first send toward a peer dials
 // it, so a rank that talks to k peers holds k sockets instead of Size-1.
