@@ -197,21 +197,39 @@ func newGoroutines(before []string) int {
 	return n
 }
 
+// pullerIDs lists the goroutines inside a puller, parked or not.
+func pullerIDs() []string {
+	buf := make([]byte, 1<<20)
+	var ids []string
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, ".(*Worker).puller(") {
+			ids = append(ids, strings.Fields(g)[1])
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // TestWorkerIdleGoroutines pins what a worker keeps running once traffic
 // has stopped: the progress loop, plus the janitor and the ack pump under
-// Reliable. Liveness detection parks none (its tick is a timer), and a
-// worker that never acks starts no pump.
+// Reliable, plus the pullers parked after a rendezvous, never more than
+// PullStripes. Liveness detection parks none (its tick is a timer), a
+// worker that never acks starts no pump, and one that only ran eager
+// messages started no puller.
 func TestWorkerIdleGoroutines(t *testing.T) {
 	hb := DetectorConfig{Period: time.Hour}
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		want int
+		name  string
+		cfg   Config
+		proto Proto
+		want  int
 	}{
-		{"plain", Config{}, 1},
-		{"Heartbeat", Config{Heartbeat: hb}, 1},
-		{"Reliable", Config{Reliable: true}, 3},
-		{"Reliable+Heartbeat", Config{Reliable: true, Heartbeat: hb}, 3},
+		{"plain", Config{}, ProtoAuto, 1},
+		{"Heartbeat", Config{Heartbeat: hb}, ProtoAuto, 1},
+		{"Reliable", Config{Reliable: true}, ProtoAuto, 3},
+		{"Reliable+Heartbeat", Config{Reliable: true, Heartbeat: hb}, ProtoAuto, 3},
+		{"rndv", Config{}, ProtoRndv, 2},
+		{"rndv-PullStripes1", Config{PullStripes: 1}, ProtoRndv, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := goroutineIDs()
@@ -223,7 +241,7 @@ func TestWorkerIdleGoroutines(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sr, err := src.Send(dst.Rank(), 1, Contig{}, pattern(64, 1), 64, 0, ProtoAuto)
+				sr, err := src.Send(dst.Rank(), 1, Contig{}, pattern(64, 1), 64, 0, tc.proto)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -233,8 +251,8 @@ func TestWorkerIdleGoroutines(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The goroutines started since the workers were not there yet:
-			// theirs. Polled, so pullers and probes still on their way out
-			// are not counted.
+			// theirs. Polled, so probes still on their way out are not
+			// counted.
 			got := 0
 			for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 				if got = newGoroutines(before); got == 2*tc.want {
@@ -244,4 +262,44 @@ func TestWorkerIdleGoroutines(t *testing.T) {
 			t.Fatalf("%d goroutines a worker after one exchange, want %d", got/2, tc.want)
 		})
 	}
+	// Over TCP a lane's pullers are not capped (TestExecutorTCPPullsOverlap):
+	// a burst of outstanding pulls runs one puller each, and all but
+	// PullStripes of them exit once the lane is empty.
+	t.Run("tcp-burst", func(t *testing.T) {
+		const msgs, size, stripes = 16, 4096, 2
+		base := len(pullerIDs())
+		a, b := tcpPair(t, Config{PullStripes: stripes})
+		ops := &gateOps{packGate: make(chan struct{})}
+		var once sync.Once
+		open := func() { once.Do(func() { close(ops.packGate) }) }
+		t.Cleanup(open)
+		dt := Generic{Ops: ops}
+		var reqs []*Request
+		for i := 0; i < msgs; i++ {
+			rr, err := b.Recv(0, 1, exactMask, dt, make([]byte, size), size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr, err := a.Send(1, 1, dt, pattern(size, 3), size, 0, ProtoRndv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, rr, sr)
+		}
+		waitFor(t, "every pull's Get to be served at once", func() bool { return ops.packing.Load() == msgs })
+		if got := len(pullerIDs()) - base; got < msgs {
+			t.Fatalf("%d pullers for %d outstanding pulls", got, msgs)
+		}
+		open()
+		if err := WaitAll(reqs...); err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if got = len(pullerIDs()) - base; got <= stripes {
+				return
+			}
+		}
+		t.Fatalf("%d pullers parked after the burst, PullStripes %d", got, stripes)
+	})
 }

@@ -68,9 +68,11 @@ func pingpong(b *testing.B, a, w *Worker, dt Datatype, sbuf, rbuf any, count, by
 }
 
 // BenchmarkContigEagerVsRndv shows the protocol split around the
-// threshold the paper's Figure 7 dip comes from.
+// threshold the paper's Figure 7 dip comes from. The 32768 and 32776 rows
+// are the last eager size and the first rendezvous one: their difference
+// is what the switch itself costs.
 func BenchmarkContigEagerVsRndv(b *testing.B) {
-	for _, size := range []int{1024, 16 * 1024, 32 * 1024, 64 * 1024, 1 << 20} {
+	for _, size := range []int{1024, 16 * 1024, 32 * 1024, DefaultRndvThresh + 8, 64 * 1024, 1 << 20} {
 		b.Run(fmt.Sprint(size), func(b *testing.B) {
 			sbuf := make([]byte, size)
 			rbuf := make([]byte, size)

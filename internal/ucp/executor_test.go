@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -414,6 +415,72 @@ func TestExecutorTCPPullsOverlap(t *testing.T) {
 	if err := WaitAll(reqs...); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestExecutorPullersOutliveAMessage: a puller that finds its lane empty
+// parks instead of exiting, so once the first rendezvous has run, a
+// ping-pong starts no goroutine a message: each pull runs on a puller that
+// is already there, its stack already grown. Close sends the parked ones
+// away.
+func TestExecutorPullersOutliveAMessage(t *testing.T) {
+	const rounds, size = 1000, 4096
+	before := goroutineIDs()
+	f := fabric.NewInproc(2, fabric.Config{})
+	cfg := Config{PullStripes: 2}
+	a, b := NewWorker(f.NIC(0), cfg), NewWorker(f.NIC(1), cfg)
+	t.Cleanup(func() { a.Close(); b.Close() })
+	data, out := pattern(size, 4), make([]byte, size)
+	exchange := func() {
+		for _, ends := range [][2]*Worker{{a, b}, {b, a}} {
+			src, dst := ends[0], ends[1]
+			rr, err := dst.Recv(src.Rank(), 1, exactMask, Contig{}, out, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr, err := src.Send(dst.Rank(), 1, Contig{}, data, size, 0, ProtoRndv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := WaitAll(rr, sr); err != nil {
+				t.Fatal(err)
+			}
+			// A receive completes just before its puller parks. In a
+			// ping-pong the next pull comes a round trip later; here it
+			// could pass the puller and start a second one, which would
+			// park too, so the test waits for the first.
+			waitFor(t, "the puller to park", func() bool {
+				dst.jobMu.Lock()
+				defer dst.jobMu.Unlock()
+				return dst.lanes[src.Rank()].pullers == 0
+			})
+		}
+	}
+	exchange()
+	warm := pullerIDs()
+	if len(warm) != 2 {
+		t.Fatalf("%d pullers parked after one exchange each way, want one a worker", len(warm))
+	}
+	for i := 0; i < rounds; i++ {
+		exchange()
+	}
+	if got := pullerIDs(); !slices.Equal(got, warm) {
+		t.Fatalf("pullers %v after %d rendezvous ping-pongs, %v before: new ones started", got, rounds, warm)
+	}
+	if !bytes.Equal(out, data) {
+		t.Fatal("payload differs")
+	}
+	if got := b.Stats().SequentialPulls.Load(); got != rounds+1 {
+		t.Fatalf("%d pulls on rank 1, want %d", got, rounds+1)
+	}
+	a.Close()
+	b.Close()
+	got := 0
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if got = newGoroutines(before); got == 0 {
+			return
+		}
+	}
+	t.Fatalf("%d goroutines left after Close", got)
 }
 
 // TestFinishErrorReachesBothEnds: when the receive side's Finish fails, the

@@ -22,8 +22,10 @@
 //
 // A rendezvous pull, a stripe of a large one and a self-send's local copy
 // are jobs queued by source rank, each queue drained by at most
-// Config.PullStripes pullers that start when there is work and exit when
-// there is none. A striped pull is a countdown in its Request, a retry a timer.
+// Config.PullStripes pullers. A puller that runs out of work parks, up to
+// PullStripes of them a worker, and the next job wakes it instead of
+// starting a goroutine. A striped pull is a countdown in its Request, a
+// retry a timer.
 //
 // The eager→rendezvous threshold is configurable and is the one switch
 // every datatype takes: a message of several regions is charged a few

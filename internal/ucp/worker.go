@@ -35,6 +35,7 @@ type Worker struct {
 	jobMu   sync.Mutex
 	lanes   []lane              // one queue per source rank, this rank's own for self-sends
 	laneCap int                 // pullers a lane may run (see NewWorker)
+	idle    []chan *lane        // parked pullers, at most PullStripes, the last parked on top
 	retries map[*time.Timer]job // Gets waiting out a retry back-off
 
 	// Reliability state (see reliable.go), guarded by mu.
@@ -283,11 +284,16 @@ func (w *Worker) Close() {
 		r.complete(-1, 0, 0, 0, ErrWorkerClosed)
 	}
 	w.drainPeers()
-	// Under jobMu, so every puller is counted in w.wg before the Wait below.
+	// Under jobMu, so every puller is counted in w.wg before the Wait below
+	// and none parks after the idle ones are sent away.
 	// A Get waiting out a retry back-off fails now, not when its timer fires.
 	// A liveness tick stopped before it ran gives back its count of w.wg.
 	w.jobMu.Lock()
 	close(w.quit)
+	for _, wake := range w.idle {
+		wake <- nil
+	}
+	w.idle = nil
 	var late []job
 	for t, j := range w.retries {
 		if t.Stop() {
@@ -774,10 +780,13 @@ func (w *Worker) quitting() bool {
 }
 
 // enqueue hands a job to its source's lane, where it waits in arrival order
-// for one of at most laneCap pullers; one is started when a job finds fewer
-// running and exits when it finds the lane empty, so an idle worker parks
-// none and a burst pays one spawn and one stack growth, not one a message.
-// Nothing waits on a queued job; once Close has begun one runs here, to fail.
+// for one of at most laneCap pullers. A job that finds fewer running wakes a
+// parked puller, or starts one if none is parked; a puller that finds its
+// lane empty parks while fewer than PullStripes are, and exits otherwise. So
+// a ping-pong's pulls run on a goroutine whose stack has already grown, and
+// a burst starts pullers once, not one a message. The lane is handed over
+// after jobMu is released. Nothing waits on a queued job; once Close has
+// begun one runs here, to fail.
 func (w *Worker) enqueue(j job) {
 	l := &w.lanes[j.op.srcRank]
 	w.jobMu.Lock()
@@ -792,23 +801,47 @@ func (w *Worker) enqueue(j job) {
 		l.jobs, l.head = l.jobs[:n], 0
 	}
 	l.jobs = append(l.jobs, j)
+	var wake chan *lane
 	if l.pullers < w.laneCap {
 		l.pullers++
-		w.wg.Add(1)
-		go l.run()
+		if n := len(w.idle) - 1; n >= 0 {
+			wake = w.idle[n]
+			w.idle[n], w.idle = nil, w.idle[:n]
+		} else {
+			w.wg.Add(1)
+			go l.run()
+		}
 	}
 	w.jobMu.Unlock()
+	if wake != nil {
+		wake <- l
+	}
 }
 
+// puller drains lane l, then parks, keeping its count of w.wg, until a job
+// hands it a lane again or Close sends it nil. wake holds one lane at most:
+// a parked puller is taken out of w.idle before it is sent one.
 func (w *Worker) puller(l *lane) {
 	defer w.wg.Done()
+	var wake chan *lane
 	for {
 		w.jobMu.Lock()
 		if l.head == len(l.jobs) {
 			l.jobs, l.head = l.jobs[:0], 0
 			l.pullers--
+			if w.quitting() || len(w.idle) == w.cfg.PullStripes {
+				w.jobMu.Unlock()
+				return
+			}
+			if wake == nil {
+				wake = make(chan *lane, 1)
+			}
+			w.idle = append(w.idle, wake)
 			w.jobMu.Unlock()
-			return
+			if l = <-wake; l == nil {
+				return
+			}
+			continue
 		}
 		j := l.jobs[l.head]
 		l.jobs[l.head] = job{}
