@@ -121,7 +121,12 @@ func runWorker(task string) {
 	if err != nil {
 		log.Fatalf("worker: %v", err)
 	}
-	if err := launch.RunTask(task, in, mpi.Options{}); err != nil {
+	var opt mpi.Options
+	if os.Getenv(launch.EnvDebug) != "" {
+		// The failure dump prints this observer's metrics and trace tail.
+		opt.Fabric.Obs = mpi.NewObserver(launch.DebugTraceCap)
+	}
+	if err := launch.RunTask(task, in, opt); err != nil {
 		log.Fatalf("worker rank %d: %v", in.Rank, err)
 	}
 }

@@ -52,7 +52,12 @@ func main() {
 		if err != nil {
 			log.Fatalf("worker: %v", err)
 		}
-		if err := launch.RunTask(task, in, mpi.Options{}); err != nil {
+		var opt mpi.Options
+		if os.Getenv(launch.EnvDebug) != "" {
+			// The failure dump prints this observer's metrics and trace tail.
+			opt.Fabric.Obs = mpi.NewObserver(launch.DebugTraceCap)
+		}
+		if err := launch.RunTask(task, in, opt); err != nil {
 			log.Fatalf("worker rank %d: %v", in.Rank, err)
 		}
 		return

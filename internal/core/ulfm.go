@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"mpicd/internal/layout"
+	"mpicd/internal/obs"
 	"mpicd/internal/ucp"
 )
 
@@ -151,10 +152,11 @@ func (c *Comm) revokeListener() {
 			if errors.Is(err, ucp.ErrTimeout) {
 				continue // janitor deadline on a quiet comm; repost
 			}
-			c.ulfmTrace("revoke listener exit: %v", err)
+			obs.Ctl(c.w.Rank(), -1, "ulfm listener exit: "+err.Error(), 0)
 			return
 		}
-		c.ulfmTrace("notice %d received", buf[0])
+		from, _, _ := r.Status()
+		obs.Ctl(c.w.Rank(), from, "ulfm notice", int64(buf[0]))
 		if buf[0] == noticeFence {
 			c.fenceLocal()
 		} else {
@@ -199,12 +201,12 @@ func (c *Comm) revokeLocal(propagate bool) {
 		}
 		return true
 	}, ErrRevoked)
+	obs.Ctl(c.w.Rank(), -1, "ulfm revoked", int64(aborted))
 	if !propagate {
-		c.ulfmTrace("revoked locally (%d receives aborted)", aborted)
 		return
 	}
 	notice := []byte{noticeRevoke}
-	var flooded []int
+	flooded := 0
 	for r := 0; r < c.Size(); r++ {
 		if r == c.rank || c.w.PeerFailed(c.group[r]) {
 			continue
@@ -213,12 +215,12 @@ func (c *Comm) revokeLocal(propagate bool) {
 		// revoker, and transport-level failure notification completes
 		// the request either way.
 		if _, err := c.w.Send(c.group[r], c.collTag(opRevoke, 0, 0), TypeBytes.transport(), notice, 1, 0, ucp.ProtoEager); err != nil {
-			c.ulfmTrace("revoke notice to rank %d refused at post: %v", r, err)
+			obs.Ctl(c.w.Rank(), c.group[r], "ulfm notice refused: "+err.Error(), 0)
 		} else {
-			flooded = append(flooded, r)
+			flooded++
 		}
 	}
-	c.ulfmTrace("revoked (%d receives aborted), notices -> %v", aborted, flooded)
+	obs.Ctl(c.w.Rank(), -1, "ulfm flood", int64(flooded))
 }
 
 // Fenced reports whether the surviving group agreed this live rank into

@@ -11,6 +11,7 @@ import (
 	"mpicd/internal/ddt"
 	"mpicd/internal/fabric"
 	"mpicd/internal/layout"
+	"mpicd/internal/obs"
 	"mpicd/internal/ucp"
 )
 
@@ -113,8 +114,10 @@ func recoveryRank(c *Comm, victim, killIter int, kill func()) error {
 			continue
 		}
 		if !errors.Is(err, ErrProcFailed) && !errors.Is(err, ErrRevoked) {
-			return fmt.Errorf("rank %d: Allreduce failed outside the taxonomy at iter %d: %v\nconn trace:\n  %s",
-				c.Rank(), iter, err, strings.Join(fabric.ConnTrace(), "\n  "))
+			var ctl strings.Builder
+			_ = obs.Control.WriteJSON(&ctl)
+			return fmt.Errorf("rank %d: Allreduce failed outside the taxonomy at iter %d: %v\ncontrol events:\n%s",
+				c.Rank(), iter, err, ctl.String())
 		}
 		failure = err
 		break
@@ -293,6 +296,56 @@ func TestRevokePropagation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestControlEvents: with no observer configured, Revoke records
+// "ulfm revoked" at the revoker, with the count of receives it aborted,
+// and every other rank records the notice it took in.
+func TestControlEvents(t *testing.T) {
+	leakChecked(t)
+	start := time.Now().UnixNano()
+	err := Run(3, Options{}, func(c *Comm) error {
+		if c.Rank() == 0 {
+			r, err := c.Irecv(make([]byte, 8), 8, TypeBytes, AnySource, 9)
+			if err != nil {
+				return err
+			}
+			if err := c.Revoke(); err != nil {
+				return err
+			}
+			if _, err := r.Wait(); !errors.Is(err, ErrRevoked) {
+				return fmt.Errorf("pending recv on revoked comm = %v, want ErrRevoked", err)
+			}
+			return nil
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for !c.Revoked() {
+			if time.Now().After(deadline) {
+				return errors.New("revocation never propagated")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := func(rank int, note string, arg int64) bool {
+		for _, ev := range obs.Control.Events() {
+			if ev.Kind == obs.EvControl && ev.Nanos >= start && int(ev.Rank) == rank && ev.Note == note && (arg < 0 || ev.Arg == arg) {
+				return true
+			}
+		}
+		return false
+	}
+	if !seen(0, "ulfm revoked", 1) {
+		t.Errorf("rank 0 recorded no \"ulfm revoked\" with 1 receive aborted")
+	}
+	for rank := 1; rank < 3; rank++ {
+		if !seen(rank, "ulfm notice", -1) {
+			t.Errorf("rank %d recorded no \"ulfm notice\"", rank)
+		}
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"mpicd/internal/obs"
 )
 
 // Reserved header kinds used internally by byte-stream providers for the
@@ -326,7 +328,7 @@ func (s *stream) DeclareRankDown(rank int) {
 	s.connsMu.Unlock()
 	if old != nil {
 		old.c.Close()
-		connTrace(s.rank, rank, cevDropStale, 0)
+		obs.Ctl(s.rank, rank, "conn drop stale", 0)
 	}
 }
 
@@ -352,7 +354,7 @@ func (s *stream) ReviveRank(peer int) {
 	if old != nil {
 		old.c.Close()
 	}
-	connTrace(s.rank, peer, cevRevive, 0)
+	obs.Ctl(s.rank, peer, "conn revive", 0)
 }
 
 // acceptLoop installs inbound connections (lazy dials and redials) for
@@ -380,7 +382,7 @@ func (s *stream) handleHello(c net.Conn) {
 	}
 	peer := int(binary.LittleEndian.Uint32(hello[:4]))
 	if peer == s.rank || peer < 0 || peer >= s.size {
-		connTrace(s.rank, -1, cevHelloReject, int64(peer))
+		obs.Ctl(s.rank, -1, "hello reject", int64(peer))
 		c.Close()
 		return
 	}
@@ -404,7 +406,7 @@ func (s *stream) handleHello(c net.Conn) {
 		s.connsMu.Unlock()
 		_, _ = c.Write(s.verdict(helloYield))
 		c.Close()
-		connTrace(s.rank, peer, cevHelloYield, 0)
+		obs.Ctl(s.rank, peer, "hello yield", 0)
 		return
 	}
 	// Accept (replacing any stale predecessor). The verdict is written
@@ -487,7 +489,7 @@ func (s *stream) dialPeer(peer int) error {
 				conn := s.installConnLocked(peer, c)
 				s.connsMu.Unlock()
 				go s.readLoop(conn)
-				connTrace(s.rank, peer, cevDialOK, 0)
+				obs.Ctl(s.rank, peer, "dial ok", 0)
 				return nil
 			case verdict == helloYield:
 				// The peer's own dial is on its way; wait for the install.
@@ -503,7 +505,7 @@ func (s *stream) dialPeer(peer int) error {
 		}
 		lastErr = err
 		if time.Now().After(deadline) {
-			connTrace(s.rank, peer, cevDialFail, 0)
+			obs.Ctl(s.rank, peer, "dial fail", 0)
 			return fmt.Errorf("fabric: rank %d: peer rank %d unreachable at %q after %v: %w (%v)",
 				s.rank, peer, addr, s.cfg.DialTimeout, ErrLinkDown, lastErr)
 		}
@@ -566,7 +568,7 @@ func (s *stream) observeEpoch(peer int, epoch uint32) {
 	}
 	s.epochMu.Unlock()
 	if died {
-		connTrace(s.rank, peer, cevEpochDeath, int64(epoch))
+		obs.Ctl(s.rank, peer, "epoch death", int64(epoch))
 		s.notifyPeerDown(peer, true)
 	}
 }
@@ -611,7 +613,7 @@ func (s *stream) installConnLocked(peer int, c net.Conn) *streamConn {
 		replaced = 1
 		old.c.Close()
 	}
-	connTrace(s.rank, peer, cevInstall, replaced)
+	obs.Ctl(s.rank, peer, "conn install", replaced)
 	return conn
 }
 
@@ -625,6 +627,14 @@ func (s *stream) setConnLocked(peer int, c *streamConn) {
 	}
 	s.connGen[peer].Store(gen)
 }
+
+// Drop sites: which I/O path saw the socket fail, recorded as the Arg of
+// a "conn drop" control event.
+const (
+	dropSiteHeader  int64 = 1 // readLoop: frame header read failed
+	dropSitePayload int64 = 2 // readLoop: frame payload read failed
+	dropSiteWrite   int64 = 3 // writeFrame: gather write failed
+)
 
 // dropConn tears down a broken connection, fails its outstanding Gets
 // with ErrLinkDown, and — when this side is the canonical dialer (the
@@ -653,7 +663,7 @@ func (s *stream) dropConn(conn *streamConn, site int64) {
 		// installed the new conn before the old one's EOF surfaced), and
 		// the provider above must re-key its establishment either way.
 		s.connsMu.Unlock()
-		connTrace(s.rank, conn.peer, cevDropStale, site)
+		obs.Ctl(s.rank, conn.peer, "conn drop stale", site)
 		if site == dropSiteWrite {
 			s.connsMu.Lock()
 			s.drainingLocked(conn)
@@ -665,7 +675,7 @@ func (s *stream) dropConn(conn *streamConn, site int64) {
 		return
 	}
 	s.setConnLocked(conn.peer, nil)
-	connTrace(s.rank, conn.peer, cevDrop, site)
+	obs.Ctl(s.rank, conn.peer, "conn drop", site)
 	s.connDrops.Add(1)
 	if s.rank > conn.peer {
 		s.startDialLocked(conn.peer, true)

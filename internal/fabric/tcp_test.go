@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mpicd/internal/obs"
 )
 
 // freeAddrs reserves n distinct loopback ports and returns their addresses.
@@ -356,6 +358,56 @@ func TestTCPRedialAfterDisconnect(t *testing.T) {
 	}
 	if pkt, ok := nics[1].Recv(); !ok || pkt.Payload[0] != 3 {
 		t.Fatal("reverse delivery after redial failed")
+	}
+}
+
+// controlSince returns the control events rank recorded under note since
+// start (Unix nanoseconds). The ring is shared by the whole process.
+func controlSince(start int64, rank int, note string) []obs.Event {
+	var out []obs.Event
+	for _, ev := range obs.Control.Events() {
+		if ev.Kind == obs.EvControl && ev.Nanos >= start && int(ev.Rank) == rank && ev.Note == note {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestControlEvents: with no observer configured, a TCP pair records its
+// connection steps into obs.Control — the install on first send, the drop
+// (with its site) when the socket is severed, and the redial's install.
+func TestControlEvents(t *testing.T) {
+	start := time.Now().UnixNano()
+	nics := lazyMesh(t, 2, Config{})
+	if err := nics[1].Send(0, Header{Tag: 1}, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if pkt, ok := nics[0].Recv(); !ok || pkt.Payload[0] != 1 {
+		t.Fatal("first send not delivered")
+	}
+	installs := controlSince(start, 1, "conn install")
+	if len(installs) != 1 || installs[0].Peer != 0 {
+		t.Fatalf("first send: rank 1 installs = %+v, want one toward rank 0", installs)
+	}
+	if got := controlSince(start, 0, "conn install"); len(got) != 1 || got[0].Peer != 1 {
+		t.Fatalf("first send: rank 0 installs = %+v, want one toward rank 1", got)
+	}
+	// Rank 1 is the higher rank, so after the drop it redials on its own.
+	nics[1].sever(0)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(controlSince(start, 1, "conn drop")) == 0 || len(controlSince(start, 1, "conn install")) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no drop and redial recorded: drops %+v, installs %+v",
+				controlSince(start, 1, "conn drop"), controlSince(start, 1, "conn install"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	drop := controlSince(start, 1, "conn drop")[0]
+	if drop.Peer != 0 || drop.Arg != dropSiteHeader {
+		t.Fatalf("drop = %+v, want peer 0 at the header-read site (%d)", drop, dropSiteHeader)
+	}
+	if redial := controlSince(start, 1, "conn install")[1]; redial.Peer != 0 || redial.Nanos < drop.Nanos {
+		t.Fatalf("redial install = %+v, want toward rank 0 after the drop %+v", redial, drop)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"mpicd/internal/core"
 	"mpicd/internal/ddt"
 	"mpicd/internal/layout"
+	"mpicd/internal/obs"
 	"mpicd/internal/ucp"
 )
 
@@ -116,18 +117,12 @@ func missingRanks(size int, c *core.Comm) []int {
 // lost a member and must re-shrink before retrying.
 func elasticRecover(w *World, comm *core.Comm) (*core.Comm, error) {
 	in := w.Info
-	trace := func(format string, args ...any) {
-		if os.Getenv(EnvDebug) != "" {
-			fmt.Fprintf(os.Stderr, "%s rank %d recover: %s\n",
-				time.Now().Format("15:04:05.000"), in.Rank, fmt.Sprintf(format, args...))
-		}
-	}
 	_ = comm.Revoke()
 	sc, err := comm.Shrink()
 	if err != nil {
 		return nil, fmt.Errorf("shrink: %w", err)
 	}
-	trace("shrunk to size %d (members %v)", sc.Size(), sc.FabricRanks())
+	step(in.Rank, "recover: shrunk to size %d (members %v)", sc.Size(), sc.FabricRanks())
 	latest := make(map[int]core.JoinPeer)
 	deadline := time.Now().Add(elasticRecoverWindow)
 	for {
@@ -137,14 +132,14 @@ func elasticRecover(w *World, comm *core.Comm) (*core.Comm, error) {
 		}
 		if f := sc.Failed(); len(f) > 0 {
 			// Another member died since the last agreement; fold it in.
-			trace("members %v failed since last agreement; re-shrinking", f)
+			step(in.Rank, "recover: members %v failed since last agreement; re-shrinking", f)
 			_ = sc.Revoke()
 			ns, err := sc.Shrink()
 			if err != nil {
 				return nil, fmt.Errorf("re-shrink: %w", err)
 			}
 			sc = ns
-			trace("re-shrunk to size %d (members %v)", sc.Size(), sc.FabricRanks())
+			step(in.Rank, "recover: re-shrunk to size %d (members %v)", sc.Size(), sc.FabricRanks())
 			continue
 		}
 		missing := missingRanks(in.Size, sc)
@@ -153,13 +148,13 @@ func elasticRecover(w *World, comm *core.Comm) (*core.Comm, error) {
 		}
 		peers, _, err := w.PollRejoins(0)
 		if err != nil {
-			trace("poll rejoins: %v", err)
+			step(in.Rank, "recover: poll rejoins: %v", err)
 			time.Sleep(50 * time.Millisecond)
 			continue
 		}
 		for _, p := range peers {
 			if old, seen := latest[p.Rank]; !seen || old != p {
-				trace("join record: rank %d at %s", p.Rank, p.Addr)
+				step(in.Rank, "recover: join record: rank %d at %s", p.Rank, p.Addr)
 			}
 			latest[p.Rank] = p // records arrive epoch-ascending: newest wins
 		}
@@ -175,9 +170,9 @@ func elasticRecover(w *World, comm *core.Comm) (*core.Comm, error) {
 			time.Sleep(50 * time.Millisecond)
 			continue
 		}
-		trace("growing with joiners %v", missing)
+		step(in.Rank, "recover: growing with joiners %v", missing)
 		nc, gerr := sc.GrowWithin(args, elasticGrowWindow)
-		trace("grow result: size=%d err=%v", growSize(nc), gerr)
+		step(in.Rank, "recover: grow result: size=%d err=%v", growSize(nc), gerr)
 		if nc != nil {
 			// Even with a failed opening barrier the grown communicator
 			// is the new world; the next collective re-detects the death.
@@ -202,6 +197,12 @@ func elasticRecover(w *World, comm *core.Comm) (*core.Comm, error) {
 	}
 }
 
+// step records one elastic-recovery step of rank into the process's
+// control ring (obs.Control), which the EnvDebug dump prints.
+func step(rank int, format string, args ...any) {
+	obs.Ctl(rank, -1, fmt.Sprintf(format, args...), 0)
+}
+
 func growSize(c *core.Comm) int {
 	if c == nil {
 		return 0
@@ -211,12 +212,6 @@ func growSize(c *core.Comm) int {
 
 func taskElastic(w *World) error {
 	in := w.Info
-	trace := func(format string, args ...any) {
-		if os.Getenv(EnvDebug) != "" {
-			fmt.Fprintf(os.Stderr, "%s rank %d task: %s\n",
-				time.Now().Format("15:04:05.000"), in.Rank, fmt.Sprintf(format, args...))
-		}
-	}
 	iters, err := envInt(EnvElasticIters, 30)
 	if err != nil {
 		return err
@@ -254,9 +249,9 @@ func taskElastic(w *World) error {
 	if w.Rejoined() {
 		deadline := time.Now().Add(elasticRejoinBudget)
 		for {
-			trace("join window opens")
+			step(in.Rank, "task: join window opens")
 			comm, err = w.Join(elasticJoinWindow)
-			trace("join window closed: comm=%v err=%v", comm != nil, err)
+			step(in.Rank, "task: join window closed: comm=%v err=%v", comm != nil, err)
 			if comm != nil {
 				break
 			}

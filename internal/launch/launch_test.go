@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mpicd/internal/core"
+	"mpicd/internal/obs"
 )
 
 // The e2e tests launch REAL worker processes by re-executing this test
@@ -24,7 +25,12 @@ func TestMain(m *testing.M) {
 			case "bindreport":
 				err = runBindReport(in) // test-local, in bind_test.go
 			default:
-				err = RunTask(task, in, core.Options{})
+				var opt core.Options
+				if os.Getenv(EnvDebug) != "" {
+					// As the mpicd-run worker: the dump's metrics and trace.
+					opt.Fabric.Obs = obs.New(DebugTraceCap)
+				}
+				err = RunTask(task, in, opt)
 			}
 		}
 		if err != nil {
@@ -168,6 +174,33 @@ func TestLaunchCrashPropagates(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("survivors were not killed promptly: job took %v", elapsed)
+	}
+}
+
+// TestLaunchDebugDump: under EnvDebug a survivor killed by the launcher
+// dumps its observer's metrics and the process's control events, one
+// event a line, and no longer the hand-formatted unacked-send lines.
+func TestLaunchDebugDump(t *testing.T) {
+	for _, tr := range []string{TransportSHM, TransportTCP} {
+		t.Run(tr, func(t *testing.T) {
+			err, out, _ := runSupervised(t, 2, tr, "crash", nil, nil, time.Minute, EnvDebug+"=1")
+			if err == nil {
+				t.Fatalf("crash job reported success:\n%s", out)
+			}
+			if !strings.Contains(out, `"ucp.r0.eager_sends"`) {
+				t.Errorf("dump holds no ucp.r0.eager_sends gauge:\n%s", out)
+			}
+			install := false
+			for _, line := range strings.Split(out, "\n") {
+				install = install || strings.Contains(line, `"kind":"control"`) && strings.Contains(line, `"note":"conn install"`)
+				if strings.Contains(line, "unacked:") {
+					t.Errorf("dump still holds an unacked line: %s", line)
+				}
+			}
+			if !install {
+				t.Errorf("dump holds no conn install control event:\n%s", out)
+			}
+		})
 	}
 }
 

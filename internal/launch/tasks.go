@@ -2,19 +2,19 @@ package launch
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 	"time"
 
 	"mpicd/internal/core"
 	"mpicd/internal/ddt"
-	"mpicd/internal/fabric"
 	"mpicd/internal/layout"
+	"mpicd/internal/obs"
 	"mpicd/internal/ucp"
 )
 
@@ -31,7 +31,16 @@ const EnvTask = "MPICD_WORKER_TASK"
 // goroutine stacks.
 const EnvDebug = "MPICD_DEBUG"
 
+// DebugTraceCap is the message trace a worker keeps for its EnvDebug
+// dump: in a hang traffic stops, so the trace's last events are what is
+// stuck.
+const DebugTraceCap = 4096
+
 // RunTask connects a world from in and runs the named built-in task.
+// Under EnvDebug its failure dump prints the metrics and message trace
+// of opt.Fabric.Obs when the caller attached one (the mpicd-run and
+// mpicd-soak workers attach one with DebugTraceCap events), and the
+// process's control events (obs.Control) in any case.
 func RunTask(name string, in *Info, opt core.Options) error {
 	if name == "elastic" && opt.UCP.Heartbeat.Period == 0 {
 		// Elastic recovery hinges on failure detection: without a
@@ -55,13 +64,13 @@ func RunTask(name string, in *Info, opt core.Options) error {
 		signal.Notify(ch, syscall.SIGTERM)
 		go func() {
 			<-ch
-			debugDump(w, "killed")
+			w.debugDump("killed")
 			os.Exit(1)
 		}()
 	}
 	err = runTask(name, w)
 	if err != nil && os.Getenv(EnvDebug) != "" {
-		debugDump(w, err.Error())
+		w.debugDump(err.Error())
 	}
 	if err == nil && name != "exitrace" {
 		// Exit linger: task completion is not symmetric across ranks. A
@@ -110,31 +119,31 @@ func runTask(name string, w *World) error {
 	}
 }
 
-// debugDump writes the rank's transport forensics to stderr: protocol
-// counters, every send still awaiting acknowledgement (and which peer
-// owes the ack), and the provider's channel state.
+// debugDump writes the rank's forensics to stderr: the observer's metrics
+// (every ucp, fabric and hb counter and queue depth), the tail of its
+// message trace and the process's control events (connections,
+// revocations, recovery steps), one event a line, then the provider's
+// channel state.
 func (w *World) debugDump(reason string) {
-	var b strings.Builder
-	st := w.worker.Stats()
+	var b bytes.Buffer
 	fmt.Fprintf(&b, "rank %d debug (%s):\n", w.Info.Rank, reason)
-	fmt.Fprintf(&b, "  ucp: eager=%d acksSent=%d rexmits=%d dupFrags=%d timeouts=%d\n",
-		st.EagerSends.Load(), st.AcksSent.Load(), st.Retransmits.Load(), st.DupFrags.Load(), st.Timeouts.Load())
-	for _, e := range w.worker.RexmitSnapshot() {
-		fmt.Fprintf(&b, "  unacked: dst=%d tag=%#x eager=%v attempts=%d\n", e.Dst, e.Tag, e.Eager, e.Attempts)
+	events := obs.Control.Events()
+	if o := w.nic.Config().Obs; o != nil {
+		_ = o.Registry.WriteJSON(&b)
+		events = append(o.Trace.Events(), events...)
+	}
+	enc := json.NewEncoder(&b)
+	for _, ev := range events {
+		_ = enc.Encode(ev)
 	}
 	if d, ok := w.nic.(interface{ DebugState() string }); ok {
 		b.WriteString(d.DebugState())
 	}
-	for _, ev := range fabric.ConnTrace() {
-		fmt.Fprintf(&b, "  conn: %s\n", ev)
-	}
-	os.Stderr.WriteString(b.String())
+	os.Stderr.Write(b.Bytes())
 	if os.Getenv(EnvDebug) == "2" {
 		_ = pprof.Lookup("goroutine").WriteTo(os.Stderr, 2)
 	}
 }
-
-func debugDump(w *World, reason string) { w.debugDump(reason) }
 
 func fill(n int, seed byte) []byte {
 	b := make([]byte, n)

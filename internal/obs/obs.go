@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -141,25 +140,6 @@ func writeSortedJSON(w io.Writer, v any) error {
 	buf.WriteByte('\n')
 	_, err = w.Write(buf.Bytes())
 	return err
-}
-
-// Names returns every registered metric name, sorted, primarily for
-// tests and discovery.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counts)+len(r.gauges)+len(r.hists))
-	for n := range r.counts {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Observer bundles the two observability facilities a layer may be

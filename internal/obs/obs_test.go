@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterAndRegistry(t *testing.T) {
@@ -116,6 +117,34 @@ func TestObserverJSONRoundTrip(t *testing.T) {
 	}
 	if len(doc.Trace) != 1 || doc.Trace[0].Kind != EvPost {
 		t.Fatalf("trace lost in round trip: %+v", doc.Trace)
+	}
+}
+
+// TestControlRing: Ctl records into the process-wide ring with no
+// Observer, as a "control" event whose note survives a JSON round trip;
+// a message event's JSON carries no note at all.
+func TestControlRing(t *testing.T) {
+	start := time.Now().UnixNano()
+	Ctl(3, 1, "conn drop", 2)
+	var got []Event
+	for _, ev := range Control.Events() {
+		if ev.Nanos >= start && ev.Rank == 3 && ev.Note == "conn drop" {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != 1 || got[0].Kind != EvControl || got[0].Peer != 1 || got[0].Arg != 2 {
+		t.Fatalf("control events = %+v, want one conn drop of rank 3 toward 1, arg 2", got)
+	}
+	raw, err := json.Marshal(got[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Event
+	if err := json.Unmarshal(raw, &back); err != nil || back != got[0] {
+		t.Fatalf("round trip of %s = %+v, %v", raw, back, err)
+	}
+	if raw, _ := json.Marshal(Event{Kind: EvSend}); bytes.Contains(raw, []byte("note")) {
+		t.Fatalf("message event JSON holds a note: %s", raw)
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"io"
 	"sync"
+	"time"
 )
 
 // EventKind identifies one step of a message lifecycle.
@@ -14,7 +15,9 @@ type EventKind uint8
 // hit / 0 for an unexpected hit), a rendezvous pull fans out (EvStripes,
 // Arg = segment count), the janitor resends (EvRexmit, Arg = attempt),
 // and the request completes (EvComplete, Arg = 0 ok / 1 failed) or times
-// out (EvTimeout).
+// out (EvTimeout). EvControl is not a message step: it is a control-plane
+// step (a connection installed or dropped, a communicator revoked, a
+// recovery move) recorded into Control, named by the event's Note.
 const (
 	EvPost EventKind = 1 + iota
 	EvSend
@@ -23,6 +26,7 @@ const (
 	EvRexmit
 	EvComplete
 	EvTimeout
+	EvControl
 )
 
 func (k EventKind) String() string {
@@ -41,6 +45,8 @@ func (k EventKind) String() string {
 		return "complete"
 	case EvTimeout:
 		return "timeout"
+	case EvControl:
+		return "control"
 	}
 	return "unknown"
 }
@@ -53,7 +59,7 @@ func (k EventKind) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON accepts the name form produced by MarshalJSON.
 func (k *EventKind) UnmarshalJSON(b []byte) error {
-	for c := EvPost; c <= EvTimeout; c++ {
+	for c := EvPost; c <= EvControl; c++ {
 		if string(b) == `"`+c.String()+`"` {
 			*k = c
 			return nil
@@ -63,9 +69,10 @@ func (k *EventKind) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Event is one fixed-size trace record. Fields are value types only, so
-// recording an event is a struct copy into the preallocated ring — no
-// heap allocation.
+// Event is one fixed-size trace record. Fields are value types except
+// Note, which only control events set; a message event leaves it empty,
+// so recording one is a struct copy into the preallocated ring — no heap
+// allocation.
 type Event struct {
 	Nanos int64     `json:"ns"`   // wall-clock nanoseconds (time.Now().UnixNano())
 	Kind  EventKind `json:"kind"` // lifecycle step
@@ -75,6 +82,8 @@ type Event struct {
 	Tag   uint64    `json:"tag"`  // transport matching tag
 	Size  int64     `json:"size"` // message payload bytes
 	Arg   int64     `json:"arg"`  // kind-specific detail (see EventKind docs)
+	// Note names a control step, with an error's text where it has one.
+	Note string `json:"note,omitempty"`
 }
 
 // Ring is a bounded in-memory trace buffer: the last cap(events) records
@@ -160,4 +169,19 @@ func (r *Ring) Events() []Event {
 // WriteJSON dumps the held events oldest-first as indented JSON.
 func (r *Ring) WriteJSON(w io.Writer) error {
 	return writeSortedJSON(w, r.Events())
+}
+
+// Control is the process-wide, always-on ring of the last 1 024
+// control-plane events: connection installs, drops and redials,
+// revocations, recovery steps. It is kept apart from every Observer's
+// trace so a burst of message events cannot evict the one connection drop
+// that explains a hang, and it needs no Observer, so those steps are
+// recorded in every world.
+var Control = NewRing(1024)
+
+// Ctl records one control-plane step of rank into Control: peer is the
+// remote rank (-1 when none), note names the step and arg carries its
+// number (a drop site, an epoch, a count).
+func Ctl(rank, peer int, note string, arg int64) {
+	Control.Record(Event{Nanos: time.Now().UnixNano(), Kind: EvControl, Rank: int32(rank), Peer: int32(peer), Arg: arg, Note: note})
 }

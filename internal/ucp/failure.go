@@ -195,15 +195,12 @@ func (w *Worker) DeclarePeerFailed(rank int) {
 	// Buffered messages from the dead peer: complete eager payloads stay
 	// deliverable; anything that still needs the peer (missing fragments,
 	// a rendezvous body to pull) is poisoned so a match fails fast.
-	now := time.Now()
 	w.table.forEachUnexpected(func(m *unexMsg) {
 		if m.from != rank || m.errored != nil {
 			return
 		}
 		if m.rndv || m.buffered < m.total {
-			m.errored = err
-			m.erroredAt = now
-			w.releaseFrags(m)
+			w.markErrored(m, err)
 		}
 	})
 	cbs := append([]func(int){}, w.onPeerFail...)

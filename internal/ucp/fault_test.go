@@ -313,47 +313,76 @@ func TestCorruptEagerWithoutReliableFailsWithErrCorrupt(t *testing.T) {
 	}
 }
 
-// TestAbortEntriesReaped pins the satellite fix: an abort for a message
-// no receive ever claims must not leak in the unexpected queue forever —
-// the janitor reaps it once it is older than abortLinger. The test ages
-// the parked entry by backdating its stamp instead of sleeping the linger
-// out.
+// TestAbortEntriesReaped pins that an abort for a message no receive
+// ever claims does not leak in the unexpected queue: the abort arms a
+// reap in every configuration, with or without a janitor, and the reap
+// drops the entry once it is older than abortLinger. The test ages the
+// parked entry by backdating its stamp and runs the armed reap at once
+// instead of sleeping the linger out.
 func TestAbortEntriesReaped(t *testing.T) {
-	cfg := Config{ReqTimeout: time.Second} // starts the janitor
-	a, b := pair(t, fabric.Config{FragSize: 512}, cfg)
-	ops := &failPackOps{failAt: 1000}
-	data := pattern(5000, 14)
-	// No receive is ever posted: the abort parks an errored entry in b's
-	// unexpected queue.
-	sr, err := a.Send(1, 1, Generic{Ops: ops}, data, 5000, 0, ProtoEager)
-	if err == nil {
-		err = sr.Wait()
-	}
-	if err == nil {
-		t.Fatal("send with failing pack should error")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for aged := false; b.Stats().AbortsReaped.Load() == 0; {
-		if !aged {
-			b.mu.Lock()
-			b.table.forEachUnexpected(func(m *unexMsg) {
-				if m.errored != nil {
-					m.erroredAt = m.erroredAt.Add(-abortLinger)
-					aged = true
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{}},
+		{"janitor", Config{ReqTimeout: time.Second}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := pair(t, fabric.Config{FragSize: 512}, tc.cfg)
+			ops := &failPackOps{failAt: 1000}
+			data := pattern(5000, 14)
+			// No receive is ever posted: the abort parks an errored entry in
+			// b's unexpected queue.
+			sr, err := a.Send(1, 1, Generic{Ops: ops}, data, 5000, 0, ProtoEager)
+			if err == nil {
+				err = sr.Wait()
+			}
+			if err == nil {
+				t.Fatal("send with failing pack should error")
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for aged := false; !aged; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("no errored unexpected entry arrived")
 				}
-			})
+				b.mu.Lock()
+				b.table.forEachUnexpected(func(m *unexMsg) {
+					if m.errored != nil {
+						m.erroredAt = m.erroredAt.Add(-abortLinger)
+						aged = true
+					}
+				})
+				armed := b.reaper != nil
+				// A stopped timer leaves its count of b.wg to whoever runs
+				// reap in its place.
+				fire := aged && armed && b.reaper.Stop()
+				b.mu.Unlock()
+				if aged && !armed {
+					t.Fatal("an errored unexpected entry armed no reap")
+				}
+				if fire {
+					b.reap()
+				}
+			}
+			for b.Stats().AbortsReaped.Load() == 0 {
+				if time.Now().After(deadline) {
+					b.mu.Lock()
+					left := b.table.lenUnexpected()
+					b.mu.Unlock()
+					t.Fatalf("errored unexpected entry was never reaped (%d unexpected left)", left)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			b.mu.Lock()
+			left, rearmed := b.table.lenUnexpected(), b.reaper != nil
 			b.mu.Unlock()
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("errored unexpected entry was never reaped")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	b.mu.Lock()
-	left := b.table.lenUnexpected()
-	b.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d unexpected entries remain after reaping", left)
+			if left != 0 {
+				t.Fatalf("%d unexpected entries remain after reaping", left)
+			}
+			if rearmed {
+				t.Fatal("a reap is still armed with no errored entry left")
+			}
+		})
 	}
 }
 

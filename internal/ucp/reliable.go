@@ -2,10 +2,11 @@ package ucp
 
 // Reliability machinery: retransmission of unacknowledged sends, duplicate
 // suppression on the receiver, fragment checksums, deadline enforcement
-// and reaping of stale abort records. Everything here is driven by the
-// worker's janitor goroutine, which only runs when Config.Reliable or
-// Config.ReqTimeout asks for it — plain lossless runs carry none of the
-// cost.
+// and reaping of stale abort records. Retransmission and deadlines are
+// driven by the worker's janitor goroutine, which only runs when
+// Config.Reliable or Config.ReqTimeout asks for it — plain lossless runs
+// carry none of the cost. Reaping runs in every configuration, on a
+// one-shot timer armed only while an errored entry waits (reap).
 //
 // The protocol is sender-driven: a reliable eager send retains the packed
 // message and retransmits all of it until the receiver's ack arrives; a
@@ -82,13 +83,11 @@ func (w *Worker) janitor() {
 }
 
 // sweep advances the reliability state machine one tick: resend overdue
-// unanswered sends, fail requests past their deadline or retransmission
-// budget, and reap stale errored unexpected entries. Whatever it takes out
-// of a table under w.mu it finishes after releasing it, as do all fabric
-// sends.
+// unanswered sends and fail requests past their deadline or retransmission
+// budget. Whatever it takes out of a table under w.mu it finishes after
+// releasing it, as do all fabric sends.
 func (w *Worker) sweep(now time.Time) {
 	var resend, expired, latePosted, lateActive []*Request
-	var stale []*unexMsg
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -130,12 +129,6 @@ func (w *Worker) sweep(now time.Time) {
 			}
 		}
 	}
-	// Reap errored unexpected entries no receive ever claimed.
-	if w.table.lenUnexpected() > 0 {
-		stale = w.table.filterUnexpected(func(m *unexMsg) bool {
-			return m.errored == nil || m.erroredAt.IsZero() || now.Sub(m.erroredAt) <= abortLinger
-		})
-	}
 	w.mu.Unlock()
 
 	for _, r := range resend {
@@ -169,6 +162,45 @@ func (w *Worker) sweep(now time.Time) {
 			w.stats.Timeouts.Add(1)
 		}
 	}
+}
+
+// markErrored records err as the failure of the unclaimed message m, so a
+// late receive fails fast, drops what m buffered, and arms the reap that
+// removes m once no receive has claimed it for abortLinger. Caller holds
+// w.mu.
+func (w *Worker) markErrored(m *unexMsg, err error) {
+	m.errored, m.erroredAt = err, time.Now()
+	w.releaseFrags(m)
+	w.armReapLocked()
+}
+
+// armReapLocked schedules reap unless it is already pending or Close has
+// begun. The pending timer holds a count of w.wg until it has run or Close
+// stops it. Caller holds w.mu.
+func (w *Worker) armReapLocked() {
+	if w.reaper == nil && !w.closed {
+		w.wg.Add(1)
+		w.reaper = time.AfterFunc(abortLinger, w.reap)
+	}
+}
+
+// reap drops the errored unexpected entries older than abortLinger and
+// comes back while younger ones remain, so a worker with no errored entry
+// has no timer pending.
+func (w *Worker) reap() {
+	defer w.wg.Done()
+	now, young := time.Now(), false
+	w.mu.Lock()
+	w.reaper = nil
+	stale := w.table.filterUnexpected(func(m *unexMsg) bool {
+		keep := m.errored == nil || now.Sub(m.erroredAt) <= abortLinger
+		young = young || m.errored != nil && keep
+		return keep
+	})
+	if young {
+		w.armReapLocked()
+	}
+	w.mu.Unlock()
 	for _, m := range stale {
 		w.stats.AbortsReaped.Add(1)
 		w.releaseFrags(m)
@@ -290,10 +322,8 @@ func (w *Worker) failEagerFrag(pkt *fabric.Packet) {
 	}
 	if m := w.table.findUnexpected(key); m != nil {
 		if m.errored == nil {
-			m.errored = err
-			m.erroredAt = time.Now()
+			w.markErrored(m, err)
 		}
-		w.releaseFrags(m)
 		// Keep counting so nothing downstream waits on this message.
 		m.buffered += int64(len(pkt.Payload))
 		w.mu.Unlock()
@@ -306,7 +336,7 @@ func (w *Worker) failEagerFrag(pkt *fabric.Packet) {
 	pkt.Release()
 	req, m := w.arriveLocked(in)
 	if req == nil {
-		m.errored, m.erroredAt = err, time.Now()
+		w.markErrored(m, err)
 	}
 	w.mu.Unlock()
 	if req != nil {
@@ -342,29 +372,6 @@ func (w *Worker) addFragDedup(m *unexMsg, pkt *fabric.Packet) int64 {
 	}
 	m.frags = append(m.frags, pkt)
 	return int64(len(pkt.Payload))
-}
-
-// RexmitInfo describes one unacknowledged reliable send — which peer
-// has not confirmed receipt, and how many resend rounds it has cost.
-// Debug/ops surface (launch workers dump it when a job dies).
-type RexmitInfo struct {
-	Dst      int
-	Tag      Tag
-	Eager    bool
-	Attempts int
-}
-
-// RexmitSnapshot lists the sends currently awaiting acknowledgement.
-func (w *Worker) RexmitSnapshot() []RexmitInfo {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]RexmitInfo, 0, len(w.sends))
-	if w.cfg.Reliable {
-		for _, r := range w.sends {
-			out = append(out, RexmitInfo{Dst: r.send.dst, Tag: r.send.tag, Eager: r.send.src == nil, Attempts: r.send.attempts})
-		}
-	}
-	return out
 }
 
 // answer is one queued outbound control frame: an eager ack, the FIN that

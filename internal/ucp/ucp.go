@@ -153,8 +153,7 @@ const msgIDEpochShift = 40
 const getRetries = 3
 
 // abortLinger is how long an errored unmatched message is kept for a
-// late receive to observe before the janitor reaps it. Reaping requires
-// the janitor, which runs when Reliable or ReqTimeout is set.
+// late receive to observe before it is reaped (in every configuration).
 const abortLinger = 2 * time.Second
 
 // maxDefaultPullStripes caps the automatic stripe count: past a few

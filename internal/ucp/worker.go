@@ -60,6 +60,7 @@ type Worker struct {
 	deadCount  atomic.Int64     // number of true entries in dead
 	onPeerFail []func(rank int) // failure callbacks, invoked outside mu
 	poison     []poisonRule     // standing receive-post rejections, guarded by mu
+	reaper     *time.Timer      // pending reap of errored unexpected entries (reliable.go), guarded by mu
 
 	// progress is held while a wire packet is delivered (see deliver), and
 	// while drainOnClose runs: one packet at a time, whichever goroutine
@@ -178,7 +179,7 @@ type unexMsg struct {
 	buffered  int64
 	selfReq   *Request  // self-send: the sender's request, which holds the source
 	errored   error     // abort received before match
-	erroredAt time.Time // when errored was set (janitor reaping)
+	erroredAt time.Time // when errored was set (reaping)
 	claimed   bool
 	arriveSeq uint64 // global arrival stamp (see matchTable)
 
@@ -279,6 +280,9 @@ func (w *Worker) Close() {
 	}
 	w.closed = true
 	posted := w.table.takeAllPosted()
+	if w.reaper != nil && w.reaper.Stop() {
+		w.wg.Done()
+	}
 	w.mu.Unlock()
 	for _, r := range posted {
 		r.complete(-1, 0, 0, 0, ErrWorkerClosed)
@@ -1412,7 +1416,7 @@ func (w *Worker) handleAbort(pkt *fabric.Packet) {
 		// already consumed): it meets the posted queue like any arrival, so
 		// a receive waiting for it fails now; otherwise it is recorded as an
 		// errored unexpected message so a future receive fails instead of
-		// hanging. The janitor reaps the entry after abortLinger if no
+		// hanging. The reaper drops the entry after abortLinger if no
 		// receive ever claims it.
 		var req *Request
 		if req, m = w.arriveLocked(in); req != nil {
@@ -1421,8 +1425,6 @@ func (w *Worker) handleAbort(pkt *fabric.Packet) {
 			return
 		}
 	}
-	m.errored = err
-	m.erroredAt = time.Now()
-	w.releaseFrags(m)
+	w.markErrored(m, err)
 	w.mu.Unlock()
 }
